@@ -6,7 +6,8 @@ records a span (name, start, end, parent, info) in memory; uninstall()
 puts every original back.  Nothing under src/ knows about the trace.
 derive() turns the spans into the per-layer metrics: counts, busy time,
 self time (a span's duration minus the time its child spans cover) and
-useful-work ratios.
+useful-work ratios; times are divided by the host-speed factor of their
+phase, as every time the benchmark reports is (see hostspeed.py).
 """
 
 from __future__ import annotations
@@ -159,11 +160,14 @@ def originals() -> list:
     return [(owner, attr, vars(owner)[attr]) for owner, attr, _, _ in _targets()]
 
 
-def derive(spans, setup_reps: int) -> dict:
+def derive(spans, setup_reps: int, op_factor: float = 1.0,
+           setup_factor: float = 1.0) -> dict:
     """Per-layer metrics from a finished span list (name -> (value, unit)).
 
     Counts and seconds are per op (per "bench.op" span), so that runs of
     different lengths compare; set-up times are per set-up repetition.
+    Seconds are reference-host seconds: wall time divided by op_factor, or
+    by setup_factor for the set-up spans.
     """
     child = [0.0] * len(spans)
     for name, start, end, parent, _ in spans:
@@ -205,6 +209,12 @@ def derive(spans, setup_reps: int) -> dict:
     def per_op(value):
         return frac(value, n_ops)
 
+    def per_op_s(seconds):
+        return per_op(seconds) / op_factor
+
+    def per_setup_s(seconds):
+        return seconds / setup_reps / setup_factor
+
     m = {}
     chain = ids("operators.chain")
     m["operators.chain.calls"] = (per_op(len(chain)), "count")
@@ -214,23 +224,23 @@ def derive(spans, setup_reps: int) -> dict:
         m[f"operators.chain.nodes.{fam}"] = (per_op(
             sum(spans[s][4][1] for s in chain if spans[s][4][0] == fam)),
             "count")
-    m["operators.chain.self_s"] = (per_op(self_time(chain)), "s")
+    m["operators.chain.self_s"] = (per_op_s(self_time(chain)), "s")
     cond = [s for s in ids("numpy.cond") if parent_name(s) in _KERNEL_SPANS]
     m["operators.cond.calls"] = (per_op(len(cond)), "count")
-    m["operators.cond.s"] = (per_op(busy(cond)), "s")
+    m["operators.cond.s"] = (per_op_s(busy(cond)), "s")
     m["operators.cond.worst"] = (max((spans[s][4] for s in cond),
                                      default=0.0), "ratio")
     inv = [s for s in ids("numpy.inv") if parent_name(s) in _KERNEL_SPANS]
-    m["operators.inv.s"] = (per_op(busy(inv)), "s")
+    m["operators.inv.s"] = (per_op_s(busy(inv)), "s")
     point = ids("operators.point")
     m["operators.point.calls"] = (per_op(len(point)), "count")
-    m["operators.point.s"] = (per_op(busy(point)), "s")
+    m["operators.point.s"] = (per_op_s(busy(point)), "s")
     quat = [s for s in ids("operators.quatmatrix")
             if parent_name(s) != "operators.quatmatrix"]
-    m["operators.quatmatrix.s"] = (per_op(busy(quat)), "s")
-    m["operators.profile.s"] = (busy(ids("operators.profile")) / setup_reps,
+    m["operators.quatmatrix.s"] = (per_op_s(busy(quat)), "s")
+    m["operators.profile.s"] = (per_setup_s(busy(ids("operators.profile"))),
                                 "s")
-    m["suites.generate.s"] = (busy(ids("suites.generate")) / setup_reps, "s")
+    m["suites.generate.s"] = (per_setup_s(busy(ids("suites.generate"))), "s")
 
     integ = ids("contour.integrate")
     levels = ids("contour.level")
@@ -244,8 +254,8 @@ def derive(spans, setup_reps: int) -> dict:
     m["contour.nodes"] = (per_op(nodes), "count")
     m["contour.nodes_per_integral"] = (frac(nodes, len(integ)), "count")
     m["contour.useful_node_frac"] = (frac(useful, nodes), "fraction")
-    m["contour.contract.s"] = (per_op(busy(ids("contour.contract"))), "s")
-    m["contour.level.self_s"] = (per_op(self_time(levels)), "s")
+    m["contour.contract.s"] = (per_op_s(busy(ids("contour.contract"))), "s")
+    m["contour.level.self_s"] = (per_op_s(self_time(levels)), "s")
 
     cert = ids("slicefun.certify")
     sample = ids("slicefun.sample")
@@ -254,7 +264,7 @@ def derive(spans, setup_reps: int) -> dict:
     m["slicefun.certify.samples"] = (per_op(len(sample)), "count")
     m["slicefun.certify.hit_frac"] = (
         frac(sum(1 for s in cert if s not in sampled), len(cert)), "fraction")
-    m["slicefun.sample.s"] = (per_op(busy(sample)), "s")
+    m["slicefun.sample.s"] = (per_op_s(busy(sample)), "s")
 
     hinf = ids("calculus.hinf")
     m["calculus.calc.calls"] = (per_op(len(ids("calculus.calc"))), "count")
@@ -266,7 +276,8 @@ def derive(spans, setup_reps: int) -> dict:
         frac(len({spans[s][4] for s in integ}), len(integ)), "fraction")
     m["calculus.hinf.retighten_frac"] = (
         frac(sum(1 for s in hinf if spans[s][4]), len(hinf)), "fraction")
-    m["calculus.prefactor.s"] = (per_op(busy(ids("calculus.prefactor"))), "s")
-    m["calculus.identity.s"] = (per_op(busy(ids("calculus.identity"))), "s")
+    m["calculus.prefactor.s"] = (per_op_s(busy(ids("calculus.prefactor"))),
+                                 "s")
+    m["calculus.identity.s"] = (per_op_s(busy(ids("calculus.identity"))), "s")
     m["trace.spans_per_op"] = (per_op(len(spans)), "count")
     return m

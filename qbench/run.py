@@ -2,15 +2,17 @@
 
 Run from the root of a checkout:
 
-    python3 qbench/run.py --workload calc_dim16 --seed 1 --seconds 36 --trace 0
+    python3 qbench/run.py --workload calc_dim16 --seed 1 --seconds 32 --trace 0
 
 One process, one client, closed loop: the next public call starts when the
-previous one has returned and been checked.  With --trace 0 the last line
-of standard output is a JSON object with the end-to-end metrics; with
---trace 1 it carries the per-layer metrics of a run with the layer trace
-installed, preceded by an untraced phase of equal length that gives the
-tracing overhead.  Environment, metric table and (with --trace 1) the spans
-go to qbench/out/.  See qbench/README.md.
+previous one has returned and been checked.  A host-speed probe runs
+between calls, and every reported time is in reference-host seconds (see
+hostspeed.py); the wall-clock figures go to the output file.
+With --trace 0 the last line of standard output is a JSON object with the
+end-to-end metrics; with --trace 1 it carries the per-layer metrics of a
+run with the layer trace installed, preceded by an untraced phase of equal
+length that gives the tracing overhead.  Environment, metric table and
+(with --trace 1) the spans go to qbench/out/.  See qbench/README.md.
 """
 
 from __future__ import annotations
@@ -32,8 +34,10 @@ OUT = HERE / "out"
 
 WORKLOADS = ("calc_dim16", "hinf_dim4", "pointwise_dim8")
 SETUP_REPS = 5
+SETUP_PROBES = 9     # probes whose median brackets each set-up repetition
 MIN_OPS = 100        # so that p90 has at least ten samples beyond it
-MAX_STRETCH = 2.0    # a run may outlast --seconds this many times for MIN_OPS
+MAX_STRETCH = 2.0    # a run may outlast --seconds up to this many times
+                     # to reach MIN_OPS and the end of a round
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -72,39 +76,58 @@ def environment() -> dict:
             **{v: os.environ.get(v) for v in THREAD_VARS}}
 
 
-def timed_setup(name: str, seed: int, tracer=None):
-    """Set up SETUP_REPS times; return the last state and the median seconds
-    of set-up plus one warm-up op."""
+def timed_setup(name: str, seed: int, probe, tracer=None):
+    """Set up SETUP_REPS times between host-speed probes (each the median of
+    SETUP_PROBES factors).  Return the last state and the medians of the
+    set-up plus one warm-up op: in reference-host seconds, in wall seconds,
+    and the slowdown factor."""
     import workloads
 
-    times = []
+    def steady_factor():
+        return statistics.median(probe.factor() for _ in range(SETUP_PROBES))
+
+    ref, wall, factors = [], [], []
+    before = steady_factor()
     for _ in range(SETUP_REPS):
         start = time.perf_counter()
         state = workloads.setup(name, seed,
                                 span=tracer.span if tracer else None)
         warm = workloads.warmup_op(state)
         workloads.Runner(state, [warm]).call(warm)
-        times.append(time.perf_counter() - start)
-    return state, statistics.median(times)
+        elapsed = time.perf_counter() - start
+        after = steady_factor()
+        factor = 0.5 * (before + after)
+        before = after
+        ref.append(elapsed / factor)
+        wall.append(elapsed)
+        factors.append(factor)
+    return (state, statistics.median(ref), statistics.median(wall),
+            statistics.median(factors))
 
 
-def measure(runner, seconds: float, tracer=None) -> dict:
+def measure(runner, probe, seconds: float, tracer=None) -> dict:
     """Closed loop over the op list for `seconds` of wall time, longer only
-    until MIN_OPS ops have run.  Only the public call is timed; every value
-    is checked."""
+    until MIN_OPS ops and a whole number of rounds of the op list have run.
+    Only the public call is timed; every value is checked.  The host-speed
+    probe runs between calls, and each latency is divided by the mean of
+    the factors measured just before and just after its call."""
     import qcalc
 
     clock = time.perf_counter
     ops = runner.ops
-    lat, ratios = [], []
+    lat, ref, ratios = [], [], []
     calls = failed = 0
     first_error = None
     start = clock()
-    while True:
+
+    def finished():
         wall = clock() - start
-        if wall >= MAX_STRETCH * seconds or (wall >= seconds
-                                             and calls >= MIN_OPS):
-            break
+        return wall >= MAX_STRETCH * seconds or (
+            wall >= seconds and calls >= MIN_OPS
+            and calls % runner.round_ops == 0)
+
+    before = probe.factor()
+    while not finished():
         op = ops[calls % len(ops)]
         calls += 1
         t0 = clock()
@@ -115,10 +138,15 @@ def measure(runner, seconds: float, tracer=None) -> dict:
                 with tracer.span("bench.op", calls - 1):
                     value = runner.call(op)
         except qcalc.QCalcError as exc:
+            before = probe.factor()
             failed += 1
             first_error = first_error or f"{type(exc).__name__}: {exc} at {op}"
             continue
-        lat.append(clock() - t0)
+        dt = clock() - t0
+        after = probe.factor()
+        lat.append(dt)
+        ref.append(dt / (0.5 * (before + after)))
+        before = after
         ratio = runner.check(op, value)
         ratios.append(ratio)
         if not ratio <= 1.0:
@@ -129,12 +157,18 @@ def measure(runner, seconds: float, tracer=None) -> dict:
     if not lat:
         raise SystemExit("qbench: no op completed")
     return {"attempted": calls, "failed": failed, "latencies": lat,
-            "ratios": ratios}
+            "ref_latencies": ref, "ratios": ratios}
 
 
-def rate(res: dict) -> float:
-    """Values returned per second spent inside the public calls."""
-    return len(res["latencies"]) / sum(res["latencies"])
+def rate(res: dict, key: str = "ref_latencies") -> float:
+    """Values returned per second spent inside the public calls, in
+    reference-host seconds (or wall seconds with key="latencies")."""
+    return len(res[key]) / sum(res[key])
+
+
+def slowdown(res: dict) -> float:
+    """Time-weighted mean host slowdown factor over a measured phase."""
+    return sum(res["latencies"]) / sum(res["ref_latencies"])
 
 
 def margin_log10(ratio: float) -> float:
@@ -164,11 +198,11 @@ def quantile(values, p: float) -> float:
 def end_to_end(res: dict, setup_s: float) -> dict:
     import numpy as np
 
-    lat_ms = np.asarray(res["latencies"]) * 1000.0
+    ref_ms = np.asarray(res["ref_latencies"]) * 1000.0
     return {
-        "ops_per_s": (rate(res), "1/s"),
-        "op_ms.p50": (quantile(lat_ms, 0.5), "ms"),
-        "op_ms.p90": (quantile(lat_ms, 0.9), "ms"),
+        "ops_per_ref_s": (rate(res), "1/s"),
+        "op_ref_ms.p50": (quantile(ref_ms, 0.5), "ms"),
+        "op_ref_ms.p90": (quantile(ref_ms, 0.9), "ms"),
         "ok_frac": (1.0 - res["failed"] / res["attempted"], "fraction"),
         "err_margin_log10": (
             margin_log10(float(np.percentile(res["ratios"], 90))), "log10"),
@@ -178,6 +212,21 @@ def end_to_end(res: dict, setup_s: float) -> dict:
     }
 
 
+def wall_figures(res: dict, import_s: float, setup_wall_s: float,
+                 setup_factor: float) -> dict:
+    """The same timings in wall seconds, with the probe's factors."""
+    import numpy as np
+
+    ms = np.asarray(res["latencies"]) * 1000.0
+    return {"wall_ops_per_s": rate(res, "latencies"),
+            "wall_op_ms.p50": quantile(ms, 0.5),
+            "wall_op_ms.p90": quantile(ms, 0.9),
+            "wall_import_s": import_s,
+            "wall_setup_s": import_s + setup_wall_s,
+            "host_factor.setup": setup_factor,
+            "host_factor.ops": slowdown(res)}
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     if args.seconds <= 0:
@@ -185,34 +234,45 @@ def main(argv=None) -> int:
     for var in THREAD_VARS:  # read by OpenBLAS when numpy loads
         os.environ[var] = "1"
     import_s = import_qcalc()
+    import hostspeed
     import layertrace
     import workloads
 
     env = environment()
     print(json.dumps({"env": env, "workload": args.workload,
                       "seed": args.seed, "why": workloads.WHY[args.workload]}))
+    probe = hostspeed.Probe()
+    probe.factor()  # first touch of the probe's code and data
     tracer = layertrace.Tracer() if args.trace else None
-    state, setup_s = timed_setup(args.workload, args.seed, tracer)
+    state, setup_ref, setup_wall, setup_factor = timed_setup(
+        args.workload, args.seed, probe, tracer)
+    setup_s = import_s / setup_factor + setup_ref
     runner = workloads.Runner(state, workloads.make_ops(state, args.seed))
 
     if args.trace == 0:
-        res = measure(runner, args.seconds)
-        metrics = end_to_end(res, import_s + setup_s)
+        res = measure(runner, probe, args.seconds)
+        metrics = end_to_end(res, setup_s)
         extra = {"samples": len(res["latencies"]),
-                 "worst_err_margin_log10": margin_log10(max(res["ratios"]))}
+                 "worst_err_margin_log10": margin_log10(max(res["ratios"])),
+                 **wall_figures(res, import_s, setup_wall, setup_factor)}
     else:
-        plain = measure(runner, args.seconds / 2.0)
+        plain = measure(runner, probe, args.seconds / 2.0)
         tracer.install()
         try:
-            res = measure(runner, args.seconds / 2.0, tracer)
+            res = measure(runner, probe, args.seconds / 2.0, tracer)
         finally:
             tracer.uninstall()
-        metrics = layertrace.derive(tracer.spans, SETUP_REPS)
-        metrics["trace.untraced_ops_per_s"] = (rate(plain), "1/s")
-        metrics["trace.traced_ops_per_s"] = (rate(res), "1/s")
-        metrics["trace.overhead_ops_per_s"] = (rate(plain) - rate(res), "1/s")
+        metrics = layertrace.derive(tracer.spans, SETUP_REPS,
+                                    op_factor=slowdown(res),
+                                    setup_factor=setup_factor)
+        metrics["trace.untraced_ops_per_ref_s"] = (rate(plain), "1/s")
+        metrics["trace.traced_ops_per_ref_s"] = (rate(res), "1/s")
+        metrics["trace.overhead_ops_per_ref_s"] = (rate(plain) - rate(res),
+                                                   "1/s")
+        extra = {"host_factor.setup": setup_factor,
+                 "host_factor.untraced": slowdown(plain),
+                 "host_factor.traced": slowdown(res)}
         res = {k: plain[k] + res[k] for k in ("attempted", "failed")}
-        extra = {}
 
     OUT.mkdir(exist_ok=True)
     if tracer is not None:

@@ -6,12 +6,14 @@ trace removal and the output contract.  Run with
 
 import json
 import shutil
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import hostspeed
 import layertrace
 import run
 import workloads
@@ -41,6 +43,26 @@ def test_same_seed_gives_byte_identical_inputs(name, prepared):
         other, workloads.make_ops(other, 6))
 
 
+def test_calc_rounds_are_balanced(prepared):
+    state, ops = prepared["calc_dim16"]
+    size = workloads.SPECS["calc_dim16"].round_ops
+    angles = None
+    for k in range(0, len(ops), size):
+        rnd = ops[k:k + size]
+        assert len({(op.fn_key[1], op.kind, op.side) for op in rnd}) == size
+        assert Counter(op.operator for op in rnd) == {
+            o: size // len(state.gens) for o in range(len(state.gens))}
+        angles = angles or sorted(op.phi for op in rnd)
+        assert sorted(op.phi for op in rnd) == angles
+
+
+def test_hinf_rounds_pair_every_function_with_every_angle(prepared):
+    state, ops = prepared["hinf_dim4"]
+    n = len(workloads._HINF_FNS)
+    sweeps = ops[:len(workloads.KINDS) * n * n:len(workloads.KINDS)]
+    assert len({(op.fn, op.phi) for op in sweeps}) == n * n
+
+
 @pytest.mark.parametrize("name", ["calc_dim16", "hinf_dim4"])
 def test_value_perturbed_by_1e4_fails(name, prepared):
     state, ops = prepared[name]
@@ -59,10 +81,30 @@ class _Perturbed(workloads.Runner):
 
 def test_perturbed_identity_counts_as_failure(prepared):
     state, ops = prepared["pointwise_dim8"]
-    good = run.measure(workloads.Runner(state, ops), 0.05)
+    probe = hostspeed.Probe()
+    good = run.measure(workloads.Runner(state, ops), probe, 0.05)
     assert good["failed"] == 0 and good["attempted"] >= 1
-    bad = run.measure(_Perturbed(state, ops), 0.05)
+    bad = run.measure(_Perturbed(state, ops), probe, 0.05)
     assert bad["attempted"] >= 1 and bad["failed"] == bad["attempted"]
+
+
+def test_reference_times_divide_wall_times_by_the_probe_factor(prepared):
+    state, ops = prepared["pointwise_dim8"]
+
+    class Slow:
+        def factor(self):
+            return 2.0
+
+    res = run.measure(workloads.Runner(state, ops), Slow(), 0.05)
+    assert res["ref_latencies"] == [t / 2.0 for t in res["latencies"]]
+    assert run.slowdown(res) == pytest.approx(2.0)
+    assert run.rate(res) == pytest.approx(2.0 * run.rate(res, "latencies"))
+
+
+def test_probe_factor_is_a_positive_finite_ratio():
+    probe = hostspeed.Probe()
+    assert set(probe.times()) == set(hostspeed.NOMINAL_S)
+    assert 0.05 < probe.factor() < 50.0
 
 
 def test_trace_wrappers_are_removed(prepared):
@@ -82,6 +124,17 @@ def test_trace_wrappers_are_removed(prepared):
             "operators.chain", "operators.point", "numpy.cond"} <= names
 
 
+def test_probe_runs_outside_the_trace():
+    probe = hostspeed.Probe()  # made before the wrappers, as run.py does
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        probe.factor()
+    finally:
+        tracer.uninstall()
+    assert tracer.spans == []
+
+
 def test_self_time_excludes_children():
     spans = [("bench.op", 0.0, 2.0, -1, 0),
              ("operators.chain", 0.0, 1.0, 0, ("S", 4)),
@@ -94,6 +147,9 @@ def test_self_time_excludes_children():
     assert m["operators.chain.nodes.S"][0] == 2
     assert m["operators.inv.s"][0] == pytest.approx(0.05)
     assert m["operators.cond.worst"][0] == 12.0
+    slow = layertrace.derive(spans, setup_reps=1, op_factor=2.0)
+    assert slow["operators.chain.self_s"][0] == pytest.approx(0.15)
+    assert slow["operators.chain.nodes.S"][0] == 2
 
 
 def test_quantile_estimates():

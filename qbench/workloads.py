@@ -66,12 +66,16 @@ class WorkloadSpec:
     # ops generated per run; the measuring loop wraps around when it runs
     # out, so this only needs to exceed what one run usually gets through
     ops: int
+    # ops per round of the op list (see below); a run ends on a round
+    # boundary, so that it holds whole rounds only
+    round_ops: int
 
 
 SPECS = {
-    "calc_dim16": WorkloadSpec(dim=16, operators=8, ops=640),
-    "hinf_dim4": WorkloadSpec(dim=4, operators=24, ops=560),
-    "pointwise_dim8": WorkloadSpec(dim=8, operators=8, ops=16384),
+    "calc_dim16": WorkloadSpec(dim=16, operators=8, ops=640, round_ops=32),
+    "hinf_dim4": WorkloadSpec(dim=4, operators=24, ops=560, round_ops=28),
+    "pointwise_dim8": WorkloadSpec(dim=8, operators=8, ops=16384,
+                                   round_ops=1),
 }
 
 
@@ -170,8 +174,17 @@ def _unit(rng) -> tuple:
     return tuple(float(v) for v in random_unit_imaginary(rng).components)
 
 
-def _calc_ops(rng, count: int, n_ops: int) -> list[Op]:
+def _angles(rng, count: int) -> list[float]:
+    """The centres of count equal cells of angle_range(), in random order.
+    The angle sets how far the quadrature refines (up to four times the
+    work near either end of the range), so every round takes the same
+    angles and the seed decides which op gets which."""
     lo, hi = angle_range()
+    cells = (np.arange(count) + 0.5) / count
+    return [float(lo + (hi - lo) * c) for c in rng.permutation(cells)]
+
+
+def _calc_ops(rng, count: int, n_ops: int) -> list[Op]:
     fns = []
     for _ in range(n_ops):
         a, b = (float(v) for v in rng.uniform(0.5, 2.0, size=2)
@@ -183,12 +196,15 @@ def _calc_ops(rng, count: int, n_ops: int) -> list[Op]:
               for side in ("left", "right")]
     ops: list[Op] = []
     while len(ops) < count:
-        for c in rng.permutation(len(combos)):
+        # every operator equally often in each round, so that the draw of
+        # operators moves the work of a run as little as it can
+        owners = rng.permutation(np.resize(np.arange(n_ops), len(combos)))
+        phis = _angles(rng, len(combos))
+        for c, o, phi in zip(rng.permutation(len(combos)), owners, phis):
             i, kind, side = combos[c]
-            o = int(rng.integers(n_ops))
+            o = int(o)
             ops.append(Op(operator=o, kind=kind, side=side, fn=fns[o][i],
-                          fn_key=(o, i), phi=float(rng.uniform(lo, hi)),
-                          unit=_unit(rng)))
+                          fn_key=(o, i), phi=phi, unit=_unit(rng)))
     return ops[:count]
 
 
@@ -197,18 +213,28 @@ _HINF_FNS = (("pow", 1), ("pow", 2), ("pow", 3), ("pow", 4), ("pow", 5),
 
 
 def _hinf_ops(rng, count: int, n_ops: int) -> list[Op]:
-    lo, hi = angle_range()
     ops: list[Op] = []
     sweep = 0
+    owners: list[int] = []
+    n_fns = len(_HINF_FNS)
+    fns = rng.permutation(n_fns)
+    phis = _angles(rng, n_fns)
+    rnd = 0
     while len(ops) < count:
-        for i in rng.permutation(len(_HINF_FNS)):
-            o = int(rng.integers(n_ops))
-            phi, unit = float(rng.uniform(lo, hi)), _unit(rng)
+        # a Latin square: round rnd pairs function fns[j] with angle
+        # phis[j + rnd], so n_fns rounds pair every function with every angle
+        for j in rng.permutation(n_fns):
+            i, phi = fns[j], phis[(j + rnd) % n_fns]
+            if not owners:  # each operator once before any repeats
+                owners = [int(o) for o in rng.permutation(n_ops)]
+            o = owners.pop()
+            unit = _unit(rng)
             # one function object per sweep over the four kinds
             for kind in KINDS:
                 ops.append(Op(operator=o, kind=kind, fn=_HINF_FNS[i],
                               fn_key=(sweep,), phi=phi, unit=unit))
             sweep += 1
+        rnd += 1
     return ops[:count]
 
 
@@ -295,6 +321,7 @@ class Runner:
     def __init__(self, state: State, ops: list[Op]):
         self.state = state
         self.ops = ops
+        self.round_ops = SPECS[state.name].round_ops
         self.fns = {}
         for op in ops:
             if op.fn and op.fn_key not in self.fns:
