@@ -1,10 +1,9 @@
 """Numerical toolkit for the quaternionic S, Q, P2 and F functional calculi."""
 
-from .calculus import (CalculusResult, calc, calc_on_conj, calc_right,
+from .calculus import (CalculusResult, Evaluator, calc,
                        derivative_combination_residual, hinf,
-                       power_recurrence_check, power_recurrence_residuals,
-                       power_reference, product_rule_residuals,
-                       resolvent_identity_residuals)
+                       power_recurrence_residuals, power_reference,
+                       product_rule_residuals, resolvent_identity_residuals)
 from .contour import OperatorKernel, SectorContour, integrate, integrate_fixed, tail_radius
 from .errors import (ClassMismatch, NoDecayMetadata, NotInjective, NotIntrinsic,
                      QCalcError, SpectrumHit, ToleranceNotMet, UnsupportedKind)

@@ -18,15 +18,16 @@ e(conj T).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .contour import OperatorKernel, SectorContour, contour_for, integrate
 from .errors import NotInjective, NotIntrinsic
 from .operators import (CommutingOperator, QuatMatrix, TypeProfile, conj_op,
-                        kernel)
+                        estimate_type_profile, kernel)
 from .quaternion import E1, Quaternion
 
 CALC_KINDS = ("S", "Q", "P2", "F")
@@ -106,74 +107,6 @@ def _initial_panels(contour: SectorContour) -> int:
     return max(8, int(math.ceil(span / 2.0)))
 
 
-def calc(kind: str, t: CommutingOperator, f, profile: TypeProfile, *,
-         theta: float | None = None, phi: float | None = None,
-         unit: Quaternion = E1, tol: float = 1e-9,
-         side: str = "left") -> CalculusResult:
-    """Decaying-regime functional calculus of f at t.
-
-    side = "left" uses the left kernel with f on the right of ds_J; the
-    "right" form (intrinsic f only) integrates f ds_J K_R instead.
-    """
-    if kind not in CALC_KINDS:
-        raise ValueError(f"unknown calculus kind {kind!r}")
-    _check_profile(profile)
-    theta, phi = _angles(profile, theta, phi)
-    if side == "right":
-        if not f.intrinsic:
-            raise NotIntrinsic("the right-kernel form needs an intrinsic function")
-        kernel_kind = _RIGHT_KERNEL[kind]
-    else:
-        kernel_kind = _LEFT_KERNEL[kind]
-
-    f.certify_decay(3.0 * profile.alpha, 3.0 * profile.beta, theta)
-    bound = kernel_bound(kernel_kind, profile, phi)
-    contour = contour_for(f, bound, phi, unit, tol=tol)
-    contour = SectorContour(contour.phi, contour.unit, contour.t_min,
-                            contour.t_max, panels=_initial_panels(contour),
-                            tol=tol)
-    raw, info = integrate(OperatorKernel(kernel_kind, t), f, contour, side=side)
-    value = _PREFACTOR[kind] * raw
-    diag = CalcDiagnostics(tol_achieved=info["tol_achieved"],
-                           panels=info["panels"], t_min=contour.t_min,
-                           t_max=contour.t_max, phi=phi, theta=theta,
-                           commutation_residual=value.commutation_residual())
-    return CalculusResult(value, kind, "decaying", diag)
-
-
-def calc_right(kind: str, t: CommutingOperator, f, profile: TypeProfile,
-               **opts) -> CalculusResult:
-    """Same value as calc, evaluated through the right kernel (intrinsic f)."""
-    return calc(kind, t, f, profile, side="right", **opts)
-
-
-def calc_on_conj(kind: str, t: CommutingOperator, f, profile: TypeProfile,
-                 profile_bar: TypeProfile | None = None, **opts) -> CalculusResult:
-    """Calculus of f at the conjugate operator.
-
-    For intrinsic f this is the entrywise conjugate of the value at t; in
-    general it is evaluated directly on conj(T), whose type profile is
-    estimated on demand when not supplied.
-    """
-    if f.intrinsic:
-        res = calc(kind, t, f, profile, **opts)
-        return CalculusResult(res.value.conj(), kind, res.regime, res.diagnostics)
-    if profile_bar is None:
-        profile_bar = _conj_profile(t, profile)
-    return calc(kind, conj_op(t), f, profile_bar, **opts)
-
-
-def _conj_profile(t: CommutingOperator, profile: TypeProfile) -> TypeProfile:
-    from .operators import estimate_type_profile
-    return estimate_type_profile(conj_op(t), profile.omega,
-                                 sorted(profile.c_phi), alpha=profile.alpha,
-                                 beta=profile.beta)
-
-
-# ---------------------------------------------------------------------------
-# H-infinity regime.
-# ---------------------------------------------------------------------------
-
 def _require_injective(t: CommutingOperator, label: str) -> None:
     if t.min_singular_value() <= INJECTIVITY_FACTOR * max(t.norm(), 1e-300):
         raise NotInjective(f"{label} is numerically non-injective")
@@ -190,89 +123,193 @@ def _solve_prefactor(pref: QuatMatrix, bracket: QuatMatrix):
     return x, resid
 
 
+class Evaluator:
+    """Calculus values of one operator, each computed at most once.
+
+    Values are memoized on (kind, repr(f), options).  The key does not see
+    the certificate a StemFunction last stored in f.decay, which sets the
+    contour, so f's history can change the value kept.  hinf assembles its
+    values from calc, so e(T), (e*f)(T) and their D, Dbar and Delta forms
+    serve every kind.
+    conj=True is the one conjugation rule: the entrywise conjugate of the
+    value at T for intrinsic f, otherwise the value on conj(T), whose type
+    profile is estimated once.  Nothing is cached between evaluators.
+    """
+
+    def __init__(self, t: CommutingOperator, profile: TypeProfile, *,
+                 theta: float | None = None, phi: float | None = None,
+                 unit: Quaternion = E1):
+        _check_profile(profile)
+        self.theta, self.phi = _angles(profile, theta, phi)
+        self.t = t
+        self.profile = profile
+        self.unit = unit
+        self._memo: dict = {}
+        self._bar: Evaluator | None = None
+
+    def _memoized(self, key, f, compute) -> CalculusResult:
+        if key not in self._memo:  # keeping f keeps an id-based repr unique
+            self._memo[key] = (f, compute())
+        return self._memo[key][1]
+
+    def _on_conj(self, f, evaluate) -> CalculusResult:
+        if f.intrinsic:
+            res = evaluate(self)
+            return replace(res, value=res.value.conj())
+        if self._bar is None:
+            t_bar = conj_op(self.t)
+            profile_bar = estimate_type_profile(
+                t_bar, self.profile.omega, sorted(self.profile.c_phi),
+                alpha=self.profile.alpha, beta=self.profile.beta)
+            self._bar = Evaluator(t_bar, profile_bar, theta=self.theta,
+                                  phi=self.phi, unit=self.unit)
+        return evaluate(self._bar)
+
+    def calc(self, kind: str, f, *, tol: float = 1e-9, side: str = "left",
+             conj: bool = False) -> CalculusResult:
+        """Decaying-regime functional calculus of f (at conj(T) if conj).
+
+        side = "left" uses the left kernel with f on the right of ds_J; the
+        "right" form (intrinsic f only) integrates f ds_J K_R instead.
+        """
+        if kind not in CALC_KINDS:
+            raise ValueError(f"unknown calculus kind {kind!r}")
+        if conj:
+            return self._on_conj(
+                f, lambda ev: ev.calc(kind, f, tol=tol, side=side))
+        return self._memoized(("calc", kind, repr(f), tol, side), f,
+                              lambda: self._calc(kind, f, tol, side))
+
+    def _calc(self, kind, f, tol, side) -> CalculusResult:
+        if side == "right":
+            if not f.intrinsic:
+                raise NotIntrinsic(
+                    "the right-kernel form needs an intrinsic function")
+            kernel_kind = _RIGHT_KERNEL[kind]
+        else:
+            kernel_kind = _LEFT_KERNEL[kind]
+        profile = self.profile
+        f.certify_decay(3.0 * profile.alpha, 3.0 * profile.beta, self.theta)
+        bound = kernel_bound(kernel_kind, profile, self.phi)
+        contour = contour_for(f, bound, self.phi, self.unit, tol=tol)
+        contour = replace(contour, panels=_initial_panels(contour))
+        raw, info = integrate(OperatorKernel(kernel_kind, self.t), f, contour,
+                              side=side)
+        value = _PREFACTOR[kind] * raw
+        diag = CalcDiagnostics(tol_achieved=info["tol_achieved"],
+                               panels=info["panels"], t_min=contour.t_min,
+                               t_max=contour.t_max, phi=self.phi,
+                               theta=self.theta,
+                               commutation_residual=value.commutation_residual())
+        return CalculusResult(value, kind, "decaying", diag)
+
+    def hinf(self, kind: str, f, *, tol: float = 1e-12,
+             regularizer_power: int | None = None,
+             conj: bool = False) -> CalculusResult:
+        """H-infinity calculus of a polynomially growing f (at conj(T) if conj).
+
+        The value is assembled from decaying-regime sub-calculi of e and
+        e*f, where e is the rational regularizer chosen from the growth
+        certificate of f (or of the given power), and the prefactors e(T),
+        e(T) e(conj T), e(T)^2 e(conj T) are inverted through the real
+        embedding.  Requires T and conj(T) injective.
+
+        Inverting the prefactor amplifies quadrature error by up to the
+        norm of e(T)^-1, so the sub-integrals tighten their tolerance
+        adaptively once that norm is known (down to the roundoff floor of
+        the quadrature).
+        """
+        if kind not in CALC_KINDS:
+            raise ValueError(f"unknown calculus kind {kind!r}")
+        if conj:
+            return self._on_conj(f, lambda ev: ev.hinf(
+                kind, f, tol=tol, regularizer_power=regularizer_power))
+        return self._memoized(
+            ("hinf", kind, repr(f), tol, regularizer_power), f,
+            lambda: self._hinf(kind, f, tol, regularizer_power))
+
+    def _hinf(self, kind, f, tol, regularizer_power) -> CalculusResult:
+        from .slicefun import Product, Regularizer, choose_regularizer
+
+        _require_injective(self.t, "T")
+        _require_injective(conj_op(self.t), "conj(T)")
+        if regularizer_power is None:
+            e = choose_regularizer(f, self.profile.alpha, self.profile.beta,
+                                   self.theta)
+        else:
+            e = Regularizer(regularizer_power)
+        ef = Product(e, f)
+
+        tol = min(tol, 1e-12)
+        e_t = self.calc("S", e, tol=tol).value
+        try:
+            amplification = e_t.inverse().norm()
+        except np.linalg.LinAlgError as exc:
+            raise NotInjective("e(T) is numerically singular") from exc
+        if not math.isfinite(amplification):
+            raise NotInjective("e(T) is numerically singular")
+        tol_eff = max(min(tol, 1e-8 / max(amplification, 1.0)), 2e-13)
+        if tol_eff < tol:
+            tol = tol_eff
+            e_t = self.calc("S", e, tol=tol).value
+        e_tbar = e_t.conj()  # e is intrinsic
+        ef_t = self.calc("S", ef, tol=tol).value
+
+        if kind == "S":
+            pref, bracket = e_t, ef_t
+        elif kind == "Q":
+            de_t = self.calc("Q", e, tol=tol).value
+            def_t = self.calc("Q", ef, tol=tol).value
+            pref = e_t @ e_tbar
+            bracket = e_t @ def_t - de_t @ ef_t
+        elif kind == "P2":
+            de_t = self.calc("Q", e, tol=tol).value
+            dbe_t = self.calc("P2", e, tol=tol).value
+            dbef_t = self.calc("P2", ef, tol=tol).value
+            ef_tbar = self.calc("S", ef, tol=tol, conj=True).value
+            pref = e_t @ e_t @ e_tbar
+            bracket = (e_t @ e_tbar @ dbef_t - e_tbar @ dbe_t @ ef_t
+                       + e_t @ de_t @ ef_tbar - e_tbar @ de_t @ ef_t)
+        else:  # F
+            de_t = self.calc("Q", e, tol=tol).value
+            le_t = self.calc("F", e, tol=tol).value
+            lef_t = self.calc("F", ef, tol=tol).value
+            def_t = self.calc("Q", ef, tol=tol).value
+            pref = e_t @ e_t @ e_tbar
+            bracket = (e_t @ e_tbar @ lef_t - e_tbar @ le_t @ ef_t
+                       + e_t @ de_t @ def_t - de_t @ de_t @ ef_t)
+
+        value, range_resid = _solve_prefactor(pref, bracket)
+        diag = CalcDiagnostics(tol_achieved=tol, panels=0, t_min=0.0,
+                               t_max=0.0, phi=self.phi, theta=self.theta,
+                               commutation_residual=value.commutation_residual(),
+                               regularizer_n=e.n, range_residual=range_resid)
+        return CalculusResult(value, kind, "h_infinity", diag)
+
+
+def _evaluator(t: CommutingOperator, profile: TypeProfile,
+               opts: dict) -> Evaluator:
+    """Evaluator from calc-style options, popped so the per-value ones stay."""
+    return Evaluator(t, profile, theta=opts.pop("theta", None),
+                     phi=opts.pop("phi", None), unit=opts.pop("unit", E1))
+
+
+def calc(kind: str, t: CommutingOperator, f, profile: TypeProfile, *,
+         theta: float | None = None, phi: float | None = None,
+         unit: Quaternion = E1, tol: float = 1e-9,
+         side: str = "left") -> CalculusResult:
+    """Decaying-regime functional calculus of f at t (see Evaluator.calc)."""
+    return Evaluator(t, profile, theta=theta, phi=phi, unit=unit).calc(
+        kind, f, tol=tol, side=side)
+
+
 def hinf(kind: str, t: CommutingOperator, f, profile: TypeProfile, *,
          theta: float | None = None, phi: float | None = None,
          unit: Quaternion = E1, tol: float = 1e-12,
          regularizer_power: int | None = None) -> CalculusResult:
-    """H-infinity calculus of a polynomially growing function.
-
-    The value is assembled from decaying-regime sub-calculi of e and e*f,
-    where e is the rational regularizer chosen from the growth certificate
-    of f (or of the given power), and the prefactors e(T), e(T) e(conj T),
-    e(T)^2 e(conj T) are inverted through the real embedding.  Requires T
-    and conj(T) injective.
-
-    Inverting the prefactor amplifies quadrature error by up to the norm of
-    e(T)^-1, so the sub-integrals tighten their tolerance adaptively once
-    that norm is known (down to the roundoff floor of the quadrature).
-    """
-    from .slicefun import Product, Regularizer, choose_regularizer
-
-    if kind not in CALC_KINDS:
-        raise ValueError(f"unknown calculus kind {kind!r}")
-    _check_profile(profile)
-    theta, phi = _angles(profile, theta, phi)
-    _require_injective(t, "T")
-    _require_injective(conj_op(t), "conj(T)")
-
-    if regularizer_power is None:
-        e = choose_regularizer(f, profile.alpha, profile.beta, theta)
-    else:
-        e = Regularizer(regularizer_power)
-    ef = Product(e, f)
-
-    opts = dict(theta=theta, phi=phi, unit=unit, tol=min(tol, 1e-12))
-
-    def dec(k, fun, on_conj=False):
-        if on_conj:
-            return calc_on_conj(k, t, fun, profile, **opts).value
-        return calc(k, t, fun, profile, **opts).value
-
-    e_t = dec("S", e)
-    try:
-        amplification = e_t.inverse().norm()
-    except np.linalg.LinAlgError as exc:
-        raise NotInjective("e(T) is numerically singular") from exc
-    if not math.isfinite(amplification):
-        raise NotInjective("e(T) is numerically singular")
-    tol_eff = max(min(opts["tol"], 1e-8 / max(amplification, 1.0)), 2e-13)
-    if tol_eff < opts["tol"]:
-        opts["tol"] = tol_eff
-        e_t = dec("S", e)
-    e_tbar = e_t.conj()  # e is intrinsic
-    ef_t = dec("S", ef)
-
-    if kind == "S":
-        pref = e_t
-        bracket = ef_t
-    elif kind == "Q":
-        de_t = dec("Q", e)
-        def_t = dec("Q", ef)
-        pref = e_t @ e_tbar
-        bracket = e_t @ def_t - de_t @ ef_t
-    elif kind == "P2":
-        de_t = dec("Q", e)
-        dbe_t = dec("P2", e)
-        dbef_t = dec("P2", ef)
-        ef_tbar = dec("S", ef, on_conj=True)
-        pref = e_t @ e_t @ e_tbar
-        bracket = (e_t @ e_tbar @ dbef_t - e_tbar @ dbe_t @ ef_t
-                   + e_t @ de_t @ ef_tbar - e_tbar @ de_t @ ef_t)
-    else:  # F
-        de_t = dec("Q", e)
-        le_t = dec("F", e)
-        lef_t = dec("F", ef)
-        def_t = dec("Q", ef)
-        pref = e_t @ e_t @ e_tbar
-        bracket = (e_t @ e_tbar @ lef_t - e_tbar @ le_t @ ef_t
-                   + e_t @ de_t @ def_t - de_t @ de_t @ ef_t)
-
-    value, range_resid = _solve_prefactor(pref, bracket)
-    diag = CalcDiagnostics(tol_achieved=opts["tol"], panels=0, t_min=0.0,
-                           t_max=0.0, phi=phi, theta=theta,
-                           commutation_residual=value.commutation_residual(),
-                           regularizer_n=e.n, range_residual=range_resid)
-    return CalculusResult(value, kind, "h_infinity", diag)
+    """H-infinity calculus of a polynomially growing f (see Evaluator.hinf)."""
+    return Evaluator(t, profile, theta=theta, phi=phi, unit=unit).hinf(
+        kind, f, tol=tol, regularizer_power=regularizer_power)
 
 
 # ---------------------------------------------------------------------------
@@ -364,68 +401,49 @@ def product_rule_residuals(t: CommutingOperator, g, f, profile: TypeProfile,
     compare = (_rel if subspace is None
                else lambda a, b: _subspace_rel(a, b, subspace))
 
-    if regime == "decaying":
-        def ev(kind, fun):
-            return calc(kind, t, fun, profile, **opts).value
-
-        def ev_bar(kind, fun):
-            return calc_on_conj(kind, t, fun, profile, **opts).value
-    elif regime == "h_infinity":
-        def ev(kind, fun):
-            return hinf(kind, t, fun, profile, **opts).value
-
-        def ev_bar(kind, fun):
-            res = hinf(kind, t, fun, profile, **opts)
-            if fun.intrinsic:
-                return res.value.conj()
-            return hinf(kind, conj_op(t), fun,
-                        _conj_profile(t, profile), **opts).value
-    else:
+    if regime not in ("decaying", "h_infinity"):
         raise ValueError("regime must be 'decaying' or 'h_infinity'")
+    ev = _evaluator(t, profile, opts)
+    evaluate = functools.partial(ev.calc if regime == "decaying" else ev.hinf,
+                                 **opts)
 
-    g_t, f_t = ev("S", g), ev("S", f)
-    g_tbar, f_tbar = ev_bar("S", g), ev_bar("S", f)
-    dg_t, df_t = ev("Q", g), ev("Q", f)
-    dbg_t, dbf_t = ev("P2", g), ev("P2", f)
-    lg_t, lf_t = ev("F", g), ev("F", f)
+    g_t, f_t = evaluate("S", g).value, evaluate("S", f).value
+    g_tbar = evaluate("S", g, conj=True).value
+    f_tbar = evaluate("S", f, conj=True).value
+    dg_t, df_t = evaluate("Q", g).value, evaluate("Q", f).value
+    dbg_t, dbf_t = evaluate("P2", g).value, evaluate("P2", f).value
+    lg_t, lf_t = evaluate("F", g).value, evaluate("F", f).value
+    dgf_t = evaluate("Q", gf).value
 
     out = {
-        "product_rule_S": compare(ev("S", gf), g_t @ f_t),
-        "product_rule_Q": max(
-            compare(ev("Q", gf), dg_t @ f_t + g_tbar @ df_t),
-            compare(ev("Q", gf), dg_t @ f_tbar + g_t @ df_t)),
+        "product_rule_S": compare(evaluate("S", gf).value, g_t @ f_t),
+        "product_rule_Q": max(compare(dgf_t, dg_t @ f_t + g_tbar @ df_t),
+                              compare(dgf_t, dg_t @ f_tbar + g_t @ df_t)),
         "product_rule_P2": compare(
-            ev("P2", gf), dbg_t @ f_t + g_t @ dbf_t + dg_t @ (f_t - f_tbar)),
+            evaluate("P2", gf).value,
+            dbg_t @ f_t + g_t @ dbf_t + dg_t @ (f_t - f_tbar)),
         "product_rule_F": compare(
-            ev("F", gf), lg_t @ f_t + g_t @ lf_t - dg_t @ df_t),
+            evaluate("F", gf).value, lg_t @ f_t + g_t @ lf_t - dg_t @ df_t),
     }
     return out
 
 
 def power_recurrence_residuals(t: CommutingOperator, f, n_max: int,
-                               profile: TypeProfile, *,
-                               theta: float | None = None,
+                               profile: TypeProfile,
                                **opts) -> dict[str, float]:
     """Residuals of the four recurrences linking s^n f to s^(n-1) f."""
     from .slicefun import Power, Product
 
-    _check_profile(profile)
-    theta_eff, _ = _angles(profile, theta, opts.get("phi"))
+    ev = _evaluator(t, profile, opts)
     # membership that keeps s^n f inside the calculus class up to n_max
-    f.certify_decay(3.0 * profile.alpha, 3.0 * profile.beta - n_max, theta_eff)
+    f.certify_decay(3.0 * profile.alpha, 3.0 * profile.beta - n_max, ev.theta)
 
     tq = t.as_qmatrix()
     tbq = conj_op(t).as_qmatrix()
-    opts = dict(opts, theta=theta)
 
-    def ev(kind, fun):
-        return calc(kind, t, fun, profile, **opts).value
-
-    def ev_bar(kind, fun):
-        return calc_on_conj(kind, t, fun, profile, **opts).value
-
-    f_t_base = ev("S", f)
-    f_tbar_base = ev_bar("S", f)
+    evaluate = functools.partial(ev.calc, **opts)
+    f_t_base = evaluate("S", f).value
+    f_tbar_base = evaluate("S", f, conj=True).value
     out = {}
     for n in range(1, n_max + 1):
         lo = Product(Power(n - 1), f)
@@ -433,22 +451,20 @@ def power_recurrence_residuals(t: CommutingOperator, f, n_max: int,
         tn_f = tq.matpow(n - 1) @ f_t_base
         tbn_f = tbq.matpow(n - 1) @ f_tbar_base
 
-        out[f"recurrence_S_n{n}"] = _rel(ev("S", hi), tq @ ev("S", lo))
-        d_lo = ev("Q", lo)
-        d_hi = ev("Q", hi)
+        out[f"recurrence_S_n{n}"] = _rel(evaluate("S", hi).value,
+                                         tq @ evaluate("S", lo).value)
+        d_lo = evaluate("Q", lo).value
+        d_hi = evaluate("Q", hi).value
         ra = tq @ d_lo - 2.0 * tbn_f
         rb = tbq @ d_lo - 2.0 * tn_f
         out[f"recurrence_Q_n{n}"] = max(_rel(d_hi, ra), _rel(d_hi, rb),
                                         _rel(ra, rb))
         out[f"recurrence_P2_n{n}"] = _rel(
-            ev("P2", hi), tq @ ev("P2", lo) + 2.0 * tbn_f + 2.0 * tn_f)
+            evaluate("P2", hi).value,
+            tq @ evaluate("P2", lo).value + 2.0 * tbn_f + 2.0 * tn_f)
         out[f"recurrence_F_n{n}"] = _rel(
-            ev("F", hi), tq @ ev("F", lo) + 2.0 * d_lo)
+            evaluate("F", hi).value, tq @ evaluate("F", lo).value + 2.0 * d_lo)
     return out
-
-
-# report-style alias used by the CLI suites
-power_recurrence_check = power_recurrence_residuals
 
 
 def derivative_combination_residual(t: CommutingOperator, f,

@@ -61,7 +61,7 @@ _DEFAULTS = {
     "dim": 4, "seed": 7, "annulus": (0.5, 2.0), "omega": math.pi / 4.0,
     "diag": False, "operator": None,
     "tol": 1e-9, "theta": None, "angles": None, "units": (("e1", "e12")),
-    "n_max": 5, "pairs": 50, "compare_tol": None, "subspace_dim": None,
+    "n_max": 5, "pairs": 50, "subspace_dim": None,
 }
 
 
@@ -96,8 +96,6 @@ def load_config(path: str) -> dict:
             out["angles"] = _parse_pair(sec["angles"])
         if "units" in sec:
             out["units"] = tuple(v.strip() for v in sec["units"].split(","))
-        if "compare_tol" in sec:
-            out["compare_tol"] = sec.getfloat("compare_tol")
     if parser.has_section("suites"):
         sec = parser["suites"]
         if "n_max" in sec:
@@ -131,9 +129,6 @@ def _merged_options(args) -> dict:
 
 
 def _build_context(opts) -> SuiteContext:
-    if opts.get("compare_tol"):
-        from .quaternion import set_default_tol
-        set_default_tol(opts["compare_tol"])
     spec = OperatorSpec(dim=opts["dim"], seed=opts["seed"],
                         annulus=tuple(opts["annulus"]), omega=opts["omega"],
                         diagonal=opts["diag"])

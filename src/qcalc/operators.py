@@ -240,15 +240,7 @@ class CommutingOperator:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Action on a vector of quaternion coordinates, shape (n, 4):
         T0 v + e1 (T1 v) + e2 (T2 v) + e3 (T3 v)."""
-        from .quaternion import qarr_mul
-        out = np.einsum("ij,jc->ic", self.components[0], v)
-        unit = np.zeros(4)
-        for i in (1, 2, 3):
-            w = np.einsum("ij,jc->ic", self.components[i], v)
-            unit[:] = 0.0
-            unit[i] = 1.0
-            out = out + qarr_mul(np.broadcast_to(unit, w.shape), w)
-        return out
+        return self.as_qmatrix().apply(v)
 
 
 def conj_op(t: CommutingOperator) -> CommutingOperator:

@@ -18,13 +18,6 @@ import numpy as np
 DEFAULT_TOL = 1e-12
 
 
-def set_default_tol(tol: float) -> None:
-    global DEFAULT_TOL
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    DEFAULT_TOL = tol
-
-
 @dataclass(frozen=True)
 class Quaternion:
     s0: float = 0.0
@@ -122,7 +115,7 @@ class Quaternion:
         return out
 
     def __repr__(self):
-        return f"Quaternion({self.s0:g}, {self.s1:g}, {self.s2:g}, {self.s3:g})"
+        return f"Quaternion({self.s0!r}, {self.s1!r}, {self.s2!r}, {self.s3!r})"
 
 
 def _coerce(v) -> Quaternion:

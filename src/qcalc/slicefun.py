@@ -417,8 +417,8 @@ class Scale(StemFunction):
         return Scale(self.c, self.f.slice_derivative())
 
     def __repr__(self):
-        if self.c.is_real():
-            return f"({self.c.s0:g} * {self.f!r})"
+        if self.c.is_real(tol=0.0):
+            return f"({self.c.s0!r} * {self.f!r})"
         return f"({self.c!r} * {self.f!r})"
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import calculus as calc_mod
-from .calculus import (calc, calc_right, derivative_combination_residual,
+from .calculus import (Evaluator, calc, derivative_combination_residual,
                        hinf, power_recurrence_residuals, power_reference,
                        product_rule_residuals, resolvent_identity_residuals)
 from .errors import NotInjective
@@ -130,6 +130,9 @@ class SuiteContext:
                 self.operator, self.gen.spec.omega, self.profile_angles)
         return self._profile
 
+    def evaluator(self) -> Evaluator:  # a fresh one per check group
+        return Evaluator(self.operator, self.profile, theta=self.theta)
+
     def calc_opts(self, **extra):
         opts = dict(theta=self.theta, tol=self.tol)
         opts.update(extra)
@@ -193,7 +196,8 @@ def _run_groups(groups, parallel: bool) -> list[CheckRecord]:
         _, fn = item
         start = time.perf_counter()
         results = fn()
-        ms = (time.perf_counter() - start) * 1000.0
+        # each check gets an equal share of its group's wall time
+        ms = (time.perf_counter() - start) * 1000.0 / max(len(results), 1)
         return [CheckRecord(tag, float(res), tol, bool(res <= tol), ms)
                 for tag, res, tol in results]
 
@@ -274,10 +278,10 @@ def _suite_powers(ctx: SuiteContext):
 
     for n in range(1, ctx.n_max + 1):
         def group(n=n):
+            ev = ctx.evaluator()
             out = []
             for kind in calc_mod.CALC_KINDS:
-                res = hinf(kind, ctx.operator, Power(n), ctx.profile,
-                           **ctx.calc_opts(tol=min(ctx.tol, 1e-12)))
+                res = ev.hinf(kind, Power(n), tol=min(ctx.tol, 1e-12))
                 ref = power_reference(kind, ctx.operator, n)
                 val = (res.value - ref).norm() / max(1.0, ref.norm())
                 out.append((f"hinf_power_{kind}_n{n}", val, 1e-6))
@@ -293,11 +297,11 @@ def _suite_powers(ctx: SuiteContext):
     groups.append(("recurrences", recurrences))
 
     def reg_shift():
-        a = hinf("F", ctx.operator, Power(2), ctx.profile,
-                 **ctx.calc_opts(tol=min(ctx.tol, 1e-12)))
-        b = hinf("F", ctx.operator, Power(2), ctx.profile,
-                 regularizer_power=a.diagnostics.regularizer_n + 1,
-                 **ctx.calc_opts(tol=min(ctx.tol, 1e-12)))
+        ev = ctx.evaluator()
+        tol = min(ctx.tol, 1e-12)
+        a = ev.hinf("F", Power(2), tol=tol)
+        b = ev.hinf("F", Power(2), tol=tol,
+                    regularizer_power=a.diagnostics.regularizer_n + 1)
         val = (a.value - b.value).norm() / max(1.0, a.value.norm())
         return [("regularizer_shift", val, 1e-6)]
 
@@ -309,12 +313,12 @@ def _suite_hinf(ctx: SuiteContext):
     groups = []
 
     def agreement():
+        ev = ctx.evaluator()
         out = []
         f = Regularizer(2)
         for kind in calc_mod.CALC_KINDS:
-            a = hinf(kind, ctx.operator, f, ctx.profile,
-                     **ctx.calc_opts(tol=min(ctx.tol, 1e-12)))
-            b = calc(kind, ctx.operator, f, ctx.profile, **ctx.calc_opts())
+            a = ev.hinf(kind, f, tol=min(ctx.tol, 1e-12))
+            b = ev.calc(kind, f, tol=ctx.tol)
             val = (a.value - b.value).norm() / max(1.0, b.value.norm())
             out.append((f"hinf_matches_decaying_{kind}", val, 1e-7))
             out.append((f"hinf_range_residual_{kind}",
@@ -374,29 +378,28 @@ def _suite_oracle(ctx: SuiteContext):
         out = []
         for kind in calc_mod.CALC_KINDS:
             a = calc(kind, ctx.operator, f, ctx.profile, **ctx.calc_opts()).value
-            b = calc_right(kind, ctx.operator, f, ctx.profile,
-                           **ctx.calc_opts()).value
+            b = calc(kind, ctx.operator, f, ctx.profile,
+                     **ctx.calc_opts(side="right")).value
             out.append((f"left_right_{kind}", (a - b).norm(), 1e-8))
         return out
 
     groups.append(("left_right", left_right))
 
     def conj_and_friends():
+        ev = ctx.evaluator()
+        t_bar = conj_op(ctx.operator)
+        profile_bar = estimate_type_profile(t_bar, ctx.gen.spec.omega,
+                                            ctx.profile_angles)
         out = []
         for kind in calc_mod.CALC_KINDS:
-            a = calc(kind, ctx.operator, f, ctx.profile,
-                     **ctx.calc_opts()).value.conj()
-            b = calc(kind, conj_op(ctx.operator), f,
-                     estimate_type_profile(conj_op(ctx.operator),
-                                           ctx.gen.spec.omega,
-                                           ctx.profile_angles),
-                     **ctx.calc_opts()).value
+            a = ev.calc(kind, f, tol=ctx.tol, conj=True).value
+            b = calc(kind, t_bar, f, profile_bar, **ctx.calc_opts()).value
             out.append((f"intrinsic_conj_{kind}", (a - b).norm(), 1e-8))
         out.append(("two_fprime",
                     derivative_combination_residual(
                         ctx.operator, Regularizer(3), ctx.profile,
                         **ctx.calc_opts()), 1e-6))
-        val = calc("S", ctx.operator, f, ctx.profile, **ctx.calc_opts()).value
+        val = ev.calc("S", f, tol=ctx.tol).value
         tq = ctx.operator.as_qmatrix()
         out.append(("commutation_T",
                     (val @ tq - tq @ val).norm()

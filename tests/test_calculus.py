@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_quaternion
-from qcalc.calculus import (calc, calc_on_conj, calc_right,
+from qcalc import calculus
+from qcalc.calculus import (Evaluator, calc,
                             derivative_combination_residual, hinf,
                             power_recurrence_residuals, power_reference,
                             product_rule_residuals,
@@ -60,13 +61,13 @@ class TestDecayingCalculi:
     def test_left_right_agreement(self, ctx4, gen4, kind):
         f = reg_fn(2)
         a = calc(kind, gen4.operator, f, ctx4.profile).value
-        b = calc_right(kind, gen4.operator, f, ctx4.profile).value
+        b = calc(kind, gen4.operator, f, ctx4.profile, side="right").value
         assert (a - b).norm() <= 1e-8
 
     def test_right_form_rejects_nonintrinsic(self, ctx4, gen4):
         f = Scale(E1, reg_fn(2))
         with pytest.raises(NotIntrinsic):
-            calc_right("S", gen4.operator, f, ctx4.profile)
+            calc("S", gen4.operator, f, ctx4.profile, side="right")
 
     def test_class_mismatch(self, ctx4, gen4):
         with pytest.raises(ClassMismatch):
@@ -97,8 +98,9 @@ class TestDecayingCalculi:
     def test_intrinsic_conjugation(self, ctx4, gen4):
         f = reg_fn(2)
         a = calc("Q", gen4.operator, f, ctx4.profile).value.conj()
-        b = calc_on_conj("Q", gen4.operator, f, ctx4.profile).value.conj().conj()
-        assert (a - b.conj()).norm() <= 1e-12  # calc_on_conj used the conj path
+        b = Evaluator(gen4.operator, ctx4.profile).calc("Q", f, conj=True).value
+        assert (a - b).norm() <= 1e-12  # intrinsic f: the conjugated value
+        assert (a - b.conj()).norm() <= 1e-12  # and the value is self-conjugate
         # direct evaluation on the conjugate operator agrees
         from qcalc.operators import estimate_type_profile
         prof_bar = estimate_type_profile(conj_op(gen4.operator),
@@ -116,6 +118,70 @@ class TestDecayingCalculi:
         res = derivative_combination_residual(gen4.operator, reg_fn(3),
                                               ctx4.profile)
         assert res <= 1e-6
+
+
+def _counting_integrate(monkeypatch):
+    """Install a wrapper on calculus.integrate; returns the list of keys."""
+    seen = []
+    original = calculus.integrate
+
+    def counting(k, f, contour, side="left", **kw):
+        seen.append((k.kind, k.operator.components.tobytes(), repr(f),
+                     contour.phi, tuple(contour.unit.components),
+                     contour.t_min, contour.t_max, contour.tol, side))
+        return original(k, f, contour, side=side, **kw)
+
+    monkeypatch.setattr(calculus, "integrate", counting)
+    return seen
+
+
+class TestEvaluator:
+    def test_memo_key_is_exact(self, ctx4, gen4):
+        ev = Evaluator(gen4.operator, ctx4.profile)
+        a = ev.calc("S", Scale(2.5, reg_fn(2))).value
+        b = ev.calc("S", Scale(2.5000001, reg_fn(2))).value
+        assert (a - b).norm() > 0.0
+        assert (b - a * (2.5000001 / 2.5)).norm() <= 1e-8 * a.norm()
+
+    def test_each_value_computed_once(self, ctx4, gen4, monkeypatch):
+        seen = _counting_integrate(monkeypatch)
+        ev = Evaluator(gen4.operator, ctx4.profile)
+        first = ev.calc("Q", reg_fn(2))
+        assert ev.calc("Q", reg_fn(2)) is first
+        assert len(seen) == 1
+        ev.calc("Q", reg_fn(2), tol=1e-10)
+        ev.calc("Q", reg_fn(2), side="right")
+        assert len(seen) == 3
+
+    @pytest.mark.parametrize("kind", ["S", "Q", "P2", "F"])
+    def test_conj_of_nonintrinsic_runs_on_conj_operator(self, ctx4, gen4,
+                                                        kind):
+        from qcalc.operators import estimate_type_profile
+        f = Scale(E1, reg_fn(2))
+        assert not f.intrinsic
+        got = Evaluator(gen4.operator, ctx4.profile).calc(kind, f,
+                                                          conj=True).value
+        t_bar = conj_op(gen4.operator)
+        prof_bar = estimate_type_profile(t_bar, gen4.spec.omega,
+                                         sorted(ctx4.profile.c_phi))
+        want = calc(kind, t_bar, f, prof_bar).value
+        assert np.array_equal(got.components, want.components)
+
+    def test_hinf_matches_module_level_bit_for_bit(self, ctx4, gen4):
+        ev = Evaluator(gen4.operator, ctx4.profile)
+        for kind in ("S", "Q", "P2", "F"):
+            got = ev.hinf(kind, pow_fn(2))
+            want = hinf(kind, gen4.operator, pow_fn(2), ctx4.profile)
+            assert np.array_equal(got.value.components, want.value.components)
+            assert got.diagnostics == want.diagnostics
+
+    def test_hinf_product_rules_repeat_no_integral(self, ctx4, gen4,
+                                                   monkeypatch):
+        seen = _counting_integrate(monkeypatch)
+        product_rule_residuals(gen4.operator, reg_fn(2),
+                               Product(Power(1), Regularizer(3)),
+                               ctx4.profile, regime="h_infinity")
+        assert seen and len(set(seen)) == len(seen)
 
 
 class TestResolventIdentities:

@@ -302,6 +302,16 @@ def test_quaternion_scale_evaluation(rng):
         assert (f.eval(q) - want).norm() <= 1e-12 * max(1.0, want.norm())
 
 
+def test_repr_tells_close_scales_apart():
+    # repr is the memo key of calculus.Evaluator, so it must be exact
+    assert repr(Scale(2.5, Regularizer(2))) != repr(Scale(2.5000001,
+                                                          Regularizer(2)))
+    assert repr(Scale(Quaternion(2.0, 1e-13), Regularizer(2))) \
+        != repr(Scale(2.0, Regularizer(2)))
+    c = Quaternion(0.1, 1.0 / 3.0, -2e-17, 7.0)
+    assert eval(repr(c), {"Quaternion": Quaternion}) == c
+
+
 class TestParser:
     def test_atoms(self):
         assert isinstance(parse("pow(3)"), Power)

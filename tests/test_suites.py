@@ -55,3 +55,17 @@ def test_report_io(ctx, tmp_path):
     data = json.loads(open(json_path).read())
     assert data["suite"] == "identities"
     assert len(open(csv_path).read().splitlines()) == len(report.checks) + 1
+
+
+def test_checks_share_their_group_time():
+    import time
+
+    from qcalc.suites import _run_groups
+
+    def group():
+        time.sleep(0.02)
+        return [(f"check_{i}", 0.0, 1.0) for i in range(4)]
+
+    records = _run_groups([("sleepy", group)], parallel=False)
+    assert len({r.ms for r in records}) == 1
+    assert 20.0 <= sum(r.ms for r in records) < 1000.0
