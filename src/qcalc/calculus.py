@@ -18,8 +18,8 @@ e(conj T).
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -126,11 +126,11 @@ def _solve_prefactor(pref: QuatMatrix, bracket: QuatMatrix):
 class Evaluator:
     """Calculus values of one operator, each computed at most once.
 
-    Values are memoized on (kind, repr(f), options).  The key does not see
-    the certificate a StemFunction last stored in f.decay, which sets the
-    contour, so f's history can change the value kept.  hinf assembles its
-    values from calc, so e(T), (e*f)(T) and their D, Dbar and Delta forms
-    serve every kind.
+    Values are memoized on (kind, repr(f), options) and depend on nothing
+    else, so one evaluator may serve many threads: a lock guards the memo
+    and is never held during an integral; when two threads compute one
+    value, the first stored is kept.  hinf assembles its values from calc,
+    so e(T), (e*f)(T) and their D, Dbar and Delta forms serve every kind.
     conj=True is the one conjugation rule: the entrywise conjugate of the
     value at T for intrinsic f, otherwise the value on conj(T), whose type
     profile is estimated once.  Nothing is cached between evaluators.
@@ -146,24 +146,30 @@ class Evaluator:
         self.unit = unit
         self._memo: dict = {}
         self._bar: Evaluator | None = None
+        self._lock = threading.Lock()
 
     def _memoized(self, key, f, compute) -> CalculusResult:
-        if key not in self._memo:  # keeping f keeps an id-based repr unique
-            self._memo[key] = (f, compute())
-        return self._memo[key][1]
+        with self._lock:
+            hit = self._memo.get(key)
+        if hit is None:
+            value = compute()
+            with self._lock:  # keeping f keeps an id-based repr unique
+                hit = self._memo.setdefault(key, (f, value))
+        return hit[1]
 
     def _on_conj(self, f, evaluate) -> CalculusResult:
         if f.intrinsic:
             res = evaluate(self)
             return replace(res, value=res.value.conj())
-        if self._bar is None:
-            t_bar = conj_op(self.t)
-            profile_bar = estimate_type_profile(
-                t_bar, self.profile.omega, sorted(self.profile.c_phi),
-                alpha=self.profile.alpha, beta=self.profile.beta)
-            self._bar = Evaluator(t_bar, profile_bar, theta=self.theta,
-                                  phi=self.phi, unit=self.unit)
-        return evaluate(self._bar)
+        with self._lock:
+            if self._bar is None:
+                t_bar = conj_op(self.t)
+                profile_bar = estimate_type_profile(
+                    t_bar, self.profile.omega, sorted(self.profile.c_phi),
+                    alpha=self.profile.alpha, beta=self.profile.beta)
+                self._bar = Evaluator(t_bar, profile_bar, theta=self.theta,
+                                      phi=self.phi, unit=self.unit)
+        return evaluate(self._bar)  # set once, never replaced
 
     def calc(self, kind: str, f, *, tol: float = 1e-9, side: str = "left",
              conj: bool = False) -> CalculusResult:
@@ -189,9 +195,10 @@ class Evaluator:
         else:
             kernel_kind = _LEFT_KERNEL[kind]
         profile = self.profile
-        f.certify_decay(3.0 * profile.alpha, 3.0 * profile.beta, self.theta)
+        cert = f.certify_decay(3.0 * profile.alpha, 3.0 * profile.beta,
+                               self.theta)
         bound = kernel_bound(kernel_kind, profile, self.phi)
-        contour = contour_for(f, bound, self.phi, self.unit, tol=tol)
+        contour = contour_for(cert, bound, self.phi, self.unit, tol=tol)
         contour = replace(contour, panels=_initial_panels(contour))
         raw, info = integrate(OperatorKernel(kernel_kind, self.t), f, contour,
                               side=side)
@@ -287,13 +294,6 @@ class Evaluator:
         return CalculusResult(value, kind, "h_infinity", diag)
 
 
-def _evaluator(t: CommutingOperator, profile: TypeProfile,
-               opts: dict) -> Evaluator:
-    """Evaluator from calc-style options, popped so the per-value ones stay."""
-    return Evaluator(t, profile, theta=opts.pop("theta", None),
-                     phi=opts.pop("phi", None), unit=opts.pop("unit", E1))
-
-
 def calc(kind: str, t: CommutingOperator, f, profile: TypeProfile, *,
          theta: float | None = None, phi: float | None = None,
          unit: Quaternion = E1, tol: float = 1e-9,
@@ -382,16 +382,15 @@ def _subspace_rel(a: QuatMatrix, b: QuatMatrix, vectors: np.ndarray) -> float:
     return worst
 
 
-def product_rule_residuals(t: CommutingOperator, g, f, profile: TypeProfile,
-                           regime: str = "decaying",
-                           subspace: np.ndarray | None = None,
-                           **opts) -> dict[str, float]:
+def product_rule_residuals(ev: Evaluator, g, f, *, regime: str,
+                           subspace: np.ndarray | None,
+                           tol: float) -> dict[str, float]:
     """Residuals of the four product rules for intrinsic g and left-slice f.
 
-    By default the rules are compared as full-matrix equalities (every
-    operator here is everywhere defined); passing `subspace`, an array of
-    quaternion vectors shaped (k, n, 4), restricts the comparison to those
-    vectors for callers modeling genuinely partial operators.
+    Values come from ev.calc (regime "decaying") or ev.hinf ("h_infinity")
+    at tolerance tol.  With subspace None full matrices are compared (every
+    operator here is everywhere defined); quaternion vectors shaped
+    (k, n, 4) restrict the comparison to them, for partial operators.
     """
     from .slicefun import Product
 
@@ -403,9 +402,10 @@ def product_rule_residuals(t: CommutingOperator, g, f, profile: TypeProfile,
 
     if regime not in ("decaying", "h_infinity"):
         raise ValueError("regime must be 'decaying' or 'h_infinity'")
-    ev = _evaluator(t, profile, opts)
-    evaluate = functools.partial(ev.calc if regime == "decaying" else ev.hinf,
-                                 **opts)
+    value_of = ev.calc if regime == "decaying" else ev.hinf
+
+    def evaluate(kind, h, conj=False):
+        return value_of(kind, h, tol=tol, conj=conj)
 
     g_t, f_t = evaluate("S", g).value, evaluate("S", f).value
     g_tbar = evaluate("S", g, conj=True).value
@@ -428,20 +428,21 @@ def product_rule_residuals(t: CommutingOperator, g, f, profile: TypeProfile,
     return out
 
 
-def power_recurrence_residuals(t: CommutingOperator, f, n_max: int,
-                               profile: TypeProfile,
-                               **opts) -> dict[str, float]:
+def power_recurrence_residuals(ev: Evaluator, f, n_max: int, *,
+                               tol: float) -> dict[str, float]:
     """Residuals of the four recurrences linking s^n f to s^(n-1) f."""
     from .slicefun import Power, Product
 
-    ev = _evaluator(t, profile, opts)
     # membership that keeps s^n f inside the calculus class up to n_max
-    f.certify_decay(3.0 * profile.alpha, 3.0 * profile.beta - n_max, ev.theta)
+    f.certify_decay(3.0 * ev.profile.alpha, 3.0 * ev.profile.beta - n_max,
+                    ev.theta)
 
-    tq = t.as_qmatrix()
-    tbq = conj_op(t).as_qmatrix()
+    tq = ev.t.as_qmatrix()
+    tbq = conj_op(ev.t).as_qmatrix()
 
-    evaluate = functools.partial(ev.calc, **opts)
+    def evaluate(kind, h, conj=False):
+        return ev.calc(kind, h, tol=tol, conj=conj)
+
     f_t_base = evaluate("S", f).value
     f_tbar_base = evaluate("S", f, conj=True).value
     out = {}
@@ -467,13 +468,12 @@ def power_recurrence_residuals(t: CommutingOperator, f, n_max: int,
     return out
 
 
-def derivative_combination_residual(t: CommutingOperator, f,
-                                    profile: TypeProfile, **opts) -> float:
+def derivative_combination_residual(ev: Evaluator, f, *, tol: float) -> float:
     """Residual of Dbar f(T) = 2 f'(T) - D f(T)."""
     fprime = f.slice_derivative()
-    lhs = calc("P2", t, f, profile, **opts).value
-    rhs = (2.0 * calc("S", t, fprime, profile, **opts).value
-           - calc("Q", t, f, profile, **opts).value)
+    lhs = ev.calc("P2", f, tol=tol).value
+    rhs = (2.0 * ev.calc("S", fprime, tol=tol).value
+           - ev.calc("Q", f, tol=tol).value)
     return _rel(lhs, rhs)
 
 

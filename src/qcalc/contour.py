@@ -84,18 +84,15 @@ def tail_radius(delta: float, c: float, tol: float) -> tuple[float, float]:
             _one_sided_radius(delta, c, tol, "max"))
 
 
-def contour_for(f, kernel_bound, phi: float, unit: Quaternion,
-                tol: float = 1e-9, panels: int = 8) -> SectorContour:
+def contour_for(cert, kernel_bound, phi: float, unit: Quaternion,
+                tol: float = 1e-9) -> SectorContour:
     """Build a contour whose truncation error is certified below tol/10.
 
-    kernel_bound is (C_K, a_K, b_K): the kernel norm is bounded by
-    C_K |s|**-a_K below radius one and C_K |s|**-b_K above.  The function
-    must carry a decay certificate; the integrand then decays like
+    cert is the integrand's DecayCertificate.  kernel_bound is
+    (C_K, a_K, b_K): the kernel norm is bounded by C_K |s|**-a_K below
+    radius one and C_K |s|**-b_K above.  The integrand then decays like
     t**(-1+delta0) at zero and t**(-1-deltainf) at infinity.
     """
-    cert = getattr(f, "decay", None)
-    if cert is None:
-        raise NoDecayMetadata("integrand carries no decay certificate")
     c_k, a_k, b_k = kernel_bound
     delta0 = cert.delta + (cert.a - a_k)
     deltainf = cert.delta + (b_k - cert.b)
@@ -109,7 +106,7 @@ def contour_for(f, kernel_bound, phi: float, unit: Quaternion,
     if t_min < 1.0 / _RADIUS_CLAMP or t_max > _RADIUS_CLAMP:
         raise ToleranceNotMet(
             "certified truncation radii exceed the floating-point safe range")
-    return SectorContour(phi, unit, t_min, t_max, panels=panels, tol=tol)
+    return SectorContour(phi, unit, t_min, t_max, tol=tol)
 
 
 class OperatorKernel:

@@ -10,7 +10,7 @@ class SpectrumHit(QCalcError):
 
 
 class NoDecayMetadata(QCalcError):
-    """An integral needs truncation radii but the integrand carries no decay certificate."""
+    """A decay certificate cannot absorb the kernel's growth, so no truncation radii exist."""
 
 
 class ToleranceNotMet(QCalcError):

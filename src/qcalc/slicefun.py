@@ -83,8 +83,6 @@ class StemFunction:
     ordinf = 0.0
 
     def __init__(self):
-        self.decay: DecayCertificate | None = None
-        self.growth: GrowthCertificate | None = None
         self._cert_cache: dict = {}
 
     # -- evaluation ---------------------------------------------------------
@@ -177,7 +175,6 @@ class StemFunction:
         c = max(2.0 * self._sample_sup(theta, weight), 1e-6)
         cert = DecayCertificate(a, b, delta, c, theta)
         self._cert_cache[key] = cert
-        self.decay = cert
         return cert
 
     def certify_growth(self, theta: float) -> GrowthCertificate:
@@ -194,7 +191,6 @@ class StemFunction:
         c = 2.0 * self._sample_sup(theta, weight)
         cert = GrowthCertificate(k, c, theta)
         self._cert_cache[key] = cert
-        self.growth = cert
         return cert
 
 
@@ -464,7 +460,7 @@ def choose_regularizer(f: StemFunction, alpha: float, beta: float,
     Uses the growth certificate (k, C) of f and returns reg(n) with the
     minimal integer n > max(k + 3*alpha - 1, k - 3*beta + 1).
     """
-    cert = f.growth if f.growth is not None else f.certify_growth(theta)
+    cert = f.certify_growth(theta)
     bound = max(cert.k + 3.0 * alpha - 1.0, cert.k - 3.0 * beta + 1.0)
     n = max(1, math.floor(bound) + 1)
     if n <= bound:  # guards exact-integer floor

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from . import calculus as calc_mod
 from .calculus import (Evaluator, calc, derivative_combination_residual,
                        hinf, power_recurrence_residuals, power_reference,
                        product_rule_residuals, resolvent_identity_residuals)
-from .errors import NotInjective
+from .errors import NotInjective, QCalcError
 from .operators import (CommutingOperator, QuatMatrix, ab_decompose, conj_op,
                         estimate_type_profile, f_spectrum_check, kernel,
                         kernel_batch, stack_norm)
@@ -118,6 +119,8 @@ class SuiteContext:
             self.profile_angles = (omega + 0.1 * gap, omega + 0.5 * gap,
                                    omega + 0.9 * gap)
         self._profile = None
+        self._evaluator = None
+        self._lock = threading.Lock()
 
     @property
     def operator(self) -> CommutingOperator:
@@ -125,18 +128,19 @@ class SuiteContext:
 
     @property
     def profile(self):
-        if self._profile is None:
-            self._profile = estimate_type_profile(
-                self.operator, self.gen.spec.omega, self.profile_angles)
-        return self._profile
+        with self._lock:
+            if self._profile is None:
+                self._profile = estimate_type_profile(
+                    self.operator, self.gen.spec.omega, self.profile_angles)
+            return self._profile
 
-    def evaluator(self) -> Evaluator:  # a fresh one per check group
-        return Evaluator(self.operator, self.profile, theta=self.theta)
-
-    def calc_opts(self, **extra):
-        opts = dict(theta=self.theta, tol=self.tol)
-        opts.update(extra)
-        return opts
+    def evaluator(self) -> Evaluator:  # shared by every group and suite
+        profile = self.profile
+        with self._lock:
+            if self._evaluator is None:
+                self._evaluator = Evaluator(self.operator, profile,
+                                            theta=self.theta)
+            return self._evaluator
 
     def rng(self, salt: int = 0) -> np.random.Generator:
         return np.random.default_rng(self.seed + 1000 * salt)
@@ -144,13 +148,14 @@ class SuiteContext:
     def random_resolvent_point(self, rng) -> Quaternion:
         """Random quaternion staying clear of every eigensphere."""
         spectrum = [(q.re, to_slice(q).y) for q in self.gen.eigenvalues]
-        while True:
+        for _ in range(10_000):
             s = Quaternion(*rng.normal(size=4)) * rng.uniform(0.3, 2.0)
             if s.norm() < 0.1:
                 continue
             p = to_slice(s)
             if all(math.hypot(p.x - x0, p.y - y0) > 0.15 for x0, y0 in spectrum):
                 return s
+        raise QCalcError("no resolvent point found away from the spectrum")
 
 
 @dataclass
@@ -246,8 +251,8 @@ def _suite_product_rules(ctx: SuiteContext):
                 g = Regularizer(2)
                 tol_q = ctx.tol if regime == "decaying" else min(ctx.tol, 1e-12)
                 res = product_rule_residuals(
-                    ctx.operator, g, f, ctx.profile, regime=regime,
-                    subspace=subspace, **ctx.calc_opts(tol=tol_q))
+                    ctx.evaluator(), g, f, regime=regime, subspace=subspace,
+                    tol=tol_q)
                 return [(f"{tag}_{rtag}_{ftag}", val, 1e-6)
                         for tag, val in sorted(res.items())]
 
@@ -264,7 +269,8 @@ def _suite_independence(ctx: SuiteContext):
             for phi in ctx.angles:
                 for unit in ctx.units:
                     values.append(calc(kind, ctx.operator, f, ctx.profile,
-                                       **ctx.calc_opts(phi=phi, unit=unit)).value)
+                                       theta=ctx.theta, phi=phi, unit=unit,
+                                       tol=ctx.tol).value)
             worst = max(((v - values[0]).norm() for v in values[1:]),
                         default=0.0)
             return [(f"independence_{kind}", worst, 1e-7)]
@@ -290,8 +296,8 @@ def _suite_powers(ctx: SuiteContext):
         groups.append((f"hinf_powers_n{n}", group))
 
     def recurrences():
-        res = power_recurrence_residuals(ctx.operator, Regularizer(4), 3,
-                                         ctx.profile, **ctx.calc_opts())
+        res = power_recurrence_residuals(ctx.evaluator(), Regularizer(4), 3,
+                                         tol=ctx.tol)
         return [(tag, val, 1e-6) for tag, val in sorted(res.items())]
 
     groups.append(("recurrences", recurrences))
@@ -331,7 +337,7 @@ def _suite_hinf(ctx: SuiteContext):
         zero = CommutingOperator(np.zeros((4, ctx.gen.spec.dim,
                                            ctx.gen.spec.dim)))
         try:
-            hinf("S", zero, Power(1), ctx.profile, **ctx.calc_opts())
+            hinf("S", zero, Power(1), ctx.profile, theta=ctx.theta)
         except NotInjective:
             return [("hinf_rejects_noninjective", 0.0, 0.5)]
         return [("hinf_rejects_noninjective", 1.0, 0.5)]
@@ -340,8 +346,7 @@ def _suite_hinf(ctx: SuiteContext):
 
     def commutation():
         g = Regularizer(2)
-        val = hinf("Q", ctx.operator, g, ctx.profile,
-                   **ctx.calc_opts(tol=min(ctx.tol, 1e-12))).value
+        val = ctx.evaluator().hinf("Q", g, tol=min(ctx.tol, 1e-12)).value
         tq = ctx.operator.as_qmatrix()
         res = (val @ tq - tq @ val).norm() / max(1.0, val.norm() * tq.norm())
         return [("hinf_commutation_T", res, 1e-9)]
@@ -355,7 +360,7 @@ def _suite_oracle(ctx: SuiteContext):
     f = Regularizer(2)
 
     def cauchy():
-        got = calc("S", ctx.operator, f, ctx.profile, **ctx.calc_opts()).value
+        got = ctx.evaluator().calc("S", f, tol=ctx.tol).value
         want = ctx.gen.expected_diag([f.eval(q) for q in ctx.gen.eigenvalues])
         return [("cauchy_reproduction", (got - want).norm(), 1e-7)]
 
@@ -364,10 +369,10 @@ def _suite_oracle(ctx: SuiteContext):
     def fine():
         from .slicefun import pointwise_fine
         vals = [pointwise_fine(f, q) for q in ctx.gen.eigenvalues]
+        ev = ctx.evaluator()
         out = []
         for idx, kind in enumerate(("Q", "P2", "F")):
-            got = calc(kind, ctx.operator, f, ctx.profile,
-                       **ctx.calc_opts()).value
+            got = ev.calc(kind, f, tol=ctx.tol).value
             want = ctx.gen.expected_diag([v[idx] for v in vals])
             out.append((f"fine_oracle_{kind}", (got - want).norm(), 1e-6))
         return out
@@ -375,11 +380,11 @@ def _suite_oracle(ctx: SuiteContext):
     groups.append(("fine_oracles", fine))
 
     def left_right():
+        ev = ctx.evaluator()
         out = []
         for kind in calc_mod.CALC_KINDS:
-            a = calc(kind, ctx.operator, f, ctx.profile, **ctx.calc_opts()).value
-            b = calc(kind, ctx.operator, f, ctx.profile,
-                     **ctx.calc_opts(side="right")).value
+            a = ev.calc(kind, f, tol=ctx.tol).value
+            b = ev.calc(kind, f, tol=ctx.tol, side="right").value
             out.append((f"left_right_{kind}", (a - b).norm(), 1e-8))
         return out
 
@@ -393,12 +398,12 @@ def _suite_oracle(ctx: SuiteContext):
         out = []
         for kind in calc_mod.CALC_KINDS:
             a = ev.calc(kind, f, tol=ctx.tol, conj=True).value
-            b = calc(kind, t_bar, f, profile_bar, **ctx.calc_opts()).value
+            b = calc(kind, t_bar, f, profile_bar, theta=ctx.theta,
+                     tol=ctx.tol).value
             out.append((f"intrinsic_conj_{kind}", (a - b).norm(), 1e-8))
         out.append(("two_fprime",
                     derivative_combination_residual(
-                        ctx.operator, Regularizer(3), ctx.profile,
-                        **ctx.calc_opts()), 1e-6))
+                        ev, Regularizer(3), tol=ctx.tol), 1e-6))
         val = ev.calc("S", f, tol=ctx.tol).value
         tq = ctx.operator.as_qmatrix()
         out.append(("commutation_T",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qcalc import calculus
 from qcalc.operators import CommutingOperator
 from qcalc.quaternion import Quaternion
 from qcalc.suites import OperatorSpec, SuiteContext, generate_operator
@@ -15,6 +16,21 @@ def scalar_operator(q: Quaternion) -> CommutingOperator:
 
 def random_quaternion(rng, scale=1.0) -> Quaternion:
     return Quaternion(*(scale * rng.normal(size=4)))
+
+
+def counting_integrate(monkeypatch):
+    """Install a wrapper on calculus.integrate; returns the list of keys."""
+    seen = []
+    original = calculus.integrate
+
+    def counting(k, f, contour, side="left", **kw):
+        seen.append((k.kind, k.operator.components.tobytes(), repr(f),
+                     contour.phi, tuple(contour.unit.components),
+                     contour.t_min, contour.t_max, contour.tol, side))
+        return original(k, f, contour, side=side, **kw)
+
+    monkeypatch.setattr(calculus, "integrate", counting)
+    return seen
 
 
 @pytest.fixture(scope="session")

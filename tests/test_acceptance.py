@@ -10,8 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from qcalc.calculus import (calc, hinf, power_recurrence_residuals,
-                            power_reference, product_rule_residuals,
+from qcalc.calculus import (Evaluator, calc, hinf,
+                            power_recurrence_residuals, power_reference,
+                            product_rule_residuals,
                             resolvent_identity_residuals)
 from qcalc.operators import ab_decompose, estimate_type_profile, kernel
 from qcalc.quaternion import (E1, Quaternion, random_unit_imaginary, to_slice)
@@ -138,11 +139,12 @@ def test_criterion_5_product_rules(operators):
     gen, profile = operators[1]
     g = Regularizer(2)
     cases = [Regularizer(2), Product(Power(1), Regularizer(3))]
+    ev = Evaluator(gen.operator, profile, theta=THETA)
     worst = 0.0
     for f in cases:
-        for regime in ("decaying", "h_infinity"):
-            res = product_rule_residuals(gen.operator, g, f, profile,
-                                         regime=regime, theta=THETA)
+        for regime, tol in (("decaying", 1e-9), ("h_infinity", 1e-12)):
+            res = product_rule_residuals(ev, g, f, regime=regime,
+                                         subspace=None, tol=tol)
             worst = max(worst, max(res.values()))
     ok = worst <= 1e-6
     report("5 (product rules, decaying + H-infinity)",
@@ -231,8 +233,9 @@ def test_criterion_7_kernel_structure(operators):
 
 def test_criterion_8_recurrences(operators):
     gen, profile = operators[4]
-    res = power_recurrence_residuals(gen.operator, Regularizer(4), 3,
-                                     profile, theta=THETA)
+    res = power_recurrence_residuals(Evaluator(gen.operator, profile,
+                                               theta=THETA),
+                                     Regularizer(4), 3, tol=1e-9)
     worst = max(res.values())
     ok = worst <= 1e-6
     report("8 (power recurrences)",

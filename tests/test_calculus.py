@@ -1,10 +1,11 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from conftest import random_quaternion
-from qcalc import calculus
+from conftest import counting_integrate, random_quaternion, scalar_operator
 from qcalc.calculus import (Evaluator, calc,
                             derivative_combination_residual, hinf,
                             power_recurrence_residuals, power_reference,
@@ -15,6 +16,7 @@ from qcalc.operators import CommutingOperator, TypeProfile, conj_op
 from qcalc.quaternion import E1, Quaternion, to_slice
 from qcalc.slicefun import (Power, Product, Regularizer, Scale,
                             pointwise_fine, pow_fn, reg_fn)
+from qcalc.suites import OperatorSpec, SuiteContext, generate_operator
 
 E12 = Quaternion(0, 1, 1, 0) * (1.0 / math.sqrt(2.0))
 
@@ -115,24 +117,23 @@ class TestDecayingCalculi:
         assert (val @ tq - tq @ val).norm() <= 1e-9 * max(1.0, val.norm())
 
     def test_two_fprime_combination(self, ctx4, gen4):
-        res = derivative_combination_residual(gen4.operator, reg_fn(3),
-                                              ctx4.profile)
+        res = derivative_combination_residual(
+            Evaluator(gen4.operator, ctx4.profile), reg_fn(3), tol=1e-9)
         assert res <= 1e-6
 
-
-def _counting_integrate(monkeypatch):
-    """Install a wrapper on calculus.integrate; returns the list of keys."""
-    seen = []
-    original = calculus.integrate
-
-    def counting(k, f, contour, side="left", **kw):
-        seen.append((k.kind, k.operator.components.tobytes(), repr(f),
-                     contour.phi, tuple(contour.unit.components),
-                     contour.t_min, contour.t_max, contour.tol, side))
-        return original(k, f, contour, side=side, **kw)
-
-    monkeypatch.setattr(calculus, "integrate", counting)
-    return seen
+    def test_value_ignores_other_certificates(self):
+        # certifying f for another class must not move the contour of a
+        # later value, so that a value depends on its memo key only
+        ctx = SuiteContext(generate_operator(OperatorSpec(dim=4, seed=7)),
+                           seed=7)
+        f = Regularizer(4)
+        before = calc("S", ctx.operator, f, ctx.profile)
+        f.certify_decay(1.0, -2.0, ctx.theta)
+        after = calc("S", ctx.operator, f, ctx.profile)
+        assert np.array_equal(after.value.components,
+                              before.value.components)
+        assert after.diagnostics.t_min == before.diagnostics.t_min
+        assert after.diagnostics.panels == before.diagnostics.panels
 
 
 class TestEvaluator:
@@ -144,7 +145,7 @@ class TestEvaluator:
         assert (b - a * (2.5000001 / 2.5)).norm() <= 1e-8 * a.norm()
 
     def test_each_value_computed_once(self, ctx4, gen4, monkeypatch):
-        seen = _counting_integrate(monkeypatch)
+        seen = counting_integrate(monkeypatch)
         ev = Evaluator(gen4.operator, ctx4.profile)
         first = ev.calc("Q", reg_fn(2))
         assert ev.calc("Q", reg_fn(2)) is first
@@ -177,11 +178,38 @@ class TestEvaluator:
 
     def test_hinf_product_rules_repeat_no_integral(self, ctx4, gen4,
                                                    monkeypatch):
-        seen = _counting_integrate(monkeypatch)
-        product_rule_residuals(gen4.operator, reg_fn(2),
-                               Product(Power(1), Regularizer(3)),
-                               ctx4.profile, regime="h_infinity")
+        seen = counting_integrate(monkeypatch)
+        product_rule_residuals(Evaluator(gen4.operator, ctx4.profile),
+                               reg_fn(2), Product(Power(1), Regularizer(3)),
+                               regime="h_infinity", subspace=None, tol=1e-12)
         assert seen and len(set(seen)) == len(seen)
+
+    def test_threads_share_the_first_stored_value(self):
+        # more threads than cores race for the same keys; a lost update
+        # would hand two callers different objects for one key
+        from qcalc.operators import estimate_type_profile
+        t = scalar_operator(Quaternion(0.8) + E1 * 0.4)
+        profile = estimate_type_profile(t, math.pi / 4,
+                                        [math.pi / 2, 3 * math.pi / 4])
+        ev = Evaluator(t, profile)
+        f = reg_fn(2)
+        kinds = ["S", "Q", "P2", "F"]
+
+        def work(i):  # each thread starts at another kind
+            return {kind: ev.calc(kind, f, tol=1e-6)
+                    for kind in kinds[i % 4:] + kinds[:i % 4]}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, i) for i in range(8)]
+                results = [fut.result(timeout=120) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for kind in kinds:
+            stored = ev.calc(kind, f, tol=1e-6)
+            assert all(r[kind] is stored for r in results)
 
 
 class TestResolventIdentities:
@@ -203,28 +231,33 @@ class TestProductRules:
     def test_rules(self, ctx4, gen4, regime):
         g = reg_fn(2)
         f = Product(Power(1), Regularizer(3))
-        res = product_rule_residuals(gen4.operator, g, f, ctx4.profile,
-                                     regime=regime)
+        tol = 1e-9 if regime == "decaying" else 1e-12
+        res = product_rule_residuals(Evaluator(gen4.operator, ctx4.profile),
+                                     g, f, regime=regime, subspace=None,
+                                     tol=tol)
         assert max(res.values()) <= 1e-6
 
     def test_rejects_nonintrinsic_g(self, ctx4, gen4):
         g = Scale(E1, reg_fn(2))
         with pytest.raises(NotIntrinsic):
-            product_rule_residuals(gen4.operator, g, reg_fn(2), ctx4.profile)
+            product_rule_residuals(Evaluator(gen4.operator, ctx4.profile),
+                                   g, reg_fn(2), regime="decaying",
+                                   subspace=None, tol=1e-9)
 
 
 class TestRecurrences:
     def test_reg4_recurrences(self, ctx4, gen4):
-        res = power_recurrence_residuals(gen4.operator, reg_fn(4), 3,
-                                         ctx4.profile)
+        res = power_recurrence_residuals(
+            Evaluator(gen4.operator, ctx4.profile), reg_fn(4), 3, tol=1e-9)
         assert len(res) == 12
         assert max(res.values()) <= 1e-6
 
     def test_class_prerequisite(self, ctx4, gen4):
         # reg(2) decays like |s|^-2: s^3 reg(2) leaves the calculus class
         with pytest.raises(ClassMismatch):
-            power_recurrence_residuals(gen4.operator, reg_fn(2), 3,
-                                       ctx4.profile)
+            power_recurrence_residuals(
+                Evaluator(gen4.operator, ctx4.profile), reg_fn(2), 3,
+                tol=1e-9)
 
 
 class TestHInfinity:

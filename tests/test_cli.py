@@ -71,14 +71,15 @@ class TestRun:
         bad.write_text("not an operator")
         assert main(["run", "kernels", "--operator", str(bad)]) == 2
 
-    def test_parallel_matches_serial(self, tmp_path):
+    @pytest.mark.parametrize("suite", ["identities", "oracle", "hinf"])
+    def test_parallel_matches_serial(self, tmp_path, suite):
         d1, d2 = tmp_path / "serial", tmp_path / "par"
-        assert main(["run", "identities", "--dim", "3", "--seed", "5",
+        assert main(["run", suite, "--dim", "3", "--seed", "5",
                      "--pairs", "8", "--report", str(d1)]) == 0
-        assert main(["run", "identities", "--dim", "3", "--seed", "5",
+        assert main(["run", suite, "--dim", "3", "--seed", "5",
                      "--pairs", "8", "--report", str(d2), "--parallel"]) == 0
-        a = strip_ms(json.loads((d1 / "identities_report.json").read_text()))
-        b = strip_ms(json.loads((d2 / "identities_report.json").read_text()))
+        a = strip_ms(json.loads((d1 / f"{suite}_report.json").read_text()))
+        b = strip_ms(json.loads((d2 / f"{suite}_report.json").read_text()))
         a["env"]["parallel"] = b["env"]["parallel"] = None
         assert a == b
 

@@ -14,11 +14,10 @@ E12 = Quaternion(0, 1, 1, 0) * (1.0 / math.sqrt(2.0))
 
 
 def cauchy_setup(tol=1e-9):
-    """Scalar operator q = 1 with the S kernel and f = reg(1)."""
+    """Scalar operator q = 1, f = reg(1) and its (1, 1) decay certificate."""
     t = scalar_operator(ONE)
     f = Regularizer(1)
-    f.certify_decay(1.0, 1.0, 2.4)
-    return t, f
+    return t, f, f.certify_decay(1.0, 1.0, 2.4)
 
 
 class TestTailRadius:
@@ -55,23 +54,17 @@ class TestContourValidation:
         with pytest.raises(ValueError):
             SectorContour(1.0, E1, 2.0, 1e6)
 
-    def test_contour_for_requires_certificate(self):
-        f = Regularizer(1)
-        with pytest.raises(NoDecayMetadata):
-            contour_for(f, (1.0, 1.0, 1.0), 1.0, E1)
-
     def test_contour_for_rejects_uncovered_kernel(self):
-        f = Regularizer(1)
-        f.certify_decay(1.0, 1.0, 2.4)
+        cert = Regularizer(1).certify_decay(1.0, 1.0, 2.4)
         # kernel growing faster at infinity than the certificate decays
         with pytest.raises(NoDecayMetadata):
-            contour_for(f, (1.0, 1.0, -3.0), 1.0, E1)
+            contour_for(cert, (1.0, 1.0, -3.0), 1.0, E1)
 
 
 class TestCauchyFormula:
     def test_reproduces_value(self):
-        t, f = cauchy_setup()
-        contour = contour_for(f, (2.0, 1.0, 1.0), math.pi / 2, E1, tol=1e-9)
+        t, f, cert = cauchy_setup()
+        contour = contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, E1, tol=1e-9)
         value, info = integrate(OperatorKernel("S_L", t), f, contour)
         got = value.components[:, 0, 0] / (2.0 * math.pi)
         assert abs(got[0] - 0.25) <= 1e-8
@@ -79,20 +72,20 @@ class TestCauchyFormula:
         assert info["tol_achieved"] <= 1e-9
 
     def test_unit_independence(self):
-        t, f = cauchy_setup()
+        t, f, cert = cauchy_setup()
         vals = []
         for unit in (E1, E2, E12):
-            contour = contour_for(f, (2.0, 1.0, 1.0), math.pi / 2, unit)
+            contour = contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, unit)
             value, _ = integrate(OperatorKernel("S_L", t), f, contour)
             vals.append(value.components[:, 0, 0])
         for v in vals[1:]:
             assert np.abs(v - vals[0]).max() <= 1e-8
 
     def test_angle_independence(self):
-        t, f = cauchy_setup()
+        t, f, cert = cauchy_setup()
         vals = []
         for phi in (0.9, 1.4, 2.0):
-            contour = contour_for(f, (2.0, 1.0, 1.0), phi, E1)
+            contour = contour_for(cert, (2.0, 1.0, 1.0), phi, E1)
             value, _ = integrate(OperatorKernel("S_L", t), f, contour)
             vals.append(value.components[:, 0, 0])
         for v in vals[1:]:
@@ -105,8 +98,8 @@ class TestCauchyFormula:
         q = Quaternion(math.cos(math.pi / 8)) + j * math.sin(math.pi / 8)
         t = scalar_operator(q)
         f = Regularizer(2)
-        f.certify_decay(1.0, 1.0, 2.4)
-        contour = contour_for(f, (4.0, 2.0 / 3.0, 2.0 / 3.0), 1.2, E2)
+        cert = f.certify_decay(1.0, 1.0, 2.4)
+        contour = contour_for(cert, (4.0, 2.0 / 3.0, 2.0 / 3.0), 1.2, E2)
         value, _ = integrate(OperatorKernel("Qc", t), f, contour)
         got = Quaternion.from_components(-2.0 * value.components[:, 0, 0]
                                          / (2.0 * math.pi))
@@ -116,7 +109,7 @@ class TestCauchyFormula:
 
 class TestQuadratureMechanics:
     def test_linearity(self):
-        t, _ = cauchy_setup()
+        t, _, _ = cauchy_setup()
         f = Regularizer(1)
         g = Regularizer(2)
         h = Sum(Scale(2.5, f), g)
@@ -129,7 +122,7 @@ class TestQuadratureMechanics:
         assert (vh - lin).norm() <= 1e-12 * max(1.0, lin.norm())
 
     def test_doubling_improves(self):
-        t, f = cauchy_setup()
+        t, f, _ = cauchy_setup()
         k = OperatorKernel("S_L", t)
         want, _ = integrate_fixed(f=f, k=k, contour=SectorContour(
             1.2, E1, 1e-8, 1e8, panels=512))
@@ -142,13 +135,13 @@ class TestQuadratureMechanics:
         assert errors[2] <= 0.5 * errors[1]
 
     def test_tolerance_not_met(self):
-        t, f = cauchy_setup()
+        t, f, _ = cauchy_setup()
         contour = SectorContour(1.2, E1, 1e-8, 1e8, panels=1, tol=1e-30)
         with pytest.raises(ToleranceNotMet):
             integrate(OperatorKernel("S_L", t), f, contour, max_refinements=2)
 
     def test_point_callable_matches_batched(self):
-        t, f = cauchy_setup()
+        t, f, _ = cauchy_setup()
         contour = SectorContour(1.2, E1, 1e-6, 1e6, panels=24)
         fast = OperatorKernel("S_L", t)
         slow = lambda p: fast(p)  # plain SlicePoint -> QuatMatrix callable
@@ -158,7 +151,7 @@ class TestQuadratureMechanics:
 
     def test_right_sandwich_order(self):
         # for an intrinsic f and the scalar operator the two orders agree
-        t, f = cauchy_setup()
+        t, f, _ = cauchy_setup()
         contour = SectorContour(1.2, E1, 1e-8, 1e8, panels=64)
         va, _ = integrate_fixed(OperatorKernel("S_L", t), f, contour)
         vb, _ = integrate_fixed(OperatorKernel("S_R", t), f, contour,

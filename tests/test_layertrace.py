@@ -4,15 +4,47 @@ rename under src/ must fail here rather than break `--trace 1` silently."""
 import importlib.util
 from pathlib import Path
 
+import qcalc
+
 LAYERTRACE = Path(__file__).resolve().parents[1] / "qbench" / "layertrace.py"
 
 
-def test_every_traced_name_exists():
+def _load_layertrace():
     spec = importlib.util.spec_from_file_location("qbench_layertrace",
                                                   LAYERTRACE)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
-    originals = layertrace.originals()
+    return layertrace
+
+
+def test_every_traced_name_exists():
+    originals = _load_layertrace().originals()
     assert originals
     for owner, attr, value in originals:
         assert callable(value), f"{owner!r}.{attr} is not callable"
+
+
+def test_traced_public_calls():
+    # the wrappers read the traced functions' arguments (integrate's kernel,
+    # _chain's nodes, _level_value's panels), so a changed signature fails
+    layertrace = _load_layertrace()
+    before = layertrace.originals()
+    ctx = qcalc.SuiteContext(
+        qcalc.generate_operator(qcalc.OperatorSpec(dim=2, seed=3)), seed=3)
+    t, profile = ctx.operator, ctx.profile
+    s = qcalc.Quaternion(-1.0, 0.5, 0.0, 0.0)
+    p = qcalc.Quaternion(-0.5, 0.0, 1.2, 0.0)
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("bench.op"):
+            qcalc.calc("Q", t, qcalc.Regularizer(2), profile)
+            qcalc.hinf("S", t, qcalc.Power(1), profile)
+            qcalc.resolvent_identity_residuals(t, s, p)
+    finally:
+        tracer.uninstall()
+    metrics = layertrace.derive(tracer.spans, 1)
+    assert metrics["contour.nodes"][0] > 0
+    assert metrics["operators.chain.calls"][0] > 0
+    after = layertrace.originals()
+    assert all(a is b for (_, _, a), (_, _, b) in zip(after, before))

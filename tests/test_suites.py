@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
 
+from conftest import counting_integrate
+from qcalc.errors import QCalcError
 from qcalc.suites import (SUITE_NAMES, OperatorSpec, SuiteContext,
                           generate_operator, run_suite, write_report)
 
@@ -46,6 +49,27 @@ def test_every_invariant_tag_appears(ctx):
     for fragment in required_fragments:
         assert any(fragment in tag for tag in seen), \
             f"{fragment} missing from {joined}"
+
+
+def test_suites_share_every_value(monkeypatch):
+    # a fresh context, so that no other test has filled its evaluator
+    ctx = SuiteContext(generate_operator(OperatorSpec(dim=4, seed=7)), seed=7)
+    seen = counting_integrate(monkeypatch)
+    for name in SUITE_NAMES:
+        run_suite(name, ctx)
+    assert seen and len(set(seen)) == len(seen)
+
+
+def test_resolvent_point_gives_up(ctx):
+    class ZeroRng:  # every draw is the origin, which is rejected
+        def normal(self, size):
+            return np.zeros(size)
+
+        def uniform(self, low, high):
+            return low
+
+    with pytest.raises(QCalcError):
+        ctx.random_resolvent_point(ZeroRng())
 
 
 def test_report_io(ctx, tmp_path):
