@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoDecayMetadata, ToleranceNotMet
-from .operators import (QuatMatrix, _AB_FAMILY, _chain, bq_scalar,
+from .operators import (QuatMatrix, _AB_FAMILY, _chain, bq_dot, bq_scalar,
                         kernel_batch, stack_fro)
 from .quaternion import Quaternion, SlicePoint, exp_j, qarr, qarr_mul
 
@@ -110,21 +110,13 @@ def contour_for(cert, kernel_bound, phi: float, unit: Quaternion,
 
 
 class OperatorKernel:
-    """Batched evaluator of one kernel kind for a fixed operator."""
+    """One kernel kind of a fixed operator.  The quadrature integrates it in
+    moment form (see _level_value); a call evaluates it at one point."""
 
     def __init__(self, kind: str, t):
         self.kind = kind
         self.operator = t
         self.n = t.n
-
-    def rays(self, x: np.ndarray, y: np.ndarray, unit: Quaternion):
-        """Kernel stacks on the conjugate pair of rays (x, +y) and (x, -y)."""
-        fam = _AB_FAMILY[self.kind]
-        a, b = _chain(self.operator, x, y, upto=fam)[fam]
-        jq = np.broadcast_to(qarr(unit), (a.shape[0], 4))
-        scalar_side = "left" if self.kind.endswith("_R") else "right"
-        bj = bq_scalar(jq, b, scalar_side)
-        return a + bj, a - bj
 
     def __call__(self, p: SlicePoint) -> QuatMatrix:
         return QuatMatrix(kernel_batch(self.kind, self.operator,
@@ -138,6 +130,34 @@ def _point_kernel_rays(k, x, y, unit, n):
         plus[i] = k(SlicePoint(float(xi), float(yi), unit)).components
         minus[i] = k(SlicePoint(float(xi), float(yi), -1.0 * unit)).components
     return plus, minus
+
+
+def _moment_value(k: OperatorKernel, contour: SectorContour, t, w, x, y,
+                  s_plus, s_minus, side: str) -> np.ndarray:
+    """Sum over the nodes of K(x +- J y) s+- (side "left") or s+- K (side
+    "right") with K = sum_(d, i) r^d C+-_(d, i) g_i for the per-node real
+    pair g (see _chain): g commutes with the coefficients C, so the nodes
+    enter only through the real moments sum_m w_m r_m^d s_m g_m, one GEMM
+    against the stacked pairs."""
+    fam = _AB_FAMILY[k.kind]
+    num = k.operator.kernel_numerators[fam]
+    pair, scale = _chain(k.operator, x, y, upto=fam)
+    m, _, n, _ = pair.shape
+    coeffs = num.ray_coefficients(k.kind, contour.phi, contour.unit)
+    # r^d g = (r/scale)^d scale^(d-2j) (scale^(2j) g): with d <= 2j no
+    # factor exceeds one, so no power of a large radius overflows
+    deg = np.arange(coeffs.shape[1])
+    rho = (t / scale)[:, None] ** deg * scale[:, None] ** (deg - 2 * num.power)
+    scalars = np.stack([s_plus, -s_minus], axis=1)  # (m, 2, 4)
+    weights = (w[:, None, None, None] * rho[:, None, :, None]
+               * scalars[:, :, None, :])  # (m, 2, degree+1, 4)
+    moments = (weights.reshape(m, -1).T @ pair.reshape(m, 2 * n * n)
+               ).reshape(2, -1, 4, 2, n, n).transpose(0, 1, 3, 2, 4, 5)
+    coeffs = coeffs.reshape(-1, 4, n, n)
+    moments = moments.reshape(-1, 4, n, n)
+    if side == "left":
+        return bq_dot(coeffs, moments)
+    return bq_dot(moments, coeffs)
 
 
 def _level_value(k, f, contour: SectorContour, side: str, panels: int,
@@ -157,29 +177,27 @@ def _level_value(k, f, contour: SectorContour, side: str, panels: int,
     x = t * math.cos(contour.phi)
     y = t * math.sin(contour.phi)
 
-    if isinstance(k, OperatorKernel):
-        k_plus, k_minus = k.rays(x, y, j)
-    else:
-        if matrix_dim is None:
-            matrix_dim = k(SlicePoint(float(x[0]), float(y[0]), j)).n
-        k_plus, k_minus = _point_kernel_rays(k, x, y, j, matrix_dim)
-
     alpha, bet = f.stem_arrays(x, y)
     jb = qarr_mul(np.broadcast_to(qarr(j), bet.shape), bet)
     f_plus, f_minus = alpha + jb, alpha - jb
-
     if side == "left":
         s_plus = qarr_mul(np.broadcast_to(c_plus, f_plus.shape), f_plus)
         s_minus = qarr_mul(np.broadcast_to(c_minus, f_minus.shape), f_minus)
-        vals = (bq_scalar(s_plus, k_plus, "right")
-                - bq_scalar(s_minus, k_minus, "right"))
+        scalar_side = "right"
     elif side == "right":
         s_plus = qarr_mul(f_plus, np.broadcast_to(c_plus, f_plus.shape))
         s_minus = qarr_mul(f_minus, np.broadcast_to(c_minus, f_minus.shape))
-        vals = (bq_scalar(s_plus, k_plus, "left")
-                - bq_scalar(s_minus, k_minus, "left"))
+        scalar_side = "left"
     else:
         raise ValueError("side must be 'left' or 'right'")
+
+    if isinstance(k, OperatorKernel):
+        return _moment_value(k, contour, t, w, x, y, s_plus, s_minus, side)
+    if matrix_dim is None:
+        matrix_dim = k(SlicePoint(float(x[0]), float(y[0]), j)).n
+    k_plus, k_minus = _point_kernel_rays(k, x, y, j, matrix_dim)
+    vals = (bq_scalar(s_plus, k_plus, scalar_side)
+            - bq_scalar(s_minus, k_minus, scalar_side))
     return np.einsum("m,mcij->cij", w, vals)
 
 
@@ -187,7 +205,7 @@ def integrate(k, f, contour: SectorContour, *, side: str = "left",
               max_refinements: int = 9):
     """Adaptively evaluate the sector-boundary integral of K ds_J f.
 
-    k is either an OperatorKernel (batched fast path) or any callable
+    k is either an OperatorKernel (moment form) or any callable
     SlicePoint -> QuatMatrix.  side selects the sandwich order: "left" is
     K ds_J f, "right" is f ds_J K.  Returns (QuatMatrix, diagnostics).
     """

@@ -2,24 +2,27 @@
 
 An operator on H^n is stored through four real n x n component matrices
 (T0, T1, T2, T3) that commute pairwise; it acts on a quaternion vector v as
-T0 v + e1 (T1 v) + e2 (T2 v) + e3 (T3 v).  Every kernel evaluation reduces
-to one real n x n inversion of the pseudo-resolvent
+T0 v + e1 (T1 v) + e2 (T2 v) + e3 (T3 v).  Every kernel is A + B J (left)
+or A + J B (right), where A and B combine a real per-node pair, built from
+one inversion of the pseudo-resolvent
 
     R(x, y) = (x^2+y^2 - |T|^2)^2 + 4 (T0 - x)((x^2+y^2) T0 - x |T|^2),
 
-followed by a short cascade of component products, so batches of contour
-nodes are evaluated with stacked numpy arrays of shape (m, 4, n, n).
+with coefficients that are polynomials in (x, y) over T0..T3 and |T|^2.
+All of these commute, so the coefficient tensors are built once per
+operator and a batch of nodes costs one real n x n inversion per node.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import SpectrumHit
-from .quaternion import E1, Quaternion, SlicePoint, qarr, to_slice
+from .quaternion import E1, Quaternion, SlicePoint, qarr, qarr_mul, to_slice
 
 COND_SPECTRUM_THRESHOLD = 1e12
 
@@ -33,41 +36,34 @@ _AB_FAMILY = {"S_L": "S", "S_R": "S", "Qc": "Qc",
 # Batched component algebra on stacks shaped (..., 4, n, n).
 # ---------------------------------------------------------------------------
 
-def bq_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Quaternion-matrix product of component stacks."""
-    a0, a1, a2, a3 = (a[..., i, :, :] for i in range(4))
-    b0, b1, b2, b3 = (b[..., i, :, :] for i in range(4))
-    return np.stack([
-        a0 @ b0 - a1 @ b1 - a2 @ b2 - a3 @ b3,
-        a0 @ b1 + a1 @ b0 + a2 @ b3 - a3 @ b2,
-        a0 @ b2 - a1 @ b3 + a2 @ b0 + a3 @ b1,
-        a0 @ b3 + a1 @ b2 - a2 @ b1 + a3 @ b0,
-    ], axis=-3)
+# e_a e_b = sum_c _QMUL[a, b, c] e_c for the basis 1, e1, e2, e3
+_QMUL = qarr_mul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])
 
 
 def bq_scalar(q: np.ndarray, a: np.ndarray, side: str) -> np.ndarray:
-    """Multiply a component stack by quaternion scalars q of shape (..., 4)."""
-    q0, q1, q2, q3 = (q[..., i, None, None] for i in range(4))
-    a0, a1, a2, a3 = (a[..., i, :, :] for i in range(4))
-    if side == "left":
-        comps = [q0 * a0 - q1 * a1 - q2 * a2 - q3 * a3,
-                 q0 * a1 + q1 * a0 + q2 * a3 - q3 * a2,
-                 q0 * a2 - q1 * a3 + q2 * a0 + q3 * a1,
-                 q0 * a3 + q1 * a2 - q2 * a1 + q3 * a0]
-    elif side == "right":
-        comps = [a0 * q0 - a1 * q1 - a2 * q2 - a3 * q3,
-                 a0 * q1 + a1 * q0 + a2 * q3 - a3 * q2,
-                 a0 * q2 - a1 * q3 + a2 * q0 + a3 * q1,
-                 a0 * q3 + a1 * q2 - a2 * q1 + a3 * q0]
-    else:
+    """Component stacks a (..., 4, n, n) times quaternion scalars q of shape
+    (..., 4): a*q for side "right", q*a for side "left"."""
+    if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    return np.stack(comps, axis=-3)
+    mix = np.einsum("abc,...b->...ac" if side == "right" else "bac,...b->...ac",
+                    _QMUL, q)
+    return np.einsum("...ac,...aij->...cij", mix, a)
 
 
 def bq_conj(a: np.ndarray) -> np.ndarray:
     out = a.copy()
     out[..., 1:, :, :] *= -1.0
     return out
+
+
+def bq_dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_e p[e] q[e] of quaternion-matrix products of stacks (E, 4, n, n),
+    as one real (4n, En) x (En, 4n) product of all component pairs."""
+    e, _, n, _ = p.shape
+    rows = p.transpose(1, 2, 0, 3).reshape(4 * n, e * n)
+    cols = q.transpose(0, 2, 1, 3).reshape(e * n, 4 * n)
+    pairs = (rows @ cols).reshape(4, n, 4, n)
+    return np.einsum("aibk,abc->cik", pairs, _QMUL)
 
 
 def _as_stack(real: np.ndarray) -> np.ndarray:
@@ -156,7 +152,7 @@ class QuatMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "QuatMatrix") -> "QuatMatrix":
-        return QuatMatrix(bq_mul(self.components, other.components))
+        return QuatMatrix(bq_dot(self.components[None], other.components[None]))
 
     def scalar_mul(self, q: Quaternion, side: str = "left") -> "QuatMatrix":
         return QuatMatrix(bq_scalar(qarr(q), self.components, side))
@@ -216,11 +212,6 @@ class CommutingOperator:
                 if np.linalg.norm(a @ b - b @ a) > max(lim, 1e-300):
                     raise ValueError(f"components {i} and {j} do not commute")
 
-    @staticmethod
-    def from_parts(t0, t1, t2, t3) -> "CommutingOperator":
-        return CommutingOperator(np.stack([np.asarray(p, dtype=float)
-                                           for p in (t0, t1, t2, t3)]))
-
     @property
     def n(self) -> int:
         return self.components.shape[1]
@@ -242,12 +233,32 @@ class CommutingOperator:
         T0 v + e1 (T1 v) + e2 (T2 v) + e3 (T3 v)."""
         return self.as_qmatrix().apply(v)
 
+    @cached_property
+    def kernel_numerators(self) -> dict:
+        """The Qc numerators "Qc pair" and a KernelNumerator per family (Qc,
+        S, F, P2) as polynomial coefficient tensors, built once; conj(T)
+        takes the entrywise conjugates of T's families (its Qc pair is the
+        same) when T's exist."""
+        bar = self.__dict__.get("_conj")
+        if bar is not None and "kernel_numerators" in bar.__dict__:
+            return {fam: replace(num, a=bq_conj(num.a), b=bq_conj(num.b))
+                    if isinstance(num, KernelNumerator) else num
+                    for fam, num in bar.kernel_numerators.items()}
+        return _kernel_numerators(self)
+
 
 def conj_op(t: CommutingOperator) -> CommutingOperator:
-    """Conjugate operator (T0, -T1, -T2, -T3); involutive."""
-    comps = t.components.copy()
-    comps[1:] *= -1.0
-    return CommutingOperator(comps)
+    """Conjugate operator (T0, -T1, -T2, -T3); involutive.  It is built once
+    and linked both ways, so conj_op(conj_op(t)) is t and the two share
+    their kernel numerators."""
+    bar = t.__dict__.get("_conj")
+    if bar is None:
+        comps = t.components.copy()
+        comps[1:] *= -1.0
+        bar = CommutingOperator(comps)
+        object.__setattr__(bar, "_conj", t)
+        object.__setattr__(t, "_conj", bar)
+    return bar
 
 
 def modulus_sq(t: CommutingOperator) -> np.ndarray:
@@ -255,88 +266,189 @@ def modulus_sq(t: CommutingOperator) -> np.ndarray:
     return sum(t.components[i] @ t.components[i] for i in range(4))
 
 
+class _Poly(dict):
+    """{(a, b, k): c} for the polynomial sum x^a y^b c g_k with commuting
+    matrix coefficients c, real (n, n) or component stacks (4, n, n); g_0 = 1
+    for a plain polynomial, and g_0, g_1 stand for a family's per-node pair
+    (see _chain).  A real coefficient added to a stack is its real part."""
+
+    def __add__(self, other: "_Poly") -> "_Poly":
+        out = _Poly(self)
+        for key, c in other.items():
+            a = out.get(key)
+            out[key] = (c if a is None else a + c if a.ndim == c.ndim
+                        else _lift(a) + _lift(c))
+        return out
+
+    def __rmul__(self, c: float) -> "_Poly":
+        return _Poly({key: c * v for key, v in self.items()})
+
+    def __sub__(self, other: "_Poly") -> "_Poly":
+        return self + (-1.0) * other
+
+    def __matmul__(self, other: "_Poly") -> "_Poly":
+        out = _Poly()
+        for k1, c1 in self.items():
+            for k2, c2 in other.items():
+                key = tuple(i + j for i, j in zip(k1, k2))
+                out = out + _Poly({key: c1 @ c2})
+        return out
+
+
+def _lift(c: np.ndarray) -> np.ndarray:
+    return _as_stack(c) if c.ndim == 2 else c
+
+
+def _monomials(exps: np.ndarray, x: np.ndarray, y: np.ndarray,
+               scale: np.ndarray, degree: int) -> np.ndarray:
+    """(m, K): x^a y^b / scale^degree, (a, b) = exps[k], at the nodes, each
+    as (x/scale)^a (y/scale)^b scale^(a+b-degree): no factor exceeds one for
+    scale >= max(1, |x|, |y|) and a + b <= degree.  Powers of |x|, |y| take
+    the sign exactly, so the monomials are exactly even or odd in x, y."""
+    xs, ys = x / scale, y / scale
+    return (np.abs(xs)[:, None] ** exps[:, 0] * np.sign(xs)[:, None] ** exps[:, 0]
+            * np.abs(ys)[:, None] ** exps[:, 1] * np.sign(ys)[:, None] ** exps[:, 1]
+            * scale[:, None] ** (exps.sum(axis=1) - degree))
+
+
+def _combine(w: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_k w[..., k] coef[k] as one matrix product."""
+    return (w @ coef.reshape(len(coef), -1)).reshape(w.shape[:-1] + coef.shape[1:])
+
+
+@dataclass(frozen=True)
+class KernelNumerator:
+    """One kernel family on its per-node pair (g_0, g_1) (see _chain):
+    K_L = A + B J and K_R = A + J B with A = sum_k P_k(x, y) g_k, where
+    P_k = sum_i x^exps[i, 0] y^exps[i, 1] a[i, k] (a: (K, 2, 4, n, n)), and
+    B likewise from b.  The pair decays like |s|^(-2 power)."""
+
+    exps: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    power: int
+
+    def ray_coefficients(self, kind: str, phi: float,
+                         unit: Quaternion) -> np.ndarray:
+        """(2, degree+1, 2, 4, n, n): C[0, d, k] multiplies r^d g_k in the
+        kernel at x + J y, C[1, d, k] at x - J y, for x = r cos phi,
+        y = r sin phi and J = unit."""
+        deg = self.exps.sum(axis=1)
+        proj = np.zeros((deg.max() + 1, len(deg)))
+        proj[deg, np.arange(len(deg))] = (math.cos(phi) ** self.exps[:, 0]
+                                          * math.sin(phi) ** self.exps[:, 1])
+        a, b = _combine(proj, self.a), _combine(proj, self.b)
+        bj = bq_scalar(qarr(unit), b, "left" if kind.endswith("_R") else "right")
+        return np.stack([a + bj, a - bj])
+
+
+def _kernel_numerators(t: CommutingOperator) -> dict:
+    """The A/B decomposition cascade, run once on polynomial coefficients.
+    The pair of a left kernel K_L(x+Jy) = A + B J serves K_R = A + J B."""
+    eye = np.eye(t.n)
+    x, y = _Poly({(1, 0, 0): eye}), _Poly({(0, 1, 0): eye})
+    t0 = _Poly({(0, 0, 0): t.components[0]})
+    msq = _Poly({(0, 0, 0): modulus_sq(t)})
+    # Qc: A1 = a1 R^-1, B1 = b1 R^-1, the per-node pair of Qc and S, where
+    # a1 - i b1 = Q_{c,s}(T) on the complex slice, so R = a1^2 + b1^2
+    a1 = x @ x - y @ y - 2.0 * (x @ t0) + msq
+    b1 = -2.0 * (y @ (x - t0))
+    g0, g1 = _Poly({(0, 0, 0): eye}), _Poly({(0, 0, 1): eye})
+    # S family: A2 + B2 J with A2 = (x - conj(T)) A1 - y B1.
+    c_op = _Poly({(1, 0, 0): _as_stack(eye), (0, 0, 0): -bq_conj(t.components)})
+    a2 = c_op @ g0 - y @ g1
+    b2 = c_op @ g1 + y @ g0
+    # F = -4 S Qc on the pair (g0, g1) = (A1^2 - B1^2, A1 B1), as is P2
+    a3 = -4.0 * (c_op @ g0 - 2.0 * (y @ g1))
+    b3 = -4.0 * (2.0 * (c_op @ g1) + y @ g0)
+    a4 = (t0 - x) @ a3 + y @ b3
+    b4 = (t0 - x) @ b3 - y @ a3
+
+    def keys_of(*polys):
+        return sorted({key[:2] for p in polys for key in p})
+
+    def family(a, b, power):
+        keys, zero = keys_of(a, b), np.zeros((4, t.n, t.n))
+        return KernelNumerator(np.array(keys), *(
+            np.array([[_lift(p.get((*key, k), zero)) for k in (0, 1)]
+                      for key in keys]) for p in (a, b)), power)
+
+    qkeys, zero = keys_of(a1, b1), np.zeros((t.n, t.n))
+    qc_pair = np.array([[p.get((*key, 0), zero) for p in (a1, b1)]
+                        for key in qkeys])
+    return {"Qc pair": (np.array(qkeys), qc_pair),
+            "Qc": family(g0, g1, 1), "S": family(a2, b2, 1),
+            "F": family(a3, b3, 2), "P2": family(a4, b4, 2)}
+
+
+def _qc_numerators(t: CommutingOperator, x: np.ndarray, y: np.ndarray,
+                   scale: np.ndarray) -> np.ndarray:
+    """(m, 2, n, n): (a1, b1) / scale^2 at the nodes, with a1 - i b1 equal
+    to Q_{c,s}(T) on the complex slice, so that R = a1^2 + b1^2."""
+    exps, coef = t.kernel_numerators["Qc pair"]
+    return _combine(_monomials(exps, x, y, scale, 2), coef)
+
+
 def real_pseudo_resolvent(t: CommutingOperator, x: float, y: float) -> np.ndarray:
     """The real matrix R(x, y) whose inverse drives every kernel; R depends on
     y only through y^2 and commutes with every component of T."""
-    r = _chain(t, np.atleast_1d(float(x)), np.atleast_1d(float(y)),
-               upto="R")["R"]
-    return r[0]
+    ab = _qc_numerators(t, np.atleast_1d(float(x)), np.atleast_1d(float(y)),
+                        np.ones(1))
+    return (ab @ ab).sum(axis=1)[0]
 
 
 def _chain(t: CommutingOperator, x: np.ndarray, y: np.ndarray, *,
            upto: str = "P2", cond_threshold: float = COND_SPECTRUM_THRESHOLD):
-    """Evaluate the A/B decomposition cascade at the nodes (x[k], y[k]).
+    """Per-node work of the kernel family upto at the nodes (x[k], y[k]).
 
-    Returns a dict with the real pseudo-resolvent R and the pairs (A, B) for
-    the Qc, S, F and P2 families, each shaped (m, 4, n, n).  The pair for a
-    left kernel K_L(x+Jy) = A + B J is shared with the right kernel
-    K_R = A + J B.
+    Returns (pair, scale) with scale = max(1, |x + J y|) and pair the stack
+    (m, 2, n, n) of the real matrices every kernel of the family combines
+    with polynomial coefficients: the Qc pair (A1, B1) = (a1, b1) R^-1 for
+    Qc and S, (A1^2 - B1^2, A1 B1) for F and P2, each times scale^(2 power)
+    so that no power of a large radius overflows.  R is formed as the sum
+    of squares a1^2 + b1^2, which does not cancel near the spectrum as its
+    expanded polynomial does.  A singular R, or a Frobenius condition
+    number ||R||_F ||R^-1||_F (which bounds the 2-norm one from above)
+    over cond_threshold, raises SpectrumHit.
     """
-    n = t.n
-    eye = np.eye(n)
-    t0 = t.components[0]
-    msq = modulus_sq(t)
-    xx = x[:, None, None]
-    yy = y[:, None, None]
-    r2 = xx * xx + yy * yy
-
-    m1 = r2 * eye - msq
-    rmat = m1 @ m1 + 4.0 * (t0 - xx * eye) @ (r2 * t0 - xx * msq)
-    out = {"R": rmat}
-    if upto == "R":
-        return out
-
-    cond = np.linalg.cond(rmat)
-    if np.any(~np.isfinite(cond)) or np.any(cond > cond_threshold):
-        worst = float(np.nanmax(cond))
+    scale = np.maximum(1.0, np.hypot(x, y))
+    ab = _qc_numerators(t, x, y, scale)
+    rmat = (ab @ ab).sum(axis=1)  # R / scale^4
+    try:
+        rinv = np.linalg.inv(rmat)
+        cond = (np.linalg.norm(rmat, axis=(1, 2))
+                * np.linalg.norm(rinv, axis=(1, 2)))
+    except np.linalg.LinAlgError:
+        cond = np.array([math.inf])
+    if not np.all(cond <= cond_threshold):  # a NaN fails too
         raise SpectrumHit(
-            f"pseudo-resolvent condition number {worst:.3g} exceeds "
-            f"{cond_threshold:.1g}: point numerically in the F-spectrum")
-    rinv = np.linalg.inv(rmat)
+            f"pseudo-resolvent Frobenius condition number {np.max(cond):.3g} "
+            f"exceeds {cond_threshold:.1g}: point numerically in the F-spectrum")
+    pair = ab @ rinv[:, None]
+    if t.kernel_numerators[upto].power == 2:
+        a1, b1 = pair[:, 0], pair[:, 1]
+        pair = np.stack([a1 @ a1 - b1 @ b1, a1 @ b1], axis=1)
+    return pair, scale
 
-    a1 = ((xx * xx - yy * yy) * eye - 2.0 * xx * t0 + msq) @ rinv
-    b1 = -2.0 * yy * ((xx * eye - t0) @ rinv)
-    out["Qc"] = (_as_stack(a1), _as_stack(b1))
-    if upto == "Qc":
-        return out
 
-    # S family: A2 + B2 J with A2 = (x - conj(T)) A1 - y B1.
-    c_op = np.stack([xx * eye - t0,
-                     np.broadcast_to(t.components[1], rmat.shape),
-                     np.broadcast_to(t.components[2], rmat.shape),
-                     np.broadcast_to(t.components[3], rmat.shape)], axis=1)
-    a2 = c_op @ a1[:, None]
-    a2[:, 0] -= yy * b1
-    b2 = c_op @ b1[:, None]
-    b2[:, 0] += yy * a1
-    out["S"] = (a2, b2)
-    if upto == "S":
-        return out
-
-    a3 = -4.0 * (a2 @ a1[:, None] - b2 @ b1[:, None])
-    b3 = -4.0 * (a2 @ b1[:, None] + b2 @ a1[:, None])
-    out["F"] = (a3, b3)
-
-    lt = (t0 - xx * eye)[:, None]
-    y4 = y[:, None, None, None]
-    a4 = lt @ a3 + y4 * b3
-    b4 = lt @ b3 - y4 * a3
-    out["P2"] = (a4, b4)
-    return out
+def _ab_batch(kind: str, t: CommutingOperator, x, y):
+    if kind not in KERNEL_KINDS:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    fam = _AB_FAMILY[kind]
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    pair, scale = _chain(t, x, y, upto=fam)
+    num = t.kernel_numerators[fam]
+    mono = _monomials(num.exps, x, y, scale, 2 * num.power)
+    return tuple((_combine(mono, c) @ pair[:, :, None]).sum(axis=1)
+                 for c in (num.a, num.b))
 
 
 def kernel_batch(kind: str, t: CommutingOperator, x: np.ndarray, y: np.ndarray,
                  j: Quaternion) -> np.ndarray:
     """Kernel values at the slice points x[k] + J y[k], shape (m, 4, n, n)."""
-    if kind not in KERNEL_KINDS:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    fam = _AB_FAMILY[kind]
-    pair = _chain(t, np.asarray(x, float), np.asarray(y, float), upto=fam)[fam]
-    a, b = pair
-    jq = np.broadcast_to(qarr(j), (a.shape[0], 4))
-    if kind.endswith("_R"):
-        return a + bq_scalar(jq, b, "left")
-    return a + bq_scalar(jq, b, "right")
+    a, b = _ab_batch(kind, t, x, y)
+    return a + bq_scalar(qarr(j), b, "left" if kind.endswith("_R") else "right")
 
 
 def kernel(kind: str, t: CommutingOperator, s) -> QuatMatrix:
@@ -349,11 +461,7 @@ def kernel(kind: str, t: CommutingOperator, s) -> QuatMatrix:
 
 def ab_decompose(kind: str, t: CommutingOperator, x: float, y: float):
     """J-independent pair (A, B) with K_L = A + B J and K_R = A + J B."""
-    if kind not in KERNEL_KINDS:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    fam = _AB_FAMILY[kind]
-    pair = _chain(t, np.atleast_1d(float(x)), np.atleast_1d(float(y)), upto=fam)[fam]
-    a, b = pair
+    a, b = _ab_batch(kind, t, float(x), float(y))
     return QuatMatrix(a[0]), QuatMatrix(b[0])
 
 
@@ -372,11 +480,14 @@ def q_operator(t: CommutingOperator, s: Quaternion) -> QuatMatrix:
 
 
 def f_spectrum_check(t: CommutingOperator, s) -> bool:
-    """True iff s is numerically in the F-resolvent set."""
+    """True iff s is numerically in the F-resolvent set, by the conditioning
+    rule of the kernels (see _chain); a point of the spectrum gives False."""
     p = s if isinstance(s, SlicePoint) else to_slice(s)
-    r = real_pseudo_resolvent(t, p.x, p.y)
-    cond = np.linalg.cond(r)
-    return bool(np.isfinite(cond) and cond <= COND_SPECTRUM_THRESHOLD)
+    try:
+        _chain(t, np.array([p.x]), np.array([p.y]), upto="Qc")
+    except SpectrumHit:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

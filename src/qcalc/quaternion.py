@@ -226,11 +226,5 @@ def qarr_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ], axis=-1)
 
 
-def qarr_conj(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out[..., 1:] *= -1.0
-    return out
-
-
 def qarr_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(a * a, axis=-1))

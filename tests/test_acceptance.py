@@ -51,12 +51,13 @@ def operators():
 
 def resolvent_point(gen, rng):
     spectrum = [(q.re, to_slice(q).y) for q in gen.eigenvalues]
-    while True:
+    for _ in range(10_000):
         s = Quaternion(*rng.normal(size=4)) * rng.uniform(0.4, 1.6)
         p = to_slice(s)
         if s.norm() > 0.15 and all(math.hypot(p.x - a, p.y - b) > 0.2
                                    for a, b in spectrum):
             return s
+    pytest.fail("no resolvent point found away from the spectrum")
 
 
 def test_criterion_1_cauchy_reproduction(operators):

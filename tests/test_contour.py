@@ -7,6 +7,7 @@ from conftest import scalar_operator
 from qcalc.contour import (OperatorKernel, SectorContour, contour_for,
                            integrate, integrate_fixed, tail_radius)
 from qcalc.errors import NoDecayMetadata, ToleranceNotMet
+from qcalc.operators import QuatMatrix
 from qcalc.quaternion import E1, E2, ONE, Quaternion
 from qcalc.slicefun import Regularizer, Scale, Sum
 
@@ -157,3 +158,45 @@ class TestQuadratureMechanics:
         vb, _ = integrate_fixed(OperatorKernel("S_R", t), f, contour,
                                 side="right")
         assert (va - vb).norm() <= 1e-12
+
+
+# each kernel on the side its calculus integrates it (Qc serves both)
+KIND_SIDES = [("S_L", "left"), ("S_R", "right"), ("Qc", "left"),
+              ("Qc", "right"), ("P2_L", "left"), ("P2_R", "right"),
+              ("F_L", "left"), ("F_R", "right")]
+
+
+class TestMomentForm:
+    @pytest.mark.parametrize("t_min,t_max,panels", [(1e-6, 1e6, 12),
+                                                    (1e-20, 1e50, 24)])
+    @pytest.mark.parametrize("kind,side", KIND_SIDES)
+    def test_matches_point_kernels(self, gen4, kind, side, t_min, t_max,
+                                   panels):
+        # the second contour spans the truncation radii hinf reaches
+        contour = SectorContour(1.7, E12, t_min, t_max, panels=panels)
+        f = Regularizer(2)
+        k = OperatorKernel(kind, gen4.operator)
+        va, _ = integrate_fixed(k, f, contour, side=side)
+        vb, _ = integrate_fixed(lambda p: k(p), f, contour, side=side)
+        assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
+
+    @pytest.mark.parametrize("kind", ["S_L", "Qc", "F_L"])
+    def test_scalar_closed_forms(self, kind):
+        # q in the contour's slice commutes with every node s, so the
+        # kernels are (s - q)^-1, Q_{c,s}(q)^-1 and -4 (s - q)^-2 (s - qbar)^-1
+        q = Quaternion(0.9) + E12 * 0.4
+        closed = {
+            "S_L": lambda s: (s - q).inverse(),
+            "Qc": lambda s: (s * s - 2.0 * q.re * s
+                             + Quaternion(q.norm_sq())).inverse(),
+            "F_L": lambda s: -4.0 * ((s - q) * (s - q) * (s - q.conj())).inverse(),
+        }[kind]
+        contour = SectorContour(1.2, E12, 1e-8, 1e8, panels=16)
+        f = Regularizer(2)
+        va, _ = integrate_fixed(OperatorKernel(kind, scalar_operator(q)), f,
+                                contour)
+        vb, _ = integrate_fixed(
+            lambda p: QuatMatrix.from_scalar(closed(p.point()), 1), f, contour)
+        if kind == "Qc":  # the Q-calculus integrates -2 Q_{c,s}^-1
+            va, vb = -2.0 * va, -2.0 * vb
+        assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())

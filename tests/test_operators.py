@@ -24,12 +24,13 @@ def diag_operator(qs):
 
 def resolvent_point(gen, rng):
     spectrum = [(q.re, to_slice(q).y) for q in gen.eigenvalues]
-    while True:
+    for _ in range(10_000):
         s = random_quaternion(rng)
         p = to_slice(s)
         if s.norm() > 0.15 and all(math.hypot(p.x - a, p.y - b) > 0.2
                                    for a, b in spectrum):
             return s
+    pytest.fail("no resolvent point found away from the spectrum")
 
 
 class TestCommutingOperator:
@@ -324,6 +325,21 @@ class TestSpectrum:
         t = CommutingOperator(np.zeros((4, 2, 2)))
         assert f_spectrum_check(t, ONE + E2)
         assert f_spectrum_check(t, Quaternion(0.01))
+
+    def test_one_conditioning_rule(self):
+        # kernels and the spectrum check reject the same points: here the
+        # 2-norm condition number of R is just above the threshold (1.4e12),
+        # so the Frobenius one, which bounds it from above, is too
+        q = Quaternion(0.8, 0.3, -0.4, 0.2)
+        t = diag_operator([q, Quaternion(1.5, 0.0, 0.9, 0.0)])
+        s = q + Quaternion(1e-6, 0.0, 0.0, 0.0)
+        p = to_slice(s)
+        assert np.linalg.cond(real_pseudo_resolvent(t, p.x, p.y)) > 1e12
+        with pytest.raises(SpectrumHit):
+            kernel("S_L", t, s)
+        assert not f_spectrum_check(t, s)
+        # an exact eigenvalue makes R singular: False, not an exception
+        assert not f_spectrum_check(t, q)
 
 
 class TestTypeProfile:
