@@ -72,6 +72,7 @@ class CalcDiagnostics:
     phi: float
     theta: float
     commutation_residual: float
+    worst_cond: float  # largest ||R||_F ||R^-1||_F met by the quadrature
     regularizer_n: int | None = None
     range_residual: float | None = None
 
@@ -207,7 +208,8 @@ class Evaluator:
                                panels=info["panels"], t_min=contour.t_min,
                                t_max=contour.t_max, phi=self.phi,
                                theta=self.theta,
-                               commutation_residual=value.commutation_residual())
+                               commutation_residual=value.commutation_residual(),
+                               worst_cond=info["worst_cond"])
         return CalculusResult(value, kind, "decaying", diag)
 
     def hinf(self, kind: str, f, *, tol: float = 1e-12,
@@ -246,9 +248,15 @@ class Evaluator:
         else:
             e = Regularizer(regularizer_power)
         ef = Product(e, f)
+        conds = []
+
+        def sub(kind_, g, conj=False):  # at the current tol
+            res = self.calc(kind_, g, tol=tol, conj=conj)
+            conds.append(res.diagnostics.worst_cond)
+            return res.value
 
         tol = min(tol, 1e-12)
-        e_t = self.calc("S", e, tol=tol).value
+        e_t = sub("S", e)
         try:
             amplification = e_t.inverse().norm()
         except np.linalg.LinAlgError as exc:
@@ -258,30 +266,30 @@ class Evaluator:
         tol_eff = max(min(tol, 1e-8 / max(amplification, 1.0)), 2e-13)
         if tol_eff < tol:
             tol = tol_eff
-            e_t = self.calc("S", e, tol=tol).value
+            e_t = sub("S", e)
         e_tbar = e_t.conj()  # e is intrinsic
-        ef_t = self.calc("S", ef, tol=tol).value
+        ef_t = sub("S", ef)
 
         if kind == "S":
             pref, bracket = e_t, ef_t
         elif kind == "Q":
-            de_t = self.calc("Q", e, tol=tol).value
-            def_t = self.calc("Q", ef, tol=tol).value
+            de_t = sub("Q", e)
+            def_t = sub("Q", ef)
             pref = e_t @ e_tbar
             bracket = e_t @ def_t - de_t @ ef_t
         elif kind == "P2":
-            de_t = self.calc("Q", e, tol=tol).value
-            dbe_t = self.calc("P2", e, tol=tol).value
-            dbef_t = self.calc("P2", ef, tol=tol).value
-            ef_tbar = self.calc("S", ef, tol=tol, conj=True).value
+            de_t = sub("Q", e)
+            dbe_t = sub("P2", e)
+            dbef_t = sub("P2", ef)
+            ef_tbar = sub("S", ef, conj=True)
             pref = e_t @ e_t @ e_tbar
             bracket = (e_t @ e_tbar @ dbef_t - e_tbar @ dbe_t @ ef_t
                        + e_t @ de_t @ ef_tbar - e_tbar @ de_t @ ef_t)
         else:  # F
-            de_t = self.calc("Q", e, tol=tol).value
-            le_t = self.calc("F", e, tol=tol).value
-            lef_t = self.calc("F", ef, tol=tol).value
-            def_t = self.calc("Q", ef, tol=tol).value
+            de_t = sub("Q", e)
+            le_t = sub("F", e)
+            lef_t = sub("F", ef)
+            def_t = sub("Q", ef)
             pref = e_t @ e_t @ e_tbar
             bracket = (e_t @ e_tbar @ lef_t - e_tbar @ le_t @ ef_t
                        + e_t @ de_t @ def_t - de_t @ de_t @ ef_t)
@@ -290,7 +298,8 @@ class Evaluator:
         diag = CalcDiagnostics(tol_achieved=tol, panels=0, t_min=0.0,
                                t_max=0.0, phi=self.phi, theta=self.theta,
                                commutation_residual=value.commutation_residual(),
-                               regularizer_n=e.n, range_residual=range_resid)
+                               worst_cond=max(conds), regularizer_n=e.n,
+                               range_residual=range_resid)
         return CalculusResult(value, kind, "h_infinity", diag)
 
 

@@ -133,15 +133,16 @@ def _point_kernel_rays(k, x, y, unit, n):
 
 
 def _moment_value(k: OperatorKernel, contour: SectorContour, t, w, x, y,
-                  s_plus, s_minus, side: str) -> np.ndarray:
+                  s_plus, s_minus, side: str):
     """Sum over the nodes of K(x +- J y) s+- (side "left") or s+- K (side
     "right") with K = sum_(d, i) r^d C+-_(d, i) g_i for the per-node real
     pair g (see _chain): g commutes with the coefficients C, so the nodes
     enter only through the real moments sum_m w_m r_m^d s_m g_m, one GEMM
-    against the stacked pairs."""
+    against the stacked pairs.  Returns the sum and the worst conditioning
+    of the nodes' pseudo-resolvents."""
     fam = _AB_FAMILY[k.kind]
     num = k.operator.kernel_numerators[fam]
-    pair, scale = _chain(k.operator, x, y, upto=fam)
+    pair, scale, cond = _chain(k.operator, x, y, upto=fam)
     m, _, n, _ = pair.shape
     coeffs = num.ray_coefficients(k.kind, contour.phi, contour.unit)
     # r^d g = (r/scale)^d scale^(d-2j) (scale^(2j) g): with d <= 2j no
@@ -155,13 +156,15 @@ def _moment_value(k: OperatorKernel, contour: SectorContour, t, w, x, y,
                ).reshape(2, -1, 4, 2, n, n).transpose(0, 1, 3, 2, 4, 5)
     coeffs = coeffs.reshape(-1, 4, n, n)
     moments = moments.reshape(-1, 4, n, n)
-    if side == "left":
-        return bq_dot(coeffs, moments)
-    return bq_dot(moments, coeffs)
+    value = (bq_dot(coeffs, moments) if side == "left"
+             else bq_dot(moments, coeffs))
+    return value, float(cond.max())
 
 
 def _level_value(k, f, contour: SectorContour, side: str, panels: int,
-                 matrix_dim: int | None) -> np.ndarray:
+                 matrix_dim: int | None):
+    """One quadrature level: (value, worst pseudo-resolvent conditioning),
+    the latter None for a point-callable kernel."""
     u0, u1 = math.log(contour.t_min), math.log(contour.t_max)
     j = contour.unit
     c_plus = qarr(exp_j(j, contour.phi) * j)
@@ -177,16 +180,14 @@ def _level_value(k, f, contour: SectorContour, side: str, panels: int,
     x = t * math.cos(contour.phi)
     y = t * math.sin(contour.phi)
 
-    alpha, bet = f.stem_arrays(x, y)
-    jb = qarr_mul(np.broadcast_to(qarr(j), bet.shape), bet)
-    f_plus, f_minus = alpha + jb, alpha - jb
+    stem = f.complex_stem(x + 1j * y)
+    jb = qarr_mul(qarr(j), stem.imag)
+    f_plus, f_minus = stem.real + jb, stem.real - jb
     if side == "left":
-        s_plus = qarr_mul(np.broadcast_to(c_plus, f_plus.shape), f_plus)
-        s_minus = qarr_mul(np.broadcast_to(c_minus, f_minus.shape), f_minus)
+        s_plus, s_minus = qarr_mul(c_plus, f_plus), qarr_mul(c_minus, f_minus)
         scalar_side = "right"
     elif side == "right":
-        s_plus = qarr_mul(f_plus, np.broadcast_to(c_plus, f_plus.shape))
-        s_minus = qarr_mul(f_minus, np.broadcast_to(c_minus, f_minus.shape))
+        s_plus, s_minus = qarr_mul(f_plus, c_plus), qarr_mul(f_minus, c_minus)
         scalar_side = "left"
     else:
         raise ValueError("side must be 'left' or 'right'")
@@ -198,7 +199,7 @@ def _level_value(k, f, contour: SectorContour, side: str, panels: int,
     k_plus, k_minus = _point_kernel_rays(k, x, y, j, matrix_dim)
     vals = (bq_scalar(s_plus, k_plus, scalar_side)
             - bq_scalar(s_minus, k_minus, scalar_side))
-    return np.einsum("m,mcij->cij", w, vals)
+    return np.einsum("m,mcij->cij", w, vals), None
 
 
 def integrate(k, f, contour: SectorContour, *, side: str = "left",
@@ -207,21 +208,24 @@ def integrate(k, f, contour: SectorContour, *, side: str = "left",
 
     k is either an OperatorKernel (moment form) or any callable
     SlicePoint -> QuatMatrix.  side selects the sandwich order: "left" is
-    K ds_J f, "right" is f ds_J K.  Returns (QuatMatrix, diagnostics).
+    K ds_J f, "right" is f ds_J K.  Returns (QuatMatrix, diagnostics); the
+    diagnostics' worst_cond is the largest ||R||_F ||R^-1||_F met on the
+    accepted level (None for a point-callable kernel).
     """
     dim = getattr(k, "n", None)
     panels = contour.panels
-    value = _level_value(k, f, contour, side, panels, dim)
+    value, _ = _level_value(k, f, contour, side, panels, dim)
     diff = math.inf
     for _ in range(max_refinements):
         panels *= 2
-        refined = _level_value(k, f, contour, side, panels, dim)
+        refined, cond = _level_value(k, f, contour, side, panels, dim)
         diff = float(stack_fro(refined - value))
         value = refined
         if diff <= contour.tol:
             return QuatMatrix(value), {"panels": panels, "tol_achieved": diff,
                                        "t_min": contour.t_min,
-                                       "t_max": contour.t_max}
+                                       "t_max": contour.t_max,
+                                       "worst_cond": cond}
     raise ToleranceNotMet(
         f"Frobenius difference {diff:.3g} above target {contour.tol:.3g} "
         f"after {panels} panels")
@@ -234,5 +238,5 @@ def integrate_fixed(k, f, contour: SectorContour, *, side: str = "left"):
     across calls.
     """
     dim = getattr(k, "n", None)
-    value = _level_value(k, f, contour, side, contour.panels, dim)
+    value, _ = _level_value(k, f, contour, side, contour.panels, dim)
     return QuatMatrix(value), {"panels": contour.panels}

@@ -398,10 +398,11 @@ def real_pseudo_resolvent(t: CommutingOperator, x: float, y: float) -> np.ndarra
 
 
 def _chain(t: CommutingOperator, x: np.ndarray, y: np.ndarray, *,
-           upto: str = "P2", cond_threshold: float = COND_SPECTRUM_THRESHOLD):
+           upto: str = "P2"):
     """Per-node work of the kernel family upto at the nodes (x[k], y[k]).
 
-    Returns (pair, scale) with scale = max(1, |x + J y|) and pair the stack
+    Returns (pair, scale, cond) with scale = max(1, |x + J y|), cond the
+    nodes' ||R||_F ||R^-1||_F and pair the stack
     (m, 2, n, n) of the real matrices every kernel of the family combines
     with polynomial coefficients: the Qc pair (A1, B1) = (a1, b1) R^-1 for
     Qc and S, (A1^2 - B1^2, A1 B1) for F and P2, each times scale^(2 power)
@@ -409,7 +410,7 @@ def _chain(t: CommutingOperator, x: np.ndarray, y: np.ndarray, *,
     of squares a1^2 + b1^2, which does not cancel near the spectrum as its
     expanded polynomial does.  A singular R, or a Frobenius condition
     number ||R||_F ||R^-1||_F (which bounds the 2-norm one from above)
-    over cond_threshold, raises SpectrumHit.
+    over COND_SPECTRUM_THRESHOLD, raises SpectrumHit.
     """
     scale = np.maximum(1.0, np.hypot(x, y))
     ab = _qc_numerators(t, x, y, scale)
@@ -420,15 +421,16 @@ def _chain(t: CommutingOperator, x: np.ndarray, y: np.ndarray, *,
                 * np.linalg.norm(rinv, axis=(1, 2)))
     except np.linalg.LinAlgError:
         cond = np.array([math.inf])
-    if not np.all(cond <= cond_threshold):  # a NaN fails too
+    if not np.all(cond <= COND_SPECTRUM_THRESHOLD):  # a NaN fails too
         raise SpectrumHit(
             f"pseudo-resolvent Frobenius condition number {np.max(cond):.3g} "
-            f"exceeds {cond_threshold:.1g}: point numerically in the F-spectrum")
+            f"exceeds {COND_SPECTRUM_THRESHOLD:.1g}: point numerically in the "
+            f"F-spectrum")
     pair = ab @ rinv[:, None]
     if t.kernel_numerators[upto].power == 2:
         a1, b1 = pair[:, 0], pair[:, 1]
         pair = np.stack([a1 @ a1 - b1 @ b1, a1 @ b1], axis=1)
-    return pair, scale
+    return pair, scale, cond
 
 
 def _ab_batch(kind: str, t: CommutingOperator, x, y):
@@ -437,7 +439,7 @@ def _ab_batch(kind: str, t: CommutingOperator, x, y):
     fam = _AB_FAMILY[kind]
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    pair, scale = _chain(t, x, y, upto=fam)
+    pair, scale, _ = _chain(t, x, y, upto=fam)
     num = t.kernel_numerators[fam]
     mono = _monomials(num.exps, x, y, scale, 2 * num.power)
     return tuple((_combine(mono, c) @ pair[:, :, None]).sum(axis=1)
@@ -494,6 +496,10 @@ def f_spectrum_check(t: CommutingOperator, s) -> bool:
 # Type profiles: sector angle plus sampled resolvent constants.
 # ---------------------------------------------------------------------------
 
+_PROFILE_RADII = np.geomspace(1e-3, 1e3, 40)
+_PROFILE_RAYS = 4  # rays per test angle, from phi to pi
+
+
 @dataclass
 class TypeProfile:
     """Growth data of an operator of type (alpha, beta, omega).
@@ -519,19 +525,17 @@ class TypeProfile:
 
 
 def estimate_type_profile(t: CommutingOperator, omega: float, angles,
-                          alpha: float = 1.0 / 3.0, beta: float = 1.0 / 3.0,
-                          rays_per_angle: int = 4, radii=None) -> TypeProfile:
+                          alpha: float = 1.0 / 3.0, beta: float = 1.0 / 3.0
+                          ) -> TypeProfile:
     """Sample C_phi = sup ||S_L^-1|| weighted by |s|**alpha / |s|**beta over
     log-spaced radii on rays outside each test sector, inflated by 2."""
-    if radii is None:
-        radii = np.geomspace(1e-3, 1e3, 40)
-    radii = np.asarray(radii, dtype=float)
+    radii = _PROFILE_RADII
     profile = TypeProfile(alpha=alpha, beta=beta, omega=omega)
     weight = np.where(radii <= 1.0, radii ** alpha, radii ** beta)
     for phi in angles:
         if not omega < phi < math.pi:
             raise ValueError("test angles must lie in (omega, pi)")
-        psis = np.linspace(phi, math.pi, rays_per_angle)
+        psis = np.linspace(phi, math.pi, _PROFILE_RAYS)
         best = 0.0
         for psi in psis:
             x = radii * math.cos(psi)

@@ -11,9 +11,11 @@ intrinsic left factor, and left scalar multiples of the stem pair.  Keeping
 the family closed lets decay and growth certificates be derived instead of
 assumed.
 
-Stems of the intrinsic core are complex-analytic functions of z = x + iy,
-so slice derivatives and the pointwise fine-structure operators come from
-exact complex differentiation.
+Every member is a finite sum of quaternion constants times intrinsic
+functions, so its stem pair is one complex-analytic, quaternion-valued
+function W = alpha + i*beta of z = x + iy (i the unit of z, not e1); slice
+derivatives and the pointwise fine-structure operators come from exact
+complex differentiation of W.
 """
 
 from __future__ import annotations
@@ -72,6 +74,13 @@ def _rising(k: int, m: int) -> float:
     return out
 
 
+def _embed(w: np.ndarray) -> np.ndarray:
+    """A complex scalar stem as a (..., 4) component array."""
+    out = np.zeros(w.shape + (4,), dtype=complex)
+    out[..., 0] = w
+    return out
+
+
 class StemFunction:
     """Base node of the closed function algebra."""
 
@@ -87,31 +96,24 @@ class StemFunction:
 
     # -- evaluation ---------------------------------------------------------
 
-    def cval(self, z: np.ndarray, m: int = 0) -> np.ndarray:
-        """m-th complex derivative of the intrinsic stem at z = x + iy."""
-        raise NotIntrinsic(f"{self.kind} has no complex stem")
+    def complex_stem(self, z: np.ndarray, m: int = 0) -> np.ndarray:
+        """m-th x-derivative of the stem W = alpha + i*beta at z = x + iy.
+
+        alpha and beta are quaternion-valued, so W is a complex (..., 4)
+        component array (i is the unit of z, not e1); every node is a sum
+        of quaternion constants times intrinsic functions, so the
+        x-derivatives of W are its complex derivatives.
+        """
+        raise UnsupportedKind(f"no stem rule for kind {self.kind!r}")
 
     def stem_arrays(self, x: np.ndarray, y: np.ndarray):
         """Stem pair (alpha, beta) as quaternion component arrays (..., 4)."""
-        w = self.cval(x + 1j * y)
-        alpha = np.zeros(w.shape + (4,))
-        beta = np.zeros_like(alpha)
-        alpha[..., 0] = w.real
-        beta[..., 0] = w.imag
-        return alpha, beta
-
-    def stem_dx_arrays(self, x: np.ndarray, y: np.ndarray):
-        """x-derivatives of the stem pair, same layout as stem_arrays."""
-        w = self.cval(x + 1j * y, 1)
-        da = np.zeros(w.shape + (4,))
-        db = np.zeros_like(da)
-        da[..., 0] = w.real
-        db[..., 0] = w.imag
-        return da, db
+        w = self.complex_stem(np.asarray(x) + 1j * np.asarray(y))
+        return w.real, w.imag
 
     def stem(self, x: float, y: float) -> tuple[Quaternion, Quaternion]:
-        a, b = self.stem_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return Quaternion.from_components(a), Quaternion.from_components(b)
+        w = self.complex_stem(np.asarray(complex(x, y)))
+        return Quaternion.from_components(w.real), Quaternion.from_components(w.imag)
 
     def eval(self, q: Quaternion) -> Quaternion:
         """f(q) = alpha + J*beta at the slice decomposition of q."""
@@ -139,18 +141,13 @@ class StemFunction:
 
     def _sample_sup(self, theta: float, weight) -> float:
         """max over a sector grid of |f(s)| / weight(|s|)."""
-        angles = np.linspace(-0.999 * theta, 0.999 * theta, 13)
-        best = 0.0
-        for j in _GRID_UNITS:
-            jq = qarr(j)
-            for ang in angles:
-                x = _GRID_RADII * math.cos(ang)
-                y = _GRID_RADII * abs(math.sin(ang))
-                alpha, beta = self.stem_arrays(x, y)
-                vals = qarr_norm(alpha + qarr_mul(np.broadcast_to(jq, alpha.shape), beta))
-                ratio = vals / weight(_GRID_RADII)
-                best = max(best, float(ratio.max()))
-        return best
+        # the stem does not depend on J: one evaluation serves every unit
+        angles = np.linspace(-0.999 * theta, 0.999 * theta, 13)[:, None]
+        w = self.complex_stem(_GRID_RADII * np.cos(angles)
+                              + 1j * _GRID_RADII * np.abs(np.sin(angles)))
+        scale = weight(_GRID_RADII)
+        return max(float((qarr_norm(w.real + qarr_mul(qarr(j), w.imag))
+                          / scale).max()) for j in _GRID_UNITS)
 
     def certify_decay(self, a: float, b: float, theta: float) -> DecayCertificate:
         """Certificate of membership in the class with exponents (a, b) on the sector of angle theta.
@@ -208,11 +205,11 @@ class Power(StemFunction):
         self.ord0 = float(n)
         self.ordinf = float(n)
 
-    def cval(self, z, m: int = 0):
+    def complex_stem(self, z, m: int = 0):
         z = np.asarray(z, dtype=complex)
         if m > self.n:
-            return np.zeros_like(z)
-        return _perm(self.n, m) * z ** (self.n - m)
+            return _embed(np.zeros_like(z))
+        return _embed(_perm(self.n, m) * z ** (self.n - m))
 
     def slice_derivative(self):
         if self.n == 0:
@@ -237,7 +234,7 @@ class Regularizer(StemFunction):
         self.ord0 = float(n)
         self.ordinf = float(-n)
 
-    def cval(self, z, m: int = 0):
+    def complex_stem(self, z, m: int = 0):
         z = np.asarray(z, dtype=complex)
         denom = 1.0 + z
         if np.any(np.abs(denom) < 1e-12):
@@ -253,7 +250,7 @@ class Regularizer(StemFunction):
             i = m - j
             out += (math.comb(m, j) * _perm(n, j) * (-1.0) ** i
                     * _rising(2 * n, i) * w ** (n - j) * v ** (n + j + i))
-        return out
+        return _embed(out)
 
     def slice_derivative(self):
         return Derivative(self, 1)
@@ -277,8 +274,8 @@ class Derivative(StemFunction):
         self.ord0 = base.ord0 - order
         self.ordinf = base.ordinf - order
 
-    def cval(self, z, m: int = 0):
-        return self.base.cval(z, m + self.order)
+    def complex_stem(self, z, m: int = 0):
+        return self.base.complex_stem(z, m + self.order)
 
     def slice_derivative(self):
         return Derivative(self.base, self.order + 1)
@@ -298,20 +295,8 @@ class Sum(StemFunction):
         self.ord0 = min(f.ord0, g.ord0)
         self.ordinf = max(f.ordinf, g.ordinf)
 
-    def cval(self, z, m: int = 0):
-        if not self.intrinsic:
-            raise NotIntrinsic("complex stem of a non-intrinsic sum")
-        return self.f.cval(z, m) + self.g.cval(z, m)
-
-    def stem_arrays(self, x, y):
-        fa, fb = self.f.stem_arrays(x, y)
-        ga, gb = self.g.stem_arrays(x, y)
-        return fa + ga, fb + gb
-
-    def stem_dx_arrays(self, x, y):
-        fa, fb = self.f.stem_dx_arrays(x, y)
-        ga, gb = self.g.stem_dx_arrays(x, y)
-        return fa + ga, fb + gb
+    def complex_stem(self, z, m: int = 0):
+        return self.f.complex_stem(z, m) + self.g.complex_stem(z, m)
 
     def slice_derivative(self):
         return Sum(self.f.slice_derivative(), self.g.slice_derivative())
@@ -322,7 +307,8 @@ class Sum(StemFunction):
 
 class Product(StemFunction):
     """Pointwise product g*f; the left factor must be intrinsic so the stem
-    product (a1*a2 - b1*b2, a1*b2 + b1*a2) is again a valid stem pair."""
+    product (a1*a2 - b1*b2, a1*b2 + b1*a2) is again a valid stem pair.  With
+    g's stem a complex scalar that product is complex multiplication."""
 
     kind = "product"
 
@@ -336,31 +322,10 @@ class Product(StemFunction):
         self.ord0 = g.ord0 + f.ord0
         self.ordinf = g.ordinf + f.ordinf
 
-    def cval(self, z, m: int = 0):
-        if not self.intrinsic:
-            raise NotIntrinsic("complex stem of a non-intrinsic product")
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for j in range(m + 1):
-            out += math.comb(m, j) * self.g.cval(z, j) * self.f.cval(z, m - j)
-        return out
-
-    def stem_arrays(self, x, y):
-        ga, gb = self.g.stem_arrays(x, y)
-        fa, fb = self.f.stem_arrays(x, y)
-        return (qarr_mul(ga, fa) - qarr_mul(gb, fb),
-                qarr_mul(ga, fb) + qarr_mul(gb, fa))
-
-    def stem_dx_arrays(self, x, y):
-        ga, gb = self.g.stem_arrays(x, y)
-        fa, fb = self.f.stem_arrays(x, y)
-        dga, dgb = self.g.stem_dx_arrays(x, y)
-        dfa, dfb = self.f.stem_dx_arrays(x, y)
-        da = (qarr_mul(dga, fa) + qarr_mul(ga, dfa)
-              - qarr_mul(dgb, fb) - qarr_mul(gb, dfb))
-        db = (qarr_mul(dga, fb) + qarr_mul(ga, dfb)
-              + qarr_mul(dgb, fa) + qarr_mul(gb, dfa))
-        return da, db
+    def complex_stem(self, z, m: int = 0):
+        # Leibniz rule; g's stem lives in the real component
+        return sum(math.comb(m, j) * self.g.complex_stem(z, j)[..., :1]
+                   * self.f.complex_stem(z, m - j) for j in range(m + 1))
 
     def slice_derivative(self):
         return Sum(Product(self.g.slice_derivative(), self.f),
@@ -394,20 +359,8 @@ class Scale(StemFunction):
         else:
             self.ord0, self.ordinf = f.ord0, f.ordinf
 
-    def cval(self, z, m: int = 0):
-        if not self.intrinsic:
-            raise NotIntrinsic("complex stem of a non-intrinsic scale")
-        return self.c.s0 * self.f.cval(z, m)
-
-    def stem_arrays(self, x, y):
-        fa, fb = self.f.stem_arrays(x, y)
-        c = np.broadcast_to(qarr(self.c), fa.shape)
-        return qarr_mul(c, fa), qarr_mul(c, fb)
-
-    def stem_dx_arrays(self, x, y):
-        fa, fb = self.f.stem_dx_arrays(x, y)
-        c = np.broadcast_to(qarr(self.c), fa.shape)
-        return qarr_mul(c, fa), qarr_mul(c, fb)
+    def complex_stem(self, z, m: int = 0):
+        return qarr_mul(qarr(self.c), self.f.complex_stem(z, m))
 
     def slice_derivative(self):
         return Scale(self.c, self.f.slice_derivative())
@@ -441,9 +394,10 @@ def pointwise_fine(f: StemFunction, q: Quaternion):
     p = to_slice(q)
     if p.y <= DEFAULT_TOL:
         raise ValueError("fine-structure forms are singular on the reals (y = 0)")
-    alpha, beta = f.stem(p.x, p.y)
-    da, db = (Quaternion.from_components(v)
-              for v in f.stem_dx_arrays(np.asarray(p.x), np.asarray(p.y)))
+    z = np.asarray(complex(p.x, p.y))
+    alpha, beta, da, db = (Quaternion.from_components(part)
+                           for w in (f.complex_stem(z), f.complex_stem(z, 1))
+                           for part in (w.real, w.imag))
     fprime = da + p.j * db
     two_over_y = 2.0 / p.y
     d_f = -two_over_y * beta
@@ -486,10 +440,10 @@ def _tokenize(text: str):
         if not m or m.end() == pos:
             raise ValueError(f"bad function expression near {text[pos:]!r}")
         if m.group("num") is not None:
-            prev = out[-1][0] if out else None
             tok = m.group("num")
             # a leading sign is only part of the literal at term position
-            if tok[0] in "+-" and prev in ("num", "func", ")"):
+            if tok[0] in "+-" and out and (out[-1][0] == "num"
+                                           or out[-1] == ("sym", ")")):
                 out.append(("sym", tok[0]))
                 out.append(("num", float(tok[1:])))
             else:

@@ -66,6 +66,19 @@ class TestDecayingCalculi:
         b = calc(kind, gen4.operator, f, ctx4.profile, side="right").value
         assert (a - b).norm() <= 1e-8
 
+    def test_worst_conditioning_recorded(self, ctx4, gen4):
+        ev = Evaluator(gen4.operator, ctx4.profile)
+        for kind in ("S", "F"):
+            cond = ev.calc(kind, reg_fn(2)).diagnostics.worst_cond
+            assert math.isfinite(cond) and 1.0 <= cond <= 1e12
+        # an H-infinity value reports the worst of its sub-integrals
+        res = ev.hinf("Q", pow_fn(1))
+        e = Regularizer(res.diagnostics.regularizer_n)
+        subs = [ev.calc(kind, g, tol=res.diagnostics.tol_achieved)
+                for kind in ("S", "Q") for g in (e, Product(e, pow_fn(1)))]
+        assert res.diagnostics.worst_cond == max(
+            r.diagnostics.worst_cond for r in subs)
+
     def test_right_form_rejects_nonintrinsic(self, ctx4, gen4):
         f = Scale(E1, reg_fn(2))
         with pytest.raises(NotIntrinsic):
@@ -325,8 +338,11 @@ class TestScalarOperatorAgainstPointwise:
         prof = estimate_type_profile(t, math.pi / 4,
                                      [math.pi / 2, 3 * math.pi / 4])
         f = reg_fn(2)
-        s_val = calc("S", t, f, prof).value.entry(0, 0)
+        res = calc("S", t, f, prof)
+        s_val = res.value.entry(0, 0)
         assert (s_val - f.eval(q)).norm() <= 1e-8
+        # a 1 x 1 pseudo-resolvent has ||R|| ||R^-1|| = 1
+        assert abs(res.diagnostics.worst_cond - 1.0) <= 1e-12
         fine = pointwise_fine(f, q)
         for kind, want in zip(("Q", "P2", "F"), fine):
             got = calc(kind, t, f, prof).value.entry(0, 0)

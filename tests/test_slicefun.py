@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from qcalc.errors import ClassMismatch, NotIntrinsic
-from qcalc.quaternion import E1, E2, E3, ONE, Quaternion, to_slice
-from qcalc.slicefun import (Power, Product, Regularizer, Scale, Sum,
-                            choose_regularizer, parse, pointwise_fine, pow_fn,
-                            reg_fn)
+from qcalc.quaternion import (E1, E2, E3, ONE, Quaternion, qarr, qarr_mul,
+                              qarr_norm, to_slice)
+from qcalc.slicefun import (_GRID_RADII, _GRID_UNITS, Power, Product,
+                            Regularizer, Scale, Sum, choose_regularizer, parse,
+                            pointwise_fine, pow_fn, reg_fn)
 
 from conftest import random_quaternion
 
@@ -15,6 +16,12 @@ BUILTINS = [
     Power(0), Power(1), Power(3), Regularizer(1), Regularizer(2),
     Sum(Power(1), Regularizer(2)), Product(Power(1), Regularizer(3)),
     Scale(2.5, Regularizer(2)), Regularizer(1).slice_derivative(),
+]
+NONINTRINSIC = [
+    Scale(Quaternion(0.5, 1, -0.5, 0.25), Product(Power(1), Regularizer(3))),
+    Product(Regularizer(2), Scale(E1, Regularizer(2))),
+    # |f(x + J y)| of a sum of differently scaled terms depends on J
+    Sum(Power(1), Scale(E2, Regularizer(1))),
 ]
 
 
@@ -80,14 +87,14 @@ def test_derivative_against_central_differences(f, rng):
     for _ in range(10):
         x = rng.uniform(0.3, 2.0)
         y = rng.uniform(0.1, 1.5)
-        fp = f.cval(np.array(x + h + 1j * y))
-        fm = f.cval(np.array(x - h + 1j * y))
+        fp = f.complex_stem(np.array(x + h + 1j * y))
+        fm = f.complex_stem(np.array(x - h + 1j * y))
         fd = (fp - fm) / (2 * h)
-        got = d.cval(np.array(x + 1j * y))
-        assert abs(got - fd) <= 1e-8 * max(1.0, abs(fd))
+        got = d.complex_stem(np.array(x + 1j * y))
+        assert np.abs(got - fd).max() <= 1e-8 * max(1.0, np.abs(fd).max())
 
 
-@pytest.mark.parametrize("f", BUILTINS)
+@pytest.mark.parametrize("f", BUILTINS + NONINTRINSIC)
 def test_even_odd_and_cauchy_riemann_on_grid(f):
     xs = np.linspace(0.15, 2.0, 20)
     ys = np.linspace(0.1, 1.8, 20)
@@ -107,9 +114,64 @@ def test_even_odd_and_cauchy_riemann_on_grid(f):
     assert np.abs(da_dy + db_dx).max() <= 1e-6 * scale
 
     # analytic x-derivative agrees with the finite difference
-    da, db = f.stem_dx_arrays(gx, gy)
+    dw = f.complex_stem(gx + 1j * gy, 1)
+    da, db = dw.real, dw.imag
     assert np.abs(da - da_dx).max() <= 1e-6 * scale
     assert np.abs(db - db_dx).max() <= 1e-6 * scale
+
+
+def test_composite_stems_follow_the_quaternion_pair_rules():
+    # Product and Scale act on complex stems; on the quaternion pairs they are
+    # the stem product (a1 a2 - b1 b2, a1 b2 + b1 a2) and c*(alpha, beta)
+    z = np.add.outer(1j * np.linspace(0.1, 1.8, 7), np.linspace(-2.0, 2.0, 9))
+
+    def pair_product(u, v):
+        return (qarr_mul(u.real, v.real) - qarr_mul(u.imag, v.imag)
+                + 1j * (qarr_mul(u.real, v.imag) + qarr_mul(u.imag, v.real)))
+
+    def close(got, want):
+        scale = np.abs(want).max(axis=-1, keepdims=True)
+        return np.all(np.abs(got - want) <= 1e-15 * scale)
+
+    g, f = Regularizer(2), Scale(E1, Regularizer(2))
+    want = [pair_product(g.complex_stem(z), f.complex_stem(z)),
+            pair_product(g.complex_stem(z, 1), f.complex_stem(z))
+            + pair_product(g.complex_stem(z), f.complex_stem(z, 1))]
+    c = Quaternion(0.5, 1, -0.5, 0.25)
+    h = Product(g, f)  # not intrinsic, so c must act from the left
+    for m in (0, 1):
+        assert close(Product(g, f).complex_stem(z, m), want[m])
+        inner = h.complex_stem(z, m)
+        assert close(Scale(c, h).complex_stem(z, m),
+                     qarr_mul(qarr(c), inner.real)
+                     + 1j * qarr_mul(qarr(c), inner.imag))
+
+
+def _per_unit_sup(f, theta, weight):
+    """The certificates' grid maximum as one stem call per unit and angle."""
+    best = 0.0
+    for j in _GRID_UNITS:
+        for ang in np.linspace(-0.999 * theta, 0.999 * theta, 13):
+            alpha, beta = f.stem_arrays(_GRID_RADII * math.cos(ang),
+                                        _GRID_RADII * abs(math.sin(ang)))
+            vals = qarr_norm(alpha + qarr_mul(qarr(j), beta))
+            best = max(best, float((vals / weight(_GRID_RADII)).max()))
+    return best
+
+
+@pytest.mark.parametrize("f", BUILTINS + NONINTRINSIC)
+def test_certificate_constants_match_a_per_unit_loop(f):
+    theta = 2.4
+    grow = f.certify_growth(theta)
+    want = 2.0 * _per_unit_sup(f, theta, lambda r: r ** grow.k + r ** -grow.k)
+    assert math.isclose(grow.constant, want, rel_tol=1e-15)
+    try:
+        dec = f.certify_decay(1.0, 1.0, theta)
+    except ClassMismatch:
+        return
+    want = 2.0 * _per_unit_sup(f, theta, lambda r: np.where(
+        r <= 1.0, r ** dec.delta, r ** -dec.delta))
+    assert math.isclose(dec.constant, max(want, 1e-6), rel_tol=1e-15)
 
 
 def test_intrinsic_slice_structure(rng):
@@ -340,6 +402,13 @@ class TestParser:
         manual = Product(Regularizer(2), Sum(Power(1), Power(2)))
         q = Quaternion(0.4, 0.3, 0.1, 0.0)
         assert (f.eval(q) - manual.eval(q)).norm() <= 1e-13
+
+    @pytest.mark.parametrize("text, spaced", [("pow(1)+2", "pow(1) + 2"),
+                                              ("2*reg(2)+1", "2*reg(2) + 1")])
+    def test_sign_after_a_term_is_an_operator(self, text, spaced):
+        q = Quaternion(0.4, 0.3, 0.1, 0.0)
+        assert repr(parse(text)) == repr(parse(spaced))
+        assert (parse(text).eval(q) - parse(spaced).eval(q)).norm() == 0.0
 
     def test_scalar_only(self):
         f = parse("1.5")
