@@ -24,10 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contour import OperatorKernel, SectorContour, contour_for, integrate
+from .contour import OperatorKernel, contour_for, integrate
 from .errors import NotInjective, NotIntrinsic
-from .operators import (CommutingOperator, QuatMatrix, TypeProfile, conj_op,
-                        estimate_type_profile, kernel)
+from .operators import (CommutingOperator, QuatMatrix, TypeProfile, adjoint,
+                        conj_op, estimate_type_profile, kernel)
 from .quaternion import E1, Quaternion
 
 CALC_KINDS = ("S", "Q", "P2", "F")
@@ -54,6 +54,10 @@ _KERNEL_ENVELOPE = {
 }
 
 INJECTIVITY_FACTOR = 1e-10
+
+# H-infinity sub-integrals run at this tolerance or tighter, because the
+# prefactor inversion amplifies their error
+_HINF_TOL_CAP = 1e-12
 
 
 def kernel_bound(kernel_kind: str, profile: TypeProfile, phi: float):
@@ -92,10 +96,16 @@ def _check_profile(profile: TypeProfile) -> None:
         raise ValueError("profile exponent beta must lie in (0, 1/3]")
 
 
+def default_theta(omega: float) -> float:
+    """Function-sector angle used when none is given: three quarters of the
+    way from the spectral angle omega to pi."""
+    return omega + 0.75 * (math.pi - omega)
+
+
 def _angles(profile: TypeProfile, theta, phi):
     omega = profile.omega
     if theta is None:
-        theta = omega + 0.75 * (math.pi - omega)
+        theta = default_theta(omega)
     if phi is None:
         phi = 0.5 * (omega + theta)
     if not omega < phi < theta < math.pi:
@@ -103,19 +113,14 @@ def _angles(profile: TypeProfile, theta, phi):
     return theta, phi
 
 
-def _initial_panels(contour: SectorContour) -> int:
-    span = math.log(contour.t_max) - math.log(contour.t_min)
-    return max(8, int(math.ceil(span / 2.0)))
-
-
 def _require_injective(t: CommutingOperator, label: str) -> None:
-    if t.min_singular_value() <= INJECTIVITY_FACTOR * max(t.norm(), 1e-300):
+    sv = np.linalg.svd(adjoint(t.components), compute_uv=False)
+    if sv[-1] <= INJECTIVITY_FACTOR * max(sv[0], 1e-300):
         raise NotInjective(f"{label} is numerically non-injective")
 
 
 def _solve_prefactor(pref: QuatMatrix, bracket: QuatMatrix):
-    emb = pref.embed()
-    cond = np.linalg.cond(emb)
+    cond = np.linalg.cond(adjoint(pref.components))
     if not np.isfinite(cond) or cond > 1e12:
         raise NotInjective("regularized prefactor is numerically non-injective")
     inv = pref.inverse()
@@ -200,7 +205,6 @@ class Evaluator:
                                self.theta)
         bound = kernel_bound(kernel_kind, profile, self.phi)
         contour = contour_for(cert, bound, self.phi, self.unit, tol=tol)
-        contour = replace(contour, panels=_initial_panels(contour))
         raw, info = integrate(OperatorKernel(kernel_kind, self.t), f, contour,
                               side=side)
         value = _PREFACTOR[kind] * raw
@@ -220,16 +224,17 @@ class Evaluator:
         The value is assembled from decaying-regime sub-calculi of e and
         e*f, where e is the rational regularizer chosen from the growth
         certificate of f (or of the given power), and the prefactors e(T),
-        e(T) e(conj T), e(T)^2 e(conj T) are inverted through the real
-        embedding.  Requires T and conj(T) injective.
+        e(T) e(conj T), e(T)^2 e(conj T) are inverted through the complex
+        adjoint.  Requires T and conj(T) injective.
 
         Inverting the prefactor amplifies quadrature error by up to the
-        norm of e(T)^-1, so the sub-integrals tighten their tolerance
-        adaptively once that norm is known (down to the roundoff floor of
-        the quadrature).
+        norm of e(T)^-1, so tol is capped at 1e-12 and the sub-integrals
+        tighten it adaptively once that norm is known (down to the roundoff
+        floor of the quadrature).
         """
         if kind not in CALC_KINDS:
             raise ValueError(f"unknown calculus kind {kind!r}")
+        tol = min(tol, _HINF_TOL_CAP)  # before the memo key: one value per cap
         if conj:
             return self._on_conj(f, lambda ev: ev.hinf(
                 kind, f, tol=tol, regularizer_power=regularizer_power))
@@ -255,7 +260,6 @@ class Evaluator:
             conds.append(res.diagnostics.worst_cond)
             return res.value
 
-        tol = min(tol, 1e-12)
         e_t = sub("S", e)
         try:
             amplification = e_t.inverse().norm()
@@ -329,7 +333,7 @@ def resolvent_identity_residuals(t: CommutingOperator, s: Quaternion,
                                  p: Quaternion) -> dict[str, float]:
     """Residuals of the four two-point kernel identities at (s, p), s not in [p].
 
-    Each residual is the embedding norm of LHS - RHS divided by
+    Each residual is the operator 2-norm of LHS - RHS divided by
     max(1, ||RHS||).
     """
     tbar = conj_op(t)
@@ -344,13 +348,10 @@ def resolvent_identity_residuals(t: CommutingOperator, s: Quaternion,
                 - k_s.scalar_mul(sbar, "left") + k_p.scalar_mul(sbar, "left"))
         return expr.scalar_mul(w_inv, "right")
 
-    def rel(a: QuatMatrix, b: QuatMatrix) -> float:
-        return (a - b).norm() / max(1.0, b.norm())
-
     out = {}
     sl_p = kernel("S_L", t, p)
     sr_s = kernel("S_R", t, s)
-    out["resolvent_identity_S"] = rel(lhs(sr_s, sl_p), sr_s @ sl_p)
+    out["resolvent_identity_S"] = _rel(lhs(sr_s, sl_p), sr_s @ sl_p)
 
     q_s = kernel("Qc", t, s)
     q_p = kernel("Qc", t, p)
@@ -359,18 +360,18 @@ def resolvent_identity_residuals(t: CommutingOperator, s: Quaternion,
     rhs_a = q_s @ sl_p + sr_s_bar @ q_p
     rhs_b = q_s @ sl_p_bar + sr_s @ q_p
     l_q = lhs(q_s, q_p)
-    out["resolvent_identity_Q"] = max(rel(l_q, rhs_a), rel(l_q, rhs_b))
+    out["resolvent_identity_Q"] = max(_rel(l_q, rhs_a), _rel(l_q, rhs_b))
 
     p2l_p = kernel("P2_L", t, p)
     p2r_s = kernel("P2_R", t, s)
     rhs_p2 = (p2r_s @ sl_p + sr_s @ p2l_p
               - 2.0 * (q_s @ (sl_p - sl_p_bar)))
-    out["resolvent_identity_P2"] = rel(lhs(p2r_s, p2l_p), rhs_p2)
+    out["resolvent_identity_P2"] = _rel(lhs(p2r_s, p2l_p), rhs_p2)
 
     fl_p = kernel("F_L", t, p)
     fr_s = kernel("F_R", t, s)
     rhs_f = fr_s @ sl_p + sr_s @ fl_p - 4.0 * (q_s @ q_p)
-    out["resolvent_identity_F"] = rel(lhs(fr_s, fl_p), rhs_f)
+    out["resolvent_identity_F"] = _rel(lhs(fr_s, fl_p), rhs_f)
     return out
 
 
@@ -379,35 +380,22 @@ def resolvent_identity_residuals(t: CommutingOperator, s: Quaternion,
 # ---------------------------------------------------------------------------
 
 def _rel(a: QuatMatrix, b: QuatMatrix) -> float:
+    """Residual ||a - b|| / max(1, ||b||) of a against the reference b."""
     return (a - b).norm() / max(1.0, b.norm())
 
 
-def _subspace_rel(a: QuatMatrix, b: QuatMatrix, vectors: np.ndarray) -> float:
-    worst = 0.0
-    for v in vectors:
-        dv = a.apply(v) - b.apply(v)
-        worst = max(worst, float(np.linalg.norm(dv))
-                    / max(1.0, float(np.linalg.norm(b.apply(v)))))
-    return worst
-
-
 def product_rule_residuals(ev: Evaluator, g, f, *, regime: str,
-                           subspace: np.ndarray | None,
                            tol: float) -> dict[str, float]:
     """Residuals of the four product rules for intrinsic g and left-slice f.
 
     Values come from ev.calc (regime "decaying") or ev.hinf ("h_infinity")
-    at tolerance tol.  With subspace None full matrices are compared (every
-    operator here is everywhere defined); quaternion vectors shaped
-    (k, n, 4) restrict the comparison to them, for partial operators.
+    at tolerance tol, and whole matrices are compared.
     """
     from .slicefun import Product
 
     if not g.intrinsic:
         raise NotIntrinsic("product rules require an intrinsic left factor")
     gf = Product(g, f)
-    compare = (_rel if subspace is None
-               else lambda a, b: _subspace_rel(a, b, subspace))
 
     if regime not in ("decaying", "h_infinity"):
         raise ValueError("regime must be 'decaying' or 'h_infinity'")
@@ -425,13 +413,13 @@ def product_rule_residuals(ev: Evaluator, g, f, *, regime: str,
     dgf_t = evaluate("Q", gf).value
 
     out = {
-        "product_rule_S": compare(evaluate("S", gf).value, g_t @ f_t),
-        "product_rule_Q": max(compare(dgf_t, dg_t @ f_t + g_tbar @ df_t),
-                              compare(dgf_t, dg_t @ f_tbar + g_t @ df_t)),
-        "product_rule_P2": compare(
+        "product_rule_S": _rel(evaluate("S", gf).value, g_t @ f_t),
+        "product_rule_Q": max(_rel(dgf_t, dg_t @ f_t + g_tbar @ df_t),
+                              _rel(dgf_t, dg_t @ f_tbar + g_t @ df_t)),
+        "product_rule_P2": _rel(
             evaluate("P2", gf).value,
             dbg_t @ f_t + g_t @ dbf_t + dg_t @ (f_t - f_tbar)),
-        "product_rule_F": compare(
+        "product_rule_F": _rel(
             evaluate("F", gf).value, lg_t @ f_t + g_t @ lf_t - dg_t @ df_t),
     }
     return out

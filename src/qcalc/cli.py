@@ -17,6 +17,8 @@ import configparser
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
 from .errors import QCalcError
 from .operators import load_operator, operator_to_text
@@ -57,11 +59,14 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return parts[0], parts[1]
 
 
+# largest condition number of a loaded operator's recovered eigenbasis
+_MAX_BASIS_COND = 1e8
+
 _DEFAULTS = {
     "dim": 4, "seed": 7, "annulus": (0.5, 2.0), "omega": math.pi / 4.0,
     "diag": False, "operator": None,
     "tol": 1e-9, "theta": None, "angles": None, "units": (("e1", "e12")),
-    "n_max": 5, "pairs": 50, "subspace_dim": None,
+    "n_max": 5, "pairs": 50,
 }
 
 
@@ -102,8 +107,6 @@ def load_config(path: str) -> dict:
             out["n_max"] = sec.getint("n_max")
         if "pairs" in sec:
             out["pairs"] = sec.getint("pairs")
-        if "subspace_dim" in sec:
-            out["subspace_dim"] = sec.getint("subspace_dim")
     return out
 
 
@@ -141,27 +144,32 @@ def _build_context(opts) -> SuiteContext:
     return SuiteContext(gen, tol=opts["tol"], theta=opts["theta"],
                         angles=opts["angles"], units=units,
                         n_max=opts["n_max"], pairs=opts["pairs"],
-                        seed=opts["seed"], subspace_dim=opts["subspace_dim"])
+                        seed=opts["seed"])
 
 
 def _wrap_loaded(op, spec: OperatorSpec) -> GeneratedOperator:
-    # A loaded operator has no recorded eigensphere data; suites that need
-    # the spectral oracle (oracle, kernels point sampling) regenerate it by
-    # joint diagonalisation of the commuting components.
-    import numpy as np
-    t0 = op.components[0]
-    # components commute and are jointly diagonalizable in the generated
-    # family; use eigenvectors of a random combination for stability
+    # A loaded operator has no recorded eigensphere data; the suites that
+    # need it (the oracles, the kernels' spectrum checks, resolvent point
+    # sampling) recover it by joint diagonalisation.  Eigenvectors V of a
+    # random real combination of the commuting components diagonalize each
+    # component as V^-1 T_i V when they are jointly diagonalizable with
+    # real eigenvalues; V need not be orthogonal.
     rng = np.random.default_rng(spec.seed)
     w = rng.normal(size=4)
     mix = sum(w[i] * op.components[i] for i in range(4))
-    _, vecs = np.linalg.eigh(0.5 * (mix + mix.T))
-    eigs = []
-    for k in range(op.n):
-        v = vecs[:, k]
-        comps = [float(v @ op.components[i] @ v) for i in range(4)]
-        eigs.append(Quaternion(*comps))
-    return GeneratedOperator(op, eigs, vecs.T, spec)
+    _, vecs = np.linalg.eig(mix)
+    if np.iscomplexobj(vecs):
+        raise QCalcError("loaded operator has non-real component eigenvalues; "
+                         "its eigensphere data cannot be recovered")
+    cond = np.linalg.cond(vecs)
+    if not cond <= _MAX_BASIS_COND:
+        raise QCalcError(f"loaded operator's eigenvector basis has condition "
+                         f"number {cond:.3g} (limit {_MAX_BASIS_COND:.0e}); "
+                         f"it is not reliably diagonalizable")
+    inv = np.linalg.inv(vecs)
+    diag = np.stack([np.diag(inv @ c @ vecs) for c in op.components], axis=1)
+    eigs = [Quaternion(*(float(v) for v in row)) for row in diag]
+    return GeneratedOperator(op, eigs, inv, vecs, spec)
 
 
 def cmd_generate(args) -> int:

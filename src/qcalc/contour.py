@@ -26,6 +26,7 @@ from .quaternion import Quaternion, SlicePoint, exp_j, qarr, qarr_mul
 
 GAUSS_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+_MAX_REFINEMENTS = 9
 
 # Truncation radii are clamped to keep intermediate powers of |s| inside
 # float range; contour_for refuses certificates that would need more.
@@ -38,15 +39,14 @@ class SectorContour:
 
     phi: ray angle, strictly between the spectral angle and the function
     sector; unit: the imaginary unit J spanning the slice; t_min/t_max:
-    truncation radii with 0 < t_min < 1 < t_max; panels: initial panel
-    count on the log-radius axis; tol: Frobenius target for refinement.
+    truncation radii with 0 < t_min < 1 < t_max; tol: Frobenius target
+    for refinement.
     """
 
     phi: float
     unit: Quaternion
     t_min: float
     t_max: float
-    panels: int = 8
     tol: float = 1e-9
 
     def __post_init__(self):
@@ -56,8 +56,6 @@ class SectorContour:
             raise ValueError("contour unit must be a unit imaginary quaternion")
         if not (0.0 < self.t_min < 1.0 < self.t_max < math.inf):
             raise ValueError("truncation radii must satisfy 0 < t_min < 1 < t_max")
-        if self.panels < 1:
-            raise ValueError("need at least one panel")
 
 
 def _one_sided_radius(delta: float, c: float, tol: float, side: str) -> float:
@@ -202,21 +200,23 @@ def _level_value(k, f, contour: SectorContour, side: str, panels: int,
     return np.einsum("m,mcij->cij", w, vals), None
 
 
-def integrate(k, f, contour: SectorContour, *, side: str = "left",
-              max_refinements: int = 9):
+def integrate(k, f, contour: SectorContour, *, side: str = "left"):
     """Adaptively evaluate the sector-boundary integral of K ds_J f.
 
     k is either an OperatorKernel (moment form) or any callable
     SlicePoint -> QuatMatrix.  side selects the sandwich order: "left" is
-    K ds_J f, "right" is f ds_J K.  Returns (QuatMatrix, diagnostics); the
-    diagnostics' worst_cond is the largest ||R||_F ||R^-1||_F met on the
-    accepted level (None for a point-callable kernel).
+    K ds_J f, "right" is f ds_J K.  The first level has one panel per two
+    units of log radius (at least 8); each refinement doubles the panels.
+    Returns (QuatMatrix, diagnostics); the diagnostics' worst_cond is the
+    largest ||R||_F ||R^-1||_F met on the accepted level (None for a
+    point-callable kernel).
     """
     dim = getattr(k, "n", None)
-    panels = contour.panels
+    span = math.log(contour.t_max) - math.log(contour.t_min)
+    panels = max(8, math.ceil(span / 2.0))
     value, _ = _level_value(k, f, contour, side, panels, dim)
     diff = math.inf
-    for _ in range(max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         panels *= 2
         refined, cond = _level_value(k, f, contour, side, panels, dim)
         diff = float(stack_fro(refined - value))
@@ -231,12 +231,15 @@ def integrate(k, f, contour: SectorContour, *, side: str = "left",
         f"after {panels} panels")
 
 
-def integrate_fixed(k, f, contour: SectorContour, *, side: str = "left"):
-    """Single quadrature pass at exactly contour.panels panels, no refinement.
+def integrate_fixed(k, f, contour: SectorContour, panels: int, *,
+                    side: str = "left"):
+    """Single quadrature pass at exactly the given number of panels, no
+    refinement.
 
     Used by linearity and panel-scaling tests where the node set must match
     across calls.
     """
-    dim = getattr(k, "n", None)
-    value, _ = _level_value(k, f, contour, side, contour.panels, dim)
-    return QuatMatrix(value), {"panels": contour.panels}
+    if panels < 1:
+        raise ValueError("need at least one panel")
+    value, _ = _level_value(k, f, contour, side, panels, getattr(k, "n", None))
+    return QuatMatrix(value), {"panels": panels}

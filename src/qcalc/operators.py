@@ -73,23 +73,30 @@ def _as_stack(real: np.ndarray) -> np.ndarray:
     return out
 
 
-def embed(components: np.ndarray) -> np.ndarray:
-    """Real 4n x 4n matrix of the left action on stacked coordinates."""
-    m0, m1, m2, m3 = (components[..., i, :, :] for i in range(4))
-    row0 = np.concatenate([m0, -m1, -m2, -m3], axis=-1)
-    row1 = np.concatenate([m1, m0, -m3, m2], axis=-1)
-    row2 = np.concatenate([m2, m3, m0, -m1], axis=-1)
-    row3 = np.concatenate([m3, -m2, m1, m0], axis=-1)
-    return np.concatenate([row0, row1, row2, row3], axis=-2)
+def adjoint(components: np.ndarray) -> np.ndarray:
+    """Complex 2n x 2n adjoint [[A1, A2], [-conj(A2), conj(A1)]] of the
+    quaternion matrix A = A1 + A2 e2, A1 = M0 + i M1, A2 = M2 + i M3 (i
+    standing for e1), batched over leading axes.  It is multiplicative and
+    has the singular values of A, each twice, so dense norms, inverses and
+    condition numbers are taken on it."""
+    a1 = components[..., 0, :, :] + 1j * components[..., 1, :, :]
+    a2 = components[..., 2, :, :] + 1j * components[..., 3, :, :]
+    return np.concatenate([np.concatenate([a1, a2], axis=-1),
+                           np.concatenate([-a2.conj(), a1.conj()], axis=-1)],
+                          axis=-2)
 
 
-def unembed(big: np.ndarray, n: int) -> np.ndarray:
-    return np.stack([big[..., i * n:(i + 1) * n, 0:n] for i in range(4)], axis=-3)
+def from_adjoint(big: np.ndarray) -> np.ndarray:
+    """Component stack (..., 4, n, n) of a complex adjoint (see adjoint)."""
+    n = big.shape[-1] // 2
+    a1, a2 = big[..., :n, :n], big[..., :n, n:]
+    return np.stack([a1.real, a1.imag, a2.real, a2.imag], axis=-3)
 
 
 def stack_norm(components: np.ndarray) -> np.ndarray:
-    """Operator 2-norm through the real embedding, batched over leading axes."""
-    return np.linalg.svd(embed(components), compute_uv=False)[..., 0]
+    """Operator 2-norm through the complex adjoint, batched over leading
+    axes."""
+    return np.linalg.svd(adjoint(components), compute_uv=False)[..., 0]
 
 
 def stack_fro(components: np.ndarray) -> np.ndarray:
@@ -163,23 +170,15 @@ class QuatMatrix:
             out = out @ self
         return out
 
-    def embed(self) -> np.ndarray:
-        return embed(self.components)
-
     def inverse(self) -> "QuatMatrix":
-        # the embedded algebra is closed under inversion
-        return QuatMatrix(unembed(np.linalg.inv(self.embed()), self.n))
+        # the adjoint algebra is closed under inversion
+        return QuatMatrix(from_adjoint(np.linalg.inv(adjoint(self.components))))
 
     def norm(self) -> float:
         return float(stack_norm(self.components))
 
     def fro(self) -> float:
         return float(stack_fro(self.components))
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Act on quaternion coordinates of shape (n, 4)."""
-        flat = np.asarray(v, dtype=float).T.reshape(-1)
-        return (self.embed() @ flat).reshape(4, self.n).T
 
     def commutation_residual(self) -> float:
         """Largest Frobenius commutator among the four component matrices."""
@@ -204,6 +203,10 @@ class CommutingOperator:
         comps = np.asarray(self.components, dtype=float)
         if comps.ndim != 3 or comps.shape[0] != 4 or comps.shape[1] != comps.shape[2]:
             raise ValueError("expected component array of shape (4, n, n)")
+        if comps.shape[1] == 0:
+            raise ValueError("operator dimension must be at least 1")
+        if not np.all(np.isfinite(comps)):  # NaN would pass the commutation test
+            raise ValueError("operator components must be finite")
         object.__setattr__(self, "components", comps)
         for i in range(4):
             for j in range(i + 1, 4):
@@ -224,14 +227,6 @@ class CommutingOperator:
 
     def norm(self) -> float:
         return float(stack_norm(self.components))
-
-    def min_singular_value(self) -> float:
-        return float(np.linalg.svd(embed(self.components), compute_uv=False)[-1])
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Action on a vector of quaternion coordinates, shape (n, 4):
-        T0 v + e1 (T1 v) + e2 (T2 v) + e3 (T3 v)."""
-        return self.as_qmatrix().apply(v)
 
     @cached_property
     def kernel_numerators(self) -> dict:

@@ -144,8 +144,7 @@ def test_criterion_5_product_rules(operators):
     worst = 0.0
     for f in cases:
         for regime, tol in (("decaying", 1e-9), ("h_infinity", 1e-12)):
-            res = product_rule_residuals(ev, g, f, regime=regime,
-                                         subspace=None, tol=tol)
+            res = product_rule_residuals(ev, g, f, regime=regime, tol=tol)
             worst = max(worst, max(res.values()))
     ok = worst <= 1e-6
     report("5 (product rules, decaying + H-infinity)",

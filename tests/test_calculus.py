@@ -189,12 +189,22 @@ class TestEvaluator:
             assert np.array_equal(got.value.components, want.value.components)
             assert got.diagnostics == want.diagnostics
 
+    def test_hinf_tolerance_cap_is_one_memo_entry(self, ctx4, gen4,
+                                                  monkeypatch):
+        # every tol above the 1e-12 cap asks for the same value
+        ev = Evaluator(gen4.operator, ctx4.profile)
+        first = ev.hinf("S", pow_fn(1))
+        seen = counting_integrate(monkeypatch)
+        assert ev.hinf("S", pow_fn(1), tol=1e-9) is first
+        assert ev.hinf("S", pow_fn(1), tol=1e-12) is first
+        assert not seen
+
     def test_hinf_product_rules_repeat_no_integral(self, ctx4, gen4,
                                                    monkeypatch):
         seen = counting_integrate(monkeypatch)
         product_rule_residuals(Evaluator(gen4.operator, ctx4.profile),
                                reg_fn(2), Product(Power(1), Regularizer(3)),
-                               regime="h_infinity", subspace=None, tol=1e-12)
+                               regime="h_infinity", tol=1e-12)
         assert seen and len(set(seen)) == len(seen)
 
     def test_threads_share_the_first_stored_value(self):
@@ -246,8 +256,7 @@ class TestProductRules:
         f = Product(Power(1), Regularizer(3))
         tol = 1e-9 if regime == "decaying" else 1e-12
         res = product_rule_residuals(Evaluator(gen4.operator, ctx4.profile),
-                                     g, f, regime=regime, subspace=None,
-                                     tol=tol)
+                                     g, f, regime=regime, tol=tol)
         assert max(res.values()) <= 1e-6
 
     def test_rejects_nonintrinsic_g(self, ctx4, gen4):
@@ -255,7 +264,7 @@ class TestProductRules:
         with pytest.raises(NotIntrinsic):
             product_rule_residuals(Evaluator(gen4.operator, ctx4.profile),
                                    g, reg_fn(2), regime="decaying",
-                                   subspace=None, tol=1e-9)
+                                   tol=1e-9)
 
 
 class TestRecurrences:

@@ -1,10 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qcalc.cli import main, parse_unit
+from qcalc.operators import CommutingOperator, operator_to_text
 from qcalc.quaternion import E1, E2
+from qcalc.suites import OperatorSpec, generate_operator
 
 
 def strip_ms(report: dict) -> dict:
@@ -70,6 +73,37 @@ class TestRun:
         bad = tmp_path / "bad.txt"
         bad.write_text("not an operator")
         assert main(["run", "kernels", "--operator", str(bad)]) == 2
+
+    @pytest.mark.parametrize("text,message", [
+        ("0\n", "dimension"), ("2\n" + "nan " * 16, "finite")],
+        ids=["dim0", "nan"])
+    def test_degenerate_operator_file(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["run", "oracle", "--operator", str(bad)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_loaded_nonnormal_operator_passes_oracles(self, tmp_path):
+        # T = S^-1 D S with S far from orthogonal: the eigensphere oracle
+        # must conjugate by S, not by an orthogonal basis
+        diag = generate_operator(OperatorSpec(dim=4, seed=7, diagonal=True))
+        s = np.eye(4) + 0.8 * np.random.default_rng(99).normal(size=(4, 4))
+        assert np.linalg.cond(s) > 5.0
+        comps = np.linalg.inv(s) @ diag.operator.components @ s
+        op_file = tmp_path / "nonnormal.txt"
+        op_file.write_text(operator_to_text(CommutingOperator(comps)))
+        assert main(["run", "oracle", "--operator", str(op_file)]) == 0
+
+    @pytest.mark.parametrize("t0", [[[0.0, -1.0], [1.0, 0.0]],   # rotation
+                                    [[1.0, 1.0], [0.0, 1.0]]])   # Jordan block
+    def test_loaded_operator_without_real_eigenbasis(self, tmp_path, capsys,
+                                                     t0):
+        comps = np.zeros((4, 2, 2))
+        comps[0] = t0
+        op_file = tmp_path / "op.txt"
+        op_file.write_text(operator_to_text(CommutingOperator(comps)))
+        assert main(["run", "oracle", "--operator", str(op_file)]) == 2
+        assert "eigen" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite", ["identities", "oracle", "hinf"])
     def test_parallel_matches_serial(self, tmp_path, suite):

@@ -114,48 +114,57 @@ class TestQuadratureMechanics:
         f = Regularizer(1)
         g = Regularizer(2)
         h = Sum(Scale(2.5, f), g)
-        contour = SectorContour(1.2, E1, 1e-8, 1e8, panels=64)
+        contour = SectorContour(1.2, E1, 1e-8, 1e8)
         k = OperatorKernel("S_L", t)
-        vf, _ = integrate_fixed(k, f, contour)
-        vg, _ = integrate_fixed(k, g, contour)
-        vh, _ = integrate_fixed(k, h, contour)
+        vf, _ = integrate_fixed(k, f, contour, 64)
+        vg, _ = integrate_fixed(k, g, contour, 64)
+        vh, _ = integrate_fixed(k, h, contour, 64)
         lin = 2.5 * vf + vg
         assert (vh - lin).norm() <= 1e-12 * max(1.0, lin.norm())
 
     def test_doubling_improves(self):
         t, f, _ = cauchy_setup()
         k = OperatorKernel("S_L", t)
-        want, _ = integrate_fixed(f=f, k=k, contour=SectorContour(
-            1.2, E1, 1e-8, 1e8, panels=512))
+        contour = SectorContour(1.2, E1, 1e-8, 1e8)
+        want, _ = integrate_fixed(f=f, k=k, contour=contour, panels=512)
         errors = []
         for panels in (1, 2, 4):
-            v, _ = integrate_fixed(k, f, SectorContour(1.2, E1, 1e-8, 1e8,
-                                                       panels=panels))
+            v, _ = integrate_fixed(k, f, contour, panels)
             errors.append((v - want).norm())
         assert errors[1] <= 0.5 * errors[0]
         assert errors[2] <= 0.5 * errors[1]
 
+    @pytest.mark.parametrize("t_min,t_max,start", [(0.1, 10.0, 8),
+                                                   (1e-20, 1e20, 47)])
+    def test_first_level_panel_count(self, t_min, t_max, start):
+        # max(8, ceil(ln(t_max / t_min) / 2)) panels, then one bisection,
+        # which any difference meets at an infinite target
+        t, f, _ = cauchy_setup()
+        contour = SectorContour(1.2, E1, t_min, t_max, tol=math.inf)
+        _, info = integrate(OperatorKernel("S_L", t), f, contour)
+        assert info["panels"] == 2 * start
+
     def test_tolerance_not_met(self):
         t, f, _ = cauchy_setup()
-        contour = SectorContour(1.2, E1, 1e-8, 1e8, panels=1, tol=1e-30)
+        contour = SectorContour(1.2, E1, 1e-8, 1e8, tol=1e-30)
         with pytest.raises(ToleranceNotMet):
-            integrate(OperatorKernel("S_L", t), f, contour, max_refinements=2)
+            integrate(OperatorKernel("S_L", t), f, contour)
 
     def test_point_callable_matches_batched(self):
         t, f, _ = cauchy_setup()
-        contour = SectorContour(1.2, E1, 1e-6, 1e6, panels=24)
+        contour = SectorContour(1.2, E1, 1e-6, 1e6)
         fast = OperatorKernel("S_L", t)
         slow = lambda p: fast(p)  # plain SlicePoint -> QuatMatrix callable
-        va, _ = integrate_fixed(fast, f, contour)
-        vb, _ = integrate_fixed(slow, f, contour)
+        va, _ = integrate_fixed(fast, f, contour, 24)
+        vb, _ = integrate_fixed(slow, f, contour, 24)
         assert (va - vb).norm() <= 1e-13
 
     def test_right_sandwich_order(self):
         # for an intrinsic f and the scalar operator the two orders agree
         t, f, _ = cauchy_setup()
-        contour = SectorContour(1.2, E1, 1e-8, 1e8, panels=64)
-        va, _ = integrate_fixed(OperatorKernel("S_L", t), f, contour)
-        vb, _ = integrate_fixed(OperatorKernel("S_R", t), f, contour,
+        contour = SectorContour(1.2, E1, 1e-8, 1e8)
+        va, _ = integrate_fixed(OperatorKernel("S_L", t), f, contour, 64)
+        vb, _ = integrate_fixed(OperatorKernel("S_R", t), f, contour, 64,
                                 side="right")
         assert (va - vb).norm() <= 1e-12
 
@@ -173,11 +182,11 @@ class TestMomentForm:
     def test_matches_point_kernels(self, gen4, kind, side, t_min, t_max,
                                    panels):
         # the second contour spans the truncation radii hinf reaches
-        contour = SectorContour(1.7, E12, t_min, t_max, panels=panels)
+        contour = SectorContour(1.7, E12, t_min, t_max)
         f = Regularizer(2)
         k = OperatorKernel(kind, gen4.operator)
-        va, _ = integrate_fixed(k, f, contour, side=side)
-        vb, _ = integrate_fixed(lambda p: k(p), f, contour, side=side)
+        va, _ = integrate_fixed(k, f, contour, panels, side=side)
+        vb, _ = integrate_fixed(lambda p: k(p), f, contour, panels, side=side)
         assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
 
     @pytest.mark.parametrize("kind", ["S_L", "Qc", "F_L"])
@@ -191,12 +200,13 @@ class TestMomentForm:
                              + Quaternion(q.norm_sq())).inverse(),
             "F_L": lambda s: -4.0 * ((s - q) * (s - q) * (s - q.conj())).inverse(),
         }[kind]
-        contour = SectorContour(1.2, E12, 1e-8, 1e8, panels=16)
+        contour = SectorContour(1.2, E12, 1e-8, 1e8)
         f = Regularizer(2)
         va, _ = integrate_fixed(OperatorKernel(kind, scalar_operator(q)), f,
-                                contour)
+                                contour, 16)
         vb, _ = integrate_fixed(
-            lambda p: QuatMatrix.from_scalar(closed(p.point()), 1), f, contour)
+            lambda p: QuatMatrix.from_scalar(closed(p.point()), 1), f,
+            contour, 16)
         if kind == "Qc":  # the Q-calculus integrates -2 Q_{c,s}^-1
             va, vb = -2.0 * va, -2.0 * vb
         assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())

@@ -6,10 +6,10 @@ import pytest
 from conftest import random_quaternion, scalar_operator
 from qcalc.errors import SpectrumHit
 from qcalc.operators import (CommutingOperator, QuatMatrix, ab_decompose,
-                             conj_op, embed, estimate_type_profile,
-                             f_spectrum_check, kernel, modulus_sq,
-                             operator_from_text, operator_to_text, q_inverse,
-                             q_operator, real_pseudo_resolvent, unembed)
+                             adjoint, conj_op, estimate_type_profile,
+                             f_spectrum_check, from_adjoint, kernel,
+                             modulus_sq, operator_from_text, operator_to_text,
+                             q_inverse, q_operator, real_pseudo_resolvent)
 from qcalc.quaternion import (E1, E2, ONE, Quaternion,
                               random_unit_imaginary, to_slice)
 from qcalc.suites import OperatorSpec, generate_operator
@@ -40,21 +40,6 @@ class TestCommutingOperator:
         zero = np.zeros((2, 2))
         with pytest.raises(ValueError):
             CommutingOperator(np.stack([t0, t1, zero, zero]))
-
-    def test_action_reconstruction(self, gen4, rng):
-        t = gen4.operator
-        tq = t.as_qmatrix()
-        for _ in range(10):
-            v = rng.normal(size=(t.n, 4))
-            direct = t.apply(v)
-            # quaternion-matrix action: (T v)_i = sum_j T_ij * v_j
-            via_matrix = np.zeros_like(v)
-            for i in range(t.n):
-                acc = Quaternion()
-                for j in range(t.n):
-                    acc = acc + tq.entry(i, j) * Quaternion.from_components(v[j])
-                via_matrix[i] = acc.components
-            assert np.allclose(direct, via_matrix, atol=1e-12)
 
 
 class TestConjAndModulus:
@@ -372,27 +357,40 @@ class TestTypeProfile:
 
 
 class TestEmbedding:
-    def test_embed_action_oracle(self, rng):
+    def test_adjoint_is_multiplicative(self, rng):
         n = 3
-        comps = rng.normal(size=(4, n, n))
-        m = QuatMatrix(comps)
-        big = m.embed()
-        for _ in range(10):
-            v = rng.normal(size=(n, 4))
-            # stacked coordinate layout: all first components, then all e1...
-            flat = v.T.reshape(-1)
-            got = (big @ flat).reshape(4, n).T
-            want = np.zeros_like(v)
-            for i in range(n):
+        a = QuatMatrix(rng.normal(size=(4, n, n)))
+        b = QuatMatrix(rng.normal(size=(4, n, n)))
+        want = np.zeros((4, n, n))  # entry by entry in scalar quaternions
+        for i in range(n):
+            for k in range(n):
                 acc = Quaternion()
                 for j in range(n):
-                    acc = acc + m.entry(i, j) * Quaternion.from_components(v[j])
-                want[i] = acc.components
-            assert np.allclose(got, want, atol=1e-12)
+                    acc = acc + a.entry(i, j) * b.entry(j, k)
+                want[:, i, k] = acc.components
+        got = adjoint(a.components) @ adjoint(b.components)
+        assert np.allclose(got, adjoint(want), atol=1e-12)
 
-    def test_unembed_roundtrip(self, rng):
-        comps = rng.normal(size=(4, 3, 3))
-        assert np.allclose(unembed(embed(comps), 3), comps)
+    def test_adjoint_roundtrip(self, rng):
+        comps = rng.normal(size=(2, 4, 3, 3))  # batched
+        assert np.array_equal(from_adjoint(adjoint(comps)), comps)
+
+    def test_singular_values_match_left_action(self, rng):
+        n = 3
+        m = QuatMatrix(rng.normal(size=(4, n, n)))
+        # real 4n x 4n matrix of v -> M v on quaternion vectors, built
+        # column by column from scalar quaternion products
+        action = np.zeros((4 * n, 4 * n))
+        for j in range(n):
+            for c in range(4):
+                e = Quaternion.from_components(np.eye(4)[c])
+                for i in range(n):
+                    action[4 * i:4 * i + 4, 4 * j + c] = (m.entry(i, j)
+                                                          * e).components
+        want = np.linalg.svd(action, compute_uv=False)
+        got = np.linalg.svd(adjoint(m.components), compute_uv=False)
+        assert m.norm() == pytest.approx(want[0], rel=1e-13)
+        assert np.allclose(got, want[::2], rtol=1e-12)
 
     def test_inverse_and_submultiplicative(self, rng):
         comps = rng.normal(size=(4, 3, 3))
@@ -417,7 +415,10 @@ class TestTextFormat:
         b = generate_operator(OperatorSpec(dim=8, seed=123))
         assert operator_to_text(a.operator) == operator_to_text(b.operator)
 
-    @pytest.mark.parametrize("bad", ["", "2\n1 2 3", "x\n", "1\n1 2 3 4 5"])
+    @pytest.mark.parametrize("bad", [
+        "", "2\n1 2 3", "x\n", "1\n1 2 3 4 5", pytest.param("0\n", id="dim0"),
+        pytest.param("2\n" + "nan " * 16, id="nan"),
+        pytest.param("1\n1 inf 0 0", id="inf")])
     def test_malformed(self, bad):
         with pytest.raises(ValueError):
             operator_from_text(bad)
