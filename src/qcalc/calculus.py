@@ -26,9 +26,10 @@ import numpy as np
 
 from .contour import OperatorKernel, contour_for, integrate
 from .errors import NotInjective, NotIntrinsic
-from .operators import (CommutingOperator, QuatMatrix, TypeProfile, adjoint,
-                        conj_op, estimate_type_profile, kernel)
-from .quaternion import E1, Quaternion
+from .operators import (KERNEL_KINDS, CommutingOperator, QuatMatrix,
+                        TypeProfile, adjoint, assemble, bq_conj, conj_op,
+                        estimate_type_profile, point_pairs, stack_norm)
+from .quaternion import E1, Quaternion, to_slice
 
 CALC_KINDS = ("S", "Q", "P2", "F")
 
@@ -329,50 +330,57 @@ def hinf(kind: str, t: CommutingOperator, f, profile: TypeProfile, *,
 # Algebraic resolvent identities (no quadrature).
 # ---------------------------------------------------------------------------
 
+def _two_point_kernels(t: CommutingOperator, s: Quaternion, p: Quaternion):
+    """k(kind, at, conj=False): the kernel of T, or of conj(T) for conj, at
+    s (at = 0) or p (at = 1), each with its own unit, all from one two-point
+    batch of J-independent pairs (see point_pairs)."""
+    points = (to_slice(s), to_slice(p))
+    pairs = point_pairs(t, [q.x for q in points], [q.y for q in points],
+                        KERNEL_KINDS)
+
+    def k(kind: str, at: int, conj: bool = False) -> QuatMatrix:
+        a, b = (bq_conj(c[at]) if conj else c[at] for c in pairs[kind])
+        return QuatMatrix(assemble(kind, a, b, points[at].j))
+
+    return k
+
+
 def resolvent_identity_residuals(t: CommutingOperator, s: Quaternion,
                                  p: Quaternion) -> dict[str, float]:
     """Residuals of the four two-point kernel identities at (s, p), s not in [p].
 
     Each residual is the operator 2-norm of LHS - RHS divided by
-    max(1, ||RHS||).
+    max(1, ||RHS||); the ten norms come from one batched SVD.
     """
-    tbar = conj_op(t)
     w = p * p - 2.0 * s.re * p + Quaternion(s.norm_sq())
     if w.norm() < 1e-12:
         raise ValueError("s and p lie on a common sphere; identities degenerate")
     w_inv = w.inverse()
     sbar = s.conj()
+    k = _two_point_kernels(t, s, p)
 
     def lhs(k_s: QuatMatrix, k_p: QuatMatrix) -> QuatMatrix:
-        expr = (k_s.scalar_mul(p, "right") - k_p.scalar_mul(p, "right")
-                - k_s.scalar_mul(sbar, "left") + k_p.scalar_mul(sbar, "left"))
-        return expr.scalar_mul(w_inv, "right")
+        d = k_s - k_p
+        return (d.scalar_mul(p, "right")
+                - d.scalar_mul(sbar, "left")).scalar_mul(w_inv, "right")
 
-    out = {}
-    sl_p = kernel("S_L", t, p)
-    sr_s = kernel("S_R", t, s)
-    out["resolvent_identity_S"] = _rel(lhs(sr_s, sl_p), sr_s @ sl_p)
-
-    q_s = kernel("Qc", t, s)
-    q_p = kernel("Qc", t, p)
-    sl_p_bar = kernel("S_L", tbar, p)
-    sr_s_bar = kernel("S_R", tbar, s)
-    rhs_a = q_s @ sl_p + sr_s_bar @ q_p
-    rhs_b = q_s @ sl_p_bar + sr_s @ q_p
+    sr_s, q_s, p2r_s, fr_s = map(k, ("S_R", "Qc", "P2_R", "F_R"), [0] * 4)
+    sl_p, q_p, p2l_p, fl_p = map(k, ("S_L", "Qc", "P2_L", "F_L"), [1] * 4)
+    sl_p_bar, sr_s_bar = k("S_L", 1, conj=True), k("S_R", 0, conj=True)
     l_q = lhs(q_s, q_p)
-    out["resolvent_identity_Q"] = max(_rel(l_q, rhs_a), _rel(l_q, rhs_b))
-
-    p2l_p = kernel("P2_L", t, p)
-    p2r_s = kernel("P2_R", t, s)
-    rhs_p2 = (p2r_s @ sl_p + sr_s @ p2l_p
-              - 2.0 * (q_s @ (sl_p - sl_p_bar)))
-    out["resolvent_identity_P2"] = _rel(lhs(p2r_s, p2l_p), rhs_p2)
-
-    fl_p = kernel("F_L", t, p)
-    fr_s = kernel("F_R", t, s)
-    rhs_f = fr_s @ sl_p + sr_s @ fl_p - 4.0 * (q_s @ q_p)
-    out["resolvent_identity_F"] = _rel(lhs(fr_s, fl_p), rhs_f)
-    return out
+    checks = [  # (LHS, RHS) of S, Q (two forms), P2 and F
+        (lhs(sr_s, sl_p), sr_s @ sl_p),
+        (l_q, q_s @ sl_p + sr_s_bar @ q_p),
+        (l_q, q_s @ sl_p_bar + sr_s @ q_p),
+        (lhs(p2r_s, p2l_p),
+         p2r_s @ sl_p + sr_s @ p2l_p - 2.0 * (q_s @ (sl_p - sl_p_bar))),
+        (lhs(fr_s, fl_p), fr_s @ sl_p + sr_s @ fl_p - 4.0 * (q_s @ q_p)),
+    ]
+    norms = stack_norm(np.stack([(a - b).components for a, b in checks]
+                                + [b.components for _, b in checks]))
+    rel = (norms[:5] / np.maximum(1.0, norms[5:])).tolist()
+    return {f"resolvent_identity_{tag}": r for tag, r in
+            zip(("S", "Q", "P2", "F"), (rel[0], max(rel[1:3]), *rel[3:]))}
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import argparse
 import configparser
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -137,7 +138,7 @@ def _build_context(opts) -> SuiteContext:
                         diagonal=opts["diag"])
     if opts.get("operator"):
         op = load_operator(opts["operator"])
-        gen = _wrap_loaded(op, spec)
+        gen = _wrap_loaded(op, replace(spec, dim=op.n))
     else:
         gen = generate_operator(spec)
     units = tuple(parse_unit(u) for u in opts["units"])

@@ -423,29 +423,45 @@ def _chain(t: CommutingOperator, x: np.ndarray, y: np.ndarray, *,
             f"F-spectrum")
     pair = ab @ rinv[:, None]
     if t.kernel_numerators[upto].power == 2:
-        a1, b1 = pair[:, 0], pair[:, 1]
-        pair = np.stack([a1 @ a1 - b1 @ b1, a1 @ b1], axis=1)
+        pair = _squared(pair)
     return pair, scale, cond
 
 
-def _ab_batch(kind: str, t: CommutingOperator, x, y):
-    if kind not in KERNEL_KINDS:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    fam = _AB_FAMILY[kind]
+def _squared(pair: np.ndarray) -> np.ndarray:
+    """(A1^2 - B1^2, A1 B1), the pair of F and P2, from the Qc pair."""
+    a1, b1 = pair[:, 0], pair[:, 1]
+    return np.stack([a1 @ a1 - b1 @ b1, a1 @ b1], axis=1)
+
+
+def point_pairs(t: CommutingOperator, x, y, kinds) -> dict:
+    """{kind: (A, B)} at the nodes (x[k], y[k]), each (m, 4, n, n): one Qc
+    pair (one inversion of R) per node and one squared pair serve all kinds;
+    conj(T)'s pairs are the entrywise conjugates (bq_conj) of T's."""
+    if not set(kinds) <= set(KERNEL_KINDS):
+        raise ValueError(f"unknown kernel kind in {kinds!r}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    pair, scale, _ = _chain(t, x, y, upto=fam)
-    num = t.kernel_numerators[fam]
-    mono = _monomials(num.exps, x, y, scale, 2 * num.power)
-    return tuple((_combine(mono, c) @ pair[:, :, None]).sum(axis=1)
-                 for c in (num.a, num.b))
+    pair, scale, _ = _chain(t, x, y, upto="Qc")
+    pairs, out = {1: pair}, {}
+    for fam in dict.fromkeys(_AB_FAMILY[kind] for kind in kinds):
+        num = t.kernel_numerators[fam]
+        if num.power not in pairs:
+            pairs[num.power] = _squared(pair)
+        mono = _monomials(num.exps, x, y, scale, 2 * num.power)
+        out[fam] = tuple((_combine(mono, c) @ pairs[num.power][:, :, None])
+                         .sum(axis=1) for c in (num.a, num.b))
+    return {kind: out[_AB_FAMILY[kind]] for kind in kinds}
+
+
+def assemble(kind: str, a, b, j: Quaternion) -> np.ndarray:
+    """Kernel kind from its pair: K_L = A + B J, K_R = A + J B."""
+    return a + bq_scalar(qarr(j), b, "left" if kind.endswith("_R") else "right")
 
 
 def kernel_batch(kind: str, t: CommutingOperator, x: np.ndarray, y: np.ndarray,
                  j: Quaternion) -> np.ndarray:
     """Kernel values at the slice points x[k] + J y[k], shape (m, 4, n, n)."""
-    a, b = _ab_batch(kind, t, x, y)
-    return a + bq_scalar(qarr(j), b, "left" if kind.endswith("_R") else "right")
+    return assemble(kind, *point_pairs(t, x, y, (kind,))[kind], j)
 
 
 def kernel(kind: str, t: CommutingOperator, s) -> QuatMatrix:
@@ -458,7 +474,7 @@ def kernel(kind: str, t: CommutingOperator, s) -> QuatMatrix:
 
 def ab_decompose(kind: str, t: CommutingOperator, x: float, y: float):
     """J-independent pair (A, B) with K_L = A + B J and K_R = A + J B."""
-    a, b = _ab_batch(kind, t, float(x), float(y))
+    a, b = point_pairs(t, float(x), float(y), (kind,))[kind]
     return QuatMatrix(a[0]), QuatMatrix(b[0])
 
 

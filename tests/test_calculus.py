@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import counting_integrate, random_quaternion, scalar_operator
-from qcalc.calculus import (Evaluator, calc,
+from qcalc.calculus import (Evaluator, _rel, _two_point_kernels, calc,
                             derivative_combination_residual, hinf,
                             power_recurrence_residuals, power_reference,
                             product_rule_residuals,
                             resolvent_identity_residuals)
-from qcalc.errors import ClassMismatch, NotInjective, NotIntrinsic
-from qcalc.operators import CommutingOperator, TypeProfile, conj_op
+from qcalc.errors import ClassMismatch, NotInjective, NotIntrinsic, SpectrumHit
+from qcalc.operators import (KERNEL_KINDS, CommutingOperator, TypeProfile,
+                             conj_op, kernel, kernel_batch, stack_fro)
 from qcalc.quaternion import E1, Quaternion, to_slice
 from qcalc.slicefun import (Power, Product, Regularizer, Scale,
                             pointwise_fine, pow_fn, reg_fn)
@@ -235,7 +236,91 @@ class TestEvaluator:
             assert all(r[kind] is stored for r in results)
 
 
+def reference_identity_residuals(t, s, p):
+    """The identity residuals from ten separate kernel() calls, the
+    unfactored left-hand side and one _rel per comparison."""
+    tbar = conj_op(t)
+    w_inv = (p * p - 2.0 * s.re * p + Quaternion(s.norm_sq())).inverse()
+    sbar = s.conj()
+
+    def lhs(k_s, k_p):
+        expr = (k_s.scalar_mul(p, "right") - k_p.scalar_mul(p, "right")
+                - k_s.scalar_mul(sbar, "left") + k_p.scalar_mul(sbar, "left"))
+        return expr.scalar_mul(w_inv, "right")
+
+    sl_p, sr_s = kernel("S_L", t, p), kernel("S_R", t, s)
+    q_s, q_p = kernel("Qc", t, s), kernel("Qc", t, p)
+    sl_p_bar, sr_s_bar = kernel("S_L", tbar, p), kernel("S_R", tbar, s)
+    p2l_p, p2r_s = kernel("P2_L", t, p), kernel("P2_R", t, s)
+    fl_p, fr_s = kernel("F_L", t, p), kernel("F_R", t, s)
+    l_q = lhs(q_s, q_p)
+    return {
+        "resolvent_identity_S": _rel(lhs(sr_s, sl_p), sr_s @ sl_p),
+        "resolvent_identity_Q": max(_rel(l_q, q_s @ sl_p + sr_s_bar @ q_p),
+                                    _rel(l_q, q_s @ sl_p_bar + sr_s @ q_p)),
+        "resolvent_identity_P2": _rel(
+            lhs(p2r_s, p2l_p),
+            p2r_s @ sl_p + sr_s @ p2l_p - 2.0 * (q_s @ (sl_p - sl_p_bar))),
+        "resolvent_identity_F": _rel(
+            lhs(fr_s, fl_p), fr_s @ sl_p + sr_s @ fl_p - 4.0 * (q_s @ q_p)),
+    }
+
+
+@pytest.fixture(scope="module", params=[4, 8], ids=["n4", "n8"])
+def identity_cases(request):
+    gen = generate_operator(OperatorSpec(dim=request.param, seed=31))
+    rng = np.random.default_rng(request.param)
+    return gen.operator, [resolvent_pair(gen, rng) for _ in range(20)]
+
+
 class TestResolventIdentities:
+    def test_two_point_kernels_match_single_points(self, identity_cases):
+        # the batched pairs, assembled with each point's unit and
+        # conjugated for conj(T), give the single-point kernels
+        t, pairs = identity_cases
+        tbar = conj_op(t)
+        for s, p in pairs:
+            k = _two_point_kernels(t, s, p)
+            for kind in KERNEL_KINDS:
+                for at, q in enumerate((s, p)):
+                    sp = to_slice(q)
+                    for conj, op in ((False, t), (True, tbar)):
+                        want = kernel_batch(kind, op, np.array([sp.x]),
+                                            np.array([sp.y]), sp.j)[0]
+                        got = k(kind, at, conj).components
+                        assert stack_fro(got - want) <= 1e-15 * stack_fro(want)
+
+    def test_residuals_match_ten_kernel_reference(self, identity_cases):
+        t, pairs = identity_cases
+        for s, p in pairs:
+            got = resolvent_identity_residuals(t, s, p)
+            want = reference_identity_residuals(t, s, p)
+            assert got.keys() == want.keys()
+            for tag in want:
+                assert abs(got[tag] - want[tag]) <= 1e-13
+
+    def test_one_inversion_per_call(self, gen4, rng, monkeypatch):
+        s, p = resolvent_pair(gen4, rng)
+        calls, real_inv = [], np.linalg.inv
+
+        def counting_inv(a):
+            calls.append(np.shape(a))
+            return real_inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        resolvent_identity_residuals(gen4.operator, s, p)
+        assert calls == [(2, 4, 4)]  # both points in one batch
+
+    def test_rejects_spectrum_points(self, gen4, rng, unit_q):
+        # a point on an eigensphere, with a unit of its own, is refused
+        # whether it is s or p
+        eig = to_slice(gen4.eigenvalues[0])
+        on_sphere = Quaternion(eig.x) + unit_q * eig.y
+        _, off = resolvent_pair(gen4, rng)
+        for s, p in ((on_sphere, off), (off, on_sphere)):
+            with pytest.raises(SpectrumHit):
+                resolvent_identity_residuals(gen4.operator, s, p)
+
     def test_residuals_small(self, gen4, rng):
         for _ in range(50):
             s, p = resolvent_pair(gen4, rng)

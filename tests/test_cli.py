@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qcalc import suites
 from qcalc.cli import main, parse_unit
 from qcalc.operators import CommutingOperator, operator_to_text
 from qcalc.quaternion import E1, E2
@@ -93,6 +94,26 @@ class TestRun:
         op_file = tmp_path / "nonnormal.txt"
         op_file.write_text(operator_to_text(CommutingOperator(comps)))
         assert main(["run", "oracle", "--operator", str(op_file)]) == 0
+
+    def test_loaded_operator_keeps_its_dimension(self, tmp_path,
+                                                 monkeypatch):
+        # --dim (default 4) must not override the file's dimension: the
+        # report and the injectivity guard's zero operator follow the file
+        op_file, out = tmp_path / "op.txt", tmp_path / "out"
+        assert main(["generate", "--dim", "2", "--seed", "5",
+                     "--out", str(op_file)]) == 0
+        sizes, real_hinf = [], suites.hinf
+
+        def recording_hinf(kind, t, *args, **kwargs):
+            sizes.append(t.n)
+            return real_hinf(kind, t, *args, **kwargs)
+
+        monkeypatch.setattr(suites, "hinf", recording_hinf)
+        assert main(["run", "hinf", "--seed", "5", "--operator", str(op_file),
+                     "--report", str(out)]) == 0
+        data = json.loads((out / "hinf_report.json").read_text())
+        assert data["operator"]["dim"] == 2
+        assert sizes == [2]
 
     @pytest.mark.parametrize("t0", [[[0.0, -1.0], [1.0, 0.0]],   # rotation
                                     [[1.0, 1.0], [0.0, 1.0]]])   # Jordan block
