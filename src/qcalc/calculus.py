@@ -24,11 +24,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import operators
 from .contour import OperatorKernel, contour_for, integrate
 from .errors import NotInjective, NotIntrinsic
 from .operators import (KERNEL_KINDS, CommutingOperator, QuatMatrix,
                         TypeProfile, adjoint, assemble, bq_conj, conj_op,
-                        estimate_type_profile, point_pairs, stack_norm)
+                        estimate_type_profile, stack_norm)
 from .quaternion import E1, Quaternion, to_slice
 
 CALC_KINDS = ("S", "Q", "P2", "F")
@@ -330,34 +331,27 @@ def hinf(kind: str, t: CommutingOperator, f, profile: TypeProfile, *,
 # Algebraic resolvent identities (no quadrature).
 # ---------------------------------------------------------------------------
 
-def _two_point_kernels(t: CommutingOperator, s: Quaternion, p: Quaternion):
-    """k(kind, at, conj=False): the kernel of T, or of conj(T) for conj, at
-    s (at = 0) or p (at = 1), each with its own unit, all from one two-point
-    batch of J-independent pairs (see point_pairs)."""
-    points = (to_slice(s), to_slice(p))
-    pairs = point_pairs(t, [q.x for q in points], [q.y for q in points],
-                        KERNEL_KINDS)
-
-    def k(kind: str, at: int, conj: bool = False) -> QuatMatrix:
-        a, b = (bq_conj(c[at]) if conj else c[at] for c in pairs[kind])
-        return QuatMatrix(assemble(kind, a, b, points[at].j))
-
-    return k
-
-
 def resolvent_identity_residuals(t: CommutingOperator, s: Quaternion,
                                  p: Quaternion) -> dict[str, float]:
     """Residuals of the four two-point kernel identities at (s, p), s not in [p].
 
     Each residual is the operator 2-norm of LHS - RHS divided by
-    max(1, ||RHS||); the ten norms come from one batched SVD.
+    max(1, ||RHS||).  All ten kernels come from one two-point kernel_batch
+    call, and the ten norms from one batched SVD.
     """
     w = p * p - 2.0 * s.re * p + Quaternion(s.norm_sq())
     if w.norm() < 1e-12:
         raise ValueError("s and p lie on a common sphere; identities degenerate")
     w_inv = w.inverse()
     sbar = s.conj()
-    k = _two_point_kernels(t, s, p)
+    points = (to_slice(s), to_slice(p))
+    pairs = operators.kernel_batch(KERNEL_KINDS, t, [q.x for q in points],
+                                   [q.y for q in points], None)
+
+    def k(kind: str, at: int, conj: bool = False) -> QuatMatrix:
+        # kind at s (at 0) or p (at 1) with its own unit, of conj(T) if conj
+        a, b = (bq_conj(c[at]) if conj else c[at] for c in pairs[kind])
+        return QuatMatrix(assemble(kind, a, b, points[at].j))
 
     def lhs(k_s: QuatMatrix, k_p: QuatMatrix) -> QuatMatrix:
         d = k_s - k_p
@@ -376,9 +370,8 @@ def resolvent_identity_residuals(t: CommutingOperator, s: Quaternion,
          p2r_s @ sl_p + sr_s @ p2l_p - 2.0 * (q_s @ (sl_p - sl_p_bar))),
         (lhs(fr_s, fl_p), fr_s @ sl_p + sr_s @ fl_p - 4.0 * (q_s @ q_p)),
     ]
-    norms = stack_norm(np.stack([(a - b).components for a, b in checks]
-                                + [b.components for _, b in checks]))
-    rel = (norms[:5] / np.maximum(1.0, norms[5:])).tolist()
+    rel = _rel_stack(*(np.stack([m.components for m in side])
+                       for side in zip(*checks))).tolist()
     return {f"resolvent_identity_{tag}": r for tag, r in
             zip(("S", "Q", "P2", "F"), (rel[0], max(rel[1:3]), *rel[3:]))}
 
@@ -387,9 +380,15 @@ def resolvent_identity_residuals(t: CommutingOperator, s: Quaternion,
 # Theorem-shaped residual helpers shared by the suites and the test suite.
 # ---------------------------------------------------------------------------
 
+def _rel_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_rel over component stacks a, b (..., 4, n, n), from one batched SVD."""
+    norms = stack_norm(np.stack([a - b, b]))
+    return norms[0] / np.maximum(1.0, norms[1])
+
+
 def _rel(a: QuatMatrix, b: QuatMatrix) -> float:
     """Residual ||a - b|| / max(1, ||b||) of a against the reference b."""
-    return (a - b).norm() / max(1.0, b.norm())
+    return float(_rel_stack(a.components, b.components))
 
 
 def product_rule_residuals(ev: Evaluator, g, f, *, regime: str,

@@ -433,35 +433,33 @@ def _squared(pair: np.ndarray) -> np.ndarray:
     return np.stack([a1 @ a1 - b1 @ b1, a1 @ b1], axis=1)
 
 
-def point_pairs(t: CommutingOperator, x, y, kinds) -> dict:
-    """{kind: (A, B)} at the nodes (x[k], y[k]), each (m, 4, n, n): one Qc
-    pair (one inversion of R) per node and one squared pair serve all kinds;
-    conj(T)'s pairs are the entrywise conjugates (bq_conj) of T's."""
-    if not set(kinds) <= set(KERNEL_KINDS):
-        raise ValueError(f"unknown kernel kind in {kinds!r}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    pair, scale, _ = _chain(t, x, y, upto="Qc")
-    pairs, out = {1: pair}, {}
-    for fam in dict.fromkeys(_AB_FAMILY[kind] for kind in kinds):
-        num = t.kernel_numerators[fam]
-        if num.power not in pairs:
-            pairs[num.power] = _squared(pair)
-        mono = _monomials(num.exps, x, y, scale, 2 * num.power)
-        out[fam] = tuple((_combine(mono, c) @ pairs[num.power][:, :, None])
-                         .sum(axis=1) for c in (num.a, num.b))
-    return {kind: out[_AB_FAMILY[kind]] for kind in kinds}
-
-
 def assemble(kind: str, a, b, j: Quaternion) -> np.ndarray:
     """Kernel kind from its pair: K_L = A + B J, K_R = A + J B."""
     return a + bq_scalar(qarr(j), b, "left" if kind.endswith("_R") else "right")
 
 
-def kernel_batch(kind: str, t: CommutingOperator, x: np.ndarray, y: np.ndarray,
-                 j: Quaternion) -> np.ndarray:
-    """Kernel values at the slice points x[k] + J y[k], shape (m, 4, n, n)."""
-    return assemble(kind, *point_pairs(t, x, y, (kind,))[kind], j)
+def kernel_batch(kind, t: CommutingOperator, x, y, j: Quaternion | None):
+    """Kernel values at the slice points x[k] + J y[k], shape (m, 4, n, n);
+    a dict by kind for a tuple of kinds, and each kind's J-independent pair
+    (A, B) (see assemble) for j None.  One Qc pair (one inversion of R) per
+    node and one squared pair serve all kinds; conj(T)'s pairs are the
+    entrywise conjugates (bq_conj) of T's."""
+    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
+    if not set(kinds) <= set(KERNEL_KINDS):
+        raise ValueError(f"unknown kernel kind in {kind!r}")
+    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
+    pair, scale, _ = _chain(t, x, y, upto="Qc")
+    nums = {_AB_FAMILY[k]: t.kernel_numerators[_AB_FAMILY[k]] for k in kinds}
+    sq = _squared(pair) if any(n.power == 2 for n in nums.values()) else None
+    ab = {}
+    for fam, num in nums.items():
+        mono = _monomials(num.exps, x, y, scale, 2 * num.power)
+        g = sq if num.power == 2 else pair
+        ab[fam] = tuple((_combine(mono, c) @ g[:, :, None]).sum(axis=1)
+                        for c in (num.a, num.b))
+    out = {k: ab[_AB_FAMILY[k]] if j is None
+           else assemble(k, *ab[_AB_FAMILY[k]], j) for k in kinds}
+    return out[kind] if isinstance(kind, str) else out
 
 
 def kernel(kind: str, t: CommutingOperator, s) -> QuatMatrix:
@@ -474,8 +472,8 @@ def kernel(kind: str, t: CommutingOperator, s) -> QuatMatrix:
 
 def ab_decompose(kind: str, t: CommutingOperator, x: float, y: float):
     """J-independent pair (A, B) with K_L = A + B J and K_R = A + J B."""
-    a, b = point_pairs(t, float(x), float(y), (kind,))[kind]
-    return QuatMatrix(a[0]), QuatMatrix(b[0])
+    return tuple(QuatMatrix(c[0])
+                 for c in kernel_batch(kind, t, float(x), float(y), None))
 
 
 def q_inverse(t: CommutingOperator, s) -> QuatMatrix:

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import counting_integrate, random_quaternion, scalar_operator
-from qcalc.calculus import (Evaluator, _rel, _two_point_kernels, calc,
+from qcalc.calculus import (Evaluator, _rel, calc,
                             derivative_combination_residual, hinf,
                             power_recurrence_residuals, power_reference,
                             product_rule_residuals,
                             resolvent_identity_residuals)
 from qcalc.errors import ClassMismatch, NotInjective, NotIntrinsic, SpectrumHit
 from qcalc.operators import (KERNEL_KINDS, CommutingOperator, TypeProfile,
-                             conj_op, kernel, kernel_batch, stack_fro)
+                             assemble, bq_conj, conj_op, kernel, kernel_batch,
+                             stack_fro)
 from qcalc.quaternion import E1, Quaternion, to_slice
 from qcalc.slicefun import (Power, Product, Regularizer, Scale,
                             pointwise_fine, pow_fn, reg_fn)
@@ -275,20 +276,26 @@ def identity_cases(request):
 
 class TestResolventIdentities:
     def test_two_point_kernels_match_single_points(self, identity_cases):
-        # the batched pairs, assembled with each point's unit and
-        # conjugated for conj(T), give the single-point kernels
+        # one two-point batch of pairs, assembled with each point's unit and
+        # conjugated for conj(T), gives the single-point kernels
         t, pairs = identity_cases
         tbar = conj_op(t)
         for s, p in pairs:
-            k = _two_point_kernels(t, s, p)
-            for kind in KERNEL_KINDS:
-                for at, q in enumerate((s, p)):
-                    sp = to_slice(q)
+            points = (to_slice(s), to_slice(p))
+            batch = kernel_batch(KERNEL_KINDS, t, [q.x for q in points],
+                                 [q.y for q in points], None)
+            for at, sp in enumerate(points):
+                values = kernel_batch(KERNEL_KINDS, t, [sp.x], [sp.y], sp.j)
+                for kind in KERNEL_KINDS:
                     for conj, op in ((False, t), (True, tbar)):
                         want = kernel_batch(kind, op, np.array([sp.x]),
                                             np.array([sp.y]), sp.j)[0]
-                        got = k(kind, at, conj).components
+                        a, b = (bq_conj(c[at]) if conj else c[at]
+                                for c in batch[kind])
+                        got = assemble(kind, a, b, sp.j)
                         assert stack_fro(got - want) <= 1e-15 * stack_fro(want)
+                    assert np.array_equal(values[kind][0], kernel_batch(
+                        kind, t, [sp.x], [sp.y], sp.j)[0])
 
     def test_residuals_match_ten_kernel_reference(self, identity_cases):
         t, pairs = identity_cases

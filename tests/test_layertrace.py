@@ -48,3 +48,26 @@ def test_traced_public_calls():
     assert metrics["operators.chain.calls"][0] > 0
     after = layertrace.originals()
     assert all(a is b for (_, _, a), (_, _, b) in zip(after, before))
+
+
+def test_identity_check_is_one_point_span():
+    # the identity check's one pseudo-resolvent inversion is a point-kernel
+    # evaluation (operators.kernel_batch), so the trace attributes it there
+    layertrace = _load_layertrace()
+    t = qcalc.generate_operator(qcalc.OperatorSpec(dim=2, seed=3)).operator
+    s = qcalc.Quaternion(-1.0, 0.5, 0.0, 0.0)
+    p = qcalc.Quaternion(-0.5, 0.0, 1.2, 0.0)
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("bench.op"):
+            qcalc.resolvent_identity_residuals(t, s, p)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("operators.point") == 1
+    (inv,) = [span for span in tracer.spans if span[0] == "numpy.inv"]
+    assert tracer.spans[inv[3]][0] == "operators.point"
+    metrics = layertrace.derive(tracer.spans, 1)
+    assert metrics["operators.point.calls"][0] == 1
+    assert metrics["operators.inv.s"][0] > 0
