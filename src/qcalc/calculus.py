@@ -345,6 +345,7 @@ def resolvent_identity_residuals(t: CommutingOperator, s: Quaternion,
     w_inv = w.inverse()
     sbar = s.conj()
     points = (to_slice(s), to_slice(p))
+    # looked up on its module, where qbench's layer trace wraps it
     pairs = operators.kernel_batch(KERNEL_KINDS, t, [q.x for q in points],
                                    [q.y for q in points], None)
 
