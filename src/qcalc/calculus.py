@@ -115,8 +115,8 @@ def _angles(profile: TypeProfile, theta, phi):
     return theta, phi
 
 
-def _require_injective(t: CommutingOperator, label: str) -> None:
-    sv = np.linalg.svd(adjoint(t.components), compute_uv=False)
+def _require_injective(comps: np.ndarray, label: str) -> None:
+    sv = np.linalg.svd(adjoint(comps), compute_uv=False)
     if sv[-1] <= INJECTIVITY_FACTOR * max(sv[0], 1e-300):
         raise NotInjective(f"{label} is numerically non-injective")
 
@@ -247,8 +247,8 @@ class Evaluator:
     def _hinf(self, kind, f, tol, regularizer_power) -> CalculusResult:
         from .slicefun import Product, Regularizer, choose_regularizer
 
-        _require_injective(self.t, "T")
-        _require_injective(conj_op(self.t), "conj(T)")
+        _require_injective(self.t.components, "T")
+        _require_injective(bq_conj(self.t.components), "conj(T)")
         if regularizer_power is None:
             e = choose_regularizer(f, self.profile.alpha, self.profile.beta,
                                    self.theta)
@@ -443,7 +443,7 @@ def power_recurrence_residuals(ev: Evaluator, f, n_max: int, *,
                     ev.theta)
 
     tq = ev.t.as_qmatrix()
-    tbq = conj_op(ev.t).as_qmatrix()
+    tbq = QuatMatrix(bq_conj(ev.t.components))
 
     def evaluate(kind, h, conj=False):
         return ev.calc(kind, h, tol=tol, conj=conj)
@@ -490,7 +490,7 @@ def power_reference(kind: str, t: CommutingOperator, n: int) -> QuatMatrix:
     T^(k-1).
     """
     tq = t.as_qmatrix()
-    tbq = conj_op(t).as_qmatrix()
+    tbq = QuatMatrix(bq_conj(t.components))
     if kind == "S":
         return tq.matpow(n)
     if kind == "Q" or kind == "P2":

@@ -1,22 +1,23 @@
 """Command-line harness: generate operators, run theorem suites, emit reports.
 
-    qcalc run <suite> [--dim N] [--seed S] [--tol T] [--angles p1,p2]
-              [--units J1,J2] [--config PATH] [--report DIR] [--parallel]
-              [--diag] [--operator FILE] [--n-max K] [--pairs N]
+    qcalc run <suite> [--dim N] [--seed S] [--annulus r0,r1] [--omega W]
+              [--diag] [--operator FILE] [--tol T] [--theta A]
+              [--angles p1,p2] [--units J1,J2] [--n-max K] [--pairs N]
+              [--config PATH] [--report DIR] [--parallel]
     qcalc generate [--dim N] [--seed S] [--annulus r0,r1] [--omega W]
-              [--diag] [--out FILE]
+              [--diag] [--config PATH] [--out FILE]
 
 Config files are INI-style `key = value` lines with sections [operator],
-[quadrature] and [suites]; command-line flags override file values.
+[quadrature] and [suites] (see _SETTINGS); flags override file values,
+and a setting set by neither keeps its OperatorSpec or SuiteContext default.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -24,33 +25,24 @@ from . import __version__
 from .errors import QCalcError
 from .operators import load_operator, operator_to_text
 from .quaternion import Quaternion
-from .suites import (SUITE_NAMES, E12, GeneratedOperator, OperatorSpec,
+from .suites import (SUITE_NAMES, GeneratedOperator, OperatorSpec,
                      SuiteContext, generate_operator, run_suite, write_report)
 
-_UNIT_NAMES = {
-    "e1": Quaternion(0, 1, 0, 0),
-    "e2": Quaternion(0, 0, 1, 0),
-    "e3": Quaternion(0, 0, 0, 1),
-    "e12": E12,
-    "e13": Quaternion(0, 1, 0, 1) * (1.0 / math.sqrt(2.0)),
-    "e23": Quaternion(0, 0, 1, 1) * (1.0 / math.sqrt(2.0)),
-    "e123": Quaternion(0, 1, 1, 1) * (1.0 / math.sqrt(3.0)),
-}
+# named imaginary units, as the x:y:z components they normalise
+_UNIT_NAMES = {"e1": "1:0:0", "e2": "0:1:0", "e3": "0:0:1", "e12": "1:1:0",
+               "e13": "1:0:1", "e23": "0:1:1", "e123": "1:1:1"}
 
 
 def parse_unit(token: str) -> Quaternion:
     token = token.strip().lower()
-    if token in _UNIT_NAMES:
-        return _UNIT_NAMES[token]
-    parts = token.split(":")
-    if len(parts) == 3:
-        v = Quaternion(0.0, float(parts[0]), float(parts[1]), float(parts[2]))
-        n = v.norm()
-        if n == 0.0:
-            raise ValueError("unit must be nonzero")
-        return v * (1.0 / n)
-    raise ValueError(f"unknown imaginary unit {token!r} "
-                     f"(use e1/e2/e3/e12/e13/e23/e123 or x:y:z components)")
+    parts = _UNIT_NAMES.get(token, token).split(":")
+    if len(parts) != 3:
+        raise ValueError(f"unknown imaginary unit {token!r} (use e1/e2/e3/"
+                         f"e12/e13/e23/e123 or x:y:z components)")
+    v = Quaternion(0.0, *(float(c) for c in parts))
+    if v.norm() == 0.0:
+        raise ValueError("unit must be nonzero")
+    return v * (1.0 / v.norm())
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
@@ -60,92 +52,89 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return parts[0], parts[1]
 
 
-# largest condition number of a loaded operator's recovered eigenbasis
-_MAX_BASIS_COND = 1e8
+def _parse_units(text: str) -> tuple[Quaternion, ...]:
+    return tuple(parse_unit(u) for u in text.split(","))
 
-_DEFAULTS = {
-    "dim": 4, "seed": 7, "annulus": (0.5, 2.0), "omega": math.pi / 4.0,
-    "diag": False, "operator": None,
-    "tol": 1e-9, "theta": None, "angles": None, "units": (("e1", "e12")),
-    "n_max": 5, "pairs": 50,
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError("expected a boolean such as yes or no") from None
+
+
+# setting -> (INI section, INI key, parser of its text); a setting is also
+# its flag's dest.  "operator" is a file to load; the other settings are
+# fields of OperatorSpec or SuiteContext, which hold their defaults.
+_SETTINGS = {
+    "dim": ("operator", "dim", int),
+    "seed": ("operator", "seed", int),
+    "annulus": ("operator", "annulus", _parse_pair),
+    "omega": ("operator", "omega", float),
+    "diagonal": ("operator", "diag", _parse_bool),
+    "operator": ("operator", "file", str),
+    "tol": ("quadrature", "tol", float),
+    "theta": ("quadrature", "theta", float),
+    "angles": ("quadrature", "angles", _parse_pair),
+    "units": ("quadrature", "units", _parse_units),
+    "n_max": ("suites", "n_max", int),
+    "pairs": ("suites", "pairs", int),
 }
 
 
-def load_config(path: str) -> dict:
-    """Read the line-oriented key = value config with its three sections."""
+def load_config(path: str) -> dict[str, str]:
+    """Texts of the settings an INI file sets, by setting name; a section
+    or key that _SETTINGS does not hold is an error."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise QCalcError(f"cannot read config file {path!r}")
-    out: dict = {}
-    if parser.has_section("operator"):
-        sec = parser["operator"]
-        if "dim" in sec:
-            out["dim"] = sec.getint("dim")
-        if "seed" in sec:
-            out["seed"] = sec.getint("seed")
-        if "annulus" in sec:
-            out["annulus"] = _parse_pair(sec["annulus"])
-        if "omega" in sec:
-            out["omega"] = sec.getfloat("omega")
-        if "diag" in sec:
-            out["diag"] = sec.getboolean("diag")
-        if "file" in sec:
-            out["operator"] = sec["file"]
-    if parser.has_section("quadrature"):
-        sec = parser["quadrature"]
-        if "tol" in sec:
-            out["tol"] = sec.getfloat("tol")
-        if "theta" in sec:
-            out["theta"] = sec.getfloat("theta")
-        if "angles" in sec:
-            out["angles"] = _parse_pair(sec["angles"])
-        if "units" in sec:
-            out["units"] = tuple(v.strip() for v in sec["units"].split(","))
-    if parser.has_section("suites"):
-        sec = parser["suites"]
-        if "n_max" in sec:
-            out["n_max"] = sec.getint("n_max")
-        if "pairs" in sec:
-            out["pairs"] = sec.getint("pairs")
+    names = {(sec, key): name for name, (sec, key, _) in _SETTINGS.items()}
+    out = {}
+    for sec in parser.sections():
+        if sec not in {s for s, _, _ in _SETTINGS.values()}:
+            raise QCalcError(f"config file {path!r}: unknown section [{sec}]")
+        for key, text in parser.items(sec):
+            if (sec, key) not in names:
+                raise QCalcError(f"config file {path!r}: unknown key {key!r} "
+                                 f"in section [{sec}]")
+            out[names[sec, key]] = text
     return out
 
 
-def _merged_options(args) -> dict:
-    opts = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        opts.update(load_config(args.config))
-    for key in ("dim", "seed", "tol", "theta", "n_max", "pairs", "omega"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            opts[key] = val
-    if getattr(args, "annulus", None) is not None:
-        opts["annulus"] = _parse_pair(args.annulus)
-    if getattr(args, "angles", None) is not None:
-        opts["angles"] = _parse_pair(args.angles)
-    if getattr(args, "units", None) is not None:
-        opts["units"] = tuple(v.strip() for v in args.units.split(","))
-    if getattr(args, "diag", False):
-        opts["diag"] = True
-    if getattr(args, "operator", None):
-        opts["operator"] = args.operator
-    return opts
+def _settings(args) -> dict:
+    """The parsed settings of the config file and the flags, flags winning.
+    A setting neither sets is absent, so its dataclass default applies."""
+    texts = load_config(args.config) if args.config else {}
+    texts.update({name: getattr(args, name) for name in _SETTINGS
+                  if getattr(args, name, None) is not None})
+    out = {}
+    for name, text in texts.items():
+        _, key, parse = _SETTINGS[name]
+        try:
+            out[name] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"bad {key} {text!r}: {exc}") from None
+    return out
 
 
-def _build_context(opts) -> SuiteContext:
-    spec = OperatorSpec(dim=opts["dim"], seed=opts["seed"],
-                        annulus=tuple(opts["annulus"]), omega=opts["omega"],
-                        diagonal=opts["diag"])
-    if opts.get("operator"):
-        op = load_operator(opts["operator"])
+def _from_settings(cls, settings: dict, **given):
+    """cls from the settings named as its fields; the rest keep defaults."""
+    names = {f.name for f in fields(cls)}
+    return cls(**given, **{k: v for k, v in settings.items() if k in names})
+
+
+def _build_context(settings: dict) -> SuiteContext:
+    spec = _from_settings(OperatorSpec, settings)
+    if settings.get("operator"):
+        op = load_operator(settings["operator"])
         gen = _wrap_loaded(op, replace(spec, dim=op.n))
     else:
         gen = generate_operator(spec)
-    units = tuple(parse_unit(u) for u in opts["units"])
-    return SuiteContext(gen, tol=opts["tol"], theta=opts["theta"],
-                        angles=opts["angles"], units=units,
-                        n_max=opts["n_max"], pairs=opts["pairs"],
-                        seed=opts["seed"])
+    return _from_settings(SuiteContext, settings, gen=gen)
+
+
+# largest condition number of a loaded operator's recovered eigenbasis
+_MAX_BASIS_COND = 1e8
 
 
 def _wrap_loaded(op, spec: OperatorSpec) -> GeneratedOperator:
@@ -174,25 +163,20 @@ def _wrap_loaded(op, spec: OperatorSpec) -> GeneratedOperator:
 
 
 def cmd_generate(args) -> int:
-    opts = _merged_options(args)
-    spec = OperatorSpec(dim=opts["dim"], seed=opts["seed"],
-                        annulus=tuple(opts["annulus"]), omega=opts["omega"],
-                        diagonal=opts["diag"])
-    gen = generate_operator(spec)
+    gen = generate_operator(_from_settings(OperatorSpec, _settings(args)))
     text = operator_to_text(gen.operator)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        print(f"wrote dim-{spec.dim} operator to {args.out}")
+        print(f"wrote dim-{gen.spec.dim} operator to {args.out}")
     else:
         sys.stdout.write(text)
     return 0
 
 
 def cmd_run(args) -> int:
-    opts = _merged_options(args)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    ctx = _build_context(opts)
+    ctx = _build_context(_settings(args))
     ok = True
     for name in names:
         report = run_suite(name, ctx, parallel=args.parallel)
@@ -207,6 +191,18 @@ def cmd_run(args) -> int:
     return 0 if ok else 1
 
 
+def _add_operator_flags(parser: argparse.ArgumentParser) -> None:
+    # flags take text: _settings parses it as it parses the config file
+    parser.add_argument("--dim")
+    parser.add_argument("--seed")
+    parser.add_argument("--annulus", help="eigenvalue modulus range r0,r1")
+    parser.add_argument("--omega")
+    parser.add_argument("--diag", dest="diagonal", action="store_const",
+                        const="yes",
+                        help="diagonal components (no orthogonal conjugation)")
+    parser.add_argument("--config", help="INI config path")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="qcalc",
@@ -217,32 +213,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a theorem suite")
     run.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    run.add_argument("--dim", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--tol", type=float)
-    run.add_argument("--theta", type=float)
-    run.add_argument("--omega", type=float)
+    _add_operator_flags(run)
+    run.add_argument("--operator", help="load operator from text file")
+    run.add_argument("--tol")
+    run.add_argument("--theta")
     run.add_argument("--angles", help="two contour angles, comma separated")
     run.add_argument("--units", help="imaginary units, e.g. e1,e12")
-    run.add_argument("--annulus", help="eigenvalue modulus range r0,r1")
-    run.add_argument("--n-max", dest="n_max", type=int)
-    run.add_argument("--pairs", type=int)
-    run.add_argument("--diag", action="store_true",
-                     help="diagonal components (no orthogonal conjugation)")
-    run.add_argument("--operator", help="load operator from text file")
-    run.add_argument("--config", help="INI config path")
+    run.add_argument("--n-max", dest="n_max")
+    run.add_argument("--pairs")
     run.add_argument("--report", help="directory for JSON + CSV reports")
     run.add_argument("--parallel", action="store_true",
                      help="run independent check groups concurrently")
     run.set_defaults(func=cmd_run)
 
     gen = sub.add_parser("generate", help="emit an operator in text format")
-    gen.add_argument("--dim", type=int)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--annulus", help="eigenvalue modulus range r0,r1")
-    gen.add_argument("--omega", type=float)
-    gen.add_argument("--diag", action="store_true")
-    gen.add_argument("--config", help="INI config path")
+    _add_operator_flags(gen)
     gen.add_argument("--out", "-o", help="output file (stdout when absent)")
     gen.set_defaults(func=cmd_generate)
     return top
@@ -252,7 +237,7 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (QCalcError, ValueError, OSError) as exc:
+    except (QCalcError, ValueError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -50,6 +50,7 @@ class SectorContour:
     tol: float = 1e-9
 
     def __post_init__(self):
+        _require_positive_tol(self.tol)
         if not 0.0 < self.phi < math.pi:
             raise ValueError("contour angle must lie in (0, pi)")
         if abs(self.unit.s0) > 1e-9 or abs(self.unit.norm() - 1.0) > 1e-9:
@@ -58,11 +59,17 @@ class SectorContour:
             raise ValueError("truncation radii must satisfy 0 < t_min < 1 < t_max")
 
 
+def _require_positive_tol(tol: float) -> None:
+    if not tol > 0.0:  # NaN too; tol = inf asks for no refinement
+        raise ValueError(f"tolerance must be positive, got tol={tol!r}")
+
+
 def _one_sided_radius(delta: float, c: float, tol: float, side: str) -> float:
     # bound 2 C t**delta / delta <= tol / 20 near zero (mirrored at
     # infinity); the min(delta, 1) keeps extra headroom for delta > 1
     if delta <= 0.0:
         raise ValueError("decay rate delta must be positive")
+    _require_positive_tol(tol)
     if not math.isfinite(tol):
         return 1.0
     base = min(delta, 1.0) * tol / (40.0 * max(c, 1e-300))

@@ -16,7 +16,7 @@ operator and a batch of nodes costs one real n x n inversion per node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -231,29 +231,13 @@ class CommutingOperator:
     @cached_property
     def kernel_numerators(self) -> dict:
         """The Qc numerators "Qc pair" and a KernelNumerator per family (Qc,
-        S, F, P2) as polynomial coefficient tensors, built once; conj(T)
-        takes the entrywise conjugates of T's families (its Qc pair is the
-        same) when T's exist."""
-        bar = self.__dict__.get("_conj")
-        if bar is not None and "kernel_numerators" in bar.__dict__:
-            return {fam: replace(num, a=bq_conj(num.a), b=bq_conj(num.b))
-                    if isinstance(num, KernelNumerator) else num
-                    for fam, num in bar.kernel_numerators.items()}
+        S, F, P2) as polynomial coefficient tensors, built once."""
         return _kernel_numerators(self)
 
 
 def conj_op(t: CommutingOperator) -> CommutingOperator:
-    """Conjugate operator (T0, -T1, -T2, -T3); involutive.  It is built once
-    and linked both ways, so conj_op(conj_op(t)) is t and the two share
-    their kernel numerators."""
-    bar = t.__dict__.get("_conj")
-    if bar is None:
-        comps = t.components.copy()
-        comps[1:] *= -1.0
-        bar = CommutingOperator(comps)
-        object.__setattr__(bar, "_conj", t)
-        object.__setattr__(t, "_conj", bar)
-    return bar
+    """Conjugate operator (T0, -T1, -T2, -T3); involutive."""
+    return CommutingOperator(bq_conj(t.components))
 
 
 def modulus_sq(t: CommutingOperator) -> np.ndarray:

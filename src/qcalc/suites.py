@@ -13,7 +13,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -107,9 +107,11 @@ class SuiteContext:
     units: tuple[Quaternion, ...] = (E1, E12)
     n_max: int = 5
     pairs: int = 50
-    seed: int = 7
 
     def __post_init__(self):
+        if self.pairs < 1 or self.n_max < 1:
+            raise ValueError(f"pairs and n_max must be at least 1, got "
+                             f"pairs={self.pairs}, n_max={self.n_max}")
         omega = self.gen.spec.omega
         if self.theta is None:
             self.theta = default_theta(omega)
@@ -146,7 +148,7 @@ class SuiteContext:
             return self._evaluator
 
     def rng(self, salt: int = 0) -> np.random.Generator:
-        return np.random.default_rng(self.seed + 1000 * salt)
+        return np.random.default_rng(self.gen.spec.seed + 1000 * salt)
 
     def random_resolvent_point(self, rng) -> Quaternion:
         """Random quaternion staying clear of every eigensphere."""
@@ -329,8 +331,7 @@ def _suite_hinf(ctx: SuiteContext):
     groups.append(("hinf_agreement", agreement))
 
     def injectivity_guard():
-        zero = CommutingOperator(np.zeros((4, ctx.gen.spec.dim,
-                                           ctx.gen.spec.dim)))
+        zero = CommutingOperator(np.zeros((4, ctx.operator.n, ctx.operator.n)))
         try:
             hinf("S", zero, Power(1), ctx.profile, theta=ctx.theta)
         except NotInjective:
@@ -481,9 +482,10 @@ def _suite_kernels(ctx: SuiteContext):
                 worst_comp = max(worst_comp, ni - nk)
             worst_conj_norm = max(worst_conj_norm, k.conj().norm() - 2.0 * nk)
             count += 1
+        t_bar = conj_op(t)
         for _ in range(10):
             s = ctx.random_resolvent_point(rng)
-            lhs = kernel("S_L", conj_op(t), s)
+            lhs = kernel("S_L", t_bar, s)
             rhs = kernel("S_R", t, s.conj()).conj()
             worst_conj_rel = max(worst_conj_rel, _rel(lhs, rhs))
         return [("component_norms", max(worst_comp, 0.0), 1e-12),
@@ -570,18 +572,15 @@ def run_suite(name: str, ctx: SuiteContext, parallel: bool = False) -> SuiteRepo
     groups = _SUITE_BUILDERS[name](ctx)
     checks = _run_groups(groups, parallel)
     spec = ctx.gen.spec
-    report = SuiteReport(
+    return SuiteReport(
         suite=name,
-        operator={"dim": spec.dim, "seed": spec.seed,
-                  "annulus": list(spec.annulus), "omega": spec.omega,
-                  "diagonal": spec.diagonal},
+        operator={**asdict(spec), "annulus": list(spec.annulus)},
         checks=checks,
-        env={"seed": ctx.seed, "tol": ctx.tol, "theta": ctx.theta,
+        env={"seed": spec.seed, "tol": ctx.tol, "theta": ctx.theta,
              "angles": list(ctx.angles),
              "units": [list(u.components) for u in ctx.units],
              "n_max": ctx.n_max, "pairs": ctx.pairs, "parallel": parallel},
     )
-    return report
 
 
 def write_report(report: SuiteReport, directory) -> tuple[str, str]:

@@ -46,7 +46,7 @@ def gen4():
 
 @pytest.fixture(scope="session")
 def ctx4(gen4):
-    return SuiteContext(gen4, seed=11)
+    return SuiteContext(gen4)
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +56,7 @@ def gen_diag3():
 
 @pytest.fixture(scope="session")
 def ctx_diag3(gen_diag3):
-    return SuiteContext(gen_diag3, seed=23)
+    return SuiteContext(gen_diag3)
 
 
 @pytest.fixture(scope="session")

@@ -100,6 +100,12 @@ class TestDecayingCalculi:
         with pytest.raises(ValueError):
             calc("S", gen4.operator, reg_fn(2), bad2)
 
+    @pytest.mark.parametrize("tol", [-1e-9, 0.0, math.nan])
+    @pytest.mark.parametrize("value_of", [calc, hinf], ids=["calc", "hinf"])
+    def test_rejects_nonpositive_tol(self, ctx4, gen4, value_of, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            value_of("S", gen4.operator, reg_fn(2), ctx4.profile, tol=tol)
+
     def test_angle_and_unit_independence(self, ctx4, gen4):
         f = reg_fn(2)
         omega = gen4.spec.omega
@@ -139,8 +145,7 @@ class TestDecayingCalculi:
     def test_value_ignores_other_certificates(self):
         # certifying f for another class must not move the contour of a
         # later value, so that a value depends on its memo key only
-        ctx = SuiteContext(generate_operator(OperatorSpec(dim=4, seed=7)),
-                           seed=7)
+        ctx = SuiteContext(generate_operator(OperatorSpec(dim=4, seed=7)))
         f = Regularizer(4)
         before = calc("S", ctx.operator, f, ctx.profile)
         f.certify_decay(1.0, -2.0, ctx.theta)

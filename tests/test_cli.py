@@ -5,10 +5,18 @@ import numpy as np
 import pytest
 
 from qcalc import suites
-from qcalc.cli import main, parse_unit
+from qcalc.cli import _SETTINGS, main, parse_unit
 from qcalc.operators import CommutingOperator, operator_to_text
 from qcalc.quaternion import E1, E2
 from qcalc.suites import OperatorSpec, generate_operator
+
+
+# a value off the defaults for each setting but "operator", as text
+SETTING_SAMPLES = {
+    "dim": "3", "seed": "9", "annulus": "0.6, 1.8", "omega": "0.7",
+    "diagonal": "yes", "tol": "1e-8", "theta": "1.3", "angles": "0.9, 1.1",
+    "units": "e2, 1:2:3", "n_max": "2", "pairs": "3",
+}
 
 
 def strip_ms(report: dict) -> dict:
@@ -139,6 +147,18 @@ class TestRun:
         assert a == b
 
 
+    @pytest.mark.parametrize("tol", ["-1e-9", "0"])
+    def test_nonpositive_tol(self, capsys, tol):
+        assert main(["run", "oracle", "--dim", "2", f"--tol={tol}"]) == 2
+        assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite,flag", [("identities", "--pairs=-3"),
+                                            ("powers", "--n-max=0")])
+    def test_empty_suite_rejected(self, capsys, suite, flag):
+        assert main(["run", suite, "--dim", "2", flag]) == 2
+        assert "at least 1" in capsys.readouterr().err
+
+
 class TestConfig:
     def test_config_sections_and_override(self, tmp_path):
         cfg = tmp_path / "qcalc.ini"
@@ -171,6 +191,61 @@ pairs = 6
 
     def test_missing_config(self):
         assert main(["run", "identities", "--config", "/nonexistent.ini"]) == 2
+
+    @pytest.mark.parametrize("text,name", [
+        ("[quadrature]\ntols = 1e-3\n", "'tols'"),
+        ("[suite]\npairs = 1\n", "[suite]")], ids=["key", "section"])
+    def test_unknown_key_or_section(self, tmp_path, capsys, text, name):
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text(text)
+        assert main(["run", "identities", "--config", str(cfg)]) == 2
+        assert name in capsys.readouterr().err
+
+    def test_bad_value_same_error_from_file_and_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[operator]\ndim = x\n")
+        assert main(["run", "identities", "--config", str(cfg)]) == 2
+        from_file = capsys.readouterr().err
+        assert main(["run", "identities", "--dim", "x"]) == 2
+        assert capsys.readouterr().err == from_file
+        assert from_file.startswith("error: bad dim 'x'")
+
+    @pytest.mark.parametrize("name", sorted(_SETTINGS))
+    def test_file_and_flag_give_same_report(self, tmp_path, name):
+        # every setting reaches the report alike from its INI key and its
+        # flag, and moves it off the defaults
+        op_file = tmp_path / "op.txt"
+        assert main(["generate", "--dim", "2", "--out", str(op_file)]) == 0
+        text = str(op_file) if name == "operator" else SETTING_SAMPLES[name]
+        section, key, _ = _SETTINGS[name]
+        cfg = tmp_path / "one.ini"
+        cfg.write_text(f"[{section}]\n{key} = {text}\n")
+        flag = (["--diag"] if name == "diagonal"
+                else ["--" + name.replace("_", "-"), text])
+        blocks = []
+        for extra in ([], ["--config", str(cfg)], flag):
+            out = tmp_path / str(len(blocks))
+            assert main(["run", "identities", "--report", str(out)]
+                        + extra) == 0
+            data = json.loads((out / "identities_report.json").read_text())
+            blocks.append((data["operator"], data["env"]))
+        default, from_file, from_flag = blocks
+        assert from_file == from_flag != default
+
+    def test_generate_reads_operator_keys(self, tmp_path):
+        cfg = tmp_path / "gen.ini"
+        cfg.write_text("[operator]\ndim = 3\nseed = 9\nannulus = 0.6, 1.8\n"
+                       "omega = 0.7\ndiag = yes\n")
+        files = [tmp_path / f"{i}.txt" for i in range(3)]
+        assert main(["generate", "--config", str(cfg), "--out",
+                     str(files[0])]) == 0
+        assert main(["generate", "--dim", "3", "--seed", "9", "--annulus",
+                     "0.6,1.8", "--omega", "0.7", "--diag", "--out",
+                     str(files[1])]) == 0
+        assert main(["generate", "--dim", "3", "--seed", "9", "--out",
+                     str(files[2])]) == 0
+        a, b, c = (f.read_bytes() for f in files)
+        assert a == b != c
 
 
 class TestUnits:

@@ -55,6 +55,18 @@ class TestContourValidation:
         with pytest.raises(ValueError):
             SectorContour(1.0, E1, 2.0, 1e6)
 
+    @pytest.mark.parametrize("tol", [-1e-9, 0.0, math.nan])
+    def test_rejects_nonpositive_tol(self, tol):
+        # before any radius is computed; tol = inf (no refinement) stays
+        _, _, cert = cauchy_setup()
+        with pytest.raises(ValueError, match="tolerance"):
+            contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, E1, tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            tail_radius(1.0, 1.0, tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            SectorContour(1.0, E1, 1e-6, 1e6, tol=tol)
+        assert SectorContour(1.0, E1, 1e-6, 1e6, tol=math.inf).tol == math.inf
+
     def test_contour_for_rejects_uncovered_kernel(self):
         cert = Regularizer(1).certify_decay(1.0, 1.0, 2.4)
         # kernel growing faster at infinity than the certificate decays

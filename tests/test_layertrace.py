@@ -30,7 +30,7 @@ def test_traced_public_calls():
     layertrace = _load_layertrace()
     before = layertrace.originals()
     ctx = qcalc.SuiteContext(
-        qcalc.generate_operator(qcalc.OperatorSpec(dim=2, seed=3)), seed=3)
+        qcalc.generate_operator(qcalc.OperatorSpec(dim=2, seed=3)))
     t, profile = ctx.operator, ctx.profile
     s = qcalc.Quaternion(-1.0, 0.5, 0.0, 0.0)
     p = qcalc.Quaternion(-0.5, 0.0, 1.2, 0.0)

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_quaternion, scalar_operator
 from qcalc.errors import SpectrumHit
 from qcalc.operators import (CommutingOperator, QuatMatrix, ab_decompose,
-                             adjoint, conj_op, estimate_type_profile,
+                             adjoint, bq_conj, conj_op, estimate_type_profile,
                              f_spectrum_check, from_adjoint, kernel,
                              modulus_sq, operator_from_text, operator_to_text,
                              q_inverse, q_operator, real_pseudo_resolvent)
@@ -78,6 +78,22 @@ class TestConjAndModulus:
         want = QuatMatrix.from_real(modulus_sq(t))
         assert (prod - want).norm() <= 1e-10 * max(1.0, want.norm())
         assert (other - want).norm() <= 1e-10 * max(1.0, want.norm())
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_conj_numerators_are_conjugates(self, n):
+        # conj(T) builds its own kernel numerators: they are the entrywise
+        # conjugates of T's bit for bit, and its Qc pair is T's
+        t = generate_operator(OperatorSpec(dim=n, seed=n)).operator
+        own, ref = conj_op(t).kernel_numerators, t.kernel_numerators
+        assert own.keys() == ref.keys()
+        for got, want in zip(own["Qc pair"], ref["Qc pair"]):
+            assert np.array_equal(got, want)
+        for fam in ("Qc", "S", "F", "P2"):
+            got, want = own[fam], ref[fam]
+            assert np.array_equal(got.exps, want.exps)
+            assert got.power == want.power
+            assert np.array_equal(got.a, bq_conj(want.a))
+            assert np.array_equal(got.b, bq_conj(want.b))
 
 
 class TestPseudoResolvent:

@@ -10,7 +10,7 @@ from qcalc.suites import (SUITE_NAMES, OperatorSpec, SuiteContext,
 @pytest.fixture(scope="module")
 def ctx():
     gen = generate_operator(OperatorSpec(dim=3, seed=31))
-    return SuiteContext(gen, seed=31, pairs=12, n_max=3)
+    return SuiteContext(gen, pairs=12, n_max=3)
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -53,7 +53,7 @@ def test_every_invariant_tag_appears(ctx):
 
 def test_suites_share_every_value(monkeypatch):
     # a fresh context, so that no other test has filled its evaluator
-    ctx = SuiteContext(generate_operator(OperatorSpec(dim=4, seed=7)), seed=7)
+    ctx = SuiteContext(generate_operator(OperatorSpec(dim=4, seed=7)))
     seen = counting_integrate(monkeypatch)
     for name in SUITE_NAMES:
         run_suite(name, ctx)
