@@ -146,7 +146,6 @@ class TestRun:
         a["env"]["parallel"] = b["env"]["parallel"] = None
         assert a == b
 
-
     @pytest.mark.parametrize("tol", ["-1e-9", "0"])
     def test_nonpositive_tol(self, capsys, tol):
         assert main(["run", "oracle", "--dim", "2", f"--tol={tol}"]) == 2
