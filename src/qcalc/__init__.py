@@ -10,12 +10,12 @@ from .errors import (ClassMismatch, NoDecayMetadata, NotInjective, NotIntrinsic,
 from .operators import (CommutingOperator, QuatMatrix, TypeProfile, ab_decompose,
                         conj_op, estimate_type_profile, f_spectrum_check, kernel,
                         load_operator, modulus_sq, operator_from_text,
-                        operator_to_text, q_inverse, real_pseudo_resolvent,
+                        operator_to_text, real_pseudo_resolvent,
                         save_operator)
 from .quaternion import (E1, E2, E3, ONE, Quaternion, SlicePoint, in_sector,
-                         mul, to_slice)
+                         to_slice)
 from .slicefun import (Power, Product, Regularizer, Scale, StemFunction, Sum,
-                       choose_regularizer, parse, pointwise_fine, pow_fn, reg_fn)
+                       choose_regularizer, parse, pointwise_fine)
 from .suites import (GeneratedOperator, OperatorSpec, SuiteContext,
                      SuiteReport, generate_operator, run_suite, write_report)
 

@@ -31,6 +31,7 @@ from .operators import (KERNEL_KINDS, CommutingOperator, QuatMatrix,
                         TypeProfile, adjoint, assemble, bq_conj, conj_op,
                         estimate_type_profile, stack_norm)
 from .quaternion import E1, Quaternion, to_slice
+from .slicefun import Memo, Power, Product, Regularizer, choose_regularizer
 
 CALC_KINDS = ("S", "Q", "P2", "F")
 
@@ -104,14 +105,14 @@ def default_theta(omega: float) -> float:
     return omega + 0.75 * (math.pi - omega)
 
 
-def _angles(profile: TypeProfile, theta, phi):
-    omega = profile.omega
+def _angles(omega: float, theta, phi):
     if theta is None:
         theta = default_theta(omega)
     if phi is None:
         phi = 0.5 * (omega + theta)
     if not omega < phi < theta < math.pi:
-        raise ValueError("need omega < phi < theta < pi")
+        raise ValueError(f"need omega < phi < theta < pi, got omega="
+                         f"{omega!r}, phi={phi!r}, theta={theta!r}")
     return theta, phi
 
 
@@ -134,36 +135,27 @@ def _solve_prefactor(pref: QuatMatrix, bracket: QuatMatrix):
 class Evaluator:
     """Calculus values of one operator, each computed at most once.
 
-    Values are memoized on (kind, repr(f), options) and depend on nothing
-    else, so one evaluator may serve many threads: a lock guards the memo
-    and is never held during an integral; when two threads compute one
-    value, the first stored is kept.  hinf assembles its values from calc,
-    so e(T), (e*f)(T) and their D, Dbar and Delta forms serve every kind.
-    conj=True is the one conjugation rule: the entrywise conjugate of the
-    value at T for intrinsic f, otherwise the value on conj(T), whose type
-    profile is estimated once.  Nothing is cached between evaluators.
+    Values are memoized (see Memo) on (kind, repr(f), options) and depend
+    on nothing else, so one evaluator may serve many threads; when two
+    threads compute one value, the first stored is kept.  hinf assembles
+    its values from calc, so e(T), (e*f)(T) and their D, Dbar and Delta
+    forms serve every kind.  conj=True is the one conjugation rule: the
+    entrywise conjugate of the value at T for intrinsic f, otherwise the
+    value on conj(T), whose type profile is estimated once.  No value is
+    cached between evaluators; certificates are, by the same rule.
     """
 
     def __init__(self, t: CommutingOperator, profile: TypeProfile, *,
                  theta: float | None = None, phi: float | None = None,
                  unit: Quaternion = E1):
         _check_profile(profile)
-        self.theta, self.phi = _angles(profile, theta, phi)
+        self.theta, self.phi = _angles(profile.omega, theta, phi)
         self.t = t
         self.profile = profile
         self.unit = unit
-        self._memo: dict = {}
+        self._memo = Memo()
         self._bar: Evaluator | None = None
-        self._lock = threading.Lock()
-
-    def _memoized(self, key, f, compute) -> CalculusResult:
-        with self._lock:
-            hit = self._memo.get(key)
-        if hit is None:
-            value = compute()
-            with self._lock:  # keeping f keeps an id-based repr unique
-                hit = self._memo.setdefault(key, (f, value))
-        return hit[1]
+        self._lock = threading.Lock()  # guards _bar
 
     def _on_conj(self, f, evaluate) -> CalculusResult:
         if f.intrinsic:
@@ -191,7 +183,7 @@ class Evaluator:
         if conj:
             return self._on_conj(
                 f, lambda ev: ev.calc(kind, f, tol=tol, side=side))
-        return self._memoized(("calc", kind, repr(f), tol, side), f,
+        return self._memo.get(("calc", kind, repr(f), tol, side), f,
                               lambda: self._calc(kind, f, tol, side))
 
     def _calc(self, kind, f, tol, side) -> CalculusResult:
@@ -240,13 +232,11 @@ class Evaluator:
         if conj:
             return self._on_conj(f, lambda ev: ev.hinf(
                 kind, f, tol=tol, regularizer_power=regularizer_power))
-        return self._memoized(
+        return self._memo.get(
             ("hinf", kind, repr(f), tol, regularizer_power), f,
             lambda: self._hinf(kind, f, tol, regularizer_power))
 
     def _hinf(self, kind, f, tol, regularizer_power) -> CalculusResult:
-        from .slicefun import Product, Regularizer, choose_regularizer
-
         _require_injective(self.t.components, "T")
         _require_injective(bq_conj(self.t.components), "conj(T)")
         if regularizer_power is None:
@@ -399,8 +389,6 @@ def product_rule_residuals(ev: Evaluator, g, f, *, regime: str,
     Values come from ev.calc (regime "decaying") or ev.hinf ("h_infinity")
     at tolerance tol, and whole matrices are compared.
     """
-    from .slicefun import Product
-
     if not g.intrinsic:
         raise NotIntrinsic("product rules require an intrinsic left factor")
     gf = Product(g, f)
@@ -436,14 +424,12 @@ def product_rule_residuals(ev: Evaluator, g, f, *, regime: str,
 def power_recurrence_residuals(ev: Evaluator, f, n_max: int, *,
                                tol: float) -> dict[str, float]:
     """Residuals of the four recurrences linking s^n f to s^(n-1) f."""
-    from .slicefun import Power, Product
-
     # membership that keeps s^n f inside the calculus class up to n_max
     f.certify_decay(3.0 * ev.profile.alpha, 3.0 * ev.profile.beta - n_max,
                     ev.theta)
 
     tq = ev.t.as_qmatrix()
-    tbq = QuatMatrix(bq_conj(ev.t.components))
+    tbq = tq.conj()
 
     def evaluate(kind, h, conj=False):
         return ev.calc(kind, h, tol=tol, conj=conj)
@@ -490,7 +476,7 @@ def power_reference(kind: str, t: CommutingOperator, n: int) -> QuatMatrix:
     T^(k-1).
     """
     tq = t.as_qmatrix()
-    tbq = QuatMatrix(bq_conj(t.components))
+    tbq = tq.conj()
     if kind == "S":
         return tq.matpow(n)
     if kind == "Q" or kind == "P2":

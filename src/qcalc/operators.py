@@ -219,9 +219,6 @@ class CommutingOperator:
     def n(self) -> int:
         return self.components.shape[1]
 
-    def conj(self) -> "CommutingOperator":
-        return conj_op(self)
-
     def as_qmatrix(self) -> QuatMatrix:
         return QuatMatrix(self.components.copy())
 
@@ -458,11 +455,6 @@ def ab_decompose(kind: str, t: CommutingOperator, x: float, y: float):
     """J-independent pair (A, B) with K_L = A + B J and K_R = A + J B."""
     return tuple(QuatMatrix(c[0])
                  for c in kernel_batch(kind, t, float(x), float(y), None))
-
-
-def q_inverse(t: CommutingOperator, s) -> QuatMatrix:
-    """Inverse of Q_{c,s}(T) = s^2 - 2 s T0 + |T|^2 via one real inversion."""
-    return kernel("Qc", t, s)
 
 
 def q_operator(t: CommutingOperator, s: Quaternion) -> QuatMatrix:

@@ -126,16 +126,10 @@ def _coerce(v) -> Quaternion:
     raise TypeError(f"cannot interpret {type(v).__name__} as a quaternion")
 
 
-ZERO = Quaternion()
 ONE = Quaternion(1.0)
 E1 = Quaternion(0.0, 1.0)
 E2 = Quaternion(0.0, 0.0, 1.0)
 E3 = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Quaternion product a*b."""
-    return _coerce(a) * _coerce(b)
 
 
 def exp_j(j: Quaternion, angle: float) -> Quaternion:
@@ -166,15 +160,14 @@ class SlicePoint:
         return Quaternion(self.x) + self.j * self.y
 
 
-def to_slice(s: Quaternion, tol: float | None = None) -> SlicePoint:
+def to_slice(s: Quaternion) -> SlicePoint:
     """Decompose s into (x, y, J) with s = x + J*y, y = |Im(s)|.
 
     Real inputs get the documented default J = e1 and the degenerate flag.
     """
     s = _coerce(s)
-    t = DEFAULT_TOL if tol is None else tol
     y = math.sqrt(s.s1 * s.s1 + s.s2 * s.s2 + s.s3 * s.s3)
-    if y <= t:
+    if y <= DEFAULT_TOL:
         return SlicePoint(s.s0, 0.0, E1, degenerate=True)
     return SlicePoint(s.s0, y, Quaternion(0.0, s.s1 / y, s.s2 / y, s.s3 / y))
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +92,6 @@ class StemFunction:
     ord0 = 0.0
     ordinf = 0.0
 
-    def __init__(self):
-        self._cert_cache: dict = {}
-
     # -- evaluation ---------------------------------------------------------
 
     def complex_stem(self, z: np.ndarray, m: int = 0) -> np.ndarray:
@@ -111,15 +109,12 @@ class StemFunction:
         w = self.complex_stem(np.asarray(x) + 1j * np.asarray(y))
         return w.real, w.imag
 
-    def stem(self, x: float, y: float) -> tuple[Quaternion, Quaternion]:
-        w = self.complex_stem(np.asarray(complex(x, y)))
-        return Quaternion.from_components(w.real), Quaternion.from_components(w.imag)
-
     def eval(self, q: Quaternion) -> Quaternion:
         """f(q) = alpha + J*beta at the slice decomposition of q."""
         p = to_slice(q)
-        alpha, beta = self.stem(p.x, p.y)
-        return alpha + p.j * beta
+        w = self.complex_stem(np.asarray(complex(p.x, p.y)))
+        return (Quaternion.from_components(w.real)
+                + p.j * Quaternion.from_components(w.imag))
 
     # -- structure ----------------------------------------------------------
 
@@ -156,9 +151,6 @@ class StemFunction:
         grid maximisation inflated by 2.  Raises ClassMismatch when the
         orders admit no positive delta.
         """
-        key = ("decay", a, b, round(theta, 12))
-        if key in self._cert_cache:
-            return self._cert_cache[key]
         delta = min(self.ord0 - a + 1.0, b - 1.0 - self.ordinf, 8.0)
         if delta <= 0.0:
             raise ClassMismatch(
@@ -168,16 +160,15 @@ class StemFunction:
         def weight(r):
             return np.where(r <= 1.0, r ** (a - 1.0 + delta), r ** (b - 1.0 - delta))
 
-        # floor keeps the truncation formulas sane for near-zero functions
-        c = max(2.0 * self._sample_sup(theta, weight), 1e-6)
-        cert = DecayCertificate(a, b, delta, c, theta)
-        self._cert_cache[key] = cert
-        return cert
+        def compute():
+            # floor keeps the truncation formulas sane for near-zero functions
+            c = max(2.0 * self._sample_sup(theta, weight), 1e-6)
+            return DecayCertificate(a, b, delta, c, theta)
+
+        return _CERTIFICATES.get(("decay", repr(self), a, b, theta), self,
+                                 compute)
 
     def certify_growth(self, theta: float) -> GrowthCertificate:
-        key = ("growth", round(theta, 12))
-        if key in self._cert_cache:
-            return self._cert_cache[key]
         k = max(self.ordinf, -self.ord0)
         if k <= 0.0:
             k = 0.5
@@ -185,10 +176,37 @@ class StemFunction:
         def weight(r):
             return r ** k + r ** (-k)
 
-        c = 2.0 * self._sample_sup(theta, weight)
-        cert = GrowthCertificate(k, c, theta)
-        self._cert_cache[key] = cert
-        return cert
+        def compute():
+            return GrowthCertificate(k, 2.0 * self._sample_sup(theta, weight),
+                                     theta)
+
+        return _CERTIFICATES.get(("growth", repr(self), theta), self, compute)
+
+
+class Memo:
+    """The first value stored under each key, for values that depend on
+    their key only (keys hold a repr, not an object).  A lock guards the
+    store and is never held while computing, so two threads may compute one
+    value; the first stored is kept.  The object a value was computed for
+    is kept with it, so that an id-based repr stays unique."""
+
+    def __init__(self):
+        self._store: dict = {}
+        self._lock = threading.Lock()
+
+    def get(self, key, owner, compute):
+        with self._lock:
+            hit = self._store.get(key)
+        if hit is None:
+            value = compute()
+            with self._lock:
+                hit = self._store.setdefault(key, (owner, value))
+        return hit[1]
+
+
+# certificates of the process, keyed on (kind, repr(f), class exponents,
+# theta): a certificate depends only on its key, as an Evaluator value does
+_CERTIFICATES = Memo()
 
 
 class Power(StemFunction):
@@ -198,7 +216,6 @@ class Power(StemFunction):
     intrinsic = True
 
     def __init__(self, n: int):
-        super().__init__()
         if not isinstance(n, int) or n < 0:
             raise ValueError("power exponent must be a nonnegative integer")
         self.n = n
@@ -227,7 +244,6 @@ class Regularizer(StemFunction):
     intrinsic = True
 
     def __init__(self, n: int):
-        super().__init__()
         if not isinstance(n, int) or n < 1:
             raise ValueError("regularizer index must be a positive integer")
         self.n = n
@@ -265,7 +281,6 @@ class Derivative(StemFunction):
     kind = "derivative"
 
     def __init__(self, base: StemFunction, order: int):
-        super().__init__()
         if not base.intrinsic:
             raise NotIntrinsic("derivative nodes require an intrinsic base")
         self.base = base
@@ -288,7 +303,6 @@ class Sum(StemFunction):
     kind = "sum"
 
     def __init__(self, f: StemFunction, g: StemFunction):
-        super().__init__()
         self.f = f
         self.g = g
         self.intrinsic = f.intrinsic and g.intrinsic
@@ -313,7 +327,6 @@ class Product(StemFunction):
     kind = "product"
 
     def __init__(self, g: StemFunction, f: StemFunction):
-        super().__init__()
         if not g.intrinsic:
             raise NotIntrinsic("the left factor of a product must be intrinsic")
         self.g = g
@@ -345,7 +358,6 @@ class Scale(StemFunction):
     kind = "scale"
 
     def __init__(self, c, f: StemFunction):
-        super().__init__()
         if isinstance(c, (int, float)):
             c = Quaternion(float(c))
         if not isinstance(c, Quaternion):
@@ -369,14 +381,6 @@ class Scale(StemFunction):
         if self.c.is_real(tol=0.0):
             return f"({self.c.s0!r} * {self.f!r})"
         return f"({self.c!r} * {self.f!r})"
-
-
-def pow_fn(n: int) -> Power:
-    return Power(n)
-
-
-def reg_fn(n: int) -> Regularizer:
-    return Regularizer(n)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +526,7 @@ def _combine(op, a, b):
 
 
 def parse(text: str) -> StemFunction:
-    """Parse a function expression like '2*reg(2) + pow(1)*reg(3)'."""
+    """Parse a function expression like '2*reg(2) + (pow(1)*reg(3))'."""
     parser = _Parser(_tokenize(text))
     value = parser.parse_expr()
     if parser.i != len(parser.toks):

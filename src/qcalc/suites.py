@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -17,17 +18,19 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import calculus as calc_mod
-from .calculus import (Evaluator, _rel, calc, default_theta,
-                       derivative_combination_residual, hinf,
-                       power_recurrence_residuals, power_reference,
-                       product_rule_residuals, resolvent_identity_residuals)
+from .calculus import (CALC_KINDS, Evaluator, _angles, _rel, calc,
+                       default_theta, derivative_combination_residual, hinf,
+                       kernel_bound, power_recurrence_residuals,
+                       power_reference, product_rule_residuals,
+                       resolvent_identity_residuals)
+from .contour import _require_positive_tol
 from .errors import NotInjective, QCalcError
-from .operators import (CommutingOperator, QuatMatrix, ab_decompose, conj_op,
-                        estimate_type_profile, f_spectrum_check, kernel,
-                        kernel_batch, stack_norm)
+from .operators import (KERNEL_KINDS, CommutingOperator, QuatMatrix,
+                        ab_decompose, conj_op, estimate_type_profile,
+                        f_spectrum_check, kernel, kernel_batch, q_operator,
+                        stack_norm)
 from .quaternion import E1, Quaternion, random_unit_imaginary, to_slice
-from .slicefun import Power, Regularizer, parse
+from .slicefun import Power, Regularizer, parse, pointwise_fine
 
 SUITE_NAMES = ("identities", "product_rules", "independence", "powers",
                "hinf", "oracle", "kernels")
@@ -74,8 +77,8 @@ def generate_operator(spec: OperatorSpec) -> GeneratedOperator:
     if not 0.0 < spec.omega < math.pi:
         raise ValueError("sector angle must lie in (0, pi)")
     lo, hi = spec.annulus
-    if lo <= 0.0 or hi < lo:
-        raise ValueError("annulus must satisfy 0 < r_min <= r_max")
+    if not 0.0 < lo <= hi < math.inf:  # NaN fails too
+        raise ValueError("annulus must satisfy 0 < r_min <= r_max < inf")
     rng = np.random.default_rng(spec.seed)
     eigs = []
     for _ in range(spec.dim):
@@ -112,6 +115,7 @@ class SuiteContext:
         if self.pairs < 1 or self.n_max < 1:
             raise ValueError(f"pairs and n_max must be at least 1, got "
                              f"pairs={self.pairs}, n_max={self.n_max}")
+        _require_positive_tol(self.tol)
         omega = self.gen.spec.omega
         if self.theta is None:
             self.theta = default_theta(omega)
@@ -120,6 +124,8 @@ class SuiteContext:
             # the nominal offsets, pulled inward when the sector gap is slim
             off = min(0.2, 0.25 * room)
             self.angles = (omega + off, self.theta - off)
+        for phi in self.angles:  # the rule of every Evaluator
+            _angles(omega, self.theta, phi)
         self._profile = None
         self._evaluator = None
         self._lock = threading.Lock()
@@ -202,8 +208,7 @@ class SuiteReport:
 
 
 def _run_groups(groups, parallel: bool) -> list[CheckRecord]:
-    def run_one(item):
-        _, fn = item
+    def run_one(fn):
         start = time.perf_counter()
         results = fn()
         # each check gets an equal share of its group's wall time
@@ -240,7 +245,7 @@ def _suite_identities(ctx: SuiteContext):
             done += 1
         return [(tag, res, 1e-10) for tag, res in sorted(worst.items())]
 
-    return [("identities", group)]
+    return [group]
 
 
 def _suite_product_rules(ctx: SuiteContext):
@@ -255,14 +260,14 @@ def _suite_product_rules(ctx: SuiteContext):
                 return [(f"{tag}_{rtag}_{ftag}", val, 1e-6)
                         for tag, val in sorted(res.items())]
 
-            groups.append((f"product_{rtag}_{ftag}", group))
+            groups.append(group)
     return groups
 
 
 def _suite_independence(ctx: SuiteContext):
     groups = []
     f = parse("reg(2)")
-    for kind in calc_mod.CALC_KINDS:
+    for kind in CALC_KINDS:
         def group(kind=kind):
             values = []
             for phi in ctx.angles:
@@ -274,7 +279,7 @@ def _suite_independence(ctx: SuiteContext):
                         default=0.0)
             return [(f"independence_{kind}", worst, 1e-7)]
 
-        groups.append((f"independence_{kind}", group))
+        groups.append(group)
     return groups
 
 
@@ -285,21 +290,19 @@ def _suite_powers(ctx: SuiteContext):
         def group(n=n):
             ev = ctx.evaluator()
             out = []
-            for kind in calc_mod.CALC_KINDS:
+            for kind in CALC_KINDS:
                 res = ev.hinf(kind, Power(n), tol=ctx.tol)
                 ref = power_reference(kind, ctx.operator, n)
                 out.append((f"hinf_power_{kind}_n{n}", _rel(res.value, ref),
                             1e-6))
             return out
 
-        groups.append((f"hinf_powers_n{n}", group))
+        groups.append(group)
 
     def recurrences():
         res = power_recurrence_residuals(ctx.evaluator(), Regularizer(4), 3,
                                          tol=ctx.tol)
         return [(tag, val, 1e-6) for tag, val in sorted(res.items())]
-
-    groups.append(("recurrences", recurrences))
 
     def reg_shift():
         ev = ctx.evaluator()
@@ -308,18 +311,21 @@ def _suite_powers(ctx: SuiteContext):
                     regularizer_power=a.diagnostics.regularizer_n + 1)
         return [("regularizer_shift", _rel(b.value, a.value), 1e-6)]
 
-    groups.append(("regularizer_shift", reg_shift))
-    return groups
+    return groups + [recurrences, reg_shift]
+
+
+def _commutation_with_t(ctx: SuiteContext, val: QuatMatrix) -> float:
+    """||V T - T V|| / max(1, ||V|| ||T||)."""
+    tq = ctx.operator.as_qmatrix()
+    return (val @ tq - tq @ val).norm() / max(1.0, val.norm() * tq.norm())
 
 
 def _suite_hinf(ctx: SuiteContext):
-    groups = []
-
     def agreement():
         ev = ctx.evaluator()
         out = []
         f = Regularizer(2)
-        for kind in calc_mod.CALC_KINDS:
+        for kind in CALC_KINDS:
             a = ev.hinf(kind, f, tol=ctx.tol)
             b = ev.calc(kind, f, tol=ctx.tol)
             out.append((f"hinf_matches_decaying_{kind}",
@@ -327,8 +333,6 @@ def _suite_hinf(ctx: SuiteContext):
             out.append((f"hinf_range_residual_{kind}",
                         a.diagnostics.range_residual, 1e-10))
         return out
-
-    groups.append(("hinf_agreement", agreement))
 
     def injectivity_guard():
         zero = CommutingOperator(np.zeros((4, ctx.operator.n, ctx.operator.n)))
@@ -338,21 +342,14 @@ def _suite_hinf(ctx: SuiteContext):
             return [("hinf_rejects_noninjective", 0.0, 0.5)]
         return [("hinf_rejects_noninjective", 1.0, 0.5)]
 
-    groups.append(("injectivity_guard", injectivity_guard))
-
     def commutation():
-        g = Regularizer(2)
-        val = ctx.evaluator().hinf("Q", g, tol=ctx.tol).value
-        tq = ctx.operator.as_qmatrix()
-        res = (val @ tq - tq @ val).norm() / max(1.0, val.norm() * tq.norm())
-        return [("hinf_commutation_T", res, 1e-9)]
+        val = ctx.evaluator().hinf("Q", Regularizer(2), tol=ctx.tol).value
+        return [("hinf_commutation_T", _commutation_with_t(ctx, val), 1e-9)]
 
-    groups.append(("hinf_commutation", commutation))
-    return groups
+    return [agreement, injectivity_guard, commutation]
 
 
 def _suite_oracle(ctx: SuiteContext):
-    groups = []
     f = Regularizer(2)
 
     def cauchy():
@@ -360,10 +357,7 @@ def _suite_oracle(ctx: SuiteContext):
         want = ctx.gen.expected_diag([f.eval(q) for q in ctx.gen.eigenvalues])
         return [("cauchy_reproduction", (got - want).norm(), 1e-7)]
 
-    groups.append(("cauchy", cauchy))
-
     def fine():
-        from .slicefun import pointwise_fine
         vals = [pointwise_fine(f, q) for q in ctx.gen.eigenvalues]
         ev = ctx.evaluator()
         out = []
@@ -373,18 +367,14 @@ def _suite_oracle(ctx: SuiteContext):
             out.append((f"fine_oracle_{kind}", (got - want).norm(), 1e-6))
         return out
 
-    groups.append(("fine_oracles", fine))
-
     def left_right():
         ev = ctx.evaluator()
         out = []
-        for kind in calc_mod.CALC_KINDS:
+        for kind in CALC_KINDS:
             a = ev.calc(kind, f, tol=ctx.tol).value
             b = ev.calc(kind, f, tol=ctx.tol, side="right").value
             out.append((f"left_right_{kind}", (a - b).norm(), 1e-8))
         return out
-
-    groups.append(("left_right", left_right))
 
     def conj_and_friends():
         ev = ctx.evaluator()
@@ -392,7 +382,7 @@ def _suite_oracle(ctx: SuiteContext):
         profile_bar = estimate_type_profile(t_bar, ctx.gen.spec.omega,
                                             sorted(ctx.profile.c_phi))
         out = []
-        for kind in calc_mod.CALC_KINDS:
+        for kind in CALC_KINDS:
             a = ev.calc(kind, f, tol=ctx.tol, conj=True).value
             b = calc(kind, t_bar, f, profile_bar, theta=ctx.theta,
                      tol=ctx.tol).value
@@ -401,22 +391,16 @@ def _suite_oracle(ctx: SuiteContext):
                     derivative_combination_residual(
                         ev, Regularizer(3), tol=ctx.tol), 1e-6))
         val = ev.calc("S", f, tol=ctx.tol).value
-        tq = ctx.operator.as_qmatrix()
-        out.append(("commutation_T",
-                    (val @ tq - tq @ val).norm()
-                    / max(1.0, val.norm() * tq.norm()), 1e-9))
+        out.append(("commutation_T", _commutation_with_t(ctx, val), 1e-9))
         out.append(("value_components_commute",
                     val.commutation_residual(), 1e-9))
         return out
 
-    groups.append(("conjugation_commutation", conj_and_friends))
-    return groups
+    return [cauchy, fine, left_right, conj_and_friends]
 
 
 def _suite_kernels(ctx: SuiteContext):
-    groups = []
     t = ctx.operator
-    kinds = ("S_L", "S_R", "Qc", "P2_L", "P2_R", "F_L", "F_R")
 
     def reconstruction():
         rng = ctx.rng(3)
@@ -425,7 +409,7 @@ def _suite_kernels(ctx: SuiteContext):
         for _ in range(6):
             s = ctx.random_resolvent_point(rng)
             p = to_slice(s)
-            for kind in kinds:
+            for kind in KERNEL_KINDS:
                 a, b = ab_decompose(kind, t, p.x, p.y)
                 a2, b2 = ab_decompose(kind, t, p.x, -p.y)
                 worst_sym = max(worst_sym, (a - a2).norm(), (b + b2).norm())
@@ -440,8 +424,6 @@ def _suite_kernels(ctx: SuiteContext):
         return [("ab_reconstruction", worst, 1e-10),
                 ("ab_symmetry", worst_sym, 1e-10)]
 
-    groups.append(("ab_reconstruction", reconstruction))
-
     def cauchy_riemann():
         rng = ctx.rng(4)
         worst = 0.0
@@ -449,7 +431,7 @@ def _suite_kernels(ctx: SuiteContext):
             s = ctx.random_resolvent_point(rng)
             p = to_slice(s)
             h = 1e-5 * max(1.0, s.norm())
-            for kind in kinds:
+            for kind in KERNEL_KINDS:
                 ax_p, bx_p = ab_decompose(kind, t, p.x + h, p.y)
                 ax_m, bx_m = ab_decompose(kind, t, p.x - h, p.y)
                 ay_p, by_p = ab_decompose(kind, t, p.x, p.y + h)
@@ -464,8 +446,6 @@ def _suite_kernels(ctx: SuiteContext):
                             (da_dy + db_dx).norm() / scale)
         return [("kernel_cauchy_riemann", worst, 1e-5)]
 
-    groups.append(("cauchy_riemann", cauchy_riemann))
-
     def norms_and_conj():
         rng = ctx.rng(5)
         worst_comp = 0.0
@@ -474,7 +454,7 @@ def _suite_kernels(ctx: SuiteContext):
         count = 0
         while count < 100:
             s = ctx.random_resolvent_point(rng)
-            kind = kinds[count % len(kinds)]
+            kind = KERNEL_KINDS[count % len(KERNEL_KINDS)]
             k = kernel(kind, t, s)
             nk = k.norm()
             for i in range(4):
@@ -491,8 +471,6 @@ def _suite_kernels(ctx: SuiteContext):
         return [("component_norms", max(worst_comp, 0.0), 1e-12),
                 ("conjugate_norm", max(worst_conj_norm, 0.0), 1e-12),
                 ("conj_relation", worst_conj_rel, 1e-10)]
-
-    groups.append(("norms_conj", norms_and_conj))
 
     def spectrum_and_commutation():
         rng = ctx.rng(6)
@@ -518,12 +496,11 @@ def _suite_kernels(ctx: SuiteContext):
                     1.0 if f_spectrum_check(t, ctx.gen.eigenvalues[0]) else 0.0,
                     0.5))
 
-        from .operators import q_inverse, q_operator
         worst_comm = 0.0
         worst_back = 0.0
         for _ in range(10):
             s = ctx.random_resolvent_point(rng)
-            g = q_inverse(t, s)
+            g = kernel("Qc", t, s)
             back = q_operator(t, s) @ g - QuatMatrix.identity(t.n)
             worst_back = max(worst_back, back.norm())
             for i in range(4):
@@ -534,15 +511,13 @@ def _suite_kernels(ctx: SuiteContext):
         out.append(("q_inverse_commutes", worst_comm, 1e-10))
         return out
 
-    groups.append(("spectrum_commutation", spectrum_and_commutation))
-
     def estimate_scaling():
         prof = ctx.profile
         phi = min(prof.c_phi)
         worst = 0.0
         radii = np.geomspace(5e-3, 5e2, 24)
-        for kind in kinds:
-            c_k, a_k, b_k = calc_mod.kernel_bound(kind, prof, phi)
+        for kind in KERNEL_KINDS:
+            c_k, a_k, b_k = kernel_bound(kind, prof, phi)
             bound = np.where(radii <= 1.0, radii ** (-a_k), radii ** (-b_k))
             for psi in (phi, (phi + math.pi) / 2.0, math.pi):
                 x = radii * math.cos(psi)
@@ -551,8 +526,8 @@ def _suite_kernels(ctx: SuiteContext):
                 worst = max(worst, float(np.max(norms / (c_k * bound))))
         return [("estimate_scaling_envelope", worst / 10.0, 1.0)]
 
-    groups.append(("estimate_scaling", estimate_scaling))
-    return groups
+    return [reconstruction, cauchy_riemann, norms_and_conj,
+            spectrum_and_commutation, estimate_scaling]
 
 
 _SUITE_BUILDERS = {
@@ -584,7 +559,6 @@ def run_suite(name: str, ctx: SuiteContext, parallel: bool = False) -> SuiteRepo
 
 
 def write_report(report: SuiteReport, directory) -> tuple[str, str]:
-    import os
     os.makedirs(directory, exist_ok=True)
     json_path = os.path.join(directory, f"{report.suite}_report.json")
     csv_path = os.path.join(directory, f"{report.suite}_report.csv")

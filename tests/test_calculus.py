@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import counting_integrate, random_quaternion, scalar_operator
+from qcalc import slicefun
 from qcalc.calculus import (Evaluator, _rel, calc,
                             derivative_combination_residual, hinf,
                             power_recurrence_residuals, power_reference,
@@ -17,7 +18,7 @@ from qcalc.operators import (KERNEL_KINDS, CommutingOperator, TypeProfile,
                              stack_fro)
 from qcalc.quaternion import E1, Quaternion, to_slice
 from qcalc.slicefun import (Power, Product, Regularizer, Scale,
-                            pointwise_fine, pow_fn, reg_fn)
+                            pointwise_fine)
 from qcalc.suites import OperatorSpec, SuiteContext, generate_operator
 
 E12 = Quaternion(0, 1, 1, 0) * (1.0 / math.sqrt(2.0))
@@ -43,27 +44,27 @@ def resolvent_pair(gen, rng):
 
 class TestDecayingCalculi:
     def test_cauchy_reproduction_on_diagonal(self, ctx4, gen4):
-        f = reg_fn(2)
+        f = Regularizer(2)
         got = calc("S", gen4.operator, f, ctx4.profile, tol=1e-9).value
         want = gen4.expected_diag([f.eval(q) for q in gen4.eigenvalues])
         assert (got - want).norm() <= 1e-7
 
     @pytest.mark.parametrize("kind,idx", [("Q", 0), ("P2", 1), ("F", 2)])
     def test_fine_structure_oracles(self, ctx4, gen4, kind, idx):
-        f = reg_fn(2)
+        f = Regularizer(2)
         got = calc(kind, gen4.operator, f, ctx4.profile, tol=1e-9).value
         vals = [pointwise_fine(f, q)[idx] for q in gen4.eigenvalues]
         want = gen4.expected_diag(vals)
         assert (got - want).norm() <= 1e-6
 
     def test_result_has_commuting_components(self, ctx4, gen4):
-        res = calc("F", gen4.operator, reg_fn(2), ctx4.profile)
+        res = calc("F", gen4.operator, Regularizer(2), ctx4.profile)
         assert res.diagnostics.commutation_residual <= 1e-9
         assert res.regime == "decaying"
 
     @pytest.mark.parametrize("kind", ["S", "Q", "P2", "F"])
     def test_left_right_agreement(self, ctx4, gen4, kind):
-        f = reg_fn(2)
+        f = Regularizer(2)
         a = calc(kind, gen4.operator, f, ctx4.profile).value
         b = calc(kind, gen4.operator, f, ctx4.profile, side="right").value
         assert (a - b).norm() <= 1e-8
@@ -71,43 +72,43 @@ class TestDecayingCalculi:
     def test_worst_conditioning_recorded(self, ctx4, gen4):
         ev = Evaluator(gen4.operator, ctx4.profile)
         for kind in ("S", "F"):
-            cond = ev.calc(kind, reg_fn(2)).diagnostics.worst_cond
+            cond = ev.calc(kind, Regularizer(2)).diagnostics.worst_cond
             assert math.isfinite(cond) and 1.0 <= cond <= 1e12
         # an H-infinity value reports the worst of its sub-integrals
-        res = ev.hinf("Q", pow_fn(1))
+        res = ev.hinf("Q", Power(1))
         e = Regularizer(res.diagnostics.regularizer_n)
         subs = [ev.calc(kind, g, tol=res.diagnostics.tol_achieved)
-                for kind in ("S", "Q") for g in (e, Product(e, pow_fn(1)))]
+                for kind in ("S", "Q") for g in (e, Product(e, Power(1)))]
         assert res.diagnostics.worst_cond == max(
             r.diagnostics.worst_cond for r in subs)
 
     def test_right_form_rejects_nonintrinsic(self, ctx4, gen4):
-        f = Scale(E1, reg_fn(2))
+        f = Scale(E1, Regularizer(2))
         with pytest.raises(NotIntrinsic):
             calc("S", gen4.operator, f, ctx4.profile, side="right")
 
     def test_class_mismatch(self, ctx4, gen4):
         with pytest.raises(ClassMismatch):
-            calc("S", gen4.operator, pow_fn(1), ctx4.profile)
+            calc("S", gen4.operator, Power(1), ctx4.profile)
 
     def test_profile_validation(self, gen4):
         bad = TypeProfile(alpha=0.2, beta=1.0 / 3.0, omega=math.pi / 4,
                           c_phi={1.0: 1.0})
         with pytest.raises(ValueError):
-            calc("S", gen4.operator, reg_fn(2), bad)
+            calc("S", gen4.operator, Regularizer(2), bad)
         bad2 = TypeProfile(alpha=1.0 / 3.0, beta=0.5, omega=math.pi / 4,
                            c_phi={1.0: 1.0})
         with pytest.raises(ValueError):
-            calc("S", gen4.operator, reg_fn(2), bad2)
+            calc("S", gen4.operator, Regularizer(2), bad2)
 
     @pytest.mark.parametrize("tol", [-1e-9, 0.0, math.nan])
     @pytest.mark.parametrize("value_of", [calc, hinf], ids=["calc", "hinf"])
     def test_rejects_nonpositive_tol(self, ctx4, gen4, value_of, tol):
         with pytest.raises(ValueError, match="tolerance"):
-            value_of("S", gen4.operator, reg_fn(2), ctx4.profile, tol=tol)
+            value_of("S", gen4.operator, Regularizer(2), ctx4.profile, tol=tol)
 
     def test_angle_and_unit_independence(self, ctx4, gen4):
-        f = reg_fn(2)
+        f = Regularizer(2)
         omega = gen4.spec.omega
         theta = ctx4.theta
         vals = []
@@ -119,7 +120,7 @@ class TestDecayingCalculi:
             assert (v - vals[0]).norm() <= 1e-7
 
     def test_intrinsic_conjugation(self, ctx4, gen4):
-        f = reg_fn(2)
+        f = Regularizer(2)
         a = calc("Q", gen4.operator, f, ctx4.profile).value.conj()
         b = Evaluator(gen4.operator, ctx4.profile).calc("Q", f, conj=True).value
         assert (a - b).norm() <= 1e-12  # intrinsic f: the conjugated value
@@ -133,13 +134,13 @@ class TestDecayingCalculi:
         assert (a - c).norm() <= 1e-8
 
     def test_commutation_with_operator(self, ctx4, gen4):
-        val = calc("S", gen4.operator, reg_fn(2), ctx4.profile).value
+        val = calc("S", gen4.operator, Regularizer(2), ctx4.profile).value
         tq = gen4.operator.as_qmatrix()
         assert (val @ tq - tq @ val).norm() <= 1e-9 * max(1.0, val.norm())
 
     def test_two_fprime_combination(self, ctx4, gen4):
         res = derivative_combination_residual(
-            Evaluator(gen4.operator, ctx4.profile), reg_fn(3), tol=1e-9)
+            Evaluator(gen4.operator, ctx4.profile), Regularizer(3), tol=1e-9)
         assert res <= 1e-6
 
     def test_value_ignores_other_certificates(self):
@@ -159,26 +160,26 @@ class TestDecayingCalculi:
 class TestEvaluator:
     def test_memo_key_is_exact(self, ctx4, gen4):
         ev = Evaluator(gen4.operator, ctx4.profile)
-        a = ev.calc("S", Scale(2.5, reg_fn(2))).value
-        b = ev.calc("S", Scale(2.5000001, reg_fn(2))).value
+        a = ev.calc("S", Scale(2.5, Regularizer(2))).value
+        b = ev.calc("S", Scale(2.5000001, Regularizer(2))).value
         assert (a - b).norm() > 0.0
         assert (b - a * (2.5000001 / 2.5)).norm() <= 1e-8 * a.norm()
 
     def test_each_value_computed_once(self, ctx4, gen4, monkeypatch):
         seen = counting_integrate(monkeypatch)
         ev = Evaluator(gen4.operator, ctx4.profile)
-        first = ev.calc("Q", reg_fn(2))
-        assert ev.calc("Q", reg_fn(2)) is first
+        first = ev.calc("Q", Regularizer(2))
+        assert ev.calc("Q", Regularizer(2)) is first
         assert len(seen) == 1
-        ev.calc("Q", reg_fn(2), tol=1e-10)
-        ev.calc("Q", reg_fn(2), side="right")
+        ev.calc("Q", Regularizer(2), tol=1e-10)
+        ev.calc("Q", Regularizer(2), side="right")
         assert len(seen) == 3
 
     @pytest.mark.parametrize("kind", ["S", "Q", "P2", "F"])
     def test_conj_of_nonintrinsic_runs_on_conj_operator(self, ctx4, gen4,
                                                         kind):
         from qcalc.operators import estimate_type_profile
-        f = Scale(E1, reg_fn(2))
+        f = Scale(E1, Regularizer(2))
         assert not f.intrinsic
         got = Evaluator(gen4.operator, ctx4.profile).calc(kind, f,
                                                           conj=True).value
@@ -191,8 +192,8 @@ class TestEvaluator:
     def test_hinf_matches_module_level_bit_for_bit(self, ctx4, gen4):
         ev = Evaluator(gen4.operator, ctx4.profile)
         for kind in ("S", "Q", "P2", "F"):
-            got = ev.hinf(kind, pow_fn(2))
-            want = hinf(kind, gen4.operator, pow_fn(2), ctx4.profile)
+            got = ev.hinf(kind, Power(2))
+            want = hinf(kind, gen4.operator, Power(2), ctx4.profile)
             assert np.array_equal(got.value.components, want.value.components)
             assert got.diagnostics == want.diagnostics
 
@@ -200,34 +201,40 @@ class TestEvaluator:
                                                   monkeypatch):
         # every tol above the 1e-12 cap asks for the same value
         ev = Evaluator(gen4.operator, ctx4.profile)
-        first = ev.hinf("S", pow_fn(1))
+        first = ev.hinf("S", Power(1))
         seen = counting_integrate(monkeypatch)
-        assert ev.hinf("S", pow_fn(1), tol=1e-9) is first
-        assert ev.hinf("S", pow_fn(1), tol=1e-12) is first
+        assert ev.hinf("S", Power(1), tol=1e-9) is first
+        assert ev.hinf("S", Power(1), tol=1e-12) is first
         assert not seen
 
     def test_hinf_product_rules_repeat_no_integral(self, ctx4, gen4,
                                                    monkeypatch):
         seen = counting_integrate(monkeypatch)
         product_rule_residuals(Evaluator(gen4.operator, ctx4.profile),
-                               reg_fn(2), Product(Power(1), Regularizer(3)),
+                               Regularizer(2),
+                               Product(Power(1), Regularizer(3)),
                                regime="h_infinity", tol=1e-12)
         assert seen and len(set(seen)) == len(seen)
 
-    def test_threads_share_the_first_stored_value(self):
+    def test_threads_share_the_first_stored_value(self, monkeypatch):
         # more threads than cores race for the same keys; a lost update
-        # would hand two callers different objects for one key
+        # would hand two callers different objects for one key.  Values and
+        # certificates (here of a rebuilt function per thread) alike
         from qcalc.operators import estimate_type_profile
+        monkeypatch.setattr(slicefun, "_CERTIFICATES", slicefun.Memo())
         t = scalar_operator(Quaternion(0.8) + E1 * 0.4)
         profile = estimate_type_profile(t, math.pi / 4,
                                         [math.pi / 2, 3 * math.pi / 4])
         ev = Evaluator(t, profile)
-        f = reg_fn(2)
+        f = Regularizer(2)
         kinds = ["S", "Q", "P2", "F"]
 
         def work(i):  # each thread starts at another kind
-            return {kind: ev.calc(kind, f, tol=1e-6)
-                    for kind in kinds[i % 4:] + kinds[:i % 4]}
+            out = {kind: ev.calc(kind, f, tol=1e-6)
+                   for kind in kinds[i % 4:] + kinds[:i % 4]}
+            out["cert"] = Product(Regularizer(2), Power(1)).certify_decay(
+                1.0, 1.0, ev.theta)
+            return out
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -240,6 +247,7 @@ class TestEvaluator:
         for kind in kinds:
             stored = ev.calc(kind, f, tol=1e-6)
             assert all(r[kind] is stored for r in results)
+        assert all(r["cert"] is results[0]["cert"] for r in results)
 
 
 def reference_identity_residuals(t, s, p):
@@ -349,7 +357,7 @@ class TestResolventIdentities:
 class TestProductRules:
     @pytest.mark.parametrize("regime", ["decaying", "h_infinity"])
     def test_rules(self, ctx4, gen4, regime):
-        g = reg_fn(2)
+        g = Regularizer(2)
         f = Product(Power(1), Regularizer(3))
         tol = 1e-9 if regime == "decaying" else 1e-12
         res = product_rule_residuals(Evaluator(gen4.operator, ctx4.profile),
@@ -357,17 +365,18 @@ class TestProductRules:
         assert max(res.values()) <= 1e-6
 
     def test_rejects_nonintrinsic_g(self, ctx4, gen4):
-        g = Scale(E1, reg_fn(2))
+        g = Scale(E1, Regularizer(2))
         with pytest.raises(NotIntrinsic):
             product_rule_residuals(Evaluator(gen4.operator, ctx4.profile),
-                                   g, reg_fn(2), regime="decaying",
+                                   g, Regularizer(2), regime="decaying",
                                    tol=1e-9)
 
 
 class TestRecurrences:
     def test_reg4_recurrences(self, ctx4, gen4):
         res = power_recurrence_residuals(
-            Evaluator(gen4.operator, ctx4.profile), reg_fn(4), 3, tol=1e-9)
+            Evaluator(gen4.operator, ctx4.profile), Regularizer(4), 3,
+            tol=1e-9)
         assert len(res) == 12
         assert max(res.values()) <= 1e-6
 
@@ -375,7 +384,7 @@ class TestRecurrences:
         # reg(2) decays like |s|^-2: s^3 reg(2) leaves the calculus class
         with pytest.raises(ClassMismatch):
             power_recurrence_residuals(
-                Evaluator(gen4.operator, ctx4.profile), reg_fn(2), 3,
+                Evaluator(gen4.operator, ctx4.profile), Regularizer(2), 3,
                 tol=1e-9)
 
 
@@ -383,7 +392,7 @@ class TestHInfinity:
     @pytest.mark.parametrize("kind", ["S", "Q", "P2", "F"])
     def test_powers(self, ctx4, gen4, kind):
         for n in range(0, 6):
-            res = hinf(kind, gen4.operator, pow_fn(n), ctx4.profile)
+            res = hinf(kind, gen4.operator, Power(n), ctx4.profile)
             ref = power_reference(kind, gen4.operator, n)
             assert (res.value - ref).norm() <= 1e-6 * max(1.0, ref.norm())
             assert res.regime == "h_infinity"
@@ -393,22 +402,22 @@ class TestHInfinity:
         t = gen4.operator
         eye_scale = {"Q": -2.0, "P2": 4.0}
         for kind, factor in eye_scale.items():
-            res = hinf(kind, t, pow_fn(1), ctx4.profile)
+            res = hinf(kind, t, Power(1), ctx4.profile)
             want = factor * power_reference("S", t, 0)
             assert (res.value - want).norm() <= 1e-6
 
     def test_regularizer_choice_recorded(self, ctx4, gen4):
-        res = hinf("S", gen4.operator, pow_fn(3), ctx4.profile)
+        res = hinf("S", gen4.operator, Power(3), ctx4.profile)
         assert res.diagnostics.regularizer_n == 4
 
     def test_regularizer_shift_invariance(self, ctx4, gen4):
-        a = hinf("F", gen4.operator, pow_fn(2), ctx4.profile)
-        b = hinf("F", gen4.operator, pow_fn(2), ctx4.profile,
+        a = hinf("F", gen4.operator, Power(2), ctx4.profile)
+        b = hinf("F", gen4.operator, Power(2), ctx4.profile,
                  regularizer_power=a.diagnostics.regularizer_n + 1)
         assert (a.value - b.value).norm() <= 1e-6
 
     def test_matches_decaying_on_decaying_input(self, ctx4, gen4):
-        f = reg_fn(2)
+        f = Regularizer(2)
         for kind in ("S", "Q", "P2", "F"):
             a = hinf(kind, gen4.operator, f, ctx4.profile).value
             b = calc(kind, gen4.operator, f, ctx4.profile).value
@@ -417,7 +426,7 @@ class TestHInfinity:
     def test_rejects_noninjective(self, ctx4):
         zero = CommutingOperator(np.zeros((4, 3, 3)))
         with pytest.raises(NotInjective):
-            hinf("S", zero, pow_fn(1), ctx4.profile)
+            hinf("S", zero, Power(1), ctx4.profile)
 
     def test_nilpotent_rejected(self, ctx4):
         # real nilpotent component: injectivity fails although T is nonzero
@@ -425,7 +434,7 @@ class TestHInfinity:
         zeros = np.zeros((2, 2))
         t = CommutingOperator(np.stack([t0, zeros, zeros, zeros]))
         with pytest.raises(NotInjective):
-            hinf("S", t, pow_fn(1), ctx4.profile)
+            hinf("S", t, Power(1), ctx4.profile)
 
 
 class TestScalarOperatorAgainstPointwise:
@@ -443,7 +452,7 @@ class TestScalarOperatorAgainstPointwise:
         from qcalc.operators import estimate_type_profile
         prof = estimate_type_profile(t, math.pi / 4,
                                      [math.pi / 2, 3 * math.pi / 4])
-        f = reg_fn(2)
+        f = Regularizer(2)
         res = calc("S", t, f, prof)
         s_val = res.value.entry(0, 0)
         assert (s_val - f.eval(q)).norm() <= 1e-8

@@ -44,7 +44,9 @@ class TestGenerate:
 
     def test_infeasible_spec(self, capsys):
         assert main(["generate", "--dim", "2", "--omega", "3.5"]) == 2
-        assert main(["generate", "--dim", "2", "--annulus", "0,1"]) == 2
+        for annulus in ("0,1", "0.5,nan", "0.5,inf"):
+            assert main(["generate", "--dim", "2", "--annulus", annulus]) == 2
+            assert "error: annulus" in capsys.readouterr().err
 
 
 class TestRun:
@@ -150,6 +152,15 @@ class TestRun:
     def test_nonpositive_tol(self, capsys, tol):
         assert main(["run", "oracle", "--dim", "2", f"--tol={tol}"]) == 2
         assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tol=-1", "--tol=nan", "--theta=4",
+                                      "--angles=0.1,0.2"])
+    @pytest.mark.parametrize("suite", suites.SUITE_NAMES)
+    def test_bad_quadrature_setting_in_every_suite(self, capsys, suite, flag):
+        # checked when the suite context is built, not first in a suite
+        # that integrates
+        assert main(["run", suite, "--dim", "2", "--pairs", "2", flag]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("suite,flag", [("identities", "--pairs=-3"),
                                             ("powers", "--n-max=0")])

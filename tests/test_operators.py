@@ -9,7 +9,7 @@ from qcalc.operators import (CommutingOperator, QuatMatrix, ab_decompose,
                              adjoint, bq_conj, conj_op, estimate_type_profile,
                              f_spectrum_check, from_adjoint, kernel,
                              modulus_sq, operator_from_text, operator_to_text,
-                             q_inverse, q_operator, real_pseudo_resolvent)
+                             q_operator, real_pseudo_resolvent)
 from qcalc.quaternion import (E1, E2, ONE, Quaternion,
                               random_unit_imaginary, to_slice)
 from qcalc.suites import OperatorSpec, generate_operator
@@ -122,7 +122,7 @@ class TestPseudoResolvent:
 class TestQInverse:
     def test_scalar_example(self):
         t = scalar_operator(ONE)
-        g = q_inverse(t, Quaternion(0, 2, 0, 0))
+        g = kernel("Qc", t, Quaternion(0, 2, 0, 0))
         want = Quaternion(-3, 4, 0, 0) * (1.0 / 25.0)
         assert (g.entry(0, 0) - want).norm() <= 1e-14
 
@@ -130,7 +130,7 @@ class TestQInverse:
         ts = [0.5, 1.5, -2.0]
         t = diag_operator([Quaternion(v) for v in ts])
         s = Quaternion(3.0)
-        g = q_inverse(t, s)
+        g = kernel("Qc", t, s)
         for k, v in enumerate(ts):
             assert math.isclose(g.entry(k, k).s0, 1.0 / (3.0 - v) ** 2,
                                 rel_tol=1e-12)
@@ -140,7 +140,7 @@ class TestQInverse:
         eye = QuatMatrix.identity(t.n)
         for _ in range(10):
             s = resolvent_point(gen4, rng)
-            g = q_inverse(t, s)
+            g = kernel("Qc", t, s)
             q = q_operator(t, s)
             assert (q @ g - eye).norm() <= 1e-10
             assert (g @ q - eye).norm() <= 1e-10
@@ -149,13 +149,13 @@ class TestQInverse:
         qs = [random_quaternion(rng) for _ in range(3)]
         t = diag_operator(qs)
         with pytest.raises(SpectrumHit):
-            q_inverse(t, qs[0])
+            kernel("Qc", t, qs[0])
 
     def test_commutes_with_components(self, gen4, rng):
         t = gen4.operator
         for _ in range(5):
             s = resolvent_point(gen4, rng)
-            g = q_inverse(t, s)
+            g = kernel("Qc", t, s)
             for i in range(4):
                 ti = QuatMatrix.from_real(t.components[i])
                 assert (ti @ g - g @ ti).norm() <= 1e-10 * max(1.0, g.norm())
@@ -193,7 +193,7 @@ class TestKernels:
             sl_bar = kernel("S_L", conj_op(t), s)
             k2 = 2.0 * (sl @ (sl + sl_bar))
             assert (k1 - k2).norm() <= 1e-12 * max(1.0, k1.norm())
-            qi = q_inverse(t, s)
+            qi = kernel("Qc", t, s)
             sm = QuatMatrix.from_scalar(s, t.n)
             k3 = 4.0 * (sl @ ((sm - t0) @ qi))
             assert (k1 - k3).norm() <= 1e-12 * max(1.0, k1.norm())
@@ -202,7 +202,7 @@ class TestKernels:
         t = gen4.operator
         for _ in range(6):
             s = resolvent_point(gen4, rng)
-            qi = q_inverse(t, s)
+            qi = kernel("Qc", t, s)
             acc = qi.scalar_mul(s, "left")
             for i in range(4):
                 ti = QuatMatrix.from_real(t.components[i])
@@ -216,7 +216,7 @@ class TestKernels:
         t = gen4.operator
         for _ in range(6):
             s = resolvent_point(gen4, rng)
-            want = -4.0 * (kernel("S_L", t, s) @ q_inverse(t, s))
+            want = -4.0 * (kernel("S_L", t, s) @ kernel("Qc", t, s))
             got = kernel("F_L", t, s)
             assert (got - want).norm() <= 1e-12 * max(1.0, got.norm())
 
@@ -450,5 +450,6 @@ def test_generate_operator_constraints():
 
     with pytest.raises(ValueError):
         generate_operator(OperatorSpec(omega=math.pi))
-    with pytest.raises(ValueError):
-        generate_operator(OperatorSpec(annulus=(0.0, 1.0)))
+    for annulus in ((0.0, 1.0), (0.5, math.nan), (0.5, math.inf)):
+        with pytest.raises(ValueError):
+            generate_operator(OperatorSpec(annulus=annulus))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcalc.quaternion import (E1, E2, E3, ONE, Quaternion, arg, exp_j,
-                              in_sector, mul, qarr_mul, to_slice)
+                              in_sector, qarr_mul, to_slice)
 
 UNITS = {"1": ONE, "e1": E1, "e2": E2, "e3": E3}
 
@@ -45,7 +45,7 @@ def test_table_closure_over_signed_units():
 
 def test_simple_products():
     assert ((ONE + E1) * (ONE - E1)).isclose(Quaternion(2.0))
-    assert mul(E1, E2).isclose(E3)
+    assert (E1 * E2).isclose(E3)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from qcalc import slicefun
 from qcalc.errors import ClassMismatch, NotIntrinsic
 from qcalc.quaternion import (E1, E2, E3, ONE, Quaternion, qarr, qarr_mul,
                               qarr_norm, to_slice)
 from qcalc.slicefun import (_GRID_RADII, _GRID_UNITS, Power, Product,
-                            Regularizer, Scale, Sum, choose_regularizer, parse,
-                            pointwise_fine, pow_fn, reg_fn)
+                            Regularizer, Scale, StemFunction, Sum,
+                            choose_regularizer, parse, pointwise_fine)
 
 from conftest import random_quaternion
 
@@ -26,16 +27,16 @@ NONINTRINSIC = [
 
 
 def test_eval_examples():
-    f = pow_fn(2)
+    f = Power(2)
     assert f.eval(ONE + E1).isclose(2.0 * E1)
 
-    e = reg_fn(1)
+    e = Regularizer(1)
     assert e.eval(ONE).isclose(Quaternion(0.25))
 
 
 def test_power_eval_matches_repeated_multiplication(rng):
     for n in (0, 1, 2, 3, 5, 7):
-        f = pow_fn(n)
+        f = Power(n)
         for _ in range(25):
             q = random_quaternion(rng)
             want = ONE
@@ -46,7 +47,7 @@ def test_power_eval_matches_repeated_multiplication(rng):
 
 def test_regularizer_eval_matches_quotient(rng):
     for n in (1, 2, 3):
-        e = reg_fn(n)
+        e = Regularizer(n)
         for _ in range(25):
             q = random_quaternion(rng)
             if (ONE + q).norm() < 1e-3:
@@ -61,7 +62,7 @@ def test_slice_derivative_structures():
     d = Power(3).slice_derivative()
     # 3 * pow(2)
     q = Quaternion(0.3, 1.1, -0.4, 0.2)
-    assert (d.eval(q) - 3.0 * pow_fn(2).eval(q)).norm() <= 1e-12
+    assert (d.eval(q) - 3.0 * Power(2).eval(q)).norm() <= 1e-12
 
     s = Sum(Power(1), Power(2)).slice_derivative()
     want = Sum(Scale(1.0, Power(0)), Scale(2.0, Power(1)))
@@ -196,12 +197,12 @@ def test_pointwise_fine_power_examples(rng):
         q = random_quaternion(rng)
         if to_slice(q).y < 1e-3:
             continue
-        d, db, lap = pointwise_fine(pow_fn(1), q)
+        d, db, lap = pointwise_fine(Power(1), q)
         assert d.isclose(Quaternion(-2.0), tol=1e-12)
         assert db.isclose(Quaternion(4.0), tol=1e-12)
         assert lap.isclose(Quaternion(), tol=1e-12)
 
-        _, _, lap2 = pointwise_fine(pow_fn(2), q)
+        _, _, lap2 = pointwise_fine(Power(2), q)
         assert lap2.isclose(Quaternion(-4.0), tol=1e-10)
 
 
@@ -222,7 +223,7 @@ def quaternion_derivative_sums(q: Quaternion, n: int):
 
 def test_pointwise_fine_matches_power_sums(rng):
     for n in range(1, 9):
-        f = pow_fn(n)
+        f = Power(n)
         count = 0
         while count < 100:
             q = random_quaternion(rng)
@@ -250,7 +251,7 @@ def test_fine_combination_is_twice_derivative(rng):
 
 def test_pointwise_fine_rejects_reals():
     with pytest.raises(ValueError):
-        pointwise_fine(pow_fn(2), Quaternion(1.5))
+        pointwise_fine(Power(2), Quaternion(1.5))
 
 
 class TestFiniteDifferenceOperators:
@@ -310,19 +311,19 @@ class TestFiniteDifferenceOperators:
 def test_choose_regularizer_arithmetic():
     third = 1.0 / 3.0
     theta = 2.0
-    assert choose_regularizer(pow_fn(1), third, third, theta).n == 2
+    assert choose_regularizer(Power(1), third, third, theta).n == 2
     # reg(2) decays at both ends, so the growth exponent falls back to 0.5
-    assert choose_regularizer(reg_fn(2), third, third, theta).n == 1
-    assert choose_regularizer(pow_fn(3), third, third, theta).n == 4
+    assert choose_regularizer(Regularizer(2), third, third, theta).n == 1
+    assert choose_regularizer(Power(3), third, third, theta).n == 4
 
 
 def test_decay_certificates():
     theta = 2.0
-    cert = reg_fn(2).certify_decay(1.0, 1.0, theta)
+    cert = Regularizer(2).certify_decay(1.0, 1.0, theta)
     assert cert.delta == pytest.approx(2.0)
     assert cert.constant > 0.0
     # sampled bound really holds on a fresh grid
-    f = reg_fn(2)
+    f = Regularizer(2)
     for r in np.geomspace(1e-2, 1e2, 25):
         for ang in np.linspace(-0.95 * theta, 0.95 * theta, 9):
             q = Quaternion(r * math.cos(ang)) + E2 * (r * abs(math.sin(ang)))
@@ -331,14 +332,38 @@ def test_decay_certificates():
             assert f.eval(q).norm() <= bound * (1 + 1e-9)
 
     with pytest.raises(ClassMismatch):
-        pow_fn(1).certify_decay(1.0, 1.0, theta)
+        Power(1).certify_decay(1.0, 1.0, theta)
 
 
 def test_growth_certificates():
-    cert = pow_fn(3).certify_growth(2.0)
+    cert = Power(3).certify_growth(2.0)
     assert cert.k == pytest.approx(3.0)
-    cert2 = reg_fn(2).certify_growth(2.0)
+    cert2 = Regularizer(2).certify_growth(2.0)
     assert cert2.k == pytest.approx(0.5)
+
+
+def test_rebuilt_expression_shares_its_certificates(monkeypatch):
+    # certificates are memoized on repr(f), as Evaluator values are, so the
+    # Product(e, f) that every H-infinity value rebuilds samples no grid again
+    monkeypatch.setattr(slicefun, "_CERTIFICATES", slicefun.Memo())
+    samples = []
+    sample_sup = StemFunction._sample_sup
+
+    def counting(self, theta, weight):
+        samples.append(theta)
+        return sample_sup(self, theta, weight)
+
+    monkeypatch.setattr(StemFunction, "_sample_sup", counting)
+    first, second = (Product(Regularizer(2), Power(1)) for _ in range(2))
+    assert first is not second
+    decay = first.certify_decay(1.0, 1.0, 2.4)
+    assert second.certify_decay(1.0, 1.0, 2.4) == decay
+    growth = first.certify_growth(2.4)
+    assert second.certify_growth(2.4) == growth
+    assert samples == [2.4, 2.4]  # one grid sample per certificate kind
+    other = second.certify_decay(1.0, 1.0, 2.3)
+    assert samples == [2.4, 2.4, 2.3] and other.theta == 2.3
+    assert other != decay
 
 
 def test_product_requires_intrinsic_left():
@@ -359,7 +384,9 @@ def test_quaternion_scale_evaluation(rng):
         if (ONE + q).norm() < 1e-2:
             continue
         p = to_slice(q)
-        alpha, beta = Regularizer(2).stem(p.x, p.y)
+        w = Regularizer(2).complex_stem(np.asarray(complex(p.x, p.y)))
+        alpha, beta = (Quaternion.from_components(part)
+                       for part in (w.real, w.imag))
         want = c * alpha + p.j * (c * beta)
         assert (f.eval(q) - want).norm() <= 1e-12 * max(1.0, want.norm())
 
@@ -423,4 +450,4 @@ class TestParser:
 
 def test_regularizer_pole_guard():
     with pytest.raises(ZeroDivisionError):
-        reg_fn(1).eval(Quaternion(-1.0))
+        Regularizer(1).eval(Quaternion(-1.0))

@@ -90,6 +90,6 @@ def test_checks_share_their_group_time():
         time.sleep(0.02)
         return [(f"check_{i}", 0.0, 1.0) for i in range(4)]
 
-    records = _run_groups([("sleepy", group)], parallel=False)
+    records = _run_groups([group], parallel=False)
     assert len({r.ms for r in records}) == 1
     assert 20.0 <= sum(r.ms for r in records) < 1000.0
