@@ -1,16 +1,23 @@
-"""Commuting-component operators, the pseudo-resolvent and the six kernels.
+"""Commuting-component operators, the pseudo-resolvent and the kernels.
 
 An operator on H^n is stored through four real n x n component matrices
 (T0, T1, T2, T3) that commute pairwise; it acts on a quaternion vector v as
-T0 v + e1 (T1 v) + e2 (T2 v) + e3 (T3 v).  Every kernel is A + B J (left)
-or A + J B (right), where A and B combine a real per-node pair, built from
-one inversion of the pseudo-resolvent
+T0 v + e1 (T1 v) + e2 (T2 v) + e3 (T3 v).  Every kernel family is a
+polynomial in z = x + i y times a power of M = Q_{c,z}(T)^-1 = A1 + i B1,
+Q_{c,z}(T) = z^2 - 2 T0 z + |T|^2:
 
-    R(x, y) = (x^2+y^2 - |T|^2)^2 + 4 (T0 - x)((x^2+y^2) T0 - x |T|^2),
+    Qc = M,  S = (z - conj(T)) M,  F = -4 (z - conj(T)) M^2,
+    P2 = 4 (z - T0)(z - conj(T)) M^2,
 
-with coefficients that are polynomials in (x, y) over T0..T3 and |T|^2.
-All of these commute, so the coefficient tensors are built once per
-operator and a batch of nodes costs one real n x n inversion per node.
+and a family's value A + i B gives the kernel A + B J (left) or A + J B
+(right) at x + J y.  The real pair (A1, B1) costs one inversion of the
+pseudo-resolvent, the sum of squares of the parts of Q_{c,z}(T),
+
+    R(x, y) = (x^2+y^2 - |T|^2)^2 + 4 (T0 - x)((x^2+y^2) T0 - x |T|^2).
+
+The coefficients of z^d are quaternion matrices that commute with M, built
+once per operator, so a batch of nodes costs one real n x n inversion per
+node.
 """
 
 from __future__ import annotations
@@ -227,8 +234,8 @@ class CommutingOperator:
 
     @cached_property
     def kernel_numerators(self) -> dict:
-        """The Qc numerators "Qc pair" and a KernelNumerator per family (Qc,
-        S, F, P2) as polynomial coefficient tensors, built once."""
+        """The coefficients "Qc pair" of Q_{c,z}(T) and a KernelNumerator
+        per family (Qc, S, F, P2), built once."""
         return _kernel_numerators(self)
 
 
@@ -242,127 +249,67 @@ def modulus_sq(t: CommutingOperator) -> np.ndarray:
     return sum(t.components[i] @ t.components[i] for i in range(4))
 
 
-class _Poly(dict):
-    """{(a, b, k): c} for the polynomial sum x^a y^b c g_k with commuting
-    matrix coefficients c, real (n, n) or component stacks (4, n, n); g_0 = 1
-    for a plain polynomial, and g_0, g_1 stand for a family's per-node pair
-    (see _chain).  A real coefficient added to a stack is its real part."""
-
-    def __add__(self, other: "_Poly") -> "_Poly":
-        out = _Poly(self)
-        for key, c in other.items():
-            a = out.get(key)
-            out[key] = (c if a is None else a + c if a.ndim == c.ndim
-                        else _lift(a) + _lift(c))
-        return out
-
-    def __rmul__(self, c: float) -> "_Poly":
-        return _Poly({key: c * v for key, v in self.items()})
-
-    def __sub__(self, other: "_Poly") -> "_Poly":
-        return self + (-1.0) * other
-
-    def __matmul__(self, other: "_Poly") -> "_Poly":
-        out = _Poly()
-        for k1, c1 in self.items():
-            for k2, c2 in other.items():
-                key = tuple(i + j for i, j in zip(k1, k2))
-                out = out + _Poly({key: c1 @ c2})
-        return out
-
-
-def _lift(c: np.ndarray) -> np.ndarray:
-    return _as_stack(c) if c.ndim == 2 else c
-
-
-def _monomials(exps: np.ndarray, x: np.ndarray, y: np.ndarray,
-               scale: np.ndarray, degree: int) -> np.ndarray:
-    """(m, K): x^a y^b / scale^degree, (a, b) = exps[k], at the nodes, each
-    as (x/scale)^a (y/scale)^b scale^(a+b-degree): no factor exceeds one for
-    scale >= max(1, |x|, |y|) and a + b <= degree.  Powers of |x|, |y| take
-    the sign exactly, so the monomials are exactly even or odd in x, y."""
-    xs, ys = x / scale, y / scale
-    return (np.abs(xs)[:, None] ** exps[:, 0] * np.sign(xs)[:, None] ** exps[:, 0]
-            * np.abs(ys)[:, None] ** exps[:, 1] * np.sign(ys)[:, None] ** exps[:, 1]
-            * scale[:, None] ** (exps.sum(axis=1) - degree))
-
-
-def _combine(w: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_k w[..., k] coef[k] as one matrix product."""
-    return (w @ coef.reshape(len(coef), -1)).reshape(w.shape[:-1] + coef.shape[1:])
+def _z_powers(z: np.ndarray, scale: np.ndarray, degree: int,
+              power: int) -> np.ndarray:
+    """(m, degree+1): z^d / scale^(2 power) at the nodes, each as
+    (z/scale)^d scale^(d - 2 power): no factor exceeds one for
+    scale >= max(1, |z|) and d <= 2 power.  The powers are repeated
+    products, so they are exactly conjugate under y -> -y."""
+    zs, zd = z / scale, np.ones_like(z)
+    cols = []
+    for d in range(degree + 1):
+        cols.append(zd * scale ** float(d - 2 * power))
+        zd = zd * zs
+    return np.stack(cols, axis=1)
 
 
 @dataclass(frozen=True)
 class KernelNumerator:
-    """One kernel family on its per-node pair (g_0, g_1) (see _chain):
-    K_L = A + B J and K_R = A + J B with A = sum_k P_k(x, y) g_k, where
-    P_k = sum_i x^exps[i, 0] y^exps[i, 1] a[i, k] (a: (K, 2, 4, n, n)), and
-    B likewise from b.  The pair decays like |s|^(-2 power)."""
+    """One kernel family as a polynomial in z = x + i y: the family is
+    A + i B = sum_d coef[d] z^d M^power with coef (degree+1, 4, n, n) and
+    M = A1 + i B1 the Qc pair (see _chain); the coefficients commute with
+    M, and the kernel at x + J y is K_L = A + B J, K_R = A + J B.  The
+    family decays like |s|^(-2 power)."""
 
-    exps: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
+    coef: np.ndarray
     power: int
 
     def ray_coefficients(self, kind: str, phi: float,
                          unit: Quaternion) -> np.ndarray:
         """(2, degree+1, 2, 4, n, n): C[0, d, k] multiplies r^d g_k in the
-        kernel at x + J y, C[1, d, k] at x - J y, for x = r cos phi,
-        y = r sin phi and J = unit."""
-        deg = self.exps.sum(axis=1)
-        proj = np.zeros((deg.max() + 1, len(deg)))
-        proj[deg, np.arange(len(deg))] = (math.cos(phi) ** self.exps[:, 0]
-                                          * math.sin(phi) ** self.exps[:, 1])
-        a, b = _combine(proj, self.a), _combine(proj, self.b)
-        bj = bq_scalar(qarr(unit), b, "left" if kind.endswith("_R") else "right")
-        return np.stack([a + bj, a - bj])
+        kernel at x + J y, C[1, d, k] at x - J y, for z = r e^(i phi),
+        J = unit and the per-node pair g of _chain, where
+        M^power = g_0 + i power g_1."""
+        # z^d M^power = r^d e^(i d phi) (g_0 + i power g_1)
+        rot = (np.exp(1j * phi * np.arange(len(self.coef)))[:, None]
+               * np.array([1.0, 1j * self.power]))
+        a, b = (w[..., None, None, None] * self.coef[:, None]
+                for w in (rot.real, rot.imag))
+        return np.stack([assemble(kind, a, b, unit), assemble(kind, a, -b, unit)])
 
 
 def _kernel_numerators(t: CommutingOperator) -> dict:
-    """The A/B decomposition cascade, run once on polynomial coefficients.
-    The pair of a left kernel K_L(x+Jy) = A + B J serves K_R = A + J B."""
-    eye = np.eye(t.n)
-    x, y = _Poly({(1, 0, 0): eye}), _Poly({(0, 1, 0): eye})
-    t0 = _Poly({(0, 0, 0): t.components[0]})
-    msq = _Poly({(0, 0, 0): modulus_sq(t)})
-    # Qc: A1 = a1 R^-1, B1 = b1 R^-1, the per-node pair of Qc and S, where
-    # a1 - i b1 = Q_{c,s}(T) on the complex slice, so R = a1^2 + b1^2
-    a1 = x @ x - y @ y - 2.0 * (x @ t0) + msq
-    b1 = -2.0 * (y @ (x - t0))
-    g0, g1 = _Poly({(0, 0, 0): eye}), _Poly({(0, 0, 1): eye})
-    # S family: A2 + B2 J with A2 = (x - conj(T)) A1 - y B1.
-    c_op = _Poly({(1, 0, 0): _as_stack(eye), (0, 0, 0): -bq_conj(t.components)})
-    a2 = c_op @ g0 - y @ g1
-    b2 = c_op @ g1 + y @ g0
-    # F = -4 S Qc on the pair (g0, g1) = (A1^2 - B1^2, A1 B1), as is P2
-    a3 = -4.0 * (c_op @ g0 - 2.0 * (y @ g1))
-    b3 = -4.0 * (2.0 * (c_op @ g1) + y @ g0)
-    a4 = (t0 - x) @ a3 + y @ b3
-    b4 = (t0 - x) @ b3 - y @ a3
-
-    def keys_of(*polys):
-        return sorted({key[:2] for p in polys for key in p})
-
-    def family(a, b, power):
-        keys, zero = keys_of(a, b), np.zeros((4, t.n, t.n))
-        return KernelNumerator(np.array(keys), *(
-            np.array([[_lift(p.get((*key, k), zero)) for k in (0, 1)]
-                      for key in keys]) for p in (a, b)), power)
-
-    qkeys, zero = keys_of(a1, b1), np.zeros((t.n, t.n))
-    qc_pair = np.array([[p.get((*key, 0), zero) for p in (a1, b1)]
-                        for key in qkeys])
-    return {"Qc pair": (np.array(qkeys), qc_pair),
-            "Qc": family(g0, g1, 1), "S": family(a2, b2, 1),
-            "F": family(a3, b3, 2), "P2": family(a4, b4, 2)}
+    """Q_{c,z}(T) = z^2 - 2 T0 z + |T|^2 as the real stack "Qc pair", and the
+    families Qc = M, S = (z - conj(T)) M, F = -4 (z - conj(T)) M^2 and
+    P2 = 4 (z - T0)(z - conj(T)) M^2 as KernelNumerators."""
+    eye = _as_stack(np.eye(t.n))
+    t0, tbar = t.components[0], bq_conj(t.components)
+    s = np.stack([-tbar, eye])
+    return {"Qc pair": np.stack([modulus_sq(t), -2.0 * t0, np.eye(t.n)]),
+            "Qc": KernelNumerator(eye[None], 1),
+            "S": KernelNumerator(s, 1),
+            "F": KernelNumerator(-4.0 * s, 2),
+            "P2": KernelNumerator(4.0 * np.stack(
+                [t0 @ tbar, -(_as_stack(t0) + tbar), eye]), 2)}
 
 
 def _qc_numerators(t: CommutingOperator, x: np.ndarray, y: np.ndarray,
                    scale: np.ndarray) -> np.ndarray:
-    """(m, 2, n, n): (a1, b1) / scale^2 at the nodes, with a1 - i b1 equal
-    to Q_{c,s}(T) on the complex slice, so that R = a1^2 + b1^2."""
-    exps, coef = t.kernel_numerators["Qc pair"]
-    return _combine(_monomials(exps, x, y, scale, 2), coef)
+    """(m, 2, n, n): (a1, b1) / scale^2 at the nodes, the real and minus the
+    imaginary part of Q_{c,z}(T) at z = x + i y, so that R = a1^2 + b1^2."""
+    zp = _z_powers(x + 1j * y, scale, 2, 1)
+    w = np.stack([zp.real, -zp.imag], axis=1)
+    return np.einsum("mkd,dij->mkij", w, t.kernel_numerators["Qc pair"])
 
 
 def real_pseudo_resolvent(t: CommutingOperator, x: float, y: float) -> np.ndarray:
@@ -380,8 +327,9 @@ def _chain(t: CommutingOperator, x: np.ndarray, y: np.ndarray, *,
     Returns (pair, scale, cond) with scale = max(1, |x + J y|), cond the
     nodes' ||R||_F ||R^-1||_F and pair the stack
     (m, 2, n, n) of the real matrices every kernel of the family combines
-    with polynomial coefficients: the Qc pair (A1, B1) = (a1, b1) R^-1 for
-    Qc and S, (A1^2 - B1^2, A1 B1) for F and P2, each times scale^(2 power)
+    with polynomial coefficients: the Qc pair (A1, B1) = (a1, b1) R^-1,
+    M = A1 + i B1, for Qc and S, and (A1^2 - B1^2, A1 B1), the real and
+    half the imaginary part of M^2, for F and P2, each times scale^(2 power)
     so that no power of a large radius overflows.  R is formed as the sum
     of squares a1^2 + b1^2, which does not cancel near the spectrum as its
     expanded polynomial does.  A singular R, or a Frobenius condition
@@ -432,12 +380,13 @@ def kernel_batch(kind, t: CommutingOperator, x, y, j: Quaternion | None):
     pair, scale, _ = _chain(t, x, y, upto="Qc")
     nums = {_AB_FAMILY[k]: t.kernel_numerators[_AB_FAMILY[k]] for k in kinds}
     sq = _squared(pair) if any(n.power == 2 for n in nums.values()) else None
-    ab = {}
+    z, ab = x + 1j * y, {}
     for fam, num in nums.items():
-        mono = _monomials(num.exps, x, y, scale, 2 * num.power)
         g = sq if num.power == 2 else pair
-        ab[fam] = tuple((_combine(mono, c) @ g[:, :, None]).sum(axis=1)
-                        for c in (num.a, num.b))
+        m_pow = g[:, 0] + 1j * num.power * g[:, 1]  # M^power scale^(2 power)
+        zp = _z_powers(z, scale, len(num.coef) - 1, num.power)
+        value = np.einsum("md,dcij->mcij", zp, num.coef) @ m_pow[:, None]
+        ab[fam] = (value.real, value.imag)
     out = {k: ab[_AB_FAMILY[k]] if j is None
            else assemble(k, *ab[_AB_FAMILY[k]], j) for k in kinds}
     return out[kind] if isinstance(kind, str) else out
@@ -553,6 +502,8 @@ def operator_from_text(text: str) -> CommutingOperator:
         n = int(tokens[0])
     except ValueError as exc:
         raise ValueError("operator file must start with the dimension") from exc
+    if n < 1:
+        raise ValueError(f"operator dimension must be at least 1, got {n}")
     need = 1 + 4 * n * n
     if len(tokens) != need:
         raise ValueError(f"operator file needs {need} tokens, found {len(tokens)}")

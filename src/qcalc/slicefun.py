@@ -493,7 +493,7 @@ class _Parser:
             if (k, s) != ("sym", "("):
                 raise ValueError(f"{val} needs a parenthesised integer argument")
             k, arg_ = self.next()
-            if k != "num" or arg_ != int(arg_):
+            if k != "num" or not arg_.is_integer():
                 raise ValueError(f"{val} takes an integer argument")
             k, s = self.next()
             if (k, s) != ("sym", ")"):

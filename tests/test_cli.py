@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcalc
 from qcalc import suites
 from qcalc.cli import _SETTINGS, main, parse_unit
 from qcalc.operators import CommutingOperator, operator_to_text
@@ -86,8 +91,9 @@ class TestRun:
         assert main(["run", "kernels", "--operator", str(bad)]) == 2
 
     @pytest.mark.parametrize("text,message", [
-        ("0\n", "dimension"), ("2\n" + "nan " * 16, "finite")],
-        ids=["dim0", "nan"])
+        ("0\n", "dimension"), ("2\n" + "nan " * 16, "finite"),
+        ("-1\n1 2 3 4", "dimension must be at least 1, got -1")],
+        ids=["dim0", "nan", "negative dim"])
     def test_degenerate_operator_file(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
@@ -167,6 +173,19 @@ class TestRun:
     def test_empty_suite_rejected(self, capsys, suite, flag):
         assert main(["run", suite, "--dim", "2", flag]) == 2
         assert "at least 1" in capsys.readouterr().err
+
+    def test_runs_without_scipy_or_mpmath(self):
+        # numpy is the only runtime dependency: a suite runs in a fresh
+        # interpreter where importing scipy or mpmath fails
+        code = ('import sys; sys.modules["scipy"] = sys.modules["mpmath"] = None; '
+                'from qcalc.cli import main; sys.exit(main(["run", "identities", '
+                '"--dim", "2", "--pairs", "2"]))')
+        src = str(Path(qcalc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestConfig:

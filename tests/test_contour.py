@@ -201,16 +201,19 @@ class TestMomentForm:
         vb, _ = integrate_fixed(lambda p: k(p), f, contour, panels, side=side)
         assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
 
-    @pytest.mark.parametrize("kind", ["S_L", "Qc", "F_L"])
+    @pytest.mark.parametrize("kind", ["S_L", "Qc", "F_L", "P2_L"])
     def test_scalar_closed_forms(self, kind):
         # q in the contour's slice commutes with every node s, so the
-        # kernels are (s - q)^-1, Q_{c,s}(q)^-1 and -4 (s - q)^-2 (s - qbar)^-1
+        # kernels are (s - q)^-1, Q_{c,s}(q)^-1, -4 (s - q)^-2 (s - qbar)^-1
+        # and 4 (s - q0) (s - q)^-2 (s - qbar)^-1
         q = Quaternion(0.9) + E12 * 0.4
         closed = {
             "S_L": lambda s: (s - q).inverse(),
             "Qc": lambda s: (s * s - 2.0 * q.re * s
                              + Quaternion(q.norm_sq())).inverse(),
             "F_L": lambda s: -4.0 * ((s - q) * (s - q) * (s - q.conj())).inverse(),
+            "P2_L": lambda s: 4.0 * (s - Quaternion(q.re)) * (
+                (s - q) * (s - q) * (s - q.conj())).inverse(),
         }[kind]
         contour = SectorContour(1.2, E12, 1e-8, 1e8)
         f = Regularizer(2)

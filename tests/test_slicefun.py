@@ -442,7 +442,8 @@ class TestParser:
         assert f.eval(Quaternion(2.0)).isclose(Quaternion(1.5))
 
     @pytest.mark.parametrize("bad", ["pow(", "pow(1.5)", "reg(2))", "foo(1)",
-                                     "pow(1) +", "reg 2"])
+                                     "pow(1) +", "reg 2", "reg(1e400)",
+                                     "pow(1e400)"])
     def test_errors(self, bad):
         with pytest.raises(ValueError):
             parse(bad)
