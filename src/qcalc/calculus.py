@@ -80,6 +80,7 @@ class CalcDiagnostics:
     theta: float
     commutation_residual: float
     worst_cond: float  # largest ||R||_F ||R^-1||_F met by the quadrature
+    kernel_path: str  # "eigenbasis" or "dense" (see OperatorKernel.path)
     regularizer_n: int | None = None
     range_residual: float | None = None
 
@@ -199,15 +200,16 @@ class Evaluator:
                                self.theta)
         bound = kernel_bound(kernel_kind, profile, self.phi)
         contour = contour_for(cert, bound, self.phi, self.unit, tol=tol)
-        raw, info = integrate(OperatorKernel(kernel_kind, self.t), f, contour,
-                              side=side)
+        kernel = OperatorKernel(kernel_kind, self.t)
+        raw, info = integrate(kernel, f, contour, side=side)
         value = _PREFACTOR[kind] * raw
         diag = CalcDiagnostics(tol_achieved=info["tol_achieved"],
                                panels=info["panels"], t_min=contour.t_min,
                                t_max=contour.t_max, phi=self.phi,
                                theta=self.theta,
                                commutation_residual=value.commutation_residual(),
-                               worst_cond=info["worst_cond"])
+                               worst_cond=info["worst_cond"],
+                               kernel_path=kernel.path)
         return CalculusResult(value, kind, "decaying", diag)
 
     def hinf(self, kind: str, f, *, tol: float = 1e-12,
@@ -245,11 +247,12 @@ class Evaluator:
         else:
             e = Regularizer(regularizer_power)
         ef = Product(e, f)
-        conds = []
+        conds, paths = [], set()
 
         def sub(kind_, g, conj=False):  # at the current tol
             res = self.calc(kind_, g, tol=tol, conj=conj)
             conds.append(res.diagnostics.worst_cond)
+            paths.add(res.diagnostics.kernel_path)
             return res.value
 
         e_t = sub("S", e)
@@ -294,7 +297,9 @@ class Evaluator:
         diag = CalcDiagnostics(tol_achieved=tol, panels=0, t_min=0.0,
                                t_max=0.0, phi=self.phi, theta=self.theta,
                                commutation_residual=value.commutation_residual(),
-                               worst_cond=max(conds), regularizer_n=e.n,
+                               worst_cond=max(conds),
+                               kernel_path="dense" if "dense" in paths
+                               else "eigenbasis", regularizer_n=e.n,
                                range_residual=range_resid)
         return CalculusResult(value, kind, "h_infinity", diag)
 

@@ -65,33 +65,31 @@ def _require_positive_tol(tol: float) -> None:
 
 
 def _one_sided_radius(delta: float, c: float, tol: float, side: str) -> float:
-    # bound 2 C t**delta / delta <= tol / 20 near zero (mirrored at
-    # infinity); the min(delta, 1) keeps extra headroom for delta > 1
+    """Truncation radius t_min (side "min") with 2 C t_min**delta / delta <=
+    tol/20, or t_max (side "max") with the mirrored bound at infinity; the
+    min(delta, 1) keeps extra headroom for delta > 1.  tol = inf gives 1.
+    A constant so large (or NaN) that the bound underflows raises
+    ToleranceNotMet; a radius past the float range is inf."""
     if delta <= 0.0:
         raise ValueError("decay rate delta must be positive")
     _require_positive_tol(tol)
     if not math.isfinite(tol):
         return 1.0
     base = min(delta, 1.0) * tol / (40.0 * max(c, 1e-300))
-    if side == "min":
-        return base ** (1.0 / delta)
-    return base ** (-1.0 / delta)
-
-
-def tail_radius(delta: float, c: float, tol: float) -> tuple[float, float]:
-    """Truncation radii making each tail of the two-ray integral <= tol/20.
-
-    Solves 2 C t_min**delta / delta <= tol/20 and the mirrored bound at
-    infinity.  tol = inf returns the degenerate pair (1, 1), which the
-    SectorContour invariant rejects.
-    """
-    return (_one_sided_radius(delta, c, tol, "min"),
-            _one_sided_radius(delta, c, tol, "max"))
+    if not base > 0.0:
+        raise ToleranceNotMet(
+            f"certificate constant {c:.3g} leaves no truncation radius in "
+            f"floating point")
+    try:
+        return base ** (1.0 / delta if side == "min" else -1.0 / delta)
+    except OverflowError:
+        return math.inf
 
 
 def contour_for(cert, kernel_bound, phi: float, unit: Quaternion,
                 tol: float = 1e-9) -> SectorContour:
-    """Build a contour whose truncation error is certified below tol/10.
+    """Build a contour whose truncation error is certified below tol/10;
+    ToleranceNotMet when the certified radii cannot be represented.
 
     cert is the integrand's DecayCertificate.  kernel_bound is
     (C_K, a_K, b_K): the kernel norm is bounded by C_K |s|**-a_K below
@@ -108,9 +106,10 @@ def contour_for(cert, kernel_bound, phi: float, unit: Quaternion,
     c_total = c_k * cert.constant
     t_min = _one_sided_radius(delta0, c_total, tol, "min")
     t_max = _one_sided_radius(deltainf, c_total, tol, "max")
-    if t_min < 1.0 / _RADIUS_CLAMP or t_max > _RADIUS_CLAMP:
+    if not 1.0 / _RADIUS_CLAMP <= t_min < 1.0 < t_max <= _RADIUS_CLAMP:
         raise ToleranceNotMet(
-            "certified truncation radii exceed the floating-point safe range")
+            f"certified truncation radii ({t_min:.3g}, {t_max:.3g}) leave the "
+            f"floating-point safe range or the interval around 1")
     return SectorContour(phi, unit, t_min, t_max, tol=tol)
 
 
@@ -122,6 +121,12 @@ class OperatorKernel:
         self.kind = kind
         self.operator = t
         self.n = t.n
+
+    @property
+    def path(self) -> str:
+        """"eigenbasis" when the operator has one (see _moment_value), else
+        "dense"."""
+        return "dense" if self.operator.eigenbasis is None else "eigenbasis"
 
     def __call__(self, p: SlicePoint) -> QuatMatrix:
         return QuatMatrix(kernel_batch(self.kind, self.operator,
@@ -143,12 +148,17 @@ def _moment_value(k: OperatorKernel, contour: SectorContour, t, w, x, y,
     "right") with K = sum_(d, i) r^d C+-_(d, i) g_i for the per-node real
     pair g (see _chain): g commutes with the coefficients C, so the nodes
     enter only through the real moments sum_m w_m r_m^d s_m g_m, one GEMM
-    against the stacked pairs.  Returns the sum and the worst conditioning
-    of the nodes' pseudo-resolvents."""
+    against the stacked pairs.  With an eigenbasis (U, d0, d2) of the
+    operator the pairs are the diagonals of U^T g U, so the GEMM runs over
+    n columns per pair and each moment is U diag U^T; otherwise over the
+    dense n x n pairs.  Returns the sum and the worst conditioning of the
+    nodes' pseudo-resolvents."""
     fam = _AB_FAMILY[k.kind]
     num = k.operator.kernel_numerators[fam]
-    pair, scale, cond = _chain(k.operator, x, y, upto=fam)
-    m, _, n, _ = pair.shape
+    basis = k.operator.eigenbasis
+    pair, scale, cond = _chain(k.operator, x, y, upto=fam,
+                               diagonal=basis is not None)
+    m, n = pair.shape[0], k.n
     coeffs = num.ray_coefficients(k.kind, contour.phi, contour.unit)
     # r^d g = (r/scale)^d scale^(d-2j) (scale^(2j) g): with d <= 2j no
     # factor exceeds one, so no power of a large radius overflows
@@ -157,8 +167,11 @@ def _moment_value(k: OperatorKernel, contour: SectorContour, t, w, x, y,
     scalars = np.stack([s_plus, -s_minus], axis=1)  # (m, 2, 4)
     weights = (w[:, None, None, None] * rho[:, None, :, None]
                * scalars[:, :, None, :])  # (m, 2, degree+1, 4)
-    moments = (weights.reshape(m, -1).T @ pair.reshape(m, 2 * n * n)
-               ).reshape(2, -1, 4, 2, n, n).transpose(0, 1, 3, 2, 4, 5)
+    moments = weights.reshape(m, -1).T @ pair.reshape(m, -1)
+    moments = moments.reshape((2, -1, 4, 2) + pair.shape[2:]).swapaxes(2, 3)
+    if basis is not None:
+        u = basis[0]
+        moments = (u * moments[..., None, :]) @ u.T
     coeffs = coeffs.reshape(-1, 4, n, n)
     moments = moments.reshape(-1, 4, n, n)
     value = (bq_dot(coeffs, moments) if side == "left"

@@ -16,8 +16,11 @@ pseudo-resolvent, the sum of squares of the parts of Q_{c,z}(T),
     R(x, y) = (x^2+y^2 - |T|^2)^2 + 4 (T0 - x)((x^2+y^2) T0 - x |T|^2).
 
 The coefficients of z^d are quaternion matrices that commute with M, built
-once per operator, so a batch of nodes costs one real n x n inversion per
-node.
+once per operator.  M depends on T only through T0 and |T|^2; when one
+orthogonal U diagonalizes both (CommutingOperator.eigenbasis), the
+quadrature takes M at a node as n scalars 1/(z^2 - 2 z d0 + d2), O(n) per
+node, and otherwise one real n x n inversion of R per node.  Point
+kernels (kernel_batch) always take the inversion.
 """
 
 from __future__ import annotations
@@ -233,6 +236,13 @@ class CommutingOperator:
         return float(stack_norm(self.components))
 
     @cached_property
+    def eigenbasis(self):
+        """(U, d0, d2) with U orthogonal, T0 = U diag(d0) U^T and |T|^2 =
+        U diag(d2) U^T to roundoff, or None when no such U is found (see
+        _eigenbasis); then the kernels take the dense path."""
+        return _eigenbasis(self.components[0], modulus_sq(self))
+
+    @cached_property
     def kernel_numerators(self) -> dict:
         """The coefficients "Qc pair" of Q_{c,z}(T) and a KernelNumerator
         per family (Qc, S, F, P2), built once."""
@@ -247,6 +257,71 @@ def conj_op(t: CommutingOperator) -> CommutingOperator:
 def modulus_sq(t: CommutingOperator) -> np.ndarray:
     """|T|^2 = T0^2 + T1^2 + T2^2 + T3^2, equal to the action of conj(T) T."""
     return sum(t.components[i] @ t.components[i] for i in range(4))
+
+
+# U is accepted when ||U^T U - I||_F and the off-diagonal Frobenius norms of
+# U^T T0 U and U^T |T|^2 U, relative to ||T0||_F and |||T|^2||_F, are at
+# most this multiple of eps n
+_EIGENBASIS_SLACK = 16.0
+# weight of the normalized |T|^2 in the combination that eigh
+# diagonalizes; irrational, so that distinct pairs (d0, d2) stay apart
+_EIGENBASIS_MIX = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _eigenbasis(t0: np.ndarray, t2: np.ndarray):
+    """One orthogonal U that diagonalizes both symmetric matrices t0 and t2,
+    taken from eigh of a generic combination and refined (see
+    _refine_eigenbasis), as (U, d0, d2); None when either matrix is not
+    symmetric or U misses the residual test.  T0 and |T|^2 commute, so a
+    U exists whenever both are symmetric; a non-normal operator fails."""
+    n = len(t0)
+    bound = _EIGENBASIS_SLACK * np.finfo(float).eps * n
+    norms = [max(float(np.linalg.norm(a)), 1e-300) for a in (t0, t2)]
+    if any(np.linalg.norm(a - a.T) > bound * s for a, s in zip((t0, t2), norms)):
+        return None
+    mats = (t0 / norms[0], t2 / norms[1])
+    _, u = np.linalg.eigh(mats[0] + _EIGENBASIS_MIX * mats[1])
+    u = _refine_eigenbasis(u, mats)
+    rot = [u.T @ a @ u for a in (t0, t2)]
+    off = [np.linalg.norm(r - np.diag(np.diag(r))) for r in rot]
+    if (np.linalg.norm(u.T @ u - np.eye(n)) > bound
+            or any(o > bound * s for o, s in zip(off, norms))):
+        return None
+    return u, np.diag(rot[0]).copy(), np.diag(rot[1]).copy()
+
+
+def _refine_eigenbasis(u: np.ndarray, mats) -> np.ndarray:
+    """U after one Newton-Schulz step towards orthogonality and one cyclic
+    sweep of joint Jacobi rotations on U^T a U for a in mats.  The step
+    cuts ||U^T U - I|| about eightfold from eigh's (about 1.3 eps n at
+    n = 16).  The rotation of columns (i, j) minimizes the sum of squares
+    of the rotated (i, j) entries (Cardoso and Souloumiac, SIAM J. Matrix
+    Anal. Appl. 17 (1996) 161); it settles pairs whose combined
+    eigenvalues nearly coincide, where eigh mixes two joint eigenvectors."""
+    n = len(u)
+    u = u + 0.5 * u @ (np.eye(n) - u.T @ u)
+    rot = [u.T @ a @ u for a in mats]
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            # off-diagonal after rotating by theta: h . (cos 2theta, sin 2theta)
+            h = [(r[i, j], 0.5 * (r[j, j] - r[i, i])) for r in rot]
+            p = sum(a * a for a, _ in h)
+            q = sum(b * b for _, b in h)
+            c2 = sum(a * b for a, b in h)
+            if c2 == 0.0 and p <= q:
+                continue  # (1, 0) is already optimal: theta = 0
+            # the eigenvector of [[p, c2], [c2, q]] for its smaller eigenvalue
+            psi = 0.5 * math.atan2(2.0 * c2, p - q) + 0.5 * math.pi
+            if math.cos(psi) < 0.0:
+                psi -= math.pi
+            c, s = math.cos(0.5 * psi), math.sin(0.5 * psi)
+            g = np.array([[c, -s], [s, c]])
+            idx = [i, j]
+            u[:, idx] = u[:, idx] @ g
+            for r in rot:
+                r[:, idx] = r[:, idx] @ g
+                r[idx, :] = g.T @ r[idx, :]
+    return u
 
 
 def _z_powers(z: np.ndarray, scale: np.ndarray, degree: int,
@@ -321,7 +396,7 @@ def real_pseudo_resolvent(t: CommutingOperator, x: float, y: float) -> np.ndarra
 
 
 def _chain(t: CommutingOperator, x: np.ndarray, y: np.ndarray, *,
-           upto: str = "P2"):
+           upto: str = "P2", diagonal: bool = False):
     """Per-node work of the kernel family upto at the nodes (x[k], y[k]).
 
     Returns (pair, scale, cond) with scale = max(1, |x + J y|), cond the
@@ -335,25 +410,54 @@ def _chain(t: CommutingOperator, x: np.ndarray, y: np.ndarray, *,
     expanded polynomial does.  A singular R, or a Frobenius condition
     number ||R||_F ||R^-1||_F (which bounds the 2-norm one from above)
     over COND_SPECTRUM_THRESHOLD, raises SpectrumHit.
+
+    diagonal=True needs t.eigenbasis (U, d0, d2) and returns pair as the
+    (m, 2, n) diagonals of U^T pair U: Q_{c,z}(T) / scale^2 is then
+    q = (z^2 - 2 z d0 + d2) / scale^2 and M scale^2 = 1/q entrywise, so a
+    node costs O(n).  R / scale^4 = U diag(|q|^2) U^T, and Frobenius norms
+    are orthogonally invariant, so cond and the spectrum rule are those
+    of the dense path.
     """
     scale = np.maximum(1.0, np.hypot(x, y))
-    ab = _qc_numerators(t, x, y, scale)
-    rmat = (ab @ ab).sum(axis=1)  # R / scale^4
-    try:
-        rinv = np.linalg.inv(rmat)
-        cond = (np.linalg.norm(rmat, axis=(1, 2))
-                * np.linalg.norm(rinv, axis=(1, 2)))
-    except np.linalg.LinAlgError:
-        cond = np.array([math.inf])
+    power = t.kernel_numerators[upto].power
+    if diagonal:
+        pair, cond = _diagonal_pair(t.eigenbasis, x, y, scale, power)
+    else:
+        ab = _qc_numerators(t, x, y, scale)
+        rmat = (ab @ ab).sum(axis=1)  # R / scale^4
+        try:
+            rinv = np.linalg.inv(rmat)
+            cond = (np.linalg.norm(rmat, axis=(1, 2))
+                    * np.linalg.norm(rinv, axis=(1, 2)))
+        except np.linalg.LinAlgError:
+            cond = np.array([math.inf])
     if not np.all(cond <= COND_SPECTRUM_THRESHOLD):  # a NaN fails too
         raise SpectrumHit(
             f"pseudo-resolvent Frobenius condition number {np.max(cond):.3g} "
             f"exceeds {COND_SPECTRUM_THRESHOLD:.1g}: point numerically in the "
             f"F-spectrum")
-    pair = ab @ rinv[:, None]
-    if t.kernel_numerators[upto].power == 2:
-        pair = _squared(pair)
+    if not diagonal:
+        pair = ab @ rinv[:, None]
+        if power == 2:
+            pair = _squared(pair)
     return pair, scale, cond
+
+
+def _diagonal_pair(basis, x, y, scale, power):
+    """(pair, cond) of _chain in the eigenbasis (U, d0, d2): pair (m, 2, n)
+    holds (Re, Im) of w = 1/q, q = (z^2 - 2 z d0 + d2) / scale^2, or
+    (Re, Im / 2) of w^2 for power 2."""
+    _, d0, d2 = basis
+    s = scale[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        zs = (x + 1j * y)[:, None] / s
+        q = zs * zs - 2.0 * zs * (d0 / s) + d2 / (s * s)
+        r = q.real * q.real + q.imag * q.imag  # eigenvalues of R / scale^4
+        cond = np.linalg.norm(r, axis=1) * np.linalg.norm(1.0 / r, axis=1)
+        w = 1.0 / q
+    if power == 2:
+        w = w * w
+    return np.stack([w.real, w.imag / power], axis=1), cond
 
 
 def _squared(pair: np.ndarray) -> np.ndarray:
@@ -509,11 +613,6 @@ def operator_from_text(text: str) -> CommutingOperator:
         raise ValueError(f"operator file needs {need} tokens, found {len(tokens)}")
     vals = np.array([float(v) for v in tokens[1:]])
     return CommutingOperator(vals.reshape(4, n, n))
-
-
-def save_operator(t: CommutingOperator, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(operator_to_text(t))
 
 
 def load_operator(path) -> CommutingOperator:

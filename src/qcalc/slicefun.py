@@ -498,7 +498,14 @@ class _Parser:
             k, s = self.next()
             if (k, s) != ("sym", ")"):
                 raise ValueError(f"unclosed argument list of {val}")
-            return Power(int(arg_)) if val == "pow" else Regularizer(int(arg_))
+            fn = Power(int(arg_)) if val == "pow" else Regularizer(int(arg_))
+            # a stem that overflows where certificates sample it has none
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.all(np.isfinite(fn.complex_stem(_GRID_RADII)))
+            if not finite:
+                raise ValueError(f"{fn!r} overflows on the certificate grid "
+                                 f"(|s| up to {_GRID_RADII[-1]:g})")
+            return fn
         if (kind, val) == ("sym", "("):
             inner = self.parse_expr()
             k, s = self.next()

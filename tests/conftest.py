@@ -14,6 +14,13 @@ def scalar_operator(q: Quaternion) -> CommutingOperator:
     return CommutingOperator(q.components.reshape(4, 1, 1))
 
 
+def dense_twin(t: CommutingOperator) -> CommutingOperator:
+    """A copy of t whose kernels take the dense path (no eigenbasis)."""
+    twin = CommutingOperator(t.components)
+    twin.__dict__["eigenbasis"] = None
+    return twin
+
+
 def random_quaternion(rng, scale=1.0) -> Quaternion:
     return Quaternion(*(scale * rng.normal(size=4)))
 

@@ -5,14 +5,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import counting_integrate, random_quaternion, scalar_operator
+from conftest import (counting_integrate, dense_twin, random_quaternion,
+                      scalar_operator)
 from qcalc import slicefun
 from qcalc.calculus import (Evaluator, _rel, calc,
                             derivative_combination_residual, hinf,
                             power_recurrence_residuals, power_reference,
                             product_rule_residuals,
                             resolvent_identity_residuals)
-from qcalc.errors import ClassMismatch, NotInjective, NotIntrinsic, SpectrumHit
+from qcalc.errors import (ClassMismatch, NotInjective, NotIntrinsic,
+                          SpectrumHit, ToleranceNotMet)
 from qcalc.operators import (KERNEL_KINDS, CommutingOperator, TypeProfile,
                              assemble, bq_conj, conj_op, kernel, kernel_batch,
                              stack_fro)
@@ -68,6 +70,18 @@ class TestDecayingCalculi:
         a = calc(kind, gen4.operator, f, ctx4.profile).value
         b = calc(kind, gen4.operator, f, ctx4.profile, side="right").value
         assert (a - b).norm() <= 1e-8
+
+    def test_kernel_path_recorded(self, ctx4, gen4):
+        # a generated operator has an orthogonal eigenbasis; without one the
+        # same value comes from the dense path
+        f = Regularizer(2)
+        fast = calc("F", gen4.operator, f, ctx4.profile)
+        slow = calc("F", dense_twin(gen4.operator), f, ctx4.profile)
+        assert fast.diagnostics.kernel_path == "eigenbasis"
+        assert slow.diagnostics.kernel_path == "dense"
+        assert fast.diagnostics.panels == slow.diagnostics.panels
+        assert (fast.value - slow.value).norm() <= 1e-12 * max(
+            1.0, slow.value.norm())
 
     def test_worst_conditioning_recorded(self, ctx4, gen4):
         ev = Evaluator(gen4.operator, ctx4.profile)
@@ -427,6 +441,20 @@ class TestHInfinity:
         zero = CommutingOperator(np.zeros((4, 3, 3)))
         with pytest.raises(NotInjective):
             hinf("S", zero, Power(1), ctx4.profile)
+
+    @pytest.mark.parametrize("n", [400, 10**20])
+    def test_large_power_is_typed(self, n):
+        # the certificate constant of e * s^n is infinite (400) or NaN
+        # (10^20): contour_for raises ToleranceNotMet, not ZeroDivisionError
+        # or the SectorContour ValueError
+        ctx = SuiteContext(generate_operator(OperatorSpec(dim=2, seed=3)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ToleranceNotMet):
+                hinf("S", ctx.operator, Power(n), ctx.profile)
+
+    def test_kernel_path_is_reported(self, ctx4, gen4):
+        res = hinf("Q", gen4.operator, Power(2), ctx4.profile)
+        assert res.diagnostics.kernel_path == "eigenbasis"
 
     def test_nilpotent_rejected(self, ctx4):
         # real nilpotent component: injectivity fails although T is nonzero

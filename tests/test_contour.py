@@ -1,15 +1,20 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import scalar_operator
-from qcalc.contour import (OperatorKernel, SectorContour, contour_for,
-                           integrate, integrate_fixed, tail_radius)
-from qcalc.errors import NoDecayMetadata, ToleranceNotMet
-from qcalc.operators import QuatMatrix
-from qcalc.quaternion import E1, E2, ONE, Quaternion
+from conftest import dense_twin, scalar_operator
+from qcalc.contour import (OperatorKernel, SectorContour, _level_value,
+                           _one_sided_radius, contour_for, integrate,
+                           integrate_fixed)
+from qcalc.errors import NoDecayMetadata, SpectrumHit, ToleranceNotMet
+from qcalc.operators import (KERNEL_KINDS, CommutingOperator, QuatMatrix,
+                             _chain, operator_from_text, operator_to_text)
+from qcalc.quaternion import E1, E2, ONE, Quaternion, to_slice
 from qcalc.slicefun import Regularizer, Scale, Sum
+from qcalc.suites import OperatorSpec, generate_operator
 
 E12 = Quaternion(0, 1, 1, 0) * (1.0 / math.sqrt(2.0))
 
@@ -23,27 +28,52 @@ def cauchy_setup(tol=1e-9):
 
 class TestTailRadius:
     def test_spec_values(self):
-        t_min, t_max = tail_radius(1.0, 1.0, 1e-8)
-        assert t_min == pytest.approx(2.5e-10, rel=1e-12)
-        assert t_max == pytest.approx(4e9, rel=1e-12)
-
-        t_min, _ = tail_radius(2.0, 1.0, 1e-8)
-        assert t_min == pytest.approx(math.sqrt(2.5e-10), rel=1e-12)
+        assert _one_sided_radius(1.0, 1.0, 1e-8, "min") == pytest.approx(
+            2.5e-10, rel=1e-12)
+        assert _one_sided_radius(1.0, 1.0, 1e-8, "max") == pytest.approx(
+            4e9, rel=1e-12)
+        assert _one_sided_radius(2.0, 1.0, 1e-8, "min") == pytest.approx(
+            math.sqrt(2.5e-10), rel=1e-12)
 
     @pytest.mark.parametrize("delta,c,tol", [(0.5, 3.0, 1e-6), (1.0, 1.0, 1e-8),
                                              (2.0, 10.0, 1e-9), (0.2, 0.5, 1e-7)])
     def test_tail_bound_postcondition(self, delta, c, tol):
-        t_min, t_max = tail_radius(delta, c, tol)
+        t_min = _one_sided_radius(delta, c, tol, "min")
+        t_max = _one_sided_radius(delta, c, tol, "max")
         assert 2.0 * c * t_min ** delta / delta <= tol / 20.0 * (1 + 1e-12)
         assert 2.0 * c * t_max ** (-delta) / delta <= tol / 20.0 * (1 + 1e-12)
 
     def test_degenerate_rejected(self):
-        t_min, t_max = tail_radius(1.0, 1.0, math.inf)
-        assert (t_min, t_max) == (1.0, 1.0)
+        assert _one_sided_radius(1.0, 1.0, math.inf, "min") == 1.0
+        assert _one_sided_radius(1.0, 1.0, math.inf, "max") == 1.0
         with pytest.raises(ValueError):
-            SectorContour(1.0, E1, t_min, t_max)
+            SectorContour(1.0, E1, 1.0, 1.0)
         with pytest.raises(ValueError):
-            tail_radius(0.0, 1.0, 1e-8)
+            _one_sided_radius(0.0, 1.0, 1e-8, "min")
+        # contour_for reports the degenerate pair as a typed error
+        _, _, cert = cauchy_setup()
+        with pytest.raises(ToleranceNotMet):
+            contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, E1, tol=math.inf)
+
+    @pytest.mark.parametrize("constant,tol", [(math.inf, 1e-12),
+                                              (math.nan, 1e-12),
+                                              (1e305, 1e-20), (1e305, 1e-12)])
+    def test_unrepresentable_constant(self, constant, tol):
+        # the bound tol / (40 C) is NaN or underflows to 0, or t_max
+        # overflows: typed, not a ZeroDivisionError or OverflowError from
+        # the power
+        _, _, cert = cauchy_setup()
+        with pytest.raises(ToleranceNotMet):
+            contour_for(replace(cert, constant=constant), (2.0, 1.0, 1.0),
+                        math.pi / 2, E1, tol=tol)
+
+    def test_radii_collapsing_to_one(self):
+        # decay rates so large that both radii round to 1: typed, not the
+        # ValueError of the SectorContour invariant
+        _, _, cert = cauchy_setup()
+        with pytest.raises(ToleranceNotMet):
+            contour_for(replace(cert, delta=1e20), (2.0, 1.0, 1.0),
+                        math.pi / 2, E1)
 
 
 class TestContourValidation:
@@ -62,7 +92,7 @@ class TestContourValidation:
         with pytest.raises(ValueError, match="tolerance"):
             contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, E1, tol=tol)
         with pytest.raises(ValueError, match="tolerance"):
-            tail_radius(1.0, 1.0, tol)
+            _one_sided_radius(1.0, 1.0, tol, "max")
         with pytest.raises(ValueError, match="tolerance"):
             SectorContour(1.0, E1, 1e-6, 1e6, tol=tol)
         assert SectorContour(1.0, E1, 1e-6, 1e6, tol=math.inf).tol == math.inf
@@ -225,3 +255,84 @@ class TestMomentForm:
         if kind == "Qc":  # the Q-calculus integrates -2 Q_{c,s}^-1
             va, vb = -2.0 * va, -2.0 * vb
         assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
+
+
+class TestKernelPaths:
+    # the eigenbasis path (orthogonal U, one O(n) pair per node) against
+    # the dense one (one n x n inversion per node) on the same nodes
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_paths_agree(self, kind, side):
+        contour = SectorContour(1.7, E12, 1e-6, 1e6)
+        f = Regularizer(2)
+        for n in range(1, 9):
+            t = generate_operator(OperatorSpec(dim=n, seed=100 + n)).operator
+            fast, slow = OperatorKernel(kind, t), OperatorKernel(kind, dense_twin(t))
+            assert (fast.path, slow.path) == ("eigenbasis", "dense")
+            va, _ = integrate_fixed(fast, f, contour, 12, side=side)
+            vb, _ = integrate_fixed(slow, f, contour, 12, side=side)
+            assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
+            _, cond_a = _level_value(fast, f, contour, side, 12, n)
+            _, cond_b = _level_value(slow, f, contour, side, 12, n)
+            assert cond_a == pytest.approx(cond_b, rel=1e-10)
+
+    @pytest.mark.parametrize("dim", [1, 4, 8])
+    def test_same_spectrum_hits(self, dim):
+        # near an eigensphere both paths reject exactly the same points
+        gen = generate_operator(OperatorSpec(dim=dim, seed=200 + dim))
+        t, outcomes = gen.operator, []
+        for q in gen.eigenvalues[:2]:
+            p = to_slice(q)
+            for d in 10.0 ** -np.arange(2, 8):
+                for dx, dy in ((d, 0.0), (0.0, d), (-d, 0.0)):
+                    x, y = np.array([p.x + dx]), np.array([p.y + dy])
+                    hits = []
+                    for diagonal in (False, True):
+                        try:
+                            _chain(t, x, y, upto="Qc", diagonal=diagonal)
+                            hits.append(False)
+                        except SpectrumHit:
+                            hits.append(True)
+                    assert hits[0] == hits[1], (d, dx, dy)
+                    outcomes.append(hits[0])
+        assert any(outcomes) == (dim > 1)  # a 1 x 1 R has condition 1
+
+    def test_singular_node_is_spectrum_hit(self):
+        # a node on an eigensphere makes r = |q|^2 zero: SpectrumHit, and
+        # no numpy warning on the way
+        q = Quaternion(0.8, 0.3, 0.0, 0.0)
+        t = CommutingOperator(np.stack([np.diag([q.components[i], 2.0 * i])
+                                        for i in range(4)]))
+        assert t.eigenbasis is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectrumHit):
+                _chain(t, np.array([0.8, 1.0]), np.array([0.3, 1.0]),
+                       upto="Qc", diagonal=True)
+            with pytest.raises(SpectrumHit):
+                _chain(t, np.array([np.nan]), np.array([0.3]), upto="Qc",
+                       diagonal=True)
+
+    @pytest.mark.parametrize("kind,side", KIND_SIDES)
+    def test_fallback_operators_keep_dense_values(self, kind, side):
+        # a non-normal S^-1 D S operator and a loaded normal operator with a
+        # non-symmetric T0 have no orthogonal eigenbasis: the moment form
+        # runs dense and matches the point kernels
+        rng = np.random.default_rng(5)
+        s = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
+        d = [np.diag(v) for v in ([0.9, 1.3, 0.7], [0.2, 0.0, 0.3],
+                                  [0.0, 0.4, 0.1], [0.1, 0.0, 0.0])]
+        nonnormal = CommutingOperator(
+            np.stack([np.linalg.solve(s, di @ s) for di in d]))
+        rot = np.array([[1.0, -0.5], [0.5, 1.0]])
+        loaded = operator_from_text(operator_to_text(CommutingOperator(
+            np.stack([rot, 0.3 * rot, np.zeros((2, 2)), np.zeros((2, 2))]))))
+        contour = SectorContour(1.7, E12, 1e-6, 1e6)
+        f = Regularizer(2)
+        for t in (nonnormal, loaded):
+            assert t.eigenbasis is None
+            k = OperatorKernel(kind, t)
+            assert k.path == "dense"
+            va, _ = integrate_fixed(k, f, contour, 12, side=side)
+            vb, _ = integrate_fixed(lambda p: k(p), f, contour, 12, side=side)
+            assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())

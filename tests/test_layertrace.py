@@ -71,3 +71,23 @@ def test_identity_check_is_one_point_span():
     metrics = layertrace.derive(tracer.spans, 1)
     assert metrics["operators.point.calls"][0] == 1
     assert metrics["operators.inv.s"][0] > 0
+
+
+def test_lone_calc_traces_chain_nodes():
+    # the eigenbasis path still runs its per-node work in contour._chain,
+    # so a calc on a generated operator shows its nodes in the trace
+    layertrace = _load_layertrace()
+    ctx = qcalc.SuiteContext(
+        qcalc.generate_operator(qcalc.OperatorSpec(dim=4, seed=3)))
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("bench.op"):
+            res = qcalc.calc("F", ctx.operator, qcalc.Regularizer(2),
+                             ctx.profile)
+    finally:
+        tracer.uninstall()
+    assert res.diagnostics.kernel_path == "eigenbasis"
+    metrics = layertrace.derive(tracer.spans, 1)
+    assert metrics["operators.chain.nodes"][0] > 0
+    assert metrics["operators.chain.nodes.F"][0] > 0

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import random_quaternion, scalar_operator
 from qcalc.errors import SpectrumHit
-from qcalc.operators import (CommutingOperator, QuatMatrix, ab_decompose,
-                             adjoint, bq_conj, conj_op, estimate_type_profile,
+from qcalc.operators import (CommutingOperator, QuatMatrix,
+                             _refine_eigenbasis, ab_decompose, adjoint,
+                             bq_conj, conj_op, estimate_type_profile,
                              f_spectrum_check, from_adjoint, kernel,
                              modulus_sq, operator_from_text, operator_to_text,
                              q_operator, real_pseudo_resolvent)
@@ -339,6 +340,44 @@ class TestSpectrum:
         assert not f_spectrum_check(t, s)
         # an exact eigenvalue makes R singular: False, not an exception
         assert not f_spectrum_check(t, q)
+
+
+class TestEigenbasis:
+    @pytest.mark.parametrize("n", [1, 3, 8, 16])
+    def test_diagonalizes_t0_and_modulus(self, n):
+        gen = generate_operator(OperatorSpec(dim=n, seed=40 + n))
+        eps = np.finfo(float).eps
+        for t in (gen.operator, conj_op(gen.operator)):
+            u, d0, d2 = t.eigenbasis
+            assert np.linalg.norm(u.T @ u - np.eye(n)) <= eps * n
+            for a, d in ((t.components[0], d0), (modulus_sq(t), d2)):
+                assert np.linalg.norm(u @ np.diag(d) @ u.T - a) <= (
+                    4.0 * eps * n * np.linalg.norm(a))
+        # U comes from T alone, yet its diagonals are the generator's spectrum
+        want = sorted(q.re for q in gen.eigenvalues)
+        assert np.allclose(sorted(d0), want, rtol=0.0, atol=1e-13)
+
+    def test_refinement_separates_mixed_pair(self):
+        # eigh of the combination mixes two joint eigenvectors whose combined
+        # eigenvalues nearly coincide; one joint Jacobi sweep separates them
+        t0, t2 = np.diag([0.5, 1.0, 2.0]), np.diag([3.0, 1.0, 0.25])
+        c, s = math.cos(1e-3), math.sin(1e-3)
+        u = np.eye(3)
+        u[:, :2] = u[:, :2] @ np.array([[c, -s], [s, c]])
+        u = _refine_eigenbasis(u, (t0, t2))
+        assert np.linalg.norm(u.T @ u - np.eye(3)) <= 1e-15
+        for a in (t0, t2):
+            r = u.T @ a @ u
+            assert np.linalg.norm(r - np.diag(np.diag(r))) <= 1e-15
+
+    def test_no_eigenbasis_for_nonsymmetric_parts(self):
+        # a non-normal operator: T0 = S^-1 D S is not symmetric
+        s = np.array([[1.0, 0.5], [0.0, 1.0]])
+        d = np.diag([1.0, 2.0])
+        zeros = np.zeros((2, 2))
+        t = CommutingOperator(np.stack([np.linalg.solve(s, d @ s), zeros,
+                                        zeros, zeros]))
+        assert t.eigenbasis is None
 
 
 class TestTypeProfile:

@@ -443,7 +443,7 @@ class TestParser:
 
     @pytest.mark.parametrize("bad", ["pow(", "pow(1.5)", "reg(2))", "foo(1)",
                                      "pow(1) +", "reg 2", "reg(1e400)",
-                                     "pow(1e400)"])
+                                     "pow(1e400)", "pow(1e20)", "pow(103)"])
     def test_errors(self, bad):
         with pytest.raises(ValueError):
             parse(bad)
