@@ -10,7 +10,7 @@ from .errors import (ClassMismatch, NoDecayMetadata, NotInjective, NotIntrinsic,
 from .operators import (CommutingOperator, QuatMatrix, TypeProfile, ab_decompose,
                         conj_op, estimate_type_profile, f_spectrum_check, kernel,
                         load_operator, modulus_sq, operator_from_text,
-                        operator_to_text, real_pseudo_resolvent)
+                        operator_to_text)
 from .quaternion import (E1, E2, E3, ONE, Quaternion, SlicePoint, in_sector,
                          to_slice)
 from .slicefun import (Power, Product, Regularizer, Scale, StemFunction, Sum,

@@ -79,7 +79,7 @@ class CalcDiagnostics:
     phi: float
     theta: float
     commutation_residual: float
-    worst_cond: float  # largest ||R||_F ||R^-1||_F met by the quadrature
+    worst_cond: float  # largest (||Q||_F ||Q^-1||_F)^2 of the quadrature
     kernel_path: str  # "eigenbasis" or "dense" (see OperatorKernel.path)
     regularizer_n: int | None = None
     range_residual: float | None = None

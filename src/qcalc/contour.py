@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoDecayMetadata, ToleranceNotMet
-from .operators import (QuatMatrix, _AB_FAMILY, _chain, bq_dot, bq_scalar,
-                        kernel_batch, stack_fro)
+from .operators import (QuatMatrix, _AB_FAMILY, _chain, _z_powers, bq_dot,
+                        bq_scalar, kernel_batch, stack_fro)
 from .quaternion import Quaternion, SlicePoint, exp_j, qarr, qarr_mul
 
 GAUSS_ORDER = 16
@@ -145,25 +145,23 @@ def _point_kernel_rays(k, x, y, unit, n):
 def _moment_value(k: OperatorKernel, contour: SectorContour, t, w, x, y,
                   s_plus, s_minus, side: str):
     """Sum over the nodes of K(x +- J y) s+- (side "left") or s+- K (side
-    "right") with K = sum_(d, i) r^d C+-_(d, i) g_i for the per-node real
-    pair g (see _chain): g commutes with the coefficients C, so the nodes
-    enter only through the real moments sum_m w_m r_m^d s_m g_m, one GEMM
-    against the stacked pairs.  With an eigenbasis (U, d0, d2) of the
-    operator the pairs are the diagonals of U^T g U, so the GEMM runs over
-    n columns per pair and each moment is U diag U^T; otherwise over the
-    dense n x n pairs.  Returns the sum and the worst conditioning of the
-    nodes' pseudo-resolvents."""
+    "right") with K = sum_(d, i) r^d C+-_(d, i) g_i for the real and
+    imaginary parts g_0, g_1 of the per-node M^power (see _chain): they
+    commute with the coefficients C, so the nodes enter only through the
+    real moments sum_m w_m r_m^d s_m g_m, one GEMM against the stacked
+    parts.  With an eigenbasis (U, d0, d2) of the operator g is the
+    diagonal of U^T g U, so the GEMM runs over n columns per part and each
+    moment is U diag U^T; otherwise over the dense n x n parts.  Returns
+    the sum and the worst conditioning of the nodes' Q_{c,z}(T)."""
     fam = _AB_FAMILY[k.kind]
     num = k.operator.kernel_numerators[fam]
     basis = k.operator.eigenbasis
-    pair, scale, cond = _chain(k.operator, x, y, upto=fam,
-                               diagonal=basis is not None)
+    g, scale, cond = _chain(k.operator, x, y, upto=fam,
+                            diagonal=basis is not None)
+    pair = np.stack([g.real, g.imag], axis=1)
     m, n = pair.shape[0], k.n
     coeffs = num.ray_coefficients(k.kind, contour.phi, contour.unit)
-    # r^d g = (r/scale)^d scale^(d-2j) (scale^(2j) g): with d <= 2j no
-    # factor exceeds one, so no power of a large radius overflows
-    deg = np.arange(coeffs.shape[1])
-    rho = (t / scale)[:, None] ** deg * scale[:, None] ** (deg - 2 * num.power)
+    rho = _z_powers(t, scale, coeffs.shape[1] - 1, num.power)
     scalars = np.stack([s_plus, -s_minus], axis=1)  # (m, 2, 4)
     weights = (w[:, None, None, None] * rho[:, None, :, None]
                * scalars[:, :, None, :])  # (m, 2, degree+1, 4)
@@ -181,7 +179,7 @@ def _moment_value(k: OperatorKernel, contour: SectorContour, t, w, x, y,
 
 def _level_value(k, f, contour: SectorContour, side: str, panels: int,
                  matrix_dim: int | None):
-    """One quadrature level: (value, worst pseudo-resolvent conditioning),
+    """One quadrature level: (value, worst conditioning of Q_{c,z}(T)),
     the latter None for a point-callable kernel."""
     u0, u1 = math.log(contour.t_min), math.log(contour.t_max)
     j = contour.unit
@@ -228,7 +226,7 @@ def integrate(k, f, contour: SectorContour, *, side: str = "left"):
     K ds_J f, "right" is f ds_J K.  The first level has one panel per two
     units of log radius (at least 8); each refinement doubles the panels.
     Returns (QuatMatrix, diagnostics); the diagnostics' worst_cond is the
-    largest ||R||_F ||R^-1||_F met on the accepted level (None for a
+    largest (||Q||_F ||Q^-1||_F)^2 met on the accepted level (None for a
     point-callable kernel).
     """
     dim = getattr(k, "n", None)

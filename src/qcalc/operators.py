@@ -3,24 +3,20 @@
 An operator on H^n is stored through four real n x n component matrices
 (T0, T1, T2, T3) that commute pairwise; it acts on a quaternion vector v as
 T0 v + e1 (T1 v) + e2 (T2 v) + e3 (T3 v).  Every kernel family is a
-polynomial in z = x + i y times a power of M = Q_{c,z}(T)^-1 = A1 + i B1,
+polynomial in z = x + i y times a power of M = Q_{c,z}(T)^-1,
 Q_{c,z}(T) = z^2 - 2 T0 z + |T|^2:
 
     Qc = M,  S = (z - conj(T)) M,  F = -4 (z - conj(T)) M^2,
     P2 = 4 (z - T0)(z - conj(T)) M^2,
 
 and a family's value A + i B gives the kernel A + B J (left) or A + J B
-(right) at x + J y.  The real pair (A1, B1) costs one inversion of the
-pseudo-resolvent, the sum of squares of the parts of Q_{c,z}(T),
-
-    R(x, y) = (x^2+y^2 - |T|^2)^2 + 4 (T0 - x)((x^2+y^2) T0 - x |T|^2).
-
-The coefficients of z^d are quaternion matrices that commute with M, built
-once per operator.  M depends on T only through T0 and |T|^2; when one
-orthogonal U diagonalizes both (CommutingOperator.eigenbasis), the
-quadrature takes M at a node as n scalars 1/(z^2 - 2 z d0 + d2), O(n) per
-node, and otherwise one real n x n inversion of R per node.  Point
-kernels (kernel_batch) always take the inversion.
+(right) at x + J y.  The coefficients of z^d are quaternion matrices that
+commute with M, built once per operator.  M depends on T only through T0
+and |T|^2, and a node costs one inversion of Q_{c,z}(T) itself (see
+_chain): when one orthogonal U diagonalizes both
+(CommutingOperator.eigenbasis), the quadrature inverts the n scalars
+z^2 - 2 z d0 + d2, O(n) per node, and otherwise the complex n x n matrix.
+Point kernels (kernel_batch) always take the matrix.
 """
 
 from __future__ import annotations
@@ -250,8 +246,11 @@ class CommutingOperator:
 
 
 def conj_op(t: CommutingOperator) -> CommutingOperator:
-    """Conjugate operator (T0, -T1, -T2, -T3); involutive."""
-    return CommutingOperator(bq_conj(t.components))
+    """Conjugate operator (T0, -T1, -T2, -T3); involutive.  It shares T's
+    eigenbasis, since T0 and |T|^2 are the same bit for bit."""
+    out = CommutingOperator(bq_conj(t.components))
+    out.__dict__["eigenbasis"] = t.eigenbasis  # fills the cached_property
+    return out
 
 
 def modulus_sq(t: CommutingOperator) -> np.ndarray:
@@ -342,8 +341,8 @@ def _z_powers(z: np.ndarray, scale: np.ndarray, degree: int,
 class KernelNumerator:
     """One kernel family as a polynomial in z = x + i y: the family is
     A + i B = sum_d coef[d] z^d M^power with coef (degree+1, 4, n, n) and
-    M = A1 + i B1 the Qc pair (see _chain); the coefficients commute with
-    M, and the kernel at x + J y is K_L = A + B J, K_R = A + J B.  The
+    M = Q_{c,z}(T)^-1 (see _chain); the coefficients commute with M,
+    and the kernel at x + J y is K_L = A + B J, K_R = A + J B.  The
     family decays like |s|^(-2 power)."""
 
     coef: np.ndarray
@@ -353,11 +352,11 @@ class KernelNumerator:
                          unit: Quaternion) -> np.ndarray:
         """(2, degree+1, 2, 4, n, n): C[0, d, k] multiplies r^d g_k in the
         kernel at x + J y, C[1, d, k] at x - J y, for z = r e^(i phi),
-        J = unit and the per-node pair g of _chain, where
-        M^power = g_0 + i power g_1."""
-        # z^d M^power = r^d e^(i d phi) (g_0 + i power g_1)
+        J = unit and the real and imaginary parts g_0, g_1 of the per-node
+        M^power of _chain."""
+        # z^d M^power = r^d e^(i d phi) (g_0 + i g_1)
         rot = (np.exp(1j * phi * np.arange(len(self.coef)))[:, None]
-               * np.array([1.0, 1j * self.power]))
+               * np.array([1.0, 1j]))
         a, b = (w[..., None, None, None] * self.coef[:, None]
                 for w in (rot.real, rot.imag))
         return np.stack([assemble(kind, a, b, unit), assemble(kind, a, -b, unit)])
@@ -378,92 +377,57 @@ def _kernel_numerators(t: CommutingOperator) -> dict:
                 [t0 @ tbar, -(_as_stack(t0) + tbar), eye]), 2)}
 
 
-def _qc_numerators(t: CommutingOperator, x: np.ndarray, y: np.ndarray,
-                   scale: np.ndarray) -> np.ndarray:
-    """(m, 2, n, n): (a1, b1) / scale^2 at the nodes, the real and minus the
-    imaginary part of Q_{c,z}(T) at z = x + i y, so that R = a1^2 + b1^2."""
-    zp = _z_powers(x + 1j * y, scale, 2, 1)
-    w = np.stack([zp.real, -zp.imag], axis=1)
-    return np.einsum("mkd,dij->mkij", w, t.kernel_numerators["Qc pair"])
-
-
-def real_pseudo_resolvent(t: CommutingOperator, x: float, y: float) -> np.ndarray:
-    """The real matrix R(x, y) whose inverse drives every kernel; R depends on
-    y only through y^2 and commutes with every component of T."""
-    ab = _qc_numerators(t, np.atleast_1d(float(x)), np.atleast_1d(float(y)),
-                        np.ones(1))
-    return (ab @ ab).sum(axis=1)[0]
-
-
 def _chain(t: CommutingOperator, x: np.ndarray, y: np.ndarray, *,
            upto: str = "P2", diagonal: bool = False):
     """Per-node work of the kernel family upto at the nodes (x[k], y[k]).
 
-    Returns (pair, scale, cond) with scale = max(1, |x + J y|), cond the
-    nodes' ||R||_F ||R^-1||_F and pair the stack
-    (m, 2, n, n) of the real matrices every kernel of the family combines
-    with polynomial coefficients: the Qc pair (A1, B1) = (a1, b1) R^-1,
-    M = A1 + i B1, for Qc and S, and (A1^2 - B1^2, A1 B1), the real and
-    half the imaginary part of M^2, for F and P2, each times scale^(2 power)
-    so that no power of a large radius overflows.  R is formed as the sum
-    of squares a1^2 + b1^2, which does not cancel near the spectrum as its
-    expanded polynomial does.  A singular R, or a Frobenius condition
-    number ||R||_F ||R^-1||_F (which bounds the 2-norm one from above)
-    over COND_SPECTRUM_THRESHOLD, raises SpectrumHit.
+    Returns (g, scale, cond) with scale = max(1, |x + J y|), g the complex
+    stack (m, n, n) of scale^(2 power) M^power, M = Q_{c,z}(T)^-1 at
+    z = x + i y, which every kernel of the family combines with polynomial
+    coefficients, and cond the nodes' (||Q||_F ||Q^-1||_F)^2.  Q / scale^2
+    = sum_d (z^d / scale^2) C_d is formed from the stack
+    C = (|T|^2, -2 T0, I) of kernel_numerators["Qc pair"] and inverted
+    itself, so no power of a large radius overflows, and near the
+    spectrum the error grows with the condition of Q, not with its square
+    as it would for the real sum of squares Q conj(Q).  A singular Q, or
+    cond over COND_SPECTRUM_THRESHOLD, raises SpectrumHit; cond bounds the
+    squared 2-norm condition number of Q from above, and the Frobenius
+    one of Q conj(Q) too (by submultiplicativity).
 
-    diagonal=True needs t.eigenbasis (U, d0, d2) and returns pair as the
-    (m, 2, n) diagonals of U^T pair U: Q_{c,z}(T) / scale^2 is then
-    q = (z^2 - 2 z d0 + d2) / scale^2 and M scale^2 = 1/q entrywise, so a
-    node costs O(n).  R / scale^4 = U diag(|q|^2) U^T, and Frobenius norms
-    are orthogonally invariant, so cond and the spectrum rule are those
-    of the dense path.
+    diagonal=True needs t.eigenbasis (U, d0, d2) and returns g as the
+    (m, n) diagonals of U^T g U: C is then (d2, -2 d0, 1), Q / scale^2 the
+    diagonal q and its inverse 1/q, so a node costs O(n).  Frobenius norms
+    are orthogonally invariant, so cond and the spectrum rule are those of
+    the dense path.
     """
     scale = np.maximum(1.0, np.hypot(x, y))
     power = t.kernel_numerators[upto].power
     if diagonal:
-        pair, cond = _diagonal_pair(t.eigenbasis, x, y, scale, power)
+        _, d0, d2 = t.eigenbasis
+        coef = np.stack([d2, -2.0 * d0, np.ones_like(d0)])
     else:
-        ab = _qc_numerators(t, x, y, scale)
-        rmat = (ab @ ab).sum(axis=1)  # R / scale^4
+        coef = t.kernel_numerators["Qc pair"]
+    axes = 1 if diagonal else (1, 2)
+
+    def fro_sq(a):
+        return np.sum(a.real * a.real + a.imag * a.imag, axis=axes)
+
+    # a NaN node or a singular Q must end in SpectrumHit, not in a warning
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = np.tensordot(_z_powers(x + 1j * y, scale, 2, 1), coef, axes=1)
         try:
-            rinv = np.linalg.inv(rmat)
-            cond = (np.linalg.norm(rmat, axis=(1, 2))
-                    * np.linalg.norm(rinv, axis=(1, 2)))
+            g = 1.0 / q if diagonal else np.linalg.inv(q)
+            cond = fro_sq(q) * fro_sq(g)
         except np.linalg.LinAlgError:
             cond = np.array([math.inf])
     if not np.all(cond <= COND_SPECTRUM_THRESHOLD):  # a NaN fails too
         raise SpectrumHit(
-            f"pseudo-resolvent Frobenius condition number {np.max(cond):.3g} "
+            f"pseudo-resolvent condition number {np.max(cond):.3g} "
             f"exceeds {COND_SPECTRUM_THRESHOLD:.1g}: point numerically in the "
             f"F-spectrum")
-    if not diagonal:
-        pair = ab @ rinv[:, None]
-        if power == 2:
-            pair = _squared(pair)
-    return pair, scale, cond
-
-
-def _diagonal_pair(basis, x, y, scale, power):
-    """(pair, cond) of _chain in the eigenbasis (U, d0, d2): pair (m, 2, n)
-    holds (Re, Im) of w = 1/q, q = (z^2 - 2 z d0 + d2) / scale^2, or
-    (Re, Im / 2) of w^2 for power 2."""
-    _, d0, d2 = basis
-    s = scale[:, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        zs = (x + 1j * y)[:, None] / s
-        q = zs * zs - 2.0 * zs * (d0 / s) + d2 / (s * s)
-        r = q.real * q.real + q.imag * q.imag  # eigenvalues of R / scale^4
-        cond = np.linalg.norm(r, axis=1) * np.linalg.norm(1.0 / r, axis=1)
-        w = 1.0 / q
     if power == 2:
-        w = w * w
-    return np.stack([w.real, w.imag / power], axis=1), cond
-
-
-def _squared(pair: np.ndarray) -> np.ndarray:
-    """(A1^2 - B1^2, A1 B1), the pair of F and P2, from the Qc pair."""
-    a1, b1 = pair[:, 0], pair[:, 1]
-    return np.stack([a1 @ a1 - b1 @ b1, a1 @ b1], axis=1)
+        g = g * g if diagonal else g @ g
+    return g, scale, cond
 
 
 def assemble(kind: str, a, b, j: Quaternion) -> np.ndarray:
@@ -474,20 +438,19 @@ def assemble(kind: str, a, b, j: Quaternion) -> np.ndarray:
 def kernel_batch(kind, t: CommutingOperator, x, y, j: Quaternion | None):
     """Kernel values at the slice points x[k] + J y[k], shape (m, 4, n, n);
     a dict by kind for a tuple of kinds, and each kind's J-independent pair
-    (A, B) (see assemble) for j None.  One Qc pair (one inversion of R) per
-    node and one squared pair serve all kinds; conj(T)'s pairs are the
+    (A, B) (see assemble) for j None.  One inversion of Q_{c,z}(T) per node
+    and one square of it serve all kinds; conj(T)'s pairs are the
     entrywise conjugates (bq_conj) of T's."""
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     if not set(kinds) <= set(KERNEL_KINDS):
         raise ValueError(f"unknown kernel kind in {kind!r}")
     x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
-    pair, scale, _ = _chain(t, x, y, upto="Qc")
+    g, scale, _ = _chain(t, x, y, upto="Qc")
     nums = {_AB_FAMILY[k]: t.kernel_numerators[_AB_FAMILY[k]] for k in kinds}
-    sq = _squared(pair) if any(n.power == 2 for n in nums.values()) else None
+    sq = g @ g if any(n.power == 2 for n in nums.values()) else None
     z, ab = x + 1j * y, {}
     for fam, num in nums.items():
-        g = sq if num.power == 2 else pair
-        m_pow = g[:, 0] + 1j * num.power * g[:, 1]  # M^power scale^(2 power)
+        m_pow = sq if num.power == 2 else g  # M^power scale^(2 power)
         zp = _z_powers(z, scale, len(num.coef) - 1, num.power)
         value = np.einsum("md,dcij->mcij", zp, num.coef) @ m_pow[:, None]
         ab[fam] = (value.real, value.imag)
@@ -497,8 +460,8 @@ def kernel_batch(kind, t: CommutingOperator, x, y, j: Quaternion | None):
 
 
 def kernel(kind: str, t: CommutingOperator, s) -> QuatMatrix:
-    """One of the resolvent kernels at s: S_L/S_R, Qc (the pseudo-resolvent
-    inverse itself), P2_L/P2_R or F_L/F_R."""
+    """One of the resolvent kernels at s: S_L/S_R, Qc (Q_{c,s}(T)^-1
+    itself), P2_L/P2_R or F_L/F_R."""
     p = s if isinstance(s, SlicePoint) else to_slice(s)
     comps = kernel_batch(kind, t, np.array([p.x]), np.array([p.y]), p.j)
     return QuatMatrix(comps[0])

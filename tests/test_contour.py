@@ -295,23 +295,24 @@ class TestKernelPaths:
                             hits.append(True)
                     assert hits[0] == hits[1], (d, dx, dy)
                     outcomes.append(hits[0])
-        assert any(outcomes) == (dim > 1)  # a 1 x 1 R has condition 1
+        assert any(outcomes) == (dim > 1)  # a 1 x 1 Q has condition 1
 
     def test_singular_node_is_spectrum_hit(self):
-        # a node on an eigensphere makes r = |q|^2 zero: SpectrumHit, and
-        # no numpy warning on the way
+        # a node on an eigensphere makes Q_{c,z}(T) singular: SpectrumHit,
+        # and no numpy warning on the way, on either path
         q = Quaternion(0.8, 0.3, 0.0, 0.0)
         t = CommutingOperator(np.stack([np.diag([q.components[i], 2.0 * i])
                                         for i in range(4)]))
         assert t.eigenbasis is not None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SpectrumHit):
-                _chain(t, np.array([0.8, 1.0]), np.array([0.3, 1.0]),
-                       upto="Qc", diagonal=True)
-            with pytest.raises(SpectrumHit):
-                _chain(t, np.array([np.nan]), np.array([0.3]), upto="Qc",
-                       diagonal=True)
+            for diagonal in (True, False):
+                with pytest.raises(SpectrumHit):
+                    _chain(t, np.array([0.8, 1.0]), np.array([0.3, 1.0]),
+                           upto="Qc", diagonal=diagonal)
+                with pytest.raises(SpectrumHit):
+                    _chain(t, np.array([np.nan]), np.array([0.3]),
+                           upto="Qc", diagonal=diagonal)
 
     @pytest.mark.parametrize("kind,side", KIND_SIDES)
     def test_fallback_operators_keep_dense_values(self, kind, side):

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_quaternion, scalar_operator
+from conftest import dense_twin, random_quaternion, scalar_operator
 from qcalc.errors import SpectrumHit
-from qcalc.operators import (CommutingOperator, QuatMatrix,
-                             _refine_eigenbasis, ab_decompose, adjoint,
-                             bq_conj, conj_op, estimate_type_profile,
-                             f_spectrum_check, from_adjoint, kernel,
-                             modulus_sq, operator_from_text, operator_to_text,
-                             q_operator, real_pseudo_resolvent)
+from qcalc.operators import (COND_SPECTRUM_THRESHOLD, CommutingOperator,
+                             QuatMatrix, _chain, _refine_eigenbasis,
+                             ab_decompose, adjoint, bq_conj, conj_op,
+                             estimate_type_profile, f_spectrum_check,
+                             from_adjoint, kernel, modulus_sq,
+                             operator_from_text, operator_to_text, q_operator)
 from qcalc.quaternion import (E1, E2, ONE, Quaternion,
                               random_unit_imaginary, to_slice)
 from qcalc.suites import OperatorSpec, generate_operator
@@ -32,6 +32,25 @@ def resolvent_point(gen, rng):
                                    for a, b in spectrum):
             return s
     pytest.fail("no resolvent point found away from the spectrum")
+
+
+def q_complex(t, x, y):
+    """Q_{c,z}(T) at z = x + i y as a complex n x n matrix (i read as e1)."""
+    q = q_operator(t, Quaternion(x) + E1 * y).components
+    return q[0] + 1j * q[1]
+
+
+def cond_fro(a):
+    return float(np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a)))
+
+
+def near_sphere(dim, d):
+    """Operator (dim, seed 7) and the point d from its first eigensphere,
+    moved along x, with a generic unit."""
+    gen = generate_operator(OperatorSpec(dim=dim, seed=7))
+    p = to_slice(gen.eigenvalues[0])
+    unit = Quaternion(0.0, 1.0, 1.0, 1.0) * (1.0 / math.sqrt(3.0))
+    return gen.operator, Quaternion(p.x + d) + unit * p.y
 
 
 class TestCommutingOperator:
@@ -97,25 +116,29 @@ class TestConjAndModulus:
 
 class TestPseudoResolvent:
     def test_scalar_example(self):
-        # q = 1 real, s = 2 e1: R = (4-1)^2 + 4(1-0)(4-0) = 25
+        # q = 1 real, s = 2 e1: Q = s^2 - 2 s + 1 = -3 - 4 e1, |Q|^2 = 25
         t = scalar_operator(ONE)
-        r = real_pseudo_resolvent(t, 0.0, 2.0)
-        assert r.shape == (1, 1) and math.isclose(r[0, 0], 25.0)
+        q = q_operator(t, Quaternion(0.0, 2.0, 0.0, 0.0))
+        assert q.n == 1 and q.entry(0, 0).isclose(Quaternion(-3, -4, 0, 0))
+        assert math.isclose(q.entry(0, 0).norm_sq(), 25.0)
 
     def test_vanishes_on_eigensphere(self, rng):
         qs = [random_quaternion(rng) for _ in range(3)]
         t = diag_operator(qs)
         for k, q in enumerate(qs):
             p = to_slice(q)
-            r = real_pseudo_resolvent(t, p.x, p.y)
-            assert abs(r[k, k]) <= 1e-10 * max(1.0, q.norm() ** 4)
+            for s in (q, Quaternion(p.x) + random_unit_imaginary(rng) * p.y):
+                entry = q_operator(t, s).entry(k, k)
+                assert entry.norm() <= 1e-10 * max(1.0, q.norm() ** 2)
 
-    def test_even_in_y(self, gen4, rng):
+    def test_conjugate_in_y(self, gen4, rng):
+        # Q(x, -y) = conj(Q(x, y)): Q has real matrix coefficients
         t = gen4.operator
         for _ in range(5):
             x, y = rng.normal(), rng.normal()
-            assert np.allclose(real_pseudo_resolvent(t, x, y),
-                               real_pseudo_resolvent(t, x, -y))
+            want = q_operator(t, Quaternion(x) + E1 * y).conj()
+            got = q_operator(t, Quaternion(x) - E1 * y)
+            assert (got - want).norm() <= 1e-14 * max(1.0, want.norm())
 
 
 class TestQInverse:
@@ -237,9 +260,10 @@ class TestABDecomposition:
         for _ in range(5):
             s = resolvent_point(gen4, rng)
             p = to_slice(s)
-            rinv = np.linalg.inv(real_pseudo_resolvent(t, p.x, p.y))
-            a_want = ((p.x ** 2 - p.y ** 2) * eye - 2 * p.x * t0 + msq) @ rinv
-            b_want = -2.0 * p.y * ((p.x * eye - t0) @ rinv)
+            q = ((p.x ** 2 - p.y ** 2) * eye - 2 * p.x * t0 + msq
+                 + 2j * p.y * (p.x * eye - t0))
+            m = np.linalg.inv(q)
+            a_want, b_want = m.real, m.imag
             a, b = ab_decompose("Qc", t, p.x, p.y)
             assert np.allclose(a.components[0], a_want, atol=1e-12)
             assert np.allclose(b.components[0], b_want, atol=1e-12)
@@ -328,21 +352,103 @@ class TestSpectrum:
 
     def test_one_conditioning_rule(self):
         # kernels and the spectrum check reject the same points: here the
-        # 2-norm condition number of R is just above the threshold (1.4e12),
-        # so the Frobenius one, which bounds it from above, is too
+        # squared 2-norm condition number of Q is just above the threshold
+        # (1.4e12), so the squared Frobenius one, which bounds it from
+        # above, is too
         q = Quaternion(0.8, 0.3, -0.4, 0.2)
         t = diag_operator([q, Quaternion(1.5, 0.0, 0.9, 0.0)])
         s = q + Quaternion(1e-6, 0.0, 0.0, 0.0)
         p = to_slice(s)
-        assert np.linalg.cond(real_pseudo_resolvent(t, p.x, p.y)) > 1e12
+        assert np.linalg.cond(q_complex(t, p.x, p.y)) ** 2 > 1e12
         with pytest.raises(SpectrumHit):
             kernel("S_L", t, s)
         assert not f_spectrum_check(t, s)
-        # an exact eigenvalue makes R singular: False, not an exception
+        # an exact eigenvalue makes Q singular: False, not an exception
         assert not f_spectrum_check(t, q)
+
+    def test_multiply_back_near_sphere(self):
+        # 1e-5 from an eigensphere, cond_F(Q)^2 = 1.2e10: the inverse of Q
+        # itself multiplies back within test_multiply_back's tolerance; an
+        # inverse through the sum of squares Q conj(Q), whose condition is
+        # that square, leaves about 1e-6
+        t, s = near_sphere(8, 1e-5)
+        g, q = kernel("Qc", t, s), q_operator(t, s)
+        eye = QuatMatrix.identity(t.n)
+        assert (q @ g - eye).norm() <= 1e-10
+        assert (g @ q - eye).norm() <= 1e-10
+
+    def test_closer_point_is_spectrum_hit(self):
+        # 1e-6 from the same sphere cond_F(Q)^2 = 1.2e12 is over the
+        # threshold, though the Frobenius condition of Q conj(Q) is not
+        t, s = near_sphere(8, 1e-6)
+        p = to_slice(s)
+        assert cond_fro(q_complex(t, p.x, p.y)) ** 2 > COND_SPECTRUM_THRESHOLD
+        with pytest.raises(SpectrumHit):
+            kernel("Qc", t, s)
+        assert not f_spectrum_check(t, s)
+
+
+def mp_kernels(t, s):
+    """The seven kernels at s in the complex adjoint (see adjoint), from
+    quaternion-matrix products and one inverse at 30 digits:
+    S_L = (s - conj(T)) Q^-1, F_L = -4 (s - conj(T)) Q^-2,
+    P2_L = 4 (s - conj(T))(s - T0) Q^-2 and their mirror images, with
+    Q = s^2 - 2 s T0 + conj(T) T."""
+    mp = pytest.importorskip("mpmath")
+
+    def lift(comps):
+        return mp.matrix(adjoint(comps).tolist())
+
+    with mp.workdps(30):
+        tt, tbar = lift(t.components), lift(bq_conj(t.components))
+        t0 = lift(QuatMatrix.from_real(t.components[0]).components)
+        sm = lift(QuatMatrix.from_scalar(s, t.n).components)
+        qi = (sm * sm - 2 * sm * t0 + tbar * tt) ** -1
+        a, b = sm - tbar, sm - t0
+        ks = {"Qc": qi, "S_L": a * qi, "S_R": qi * a,
+              "F_L": -4 * a * qi * qi, "F_R": -4 * qi * qi * a,
+              "P2_L": 4 * a * b * qi * qi, "P2_R": 4 * qi * qi * b * a}
+        return {k: np.array(v.tolist(), dtype=complex) for k, v in ks.items()}
+
+
+@pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_kernels_near_sphere_match_mpmath(d):
+    # every kind within 32 eps cond_F(Q) of a 30-digit reference, relative
+    # in the Frobenius norm, an error bound of one inversion of Q (through
+    # the sum of squares Q conj(Q) the error grows like cond_F(Q)^2);
+    # where cond_F(Q)^2 passes the threshold, every kind raises SpectrumHit
+    t, s = near_sphere(8, d)
+    p = to_slice(s)
+    cond = cond_fro(q_complex(t, p.x, p.y))
+    if cond ** 2 > COND_SPECTRUM_THRESHOLD:
+        for kind in KINDS:
+            with pytest.raises(SpectrumHit):
+                kernel(kind, t, s)
+        return
+    ref = mp_kernels(t, s)
+    bound = 32.0 * np.finfo(float).eps * cond
+    for kind in KINDS:
+        got = adjoint(kernel(kind, t, s).components)
+        err = np.linalg.norm(got - ref[kind]) / np.linalg.norm(ref[kind])
+        assert err <= bound, (kind, err / bound)
+    # the eigenbasis path: M = U diag(g / scale^2) U^T, with the parts
+    # (A1, B1) of the reference Qc = A1 + J B1
+    u = t.eigenbasis[0]
+    g, scale, _ = _chain(t, np.array([p.x]), np.array([p.y]), upto="Qc",
+                         diagonal=True)
+    m = (u * (g[0] / scale[0] ** 2)) @ u.T
+    qc = from_adjoint(ref["Qc"])
+    want = qc[0] + 1j * np.tensordot(p.j.components[1:], qc[1:], axes=1)
+    assert np.linalg.norm(m - want) <= bound * np.linalg.norm(want)
 
 
 class TestEigenbasis:
+    def test_conj_shares_eigenbasis(self):
+        # T0 and |T|^2 of conj(T) are T's bit for bit
+        t = generate_operator(OperatorSpec(dim=8, seed=3)).operator
+        assert conj_op(t).eigenbasis is t.eigenbasis
+        assert conj_op(dense_twin(t)).eigenbasis is None
+
     @pytest.mark.parametrize("n", [1, 3, 8, 16])
     def test_diagonalizes_t0_and_modulus(self, n):
         gen = generate_operator(OperatorSpec(dim=n, seed=40 + n))

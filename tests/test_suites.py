@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -76,9 +78,9 @@ def test_report_io(ctx, tmp_path):
     report = run_suite("identities", ctx)
     json_path, csv_path = write_report(report, tmp_path)
     import json
-    data = json.loads(open(json_path).read())
+    data = json.loads(Path(json_path).read_text())
     assert data["suite"] == "identities"
-    assert len(open(csv_path).read().splitlines()) == len(report.checks) + 1
+    assert len(Path(csv_path).read_text().splitlines()) == len(report.checks) + 1
 
 
 def test_checks_share_their_group_time():
