@@ -4,7 +4,7 @@ from .calculus import (CalculusResult, Evaluator, calc,
                        derivative_combination_residual, hinf,
                        power_recurrence_residuals, power_reference,
                        product_rule_residuals, resolvent_identity_residuals)
-from .contour import OperatorKernel, SectorContour, integrate, integrate_fixed
+from .contour import OperatorKernel, SectorContour, integrate
 from .errors import (ClassMismatch, NoDecayMetadata, NotInjective, NotIntrinsic,
                      QCalcError, SpectrumHit, ToleranceNotMet, UnsupportedKind)
 from .operators import (CommutingOperator, QuatMatrix, TypeProfile, ab_decompose,

@@ -188,13 +188,8 @@ class Evaluator:
                               lambda: self._calc(kind, f, tol, side))
 
     def _calc(self, kind, f, tol, side) -> CalculusResult:
-        if side == "right":
-            if not f.intrinsic:
-                raise NotIntrinsic(
-                    "the right-kernel form needs an intrinsic function")
-            kernel_kind = _RIGHT_KERNEL[kind]
-        else:
-            kernel_kind = _LEFT_KERNEL[kind]
+        kernels = _RIGHT_KERNEL if side == "right" else _LEFT_KERNEL
+        kernel_kind = kernels[kind]
         profile = self.profile
         cert = f.certify_decay(3.0 * profile.alpha, 3.0 * profile.beta,
                                self.theta)

@@ -4,12 +4,28 @@ The path is the boundary of a sector of half-opening angle phi inside one
 complex slice: gamma(t) = -t e^{J phi} for t < 0 and t e^{-J phi} for
 t > 0, so the integral of K(s) ds_J f(s) reduces to
 
-    int_{tmin}^{tmax} [ K(r e^{J phi}) (e^{J phi} J) f(r e^{J phi})
-                      - K(r e^{-J phi}) (e^{-J phi} J) f(r e^{-J phi}) ] dr.
+    int_{tmin}^{tmax} [ K(r e^{J phi}) s+ - K(r e^{-J phi}) s- ] dr,
+    s+- = e^{+-J phi} J f(r e^{+-J phi}).
 
 The substitution r = e^u equidistributes the decay at both ends; each panel
 carries a fixed Gauss-Legendre rule and the panel set is bisected until two
 consecutive refinements agree in the whole-matrix Frobenius norm.
+
+An OperatorKernel is integrated without J.  Its family G = A + i B =
+sum_d C_d z^d M^p (see operators.KernelNumerator) is the left kernel
+A + B J at z and A - B J at zbar.  For f = alpha + J beta with stem
+W = alpha + i beta, e^{+-J phi} = cos phi +- J sin phi gives
+
+    K(z) s+ - K(zbar) s- = A (s+ - s-) + B J (s+ + s-)
+      = -2 A (sin phi alpha + cos phi beta) - 2 B (cos phi alpha
+        - sin phi beta) = Re(G 2i e^{i phi} W),
+
+so with dz = e^{i phi} dr a level is sum_d C_d Re(2i sum_m z_m^d M_m^p
+W_m dz_m), free of J.  f ds_J K_R with K_R = A + J B mirrors this for
+intrinsic f, whose real alpha, beta commute with J.  A right kernel on
+the left, a left kernel on the right and a non-intrinsic f on the right
+have no such form and are refused.  A point-callable kernel is integrated
+ray by ray with J = contour.unit; tests compare the two.
 """
 
 from __future__ import annotations
@@ -19,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoDecayMetadata, ToleranceNotMet
+from .errors import NoDecayMetadata, NotIntrinsic, ToleranceNotMet
 from .operators import (QuatMatrix, _AB_FAMILY, _chain, _z_powers, bq_dot,
-                        bq_scalar, kernel_batch, stack_fro)
+                        bq_scalar, kernel, stack_fro)
 from .quaternion import Quaternion, SlicePoint, exp_j, qarr, qarr_mul
 
 GAUSS_ORDER = 16
@@ -38,9 +54,10 @@ class SectorContour:
     """Integration path along the boundary rays of a sector.
 
     phi: ray angle, strictly between the spectral angle and the function
-    sector; unit: the imaginary unit J spanning the slice; t_min/t_max:
-    truncation radii with 0 < t_min < 1 < t_max; tol: Frobenius target
-    for refinement.
+    sector; unit: the imaginary unit J spanning the slice, read only when
+    a point-callable kernel is integrated (the moment form of an
+    OperatorKernel is J-free); t_min/t_max: truncation radii with
+    0 < t_min < 1 < t_max; tol: Frobenius target for refinement.
     """
 
     phi: float
@@ -120,7 +137,6 @@ class OperatorKernel:
     def __init__(self, kind: str, t):
         self.kind = kind
         self.operator = t
-        self.n = t.n
 
     @property
     def path(self) -> str:
@@ -129,8 +145,7 @@ class OperatorKernel:
         return "dense" if self.operator.eigenbasis is None else "eigenbasis"
 
     def __call__(self, p: SlicePoint) -> QuatMatrix:
-        return QuatMatrix(kernel_batch(self.kind, self.operator,
-                                       np.array([p.x]), np.array([p.y]), p.j)[0])
+        return kernel(self.kind, self.operator, p)
 
 
 def _point_kernel_rays(k, x, y, unit, n):
@@ -142,101 +157,100 @@ def _point_kernel_rays(k, x, y, unit, n):
     return plus, minus
 
 
-def _moment_value(k: OperatorKernel, contour: SectorContour, t, w, x, y,
-                  s_plus, s_minus, side: str):
-    """Sum over the nodes of K(x +- J y) s+- (side "left") or s+- K (side
-    "right") with K = sum_(d, i) r^d C+-_(d, i) g_i for the real and
-    imaginary parts g_0, g_1 of the per-node M^power (see _chain): they
-    commute with the coefficients C, so the nodes enter only through the
-    real moments sum_m w_m r_m^d s_m g_m, one GEMM against the stacked
-    parts.  With an eigenbasis (U, d0, d2) of the operator g is the
-    diagonal of U^T g U, so the GEMM runs over n columns per part and each
-    moment is U diag U^T; otherwise over the dense n x n parts.  Returns
-    the sum and the worst conditioning of the nodes' Q_{c,z}(T)."""
+def _moment_value(k: OperatorKernel, dz, z, stem, side: str):
+    """sum_d C_d Re(Mom_d) (side "left") or sum_d Re(Mom_d) C_d (side
+    "right") with Mom_d = sum_m 2i dz_m z_m^d W_m M_m^power (see the module
+    docstring), one complex GEMM over the nodes.  With an eigenbasis
+    (U, d0, d2) it runs over the diagonal of U^T M^power U (see _chain) and
+    each of the 4 (degree+1) moments is U diag U^T.  No unit J is read;
+    only the point-callable path of _level_value reads contour.unit.
+    Returns the sum and the worst conditioning of the nodes' Q_{c,z}(T)."""
     fam = _AB_FAMILY[k.kind]
     num = k.operator.kernel_numerators[fam]
     basis = k.operator.eigenbasis
-    g, scale, cond = _chain(k.operator, x, y, upto=fam,
+    g, scale, cond = _chain(k.operator, z.real, z.imag, upto=fam,
                             diagonal=basis is not None)
-    pair = np.stack([g.real, g.imag], axis=1)
-    m, n = pair.shape[0], k.n
-    coeffs = num.ray_coefficients(k.kind, contour.phi, contour.unit)
-    rho = _z_powers(t, scale, coeffs.shape[1] - 1, num.power)
-    scalars = np.stack([s_plus, -s_minus], axis=1)  # (m, 2, 4)
-    weights = (w[:, None, None, None] * rho[:, None, :, None]
-               * scalars[:, :, None, :])  # (m, 2, degree+1, 4)
-    moments = weights.reshape(m, -1).T @ pair.reshape(m, -1)
-    moments = moments.reshape((2, -1, 4, 2) + pair.shape[2:]).swapaxes(2, 3)
+    zp = _z_powers(z, scale, len(num.coef) - 1, num.power)
+    weights = (2j * dz)[:, None, None] * zp[:, :, None] * stem[:, None, :]
+    m = len(z)
+    moments = (weights.reshape(m, -1).T @ g.reshape(m, -1)).real
+    moments = moments.reshape((-1, 4) + g.shape[1:])
     if basis is not None:
         u = basis[0]
         moments = (u * moments[..., None, :]) @ u.T
-    coeffs = coeffs.reshape(-1, 4, n, n)
-    moments = moments.reshape(-1, 4, n, n)
-    value = (bq_dot(coeffs, moments) if side == "left"
-             else bq_dot(moments, coeffs))
+    value = (bq_dot(num.coef, moments) if side == "left"
+             else bq_dot(moments, num.coef))
     return value, float(cond.max())
 
 
 def _level_value(k, f, contour: SectorContour, side: str, panels: int,
                  matrix_dim: int | None):
     """One quadrature level: (value, worst conditioning of Q_{c,z}(T)),
-    the latter None for a point-callable kernel."""
-    u0, u1 = math.log(contour.t_min), math.log(contour.t_max)
-    j = contour.unit
-    c_plus = qarr(exp_j(j, contour.phi) * j)
-    c_minus = qarr(exp_j(j, -contour.phi) * j)
-
-    edges = np.linspace(u0, u1, panels + 1)
+    the latter None for a point-callable kernel.  An OperatorKernel takes
+    the J-free moment form and refuses the forms without one (ValueError,
+    or NotIntrinsic for a non-intrinsic f on the right)."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    edges = np.linspace(math.log(contour.t_min), math.log(contour.t_max),
+                        panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     u = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     t = np.exp(u)
-    w = w * t  # jacobian of r = e^u
     x = t * math.cos(contour.phi)
     y = t * math.sin(contour.phi)
+    z = x + 1j * y
+    stem = f.complex_stem(z)
 
-    stem = f.complex_stem(x + 1j * y)
+    if isinstance(k, OperatorKernel):
+        if k.kind.endswith("_R" if side == "left" else "_L"):
+            raise ValueError(
+                f"kernel {k.kind} has no J-free moment form on side {side!r}")
+        if side == "right" and not f.intrinsic:
+            raise NotIntrinsic(
+                "the right-kernel form needs an intrinsic function")
+        return _moment_value(k, w * z, z, stem, side)  # dz = z du
+
+    j = contour.unit
+    c_plus = qarr(exp_j(j, contour.phi) * j)
+    c_minus = qarr(exp_j(j, -contour.phi) * j)
     jb = qarr_mul(qarr(j), stem.imag)
     f_plus, f_minus = stem.real + jb, stem.real - jb
     if side == "left":
         s_plus, s_minus = qarr_mul(c_plus, f_plus), qarr_mul(c_minus, f_minus)
         scalar_side = "right"
-    elif side == "right":
+    else:
         s_plus, s_minus = qarr_mul(f_plus, c_plus), qarr_mul(f_minus, c_minus)
         scalar_side = "left"
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-
-    if isinstance(k, OperatorKernel):
-        return _moment_value(k, contour, t, w, x, y, s_plus, s_minus, side)
     if matrix_dim is None:
         matrix_dim = k(SlicePoint(float(x[0]), float(y[0]), j)).n
     k_plus, k_minus = _point_kernel_rays(k, x, y, j, matrix_dim)
     vals = (bq_scalar(s_plus, k_plus, scalar_side)
             - bq_scalar(s_minus, k_minus, scalar_side))
-    return np.einsum("m,mcij->cij", w, vals), None
+    return np.einsum("m,mcij->cij", w * t, vals), None  # dr = t du
 
 
 def integrate(k, f, contour: SectorContour, *, side: str = "left"):
     """Adaptively evaluate the sector-boundary integral of K ds_J f.
 
-    k is either an OperatorKernel (moment form) or any callable
-    SlicePoint -> QuatMatrix.  side selects the sandwich order: "left" is
+    k is either an OperatorKernel (moment form, which does not read
+    contour.unit and refuses the forms that would depend on it; see
+    _level_value) or any callable SlicePoint -> QuatMatrix, evaluated in
+    the slice of contour.unit.  side selects the sandwich order: "left" is
     K ds_J f, "right" is f ds_J K.  The first level has one panel per two
     units of log radius (at least 8); each refinement doubles the panels.
     Returns (QuatMatrix, diagnostics); the diagnostics' worst_cond is the
     largest (||Q||_F ||Q^-1||_F)^2 met on the accepted level (None for a
     point-callable kernel).
     """
-    dim = getattr(k, "n", None)
     span = math.log(contour.t_max) - math.log(contour.t_min)
     panels = max(8, math.ceil(span / 2.0))
-    value, _ = _level_value(k, f, contour, side, panels, dim)
+    value, _ = _level_value(k, f, contour, side, panels, None)
     diff = math.inf
     for _ in range(_MAX_REFINEMENTS):
         panels *= 2
-        refined, cond = _level_value(k, f, contour, side, panels, dim)
+        refined, cond = _level_value(k, f, contour, side, panels, None)
         diff = float(stack_fro(refined - value))
         value = refined
         if diff <= contour.tol:
@@ -259,5 +273,5 @@ def integrate_fixed(k, f, contour: SectorContour, panels: int, *,
     """
     if panels < 1:
         raise ValueError("need at least one panel")
-    value, _ = _level_value(k, f, contour, side, panels, getattr(k, "n", None))
+    value, _ = _level_value(k, f, contour, side, panels, None)
     return QuatMatrix(value), {"panels": panels}

@@ -343,23 +343,12 @@ class KernelNumerator:
     A + i B = sum_d coef[d] z^d M^power with coef (degree+1, 4, n, n) and
     M = Q_{c,z}(T)^-1 (see _chain); the coefficients commute with M,
     and the kernel at x + J y is K_L = A + B J, K_R = A + J B.  The
-    family decays like |s|^(-2 power)."""
+    family decays like |s|^(-2 power).  Neither coef nor the quadrature's
+    moments of z^d M^power depend on J (see contour); only point kernels
+    (kernel_batch with a unit) assemble a J."""
 
     coef: np.ndarray
     power: int
-
-    def ray_coefficients(self, kind: str, phi: float,
-                         unit: Quaternion) -> np.ndarray:
-        """(2, degree+1, 2, 4, n, n): C[0, d, k] multiplies r^d g_k in the
-        kernel at x + J y, C[1, d, k] at x - J y, for z = r e^(i phi),
-        J = unit and the real and imaginary parts g_0, g_1 of the per-node
-        M^power of _chain."""
-        # z^d M^power = r^d e^(i d phi) (g_0 + i g_1)
-        rot = (np.exp(1j * phi * np.arange(len(self.coef)))[:, None]
-               * np.array([1.0, 1j]))
-        a, b = (w[..., None, None, None] * self.coef[:, None]
-                for w in (rot.real, rot.imag))
-        return np.stack([assemble(kind, a, b, unit), assemble(kind, a, -b, unit)])
 
 
 def _kernel_numerators(t: CommutingOperator) -> dict:
@@ -452,7 +441,8 @@ def kernel_batch(kind, t: CommutingOperator, x, y, j: Quaternion | None):
     for fam, num in nums.items():
         m_pow = sq if num.power == 2 else g  # M^power scale^(2 power)
         zp = _z_powers(z, scale, len(num.coef) - 1, num.power)
-        value = np.einsum("md,dcij->mcij", zp, num.coef) @ m_pow[:, None]
+        coef = num.coef.reshape(len(num.coef), -1)
+        value = (zp @ coef).reshape(-1, 4, t.n, t.n) @ m_pow[:, None]
         ab[fam] = (value.real, value.imag)
     out = {k: ab[_AB_FAMILY[k]] if j is None
            else assemble(k, *ab[_AB_FAMILY[k]], j) for k in kinds}

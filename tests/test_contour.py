@@ -9,7 +9,8 @@ from conftest import dense_twin, scalar_operator
 from qcalc.contour import (OperatorKernel, SectorContour, _level_value,
                            _one_sided_radius, contour_for, integrate,
                            integrate_fixed)
-from qcalc.errors import NoDecayMetadata, SpectrumHit, ToleranceNotMet
+from qcalc.errors import (NoDecayMetadata, NotIntrinsic, SpectrumHit,
+                          ToleranceNotMet)
 from qcalc.operators import (KERNEL_KINDS, CommutingOperator, QuatMatrix,
                              _chain, operator_from_text, operator_to_text)
 from qcalc.quaternion import E1, E2, ONE, Quaternion, to_slice
@@ -186,11 +187,13 @@ class TestQuadratureMechanics:
         _, info = integrate(OperatorKernel("S_L", t), f, contour)
         assert info["panels"] == 2 * start
 
-    def test_tolerance_not_met(self):
-        t, f, _ = cauchy_setup()
+    def test_tolerance_not_met(self, gen4):
+        # at n = 4 consecutive levels keep differing by about 1e-15; a
+        # scalar operator can agree bit for bit, which meets any target
         contour = SectorContour(1.2, E1, 1e-8, 1e8, tol=1e-30)
         with pytest.raises(ToleranceNotMet):
-            integrate(OperatorKernel("S_L", t), f, contour)
+            integrate(OperatorKernel("S_L", gen4.operator), Regularizer(2),
+                      contour)
 
     def test_point_callable_matches_batched(self):
         t, f, _ = cauchy_setup()
@@ -217,19 +220,48 @@ KIND_SIDES = [("S_L", "left"), ("S_R", "right"), ("Qc", "left"),
               ("F_L", "left"), ("F_R", "right")]
 
 
+# the non-intrinsic left slice function the left forms are checked on
+NONINTRINSIC = Scale(Quaternion(0.0, 0.3, 0.5, 0.1), Regularizer(2))
+
+
 class TestMomentForm:
     @pytest.mark.parametrize("t_min,t_max,panels", [(1e-6, 1e6, 12),
                                                     (1e-20, 1e50, 24)])
     @pytest.mark.parametrize("kind,side", KIND_SIDES)
-    def test_matches_point_kernels(self, gen4, kind, side, t_min, t_max,
-                                   panels):
-        # the second contour spans the truncation radii hinf reaches
-        contour = SectorContour(1.7, E12, t_min, t_max)
-        f = Regularizer(2)
+    def test_matches_point_kernels(self, gen4, unit_q, kind, side, t_min,
+                                   t_max, panels):
+        # the J-free moment form against the point kernels, which are
+        # assembled with the unit on both rays; the second contour spans
+        # the truncation radii hinf reaches
         k = OperatorKernel(kind, gen4.operator)
-        va, _ = integrate_fixed(k, f, contour, panels, side=side)
-        vb, _ = integrate_fixed(lambda p: k(p), f, contour, panels, side=side)
-        assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
+        fs = [Regularizer(2)] + ([NONINTRINSIC] if side == "left" else [])
+        for unit in (E1, E12, unit_q):
+            contour = SectorContour(1.7, unit, t_min, t_max)
+            for f in fs:
+                va, _ = integrate_fixed(k, f, contour, panels, side=side)
+                vb, _ = integrate_fixed(lambda p: k(p), f, contour, panels,
+                                        side=side)
+                assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
+
+    @pytest.mark.parametrize("kind,side", KIND_SIDES)
+    def test_unit_is_not_read(self, gen4, unit_q, kind, side):
+        # on fixed nodes the value is the same bit for bit in every slice
+        k = OperatorKernel(kind, gen4.operator)
+        f = NONINTRINSIC if side == "left" else Regularizer(2)
+        vals = [integrate_fixed(k, f, SectorContour(1.7, unit, 1e-6, 1e6),
+                                12, side=side)[0].components
+                for unit in (E1, E12, unit_q)]
+        for v in vals[1:]:
+            assert np.array_equal(v, vals[0])
+
+    def test_right_form_refuses_nonintrinsic(self, gen4):
+        # f ds_J K_R depends on J unless f is intrinsic (the kernels on the
+        # other side from their suffix: TestKernelPaths::test_paths_agree)
+        contour = SectorContour(1.7, E12, 1e-6, 1e6)
+        for kind in ("S_R", "Qc", "P2_R", "F_R"):
+            with pytest.raises(NotIntrinsic):
+                integrate(OperatorKernel(kind, gen4.operator),
+                          Scale(E1, Regularizer(2)), contour, side="right")
 
     @pytest.mark.parametrize("kind", ["S_L", "Qc", "F_L", "P2_L"])
     def test_scalar_closed_forms(self, kind):
@@ -263,12 +295,18 @@ class TestKernelPaths:
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_paths_agree(self, kind, side):
+        # a kernel on the other side from its suffix is refused on both
         contour = SectorContour(1.7, E12, 1e-6, 1e6)
         f = Regularizer(2)
         for n in range(1, 9):
             t = generate_operator(OperatorSpec(dim=n, seed=100 + n)).operator
             fast, slow = OperatorKernel(kind, t), OperatorKernel(kind, dense_twin(t))
             assert (fast.path, slow.path) == ("eigenbasis", "dense")
+            if (kind, side) not in KIND_SIDES:
+                for k in (fast, slow):
+                    with pytest.raises(ValueError, match="moment form"):
+                        integrate_fixed(k, f, contour, 12, side=side)
+                continue
             va, _ = integrate_fixed(fast, f, contour, 12, side=side)
             vb, _ = integrate_fixed(slow, f, contour, 12, side=side)
             assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
