@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import operators
-from .contour import OperatorKernel, contour_for, integrate
+from .contour import (OperatorKernel, contour_for, integrate,
+                      require_moment_form)
 from .errors import NotInjective, NotIntrinsic
 from .operators import (KERNEL_KINDS, CommutingOperator, QuatMatrix,
                         TypeProfile, adjoint, assemble, bq_conj, conj_op,
@@ -181,15 +182,17 @@ class Evaluator:
         """
         if kind not in CALC_KINDS:
             raise ValueError(f"unknown calculus kind {kind!r}")
+        kernel_kind = (_RIGHT_KERNEL if side == "right" else _LEFT_KERNEL)[kind]
+        # refused before conj(T), a certificate or a contour is built
+        require_moment_form(kernel_kind, f, side)
         if conj:
             return self._on_conj(
                 f, lambda ev: ev.calc(kind, f, tol=tol, side=side))
-        return self._memo.get(("calc", kind, repr(f), tol, side), f,
-                              lambda: self._calc(kind, f, tol, side))
+        return self._memo.get(
+            ("calc", kind, repr(f), tol, side), f,
+            lambda: self._calc(kind, kernel_kind, f, tol, side))
 
-    def _calc(self, kind, f, tol, side) -> CalculusResult:
-        kernels = _RIGHT_KERNEL if side == "right" else _LEFT_KERNEL
-        kernel_kind = kernels[kind]
+    def _calc(self, kind, kernel_kind, f, tol, side) -> CalculusResult:
         profile = self.profile
         cert = f.certify_decay(3.0 * profile.alpha, 3.0 * profile.beta,
                                self.theta)

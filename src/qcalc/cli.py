@@ -2,8 +2,8 @@
 
     qcalc run <suite> [--dim N] [--seed S] [--annulus r0,r1] [--omega W]
               [--diag] [--operator FILE] [--tol T] [--theta A]
-              [--angles p1,p2] [--units J1,J2] [--n-max K] [--pairs N]
-              [--config PATH] [--report DIR] [--parallel]
+              [--angles p1,p2] [--n-max K] [--pairs N] [--config PATH]
+              [--report DIR] [--parallel]
     qcalc generate [--dim N] [--seed S] [--annulus r0,r1] [--omega W]
               [--diag] [--config PATH] [--out FILE]
 
@@ -28,32 +28,12 @@ from .quaternion import Quaternion
 from .suites import (SUITE_NAMES, GeneratedOperator, OperatorSpec,
                      SuiteContext, generate_operator, run_suite, write_report)
 
-# named imaginary units, as the x:y:z components they normalise
-_UNIT_NAMES = {"e1": "1:0:0", "e2": "0:1:0", "e3": "0:0:1", "e12": "1:1:0",
-               "e13": "1:0:1", "e23": "0:1:1", "e123": "1:1:1"}
-
-
-def parse_unit(token: str) -> Quaternion:
-    token = token.strip().lower()
-    parts = _UNIT_NAMES.get(token, token).split(":")
-    if len(parts) != 3:
-        raise ValueError(f"unknown imaginary unit {token!r} (use e1/e2/e3/"
-                         f"e12/e13/e23/e123 or x:y:z components)")
-    v = Quaternion(0.0, *(float(c) for c in parts))
-    if v.norm() == 0.0:
-        raise ValueError("unit must be nonzero")
-    return v * (1.0 / v.norm())
-
 
 def _parse_pair(text: str) -> tuple[float, float]:
     parts = [float(v) for v in text.split(",")]
     if len(parts) != 2:
         raise ValueError("expected two comma-separated numbers")
     return parts[0], parts[1]
-
-
-def _parse_units(text: str) -> tuple[Quaternion, ...]:
-    return tuple(parse_unit(u) for u in text.split(","))
 
 
 def _parse_bool(text: str) -> bool:
@@ -76,7 +56,6 @@ _SETTINGS = {
     "tol": ("quadrature", "tol", float),
     "theta": ("quadrature", "theta", float),
     "angles": ("quadrature", "angles", _parse_pair),
-    "units": ("quadrature", "units", _parse_units),
     "n_max": ("suites", "n_max", int),
     "pairs": ("suites", "pairs", int),
 }
@@ -218,7 +197,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("--tol")
     run.add_argument("--theta")
     run.add_argument("--angles", help="two contour angles, comma separated")
-    run.add_argument("--units", help="imaginary units, e.g. e1,e12")
     run.add_argument("--n-max", dest="n_max")
     run.add_argument("--pairs")
     run.add_argument("--report", help="directory for JSON + CSV reports")

@@ -24,8 +24,9 @@ so with dz = e^{i phi} dr a level is sum_d C_d Re(2i sum_m z_m^d M_m^p
 W_m dz_m), free of J.  f ds_J K_R with K_R = A + J B mirrors this for
 intrinsic f, whose real alpha, beta commute with J.  A right kernel on
 the left, a left kernel on the right and a non-intrinsic f on the right
-have no such form and are refused.  A point-callable kernel is integrated
-ray by ray with J = contour.unit; tests compare the two.
+have no such form; require_moment_form refuses them.  A point-callable
+kernel is integrated ray by ray with J = contour.unit; tests compare the
+two.
 """
 
 from __future__ import annotations
@@ -148,6 +149,19 @@ class OperatorKernel:
         return kernel(self.kind, self.operator, p)
 
 
+def require_moment_form(kind: str, f, side: str) -> None:
+    """Refuse a kernel kind, function and side with no J-free moment form
+    (see the module docstring): ValueError for an unknown side or a kernel
+    on the other side, NotIntrinsic for a non-intrinsic f on the right."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    if kind.endswith("_R" if side == "left" else "_L"):
+        raise ValueError(
+            f"kernel {kind} has no J-free moment form on side {side!r}")
+    if side == "right" and not f.intrinsic:
+        raise NotIntrinsic("the right-kernel form needs an intrinsic function")
+
+
 def _point_kernel_rays(k, x, y, unit, n):
     plus = np.empty((len(x), 4, n, n))
     minus = np.empty_like(plus)
@@ -187,9 +201,11 @@ def _level_value(k, f, contour: SectorContour, side: str, panels: int,
                  matrix_dim: int | None):
     """One quadrature level: (value, worst conditioning of Q_{c,z}(T)),
     the latter None for a point-callable kernel.  An OperatorKernel takes
-    the J-free moment form and refuses the forms without one (ValueError,
-    or NotIntrinsic for a non-intrinsic f on the right)."""
-    if side not in ("left", "right"):
+    the J-free moment form and refuses the forms without one (see
+    require_moment_form)."""
+    if isinstance(k, OperatorKernel):
+        require_moment_form(k.kind, f, side)
+    elif side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     edges = np.linspace(math.log(contour.t_min), math.log(contour.t_max),
                         panels + 1)
@@ -204,12 +220,6 @@ def _level_value(k, f, contour: SectorContour, side: str, panels: int,
     stem = f.complex_stem(z)
 
     if isinstance(k, OperatorKernel):
-        if k.kind.endswith("_R" if side == "left" else "_L"):
-            raise ValueError(
-                f"kernel {k.kind} has no J-free moment form on side {side!r}")
-        if side == "right" and not f.intrinsic:
-            raise NotIntrinsic(
-                "the right-kernel form needs an intrinsic function")
         return _moment_value(k, w * z, z, stem, side)  # dz = z du
 
     j = contour.unit

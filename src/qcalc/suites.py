@@ -35,9 +35,7 @@ from .slicefun import Power, Regularizer, parse, pointwise_fine
 SUITE_NAMES = ("identities", "product_rules", "independence", "powers",
                "hinf", "oracle", "kernels")
 
-REPORT_VERSION = "1"
-
-E12 = Quaternion(0.0, 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0)
+REPORT_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,6 @@ class SuiteContext:
     tol: float = 1e-9
     theta: float | None = None
     angles: tuple[float, float] | None = None
-    units: tuple[Quaternion, ...] = (E1, E12)
     n_max: int = 5
     pairs: int = 50
 
@@ -271,10 +268,9 @@ def _suite_independence(ctx: SuiteContext):
         def group(kind=kind):
             values = []
             for phi in ctx.angles:
-                for unit in ctx.units:
-                    values.append(calc(kind, ctx.operator, f, ctx.profile,
-                                       theta=ctx.theta, phi=phi, unit=unit,
-                                       tol=ctx.tol).value)
+                values.append(calc(kind, ctx.operator, f, ctx.profile,
+                                   theta=ctx.theta, phi=phi,
+                                   tol=ctx.tol).value)
             worst = max(((v - values[0]).norm() for v in values[1:]),
                         default=0.0)
             return [(f"independence_{kind}", worst, 1e-7)]
@@ -553,7 +549,6 @@ def run_suite(name: str, ctx: SuiteContext, parallel: bool = False) -> SuiteRepo
         checks=checks,
         env={"seed": spec.seed, "tol": ctx.tol, "theta": ctx.theta,
              "angles": list(ctx.angles),
-             "units": [list(u.components) for u in ctx.units],
              "n_max": ctx.n_max, "pairs": ctx.pairs, "parallel": parallel},
     )
 

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (counting_integrate, dense_twin, random_quaternion,
                       scalar_operator)
-from qcalc import slicefun
+from qcalc import calculus, slicefun
 from qcalc.calculus import (Evaluator, _rel, calc,
                             derivative_combination_residual, hinf,
                             power_recurrence_residuals, power_reference,
@@ -100,6 +100,26 @@ class TestDecayingCalculi:
         f = Scale(E1, Regularizer(2))
         with pytest.raises(NotIntrinsic):
             calc("S", gen4.operator, f, ctx4.profile, side="right")
+
+    @pytest.mark.parametrize("f,side,conj,error", [
+        (Scale(E1, Regularizer(2)), "right", False, NotIntrinsic),
+        (Scale(E1, Regularizer(2)), "right", True, NotIntrinsic),
+        (Regularizer(2), "middle", False, ValueError)],
+        ids=["nonintrinsic-right", "nonintrinsic-right-conj",
+             "unknown-side"])
+    def test_refused_before_any_certificate(self, ctx4, gen4, monkeypatch,
+                                            f, side, conj, error):
+        ev = Evaluator(gen4.operator, ctx4.profile)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("conj(T), a certificate or a contour built "
+                                 "before the refusal")
+
+        monkeypatch.setattr(slicefun.StemFunction, "certify_decay", forbidden)
+        monkeypatch.setattr(calculus, "contour_for", forbidden)
+        monkeypatch.setattr(calculus, "conj_op", forbidden)
+        with pytest.raises(error):
+            ev.calc("S", f, side=side, conj=conj)
 
     def test_class_mismatch(self, ctx4, gen4):
         with pytest.raises(ClassMismatch):

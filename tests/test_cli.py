@@ -1,6 +1,8 @@
+import argparse
+import configparser
 import json
-import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +12,8 @@ import pytest
 
 import qcalc
 from qcalc import suites
-from qcalc.cli import _SETTINGS, main, parse_unit
+from qcalc.cli import _SETTINGS, build_arg_parser, main
 from qcalc.operators import CommutingOperator, operator_to_text
-from qcalc.quaternion import E1, E2
 from qcalc.suites import OperatorSpec, generate_operator
 
 
@@ -20,7 +21,7 @@ from qcalc.suites import OperatorSpec, generate_operator
 SETTING_SAMPLES = {
     "dim": "3", "seed": "9", "annulus": "0.6, 1.8", "omega": "0.7",
     "diagonal": "yes", "tol": "1e-8", "theta": "1.3", "angles": "0.9, 1.1",
-    "units": "e2, 1:2:3", "n_max": "2", "pairs": "3",
+    "n_max": "2", "pairs": "3",
 }
 
 
@@ -60,7 +61,7 @@ class TestRun:
                      "--pairs", "10", "--report", str(tmp_path)])
         assert code == 0
         data = json.loads((tmp_path / "identities_report.json").read_text())
-        assert data["version"] == "1"
+        assert data["version"] == "2"
         assert data["suite"] == "identities"
         assert data["operator"]["dim"] == 3
         assert {"tag", "residual", "tol", "pass", "ms"} <= set(data["checks"][0])
@@ -174,6 +175,13 @@ class TestRun:
         assert main(["run", suite, "--dim", "2", flag]) == 2
         assert "at least 1" in capsys.readouterr().err
 
+    def test_units_flag_is_refused(self):
+        # the slice unit cannot change a value (see qcalc.contour), so
+        # there is no setting for it
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "identities", "--units", "e1"])
+        assert exc.value.code == 2
+
     def test_runs_without_scipy_or_mpmath(self):
         # numpy is the only runtime dependency: a suite runs in a fresh
         # interpreter where importing scipy or mpmath fails
@@ -199,7 +207,6 @@ omega = 0.7853981633974483
 
 [quadrature]
 tol = 1e-8
-units = e1, e2
 
 [suites]
 pairs = 6
@@ -223,7 +230,9 @@ pairs = 6
 
     @pytest.mark.parametrize("text,name", [
         ("[quadrature]\ntols = 1e-3\n", "'tols'"),
-        ("[suite]\npairs = 1\n", "[suite]")], ids=["key", "section"])
+        ("[suite]\npairs = 1\n", "[suite]"),
+        ("[quadrature]\nunits = e1\n", "'units'")],
+        ids=["key", "section", "units"])
     def test_unknown_key_or_section(self, tmp_path, capsys, text, name):
         cfg = tmp_path / "typo.ini"
         cfg.write_text(text)
@@ -277,20 +286,24 @@ pairs = 6
         assert a == b != c
 
 
-class TestUnits:
-    def test_named_units(self):
-        assert parse_unit("e1").isclose(E1)
-        assert parse_unit("e2").isclose(E2)
-        v = parse_unit("e12")
-        assert math.isclose(v.norm(), 1.0, rel_tol=1e-12)
-        assert math.isclose(v.s1, 1.0 / math.sqrt(2.0), rel_tol=1e-12)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
-    def test_component_units(self):
-        v = parse_unit("1:1:0")
-        assert math.isclose(v.norm(), 1.0, rel_tol=1e-12)
 
-    def test_bad_units(self):
-        with pytest.raises(ValueError):
-            parse_unit("q7")
-        with pytest.raises(ValueError):
-            parse_unit("0:0:0")
+class TestReadmeInSync:
+    def test_ini_example_lists_every_setting(self):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S)
+        example = configparser.ConfigParser()
+        example.read_string(block.group(1))
+        listed = {(sec, key) for sec in example.sections()
+                  for key in example[sec]}
+        assert listed == {(sec, key) for sec, key, _ in _SETTINGS.values()}
+
+    def test_run_usage_lists_every_flag(self):
+        usage = re.search(r"^qcalc run <suite>(.*?)^qcalc generate",
+                          README.read_text(), re.S | re.M)
+        listed = set(re.findall(r"--[a-z][a-z-]*", usage.group(1)))
+        sub = next(a for a in build_arg_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {opt for action in sub.choices["run"]._actions
+                 for opt in action.option_strings if opt.startswith("--")}
+        assert listed == flags - {"--help"}
