@@ -3,7 +3,7 @@
     qcalc run <suite> [--dim N] [--seed S] [--annulus r0,r1] [--omega W]
               [--diag] [--operator FILE] [--tol T] [--theta A]
               [--angles p1,p2] [--n-max K] [--pairs N] [--config PATH]
-              [--report DIR] [--parallel]
+              [--report DIR]
     qcalc generate [--dim N] [--seed S] [--annulus r0,r1] [--omega W]
               [--diag] [--config PATH] [--out FILE]
 
@@ -158,7 +158,7 @@ def cmd_run(args) -> int:
     ctx = _build_context(_settings(args))
     ok = True
     for name in names:
-        report = run_suite(name, ctx, parallel=args.parallel)
+        report = run_suite(name, ctx)
         for check in report.checks:
             status = "pass" if check.passed else "FAIL"
             print(f"[{name}] {check.tag:<42s} residual {check.residual:10.3e}"
@@ -200,8 +200,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("--n-max", dest="n_max")
     run.add_argument("--pairs")
     run.add_argument("--report", help="directory for JSON + CSV reports")
-    run.add_argument("--parallel", action="store_true",
-                     help="run independent check groups concurrently")
     run.set_defaults(func=cmd_run)
 
     gen = sub.add_parser("generate", help="emit an operator in text format")

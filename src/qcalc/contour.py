@@ -217,7 +217,12 @@ def _level_value(k, f, contour: SectorContour, side: str, panels: int,
     x = t * math.cos(contour.phi)
     y = t * math.sin(contour.phi)
     z = x + 1j * y
-    stem = f.complex_stem(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stem = f.complex_stem(z)
+    if not np.isfinite(stem).all():
+        raise ToleranceNotMet(
+            f"{f!r} is not finite on the contour between radii "
+            f"{contour.t_min:.3g} and {contour.t_max:.3g}")
 
     if isinstance(k, OperatorKernel):
         return _moment_value(k, w * z, z, stem, side)  # dz = z du
@@ -252,7 +257,8 @@ def integrate(k, f, contour: SectorContour, *, side: str = "left"):
     units of log radius (at least 8); each refinement doubles the panels.
     Returns (QuatMatrix, diagnostics); the diagnostics' worst_cond is the
     largest (||Q||_F ||Q^-1||_F)^2 met on the accepted level (None for a
-    point-callable kernel).
+    point-callable kernel).  A non-finite stem or difference between
+    levels raises ToleranceNotMet at once, as refining cannot mend it.
     """
     span = math.log(contour.t_max) - math.log(contour.t_min)
     panels = max(8, math.ceil(span / 2.0))
@@ -262,6 +268,9 @@ def integrate(k, f, contour: SectorContour, *, side: str = "left"):
         panels *= 2
         refined, cond = _level_value(k, f, contour, side, panels, None)
         diff = float(stack_fro(refined - value))
+        if not math.isfinite(diff):
+            raise ToleranceNotMet(f"Frobenius difference {diff:.3g} is not "
+                                  f"finite at {panels} panels")
         value = refined
         if diff <= contour.tol:
             return QuatMatrix(value), {"panels": panels, "tol_achieved": diff,

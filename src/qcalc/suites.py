@@ -11,10 +11,9 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .slicefun import Power, Regularizer, parse, pointwise_fine
 SUITE_NAMES = ("identities", "product_rules", "independence", "powers",
                "hinf", "oracle", "kernels")
 
-REPORT_VERSION = "2"
+REPORT_VERSION = "3"
 
 
 @dataclass(frozen=True)
@@ -72,6 +71,10 @@ class GeneratedOperator:
 def generate_operator(spec: OperatorSpec) -> GeneratedOperator:
     """Simultaneously diagonalizable commuting components with a known
     eigensphere list, reproducible from the seed."""
+    if spec.dim < 1:
+        raise ValueError(f"dim must be at least 1, got {spec.dim}")
+    if spec.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {spec.seed}")
     if not 0.0 < spec.omega < math.pi:
         raise ValueError("sector angle must lie in (0, pi)")
     lo, hi = spec.annulus
@@ -123,32 +126,22 @@ class SuiteContext:
             self.angles = (omega + off, self.theta - off)
         for phi in self.angles:  # the rule of every Evaluator
             _angles(omega, self.theta, phi)
-        self._profile = None
-        self._evaluator = None
-        self._lock = threading.Lock()
 
     @property
     def operator(self) -> CommutingOperator:
         return self.gen.operator
 
-    @property
+    @cached_property
     def profile(self):
-        with self._lock:
-            if self._profile is None:
-                omega = self.gen.spec.omega
-                gap = math.pi - omega  # test angles spread over (omega, pi)
-                self._profile = estimate_type_profile(
-                    self.operator, omega,
-                    (omega + 0.1 * gap, omega + 0.5 * gap, omega + 0.9 * gap))
-            return self._profile
+        omega = self.gen.spec.omega
+        gap = math.pi - omega  # test angles spread over (omega, pi)
+        return estimate_type_profile(
+            self.operator, omega,
+            (omega + 0.1 * gap, omega + 0.5 * gap, omega + 0.9 * gap))
 
+    @cached_property
     def evaluator(self) -> Evaluator:  # shared by every group and suite
-        profile = self.profile
-        with self._lock:
-            if self._evaluator is None:
-                self._evaluator = Evaluator(self.operator, profile,
-                                            theta=self.theta)
-            return self._evaluator
+        return Evaluator(self.operator, self.profile, theta=self.theta)
 
     def rng(self, salt: int = 0) -> np.random.Generator:
         return np.random.default_rng(self.gen.spec.seed + 1000 * salt)
@@ -204,21 +197,16 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_groups(groups, parallel: bool) -> list[CheckRecord]:
-    def run_one(fn):
+def _run_groups(groups) -> list[CheckRecord]:
+    records = []
+    for group in groups:
         start = time.perf_counter()
-        results = fn()
+        results = group()
         # each check gets an equal share of its group's wall time
         ms = (time.perf_counter() - start) * 1000.0 / max(len(results), 1)
-        return [CheckRecord(tag, float(res), tol, bool(res <= tol), ms)
-                for tag, res, tol in results]
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            chunks = list(pool.map(run_one, groups))
-    else:
-        chunks = [run_one(g) for g in groups]
-    return [rec for chunk in chunks for rec in chunk]
+        records += [CheckRecord(tag, float(res), tol, bool(res <= tol), ms)
+                    for tag, res, tol in results]
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +240,7 @@ def _suite_product_rules(ctx: SuiteContext):
         for ftag, f in cases:
             def group(f=f, regime=regime, rtag=rtag, ftag=ftag):
                 res = product_rule_residuals(
-                    ctx.evaluator(), Regularizer(2), f, regime=regime,
+                    ctx.evaluator, Regularizer(2), f, regime=regime,
                     tol=ctx.tol)
                 return [(f"{tag}_{rtag}_{ftag}", val, 1e-6)
                         for tag, val in sorted(res.items())]
@@ -284,7 +272,7 @@ def _suite_powers(ctx: SuiteContext):
 
     for n in range(1, ctx.n_max + 1):
         def group(n=n):
-            ev = ctx.evaluator()
+            ev = ctx.evaluator
             out = []
             for kind in CALC_KINDS:
                 res = ev.hinf(kind, Power(n), tol=ctx.tol)
@@ -296,12 +284,12 @@ def _suite_powers(ctx: SuiteContext):
         groups.append(group)
 
     def recurrences():
-        res = power_recurrence_residuals(ctx.evaluator(), Regularizer(4), 3,
+        res = power_recurrence_residuals(ctx.evaluator, Regularizer(4), 3,
                                          tol=ctx.tol)
         return [(tag, val, 1e-6) for tag, val in sorted(res.items())]
 
     def reg_shift():
-        ev = ctx.evaluator()
+        ev = ctx.evaluator
         a = ev.hinf("F", Power(2), tol=ctx.tol)
         b = ev.hinf("F", Power(2), tol=ctx.tol,
                     regularizer_power=a.diagnostics.regularizer_n + 1)
@@ -318,7 +306,7 @@ def _commutation_with_t(ctx: SuiteContext, val: QuatMatrix) -> float:
 
 def _suite_hinf(ctx: SuiteContext):
     def agreement():
-        ev = ctx.evaluator()
+        ev = ctx.evaluator
         out = []
         f = Regularizer(2)
         for kind in CALC_KINDS:
@@ -339,7 +327,7 @@ def _suite_hinf(ctx: SuiteContext):
         return [("hinf_rejects_noninjective", 1.0, 0.5)]
 
     def commutation():
-        val = ctx.evaluator().hinf("Q", Regularizer(2), tol=ctx.tol).value
+        val = ctx.evaluator.hinf("Q", Regularizer(2), tol=ctx.tol).value
         return [("hinf_commutation_T", _commutation_with_t(ctx, val), 1e-9)]
 
     return [agreement, injectivity_guard, commutation]
@@ -349,13 +337,13 @@ def _suite_oracle(ctx: SuiteContext):
     f = Regularizer(2)
 
     def cauchy():
-        got = ctx.evaluator().calc("S", f, tol=ctx.tol).value
+        got = ctx.evaluator.calc("S", f, tol=ctx.tol).value
         want = ctx.gen.expected_diag([f.eval(q) for q in ctx.gen.eigenvalues])
         return [("cauchy_reproduction", (got - want).norm(), 1e-7)]
 
     def fine():
         vals = [pointwise_fine(f, q) for q in ctx.gen.eigenvalues]
-        ev = ctx.evaluator()
+        ev = ctx.evaluator
         out = []
         for idx, kind in enumerate(("Q", "P2", "F")):
             got = ev.calc(kind, f, tol=ctx.tol).value
@@ -364,7 +352,7 @@ def _suite_oracle(ctx: SuiteContext):
         return out
 
     def left_right():
-        ev = ctx.evaluator()
+        ev = ctx.evaluator
         out = []
         for kind in CALC_KINDS:
             a = ev.calc(kind, f, tol=ctx.tol).value
@@ -373,7 +361,7 @@ def _suite_oracle(ctx: SuiteContext):
         return out
 
     def conj_and_friends():
-        ev = ctx.evaluator()
+        ev = ctx.evaluator
         t_bar = conj_op(ctx.operator)
         profile_bar = estimate_type_profile(t_bar, ctx.gen.spec.omega,
                                             sorted(ctx.profile.c_phi))
@@ -537,19 +525,19 @@ _SUITE_BUILDERS = {
 }
 
 
-def run_suite(name: str, ctx: SuiteContext, parallel: bool = False) -> SuiteReport:
+def run_suite(name: str, ctx: SuiteContext) -> SuiteReport:
     if name not in _SUITE_BUILDERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     groups = _SUITE_BUILDERS[name](ctx)
-    checks = _run_groups(groups, parallel)
+    checks = _run_groups(groups)
     spec = ctx.gen.spec
     return SuiteReport(
         suite=name,
         operator={**asdict(spec), "annulus": list(spec.annulus)},
         checks=checks,
         env={"seed": spec.seed, "tol": ctx.tol, "theta": ctx.theta,
-             "angles": list(ctx.angles),
-             "n_max": ctx.n_max, "pairs": ctx.pairs, "parallel": parallel},
+             "angles": list(ctx.angles), "n_max": ctx.n_max,
+             "pairs": ctx.pairs},
     )
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (counting_integrate, dense_twin, random_quaternion,
                       scalar_operator)
-from qcalc import calculus, slicefun
+from qcalc import calculus, contour, slicefun
 from qcalc.calculus import (Evaluator, _rel, calc,
                             derivative_combination_residual, hinf,
                             power_recurrence_residuals, power_reference,
@@ -471,6 +471,21 @@ class TestHInfinity:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ToleranceNotMet):
                 hinf("S", ctx.operator, Power(n), ctx.profile)
+
+    def test_nonfinite_integrand_fails_at_once(self, monkeypatch):
+        # past |s| ~ 2e51 the stem of reg(7) * pow(6) is inf * 0: the first
+        # quadrature level refuses it instead of refining to the cap
+        ctx = SuiteContext(generate_operator(OperatorSpec(dim=2, seed=7)))
+        levels, real_level = [], contour._level_value
+
+        def counting_level(k, f, *args):
+            levels.append(repr(f))
+            return real_level(k, f, *args)
+
+        monkeypatch.setattr(contour, "_level_value", counting_level)
+        with pytest.raises(ToleranceNotMet, match=r"reg\(7\) \* pow\(6\)"):
+            hinf("S", ctx.operator, Power(6), ctx.profile)
+        assert levels.count("(reg(7) * pow(6))") == 1
 
     def test_kernel_path_is_reported(self, ctx4, gen4):
         res = hinf("Q", gen4.operator, Power(2), ctx4.profile)

@@ -53,6 +53,9 @@ class TestGenerate:
         for annulus in ("0,1", "0.5,nan", "0.5,inf"):
             assert main(["generate", "--dim", "2", "--annulus", annulus]) == 2
             assert "error: annulus" in capsys.readouterr().err
+        for flag, value in (("--dim", "-1"), ("--dim", "0"), ("--seed", "-3")):
+            assert main(["generate", flag, value]) == 2
+            assert f"error: {flag[2:]} must be" in capsys.readouterr().err
 
 
 class TestRun:
@@ -61,7 +64,7 @@ class TestRun:
                      "--pairs", "10", "--report", str(tmp_path)])
         assert code == 0
         data = json.loads((tmp_path / "identities_report.json").read_text())
-        assert data["version"] == "2"
+        assert data["version"] == "3"
         assert data["suite"] == "identities"
         assert data["operator"]["dim"] == 3
         assert {"tag", "residual", "tol", "pass", "ms"} <= set(data["checks"][0])
@@ -143,18 +146,6 @@ class TestRun:
         assert main(["run", "oracle", "--operator", str(op_file)]) == 2
         assert "eigen" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("suite", ["identities", "oracle", "hinf"])
-    def test_parallel_matches_serial(self, tmp_path, suite):
-        d1, d2 = tmp_path / "serial", tmp_path / "par"
-        assert main(["run", suite, "--dim", "3", "--seed", "5",
-                     "--pairs", "8", "--report", str(d1)]) == 0
-        assert main(["run", suite, "--dim", "3", "--seed", "5",
-                     "--pairs", "8", "--report", str(d2), "--parallel"]) == 0
-        a = strip_ms(json.loads((d1 / f"{suite}_report.json").read_text()))
-        b = strip_ms(json.loads((d2 / f"{suite}_report.json").read_text()))
-        a["env"]["parallel"] = b["env"]["parallel"] = None
-        assert a == b
-
     @pytest.mark.parametrize("tol", ["-1e-9", "0"])
     def test_nonpositive_tol(self, capsys, tol):
         assert main(["run", "oracle", "--dim", "2", f"--tol={tol}"]) == 2
@@ -175,11 +166,13 @@ class TestRun:
         assert main(["run", suite, "--dim", "2", flag]) == 2
         assert "at least 1" in capsys.readouterr().err
 
-    def test_units_flag_is_refused(self):
-        # the slice unit cannot change a value (see qcalc.contour), so
-        # there is no setting for it
+    @pytest.mark.parametrize("flag", [["--units", "e1"], ["--parallel"]],
+                             ids=["--units", "--parallel"])
+    def test_dropped_flag_is_refused(self, flag):
+        # the slice unit cannot change a value (see qcalc.contour), and
+        # check groups run one after another, so neither has a setting
         with pytest.raises(SystemExit) as exc:
-            main(["run", "identities", "--units", "e1"])
+            main(["run", "identities"] + flag)
         assert exc.value.code == 2
 
     def test_runs_without_scipy_or_mpmath(self):
@@ -307,3 +300,7 @@ class TestReadmeInSync:
         flags = {opt for action in sub.choices["run"]._actions
                  for opt in action.option_strings if opt.startswith("--")}
         assert listed == flags - {"--help"}
+
+    def test_schema_version_matches(self):
+        listed = re.findall(r'schema version `"(\d+)"`', README.read_text())
+        assert listed == [suites.REPORT_VERSION]

@@ -195,6 +195,14 @@ class TestQuadratureMechanics:
             integrate(OperatorKernel("S_L", gen4.operator), Regularizer(2),
                       contour)
 
+    def test_nonfinite_difference_fails_at_once(self):
+        # a NaN level ends the refinement at its first difference: 8 panels,
+        # then 16, where the cap is 8 * 2**9
+        nan_kernel = lambda p: QuatMatrix(np.full((4, 1, 1), np.nan))
+        contour = SectorContour(1.2, E1, 1e-2, 1e2)
+        with pytest.raises(ToleranceNotMet, match="not finite at 16 panels"):
+            integrate(nan_kernel, Regularizer(1), contour)
+
     def test_point_callable_matches_batched(self):
         t, f, _ = cauchy_setup()
         contour = SectorContour(1.2, E1, 1e-6, 1e6)

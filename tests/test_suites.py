@@ -92,6 +92,6 @@ def test_checks_share_their_group_time():
         time.sleep(0.02)
         return [(f"check_{i}", 0.0, 1.0) for i in range(4)]
 
-    records = _run_groups([group], parallel=False)
+    records = _run_groups([group])
     assert len({r.ms for r in records}) == 1
     assert 20.0 <= sum(r.ms for r in records) < 1000.0
