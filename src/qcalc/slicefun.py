@@ -31,13 +31,10 @@ from .errors import ClassMismatch, NotIntrinsic, UnsupportedKind
 from .quaternion import (DEFAULT_TOL, Quaternion, qarr, qarr_mul,
                          qarr_norm, to_slice)
 
+# certificate grid: radii, and angles as fractions of the sector angle
 _GRID_RADII = np.geomspace(1e-3, 1e3, 41)
-_GRID_UNITS = (
-    Quaternion(0, 1, 0, 0),
-    Quaternion(0, 0, 1, 0),
-    Quaternion(0, 0.6, 0.8, 0),
-    Quaternion(0, 1, 1, 1) / math.sqrt(3.0),
-)
+_GRID_ANGLES = np.linspace(0.0, 0.999, 7)
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -104,11 +101,6 @@ class StemFunction:
         """
         raise UnsupportedKind(f"no stem rule for kind {self.kind!r}")
 
-    def stem_arrays(self, x: np.ndarray, y: np.ndarray):
-        """Stem pair (alpha, beta) as quaternion component arrays (..., 4)."""
-        w = self.complex_stem(np.asarray(x) + 1j * np.asarray(y))
-        return w.real, w.imag
-
     def eval(self, q: Quaternion) -> Quaternion:
         """f(q) = alpha + J*beta at the slice decomposition of q."""
         p = to_slice(q)
@@ -135,21 +127,31 @@ class StemFunction:
     # -- certificates -------------------------------------------------------
 
     def _sample_sup(self, theta: float, weight) -> float:
-        """max over a sector grid of |f(s)| / weight(|s|)."""
-        # the stem does not depend on J: one evaluation serves every unit
-        angles = np.linspace(-0.999 * theta, 0.999 * theta, 13)[:, None]
-        w = self.complex_stem(_GRID_RADII * np.cos(angles)
-                              + 1j * _GRID_RADII * np.abs(np.sin(angles)))
-        scale = weight(_GRID_RADII)
-        return max(float((qarr_norm(w.real + qarr_mul(qarr(j), w.imag))
-                          / scale).max()) for j in _GRID_UNITS)
+        """max over a sector grid (y >= 0) of sup_J |f(x + J*y)| / weight(|s|).
+
+        |alpha + J*beta|^2 = |alpha|^2 + |beta|^2 + 2<Im(alpha conj(beta)), J>,
+        so the sup over every unit J, both rays of every slice, adds
+        2|Im(alpha conj(beta))|.  Raises ClassMismatch when it is not finite.
+        """
+        angles = theta * _GRID_ANGLES[:, None]
+        with np.errstate(all="ignore"):
+            # weighted first, so that squares overflow only where f/weight does
+            w = (self.complex_stem(_GRID_RADII * np.exp(1j * angles))
+                 / weight(_GRID_RADII)[:, None])
+            cross = qarr_norm(qarr_mul(w.real, w.imag * _CONJ)[..., 1:])
+            sq = np.sum((w * w.conj()).real, axis=-1) + 2.0 * cross
+            sup = float(np.sqrt(sq).max())
+        if not math.isfinite(sup):
+            raise ClassMismatch(f"{self!r} is not finite on the certificate "
+                                f"grid of the sector theta = {theta!r}")
+        return sup
 
     def certify_decay(self, a: float, b: float, theta: float) -> DecayCertificate:
         """Certificate of membership in the class with exponents (a, b) on the sector of angle theta.
 
-        delta comes from the exact leading orders; the constant from coarse
-        grid maximisation inflated by 2.  Raises ClassMismatch when the
-        orders admit no positive delta.
+        delta comes from the exact leading orders; the constant is twice
+        _sample_sup.  Raises ClassMismatch when the orders admit no positive
+        delta or that sup is not finite.
         """
         delta = min(self.ord0 - a + 1.0, b - 1.0 - self.ordinf, 8.0)
         if delta <= 0.0:
@@ -498,14 +500,7 @@ class _Parser:
             k, s = self.next()
             if (k, s) != ("sym", ")"):
                 raise ValueError(f"unclosed argument list of {val}")
-            fn = Power(int(arg_)) if val == "pow" else Regularizer(int(arg_))
-            # a stem that overflows where certificates sample it has none
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite = np.all(np.isfinite(fn.complex_stem(_GRID_RADII)))
-            if not finite:
-                raise ValueError(f"{fn!r} overflows on the certificate grid "
-                                 f"(|s| up to {_GRID_RADII[-1]:g})")
-            return fn
+            return Power(int(arg_)) if val == "pow" else Regularizer(int(arg_))
         if (kind, val) == ("sym", "("):
             inner = self.parse_expr()
             k, s = self.next()

@@ -48,6 +48,17 @@ class OperatorSpec:
     omega: float = math.pi / 4.0
     diagonal: bool = False
 
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"dim must be at least 1, got {self.dim}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not 0.0 < self.omega < math.pi:
+            raise ValueError("sector angle must lie in (0, pi)")
+        lo, hi = self.annulus
+        if not 0.0 < lo <= hi < math.inf:  # NaN fails too
+            raise ValueError("annulus must satisfy 0 < r_min <= r_max < inf")
+
 
 @dataclass
 class GeneratedOperator:
@@ -71,15 +82,7 @@ class GeneratedOperator:
 def generate_operator(spec: OperatorSpec) -> GeneratedOperator:
     """Simultaneously diagonalizable commuting components with a known
     eigensphere list, reproducible from the seed."""
-    if spec.dim < 1:
-        raise ValueError(f"dim must be at least 1, got {spec.dim}")
-    if spec.seed < 0:
-        raise ValueError(f"seed must be non-negative, got {spec.seed}")
-    if not 0.0 < spec.omega < math.pi:
-        raise ValueError("sector angle must lie in (0, pi)")
     lo, hi = spec.annulus
-    if not 0.0 < lo <= hi < math.inf:  # NaN fails too
-        raise ValueError("annulus must satisfy 0 < r_min <= r_max < inf")
     rng = np.random.default_rng(spec.seed)
     eigs = []
     for _ in range(spec.dim):

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -19,7 +20,7 @@ from qcalc.operators import (KERNEL_KINDS, CommutingOperator, TypeProfile,
                              assemble, bq_conj, conj_op, kernel, kernel_batch,
                              stack_fro)
 from qcalc.quaternion import E1, Quaternion, to_slice
-from qcalc.slicefun import (Power, Product, Regularizer, Scale,
+from qcalc.slicefun import (Power, Product, Regularizer, Scale, parse,
                             pointwise_fine)
 from qcalc.suites import OperatorSpec, SuiteContext, generate_operator
 
@@ -464,13 +465,34 @@ class TestHInfinity:
 
     @pytest.mark.parametrize("n", [400, 10**20])
     def test_large_power_is_typed(self, n):
-        # the certificate constant of e * s^n is infinite (400) or NaN
-        # (10^20): contour_for raises ToleranceNotMet, not ZeroDivisionError
-        # or the SectorContour ValueError
+        # s^n overflows on the certificate grid (400) or is NaN there
+        # (10^20): its growth certificate raises ClassMismatch, with no
+        # numpy warning, before any contour is built
         ctx = SuiteContext(generate_operator(OperatorSpec(dim=2, seed=3)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ToleranceNotMet):
-                hinf("S", ctx.operator, Power(n), ctx.profile)
+        with pytest.raises(ClassMismatch, match=re.escape(f"pow({n})")):
+            hinf("S", ctx.operator, Power(n), ctx.profile)
+
+    @pytest.mark.parametrize("entry, build", [
+        (hinf, lambda: Power(103)),
+        (calc, lambda: Product(Regularizer(110), Power(103))),
+        (hinf, lambda: parse("pow(1e20)")),
+        (hinf, lambda: parse("pow(103)"))],
+        ids=["hinf-pow(103)", "calc-reg(110)*pow(103)", "hinf-parse-pow(1e20)",
+             "hinf-parse-pow(103)"])
+    def test_overflowing_stem_is_refused_at_certification(
+            self, ctx4, gen4, monkeypatch, entry, build):
+        # parse checks grammar only; a stem that overflows on the certificate
+        # grid ends in ClassMismatch naming f and theta, and no certificate
+        # of it is stored
+        monkeypatch.setattr(slicefun, "_CERTIFICATES", slicefun.Memo())
+        f = build()
+        theta = Evaluator(gen4.operator, ctx4.profile).theta
+        with pytest.raises(ClassMismatch) as info:
+            entry("S", gen4.operator, f, ctx4.profile)
+        assert repr(f) in str(info.value) and repr(theta) in str(info.value)
+        stored = slicefun._CERTIFICATES._store
+        assert not any(repr(f) in key[1] for key in stored)
+        assert all(math.isfinite(cert.constant) for _, cert in stored.values())
 
     def test_nonfinite_integrand_fails_at_once(self, monkeypatch):
         # past |s| ~ 2e51 the stem of reg(7) * pow(6) is inf * 0: the first

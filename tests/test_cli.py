@@ -89,6 +89,16 @@ class TestRun:
         assert main(["run", "kernels", "--dim", "3", "--seed", "5",
                      "--operator", str(op_file)]) == 0
 
+    def test_loaded_operator_checks_the_seed(self, tmp_path, capsys):
+        # a loaded operator's spec is checked as a generated one's: the seed
+        # is named, not left to numpy's random generator
+        op_file = tmp_path / "op.txt"
+        assert main(["generate", "--dim", "2", "--out", str(op_file)]) == 0
+        assert main(["run", "kernels", "--operator", str(op_file),
+                     "--seed", "-3"]) == 2
+        assert ("error: seed must be non-negative, got -3"
+                in capsys.readouterr().err)
+
     def test_malformed_operator_file(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("not an operator")
