@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -476,10 +477,17 @@ class TestParser:
 
     @pytest.mark.parametrize("bad", ["pow(", "pow(1.5)", "reg(2))", "foo(1)",
                                      "pow(1) +", "reg 2", "reg(1e400)",
-                                     "pow(1e400)"])
+                                     "pow(1e400)", "pow(103)", "pow(1e20)"])
     def test_errors(self, bad):
-        with pytest.raises(ValueError):
-            parse(bad)
+        # parse checks grammar only: a well-formed pow whose stem overflows
+        # on the certificate grid parses, and is refused at its certificate
+        if bad in ("pow(103)", "pow(1e20)"):
+            f = parse(bad)
+            with pytest.raises(ClassMismatch, match=re.escape(repr(f))):
+                f.certify_growth(13 * math.pi / 16)
+        else:
+            with pytest.raises(ValueError):
+                parse(bad)
 
 
 _ATOMS = st.one_of(
