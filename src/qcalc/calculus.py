@@ -79,7 +79,6 @@ class CalcDiagnostics:
     t_max: float
     phi: float
     theta: float
-    commutation_residual: float
     worst_cond: float  # largest (||Q||_F ||Q^-1||_F)^2 of the quadrature
     kernel_path: str  # "eigenbasis" or "dense" (see OperatorKernel.path)
     regularizer_n: int | None = None
@@ -205,7 +204,6 @@ class Evaluator:
                                panels=info["panels"], t_min=contour.t_min,
                                t_max=contour.t_max, phi=self.phi,
                                theta=self.theta,
-                               commutation_residual=value.commutation_residual(),
                                worst_cond=info["worst_cond"],
                                kernel_path=kernel.path)
         return CalculusResult(value, kind, "decaying", diag)
@@ -294,7 +292,6 @@ class Evaluator:
         value, range_resid = _solve_prefactor(pref, bracket)
         diag = CalcDiagnostics(tol_achieved=tol, panels=0, t_min=0.0,
                                t_max=0.0, phi=self.phi, theta=self.theta,
-                               commutation_residual=value.commutation_residual(),
                                worst_cond=max(conds),
                                kernel_path="dense" if "dense" in paths
                                else "eigenbasis", regularizer_n=e.n,

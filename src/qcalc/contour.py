@@ -25,8 +25,9 @@ W_m dz_m), free of J.  f ds_J K_R with K_R = A + J B mirrors this for
 intrinsic f, whose real alpha, beta commute with J.  A right kernel on
 the left, a left kernel on the right and a non-intrinsic f on the right
 have no such form; require_moment_form refuses them.  A point-callable
-kernel is integrated ray by ray with J = contour.unit; tests compare the
-two.
+kernel k(x, y, unit) gives the (m, 4, n, n) kernel stack at the nodes
+x + unit y, as kernel_batch does; it is called once per ray, with
+J = contour.unit and with -J, and tests compare the two forms.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ import numpy as np
 
 from .errors import NoDecayMetadata, NotIntrinsic, ToleranceNotMet
 from .operators import (QuatMatrix, _AB_FAMILY, _chain, _z_powers, bq_dot,
-                        bq_scalar, kernel, stack_fro)
-from .quaternion import Quaternion, SlicePoint, exp_j, qarr, qarr_mul
+                        bq_scalar, stack_fro)
+from .quaternion import Quaternion, exp_j, qarr, qarr_mul
 
 GAUSS_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
@@ -56,9 +57,10 @@ class SectorContour:
 
     phi: ray angle, strictly between the spectral angle and the function
     sector; unit: the imaginary unit J spanning the slice, read only when
-    a point-callable kernel is integrated (the moment form of an
-    OperatorKernel is J-free); t_min/t_max: truncation radii with
-    0 < t_min < 1 < t_max; tol: Frobenius target for refinement.
+    a point-callable kernel is integrated, whose two rays it passes as J
+    and -J (the moment form of an OperatorKernel is J-free); t_min/t_max:
+    truncation radii with 0 < t_min < 1 < t_max; tol: Frobenius target for
+    refinement.
     """
 
     phi: float
@@ -133,7 +135,8 @@ def contour_for(cert, kernel_bound, phi: float, unit: Quaternion,
 
 class OperatorKernel:
     """One kernel kind of a fixed operator.  The quadrature integrates it in
-    moment form (see _level_value); a call evaluates it at one point."""
+    moment form (see _level_value); its point-callable twin is
+    functools.partial(kernel_batch, kind, t)."""
 
     def __init__(self, kind: str, t):
         self.kind = kind
@@ -144,9 +147,6 @@ class OperatorKernel:
         """"eigenbasis" when the operator has one (see _moment_value), else
         "dense"."""
         return "dense" if self.operator.eigenbasis is None else "eigenbasis"
-
-    def __call__(self, p: SlicePoint) -> QuatMatrix:
-        return kernel(self.kind, self.operator, p)
 
 
 def require_moment_form(kind: str, f, side: str) -> None:
@@ -162,22 +162,13 @@ def require_moment_form(kind: str, f, side: str) -> None:
         raise NotIntrinsic("the right-kernel form needs an intrinsic function")
 
 
-def _point_kernel_rays(k, x, y, unit, n):
-    plus = np.empty((len(x), 4, n, n))
-    minus = np.empty_like(plus)
-    for i, (xi, yi) in enumerate(zip(x, y)):
-        plus[i] = k(SlicePoint(float(xi), float(yi), unit)).components
-        minus[i] = k(SlicePoint(float(xi), float(yi), -1.0 * unit)).components
-    return plus, minus
-
-
 def _moment_value(k: OperatorKernel, dz, z, stem, side: str):
     """sum_d C_d Re(Mom_d) (side "left") or sum_d Re(Mom_d) C_d (side
     "right") with Mom_d = sum_m 2i dz_m z_m^d W_m M_m^power (see the module
     docstring), one complex GEMM over the nodes.  With an eigenbasis
     (U, d0, d2) it runs over the diagonal of U^T M^power U (see _chain) and
     each of the 4 (degree+1) moments is U diag U^T.  No unit J is read;
-    only the point-callable path of _level_value reads contour.unit.
+    only the point-callable branch of _level_value reads contour.unit.
     Returns the sum and the worst conditioning of the nodes' Q_{c,z}(T)."""
     fam = _AB_FAMILY[k.kind]
     num = k.operator.kernel_numerators[fam]
@@ -202,7 +193,10 @@ def _level_value(k, f, contour: SectorContour, side: str, panels: int,
     """One quadrature level: (value, worst conditioning of Q_{c,z}(T)),
     the latter None for a point-callable kernel.  An OperatorKernel takes
     the J-free moment form and refuses the forms without one (see
-    require_moment_form)."""
+    require_moment_form).  A point-callable kernel is called once per ray,
+    k(x, y, J) and k(x, y, -J) on all nodes, and contracted with ds_J f
+    by bq_scalar.  matrix_dim is not read; the signature stays for
+    qbench/layertrace.py, which takes the arguments by position."""
     if isinstance(k, OperatorKernel):
         require_moment_form(k.kind, f, side)
     elif side not in ("left", "right"):
@@ -238,11 +232,8 @@ def _level_value(k, f, contour: SectorContour, side: str, panels: int,
     else:
         s_plus, s_minus = qarr_mul(f_plus, c_plus), qarr_mul(f_minus, c_minus)
         scalar_side = "left"
-    if matrix_dim is None:
-        matrix_dim = k(SlicePoint(float(x[0]), float(y[0]), j)).n
-    k_plus, k_minus = _point_kernel_rays(k, x, y, j, matrix_dim)
-    vals = (bq_scalar(s_plus, k_plus, scalar_side)
-            - bq_scalar(s_minus, k_minus, scalar_side))
+    vals = (bq_scalar(s_plus, k(x, y, j), scalar_side)
+            - bq_scalar(s_minus, k(x, y, -1.0 * j), scalar_side))
     return np.einsum("m,mcij->cij", w * t, vals), None  # dr = t du
 
 
@@ -251,10 +242,13 @@ def integrate(k, f, contour: SectorContour, *, side: str = "left"):
 
     k is either an OperatorKernel (moment form, which does not read
     contour.unit and refuses the forms that would depend on it; see
-    _level_value) or any callable SlicePoint -> QuatMatrix, evaluated in
-    the slice of contour.unit.  side selects the sandwich order: "left" is
-    K ds_J f, "right" is f ds_J K.  The first level has one panel per two
-    units of log radius (at least 8); each refinement doubles the panels.
+    _level_value) or a point callable k(x, y, unit) -> (m, 4, n, n) kernel
+    stack at the nodes x + unit y, such as
+    functools.partial(kernel_batch, kind, t), called once per ray with
+    unit = contour.unit and -contour.unit.  side selects the sandwich
+    order: "left" is K ds_J f, "right" is f ds_J K.  The first level has
+    one panel per two units of log radius (at least 8); each refinement
+    doubles the panels.
     Returns (QuatMatrix, diagnostics); the diagnostics' worst_cond is the
     largest (||Q||_F ||Q^-1||_F)^2 met on the accepted level (None for a
     point-callable kernel).  A non-finite stem or difference between

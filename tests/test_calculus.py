@@ -62,7 +62,7 @@ class TestDecayingCalculi:
 
     def test_result_has_commuting_components(self, ctx4, gen4):
         res = calc("F", gen4.operator, Regularizer(2), ctx4.profile)
-        assert res.diagnostics.commutation_residual <= 1e-9
+        assert res.value.commutation_residual() <= 1e-9
         assert res.regime == "decaying"
 
     @pytest.mark.parametrize("kind", ["S", "Q", "P2", "F"])

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from qcalc.contour import (OperatorKernel, SectorContour, _level_value,
                            integrate_fixed)
 from qcalc.errors import (NoDecayMetadata, NotIntrinsic, SpectrumHit,
                           ToleranceNotMet)
-from qcalc.operators import (KERNEL_KINDS, CommutingOperator, QuatMatrix,
-                             _chain, operator_from_text, operator_to_text)
+from qcalc.operators import (KERNEL_KINDS, CommutingOperator, _chain,
+                             kernel_batch, operator_from_text,
+                             operator_to_text)
 from qcalc.quaternion import E1, E2, ONE, Quaternion, to_slice
 from qcalc.slicefun import Regularizer, Scale, Sum
 from qcalc.suites import OperatorSpec, generate_operator
@@ -198,7 +200,7 @@ class TestQuadratureMechanics:
     def test_nonfinite_difference_fails_at_once(self):
         # a NaN level ends the refinement at its first difference: 8 panels,
         # then 16, where the cap is 8 * 2**9
-        nan_kernel = lambda p: QuatMatrix(np.full((4, 1, 1), np.nan))
+        nan_kernel = lambda x, y, unit: np.full((len(x), 4, 1, 1), np.nan)
         contour = SectorContour(1.2, E1, 1e-2, 1e2)
         with pytest.raises(ToleranceNotMet, match="not finite at 16 panels"):
             integrate(nan_kernel, Regularizer(1), contour)
@@ -207,10 +209,25 @@ class TestQuadratureMechanics:
         t, f, _ = cauchy_setup()
         contour = SectorContour(1.2, E1, 1e-6, 1e6)
         fast = OperatorKernel("S_L", t)
-        slow = lambda p: fast(p)  # plain SlicePoint -> QuatMatrix callable
+        slow = partial(kernel_batch, "S_L", t)  # (x, y, unit) -> stack
         va, _ = integrate_fixed(fast, f, contour, 24)
         vb, _ = integrate_fixed(slow, f, contour, 24)
         assert (va - vb).norm() <= 1e-13
+
+    def test_point_callable_takes_one_call_per_ray(self):
+        # 12 panels of 16 nodes: one call with J and one with -J, each on
+        # all 192 nodes, not one call per node and ray
+        t, f, _ = cauchy_setup()
+        contour = SectorContour(1.2, E12, 1e-6, 1e6)
+        calls = []
+
+        def recording(x, y, unit):
+            calls.append((len(x), len(y), unit))
+            return kernel_batch("S_L", t, x, y, unit)
+
+        integrate_fixed(recording, f, contour, 12)
+        assert [c[:2] for c in calls] == [(192, 192), (192, 192)]
+        assert calls[0][2] == E12 and calls[1][2] == -1.0 * E12
 
     def test_right_sandwich_order(self):
         # for an intrinsic f and the scalar operator the two orders agree
@@ -242,13 +259,13 @@ class TestMomentForm:
         # assembled with the unit on both rays; the second contour spans
         # the truncation radii hinf reaches
         k = OperatorKernel(kind, gen4.operator)
+        point = partial(kernel_batch, kind, gen4.operator)
         fs = [Regularizer(2)] + ([NONINTRINSIC] if side == "left" else [])
         for unit in (E1, E12, unit_q):
             contour = SectorContour(1.7, unit, t_min, t_max)
             for f in fs:
                 va, _ = integrate_fixed(k, f, contour, panels, side=side)
-                vb, _ = integrate_fixed(lambda p: k(p), f, contour, panels,
-                                        side=side)
+                vb, _ = integrate_fixed(point, f, contour, panels, side=side)
                 assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
 
     @pytest.mark.parametrize("kind,side", KIND_SIDES)
@@ -287,11 +304,14 @@ class TestMomentForm:
         }[kind]
         contour = SectorContour(1.2, E12, 1e-8, 1e8)
         f = Regularizer(2)
+
+        def closed_stack(x, y, unit):  # the (m, 4, 1, 1) kernel stack
+            return np.array([closed(Quaternion(xi) + unit * yi).components
+                             for xi, yi in zip(x, y)])[:, :, None, None]
+
         va, _ = integrate_fixed(OperatorKernel(kind, scalar_operator(q)), f,
                                 contour, 16)
-        vb, _ = integrate_fixed(
-            lambda p: QuatMatrix.from_scalar(closed(p.point()), 1), f,
-            contour, 16)
+        vb, _ = integrate_fixed(closed_stack, f, contour, 16)
         if kind == "Qc":  # the Q-calculus integrates -2 Q_{c,s}^-1
             va, vb = -2.0 * va, -2.0 * vb
         assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
@@ -381,5 +401,6 @@ class TestKernelPaths:
             k = OperatorKernel(kind, t)
             assert k.path == "dense"
             va, _ = integrate_fixed(k, f, contour, 12, side=side)
-            vb, _ = integrate_fixed(lambda p: k(p), f, contour, 12, side=side)
+            vb, _ = integrate_fixed(partial(kernel_batch, kind, t), f,
+                                    contour, 12, side=side)
             assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
