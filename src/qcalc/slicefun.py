@@ -57,21 +57,6 @@ class GrowthCertificate:
     theta: float
 
 
-def _perm(n: int, m: int) -> float:
-    # falling factorial n*(n-1)*...*(n-m+1)
-    out = 1.0
-    for i in range(m):
-        out *= n - i
-    return out
-
-
-def _rising(k: int, m: int) -> float:
-    out = 1.0
-    for i in range(m):
-        out *= k + i
-    return out
-
-
 def _embed(w: np.ndarray) -> np.ndarray:
     """A complex scalar stem as a (..., 4) component array."""
     out = np.zeros(w.shape + (4,), dtype=complex)
@@ -113,8 +98,14 @@ class StemFunction:
     def slice_derivative(self) -> "StemFunction":
         raise UnsupportedKind(f"no derivative rule for kind {self.kind!r}")
 
-    def __add__(self, other: "StemFunction") -> "StemFunction":
+    def __add__(self, other):
+        # a number in a sum is the constant function c * pow(0)
+        if not isinstance(other, StemFunction):
+            other = Scale(other, Power(0))
         return Sum(self, other)
+
+    def __radd__(self, c):
+        return Sum(Scale(c, Power(0)), self)
 
     def __mul__(self, other):
         if isinstance(other, StemFunction):
@@ -228,7 +219,7 @@ class Power(StemFunction):
         z = np.asarray(z, dtype=complex)
         if m > self.n:
             return _embed(np.zeros_like(z))
-        return _embed(_perm(self.n, m) * z ** (self.n - m))
+        return _embed(math.perm(self.n, m) * z ** (self.n - m))
 
     def slice_derivative(self):
         if self.n == 0:
@@ -266,8 +257,10 @@ class Regularizer(StemFunction):
         out = np.zeros_like(z)
         for j in range(min(m, n) + 1):
             i = m - j
-            out += (math.comb(m, j) * _perm(n, j) * (-1.0) ** i
-                    * _rising(2 * n, i) * w ** (n - j) * v ** (n + j + i))
+            # perm(2n + i - 1, i) is the rising factorial 2n (2n+1) ... (2n+i-1)
+            out += (math.comb(m, j) * math.perm(n, j) * (-1.0) ** i
+                    * math.perm(2 * n + i - 1, i)
+                    * w ** (n - j) * v ** (n + j + i))
         return _embed(out)
 
     def slice_derivative(self):
@@ -422,117 +415,59 @@ def choose_regularizer(f: StemFunction, alpha: float, beta: float,
     """
     cert = f.certify_growth(theta)
     bound = max(cert.k + 3.0 * alpha - 1.0, cert.k - 3.0 * beta + 1.0)
-    n = max(1, math.floor(bound) + 1)
-    if n <= bound:  # guards exact-integer floor
-        n += 1
-    return Regularizer(n)
+    return Regularizer(max(1, math.floor(bound) + 1))
 
 
 # ---------------------------------------------------------------------------
-# Tiny text grammar: pow(n), reg(n), a*F, F+G, F*G.  Operators associate
-# left-to-right with equal precedence; parentheses group.
+# Tiny text grammar.  An expression is a term followed by any number of
+# "+ term" and "* term", read left to right with equal precedence.  A term is
+# a number, an atom of _ATOMS with a number argument in parentheses, or a
+# parenthesised expression.  A sign belongs to a number only when it touches
+# its digits, so "pow(1)+2" is a sum and "- 1" and "2 - 3" are errors.
+# Whitespace may stand before and after every token.
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>[+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
-                    r"|(?P<name>pow|reg)"
-                    r"|(?P<sym>[()*+]))")
+_ATOMS = {"pow": Power, "reg": Regularizer}
+_NUMBER = r"[+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"
+_TERM = re.compile(rf"\s*(?:(?P<num>{_NUMBER})|(?P<atom>{'|'.join(_ATOMS)})"
+                   rf"\s*\(\s*(?P<arg>{_NUMBER})\s*\)|\()")
+_OPERATOR = re.compile(r"\s*([+*])")
+_CLOSE = re.compile(r"\s*\)")
 
 
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"bad function expression near {text[pos:]!r}")
-        if m.group("num") is not None:
-            tok = m.group("num")
-            # a leading sign is only part of the literal at term position
-            if tok[0] in "+-" and out and (out[-1][0] == "num"
-                                           or out[-1] == ("sym", ")")):
-                out.append(("sym", tok[0]))
-                out.append(("num", float(tok[1:])))
-            else:
-                out.append(("num", float(tok)))
-        elif m.group("name") is not None:
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("sym", m.group("sym")))
-        pos = m.end()
-    return out
+def _term(text: str, pos: int):
+    """The term at text[pos:], as a float or a StemFunction, and its end."""
+    m = _TERM.match(text, pos)
+    if m is None:
+        atoms = ", ".join(f"{name}(number)" for name in _ATOMS)
+        raise ValueError(f"expected a number, {atoms} or '(' at position "
+                         f"{pos} of {text!r}")
+    if m["num"]:
+        return float(m["num"]), m.end()
+    if m["atom"]:
+        # the constructor checks the argument; an integral float is an int
+        arg = float(m["arg"])
+        return _ATOMS[m["atom"]](int(arg) if arg.is_integer() else arg), m.end()
+    value, pos = _expr(text, m.end())
+    close = _CLOSE.match(text, pos)
+    if close is None:
+        raise ValueError(f"expected ')' at position {pos} of {text!r}")
+    return value, close.end()
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.toks = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None)
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def parse_expr(self):
-        value = self.parse_term()
-        while True:
-            kind, sym = self.peek()
-            if kind == "sym" and sym in "+*":
-                self.next()
-                rhs = self.parse_term()
-                value = _combine(sym, value, rhs)
-            else:
-                return value
-
-    def parse_term(self):
-        kind, val = self.next()
-        if kind == "num":
-            return val
-        if kind == "name":
-            k, s = self.next()
-            if (k, s) != ("sym", "("):
-                raise ValueError(f"{val} needs a parenthesised integer argument")
-            k, arg_ = self.next()
-            if k != "num" or not arg_.is_integer():
-                raise ValueError(f"{val} takes an integer argument")
-            k, s = self.next()
-            if (k, s) != ("sym", ")"):
-                raise ValueError(f"unclosed argument list of {val}")
-            return Power(int(arg_)) if val == "pow" else Regularizer(int(arg_))
-        if (kind, val) == ("sym", "("):
-            inner = self.parse_expr()
-            k, s = self.next()
-            if (k, s) != ("sym", ")"):
-                raise ValueError("unbalanced parentheses")
-            return inner
-        raise ValueError(f"unexpected token {val!r}")
-
-
-def _combine(op, a, b):
-    scalars = isinstance(a, float) and isinstance(b, float)
-    if scalars:
-        return a + b if op == "+" else a * b
-    if isinstance(a, float):
-        a = Scale(a, Power(0)) if op == "+" else a
-    if isinstance(b, float):
-        b = Scale(b, Power(0)) if op == "+" else b
-    if op == "+":
-        return Sum(a, b)
-    if isinstance(a, float):
-        return Scale(a, b)
-    if isinstance(b, float):
-        return Scale(b, a)
-    return Product(a, b)
+def _expr(text: str, pos: int):
+    """The expression at text[pos:] and its end; one of numbers only is a float."""
+    value, pos = _term(text, pos)
+    while op := _OPERATOR.match(text, pos):
+        rhs, pos = _term(text, op.end())
+        value = value + rhs if op[1] == "+" else value * rhs
+    return value, pos
 
 
 def parse(text: str) -> StemFunction:
     """Parse a function expression like '2*reg(2) + (pow(1)*reg(3))'."""
-    parser = _Parser(_tokenize(text))
-    value = parser.parse_expr()
-    if parser.i != len(parser.toks):
-        raise ValueError("trailing tokens in function expression")
-    if isinstance(value, float):
-        return Scale(value, Power(0))
-    return value
+    value, pos = _expr(text, 0)
+    if text[pos:].strip():
+        raise ValueError(f"expected '+', '*' or the end at position {pos} "
+                         f"of {text!r}")
+    return value if isinstance(value, StemFunction) else Scale(value, Power(0))

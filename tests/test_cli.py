@@ -14,6 +14,7 @@ import qcalc
 from qcalc import suites
 from qcalc.cli import _SETTINGS, build_arg_parser, main
 from qcalc.operators import CommutingOperator, operator_to_text
+from qcalc.slicefun import parse
 from qcalc.suites import OperatorSpec, generate_operator
 
 
@@ -310,6 +311,13 @@ class TestReadmeInSync:
         flags = {opt for action in sub.choices["run"]._actions
                  for opt in action.option_strings if opt.startswith("--")}
         assert listed == flags - {"--help"}
+
+    def test_grammar_example_groups_as_stated(self):
+        text, grouped = re.search(r"so `([^`]*)` is\s+`([^`]*)`",
+                                  README.read_text()).groups()
+        assert (text, grouped) == ("reg(2) + pow(1)*reg(3)",
+                                   "(reg(2) + pow(1)) * reg(3)")
+        assert repr(parse(text)) == repr(parse(grouped))
 
     def test_schema_version_matches(self):
         listed = re.findall(r'schema version `"(\d+)"`', README.read_text())

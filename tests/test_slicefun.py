@@ -490,6 +490,57 @@ class TestParser:
                 parse(bad)
 
 
+
+# (text, the repr parse gives, or the exception it raises)
+GRAMMAR = [
+    ("pow(3)", "pow(3)"),
+    ("reg(2)", "reg(2)"),
+    ("-2*reg(2)", "(-2.0 * reg(2))"),
+    ("pow(1)*-2", "(-2.0 * pow(1))"),
+    ("2+-3", "(-1.0 * pow(0))"),
+    ("2*+3", "(6.0 * pow(0))"),
+    ("- 1", ValueError),
+    ("+ 1e3", ValueError),
+    ("2 - 3", ValueError),
+    ("2-3", ValueError),
+    ("-pow(1)", ValueError),
+    ("pow(1)+2", "(pow(1) + (2.0 * pow(0)))"),
+    ("2*3+reg(2)", "((6.0 * pow(0)) + reg(2))"),
+    ("1.5", "(1.5 * pow(0))"),
+    ("1e400", "(inf * pow(0))"),
+    ("reg(2)*2", "(2.0 * reg(2))"),
+    ("(2)", "(2.0 * pow(0))"),
+    ("pow((2))", ValueError),
+    ("pow(2.0)", "pow(2)"),
+    ("pow(+1)", "pow(1)"),
+    ("pow(1.5)", ValueError),
+    ("pow(-0)", "pow(0)"),
+    ("pow(1e20)", "pow(100000000000000000000)"),
+    ("reg(1e400)", ValueError),
+    ("reg(0)", ValueError),
+    ("", ValueError),
+    ("()", ValueError),
+    ("pow(1)reg(2)", ValueError),
+    (" ( pow ( 1 ) + 2 ) * reg ( 2 )", "((pow(1) + (2.0 * pow(0))) * reg(2))"),
+    ("pow(- 1)", ValueError),
+]
+
+
+@pytest.mark.parametrize("text, expected", GRAMMAR)
+def test_grammar(text, expected):
+    if isinstance(expected, str):
+        assert repr(parse(text)) == expected
+    else:
+        with pytest.raises(expected):
+            parse(text)
+
+
+@pytest.mark.parametrize("text", ["pow(1) ", "2*reg(2)\t", "(1 + reg(1)) \n",
+                                  "1.5  "])
+def test_trailing_whitespace_is_ignored(text):
+    assert repr(parse(text)) == repr(parse(text.rstrip()))
+
+
 _ATOMS = st.one_of(
     st.integers(0, 150).map(lambda n: f"pow({n})"),
     st.integers(1, 150).map(lambda n: f"reg({n})"),
