@@ -24,10 +24,7 @@ so with dz = e^{i phi} dr a level is sum_d C_d Re(2i sum_m z_m^d M_m^p
 W_m dz_m), free of J.  f ds_J K_R with K_R = A + J B mirrors this for
 intrinsic f, whose real alpha, beta commute with J.  A right kernel on
 the left, a left kernel on the right and a non-intrinsic f on the right
-have no such form; require_moment_form refuses them.  A point-callable
-kernel k(x, y, unit) gives the (m, 4, n, n) kernel stack at the nodes
-x + unit y, as kernel_batch does; it is called once per ray, with
-J = contour.unit and with -J, and tests compare the two forms.
+have no such form; require_moment_form refuses them.
 """
 
 from __future__ import annotations
@@ -39,10 +36,11 @@ import numpy as np
 
 from .errors import NoDecayMetadata, NotIntrinsic, ToleranceNotMet
 from .operators import (QuatMatrix, _AB_FAMILY, _chain, _z_powers, bq_dot,
-                        bq_scalar, stack_fro)
-from .quaternion import Quaternion, exp_j, qarr, qarr_mul
+                        stack_fro)
+from .operators import bq_scalar  # unused; qbench/layertrace.py traces it
+from .quaternion import Quaternion
 
-GAUSS_ORDER = 16
+GAUSS_ORDER = 16  # qbench/layertrace.py reads it to count nodes
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 _MAX_REFINEMENTS = 9
 
@@ -56,15 +54,13 @@ class SectorContour:
     """Integration path along the boundary rays of a sector.
 
     phi: ray angle, strictly between the spectral angle and the function
-    sector; unit: the imaginary unit J spanning the slice, read only when
-    a point-callable kernel is integrated, whose two rays it passes as J
-    and -J (the moment form of an OperatorKernel is J-free); t_min/t_max:
-    truncation radii with 0 < t_min < 1 < t_max; tol: Frobenius target for
-    refinement.
+    sector; unit: the imaginary unit J spanning the slice, which no value
+    reads (the moment form is J-free); t_min/t_max: truncation radii with
+    0 < t_min < 1 < t_max; tol: Frobenius target for refinement.
     """
 
     phi: float
-    unit: Quaternion
+    unit: Quaternion  # qbench/layertrace.py keys its integral spans on it
     t_min: float
     t_max: float
     tol: float = 1e-9
@@ -134,9 +130,8 @@ def contour_for(cert, kernel_bound, phi: float, unit: Quaternion,
 
 
 class OperatorKernel:
-    """One kernel kind of a fixed operator.  The quadrature integrates it in
-    moment form (see _level_value); its point-callable twin is
-    functools.partial(kernel_batch, kind, t)."""
+    """One kernel kind of a fixed operator, the one kernel the quadrature
+    takes; it is integrated in moment form (see _moment_value)."""
 
     def __init__(self, kind: str, t):
         self.kind = kind
@@ -167,8 +162,7 @@ def _moment_value(k: OperatorKernel, dz, z, stem, side: str):
     "right") with Mom_d = sum_m 2i dz_m z_m^d W_m M_m^power (see the module
     docstring), one complex GEMM over the nodes.  With an eigenbasis
     (U, d0, d2) it runs over the diagonal of U^T M^power U (see _chain) and
-    each of the 4 (degree+1) moments is U diag U^T.  No unit J is read;
-    only the point-callable branch of _level_value reads contour.unit.
+    each of the 4 (degree+1) moments is U diag U^T.  No unit J is read.
     Returns the sum and the worst conditioning of the nodes' Q_{c,z}(T)."""
     fam = _AB_FAMILY[k.kind]
     num = k.operator.kernel_numerators[fam]
@@ -188,19 +182,10 @@ def _moment_value(k: OperatorKernel, dz, z, stem, side: str):
     return value, float(cond.max())
 
 
-def _level_value(k, f, contour: SectorContour, side: str, panels: int,
-                 matrix_dim: int | None):
-    """One quadrature level: (value, worst conditioning of Q_{c,z}(T)),
-    the latter None for a point-callable kernel.  An OperatorKernel takes
-    the J-free moment form and refuses the forms without one (see
-    require_moment_form).  A point-callable kernel is called once per ray,
-    k(x, y, J) and k(x, y, -J) on all nodes, and contracted with ds_J f
-    by bq_scalar.  matrix_dim is not read; the signature stays for
-    qbench/layertrace.py, which takes the arguments by position."""
-    if isinstance(k, OperatorKernel):
-        require_moment_form(k.kind, f, side)
-    elif side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+def _nodes(contour: SectorContour, panels: int):
+    """The level's nodes z = r e^{i phi} on the upper ray and their
+    Gauss-Legendre weights in u = log r: panels equal panels in u from
+    t_min to t_max, GAUSS_ORDER nodes each."""
     edges = np.linspace(math.log(contour.t_min), math.log(contour.t_max),
                         panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -208,51 +193,41 @@ def _level_value(k, f, contour: SectorContour, side: str, panels: int,
     u = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     t = np.exp(u)
-    x = t * math.cos(contour.phi)
-    y = t * math.sin(contour.phi)
-    z = x + 1j * y
+    return t * math.cos(contour.phi) + 1j * (t * math.sin(contour.phi)), w
+
+
+def _level_value(k, f, contour: SectorContour, side: str, panels: int,
+                 matrix_dim: int | None):
+    """One quadrature level of an OperatorKernel: (value, worst
+    conditioning of Q_{c,z}(T)) in moment form, after require_moment_form.
+    matrix_dim is not read; qbench/layertrace.py takes the six arguments
+    by position."""
+    if not isinstance(k, OperatorKernel):
+        raise TypeError("the quadrature takes an OperatorKernel, not "
+                        f"{type(k).__name__}")
+    require_moment_form(k.kind, f, side)
+    z, w = _nodes(contour, panels)
     with np.errstate(over="ignore", invalid="ignore"):
         stem = f.complex_stem(z)
     if not np.isfinite(stem).all():
         raise ToleranceNotMet(
             f"{f!r} is not finite on the contour between radii "
             f"{contour.t_min:.3g} and {contour.t_max:.3g}")
-
-    if isinstance(k, OperatorKernel):
-        return _moment_value(k, w * z, z, stem, side)  # dz = z du
-
-    j = contour.unit
-    c_plus = qarr(exp_j(j, contour.phi) * j)
-    c_minus = qarr(exp_j(j, -contour.phi) * j)
-    jb = qarr_mul(qarr(j), stem.imag)
-    f_plus, f_minus = stem.real + jb, stem.real - jb
-    if side == "left":
-        s_plus, s_minus = qarr_mul(c_plus, f_plus), qarr_mul(c_minus, f_minus)
-        scalar_side = "right"
-    else:
-        s_plus, s_minus = qarr_mul(f_plus, c_plus), qarr_mul(f_minus, c_minus)
-        scalar_side = "left"
-    vals = (bq_scalar(s_plus, k(x, y, j), scalar_side)
-            - bq_scalar(s_minus, k(x, y, -1.0 * j), scalar_side))
-    return np.einsum("m,mcij->cij", w * t, vals), None  # dr = t du
+    return _moment_value(k, w * z, z, stem, side)  # dz = z du
 
 
 def integrate(k, f, contour: SectorContour, *, side: str = "left"):
     """Adaptively evaluate the sector-boundary integral of K ds_J f.
 
-    k is either an OperatorKernel (moment form, which does not read
-    contour.unit and refuses the forms that would depend on it; see
-    _level_value) or a point callable k(x, y, unit) -> (m, 4, n, n) kernel
-    stack at the nodes x + unit y, such as
-    functools.partial(kernel_batch, kind, t), called once per ray with
-    unit = contour.unit and -contour.unit.  side selects the sandwich
-    order: "left" is K ds_J f, "right" is f ds_J K.  The first level has
-    one panel per two units of log radius (at least 8); each refinement
-    doubles the panels.
+    k is an OperatorKernel (any other object raises TypeError), taken in
+    moment form, which refuses the forms that would depend on J (see
+    require_moment_form).  side selects the sandwich order: "left" is
+    K ds_J f, "right" is f ds_J K.  The first level has one panel per two
+    units of log radius (at least 8); each refinement doubles the panels.
     Returns (QuatMatrix, diagnostics); the diagnostics' worst_cond is the
-    largest (||Q||_F ||Q^-1||_F)^2 met on the accepted level (None for a
-    point-callable kernel).  A non-finite stem or difference between
-    levels raises ToleranceNotMet at once, as refining cannot mend it.
+    largest (||Q||_F ||Q^-1||_F)^2 met on the accepted level.  A non-finite
+    stem or difference between levels raises ToleranceNotMet at once, as
+    refining cannot mend it.
     """
     span = math.log(contour.t_max) - math.log(contour.t_min)
     panels = max(8, math.ceil(span / 2.0))

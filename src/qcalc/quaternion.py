@@ -132,11 +132,6 @@ E2 = Quaternion(0.0, 0.0, 1.0)
 E3 = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def exp_j(j: Quaternion, angle: float) -> Quaternion:
-    """cos(angle) + j*sin(angle) for a unit imaginary j."""
-    return Quaternion(math.cos(angle)) + j * math.sin(angle)
-
-
 @dataclass(frozen=True)
 class SlicePoint:
     """A point x + J*y of a complex slice, with y >= 0 and J unit imaginary.

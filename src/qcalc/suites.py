@@ -13,7 +13,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -386,6 +386,23 @@ def _suite_oracle(ctx: SuiteContext):
     return [cauchy, fine, left_right, conj_and_friends]
 
 
+def _algebra_kernel(kind: str, t: CommutingOperator, s: Quaternion):
+    """Kernel kind at s from QuatMatrix algebra on Q = Q_{c,s}(T), not from
+    kernel_batch's pair: with D = s - conj(T) and D0 = s - T0, S_L = D Q^-1,
+    Qc = Q^-1, F_L = -4 D Q^-2 and P2_L = 4 D D0 Q^-2; a right kernel
+    takes the factors in the reverse order."""
+    qi = q_operator(t, s).inverse()
+    sm = QuatMatrix.from_scalar(s, t.n)
+    d = sm - t.as_qmatrix().conj()
+    d0 = sm - QuatMatrix.from_real(t.components[0])
+    scale, factors = {"S": (1.0, [d, qi]), "Qc": (1.0, [qi]),
+                      "F": (-4.0, [d, qi, qi]),
+                      "P2": (4.0, [d, d0, qi, qi])}[kind.split("_")[0]]
+    if kind.endswith("_R"):
+        factors.reverse()
+    return scale * reduce(QuatMatrix.__matmul__, factors)
+
+
 def _suite_kernels(ctx: SuiteContext):
     t = ctx.operator
 
@@ -402,7 +419,7 @@ def _suite_kernels(ctx: SuiteContext):
                 worst_sym = max(worst_sym, (a - a2).norm(), (b + b2).norm())
                 for _ in range(8):
                     j = random_unit_imaginary(rng)
-                    k = kernel(kind, t, Quaternion(p.x) + j * p.y)
+                    k = _algebra_kernel(kind, t, Quaternion(p.x) + j * p.y)
                     if kind.endswith("_R"):
                         recon = a + b.scalar_mul(j, "left")
                     else:

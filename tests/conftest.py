@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from qcalc import calculus
-from qcalc.operators import CommutingOperator
-from qcalc.quaternion import Quaternion
+from qcalc.contour import _nodes
+from qcalc.operators import CommutingOperator, QuatMatrix, bq_scalar
+from qcalc.quaternion import Quaternion, qarr, qarr_mul
 from qcalc.suites import OperatorSpec, SuiteContext, generate_operator
 
 
@@ -23,6 +24,39 @@ def dense_twin(t: CommutingOperator) -> CommutingOperator:
 
 def random_quaternion(rng, scale=1.0) -> Quaternion:
     return Quaternion(*(scale * rng.normal(size=4)))
+
+
+def exp_j(j: Quaternion, angle: float) -> Quaternion:
+    """cos(angle) + j*sin(angle) for a unit imaginary j."""
+    return Quaternion(math.cos(angle)) + j * math.sin(angle)
+
+
+def reference_level(point, f, contour, panels: int, side: str) -> QuatMatrix:
+    """The J-based quadrature level that the library's moment form replaces,
+    on the library's nodes (contour._nodes): the point kernel
+    point(x, y, unit) -> (m, 4, n, n) stack at x + unit y, such as
+    functools.partial(kernel_batch, kind, t), is called once per ray, with
+    J = contour.unit and with -J, and contracted with
+    s+- = e^{+-J phi} J f(r e^{+-J phi}) (see the contour module):
+    sum_m w_m r_m [K(r e^{J phi}) s+ - K(r e^{-J phi}) s-] for side "left",
+    the mirrored sandwich for "right"."""
+    z, w = _nodes(contour, panels)
+    x, y, stem = z.real, z.imag, f.complex_stem(z)
+    j = contour.unit
+    c_plus = qarr(exp_j(j, contour.phi) * j)
+    c_minus = qarr(exp_j(j, -contour.phi) * j)
+    jb = qarr_mul(qarr(j), stem.imag)
+    f_plus, f_minus = stem.real + jb, stem.real - jb
+    if side == "left":
+        s_plus, s_minus = qarr_mul(c_plus, f_plus), qarr_mul(c_minus, f_minus)
+        scalar_side = "right"
+    else:
+        s_plus, s_minus = qarr_mul(f_plus, c_plus), qarr_mul(f_minus, c_minus)
+        scalar_side = "left"
+    vals = (bq_scalar(s_plus, point(x, y, j), scalar_side)
+            - bq_scalar(s_minus, point(x, y, -1.0 * j), scalar_side))
+    dr = w * np.abs(z)  # r du
+    return QuatMatrix(np.einsum("m,mcij->cij", dr, vals))
 
 
 def counting_integrate(monkeypatch):

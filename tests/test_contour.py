@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import dense_twin, scalar_operator
+from conftest import dense_twin, exp_j, reference_level, scalar_operator
 from qcalc.contour import (OperatorKernel, SectorContour, _level_value,
                            _one_sided_radius, contour_for, integrate,
                            integrate_fixed)
@@ -197,37 +197,35 @@ class TestQuadratureMechanics:
             integrate(OperatorKernel("S_L", gen4.operator), Regularizer(2),
                       contour)
 
-    def test_nonfinite_difference_fails_at_once(self):
+    def test_nonfinite_difference_fails_at_once(self, monkeypatch):
         # a NaN level ends the refinement at its first difference: 8 panels,
         # then 16, where the cap is 8 * 2**9
-        nan_kernel = lambda x, y, unit: np.full((len(x), 4, 1, 1), np.nan)
+        monkeypatch.setattr("qcalc.contour._moment_value",
+                            lambda k, dz, z, stem, side:
+                            (np.full((4, 1, 1), np.nan), 1.0))
+        t, f, _ = cauchy_setup()
         contour = SectorContour(1.2, E1, 1e-2, 1e2)
         with pytest.raises(ToleranceNotMet, match="not finite at 16 panels"):
-            integrate(nan_kernel, Regularizer(1), contour)
+            integrate(OperatorKernel("S_L", t), f, contour)
 
     def test_point_callable_matches_batched(self):
         t, f, _ = cauchy_setup()
         contour = SectorContour(1.2, E1, 1e-6, 1e6)
-        fast = OperatorKernel("S_L", t)
-        slow = partial(kernel_batch, "S_L", t)  # (x, y, unit) -> stack
-        va, _ = integrate_fixed(fast, f, contour, 24)
-        vb, _ = integrate_fixed(slow, f, contour, 24)
+        va, _ = integrate_fixed(OperatorKernel("S_L", t), f, contour, 24)
+        vb = reference_level(partial(kernel_batch, "S_L", t), f, contour, 24,
+                             "left")
         assert (va - vb).norm() <= 1e-13
 
-    def test_point_callable_takes_one_call_per_ray(self):
-        # 12 panels of 16 nodes: one call with J and one with -J, each on
-        # all 192 nodes, not one call per node and ray
+    def test_refuses_point_callable(self):
+        # the quadrature takes an OperatorKernel only; the J-based point
+        # kernel is the tests' reference (conftest.reference_level)
         t, f, _ = cauchy_setup()
-        contour = SectorContour(1.2, E12, 1e-6, 1e6)
-        calls = []
-
-        def recording(x, y, unit):
-            calls.append((len(x), len(y), unit))
-            return kernel_batch("S_L", t, x, y, unit)
-
-        integrate_fixed(recording, f, contour, 12)
-        assert [c[:2] for c in calls] == [(192, 192), (192, 192)]
-        assert calls[0][2] == E12 and calls[1][2] == -1.0 * E12
+        contour = SectorContour(1.2, E1, 1e-6, 1e6)
+        point = partial(kernel_batch, "S_L", t)
+        with pytest.raises(TypeError, match="OperatorKernel"):
+            integrate(point, f, contour)
+        with pytest.raises(TypeError, match="OperatorKernel"):
+            integrate_fixed(point, f, contour, 12)
 
     def test_right_sandwich_order(self):
         # for an intrinsic f and the scalar operator the two orders agree
@@ -237,6 +235,14 @@ class TestQuadratureMechanics:
         vb, _ = integrate_fixed(OperatorKernel("S_R", t), f, contour, 64,
                                 side="right")
         assert (va - vb).norm() <= 1e-12
+
+
+def test_exp_j():
+    # the reference's ray factor e^{J phi}
+    v = exp_j(E1, math.pi / 3)
+    assert math.isclose(v.s0, 0.5, rel_tol=1e-12)
+    assert math.isclose(v.s1, math.sqrt(3) / 2, rel_tol=1e-12)
+    assert math.isclose(v.norm(), 1.0, rel_tol=1e-12)
 
 
 # each kernel on the side its calculus integrates it (Qc serves both)
@@ -255,9 +261,9 @@ class TestMomentForm:
     @pytest.mark.parametrize("kind,side", KIND_SIDES)
     def test_matches_point_kernels(self, gen4, unit_q, kind, side, t_min,
                                    t_max, panels):
-        # the J-free moment form against the point kernels, which are
-        # assembled with the unit on both rays; the second contour spans
-        # the truncation radii hinf reaches
+        # the J-free moment form against the J-based reference on the point
+        # kernels, which are assembled with the unit on both rays; the
+        # second contour spans the truncation radii hinf reaches
         k = OperatorKernel(kind, gen4.operator)
         point = partial(kernel_batch, kind, gen4.operator)
         fs = [Regularizer(2)] + ([NONINTRINSIC] if side == "left" else [])
@@ -265,7 +271,7 @@ class TestMomentForm:
             contour = SectorContour(1.7, unit, t_min, t_max)
             for f in fs:
                 va, _ = integrate_fixed(k, f, contour, panels, side=side)
-                vb, _ = integrate_fixed(point, f, contour, panels, side=side)
+                vb = reference_level(point, f, contour, panels, side)
                 assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
 
     @pytest.mark.parametrize("kind,side", KIND_SIDES)
@@ -311,7 +317,7 @@ class TestMomentForm:
 
         va, _ = integrate_fixed(OperatorKernel(kind, scalar_operator(q)), f,
                                 contour, 16)
-        vb, _ = integrate_fixed(closed_stack, f, contour, 16)
+        vb = reference_level(closed_stack, f, contour, 16, "left")
         if kind == "Qc":  # the Q-calculus integrates -2 Q_{c,s}^-1
             va, vb = -2.0 * va, -2.0 * vb
         assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
@@ -384,7 +390,7 @@ class TestKernelPaths:
     def test_fallback_operators_keep_dense_values(self, kind, side):
         # a non-normal S^-1 D S operator and a loaded normal operator with a
         # non-symmetric T0 have no orthogonal eigenbasis: the moment form
-        # runs dense and matches the point kernels
+        # runs dense and matches the reference on the point kernels
         rng = np.random.default_rng(5)
         s = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
         d = [np.diag(v) for v in ([0.9, 1.3, 0.7], [0.2, 0.0, 0.3],
@@ -401,6 +407,6 @@ class TestKernelPaths:
             k = OperatorKernel(kind, t)
             assert k.path == "dense"
             va, _ = integrate_fixed(k, f, contour, 12, side=side)
-            vb, _ = integrate_fixed(partial(kernel_batch, kind, t), f,
-                                    contour, 12, side=side)
+            vb = reference_level(partial(kernel_batch, kind, t), f, contour,
+                                 12, side)
             assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())

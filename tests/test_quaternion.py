@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcalc.quaternion import (E1, E2, E3, ONE, Quaternion, arg, exp_j,
-                              in_sector, qarr_mul, to_slice)
+from qcalc.quaternion import (E1, E2, E3, ONE, Quaternion, arg, in_sector,
+                              qarr_mul, to_slice)
 
 UNITS = {"1": ONE, "e1": E1, "e2": E2, "e3": E3}
 
@@ -143,10 +143,3 @@ def test_arg_sign_free(rng):
         if s.norm() < 1e-6:
             continue
         assert math.isclose(arg(s), arg(s.conj()), rel_tol=1e-12)
-
-
-def test_exp_j():
-    v = exp_j(E1, math.pi / 3)
-    assert math.isclose(v.s0, 0.5, rel_tol=1e-12)
-    assert math.isclose(v.s1, math.sqrt(3) / 2, rel_tol=1e-12)
-    assert math.isclose(v.norm(), 1.0, rel_tol=1e-12)

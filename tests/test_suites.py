@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from conftest import counting_integrate
 from qcalc.errors import QCalcError
 from qcalc.suites import (SUITE_NAMES, OperatorSpec, SuiteContext,
-                          generate_operator, run_suite, write_report)
+                          _suite_kernels, generate_operator, run_suite,
+                          write_report)
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +62,18 @@ def test_suites_share_every_value(monkeypatch):
     for name in SUITE_NAMES:
         run_suite(name, ctx)
     assert seen and len(set(seen)) == len(seen)
+
+
+def test_reconstruction_sees_a_kernel_defect():
+    # ab_reconstruction compares kernel_batch's pair with QuatMatrix algebra
+    # on Q_{c,s}(T)^-1, so a wrong P2 coefficient fails it
+    ctx = SuiteContext(generate_operator(OperatorSpec(dim=4, seed=7)))
+    nums = ctx.operator.kernel_numerators
+    coef = nums["P2"].coef.copy()
+    coef[0] *= 1.0 + 1e-6
+    nums["P2"] = replace(nums["P2"], coef=coef)
+    (tag, residual, tol), _ = _suite_kernels(ctx)[0]()
+    assert tag == "ab_reconstruction" and residual > tol
 
 
 def test_resolvent_point_gives_up(ctx):
