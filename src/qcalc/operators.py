@@ -16,7 +16,10 @@ and |T|^2, and a node costs one inversion of Q_{c,z}(T) itself (see
 _chain): when one orthogonal U diagonalizes both
 (CommutingOperator.eigenbasis), the quadrature inverts the n scalars
 z^2 - 2 z d0 + d2, O(n) per node, and otherwise the complex n x n matrix.
-Point kernels (kernel_batch) always take the matrix.
+Point kernels (kernel_batch) always take the matrix.  Type profiles
+(estimate_type_profile) read kernel norms from the joint eigenvalues when
+U diagonalizes every component (CommutingOperator.joint_eigenvalues), and
+otherwise take the largest singular value of the kernel's complex adjoint.
 """
 
 from __future__ import annotations
@@ -239,6 +242,20 @@ class CommutingOperator:
         return _eigenbasis(self.components[0], modulus_sq(self))
 
     @cached_property
+    def joint_eigenvalues(self):
+        """(4, n) components of eigenvalues lambda_k with T_a = U
+        diag(lambda[a]) U^T for every component a, U from eigenbasis, or
+        None when there is no eigenbasis or U misses the residual test of
+        _eigenbasis on T1, T2 or T3.  In U a kernel at a point of C_E1 is
+        then diagonal, so its norm is the largest modulus of the n
+        quaternion scalars on the diagonal."""
+        if self.eigenbasis is None:
+            return None
+        u, d0, _ = self.eigenbasis
+        rows = [d0] + [_diagonal_in(u, a) for a in self.components[1:]]
+        return None if any(r is None for r in rows) else np.stack(rows)
+
+    @cached_property
     def kernel_numerators(self) -> dict:
         """The coefficients "Qc pair" of Q_{c,z}(T) and a KernelNumerator
         per family (Qc, S, F, P2), built once."""
@@ -247,9 +264,14 @@ class CommutingOperator:
 
 def conj_op(t: CommutingOperator) -> CommutingOperator:
     """Conjugate operator (T0, -T1, -T2, -T3); involutive.  It shares T's
-    eigenbasis, since T0 and |T|^2 are the same bit for bit."""
+    eigenbasis, since T0 and |T|^2 are the same bit for bit, and its joint
+    eigenvalues are T's with the imaginary rows negated."""
     out = CommutingOperator(bq_conj(t.components))
-    out.__dict__["eigenbasis"] = t.eigenbasis  # fills the cached_property
+    lam = t.joint_eigenvalues
+    # fill the cached_properties
+    out.__dict__["eigenbasis"] = t.eigenbasis
+    out.__dict__["joint_eigenvalues"] = (
+        None if lam is None else np.concatenate([lam[:1], -lam[1:]]))
     return out
 
 
@@ -281,45 +303,74 @@ def _eigenbasis(t0: np.ndarray, t2: np.ndarray):
     mats = (t0 / norms[0], t2 / norms[1])
     _, u = np.linalg.eigh(mats[0] + _EIGENBASIS_MIX * mats[1])
     u = _refine_eigenbasis(u, mats)
-    rot = [u.T @ a @ u for a in (t0, t2)]
-    off = [np.linalg.norm(r - np.diag(np.diag(r))) for r in rot]
+    diags = [_diagonal_in(u, a) for a in (t0, t2)]
     if (np.linalg.norm(u.T @ u - np.eye(n)) > bound
-            or any(o > bound * s for o, s in zip(off, norms))):
+            or any(d is None for d in diags)):
         return None
-    return u, np.diag(rot[0]).copy(), np.diag(rot[1]).copy()
+    return u, *diags
+
+
+def _diagonal_in(u: np.ndarray, a: np.ndarray):
+    """The diagonal of U^T a U, or None when its off-diagonal Frobenius
+    norm exceeds _EIGENBASIS_SLACK eps n ||a||_F."""
+    bound = _EIGENBASIS_SLACK * np.finfo(float).eps * len(a)
+    r = u.T @ a @ u
+    d = np.diag(r).copy()
+    if np.linalg.norm(r - np.diag(d)) > bound * max(float(np.linalg.norm(a)),
+                                                     1e-300):
+        return None
+    return d
+
+
+def _round_robin(n: int):
+    """Index arrays (i, j), i < j, of disjoint pairs, one per round, that
+    together cover every pair once: n - 1 rounds for even n and n for odd
+    n, none for n = 1 (the circle method of Brent and Luk, SIAM J. Sci.
+    Stat. Comput. 6 (1985) 69; for odd n, index n sits out)."""
+    m = n + n % 2
+    order = list(range(m))
+    for _ in range(m - 1):
+        pairs = [(min(a, b), max(a, b))
+                 for a, b in zip(order[:m // 2], order[::-1]) if max(a, b) < n]
+        if pairs:
+            yield tuple(np.array(pairs).T)
+        order = [order[0], order[-1]] + order[1:-1]
 
 
 def _refine_eigenbasis(u: np.ndarray, mats) -> np.ndarray:
-    """U after one Newton-Schulz step towards orthogonality and one cyclic
-    sweep of joint Jacobi rotations on U^T a U for a in mats.  The step
-    cuts ||U^T U - I|| about eightfold from eigh's (about 1.3 eps n at
-    n = 16).  The rotation of columns (i, j) minimizes the sum of squares
-    of the rotated (i, j) entries (Cardoso and Souloumiac, SIAM J. Matrix
-    Anal. Appl. 17 (1996) 161); it settles pairs whose combined
-    eigenvalues nearly coincide, where eigh mixes two joint eigenvectors."""
+    """U after one Newton-Schulz step towards orthogonality and one sweep
+    of joint Jacobi rotations on U^T a U for a in mats.  The step cuts
+    ||U^T U - I|| about eightfold from eigh's (about 1.3 eps n at n = 16).
+    The rotation of columns (i, j) minimizes the sum of squares of the
+    rotated (i, j) entries (Cardoso and Souloumiac, SIAM J. Matrix Anal.
+    Appl. 17 (1996) 161); it settles pairs whose combined eigenvalues
+    nearly coincide, where eigh mixes two joint eigenvectors.  The sweep
+    takes the pairs in round-robin order (_round_robin): the pairs of a
+    round are disjoint, and a rotation of (i, j) leaves the entries
+    (i, j), (i, i) and (j, j) of the others unchanged, so each round's
+    rotations are computed and applied together."""
     n = len(u)
     u = u + 0.5 * u @ (np.eye(n) - u.T @ u)
     rot = [u.T @ a @ u for a in mats]
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            # off-diagonal after rotating by theta: h . (cos 2theta, sin 2theta)
-            h = [(r[i, j], 0.5 * (r[j, j] - r[i, i])) for r in rot]
-            p = sum(a * a for a, _ in h)
-            q = sum(b * b for _, b in h)
-            c2 = sum(a * b for a, b in h)
-            if c2 == 0.0 and p <= q:
-                continue  # (1, 0) is already optimal: theta = 0
-            # the eigenvector of [[p, c2], [c2, q]] for its smaller eigenvalue
-            psi = 0.5 * math.atan2(2.0 * c2, p - q) + 0.5 * math.pi
-            if math.cos(psi) < 0.0:
-                psi -= math.pi
-            c, s = math.cos(0.5 * psi), math.sin(0.5 * psi)
-            g = np.array([[c, -s], [s, c]])
-            idx = [i, j]
-            u[:, idx] = u[:, idx] @ g
-            for r in rot:
-                r[:, idx] = r[:, idx] @ g
-                r[idx, :] = g.T @ r[idx, :]
+    for i, j in _round_robin(n):
+        # off-diagonal after rotating by theta: h . (cos 2theta, sin 2theta)
+        h = [(r[i, j], 0.5 * (r[j, j] - r[i, i])) for r in rot]
+        p = sum(a * a for a, _ in h)
+        q = sum(b * b for _, b in h)
+        c2 = sum(a * b for a, b in h)
+        # the eigenvector of [[p, c2], [c2, q]] for its smaller eigenvalue;
+        # where c2 = 0 and p <= q, (1, 0) is already optimal: theta = 0
+        psi = 0.5 * np.arctan2(2.0 * c2, p - q) + 0.5 * math.pi
+        psi = np.where(np.cos(psi) < 0.0, psi - math.pi, psi)
+        psi = np.where((c2 == 0.0) & (p <= q), 0.0, psi)
+        c, s = np.cos(0.5 * psi), np.sin(0.5 * psi)
+        for a in (u, *rot):
+            ai, aj = a[:, i], a[:, j]
+            a[:, i], a[:, j] = c * ai + s * aj, c * aj - s * ai
+        c, s = c[:, None], s[:, None]
+        for r in rot:
+            ri, rj = r[i, :], r[j, :]
+            r[i, :], r[j, :] = c * ri + s * rj, c * rj - s * ri
     return u
 
 
@@ -518,23 +569,38 @@ class TypeProfile:
 def estimate_type_profile(t: CommutingOperator, omega: float, angles,
                           alpha: float = 1.0 / 3.0, beta: float = 1.0 / 3.0
                           ) -> TypeProfile:
-    """Sample C_phi = sup ||S_L^-1|| weighted by |s|**alpha / |s|**beta over
-    log-spaced radii on rays outside each test sector, inflated by 2."""
+    """Sample C_phi = sup ||S_L^-1(s, T)|| weighted by |s|**alpha / |s|**beta
+    over log-spaced radii on rays x + E1 y outside each test sector,
+    inflated by 2.  A ray shared by several test angles (psi = pi ends
+    every fan) is sampled once, and all samples are taken in one batch.
+    With t.joint_eigenvalues the norm is read from them: S_L^-1(s, T) is
+    U diag((s - conj(lambda_k)) Q_{c,s}(lambda_k)^-1) U^T, so it is
+    max_k |s - conj(lambda_k)| |g_k| / scale^2 with (g, scale) of
+    _chain on the eigenbasis path, O(n) per sample.  Otherwise it is the
+    largest singular value of the kernel's complex adjoint (stack_norm)."""
+    angles = [float(phi) for phi in angles]
+    if not all(omega < phi < math.pi for phi in angles):
+        raise ValueError("test angles must lie in (omega, pi)")
+    fans = {phi: np.linspace(phi, math.pi, _PROFILE_RAYS) for phi in angles}
+    psis = sorted({float(psi) for fan in fans.values() for psi in fan})
     radii = _PROFILE_RADII
-    profile = TypeProfile(alpha=alpha, beta=beta, omega=omega)
+    x = np.multiply.outer([math.cos(psi) for psi in psis], radii).ravel()
+    y = np.multiply.outer([abs(math.sin(psi)) for psi in psis], radii).ravel()
+    lam = t.joint_eigenvalues
+    if lam is None:
+        norms = stack_norm(kernel_batch("S_L", t, x, y, E1))
+    else:
+        g, scale, _ = _chain(t, x, y, upto="Qc", diagonal=True)
+        dist = np.sqrt((x[:, None] - lam[0]) ** 2 + (y[:, None] + lam[1]) ** 2
+                       + lam[2] ** 2 + lam[3] ** 2)  # |s - conj(lambda_k)|
+        norms = np.max(dist * np.abs(g), axis=1) / scale ** 2
     weight = np.where(radii <= 1.0, radii ** alpha, radii ** beta)
-    for phi in angles:
-        if not omega < phi < math.pi:
-            raise ValueError("test angles must lie in (omega, pi)")
-        psis = np.linspace(phi, math.pi, _PROFILE_RAYS)
-        best = 0.0
-        for psi in psis:
-            x = radii * math.cos(psi)
-            y = radii * abs(math.sin(psi))
-            comps = kernel_batch("S_L", t, x, y, E1)
-            norms = stack_norm(comps)
-            best = max(best, float(np.max(norms * weight)))
-        profile.c_phi[float(phi)] = 2.0 * best
+    ray_sup = dict(zip(psis, np.max(norms.reshape(len(psis), len(radii))
+                                    * weight, axis=1)))
+    profile = TypeProfile(alpha=alpha, beta=beta, omega=omega)
+    for phi, fan in fans.items():
+        profile.c_phi[phi] = 2.0 * max(float(ray_sup[float(psi)])
+                                       for psi in fan)
     return profile
 
 

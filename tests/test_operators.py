@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import dense_twin, random_quaternion, scalar_operator
+from qcalc import operators
 from qcalc.errors import SpectrumHit
-from qcalc.operators import (COND_SPECTRUM_THRESHOLD, CommutingOperator,
+from qcalc.operators import (_PROFILE_RADII, _PROFILE_RAYS,
+                             COND_SPECTRUM_THRESHOLD, CommutingOperator,
                              QuatMatrix, _chain, _refine_eigenbasis,
-                             ab_decompose, adjoint, bq_conj, conj_op,
-                             estimate_type_profile, f_spectrum_check,
-                             from_adjoint, kernel, modulus_sq,
-                             operator_from_text, operator_to_text, q_operator)
+                             _round_robin, ab_decompose, adjoint, bq_conj,
+                             conj_op, estimate_type_profile, f_spectrum_check,
+                             from_adjoint, kernel, kernel_batch, modulus_sq,
+                             operator_from_text, operator_to_text, q_operator,
+                             stack_norm)
 from qcalc.quaternion import (E1, E2, ONE, Quaternion,
                               random_unit_imaginary, to_slice)
 from qcalc.suites import OperatorSpec, generate_operator
@@ -476,6 +479,17 @@ class TestEigenbasis:
             r = u.T @ a @ u
             assert np.linalg.norm(r - np.diag(np.diag(r))) <= 1e-15
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+    def test_round_robin_covers_each_pair_once(self, n):
+        rounds = [list(zip(i.tolist(), j.tolist()))
+                  for i, j in _round_robin(n)]
+        assert len(rounds) == (0 if n == 1 else n - 1 + n % 2)
+        for pairs in rounds:  # disjoint within a round
+            assert len({k for pair in pairs for k in pair}) == 2 * len(pairs)
+        flat = [pair for pairs in rounds for pair in pairs]
+        assert sorted(flat) == [(i, j) for i in range(n)
+                                for j in range(i + 1, n)]
+
     def test_no_eigenbasis_for_nonsymmetric_parts(self):
         # a non-normal operator: T0 = S^-1 D S is not symmetric
         s = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -513,6 +527,87 @@ class TestTypeProfile:
                 nk = kernel("S_L", gen4.operator, s).norm()
                 bound = c * (r ** (-prof.alpha) if r <= 1 else r ** (-prof.beta))
                 assert nk <= bound * 1.0001
+
+    @staticmethod
+    def per_ray_reference(t, angles):
+        """The profile's constants ray by ray on the dense kernels: one
+        kernel_batch and one stack_norm per ray and test angle."""
+        radii = _PROFILE_RADII
+        weight = radii ** (1.0 / 3.0)  # alpha = beta = 1/3
+        out = {}
+        for phi in angles:
+            best = 0.0
+            for psi in np.linspace(phi, math.pi, _PROFILE_RAYS):
+                x = radii * math.cos(psi)
+                y = radii * abs(math.sin(psi))
+                norms = stack_norm(kernel_batch("S_L", t, x, y, E1))
+                best = max(best, float(np.max(norms * weight)))
+            out[float(phi)] = 2.0 * best
+        return out
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+    def test_joint_eigenvalues_match_dense_norms(self, dim):
+        for seed in (1, 2, 3):
+            gen = generate_operator(OperatorSpec(dim=dim, seed=seed))
+            omega = gen.spec.omega
+            angles = [omega + f * (math.pi - omega) for f in (0.1, 0.5, 0.9)]
+            for t in (gen.operator, conj_op(gen.operator)):
+                assert t.joint_eigenvalues is not None
+                fast = estimate_type_profile(t, omega, angles).c_phi
+                slow = estimate_type_profile(dense_twin(t), omega,
+                                             angles).c_phi
+                assert fast.keys() == slow.keys()
+                for phi, c in slow.items():
+                    assert abs(fast[phi] - c) <= 1e-13 * c
+
+    def test_joint_eigenvalues_are_the_generators(self):
+        gen = generate_operator(OperatorSpec(dim=8, seed=5))
+        lam = gen.operator.joint_eigenvalues
+        want = np.array([q.components for q in gen.eigenvalues]).T
+        got, want = lam[:, np.argsort(lam[0])], want[:, np.argsort(want[0])]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+        conj = conj_op(gen.operator).joint_eigenvalues
+        assert np.array_equal(conj, lam * np.array([[1.0], [-1.0], [-1.0],
+                                                    [-1.0]]))
+
+    def test_dense_path_matches_per_ray_reference(self):
+        # T1 = R diag(1, -1) R^T with R a 30 degree rotation: U = I is an
+        # eigenbasis of (T0, |T|^2) = (0, I), but T1 is not diagonal in it
+        c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
+        r = np.array([[c, -s], [s, c]])
+        zeros = np.zeros((2, 2))
+        t = CommutingOperator(np.stack([zeros, r @ np.diag([1.0, -1.0]) @ r.T,
+                                        zeros, zeros]))
+        assert t.eigenbasis is not None and t.joint_eigenvalues is None
+        angles = [1.7, 2.2, 2.9]  # the spectrum {J} lies on the angle pi/2
+        prof = estimate_type_profile(t, 1.6, angles)
+        assert prof.c_phi == self.per_ray_reference(t, angles)
+
+    def test_each_distinct_sample_once(self, gen4, monkeypatch):
+        # three test angles: 12 rays, of which the three psi = pi are one
+        calls = []
+
+        def counting_chain(t, x, y, **kw):
+            calls.append(len(x))
+            return _chain(t, x, y, **kw)
+
+        monkeypatch.setattr(operators, "_chain", counting_chain)
+        omega = gen4.spec.omega
+        angles = [omega + f * (math.pi - omega) for f in (0.1, 0.5, 0.9)]
+        for t in (gen4.operator, dense_twin(gen4.operator)):
+            calls.clear()
+            estimate_type_profile(t, omega, angles)
+            assert calls == [10 * len(_PROFILE_RADII)]
+
+    def test_spectrum_hit_on_both_paths(self):
+        # the eigenvalue x + e1 y sits on a sampled point of the first ray
+        phi, r = 2.0, _PROFILE_RADII[20]
+        x, y = r * math.cos(phi), r * abs(math.sin(phi))
+        t = scalar_operator(Quaternion(x, y, 0.0, 0.0))
+        assert t.joint_eigenvalues is not None
+        for op in (t, dense_twin(t)):
+            with pytest.raises(SpectrumHit):
+                estimate_type_profile(op, 1.5, [phi])
 
 
 class TestEmbedding:
