@@ -74,7 +74,8 @@ def kernel_bound(kernel_kind: str, profile: TypeProfile, phi: float):
 @dataclass
 class CalcDiagnostics:
     tol_achieved: float
-    panels: int
+    nodes: int  # nodes evaluated over all levels (of all sub-integrals)
+    h: float  # accepted lattice step (the finest of the sub-integrals)
     t_min: float
     t_max: float
     phi: float
@@ -196,12 +197,14 @@ class Evaluator:
         cert = f.certify_decay(3.0 * profile.alpha, 3.0 * profile.beta,
                                self.theta)
         bound = kernel_bound(kernel_kind, profile, self.phi)
-        contour = contour_for(cert, bound, self.phi, self.unit, tol=tol)
+        contour = contour_for(cert, bound, self.phi, profile.omega,
+                              self.unit, tol=tol)
         kernel = OperatorKernel(kernel_kind, self.t)
         raw, info = integrate(kernel, f, contour, side=side)
         value = _PREFACTOR[kind] * raw
         diag = CalcDiagnostics(tol_achieved=info["tol_achieved"],
-                               panels=info["panels"], t_min=contour.t_min,
+                               nodes=info["nodes"], h=info["h"],
+                               t_min=contour.t_min,
                                t_max=contour.t_max, phi=self.phi,
                                theta=self.theta,
                                worst_cond=info["worst_cond"],
@@ -243,12 +246,11 @@ class Evaluator:
         else:
             e = Regularizer(regularizer_power)
         ef = Product(e, f)
-        conds, paths = [], set()
+        subs = []
 
         def sub(kind_, g, conj=False):  # at the current tol
             res = self.calc(kind_, g, tol=tol, conj=conj)
-            conds.append(res.diagnostics.worst_cond)
-            paths.add(res.diagnostics.kernel_path)
+            subs.append(res.diagnostics)
             return res.value
 
         e_t = sub("S", e)
@@ -290,10 +292,13 @@ class Evaluator:
                        + e_t @ de_t @ def_t - de_t @ de_t @ ef_t)
 
         value, range_resid = _solve_prefactor(pref, bracket)
-        diag = CalcDiagnostics(tol_achieved=tol, panels=0, t_min=0.0,
+        diag = CalcDiagnostics(tol_achieved=tol,
+                               nodes=sum(d.nodes for d in subs),
+                               h=min(d.h for d in subs), t_min=0.0,
                                t_max=0.0, phi=self.phi, theta=self.theta,
-                               worst_cond=max(conds),
-                               kernel_path="dense" if "dense" in paths
+                               worst_cond=max(d.worst_cond for d in subs),
+                               kernel_path="dense" if any(
+                                   d.kernel_path == "dense" for d in subs)
                                else "eigenbasis", regularizer_n=e.n,
                                range_residual=range_resid)
         return CalculusResult(value, kind, "h_infinity", diag)

@@ -7,9 +7,17 @@ t > 0, so the integral of K(s) ds_J f(s) reduces to
     int_{tmin}^{tmax} [ K(r e^{J phi}) s+ - K(r e^{-J phi}) s- ] dr,
     s+- = e^{+-J phi} J f(r e^{+-J phi}).
 
-The substitution r = e^u equidistributes the decay at both ends; each panel
-carries a fixed Gauss-Legendre rule and the panel set is bisected until two
-consecutive refinements agree in the whole-matrix Frobenius norm.
+After r = e^u the integrand is analytic in u on the strip |Im u| < d with
+d = min(phi - omega, theta - phi), where omega is the spectral angle and
+theta the function sector, so the trapezoidal rule on a lattice u = j h
+converges geometrically in 1/h (Trefethen and Weideman, SIAM Review 56,
+2014).  The lattice is anchored at u = 0 and covers [log t_min,
+log t_max].  The first step h0 = min(1, 2 pi d / ln(10 / tol)) is taken
+from the strip (contour_for), and each refinement halves h, which keeps
+every old node and evaluates only the new odd ones:
+T_{k+1} = T_k / 2 + h_{k+1} sum_new.  Two consecutive levels must agree
+in the whole-matrix Frobenius norm; a halving whose difference does not
+shrink has stalled at roundoff and ends the refinement at once.
 
 An OperatorKernel is integrated without J.  Its family G = A + i B =
 sum_d C_d z^d M^p (see operators.KernelNumerator) is the left kernel
@@ -40,8 +48,9 @@ from .operators import (QuatMatrix, _AB_FAMILY, _chain, _z_powers, bq_dot,
 from .operators import bq_scalar  # unused; qbench/layertrace.py traces it
 from .quaternion import Quaternion
 
-GAUSS_ORDER = 16  # qbench/layertrace.py reads it to count nodes
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+# qbench/layertrace.py counts a level's nodes as _level_value's fifth
+# argument times GAUSS_ORDER; the trapezoidal lattice has one node per point
+GAUSS_ORDER = 1
 _MAX_REFINEMENTS = 9
 
 # Truncation radii are clamped to keep intermediate powers of |s| inside
@@ -56,13 +65,15 @@ class SectorContour:
     phi: ray angle, strictly between the spectral angle and the function
     sector; unit: the imaginary unit J spanning the slice, which no value
     reads (the moment form is J-free); t_min/t_max: truncation radii with
-    0 < t_min < 1 < t_max; tol: Frobenius target for refinement.
+    0 < t_min < 1 < t_max; h0: first lattice step in u = log r (see
+    contour_for); tol: Frobenius target for refinement.
     """
 
     phi: float
     unit: Quaternion  # qbench/layertrace.py keys its integral spans on it
     t_min: float
     t_max: float
+    h0: float
     tol: float = 1e-9
 
     def __post_init__(self):
@@ -73,6 +84,13 @@ class SectorContour:
             raise ValueError("contour unit must be a unit imaginary quaternion")
         if not (0.0 < self.t_min < 1.0 < self.t_max < math.inf):
             raise ValueError("truncation radii must satisfy 0 < t_min < 1 < t_max")
+        _require_positive_step(self.h0)
+
+
+def _require_positive_step(h: float) -> None:
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"lattice step must be positive and finite, got "
+                         f"h={h!r}")
 
 
 def _require_positive_tol(tol: float) -> None:
@@ -102,16 +120,32 @@ def _one_sided_radius(delta: float, c: float, tol: float, side: str) -> float:
         return math.inf
 
 
-def contour_for(cert, kernel_bound, phi: float, unit: Quaternion,
-                tol: float = 1e-9) -> SectorContour:
+def _first_step(strip: float, tol: float) -> float:
+    """min(1, 2 pi d / ln(10 / tol)) for strip half-width d: the trapezoidal
+    error on the strip falls like exp(-2 pi d / h), so at h0 it is about
+    tol / 10 and one halving checks it.  1 when tol >= 10 (tol = inf)."""
+    if not tol < 10.0:
+        return 1.0
+    return min(1.0, 2.0 * math.pi * strip / math.log(10.0 / tol))
+
+
+def contour_for(cert, kernel_bound, phi: float, omega: float,
+                unit: Quaternion, tol: float = 1e-9) -> SectorContour:
     """Build a contour whose truncation error is certified below tol/10;
     ToleranceNotMet when the certified radii cannot be represented.
 
-    cert is the integrand's DecayCertificate.  kernel_bound is
-    (C_K, a_K, b_K): the kernel norm is bounded by C_K |s|**-a_K below
-    radius one and C_K |s|**-b_K above.  The integrand then decays like
-    t**(-1+delta0) at zero and t**(-1-deltainf) at infinity.
+    cert is the integrand's DecayCertificate, certified on the sector of
+    angle cert.theta.  kernel_bound is (C_K, a_K, b_K): the kernel norm is
+    bounded by C_K |s|**-a_K below radius one and C_K |s|**-b_K above.  The
+    integrand then decays like t**(-1+delta0) at zero and
+    t**(-1-deltainf) at infinity.  omega is the operator's spectral angle;
+    with theta = cert.theta the integrand is analytic on the strip of
+    half-width min(phi - omega, theta - phi) in log r, which sets the first
+    lattice step (_first_step).
     """
+    if not omega < phi < cert.theta:
+        raise ValueError(f"need omega < phi < theta, got omega={omega!r}, "
+                         f"phi={phi!r}, theta={cert.theta!r}")
     c_k, a_k, b_k = kernel_bound
     delta0 = cert.delta + (cert.a - a_k)
     deltainf = cert.delta + (b_k - cert.b)
@@ -126,7 +160,8 @@ def contour_for(cert, kernel_bound, phi: float, unit: Quaternion,
         raise ToleranceNotMet(
             f"certified truncation radii ({t_min:.3g}, {t_max:.3g}) leave the "
             f"floating-point safe range or the interval around 1")
-    return SectorContour(phi, unit, t_min, t_max, tol=tol)
+    h0 = _first_step(min(phi - omega, cert.theta - phi), tol)
+    return SectorContour(phi, unit, t_min, t_max, h0, tol=tol)
 
 
 class OperatorKernel:
@@ -182,38 +217,35 @@ def _moment_value(k: OperatorKernel, dz, z, stem, side: str):
     return value, float(cond.max())
 
 
-def _nodes(contour: SectorContour, panels: int):
-    """The level's nodes z = r e^{i phi} on the upper ray and their
-    Gauss-Legendre weights in u = log r: panels equal panels in u from
-    t_min to t_max, GAUSS_ORDER nodes each."""
-    edges = np.linspace(math.log(contour.t_min), math.log(contour.t_max),
-                        panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    t = np.exp(u)
-    return t * math.cos(contour.phi) + 1j * (t * math.sin(contour.phi)), w
+def _nodes(contour: SectorContour, h: float) -> np.ndarray:
+    """The lattice of step h: the indices j of the nodes u = j h in
+    [log t_min, log t_max], r = e^u.  It is anchored at u = 0, so the
+    lattice at h / 2 holds every node at h (its even j) and the new ones
+    (its odd j)."""
+    return np.arange(math.ceil(math.log(contour.t_min) / h),
+                     math.floor(math.log(contour.t_max) / h) + 1)
 
 
-def _level_value(k, f, contour: SectorContour, side: str, panels: int,
-                 matrix_dim: int | None):
-    """One quadrature level of an OperatorKernel: (value, worst
-    conditioning of Q_{c,z}(T)) in moment form, after require_moment_form.
-    matrix_dim is not read; qbench/layertrace.py takes the six arguments
-    by position."""
+def _level_value(k, f, contour: SectorContour, side: str, count: int,
+                 u: np.ndarray):
+    """The moment-form sum of an OperatorKernel over the nodes
+    z = e^{u + i phi} with du = 1 (the caller weights it by h), after
+    require_moment_form; returns (sum, worst conditioning of Q_{c,z}(T)).
+    count = len(u) is not read: qbench/layertrace.py takes the six
+    arguments by position and counts the level's nodes as count *
+    GAUSS_ORDER."""
     if not isinstance(k, OperatorKernel):
         raise TypeError("the quadrature takes an OperatorKernel, not "
                         f"{type(k).__name__}")
     require_moment_form(k.kind, f, side)
-    z, w = _nodes(contour, panels)
+    z = np.exp(u + 1j * contour.phi)
     with np.errstate(over="ignore", invalid="ignore"):
         stem = f.complex_stem(z)
     if not np.isfinite(stem).all():
         raise ToleranceNotMet(
             f"{f!r} is not finite on the contour between radii "
             f"{contour.t_min:.3g} and {contour.t_max:.3g}")
-    return _moment_value(k, w * z, z, stem, side)  # dz = z du
+    return _moment_value(k, z, z, stem, side)  # dz = z du
 
 
 def integrate(k, f, contour: SectorContour, *, side: str = "left"):
@@ -222,44 +254,59 @@ def integrate(k, f, contour: SectorContour, *, side: str = "left"):
     k is an OperatorKernel (any other object raises TypeError), taken in
     moment form, which refuses the forms that would depend on J (see
     require_moment_form).  side selects the sandwich order: "left" is
-    K ds_J f, "right" is f ds_J K.  The first level has one panel per two
-    units of log radius (at least 8); each refinement doubles the panels.
-    Returns (QuatMatrix, diagnostics); the diagnostics' worst_cond is the
-    largest (||Q||_F ||Q^-1||_F)^2 met on the accepted level.  A non-finite
-    stem or difference between levels raises ToleranceNotMet at once, as
-    refining cannot mend it.
+    K ds_J f, "right" is f ds_J K.  The first level is the whole lattice at
+    contour.h0; each refinement halves h and evaluates the new nodes only
+    (see the module docstring), at most _MAX_REFINEMENTS times.  Returns
+    (QuatMatrix, diagnostics): nodes is the number of nodes evaluated over
+    all levels, h the accepted step, and worst_cond the largest
+    (||Q||_F ||Q^-1||_F)^2 met on the accepted lattice.  A non-finite stem
+    or difference, or a difference that does not shrink, raises
+    ToleranceNotMet at once, as refining cannot mend it.
     """
-    span = math.log(contour.t_max) - math.log(contour.t_min)
-    panels = max(8, math.ceil(span / 2.0))
-    value, _ = _level_value(k, f, contour, side, panels, None)
-    diff = math.inf
+    h = contour.h0
+    u = _nodes(contour, h) * h
+    total, cond = _level_value(k, f, contour, side, len(u), u)
+    value, nodes = h * total, len(u)
+    last = math.inf
     for _ in range(_MAX_REFINEMENTS):
-        panels *= 2
-        refined, cond = _level_value(k, f, contour, side, panels, None)
+        h /= 2.0
+        j = _nodes(contour, h)
+        u = j[j % 2 == 1] * h
+        total, new_cond = _level_value(k, f, contour, side, len(u), u)
+        refined = 0.5 * value + h * total
+        cond, nodes = max(cond, new_cond), nodes + len(u)
         diff = float(stack_fro(refined - value))
+        value = refined
         if not math.isfinite(diff):
             raise ToleranceNotMet(f"Frobenius difference {diff:.3g} is not "
-                                  f"finite at {panels} panels")
-        value = refined
+                                  f"finite at h = {h:.3g}")
         if diff <= contour.tol:
-            return QuatMatrix(value), {"panels": panels, "tol_achieved": diff,
+            return QuatMatrix(value), {"nodes": nodes, "h": h,
+                                       "tol_achieved": diff,
                                        "t_min": contour.t_min,
                                        "t_max": contour.t_max,
                                        "worst_cond": cond}
+        if diff >= last:
+            raise ToleranceNotMet(
+                f"refinement stalled at h = {h:.3g}: Frobenius difference "
+                f"{diff:.3g} did not fall below {last:.3g} (target "
+                f"{contour.tol:.3g})")
+        last = diff
     raise ToleranceNotMet(
         f"Frobenius difference {diff:.3g} above target {contour.tol:.3g} "
-        f"after {panels} panels")
+        f"at h = {h:.3g}")
 
 
-def integrate_fixed(k, f, contour: SectorContour, panels: int, *,
+def integrate_fixed(k, f, contour: SectorContour, h: float, *,
                     side: str = "left"):
-    """Single quadrature pass at exactly the given number of panels, no
-    refinement.
+    """Single trapezoidal pass over the whole lattice of step h (see
+    _nodes), no refinement.
 
-    Used by linearity and panel-scaling tests where the node set must match
-    across calls.
+    Used by linearity and step tests where the node set must match across
+    calls; integrate's value at its accepted h is this value up to the
+    order of summation.
     """
-    if panels < 1:
-        raise ValueError("need at least one panel")
-    value, _ = _level_value(k, f, contour, side, panels, None)
-    return QuatMatrix(value), {"panels": panels}
+    _require_positive_step(h)
+    u = _nodes(contour, h) * h
+    total, _ = _level_value(k, f, contour, side, len(u), u)
+    return QuatMatrix(h * total), {"nodes": len(u), "h": h}

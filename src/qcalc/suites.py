@@ -386,12 +386,13 @@ def _suite_oracle(ctx: SuiteContext):
     return [cauchy, fine, left_right, conj_and_friends]
 
 
-def _algebra_kernel(kind: str, t: CommutingOperator, s: Quaternion):
-    """Kernel kind at s from QuatMatrix algebra on Q = Q_{c,s}(T), not from
-    kernel_batch's pair: with D = s - conj(T) and D0 = s - T0, S_L = D Q^-1,
-    Qc = Q^-1, F_L = -4 D Q^-2 and P2_L = 4 D D0 Q^-2; a right kernel
-    takes the factors in the reverse order."""
-    qi = q_operator(t, s).inverse()
+def _algebra_kernel(kind: str, t: CommutingOperator, s: Quaternion,
+                    qi: QuatMatrix):
+    """Kernel kind at s from QuatMatrix algebra on qi = Q^-1 with
+    Q = Q_{c,s}(T), not from kernel_batch's pair: with D = s - conj(T) and
+    D0 = s - T0, S_L = D Q^-1, Qc = Q^-1, F_L = -4 D Q^-2 and
+    P2_L = 4 D D0 Q^-2; a right kernel takes the factors in the reverse
+    order."""
     sm = QuatMatrix.from_scalar(s, t.n)
     d = sm - t.as_qmatrix().conj()
     d0 = sm - QuatMatrix.from_real(t.components[0])
@@ -413,13 +414,17 @@ def _suite_kernels(ctx: SuiteContext):
         for _ in range(6):
             s = ctx.random_resolvent_point(rng)
             p = to_slice(s)
+            pairs = {}
             for kind in KERNEL_KINDS:
-                a, b = ab_decompose(kind, t, p.x, p.y)
+                a, b = pairs[kind] = ab_decompose(kind, t, p.x, p.y)
                 a2, b2 = ab_decompose(kind, t, p.x, -p.y)
                 worst_sym = max(worst_sym, (a - a2).norm(), (b + b2).norm())
-                for _ in range(8):
-                    j = random_unit_imaginary(rng)
-                    k = _algebra_kernel(kind, t, Quaternion(p.x) + j * p.y)
+            for _ in range(8):  # one unit and one inversion for every kind
+                j = random_unit_imaginary(rng)
+                sj = Quaternion(p.x) + j * p.y
+                qi = q_operator(t, sj).inverse()
+                for kind, (a, b) in pairs.items():
+                    k = _algebra_kernel(kind, t, sj, qi)
                     if kind.endswith("_R"):
                         recon = a + b.scalar_mul(j, "left")
                     else:

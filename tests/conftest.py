@@ -31,16 +31,16 @@ def exp_j(j: Quaternion, angle: float) -> Quaternion:
     return Quaternion(math.cos(angle)) + j * math.sin(angle)
 
 
-def reference_level(point, f, contour, panels: int, side: str) -> QuatMatrix:
-    """The J-based quadrature level that the library's moment form replaces,
-    on the library's nodes (contour._nodes): the point kernel
+def reference_level(point, f, contour, h: float, side: str) -> QuatMatrix:
+    """The J-based trapezoidal pass of step h that the library's moment form
+    replaces, on the library's lattice (contour._nodes): the point kernel
     point(x, y, unit) -> (m, 4, n, n) stack at x + unit y, such as
     functools.partial(kernel_batch, kind, t), is called once per ray, with
     J = contour.unit and with -J, and contracted with
     s+- = e^{+-J phi} J f(r e^{+-J phi}) (see the contour module):
-    sum_m w_m r_m [K(r e^{J phi}) s+ - K(r e^{-J phi}) s-] for side "left",
+    sum_m h r_m [K(r e^{J phi}) s+ - K(r e^{-J phi}) s-] for side "left",
     the mirrored sandwich for "right"."""
-    z, w = _nodes(contour, panels)
+    z = np.exp(_nodes(contour, h) * h + 1j * contour.phi)
     x, y, stem = z.real, z.imag, f.complex_stem(z)
     j = contour.unit
     c_plus = qarr(exp_j(j, contour.phi) * j)
@@ -55,7 +55,7 @@ def reference_level(point, f, contour, panels: int, side: str) -> QuatMatrix:
         scalar_side = "left"
     vals = (bq_scalar(s_plus, point(x, y, j), scalar_side)
             - bq_scalar(s_minus, point(x, y, -1.0 * j), scalar_side))
-    dr = w * np.abs(z)  # r du
+    dr = h * np.abs(z)  # r du
     return QuatMatrix(np.einsum("m,mcij->cij", dr, vals))
 
 

@@ -80,7 +80,7 @@ class TestDecayingCalculi:
         slow = calc("F", dense_twin(gen4.operator), f, ctx4.profile)
         assert fast.diagnostics.kernel_path == "eigenbasis"
         assert slow.diagnostics.kernel_path == "dense"
-        assert fast.diagnostics.panels == slow.diagnostics.panels
+        assert fast.diagnostics.nodes == slow.diagnostics.nodes
         assert (fast.value - slow.value).norm() <= 1e-12 * max(
             1.0, slow.value.norm())
 
@@ -189,7 +189,7 @@ class TestDecayingCalculi:
         assert np.array_equal(after.value.components,
                               before.value.components)
         assert after.diagnostics.t_min == before.diagnostics.t_min
-        assert after.diagnostics.panels == before.diagnostics.panels
+        assert after.diagnostics.nodes == before.diagnostics.nodes
 
 
 class TestEvaluator:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import dense_twin, exp_j, reference_level, scalar_operator
-from qcalc.contour import (OperatorKernel, SectorContour, _level_value,
-                           _one_sided_radius, contour_for, integrate,
-                           integrate_fixed)
+from qcalc.contour import (OperatorKernel, SectorContour, _first_step,
+                           _level_value, _nodes, _one_sided_radius,
+                           contour_for, integrate, integrate_fixed)
 from qcalc.errors import (NoDecayMetadata, NotIntrinsic, SpectrumHit,
                           ToleranceNotMet)
 from qcalc.operators import (KERNEL_KINDS, CommutingOperator, _chain,
@@ -21,9 +21,14 @@ from qcalc.suites import OperatorSpec, generate_operator
 
 E12 = Quaternion(0, 1, 1, 0) * (1.0 / math.sqrt(2.0))
 
+# first lattice step of the hand-built contours; the fixed-step passes
+# (integrate_fixed) do not read it
+H0 = 0.25
+
 
 def cauchy_setup(tol=1e-9):
-    """Scalar operator q = 1, f = reg(1) and its (1, 1) decay certificate."""
+    """Scalar operator q = 1 (spectral angle 0), f = reg(1) and its (1, 1)
+    decay certificate on the sector of angle 2.4."""
     t = scalar_operator(ONE)
     f = Regularizer(1)
     return t, f, f.certify_decay(1.0, 1.0, 2.4)
@@ -50,13 +55,14 @@ class TestTailRadius:
         assert _one_sided_radius(1.0, 1.0, math.inf, "min") == 1.0
         assert _one_sided_radius(1.0, 1.0, math.inf, "max") == 1.0
         with pytest.raises(ValueError):
-            SectorContour(1.0, E1, 1.0, 1.0)
+            SectorContour(1.0, E1, 1.0, 1.0, H0)
         with pytest.raises(ValueError):
             _one_sided_radius(0.0, 1.0, 1e-8, "min")
         # contour_for reports the degenerate pair as a typed error
         _, _, cert = cauchy_setup()
         with pytest.raises(ToleranceNotMet):
-            contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, E1, tol=math.inf)
+            contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, 0.0, E1,
+                        tol=math.inf)
 
     @pytest.mark.parametrize("constant,tol", [(math.inf, 1e-12),
                                               (math.nan, 1e-12),
@@ -68,7 +74,7 @@ class TestTailRadius:
         _, _, cert = cauchy_setup()
         with pytest.raises(ToleranceNotMet):
             contour_for(replace(cert, constant=constant), (2.0, 1.0, 1.0),
-                        math.pi / 2, E1, tol=tol)
+                        math.pi / 2, 0.0, E1, tol=tol)
 
     def test_radii_collapsing_to_one(self):
         # decay rates so large that both radii round to 1: typed, not the
@@ -76,41 +82,47 @@ class TestTailRadius:
         _, _, cert = cauchy_setup()
         with pytest.raises(ToleranceNotMet):
             contour_for(replace(cert, delta=1e20), (2.0, 1.0, 1.0),
-                        math.pi / 2, E1)
+                        math.pi / 2, 0.0, E1)
 
 
 class TestContourValidation:
     def test_invariants(self):
         with pytest.raises(ValueError):
-            SectorContour(0.0, E1, 1e-6, 1e6)
+            SectorContour(0.0, E1, 1e-6, 1e6, H0)
         with pytest.raises(ValueError):
-            SectorContour(1.0, ONE, 1e-6, 1e6)
+            SectorContour(1.0, ONE, 1e-6, 1e6, H0)
         with pytest.raises(ValueError):
-            SectorContour(1.0, E1, 2.0, 1e6)
+            SectorContour(1.0, E1, 2.0, 1e6, H0)
+        for h0 in (0.0, -0.25, math.inf, math.nan):
+            with pytest.raises(ValueError, match="lattice step"):
+                SectorContour(1.0, E1, 1e-6, 1e6, h0)
 
     @pytest.mark.parametrize("tol", [-1e-9, 0.0, math.nan])
     def test_rejects_nonpositive_tol(self, tol):
         # before any radius is computed; tol = inf (no refinement) stays
         _, _, cert = cauchy_setup()
         with pytest.raises(ValueError, match="tolerance"):
-            contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, E1, tol=tol)
+            contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, 0.0, E1,
+                        tol=tol)
         with pytest.raises(ValueError, match="tolerance"):
             _one_sided_radius(1.0, 1.0, tol, "max")
         with pytest.raises(ValueError, match="tolerance"):
-            SectorContour(1.0, E1, 1e-6, 1e6, tol=tol)
-        assert SectorContour(1.0, E1, 1e-6, 1e6, tol=math.inf).tol == math.inf
+            SectorContour(1.0, E1, 1e-6, 1e6, H0, tol=tol)
+        assert SectorContour(1.0, E1, 1e-6, 1e6, H0,
+                             tol=math.inf).tol == math.inf
 
     def test_contour_for_rejects_uncovered_kernel(self):
         cert = Regularizer(1).certify_decay(1.0, 1.0, 2.4)
         # kernel growing faster at infinity than the certificate decays
         with pytest.raises(NoDecayMetadata):
-            contour_for(cert, (1.0, 1.0, -3.0), 1.0, E1)
+            contour_for(cert, (1.0, 1.0, -3.0), 1.0, 0.0, E1)
 
 
 class TestCauchyFormula:
     def test_reproduces_value(self):
         t, f, cert = cauchy_setup()
-        contour = contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, E1, tol=1e-9)
+        contour = contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, 0.0, E1,
+                              tol=1e-9)
         value, info = integrate(OperatorKernel("S_L", t), f, contour)
         got = value.components[:, 0, 0] / (2.0 * math.pi)
         assert abs(got[0] - 0.25) <= 1e-8
@@ -121,7 +133,8 @@ class TestCauchyFormula:
         t, f, cert = cauchy_setup()
         vals = []
         for unit in (E1, E2, E12):
-            contour = contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, unit)
+            contour = contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, 0.0,
+                                  unit)
             value, _ = integrate(OperatorKernel("S_L", t), f, contour)
             vals.append(value.components[:, 0, 0])
         for v in vals[1:]:
@@ -131,7 +144,7 @@ class TestCauchyFormula:
         t, f, cert = cauchy_setup()
         vals = []
         for phi in (0.9, 1.4, 2.0):
-            contour = contour_for(cert, (2.0, 1.0, 1.0), phi, E1)
+            contour = contour_for(cert, (2.0, 1.0, 1.0), phi, 0.0, E1)
             value, _ = integrate(OperatorKernel("S_L", t), f, contour)
             vals.append(value.components[:, 0, 0])
         for v in vals[1:]:
@@ -145,12 +158,35 @@ class TestCauchyFormula:
         t = scalar_operator(q)
         f = Regularizer(2)
         cert = f.certify_decay(1.0, 1.0, 2.4)
-        contour = contour_for(cert, (4.0, 2.0 / 3.0, 2.0 / 3.0), 1.2, E2)
+        contour = contour_for(cert, (4.0, 2.0 / 3.0, 2.0 / 3.0), 1.2,
+                              math.pi / 8, E2)
         value, _ = integrate(OperatorKernel("Qc", t), f, contour)
         got = Quaternion.from_components(-2.0 * value.components[:, 0, 0]
                                          / (2.0 * math.pi))
         want, _, _ = pointwise_fine(f, q)
         assert (got - want).norm() <= 1e-8
+
+
+def record_levels(monkeypatch):
+    """Wrap contour._level_value; returns the list that receives the log
+    radii u of every level evaluated."""
+    levels = []
+
+    def recording(*args):
+        levels.append(args[5])
+        return _level_value(*args)
+
+    monkeypatch.setattr("qcalc.contour._level_value", recording)
+    return levels
+
+
+def roundoff_contour(gen):
+    """A contour of gen's operator whose target, 1e-30, is below roundoff,
+    with the strip step of phi = 1.2 and theta = pi (Regularizer(2) is
+    analytic off s = -1)."""
+    strip = min(1.2 - gen.spec.omega, math.pi - 1.2)
+    return SectorContour(1.2, E1, 1e-8, 1e8, _first_step(strip, 1e-30),
+                         tol=1e-30)
 
 
 class TestQuadratureMechanics:
@@ -159,80 +195,128 @@ class TestQuadratureMechanics:
         f = Regularizer(1)
         g = Regularizer(2)
         h = Sum(Scale(2.5, f), g)
-        contour = SectorContour(1.2, E1, 1e-8, 1e8)
+        contour = SectorContour(1.2, E1, 1e-8, 1e8, H0)
         k = OperatorKernel("S_L", t)
-        vf, _ = integrate_fixed(k, f, contour, 64)
-        vg, _ = integrate_fixed(k, g, contour, 64)
-        vh, _ = integrate_fixed(k, h, contour, 64)
+        vf, _ = integrate_fixed(k, f, contour, 0.125)
+        vg, _ = integrate_fixed(k, g, contour, 0.125)
+        vh, _ = integrate_fixed(k, h, contour, 0.125)
         lin = 2.5 * vf + vg
         assert (vh - lin).norm() <= 1e-12 * max(1.0, lin.norm())
 
-    def test_doubling_improves(self):
+    def test_halving_improves(self):
+        # the trapezoidal error falls like exp(-2 pi d / h) on the strip of
+        # half-width d, so each halving at least raises it to the power 3/2;
+        # radii far out keep the lattice ends below the errors compared
         t, f, _ = cauchy_setup()
         k = OperatorKernel("S_L", t)
-        contour = SectorContour(1.2, E1, 1e-8, 1e8)
-        want, _ = integrate_fixed(f=f, k=k, contour=contour, panels=512)
+        contour = SectorContour(1.2, E1, 1e-20, 1e20, H0)
+        want, _ = integrate_fixed(f=f, k=k, contour=contour, h=1.0 / 64)
         errors = []
-        for panels in (1, 2, 4):
-            v, _ = integrate_fixed(k, f, contour, panels)
+        for h in (1.0, 0.5, 0.25):
+            v, _ = integrate_fixed(k, f, contour, h)
             errors.append((v - want).norm())
-        assert errors[1] <= 0.5 * errors[0]
-        assert errors[2] <= 0.5 * errors[1]
+        assert errors[1] <= errors[0] ** 1.5
+        assert errors[2] <= errors[1] ** 1.5
 
-    @pytest.mark.parametrize("t_min,t_max,start", [(0.1, 10.0, 8),
-                                                   (1e-20, 1e20, 47)])
-    def test_first_level_panel_count(self, t_min, t_max, start):
-        # max(8, ceil(ln(t_max / t_min) / 2)) panels, then one bisection,
-        # which any difference meets at an infinite target
-        t, f, _ = cauchy_setup()
-        contour = SectorContour(1.2, E1, t_min, t_max, tol=math.inf)
-        _, info = integrate(OperatorKernel("S_L", t), f, contour)
-        assert info["panels"] == 2 * start
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12, 0.1])
+    def test_first_step(self, monkeypatch, tol):
+        # contour_for takes h0 = min(1, 2 pi d / ln(10 / tol)) from the strip
+        # d = min(phi - omega, theta - phi); integrate evaluates the whole
+        # lattice at h0, then the new nodes of one halving, which any
+        # difference meets at an infinite target
+        t, f, cert = cauchy_setup()  # theta = 2.4
+        contour = contour_for(cert, (2.0, 1.0, 1.0), 1.5, 0.5, E1, tol=tol)
+        assert contour.h0 == pytest.approx(
+            min(1.0, 2.0 * math.pi * 0.9 / math.log(10.0 / tol)), rel=1e-14)
+        levels = record_levels(monkeypatch)
+        _, info = integrate(OperatorKernel("S_L", t), f,
+                            replace(contour, tol=math.inf))
+        h = contour.h0 / 2.0
+        assert info["h"] == h
+        first = len(_nodes(contour, contour.h0))
+        assert [len(u) for u in levels] == [first,
+                                            len(_nodes(contour, h)) - first]
+        assert info["nodes"] == len(_nodes(contour, h))
+
+    def test_first_step_rule(self):
+        assert _first_step(0.9, 1e-9) == pytest.approx(
+            2.0 * math.pi * 0.9 / math.log(1e10), rel=1e-15)
+        assert _first_step(0.9, 1.0) == 1.0
+        assert _first_step(0.9, math.inf) == 1.0
+        _, _, cert = cauchy_setup()
+        for omega, phi in ((0.5, 0.5), (1.0, 0.5), (0.5, 2.4)):
+            with pytest.raises(ValueError, match="omega < phi < theta"):
+                contour_for(cert, (2.0, 1.0, 1.0), phi, omega, E1)
+
+    def test_levels_nest(self, gen4, monkeypatch):
+        # a halving keeps every old node: the nodes of all levels up to the
+        # accepted one are exactly the lattice at the accepted h, and the
+        # value is the single pass at that h up to the order of summation
+        seen = record_levels(monkeypatch)
+        k, f = OperatorKernel("F_L", gen4.operator), Regularizer(2)
+        contour = SectorContour(1.2, E1, 1e-8, 1e8, 1.0, tol=1e-10)
+        value, info = integrate(k, f, contour)
+        h = info["h"]
+        assert len(seen) >= 3 and h == 2.0 ** (1 - len(seen))
+        nodes = np.sort(np.concatenate(seen))
+        assert np.array_equal(nodes, _nodes(contour, h) * h)
+        assert info["nodes"] == len(nodes)
+        fixed, _ = integrate_fixed(k, f, contour, h)
+        assert (value - fixed).norm() <= 1e-14 * max(1.0, fixed.norm())
 
     def test_tolerance_not_met(self, gen4):
-        # at n = 4 consecutive levels keep differing by about 1e-15; a
+        # at n = 4 consecutive levels keep differing by about 1e-16; a
         # scalar operator can agree bit for bit, which meets any target
-        contour = SectorContour(1.2, E1, 1e-8, 1e8, tol=1e-30)
         with pytest.raises(ToleranceNotMet):
             integrate(OperatorKernel("S_L", gen4.operator), Regularizer(2),
-                      contour)
+                      roundoff_contour(gen4))
+
+    def test_stall_stops_within_four_levels(self, gen4, monkeypatch):
+        # the difference stops shrinking at roundoff, and the first halving
+        # whose difference does not fall ends the refinement, not the cap of
+        # nine halvings
+        levels = record_levels(monkeypatch)
+        with pytest.raises(ToleranceNotMet, match="stalled at h = "):
+            integrate(OperatorKernel("S_L", gen4.operator), Regularizer(2),
+                      roundoff_contour(gen4))
+        assert len(levels) <= 4
 
     def test_nonfinite_difference_fails_at_once(self, monkeypatch):
-        # a NaN level ends the refinement at its first difference: 8 panels,
-        # then 16, where the cap is 8 * 2**9
+        # a NaN level ends the refinement at its first difference: the
+        # lattice at h0 = 0.25, then the halving to 0.125
         monkeypatch.setattr("qcalc.contour._moment_value",
                             lambda k, dz, z, stem, side:
                             (np.full((4, 1, 1), np.nan), 1.0))
         t, f, _ = cauchy_setup()
-        contour = SectorContour(1.2, E1, 1e-2, 1e2)
-        with pytest.raises(ToleranceNotMet, match="not finite at 16 panels"):
+        contour = SectorContour(1.2, E1, 1e-2, 1e2, H0)
+        with pytest.raises(ToleranceNotMet, match="not finite at h = 0.125"):
             integrate(OperatorKernel("S_L", t), f, contour)
 
     def test_point_callable_matches_batched(self):
         t, f, _ = cauchy_setup()
-        contour = SectorContour(1.2, E1, 1e-6, 1e6)
-        va, _ = integrate_fixed(OperatorKernel("S_L", t), f, contour, 24)
-        vb = reference_level(partial(kernel_batch, "S_L", t), f, contour, 24,
-                             "left")
+        contour = SectorContour(1.2, E1, 1e-6, 1e6, H0)
+        va, _ = integrate_fixed(OperatorKernel("S_L", t), f, contour, 0.25)
+        vb = reference_level(partial(kernel_batch, "S_L", t), f, contour,
+                             0.25, "left")
         assert (va - vb).norm() <= 1e-13
 
     def test_refuses_point_callable(self):
         # the quadrature takes an OperatorKernel only; the J-based point
         # kernel is the tests' reference (conftest.reference_level)
         t, f, _ = cauchy_setup()
-        contour = SectorContour(1.2, E1, 1e-6, 1e6)
+        contour = SectorContour(1.2, E1, 1e-6, 1e6, H0)
         point = partial(kernel_batch, "S_L", t)
         with pytest.raises(TypeError, match="OperatorKernel"):
             integrate(point, f, contour)
         with pytest.raises(TypeError, match="OperatorKernel"):
-            integrate_fixed(point, f, contour, 12)
+            integrate_fixed(point, f, contour, 0.25)
 
     def test_right_sandwich_order(self):
         # for an intrinsic f and the scalar operator the two orders agree
         t, f, _ = cauchy_setup()
-        contour = SectorContour(1.2, E1, 1e-8, 1e8)
-        va, _ = integrate_fixed(OperatorKernel("S_L", t), f, contour, 64)
-        vb, _ = integrate_fixed(OperatorKernel("S_R", t), f, contour, 64,
+        contour = SectorContour(1.2, E1, 1e-8, 1e8, H0)
+        va, _ = integrate_fixed(OperatorKernel("S_L", t), f, contour, 0.125)
+        vb, _ = integrate_fixed(OperatorKernel("S_R", t), f, contour, 0.125,
                                 side="right")
         assert (va - vb).norm() <= 1e-12
 
@@ -256,22 +340,24 @@ NONINTRINSIC = Scale(Quaternion(0.0, 0.3, 0.5, 0.1), Regularizer(2))
 
 
 class TestMomentForm:
-    @pytest.mark.parametrize("t_min,t_max,panels", [(1e-6, 1e6, 12),
-                                                    (1e-20, 1e50, 24)])
+    @pytest.mark.parametrize("t_min,t_max,per_unit", [(1e-6, 1e6, 12),
+                                                      (1e-20, 1e50, 24)])
     @pytest.mark.parametrize("kind,side", KIND_SIDES)
     def test_matches_point_kernels(self, gen4, unit_q, kind, side, t_min,
-                                   t_max, panels):
+                                   t_max, per_unit):
         # the J-free moment form against the J-based reference on the point
         # kernels, which are assembled with the unit on both rays; the
-        # second contour spans the truncation radii hinf reaches
+        # second contour spans the truncation radii hinf reaches; per_unit
+        # is the number of lattice points per unit of log radius
         k = OperatorKernel(kind, gen4.operator)
         point = partial(kernel_batch, kind, gen4.operator)
         fs = [Regularizer(2)] + ([NONINTRINSIC] if side == "left" else [])
         for unit in (E1, E12, unit_q):
-            contour = SectorContour(1.7, unit, t_min, t_max)
+            contour = SectorContour(1.7, unit, t_min, t_max, H0)
             for f in fs:
-                va, _ = integrate_fixed(k, f, contour, panels, side=side)
-                vb = reference_level(point, f, contour, panels, side)
+                va, _ = integrate_fixed(k, f, contour, 1.0 / per_unit,
+                                        side=side)
+                vb = reference_level(point, f, contour, 1.0 / per_unit, side)
                 assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
 
     @pytest.mark.parametrize("kind,side", KIND_SIDES)
@@ -279,8 +365,8 @@ class TestMomentForm:
         # on fixed nodes the value is the same bit for bit in every slice
         k = OperatorKernel(kind, gen4.operator)
         f = NONINTRINSIC if side == "left" else Regularizer(2)
-        vals = [integrate_fixed(k, f, SectorContour(1.7, unit, 1e-6, 1e6),
-                                12, side=side)[0].components
+        vals = [integrate_fixed(k, f, SectorContour(1.7, unit, 1e-6, 1e6, H0),
+                                0.25, side=side)[0].components
                 for unit in (E1, E12, unit_q)]
         for v in vals[1:]:
             assert np.array_equal(v, vals[0])
@@ -288,7 +374,7 @@ class TestMomentForm:
     def test_right_form_refuses_nonintrinsic(self, gen4):
         # f ds_J K_R depends on J unless f is intrinsic (the kernels on the
         # other side from their suffix: TestKernelPaths::test_paths_agree)
-        contour = SectorContour(1.7, E12, 1e-6, 1e6)
+        contour = SectorContour(1.7, E12, 1e-6, 1e6, H0)
         for kind in ("S_R", "Qc", "P2_R", "F_R"):
             with pytest.raises(NotIntrinsic):
                 integrate(OperatorKernel(kind, gen4.operator),
@@ -308,7 +394,7 @@ class TestMomentForm:
             "P2_L": lambda s: 4.0 * (s - Quaternion(q.re)) * (
                 (s - q) * (s - q) * (s - q.conj())).inverse(),
         }[kind]
-        contour = SectorContour(1.2, E12, 1e-8, 1e8)
+        contour = SectorContour(1.2, E12, 1e-8, 1e8, H0)
         f = Regularizer(2)
 
         def closed_stack(x, y, unit):  # the (m, 4, 1, 1) kernel stack
@@ -316,8 +402,8 @@ class TestMomentForm:
                              for xi, yi in zip(x, y)])[:, :, None, None]
 
         va, _ = integrate_fixed(OperatorKernel(kind, scalar_operator(q)), f,
-                                contour, 16)
-        vb = reference_level(closed_stack, f, contour, 16, "left")
+                                contour, 0.25)
+        vb = reference_level(closed_stack, f, contour, 0.25, "left")
         if kind == "Qc":  # the Q-calculus integrates -2 Q_{c,s}^-1
             va, vb = -2.0 * va, -2.0 * vb
         assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
@@ -330,7 +416,7 @@ class TestKernelPaths:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_paths_agree(self, kind, side):
         # a kernel on the other side from its suffix is refused on both
-        contour = SectorContour(1.7, E12, 1e-6, 1e6)
+        contour = SectorContour(1.7, E12, 1e-6, 1e6, H0)
         f = Regularizer(2)
         for n in range(1, 9):
             t = generate_operator(OperatorSpec(dim=n, seed=100 + n)).operator
@@ -339,13 +425,14 @@ class TestKernelPaths:
             if (kind, side) not in KIND_SIDES:
                 for k in (fast, slow):
                     with pytest.raises(ValueError, match="moment form"):
-                        integrate_fixed(k, f, contour, 12, side=side)
+                        integrate_fixed(k, f, contour, 0.25, side=side)
                 continue
-            va, _ = integrate_fixed(fast, f, contour, 12, side=side)
-            vb, _ = integrate_fixed(slow, f, contour, 12, side=side)
+            va, _ = integrate_fixed(fast, f, contour, 0.25, side=side)
+            vb, _ = integrate_fixed(slow, f, contour, 0.25, side=side)
             assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
-            _, cond_a = _level_value(fast, f, contour, side, 12, n)
-            _, cond_b = _level_value(slow, f, contour, side, 12, n)
+            u = _nodes(contour, 0.25) * 0.25
+            _, cond_a = _level_value(fast, f, contour, side, len(u), u)
+            _, cond_b = _level_value(slow, f, contour, side, len(u), u)
             assert cond_a == pytest.approx(cond_b, rel=1e-10)
 
     @pytest.mark.parametrize("dim", [1, 4, 8])
@@ -400,13 +487,13 @@ class TestKernelPaths:
         rot = np.array([[1.0, -0.5], [0.5, 1.0]])
         loaded = operator_from_text(operator_to_text(CommutingOperator(
             np.stack([rot, 0.3 * rot, np.zeros((2, 2)), np.zeros((2, 2))]))))
-        contour = SectorContour(1.7, E12, 1e-6, 1e6)
+        contour = SectorContour(1.7, E12, 1e-6, 1e6, H0)
         f = Regularizer(2)
         for t in (nonnormal, loaded):
             assert t.eigenbasis is None
             k = OperatorKernel(kind, t)
             assert k.path == "dense"
-            va, _ = integrate_fixed(k, f, contour, 12, side=side)
+            va, _ = integrate_fixed(k, f, contour, 0.25, side=side)
             vb = reference_level(partial(kernel_batch, kind, t), f, contour,
-                                 12, side)
+                                 0.25, side)
             assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())

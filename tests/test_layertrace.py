@@ -26,7 +26,7 @@ def test_every_traced_name_exists():
 
 def test_traced_public_calls():
     # the wrappers read the traced functions' arguments (integrate's kernel,
-    # _chain's nodes, _level_value's panels), so a changed signature fails
+    # _chain's nodes, _level_value's node count), so a changed signature fails
     layertrace = _load_layertrace()
     before = layertrace.originals()
     ctx = qcalc.SuiteContext(
@@ -91,3 +91,23 @@ def test_lone_calc_traces_chain_nodes():
     metrics = layertrace.derive(tracer.spans, 1)
     assert metrics["operators.chain.nodes"][0] > 0
     assert metrics["operators.chain.nodes.F"][0] > 0
+
+
+def test_traced_nodes_match_diagnostics():
+    # the trace counts a level's nodes as _level_value's fifth argument
+    # times contour.GAUSS_ORDER, which must add up to what the value
+    # reports having spent
+    layertrace = _load_layertrace()
+    ctx = qcalc.SuiteContext(
+        qcalc.generate_operator(qcalc.OperatorSpec(dim=4, seed=3)))
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("bench.op"):
+            res = qcalc.calc("Q", ctx.operator, qcalc.Regularizer(2),
+                             ctx.profile)
+    finally:
+        tracer.uninstall()
+    metrics = layertrace.derive(tracer.spans, 1)
+    assert metrics["contour.integrate.calls"][0] == 1
+    assert metrics["contour.nodes"][0] == res.diagnostics.nodes > 0

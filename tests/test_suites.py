@@ -6,6 +6,7 @@ import pytest
 
 from conftest import counting_integrate
 from qcalc.errors import QCalcError
+from qcalc.operators import QuatMatrix
 from qcalc.suites import (SUITE_NAMES, OperatorSpec, SuiteContext,
                           _suite_kernels, generate_operator, run_suite,
                           write_report)
@@ -109,3 +110,18 @@ def test_checks_share_their_group_time():
     records = _run_groups([group])
     assert len({r.ms for r in records}) == 1
     assert 20.0 <= sum(r.ms for r in records) < 1000.0
+
+
+def test_reconstruction_inverts_once_per_point_and_unit(monkeypatch):
+    # the 8 units of a point serve all seven kinds: 6 x 8 inversions of
+    # Q_{c,s}(T), not one per point, unit and kind
+    ctx = SuiteContext(generate_operator(OperatorSpec(dim=2, seed=7)))
+    calls, real = [], QuatMatrix.inverse
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(QuatMatrix, "inverse", counting)
+    _suite_kernels(ctx)[0]()
+    assert len(calls) == 48
