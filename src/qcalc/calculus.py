@@ -26,7 +26,7 @@ import numpy as np
 
 from . import operators
 from .contour import (OperatorKernel, contour_for, integrate,
-                      require_moment_form)
+                      integrate_many, require_moment_form)
 from .errors import NotInjective, NotIntrinsic
 from .operators import (KERNEL_KINDS, CommutingOperator, QuatMatrix,
                         TypeProfile, adjoint, assemble, bq_conj, conj_op,
@@ -62,6 +62,22 @@ INJECTIVITY_FACTOR = 1e-10
 # H-infinity sub-integrals run at this tolerance or tighter, because the
 # prefactor inversion amplifies their error
 _HINF_TOL_CAP = 1e-12
+
+# the decaying-regime values each H-infinity kind is assembled from, as
+# (kind, "e" or "ef", conj), e(T) and (e*f)(T) first
+_HINF_VALUES = {
+    "S": (("S", "e", False), ("S", "ef", False)),
+    "Q": (("S", "e", False), ("S", "ef", False), ("Q", "e", False),
+          ("Q", "ef", False)),
+    "P2": (("S", "e", False), ("S", "ef", False), ("Q", "e", False),
+           ("P2", "e", False), ("P2", "ef", False), ("S", "ef", True)),
+    "F": (("S", "e", False), ("S", "ef", False), ("Q", "e", False),
+          ("F", "e", False), ("F", "ef", False), ("Q", "ef", False)),
+}
+
+
+def _kernel_kind(kind: str, side: str) -> str:
+    return (_RIGHT_KERNEL if side == "right" else _LEFT_KERNEL)[kind]
 
 
 def kernel_bound(kernel_kind: str, profile: TypeProfile, phi: float):
@@ -139,9 +155,12 @@ class Evaluator:
 
     Values are memoized (see Memo) on (kind, repr(f), options) and depend
     on nothing else, so one evaluator may serve many threads; when two
-    threads compute one value, the first stored is kept.  hinf assembles
-    its values from calc, so e(T), (e*f)(T) and their D, Dbar and Delta
-    forms serve every kind.  conj=True is the one conjugation rule: the
+    threads compute one value, the first stored is kept.  calc_many
+    computes the missing values of a list in one shared-lattice batch
+    (contour.integrate_many), and calc is its list of one.  hinf assembles
+    its values from calc_many, one batch of every sub-value its kind needs,
+    so e(T), (e*f)(T) and their D, Dbar and Delta forms share the nodes'
+    work and serve every kind.  conj=True is the one conjugation rule: the
     entrywise conjugate of the value at T for intrinsic f, otherwise the
     value on conj(T), whose type profile is estimated once.  No value is
     cached between evaluators; certificates are, by the same rule.
@@ -163,6 +182,9 @@ class Evaluator:
         if f.intrinsic:
             res = evaluate(self)
             return replace(res, value=res.value.conj())
+        return evaluate(self._conj_evaluator())
+
+    def _conj_evaluator(self) -> Evaluator:
         with self._lock:
             if self._bar is None:
                 t_bar = conj_op(self.t)
@@ -171,7 +193,7 @@ class Evaluator:
                     alpha=self.profile.alpha, beta=self.profile.beta)
                 self._bar = Evaluator(t_bar, profile_bar, theta=self.theta,
                                       phi=self.phi, unit=self.unit)
-        return evaluate(self._bar)  # set once, never replaced
+        return self._bar  # set once, never replaced
 
     def calc(self, kind: str, f, *, tol: float = 1e-9, side: str = "left",
              conj: bool = False) -> CalculusResult:
@@ -180,36 +202,66 @@ class Evaluator:
         side = "left" uses the left kernel with f on the right of ds_J; the
         "right" form (intrinsic f only) integrates f ds_J K_R instead.
         """
-        if kind not in CALC_KINDS:
-            raise ValueError(f"unknown calculus kind {kind!r}")
-        kernel_kind = (_RIGHT_KERNEL if side == "right" else _LEFT_KERNEL)[kind]
-        # refused before conj(T), a certificate or a contour is built
-        require_moment_form(kernel_kind, f, side)
-        if conj:
-            return self._on_conj(
-                f, lambda ev: ev.calc(kind, f, tol=tol, side=side))
-        return self._memo.get(
-            ("calc", kind, repr(f), tol, side), f,
-            lambda: self._calc(kind, kernel_kind, f, tol, side))
+        return self.calc_many([(kind, f, conj)], tol=tol, side=side)[0]
 
-    def _calc(self, kind, kernel_kind, f, tol, side) -> CalculusResult:
+    def calc_many(self, requests, *, tol: float = 1e-9,
+                  side: str = "left") -> list[CalculusResult]:
+        """calc of each (kind, f, conj) request at one tol and side, in
+        order, each equal to what calc gives it alone.  The values not yet
+        memoized run as one batch on T (contour.integrate_many), and those
+        of a non-intrinsic f with conj as one batch on conj(T)."""
+        requests = list(requests)
+        here, there = [], []
+        for kind, f, conj in requests:
+            if kind not in CALC_KINDS:
+                raise ValueError(f"unknown calculus kind {kind!r}")
+            # refused before conj(T), a certificate or a contour is built
+            require_moment_form(_kernel_kind(kind, side), f, side)
+            (there if conj and not f.intrinsic else here).append((kind, f))
+        vals = iter(self._values(here, tol, side))
+        bar = iter(self._conj_evaluator()._values(there, tol, side)
+                   if there else ())
+        out = []
+        for _, f, conj in requests:
+            if conj and not f.intrinsic:
+                out.append(next(bar))
+            else:
+                res = next(vals)
+                out.append(replace(res, value=res.value.conj())
+                           if conj else res)
+        return out
+
+    def _values(self, pairs, tol, side) -> list[CalculusResult]:
+        """The values of (kind, f) at T; those not memoized are computed as
+        one batch and stored.  A lone value goes through integrate, the
+        batch of one, which qbench/layertrace.py counts as one integral."""
+        keys = [("calc", kind, repr(f), tol, side) for kind, f in pairs]
+        todo = {key: pair for key, pair in zip(keys, pairs)
+                if self._memo.find(key) is None}
+        if todo:
+            items = [(OperatorKernel(_kernel_kind(kind, side), self.t), f,
+                      self._contour(_kernel_kind(kind, side), f, tol))
+                     for kind, f in todo.values()]
+            raws = ([integrate(*items[0], side=side)] if len(items) == 1
+                    else integrate_many(items, side=side))
+            for key, (kind, _), (kernel, f, contour), (raw, info) in zip(
+                    todo, todo.values(), items, raws):
+                diag = CalcDiagnostics(
+                    tol_achieved=info["tol_achieved"], nodes=info["nodes"],
+                    h=info["h"], t_min=contour.t_min, t_max=contour.t_max,
+                    phi=self.phi, theta=self.theta,
+                    worst_cond=info["worst_cond"], kernel_path=kernel.path)
+                self._memo.put(key, f, CalculusResult(
+                    _PREFACTOR[kind] * raw, kind, "decaying", diag))
+        return [self._memo.find(key) for key in keys]
+
+    def _contour(self, kernel_kind, f, tol):
         profile = self.profile
         cert = f.certify_decay(3.0 * profile.alpha, 3.0 * profile.beta,
                                self.theta)
         bound = kernel_bound(kernel_kind, profile, self.phi)
-        contour = contour_for(cert, bound, self.phi, profile.omega,
-                              self.unit, tol=tol)
-        kernel = OperatorKernel(kernel_kind, self.t)
-        raw, info = integrate(kernel, f, contour, side=side)
-        value = _PREFACTOR[kind] * raw
-        diag = CalcDiagnostics(tol_achieved=info["tol_achieved"],
-                               nodes=info["nodes"], h=info["h"],
-                               t_min=contour.t_min,
-                               t_max=contour.t_max, phi=self.phi,
-                               theta=self.theta,
-                               worst_cond=info["worst_cond"],
-                               kernel_path=kernel.path)
-        return CalculusResult(value, kind, "decaying", diag)
+        return contour_for(cert, bound, self.phi, profile.omega, self.unit,
+                           tol=tol)
 
     def hinf(self, kind: str, f, *, tol: float = 1e-12,
              regularizer_power: int | None = None,
@@ -223,9 +275,10 @@ class Evaluator:
         adjoint.  Requires T and conj(T) injective.
 
         Inverting the prefactor amplifies quadrature error by up to the
-        norm of e(T)^-1, so tol is capped at 1e-12 and the sub-integrals
-        tighten it adaptively once that norm is known (down to the roundoff
-        floor of the quadrature).
+        norm of e(T)^-1, so tol is capped at 1e-12.  Every sub-value runs
+        in one calc_many batch at tol; when the norm of e(T)^-1 read from
+        it asks for a tighter tol (down to the roundoff floor of the
+        quadrature), a second batch runs them all again at that tol.
         """
         if kind not in CALC_KINDS:
             raise ValueError(f"unknown calculus kind {kind!r}")
@@ -246,16 +299,12 @@ class Evaluator:
         else:
             e = Regularizer(regularizer_power)
         ef = Product(e, f)
-        subs = []
-
-        def sub(kind_, g, conj=False):  # at the current tol
-            res = self.calc(kind_, g, tol=tol, conj=conj)
-            subs.append(res.diagnostics)
-            return res.value
-
-        e_t = sub("S", e)
+        named = {"e": e, "ef": ef}
+        requests = [(k, named[g], conj) for k, g, conj in _HINF_VALUES[kind]]
+        vals = self.calc_many(requests, tol=tol)
+        subs = [res.diagnostics for res in vals]
         try:
-            amplification = e_t.inverse().norm()
+            amplification = vals[0].value.inverse().norm()
         except np.linalg.LinAlgError as exc:
             raise NotInjective("e(T) is numerically singular") from exc
         if not math.isfinite(amplification):
@@ -263,30 +312,26 @@ class Evaluator:
         tol_eff = max(min(tol, 1e-8 / max(amplification, 1.0)), 2e-13)
         if tol_eff < tol:
             tol = tol_eff
-            e_t = sub("S", e)
+            vals = self.calc_many(requests, tol=tol)
+            # e(T) at the cap and every value at tol count toward the
+            # diagnostics; the first batch's other values stay memoized
+            subs = subs[:1] + [res.diagnostics for res in vals]
+        e_t, ef_t, *rest = (res.value for res in vals)
         e_tbar = e_t.conj()  # e is intrinsic
-        ef_t = sub("S", ef)
 
         if kind == "S":
             pref, bracket = e_t, ef_t
         elif kind == "Q":
-            de_t = sub("Q", e)
-            def_t = sub("Q", ef)
+            de_t, def_t = rest
             pref = e_t @ e_tbar
             bracket = e_t @ def_t - de_t @ ef_t
         elif kind == "P2":
-            de_t = sub("Q", e)
-            dbe_t = sub("P2", e)
-            dbef_t = sub("P2", ef)
-            ef_tbar = sub("S", ef, conj=True)
+            de_t, dbe_t, dbef_t, ef_tbar = rest
             pref = e_t @ e_t @ e_tbar
             bracket = (e_t @ e_tbar @ dbef_t - e_tbar @ dbe_t @ ef_t
                        + e_t @ de_t @ ef_tbar - e_tbar @ de_t @ ef_t)
         else:  # F
-            de_t = sub("Q", e)
-            le_t = sub("F", e)
-            lef_t = sub("F", ef)
-            def_t = sub("Q", ef)
+            de_t, le_t, lef_t, def_t = rest
             pref = e_t @ e_t @ e_tbar
             bracket = (e_t @ e_tbar @ lef_t - e_tbar @ le_t @ ef_t
                        + e_t @ de_t @ def_t - de_t @ de_t @ ef_t)
@@ -391,8 +436,9 @@ def product_rule_residuals(ev: Evaluator, g, f, *, regime: str,
                            tol: float) -> dict[str, float]:
     """Residuals of the four product rules for intrinsic g and left-slice f.
 
-    Values come from ev.calc (regime "decaying") or ev.hinf ("h_infinity")
-    at tolerance tol, and whole matrices are compared.
+    Values come from ev.calc_many as one batch (regime "decaying") or from
+    ev.hinf ("h_infinity") at tolerance tol, and whole matrices are
+    compared.
     """
     if not g.intrinsic:
         raise NotIntrinsic("product rules require an intrinsic left factor")
@@ -400,67 +446,59 @@ def product_rule_residuals(ev: Evaluator, g, f, *, regime: str,
 
     if regime not in ("decaying", "h_infinity"):
         raise ValueError("regime must be 'decaying' or 'h_infinity'")
-    value_of = ev.calc if regime == "decaying" else ev.hinf
+    requests = [("S", g, False), ("S", f, False), ("S", g, True),
+                ("S", f, True), ("Q", g, False), ("Q", f, False),
+                ("P2", g, False), ("P2", f, False), ("F", g, False),
+                ("F", f, False), ("Q", gf, False), ("S", gf, False),
+                ("P2", gf, False), ("F", gf, False)]
+    if regime == "decaying":
+        results = ev.calc_many(requests, tol=tol)
+    else:
+        results = [ev.hinf(kind, h, tol=tol, conj=conj)
+                   for kind, h, conj in requests]
+    (g_t, f_t, g_tbar, f_tbar, dg_t, df_t, dbg_t, dbf_t, lg_t, lf_t, dgf_t,
+     sgf_t, dbgf_t, lgf_t) = (res.value for res in results)
 
-    def evaluate(kind, h, conj=False):
-        return value_of(kind, h, tol=tol, conj=conj)
-
-    g_t, f_t = evaluate("S", g).value, evaluate("S", f).value
-    g_tbar = evaluate("S", g, conj=True).value
-    f_tbar = evaluate("S", f, conj=True).value
-    dg_t, df_t = evaluate("Q", g).value, evaluate("Q", f).value
-    dbg_t, dbf_t = evaluate("P2", g).value, evaluate("P2", f).value
-    lg_t, lf_t = evaluate("F", g).value, evaluate("F", f).value
-    dgf_t = evaluate("Q", gf).value
-
-    out = {
-        "product_rule_S": _rel(evaluate("S", gf).value, g_t @ f_t),
+    return {
+        "product_rule_S": _rel(sgf_t, g_t @ f_t),
         "product_rule_Q": max(_rel(dgf_t, dg_t @ f_t + g_tbar @ df_t),
                               _rel(dgf_t, dg_t @ f_tbar + g_t @ df_t)),
         "product_rule_P2": _rel(
-            evaluate("P2", gf).value,
-            dbg_t @ f_t + g_t @ dbf_t + dg_t @ (f_t - f_tbar)),
-        "product_rule_F": _rel(
-            evaluate("F", gf).value, lg_t @ f_t + g_t @ lf_t - dg_t @ df_t),
+            dbgf_t, dbg_t @ f_t + g_t @ dbf_t + dg_t @ (f_t - f_tbar)),
+        "product_rule_F": _rel(lgf_t, lg_t @ f_t + g_t @ lf_t - dg_t @ df_t),
     }
-    return out
 
 
 def power_recurrence_residuals(ev: Evaluator, f, n_max: int, *,
                                tol: float) -> dict[str, float]:
-    """Residuals of the four recurrences linking s^n f to s^(n-1) f."""
+    """Residuals of the four recurrences linking s^n f to s^(n-1) f; every
+    value comes from one ev.calc_many batch."""
     # membership that keeps s^n f inside the calculus class up to n_max
     f.certify_decay(3.0 * ev.profile.alpha, 3.0 * ev.profile.beta - n_max,
                     ev.theta)
 
     tq = ev.t.as_qmatrix()
     tbq = tq.conj()
-
-    def evaluate(kind, h, conj=False):
-        return ev.calc(kind, h, tol=tol, conj=conj)
-
-    f_t_base = evaluate("S", f).value
-    f_tbar_base = evaluate("S", f, conj=True).value
+    fs = [Product(Power(n), f) for n in range(n_max + 1)]
+    requests = [("S", f, False), ("S", f, True)] + [
+        (kind, h, False) for h in fs for kind in CALC_KINDS]
+    f_t_base, f_tbar_base, *vals = (
+        res.value for res in ev.calc_many(requests, tol=tol))
+    s, d, db, lap = (vals[i::len(CALC_KINDS)] for i in range(len(CALC_KINDS)))
     out = {}
     for n in range(1, n_max + 1):
-        lo = Product(Power(n - 1), f)
-        hi = Product(Power(n), f)
         tn_f = tq.matpow(n - 1) @ f_t_base
         tbn_f = tbq.matpow(n - 1) @ f_tbar_base
 
-        out[f"recurrence_S_n{n}"] = _rel(evaluate("S", hi).value,
-                                         tq @ evaluate("S", lo).value)
-        d_lo = evaluate("Q", lo).value
-        d_hi = evaluate("Q", hi).value
-        ra = tq @ d_lo - 2.0 * tbn_f
-        rb = tbq @ d_lo - 2.0 * tn_f
-        out[f"recurrence_Q_n{n}"] = max(_rel(d_hi, ra), _rel(d_hi, rb),
+        out[f"recurrence_S_n{n}"] = _rel(s[n], tq @ s[n - 1])
+        ra = tq @ d[n - 1] - 2.0 * tbn_f
+        rb = tbq @ d[n - 1] - 2.0 * tn_f
+        out[f"recurrence_Q_n{n}"] = max(_rel(d[n], ra), _rel(d[n], rb),
                                         _rel(ra, rb))
         out[f"recurrence_P2_n{n}"] = _rel(
-            evaluate("P2", hi).value,
-            tq @ evaluate("P2", lo).value + 2.0 * tbn_f + 2.0 * tn_f)
-        out[f"recurrence_F_n{n}"] = _rel(
-            evaluate("F", hi).value, tq @ evaluate("F", lo).value + 2.0 * d_lo)
+            db[n], tq @ db[n - 1] + 2.0 * tbn_f + 2.0 * tn_f)
+        out[f"recurrence_F_n{n}"] = _rel(lap[n],
+                                         tq @ lap[n - 1] + 2.0 * d[n - 1])
     return out
 
 

@@ -19,6 +19,13 @@ T_{k+1} = T_k / 2 + h_{k+1} sum_new.  Two consecutive levels must agree
 in the whole-matrix Frobenius norm; a halving whose difference does not
 shrink has stalled at roundoff and ends the refinement at once.
 
+Integrals of one operator at one angle and one first step share one
+lattice (integrate_many): a level evaluates the union of their lattices,
+which all hold u = 0, with one inversion of Q_{c,z}(T) per point and one
+stem per function, and each integral reads its own slice.  Its radii, stop
+rule, stall rule and cap stay its own, so each value is what it would be
+alone; integrate is the batch of one.
+
 An OperatorKernel is integrated without J.  Its family G = A + i B =
 sum_d C_d z^d M^p (see operators.KernelNumerator) is the left kernel
 A + B J at z and A - B J at zbar.  For f = alpha + J beta with stem
@@ -192,29 +199,25 @@ def require_moment_form(kind: str, f, side: str) -> None:
         raise NotIntrinsic("the right-kernel form needs an intrinsic function")
 
 
-def _moment_value(k: OperatorKernel, dz, z, stem, side: str):
+def _moment_value(k: OperatorKernel, z, stem, g, scale, side: str):
     """sum_d C_d Re(Mom_d) (side "left") or sum_d Re(Mom_d) C_d (side
-    "right") with Mom_d = sum_m 2i dz_m z_m^d W_m M_m^power (see the module
-    docstring), one complex GEMM over the nodes.  With an eigenbasis
-    (U, d0, d2) it runs over the diagonal of U^T M^power U (see _chain) and
-    each of the 4 (degree+1) moments is U diag U^T.  No unit J is read.
-    Returns the sum and the worst conditioning of the nodes' Q_{c,z}(T)."""
-    fam = _AB_FAMILY[k.kind]
-    num = k.operator.kernel_numerators[fam]
-    basis = k.operator.eigenbasis
-    g, scale, cond = _chain(k.operator, z.real, z.imag, upto=fam,
-                            diagonal=basis is not None)
+    "right") with Mom_d = sum_m 2i z_m^(d+1) W_m M_m^power, dz = z du (see
+    the module docstring), one complex GEMM over the nodes z.  g and scale
+    are _chain's at these nodes for M^power.  With an eigenbasis (U, d0,
+    d2) g holds the diagonals of U^T M^power U and each of the 4 (degree+1)
+    moments is U diag U^T.  No unit J is read."""
+    num = k.operator.kernel_numerators[_AB_FAMILY[k.kind]]
     zp = _z_powers(z, scale, len(num.coef) - 1, num.power)
-    weights = (2j * dz)[:, None, None] * zp[:, :, None] * stem[:, None, :]
+    weights = (2j * z)[:, None, None] * zp[:, :, None] * stem[:, None, :]
     m = len(z)
     moments = (weights.reshape(m, -1).T @ g.reshape(m, -1)).real
     moments = moments.reshape((-1, 4) + g.shape[1:])
+    basis = k.operator.eigenbasis
     if basis is not None:
         u = basis[0]
         moments = (u * moments[..., None, :]) @ u.T
-    value = (bq_dot(num.coef, moments) if side == "left"
-             else bq_dot(moments, num.coef))
-    return value, float(cond.max())
+    return (bq_dot(num.coef, moments) if side == "left"
+            else bq_dot(moments, num.coef))
 
 
 def _nodes(contour: SectorContour, h: float) -> np.ndarray:
@@ -226,75 +229,153 @@ def _nodes(contour: SectorContour, h: float) -> np.ndarray:
                      math.floor(math.log(contour.t_max) / h) + 1)
 
 
-def _level_value(k, f, contour: SectorContour, side: str, count: int,
+def _level_value(items, slices, phi: float, side: str, count: int,
                  u: np.ndarray):
-    """The moment-form sum of an OperatorKernel over the nodes
-    z = e^{u + i phi} with du = 1 (the caller weights it by h), after
-    require_moment_form; returns (sum, worst conditioning of Q_{c,z}(T)).
-    count = len(u) is not read: qbench/layertrace.py takes the six
-    arguments by position and counts the level's nodes as count *
-    GAUSS_ORDER."""
-    if not isinstance(k, OperatorKernel):
-        raise TypeError("the quadrature takes an OperatorKernel, not "
-                        f"{type(k).__name__}")
-    require_moment_form(k.kind, f, side)
-    z = np.exp(u + 1j * contour.phi)
+    """The moment-form sums of the items (OperatorKernel, f, contour) of one
+    operator, each over its slice (a, b) of the nodes z = e^{u + i phi} with
+    du = 1 (the caller weights them by h), after require_moment_form.  One
+    _chain call serves every item, squared once when powers 1 and 2 both
+    occur, and one stem serves every item of the same f.  Returns per item
+    (sum, worst conditioning of Q_{c,z}(T) on its slice); an item whose
+    stem is not finite on its slice raises ToleranceNotMet.  count = len(u)
+    is not read: qbench/layertrace.py takes the six arguments by position
+    and counts the level's nodes as count * GAUSS_ORDER."""
+    t = items[0][0].operator
+    nums = t.kernel_numerators
+    powers = [nums[_AB_FAMILY[k.kind]].power for k, _, _ in items]
+    diagonal = t.eigenbasis is not None
+    z = np.exp(u + 1j * phi)
+    one = min(powers) == max(powers)
+    g, scale, cond = _chain(t, z.real, z.imag, diagonal=diagonal,
+                            upto=_AB_FAMILY[items[0][0].kind] if one else "Qc")
+    m_pow = {powers[0]: g} if one else {1: g, 2: g * g if diagonal else g @ g}
+    spans = {}  # one stem per function object, over its items' slices
+    for (_, f, _), (a, b) in zip(items, slices):
+        a0, b0 = spans.get(f, (a, b))
+        spans[f] = (min(a, a0), max(b, b0))
     with np.errstate(over="ignore", invalid="ignore"):
-        stem = f.complex_stem(z)
-    if not np.isfinite(stem).all():
-        raise ToleranceNotMet(
-            f"{f!r} is not finite on the contour between radii "
-            f"{contour.t_min:.3g} and {contour.t_max:.3g}")
-    return _moment_value(k, z, z, stem, side)  # dz = z du
+        for f, (a, b) in spans.items():
+            spans[f] = (a, f.complex_stem(z[a:b]))
+    out = []
+    for (k, f, contour), p, (a, b) in zip(items, powers, slices):
+        a0, stem = spans[f]
+        stem = stem[a - a0:b - a0]
+        if not np.isfinite(stem).all():
+            raise ToleranceNotMet(
+                f"{f!r} is not finite on the contour between radii "
+                f"{contour.t_min:.3g} and {contour.t_max:.3g}")
+        out.append((_moment_value(k, z[a:b], stem, m_pow[p][a:b], scale[a:b],
+                                  side), float(cond[a:b].max())))
+    return out
+
+
+def _check_items(items, side: str) -> None:
+    """TypeError for a kernel other than an OperatorKernel, and
+    require_moment_form's refusals, for each item (k, f, contour)."""
+    for k, f, _ in items:
+        if not isinstance(k, OperatorKernel):
+            raise TypeError("the quadrature takes an OperatorKernel, not "
+                            f"{type(k).__name__}")
+        require_moment_form(k.kind, f, side)
+
+
+def integrate_many(items, *, side: str = "left") -> list:
+    """Adaptively evaluate the sector-boundary integrals of K ds_J f of the
+    items (k, f, contour) on one shared lattice.
+
+    Each k is an OperatorKernel (any other object raises TypeError), taken
+    in moment form, which refuses the forms that would depend on J (see
+    require_moment_form).  side selects the sandwich order: "left" is
+    K ds_J f, "right" is f ds_J K.  The items must share one operator
+    (k.operator), one angle and one first step (contour.phi, contour.h0),
+    else ValueError; their kernels, f and radii may differ.
+
+    The first level is the whole lattice at h0; each refinement halves h
+    and evaluates the new nodes only (see the module docstring), at most
+    _MAX_REFINEMENTS times.  A level covers the union of the lattices of
+    the items still refining, which all hold u = 0: one _chain call and
+    one stem per f serve them all (see _level_value), and each item reads
+    its own slice.  Each item keeps its own stop rule, stall rule and cap
+    and leaves the batch once accepted.  A non-finite stem or difference,
+    or a difference that does not shrink, raises ToleranceNotMet at once,
+    as refining cannot mend it; the first error of any item ends the
+    batch.  Returns (QuatMatrix, info) per item, in order: nodes is the
+    number of the item's own nodes over all levels, h its accepted step,
+    and worst_cond the largest (||Q||_F ||Q^-1||_F)^2 met on its accepted
+    lattice.  Each equals, bit for bit, what the item gives alone.
+    """
+    items = list(items)
+    _check_items(items, side)
+    if not items:
+        return []
+    k0, _, c0 = items[0]
+    if any(k.operator is not k0.operator or c.phi != c0.phi or c.h0 != c0.h0
+           for k, _, c in items):
+        raise ValueError("a batch of integrals shares one operator, one "
+                         "contour angle and one first step")
+    n = len(items)
+    logs = [(math.log(c.t_min), math.log(c.t_max)) for _, _, c in items]
+    value, nodes, cond = [None] * n, [0] * n, [0.0] * n
+    last, out = [math.inf] * n, [None] * n
+    active, h = list(range(n)), c0.h0
+    for level in range(_MAX_REFINEMENTS + 1):
+        if level:
+            h /= 2.0
+        # each item's first and last index j (see _nodes)
+        ranges = [(math.ceil(logs[p][0] / h), math.floor(logs[p][1] / h))
+                  for p in active]
+        # the union's indices from `first` in steps of `step`: all of them
+        # on the first level, the new (odd) ones after it; an item's slice
+        # holds its own indices
+        step = 2 if level else 1
+        first = min(lo for lo, _ in ranges) | (level > 0)
+        slices = [(-((first - lo) // step), (hi - first) // step + 1)
+                  for lo, hi in ranges]
+        u = np.arange(first, max(hi for _, hi in ranges) + 1, step) * h
+        sums = _level_value([items[p] for p in active], slices, c0.phi,
+                            side, len(u), u)
+        kept = []
+        for p, (total, new_cond), (a, b) in zip(active, sums, slices):
+            nodes[p] += b - a
+            cond[p] = max(cond[p], new_cond)
+            if not level:
+                value[p] = h * total
+                kept.append(p)
+                continue
+            refined = 0.5 * value[p] + h * total
+            diff = float(stack_fro(refined - value[p]))
+            value[p] = refined
+            if not math.isfinite(diff):
+                raise ToleranceNotMet(f"Frobenius difference {diff:.3g} is "
+                                      f"not finite at h = {h:.3g}")
+            contour = items[p][2]
+            if diff <= contour.tol:
+                out[p] = (QuatMatrix(refined),
+                          {"nodes": nodes[p], "h": h, "tol_achieved": diff,
+                           "t_min": contour.t_min, "t_max": contour.t_max,
+                           "worst_cond": cond[p]})
+                continue
+            if diff >= last[p]:
+                raise ToleranceNotMet(
+                    f"refinement stalled at h = {h:.3g}: Frobenius "
+                    f"difference {diff:.3g} did not fall below "
+                    f"{last[p]:.3g} (target {contour.tol:.3g})")
+            last[p] = diff
+            kept.append(p)
+        active = kept
+        if not active:
+            return out
+    p = active[0]
+    raise ToleranceNotMet(
+        f"Frobenius difference {last[p]:.3g} above target "
+        f"{items[p][2].tol:.3g} at h = {h:.3g}")
 
 
 def integrate(k, f, contour: SectorContour, *, side: str = "left"):
-    """Adaptively evaluate the sector-boundary integral of K ds_J f.
-
-    k is an OperatorKernel (any other object raises TypeError), taken in
-    moment form, which refuses the forms that would depend on J (see
-    require_moment_form).  side selects the sandwich order: "left" is
-    K ds_J f, "right" is f ds_J K.  The first level is the whole lattice at
-    contour.h0; each refinement halves h and evaluates the new nodes only
-    (see the module docstring), at most _MAX_REFINEMENTS times.  Returns
-    (QuatMatrix, diagnostics): nodes is the number of nodes evaluated over
-    all levels, h the accepted step, and worst_cond the largest
-    (||Q||_F ||Q^-1||_F)^2 met on the accepted lattice.  A non-finite stem
-    or difference, or a difference that does not shrink, raises
-    ToleranceNotMet at once, as refining cannot mend it.
-    """
-    h = contour.h0
-    u = _nodes(contour, h) * h
-    total, cond = _level_value(k, f, contour, side, len(u), u)
-    value, nodes = h * total, len(u)
-    last = math.inf
-    for _ in range(_MAX_REFINEMENTS):
-        h /= 2.0
-        j = _nodes(contour, h)
-        u = j[j % 2 == 1] * h
-        total, new_cond = _level_value(k, f, contour, side, len(u), u)
-        refined = 0.5 * value + h * total
-        cond, nodes = max(cond, new_cond), nodes + len(u)
-        diff = float(stack_fro(refined - value))
-        value = refined
-        if not math.isfinite(diff):
-            raise ToleranceNotMet(f"Frobenius difference {diff:.3g} is not "
-                                  f"finite at h = {h:.3g}")
-        if diff <= contour.tol:
-            return QuatMatrix(value), {"nodes": nodes, "h": h,
-                                       "tol_achieved": diff,
-                                       "t_min": contour.t_min,
-                                       "t_max": contour.t_max,
-                                       "worst_cond": cond}
-        if diff >= last:
-            raise ToleranceNotMet(
-                f"refinement stalled at h = {h:.3g}: Frobenius difference "
-                f"{diff:.3g} did not fall below {last:.3g} (target "
-                f"{contour.tol:.3g})")
-        last = diff
-    raise ToleranceNotMet(
-        f"Frobenius difference {diff:.3g} above target {contour.tol:.3g} "
-        f"at h = {h:.3g}")
+    """The integral of K ds_J f (side "left") or f ds_J K ("right") on
+    contour: integrate_many of the one item (k, f, contour), returning its
+    (QuatMatrix, info)."""
+    return integrate_many([(k, f, contour)], side=side)[0]
 
 
 def integrate_fixed(k, f, contour: SectorContour, h: float, *,
@@ -307,6 +388,8 @@ def integrate_fixed(k, f, contour: SectorContour, h: float, *,
     order of summation.
     """
     _require_positive_step(h)
+    _check_items([(k, f, contour)], side)
     u = _nodes(contour, h) * h
-    total, _ = _level_value(k, f, contour, side, len(u), u)
+    [(total, _)] = _level_value([(k, f, contour)], [(0, len(u))],
+                                contour.phi, side, len(u), u)
     return QuatMatrix(h * total), {"nodes": len(u), "h": h}

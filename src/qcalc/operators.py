@@ -242,6 +242,13 @@ class CommutingOperator:
         return _eigenbasis(self.components[0], modulus_sq(self))
 
     @cached_property
+    def qc_pair_diagonal(self):
+        """kernel_numerators["Qc pair"] in the eigenbasis, the (3, n)
+        diagonals (d2, -2 d0, 1) that _chain's diagonal path takes."""
+        _, d0, d2 = self.eigenbasis
+        return np.stack([d2, -2.0 * d0, np.ones_like(d0)])
+
+    @cached_property
     def joint_eigenvalues(self):
         """(4, n) components of eigenvalues lambda_k with T_a = U
         diag(lambda[a]) U^T for every component a, U from eigenbasis, or
@@ -381,11 +388,11 @@ def _z_powers(z: np.ndarray, scale: np.ndarray, degree: int,
     scale >= max(1, |z|) and d <= 2 power.  The powers are repeated
     products, so they are exactly conjugate under y -> -y."""
     zs, zd = z / scale, np.ones_like(z)
-    cols = []
+    out = np.empty((len(z), degree + 1), dtype=complex)
     for d in range(degree + 1):
-        cols.append(zd * scale ** float(d - 2 * power))
+        out[:, d] = zd * scale ** float(d - 2 * power)
         zd = zd * zs
-    return np.stack(cols, axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -435,18 +442,14 @@ def _chain(t: CommutingOperator, x: np.ndarray, y: np.ndarray, *,
     one of Q conj(Q) too (by submultiplicativity).
 
     diagonal=True needs t.eigenbasis (U, d0, d2) and returns g as the
-    (m, n) diagonals of U^T g U: C is then (d2, -2 d0, 1), Q / scale^2 the
-    diagonal q and its inverse 1/q, so a node costs O(n).  Frobenius norms
-    are orthogonally invariant, so cond and the spectrum rule are those of
-    the dense path.
+    (m, n) diagonals of U^T g U: C is then the diagonals (d2, -2 d0, 1)
+    of t.qc_pair_diagonal, Q / scale^2 the diagonal q and its inverse 1/q,
+    so a node costs O(n).  Frobenius norms are orthogonally invariant, so
+    cond and the spectrum rule are those of the dense path.
     """
     scale = np.maximum(1.0, np.hypot(x, y))
     power = t.kernel_numerators[upto].power
-    if diagonal:
-        _, d0, d2 = t.eigenbasis
-        coef = np.stack([d2, -2.0 * d0, np.ones_like(d0)])
-    else:
-        coef = t.kernel_numerators["Qc pair"]
+    coef = t.qc_pair_diagonal if diagonal else t.kernel_numerators["Qc pair"]
     axes = 1 if diagonal else (1, 2)
 
     def fro_sq(a):

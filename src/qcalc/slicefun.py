@@ -187,14 +187,20 @@ class Memo:
         self._store: dict = {}
         self._lock = threading.Lock()
 
-    def get(self, key, owner, compute):
+    def find(self, key):
+        """The value stored under key, or None."""
         with self._lock:
             hit = self._store.get(key)
-        if hit is None:
-            value = compute()
-            with self._lock:
-                hit = self._store.setdefault(key, (owner, value))
-        return hit[1]
+        return None if hit is None else hit[1]
+
+    def put(self, key, owner, value):
+        """Store value under key unless one is stored; returns the one kept."""
+        with self._lock:
+            return self._store.setdefault(key, (owner, value))[1]
+
+    def get(self, key, owner, compute):
+        value = self.find(key)
+        return self.put(key, owner, compute()) if value is None else value
 
 
 # certificates of the process, keyed on (kind, repr(f), class exponents,

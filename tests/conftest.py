@@ -60,17 +60,28 @@ def reference_level(point, f, contour, h: float, side: str) -> QuatMatrix:
 
 
 def counting_integrate(monkeypatch):
-    """Install a wrapper on calculus.integrate; returns the list of keys."""
+    """Install wrappers on calculus.integrate and calculus.integrate_many;
+    returns the list of keys, one per integral: one per integrate call and
+    one per item of a batch."""
     seen = []
-    original = calculus.integrate
+    original, original_many = calculus.integrate, calculus.integrate_many
+
+    def key(k, f, contour, side):
+        return (k.kind, k.operator.components.tobytes(), repr(f),
+                contour.phi, tuple(contour.unit.components),
+                contour.t_min, contour.t_max, contour.tol, side)
 
     def counting(k, f, contour, side="left", **kw):
-        seen.append((k.kind, k.operator.components.tobytes(), repr(f),
-                     contour.phi, tuple(contour.unit.components),
-                     contour.t_min, contour.t_max, contour.tol, side))
+        seen.append(key(k, f, contour, side))
         return original(k, f, contour, side=side, **kw)
 
+    def counting_many(items, side="left", **kw):
+        items = list(items)
+        seen.extend(key(k, f, contour, side) for k, f, contour in items)
+        return original_many(items, side=side, **kw)
+
     monkeypatch.setattr(calculus, "integrate", counting)
+    monkeypatch.setattr(calculus, "integrate_many", counting_many)
     return seen
 
 

@@ -496,14 +496,30 @@ class TestHInfinity:
         ctx = SuiteContext(generate_operator(OperatorSpec(dim=2, seed=7)))
         levels, real_level = [], contour._level_value
 
-        def counting_level(k, f, *args):
-            levels.append(repr(f))
-            return real_level(k, f, *args)
+        def counting_level(items, *args):
+            levels.extend(repr(f) for _, f, _ in items)
+            return real_level(items, *args)
 
         monkeypatch.setattr(contour, "_level_value", counting_level)
         with pytest.raises(ToleranceNotMet, match=r"reg\(7\) \* pow\(6\)"):
             hinf("S", ctx.operator, Power(6), ctx.profile)
         assert levels.count("(reg(7) * pow(6))") == 1
+
+    def test_retightened_value_equals_separate_integrals(self, monkeypatch):
+        # at annulus (0.1, 10) the norm of e(T)^-1 asks hinf("F", pow(5))
+        # for a tol below the cap, so a second batch runs at it; the value
+        # and diagnostics are those of one integrate call per sub-value
+        ctx = SuiteContext(generate_operator(
+            OperatorSpec(dim=4, seed=3, annulus=(0.1, 10))))
+        got = hinf("F", ctx.operator, Power(5), ctx.profile)
+        assert got.diagnostics.tol_achieved < 1e-12
+        monkeypatch.setattr(calculus, "integrate_many",
+                            lambda items, side="left": [
+                                contour.integrate(*item, side=side)
+                                for item in items])
+        want = hinf("F", ctx.operator, Power(5), ctx.profile)
+        assert np.array_equal(got.value.components, want.value.components)
+        assert got.diagnostics == want.diagnostics
 
     def test_kernel_path_is_reported(self, ctx4, gen4):
         res = hinf("Q", gen4.operator, Power(2), ctx4.profile)

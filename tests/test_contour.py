@@ -6,17 +6,19 @@ from functools import partial
 import numpy as np
 import pytest
 
+import qcalc.contour as contour_module
 from conftest import dense_twin, exp_j, reference_level, scalar_operator
 from qcalc.contour import (OperatorKernel, SectorContour, _first_step,
                            _level_value, _nodes, _one_sided_radius,
-                           contour_for, integrate, integrate_fixed)
+                           contour_for, integrate, integrate_fixed,
+                           integrate_many)
 from qcalc.errors import (NoDecayMetadata, NotIntrinsic, SpectrumHit,
                           ToleranceNotMet)
 from qcalc.operators import (KERNEL_KINDS, CommutingOperator, _chain,
                              kernel_batch, operator_from_text,
                              operator_to_text)
 from qcalc.quaternion import E1, E2, ONE, Quaternion, to_slice
-from qcalc.slicefun import Regularizer, Scale, Sum
+from qcalc.slicefun import Power, Product, Regularizer, Scale, Sum
 from qcalc.suites import OperatorSpec, generate_operator
 
 E12 = Quaternion(0, 1, 1, 0) * (1.0 / math.sqrt(2.0))
@@ -285,8 +287,8 @@ class TestQuadratureMechanics:
         # a NaN level ends the refinement at its first difference: the
         # lattice at h0 = 0.25, then the halving to 0.125
         monkeypatch.setattr("qcalc.contour._moment_value",
-                            lambda k, dz, z, stem, side:
-                            (np.full((4, 1, 1), np.nan), 1.0))
+                            lambda k, z, stem, g, scale, side:
+                            np.full((4, 1, 1), np.nan))
         t, f, _ = cauchy_setup()
         contour = SectorContour(1.2, E1, 1e-2, 1e2, H0)
         with pytest.raises(ToleranceNotMet, match="not finite at h = 0.125"):
@@ -431,8 +433,9 @@ class TestKernelPaths:
             vb, _ = integrate_fixed(slow, f, contour, 0.25, side=side)
             assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
             u = _nodes(contour, 0.25) * 0.25
-            _, cond_a = _level_value(fast, f, contour, side, len(u), u)
-            _, cond_b = _level_value(slow, f, contour, side, len(u), u)
+            [(_, cond_a)], [(_, cond_b)] = (
+                _level_value([(k, f, contour)], [(0, len(u))], contour.phi,
+                             side, len(u), u) for k in (fast, slow))
             assert cond_a == pytest.approx(cond_b, rel=1e-10)
 
     @pytest.mark.parametrize("dim", [1, 4, 8])
@@ -497,3 +500,98 @@ class TestKernelPaths:
             vb = reference_level(partial(kernel_batch, kind, t), f, contour,
                                  0.25, side)
             assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
+
+
+# contours of one angle and one first step whose radii nest (WIDE holds
+# NESTED), overlap (OVERLAP reaches below WIDE and stops short of it above)
+# and whose targets are accepted at different levels
+SHARED_H0 = 0.5
+WIDE = SectorContour(1.2, E1, 1e-8, 1e8, SHARED_H0, tol=1e-10)
+NESTED = SectorContour(1.2, E1, 1e-4, 1e4, SHARED_H0, tol=1e-9)
+OVERLAP = SectorContour(1.2, E1, 1e-10, 1e5, SHARED_H0, tol=1e-11)
+LOOSE = SectorContour(1.2, E1, 1e-6, 1e6, SHARED_H0, tol=1e-6)
+
+
+def shared_items(t, side):
+    """Every kernel with a moment form on side, against functions that
+    share objects between items, on the four contours above."""
+    fs = [Regularizer(2), Product(Power(1), Regularizer(3))]
+    if side == "left":
+        fs.append(NONINTRINSIC)
+    return [(OperatorKernel(kind, t), f, c)
+            for kind, s in KIND_SIDES if s == side for f in fs
+            for c in (WIDE, NESTED, OVERLAP, LOOSE)]
+
+
+class TestSharedLattice:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("path", ["eigenbasis", "dense"])
+    def test_batch_equals_separate_integrals(self, gen4, path, side):
+        # one lattice per level changes no bit of any value or diagnostic
+        t = gen4.operator if path == "eigenbasis" else dense_twin(
+            gen4.operator)
+        items = shared_items(t, side)
+        assert OperatorKernel(items[0][0].kind, t).path == path
+        batch = integrate_many(items, side=side)
+        assert len({info["h"] for _, info in batch}) >= 2
+        for (k, f, c), (value, info) in zip(items, batch):
+            want, want_info = integrate(k, f, c, side=side)
+            assert np.array_equal(value.components, want.components)
+            assert info == want_info
+
+    def test_one_chain_call_per_level_over_the_union(self, gen4,
+                                                     monkeypatch):
+        # each level inverts Q_{c,z}(T) once per point of the union of the
+        # lattices of the items still refining, and at no other point
+        chains, levels = [], []
+        real_chain, real_level = contour_module._chain, _level_value
+
+        def chain(t, x, y, **kw):
+            chains.append(len(x))
+            return real_chain(t, x, y, **kw)
+
+        def level(items, slices, phi, side, count, u):
+            levels.append(u)
+            return real_level(items, slices, phi, side, count, u)
+
+        monkeypatch.setattr(contour_module, "_chain", chain)
+        monkeypatch.setattr(contour_module, "_level_value", level)
+        items = shared_items(gen4.operator, "left")
+        infos = [info for _, info in integrate_many(items)]
+        assert chains == [len(u) for u in levels]
+        for depth, u in enumerate(levels):
+            h = SHARED_H0 / 2.0 ** depth
+            union = set()
+            for (_, _, c), info in zip(items, infos):
+                if info["h"] <= h:  # still refining at this level
+                    j = _nodes(c, h)
+                    union |= set(j if depth == 0 else j[j % 2 == 1])
+            assert np.array_equal(u, np.array(sorted(union)) * h)
+        assert len(levels) == 1 + round(math.log2(
+            SHARED_H0 / min(info["h"] for info in infos)))
+
+    def test_items_must_share_operator_angle_and_step(self, gen4):
+        k, f = OperatorKernel("S_L", gen4.operator), Regularizer(2)
+        twin = OperatorKernel("S_L", dense_twin(gen4.operator))
+        for other in ((twin, f, WIDE), (k, f, replace(WIDE, phi=1.3)),
+                      (k, f, replace(WIDE, h0=0.25))):
+            with pytest.raises(ValueError, match="shares one operator"):
+                integrate_many([(k, f, WIDE), other])
+        assert integrate_many([]) == []
+
+    def test_one_nonfinite_stem_names_its_function(self, gen4):
+        # past |s| ~ 2e51 the stem of reg(7) * pow(6) is inf * 0; the
+        # finite item beside it does not hide the error
+        k = OperatorKernel("S_L", gen4.operator)
+        bad = Product(Regularizer(7), Power(6))
+        with pytest.raises(ToleranceNotMet,
+                           match=r"\(reg\(7\) \* pow\(6\)\) is not finite"):
+            integrate_many([(k, Regularizer(2), WIDE),
+                            (k, bad, replace(WIDE, t_max=1e55))])
+
+    def test_one_stalled_item_ends_the_batch(self, gen4):
+        k = OperatorKernel("S_L", gen4.operator)
+        stalls = roundoff_contour(gen4)
+        with pytest.raises(ToleranceNotMet, match="stalled at h = "):
+            integrate_many([(k, Regularizer(2), replace(stalls, tol=1e-9)),
+                            (k, Regularizer(2), stalls)])
