@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import operators
-from .contour import (OperatorKernel, contour_for, integrate,
-                      integrate_many, require_moment_form)
+from .contour import (OperatorKernel, _require_positive_tol, contour_for,
+                      integrate, integrate_many, require_moment_form)
 from .errors import NotInjective, NotIntrinsic
 from .operators import (KERNEL_KINDS, CommutingOperator, QuatMatrix,
                         TypeProfile, adjoint, assemble, bq_conj, conj_op,
@@ -158,12 +158,12 @@ class Evaluator:
     threads compute one value, the first stored is kept.  calc_many
     computes the missing values of a list in one shared-lattice batch
     (contour.integrate_many), and calc is its list of one.  hinf assembles
-    its values from calc_many, one batch of every sub-value its kind needs,
+    each value from one calc_many batch of every sub-value its kind needs,
     so e(T), (e*f)(T) and their D, Dbar and Delta forms share the nodes'
-    work and serve every kind.  conj=True is the one conjugation rule: the
-    entrywise conjugate of the value at T for intrinsic f, otherwise the
-    value on conj(T), whose type profile is estimated once.  No value is
-    cached between evaluators; certificates are, by the same rule.
+    work and serve every kind.  conj=True is the one conjugation rule of
+    both: the entrywise conjugate of the value at T for intrinsic f, else
+    the value on conj(T), whose type profile is estimated once.  No value
+    is cached between evaluators; certificates are, by the same rule.
     """
 
     def __init__(self, t: CommutingOperator, profile: TypeProfile, *,
@@ -177,12 +177,6 @@ class Evaluator:
         self._memo = Memo()
         self._bar: Evaluator | None = None
         self._lock = threading.Lock()  # guards _bar
-
-    def _on_conj(self, f, evaluate) -> CalculusResult:
-        if f.intrinsic:
-            res = evaluate(self)
-            return replace(res, value=res.value.conj())
-        return evaluate(self._conj_evaluator())
 
     def _conj_evaluator(self) -> Evaluator:
         with self._lock:
@@ -210,6 +204,7 @@ class Evaluator:
         order, each equal to what calc gives it alone.  The values not yet
         memoized run as one batch on T (contour.integrate_many), and those
         of a non-intrinsic f with conj as one batch on conj(T)."""
+        _require_positive_tol(tol)
         requests = list(requests)
         here, there = [], []
         for kind, f, conj in requests:
@@ -275,20 +270,23 @@ class Evaluator:
         adjoint.  Requires T and conj(T) injective.
 
         Inverting the prefactor amplifies quadrature error by up to the
-        norm of e(T)^-1, so tol is capped at 1e-12.  Every sub-value runs
-        in one calc_many batch at tol; when the norm of e(T)^-1 read from
-        it asks for a tighter tol (down to the roundoff floor of the
-        quadrature), a second batch runs them all again at that tol.
+        norm of e(T)^-1 = (T^-1 + 2 + T)^n, so tol is capped at 1e-12 and,
+        when that norm asks for it, tightened further (down to the roundoff
+        floor of the quadrature) before any integral runs; every sub-value
+        then runs in one calc_many batch at that tol.  conj follows
+        calc_many's rule.
         """
+        _require_positive_tol(tol)
         if kind not in CALC_KINDS:
             raise ValueError(f"unknown calculus kind {kind!r}")
         tol = min(tol, _HINF_TOL_CAP)  # before the memo key: one value per cap
-        if conj:
-            return self._on_conj(f, lambda ev: ev.hinf(
-                kind, f, tol=tol, regularizer_power=regularizer_power))
-        return self._memo.get(
+        if conj and not f.intrinsic:
+            return self._conj_evaluator().hinf(
+                kind, f, tol=tol, regularizer_power=regularizer_power)
+        res = self._memo.get(
             ("hinf", kind, repr(f), tol, regularizer_power), f,
             lambda: self._hinf(kind, f, tol, regularizer_power))
+        return replace(res, value=res.value.conj()) if conj else res
 
     def _hinf(self, kind, f, tol, regularizer_power) -> CalculusResult:
         _require_injective(self.t.components, "T")
@@ -298,24 +296,19 @@ class Evaluator:
                                    self.theta)
         else:
             e = Regularizer(regularizer_power)
-        ef = Product(e, f)
-        named = {"e": e, "ef": ef}
-        requests = [(k, named[g], conj) for k, g, conj in _HINF_VALUES[kind]]
-        vals = self.calc_many(requests, tol=tol)
-        subs = [res.diagnostics for res in vals]
-        try:
-            amplification = vals[0].value.inverse().norm()
-        except np.linalg.LinAlgError as exc:
-            raise NotInjective("e(T) is numerically singular") from exc
-        if not math.isfinite(amplification):
+        # e(T)^-1 = (T^-1 + 2 + T)^n, on the complex adjoint
+        a = adjoint(self.t.components)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_inv = np.linalg.matrix_power(
+                np.linalg.inv(a) + 2.0 * np.eye(len(a)) + a, e.n)
+        if not np.isfinite(e_inv).all():
             raise NotInjective("e(T) is numerically singular")
-        tol_eff = max(min(tol, 1e-8 / max(amplification, 1.0)), 2e-13)
-        if tol_eff < tol:
-            tol = tol_eff
-            vals = self.calc_many(requests, tol=tol)
-            # e(T) at the cap and every value at tol count toward the
-            # diagnostics; the first batch's other values stay memoized
-            subs = subs[:1] + [res.diagnostics for res in vals]
+        amplification = float(np.linalg.svd(e_inv, compute_uv=False)[0])
+        tol = max(min(tol, 1e-8 / max(amplification, 1.0)), 2e-13)
+        named = {"e": e, "ef": Product(e, f)}
+        vals = self.calc_many([(k, named[g], conj)
+                               for k, g, conj in _HINF_VALUES[kind]], tol=tol)
+        subs = [res.diagnostics for res in vals]
         e_t, ef_t, *rest = (res.value for res in vals)
         e_tbar = e_t.conj()  # e is intrinsic
 
@@ -337,15 +330,13 @@ class Evaluator:
                        + e_t @ de_t @ def_t - de_t @ de_t @ ef_t)
 
         value, range_resid = _solve_prefactor(pref, bracket)
-        diag = CalcDiagnostics(tol_achieved=tol,
-                               nodes=sum(d.nodes for d in subs),
-                               h=min(d.h for d in subs), t_min=0.0,
-                               t_max=0.0, phi=self.phi, theta=self.theta,
-                               worst_cond=max(d.worst_cond for d in subs),
-                               kernel_path="dense" if any(
-                                   d.kernel_path == "dense" for d in subs)
-                               else "eigenbasis", regularizer_n=e.n,
-                               range_residual=range_resid)
+        # phi, theta and kernel_path are e(T)'s: conj_op hands conj(T) the
+        # eigenbasis of T
+        diag = replace(subs[0], tol_achieved=tol,
+                       nodes=sum(d.nodes for d in subs),
+                       h=min(d.h for d in subs), t_min=0.0, t_max=0.0,
+                       worst_cond=max(d.worst_cond for d in subs),
+                       regularizer_n=e.n, range_residual=range_resid)
         return CalculusResult(value, kind, "h_infinity", diag)
 
 
@@ -503,12 +494,11 @@ def power_recurrence_residuals(ev: Evaluator, f, n_max: int, *,
 
 
 def derivative_combination_residual(ev: Evaluator, f, *, tol: float) -> float:
-    """Residual of Dbar f(T) = 2 f'(T) - D f(T)."""
-    fprime = f.slice_derivative()
-    lhs = ev.calc("P2", f, tol=tol).value
-    rhs = (2.0 * ev.calc("S", fprime, tol=tol).value
-           - ev.calc("Q", f, tol=tol).value)
-    return _rel(lhs, rhs)
+    """Residual of Dbar f(T) = 2 f'(T) - D f(T), from one calc_many batch."""
+    dbf_t, fprime_t, df_t = (res.value for res in ev.calc_many(
+        [("P2", f, False), ("S", f.slice_derivative(), False),
+         ("Q", f, False)], tol=tol))
+    return _rel(dbf_t, 2.0 * fprime_t - df_t)
 
 
 def power_reference(kind: str, t: CommutingOperator, n: int) -> QuatMatrix:

@@ -138,9 +138,13 @@ class TestDecayingCalculi:
 
     @pytest.mark.parametrize("tol", [-1e-9, 0.0, math.nan])
     @pytest.mark.parametrize("value_of", [calc, hinf], ids=["calc", "hinf"])
-    def test_rejects_nonpositive_tol(self, ctx4, gen4, value_of, tol):
+    def test_rejects_nonpositive_tol(self, ctx4, gen4, monkeypatch, value_of,
+                                     tol):
+        # refused before a certificate is stored
+        monkeypatch.setattr(slicefun, "_CERTIFICATES", slicefun.Memo())
         with pytest.raises(ValueError, match="tolerance"):
             value_of("S", gen4.operator, Regularizer(2), ctx4.profile, tol=tol)
+        assert not slicefun._CERTIFICATES._store
 
     def test_angle_and_unit_independence(self, ctx4, gen4):
         f = Regularizer(2)
@@ -231,6 +235,27 @@ class TestEvaluator:
             want = hinf(kind, gen4.operator, Power(2), ctx4.profile)
             assert np.array_equal(got.value.components, want.value.components)
             assert got.diagnostics == want.diagnostics
+
+    @pytest.mark.parametrize("kind", ["S", "Q", "P2", "F"])
+    def test_hinf_conj_rule(self, ctx4, gen4, kind):
+        # a non-intrinsic f is evaluated on conj(T); an intrinsic one is
+        # the entrywise conjugate of its value at T
+        from qcalc.operators import estimate_type_profile
+        ev = Evaluator(gen4.operator, ctx4.profile)
+        f = Scale(E1, Power(2))
+        got = ev.hinf(kind, f, conj=True)
+        t_bar = conj_op(gen4.operator)
+        prof_bar = estimate_type_profile(
+            t_bar, ctx4.profile.omega, sorted(ctx4.profile.c_phi),
+            alpha=ctx4.profile.alpha, beta=ctx4.profile.beta)
+        want = hinf(kind, t_bar, f, prof_bar, theta=ev.theta, phi=ev.phi)
+        assert np.array_equal(got.value.components, want.value.components)
+        assert got.diagnostics == want.diagnostics
+        got = ev.hinf(kind, Power(2), conj=True)
+        want = ev.hinf(kind, Power(2))
+        assert np.array_equal(got.value.components,
+                              want.value.conj().components)
+        assert got.diagnostics == want.diagnostics
 
     def test_hinf_tolerance_cap_is_one_memo_entry(self, ctx4, gen4,
                                                   monkeypatch):
@@ -463,6 +488,16 @@ class TestHInfinity:
         with pytest.raises(NotInjective):
             hinf("S", zero, Power(1), ctx4.profile)
 
+    def test_overflowing_regularizer_inverse_is_typed(self, ctx4, gen4,
+                                                      monkeypatch):
+        # e(T)^-1 = (T^-1 + 2 + T)^500 overflows: NotInjective, with no
+        # numpy warning, before any integral runs
+        seen = counting_integrate(monkeypatch)
+        with pytest.raises(NotInjective, match=re.escape("e(T)")):
+            hinf("S", gen4.operator, Power(1), ctx4.profile,
+                 regularizer_power=500)
+        assert not seen
+
     @pytest.mark.parametrize("n", [400, 10**20])
     def test_large_power_is_typed(self, n):
         # s^n overflows on the certificate grid (400) or is NaN there
@@ -507,7 +542,7 @@ class TestHInfinity:
 
     def test_retightened_value_equals_separate_integrals(self, monkeypatch):
         # at annulus (0.1, 10) the norm of e(T)^-1 asks hinf("F", pow(5))
-        # for a tol below the cap, so a second batch runs at it; the value
+        # for a tol below the cap, at which its one batch runs; the value
         # and diagnostics are those of one integrate call per sub-value
         ctx = SuiteContext(generate_operator(
             OperatorSpec(dim=4, seed=3, annulus=(0.1, 10))))
@@ -520,6 +555,24 @@ class TestHInfinity:
         want = hinf("F", ctx.operator, Power(5), ctx.profile)
         assert np.array_equal(got.value.components, want.value.components)
         assert got.diagnostics == want.diagnostics
+
+    def test_retightened_value_is_one_batch(self, monkeypatch):
+        # the tighter tol comes from the closed-form e(T)^-1, so every
+        # sub-value runs once, in one batch at that tol
+        ctx = SuiteContext(generate_operator(
+            OperatorSpec(dim=4, seed=3, annulus=(0.1, 10))))
+        seen = counting_integrate(monkeypatch)
+        batches, real_many = [], calculus.integrate_many
+
+        def counting_batches(items, side="left"):
+            batches.append(len(items))
+            return real_many(items, side=side)
+
+        monkeypatch.setattr(calculus, "integrate_many", counting_batches)
+        res = hinf("F", ctx.operator, Power(5), ctx.profile)
+        assert batches == [len(seen)] == [6]
+        assert all(key[-2] == res.diagnostics.tol_achieved < 1e-12
+                   for key in seen)
 
     def test_kernel_path_is_reported(self, ctx4, gen4):
         res = hinf("Q", gen4.operator, Power(2), ctx4.profile)

@@ -319,6 +319,11 @@ class TestReadmeInSync:
                                    "(reg(2) + pow(1)) * reg(3)")
         assert repr(parse(text)) == repr(parse(grouped))
 
+    def test_library_sketch_runs(self):
+        block = re.search(r"## Library sketch\n\n```python\n(.*?)```",
+                          README.read_text(), re.S)
+        exec(compile(block.group(1), str(README), "exec"), {})
+
     def test_schema_version_matches(self):
         listed = re.findall(r'schema version `"(\d+)"`', README.read_text())
         assert listed == [suites.REPORT_VERSION]
