@@ -28,9 +28,9 @@ from . import operators
 from .contour import (OperatorKernel, _require_positive_tol, contour_for,
                       integrate, integrate_many, require_moment_form)
 from .errors import NotInjective, NotIntrinsic
-from .operators import (KERNEL_KINDS, CommutingOperator, QuatMatrix,
-                        TypeProfile, adjoint, assemble, bq_conj, conj_op,
-                        estimate_type_profile, stack_norm)
+from .operators import (KERNEL_KINDS, _AB_FAMILY, CommutingOperator,
+                        QuatMatrix, TypeProfile, adjoint, assemble, bq_conj,
+                        conj_op, estimate_type_profile, stack_norm)
 from .quaternion import E1, Quaternion, to_slice
 from .slicefun import Memo, Power, Product, Regularizer, choose_regularizer
 
@@ -43,25 +43,13 @@ _PREFACTOR = {"S": 1.0 / (2.0 * math.pi), "Q": -1.0 / math.pi,
 _LEFT_KERNEL = {"S": "S_L", "Q": "Qc", "P2": "P2_L", "F": "F_L"}
 _RIGHT_KERNEL = {"S": "S_R", "Q": "Qc", "P2": "P2_R", "F": "F_R"}
 
-# norm bounds of the kernels outside the phi-sector, as multiples of the
-# sampled S-resolvent constant: (multiplier(C), exponent factor); the kernel
-# norm is bounded by mult * |s|**(-factor*alpha) below radius one and
-# mult * |s|**(-factor*beta) above.
-_KERNEL_ENVELOPE = {
-    "S_L": (lambda c: c, 1.0),
-    "S_R": (lambda c: 2.0 * c, 1.0),
-    "Qc": (lambda c: 10.0 * c * c, 2.0),
-    "P2_L": (lambda c: 10.0 * c * c, 2.0),
-    "P2_R": (lambda c: 16.0 * c * c, 2.0),
-    "F_L": (lambda c: 40.0 * c ** 3, 3.0),
-    "F_R": (lambda c: 80.0 * c ** 3, 3.0),
-}
-
 INJECTIVITY_FACTOR = 1e-10
 
 # H-infinity sub-integrals run at this tolerance or tighter, because the
-# prefactor inversion amplifies their error
+# prefactor inversion amplifies their error, but no tighter than the
+# roundoff floor of the quadrature
 _HINF_TOL_CAP = 1e-12
+_HINF_TOL_FLOOR = 2e-13
 
 # the decaying-regime values each H-infinity kind is assembled from, as
 # (kind, "e" or "ef", conj), e(T) and (e*f)(T) first
@@ -81,10 +69,13 @@ def _kernel_kind(kind: str, side: str) -> str:
 
 
 def kernel_bound(kernel_kind: str, profile: TypeProfile, phi: float):
-    """(C_K, a_K, b_K) tail envelope of a kernel outside the phi-sector."""
-    mult, factor = _KERNEL_ENVELOPE[kernel_kind]
-    c = profile.constant_at(phi)
-    return mult(c), factor * profile.alpha, factor * profile.beta
+    """(C, p alpha, p): the tail envelope ||K(s)|| <= C |s|**(-p alpha)
+    below radius one and C |s|**(-p) above of a kernel outside the
+    phi-sector, with C its family's sampled constant and p the family's
+    order at infinity (see TypeProfile)."""
+    family = _AB_FAMILY[kernel_kind]
+    p = profile.orders[family]
+    return profile.constant_at(phi, family), p * profile.alpha, float(p)
 
 
 @dataclass
@@ -272,8 +263,10 @@ class Evaluator:
         Inverting the prefactor amplifies quadrature error by up to the
         norm of e(T)^-1 = (T^-1 + 2 + T)^n, so tol is capped at 1e-12 and,
         when that norm asks for it, tightened further (down to the roundoff
-        floor of the quadrature) before any integral runs; every sub-value
-        then runs in one calc_many batch at that tol.  conj follows
+        floor of the quadrature, 2e-13) before any integral runs; every
+        sub-value then runs in one calc_many batch at that tol.  A norm at
+        which that floor times the norm reaches 1 would leave the value
+        all noise, and raises NotInjective first.  conj follows
         calc_many's rule.
         """
         _require_positive_tol(tol)
@@ -304,7 +297,13 @@ class Evaluator:
         if not np.isfinite(e_inv).all():
             raise NotInjective("e(T) is numerically singular")
         amplification = float(np.linalg.svd(e_inv, compute_uv=False)[0])
-        tol = max(min(tol, 1e-8 / max(amplification, 1.0)), 2e-13)
+        if amplification * _HINF_TOL_FLOOR >= 1.0:
+            # sub-integrals at the floor would leave the value all noise
+            raise NotInjective(
+                f"e(T) = reg({e.n})(T) is too small to invert: ||e(T)^-1|| = "
+                f"{amplification:.3g} amplifies the quadrature floor "
+                f"{_HINF_TOL_FLOOR:g} past 1")
+        tol = max(min(tol, 1e-8 / max(amplification, 1.0)), _HINF_TOL_FLOOR)
         named = {"e": e, "ef": Product(e, f)}
         vals = self.calc_many([(k, named[g], conj)
                                for k, g, conj in _HINF_VALUES[kind]], tol=tol)

@@ -63,6 +63,10 @@ _MAX_REFINEMENTS = 9
 # Truncation radii are clamped to keep intermediate powers of |s| inside
 # float range; contour_for refuses certificates that would need more.
 _RADIUS_CLAMP = 1e60
+# the share of the target that the two truncated tails together may take:
+# the refinement's level difference never sees them, so they are kept far
+# below what it accepts
+_TAIL_SHARE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -106,17 +110,19 @@ def _require_positive_tol(tol: float) -> None:
 
 
 def _one_sided_radius(delta: float, c: float, tol: float, side: str) -> float:
-    """Truncation radius t_min (side "min") with 2 C t_min**delta / delta <=
-    tol/20, or t_max (side "max") with the mirrored bound at infinity; the
-    min(delta, 1) keeps extra headroom for delta > 1.  tol = inf gives 1.
-    A constant so large (or NaN) that the bound underflows raises
-    ToleranceNotMet; a radius past the float range is inf."""
+    """Truncation radius t_min (side "min") with 2 C t_min**delta / delta =
+    _TAIL_SHARE tol / 2, the bound on both rays' integrand C t**(-1+delta)
+    over (0, t_min), or t_max (side "max") with the mirrored bound for
+    C t**(-1-delta) over (t_max, inf), so the two ends together stay below
+    _TAIL_SHARE tol.  tol = inf gives 1.  A constant so large (or NaN)
+    that the bound underflows raises ToleranceNotMet; a radius past the
+    float range is inf."""
     if delta <= 0.0:
         raise ValueError("decay rate delta must be positive")
     _require_positive_tol(tol)
     if not math.isfinite(tol):
         return 1.0
-    base = min(delta, 1.0) * tol / (40.0 * max(c, 1e-300))
+    base = delta * _TAIL_SHARE * tol / (4.0 * max(c, 1e-300))
     if not base > 0.0:
         raise ToleranceNotMet(
             f"certificate constant {c:.3g} leaves no truncation radius in "
@@ -138,28 +144,32 @@ def _first_step(strip: float, tol: float) -> float:
 
 def contour_for(cert, kernel_bound, phi: float, omega: float,
                 unit: Quaternion, tol: float = 1e-9) -> SectorContour:
-    """Build a contour whose truncation error is certified below tol/10;
-    ToleranceNotMet when the certified radii cannot be represented.
+    """Build a contour whose two truncated tails together are certified
+    below tol * _TAIL_SHARE (tol / 1e4); ToleranceNotMet when the certified
+    radii cannot be represented.
 
     cert is the integrand's DecayCertificate, certified on the sector of
     angle cert.theta.  kernel_bound is (C_K, a_K, b_K): the kernel norm is
     bounded by C_K |s|**-a_K below radius one and C_K |s|**-b_K above.  The
     integrand then decays like t**(-1+delta0) at zero and
-    t**(-1-deltainf) at infinity.  omega is the operator's spectral angle;
-    with theta = cert.theta the integrand is analytic on the strip of
-    half-width min(phi - omega, theta - phi) in log r, which sets the first
-    lattice step (_first_step).
+    t**(-1-deltainf) at infinity, delta0 = cert.delta0 + cert.a - a_K and
+    deltainf = cert.deltainf + b_K - cert.b, and each end's radius comes
+    from its own rate (_one_sided_radius).  omega is the operator's
+    spectral angle; with theta = cert.theta the integrand is analytic on
+    the strip of half-width min(phi - omega, theta - phi) in log r, which
+    sets the first lattice step (_first_step).
     """
     if not omega < phi < cert.theta:
         raise ValueError(f"need omega < phi < theta, got omega={omega!r}, "
                          f"phi={phi!r}, theta={cert.theta!r}")
     c_k, a_k, b_k = kernel_bound
-    delta0 = cert.delta + (cert.a - a_k)
-    deltainf = cert.delta + (b_k - cert.b)
+    delta0 = cert.delta0 + (cert.a - a_k)
+    deltainf = cert.deltainf + (b_k - cert.b)
     if delta0 <= 0.0 or deltainf <= 0.0:
         raise NoDecayMetadata(
-            f"certificate (a={cert.a:g}, b={cert.b:g}, delta={cert.delta:g}) "
-            f"cannot absorb a kernel of orders ({a_k:g}, {b_k:g})")
+            f"certificate (a={cert.a:g}, b={cert.b:g}, delta0="
+            f"{cert.delta0:g}, deltainf={cert.deltainf:g}) cannot absorb a "
+            f"kernel of orders ({a_k:g}, {b_k:g})")
     c_total = c_k * cert.constant
     t_min = _one_sided_radius(delta0, c_total, tol, "min")
     t_max = _one_sided_radius(deltainf, c_total, tol, "max")

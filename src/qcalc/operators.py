@@ -17,9 +17,10 @@ _chain): when one orthogonal U diagonalizes both
 (CommutingOperator.eigenbasis), the quadrature inverts the n scalars
 z^2 - 2 z d0 + d2, O(n) per node, and otherwise the complex n x n matrix.
 Point kernels (kernel_batch) always take the matrix.  Type profiles
-(estimate_type_profile) read kernel norms from the joint eigenvalues when
-U diagonalizes every component (CommutingOperator.joint_eigenvalues), and
-otherwise take the largest singular value of the kernel's complex adjoint.
+(estimate_type_profile) take each family's sup over every unit in closed
+form from the joint eigenvalues when U diagonalizes every component
+(CommutingOperator.joint_eigenvalues), and otherwise bound it by the
+Frobenius norms of the family's pair (A, B).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SpectrumHit
-from .quaternion import E1, Quaternion, SlicePoint, qarr, qarr_mul, to_slice
+from .quaternion import Quaternion, SlicePoint, qarr, qarr_mul, to_slice
 
 COND_SPECTRUM_THRESHOLD = 1e12
 
@@ -401,12 +402,19 @@ class KernelNumerator:
     A + i B = sum_d coef[d] z^d M^power with coef (degree+1, 4, n, n) and
     M = Q_{c,z}(T)^-1 (see _chain); the coefficients commute with M,
     and the kernel at x + J y is K_L = A + B J, K_R = A + J B.  The
-    family decays like |s|^(-2 power).  Neither coef nor the quadrature's
-    moments of z^d M^power depend on J (see contour); only point kernels
-    (kernel_batch with a unit) assemble a J."""
+    family decays like |s|^-order (see order).  Neither coef nor the
+    quadrature's moments of z^d M^power depend on J (see contour); only
+    point kernels (kernel_batch with a unit) assemble a J."""
 
     coef: np.ndarray
     power: int
+
+    @property
+    def order(self) -> int:
+        """p = 2 power - degree: z^degree M^power falls like |s|^-p, and
+        so does the family, whose leading coefficient (a multiple of the
+        identity) is not zero: 1, 2, 2, 3 for S, Qc, P2, F."""
+        return 2 * self.power - (len(self.coef) - 1)
 
 
 def _kernel_numerators(t: CommutingOperator) -> dict:
@@ -543,44 +551,66 @@ def f_spectrum_check(t: CommutingOperator, s) -> bool:
 
 _PROFILE_RADII = np.geomspace(1e-3, 1e3, 40)
 _PROFILE_RAYS = 4  # rays per test angle, from phi to pi
+# one kernel kind per family; _L and _R of a family share (A, B)
+_PROFILE_KINDS = {"S": "S_L", "Qc": "Qc", "P2": "P2_L", "F": "F_L"}
 
 
 @dataclass
 class TypeProfile:
     """Growth data of an operator of type (alpha, beta, omega).
 
-    c_phi maps each sampled test angle phi to a constant with
-    ||S_L^-1(s,T)|| <= C_phi |s|**-alpha (|s|<=1) resp. |s|**-beta (|s|>=1)
-    outside the sector of angle phi.
+    c_phi maps each sampled test angle phi to one constant C per kernel
+    family (S, Qc, P2, F) with
+
+        ||K(s, T)|| <= C |s|**(-p alpha) (|s| <= 1), C |s|**(-p) (|s| >= 1)
+
+    for both kernels K of the family, every unit J and both rays outside
+    the sector of angle phi, p = orders[family] the family's exact order
+    at infinity (KernelNumerator.order).
     """
 
     alpha: float
     beta: float
     omega: float
     c_phi: dict = field(default_factory=dict)
+    orders: dict = field(default_factory=dict)
 
-    def constant_at(self, phi: float) -> float:
-        """Conservative constant valid on the complement of the phi-sector."""
+    def constant_at(self, phi: float, family: str) -> float:
+        """Conservative constant of a family valid on the complement of the
+        phi-sector."""
         if not self.c_phi:
             raise ValueError("profile has no sampled constants")
-        eligible = [c for ang, c in self.c_phi.items() if ang <= phi + 1e-12]
+        eligible = [c[family] for ang, c in self.c_phi.items()
+                    if ang <= phi + 1e-12]
         if eligible:
             return max(eligible)
-        return 2.0 * max(self.c_phi.values())
+        return 2.0 * max(c[family] for c in self.c_phi.values())
 
 
 def estimate_type_profile(t: CommutingOperator, omega: float, angles,
                           alpha: float = 1.0 / 3.0, beta: float = 1.0 / 3.0
                           ) -> TypeProfile:
-    """Sample C_phi = sup ||S_L^-1(s, T)|| weighted by |s|**alpha / |s|**beta
-    over log-spaced radii on rays x + E1 y outside each test sector,
-    inflated by 2.  A ray shared by several test angles (psi = pi ends
-    every fan) is sampled once, and all samples are taken in one batch.
-    With t.joint_eigenvalues the norm is read from them: S_L^-1(s, T) is
-    U diag((s - conj(lambda_k)) Q_{c,s}(lambda_k)^-1) U^T, so it is
-    max_k |s - conj(lambda_k)| |g_k| / scale^2 with (g, scale) of
-    _chain on the eigenbasis path, O(n) per sample.  Otherwise it is the
-    largest singular value of the kernel's complex adjoint (stack_norm)."""
+    """Sample each family's C_phi (see TypeProfile): twice the sup of
+    N(s) w(|s|), w = |s|**(p alpha) below radius one and |s|**p above,
+    over log-spaced radii on the rays x + i y of each test fan psi in
+    [phi, pi], and at least ||coef[-1]||, the limit of ||K|| |s|**p at
+    infinity.  N(s) bounds ||K(x + J y)|| for every unit J, so on the lower
+    ray too (the upper one at -J), and for K_L and K_R alike.  A ray
+    shared by several test angles (psi = pi ends every fan) is sampled
+    once, and all samples share one _chain call.
+
+    With t.joint_eigenvalues N is that sup itself, in closed form.  In U
+    every kernel is diagonal, its entry k the scalar kernel at
+    lambda_k = l0 + l v (v a unit), a product of the moduli
+    m = |Q_{c,s}(lambda_k)^-1|, |s - l0| and |s - conj(lambda_k)|, the last
+    of which peaks over the units at J = v, at
+    sqrt((x - l0)^2 + (|y| + l)^2).  By the families' definitions
+    (_kernel_numerators) the sups are Qc = m, S = |s - conj(lambda)| m,
+    F = 4 |s - conj(lambda)| m^2 and P2 = 4 |s - l0| |s - conj(lambda)| m^2,
+    O(n) per sample.  Otherwise N = ||A||_F + ||B||_F of kernel_batch's
+    pairs (||A + B J|| <= ||A|| + ||B||), at most 2 sqrt(n) times the sup
+    and O(n^2) per sample, where 2-norms would take one SVD per family,
+    pair and sample."""
     angles = [float(phi) for phi in angles]
     if not all(omega < phi < math.pi for phi in angles):
         raise ValueError("test angles must lie in (omega, pi)")
@@ -589,21 +619,40 @@ def estimate_type_profile(t: CommutingOperator, omega: float, angles,
     radii = _PROFILE_RADII
     x = np.multiply.outer([math.cos(psi) for psi in psis], radii).ravel()
     y = np.multiply.outer([abs(math.sin(psi)) for psi in psis], radii).ravel()
+    nums = [t.kernel_numerators[fam] for fam in _PROFILE_KINDS]
     lam = t.joint_eigenvalues
     if lam is None:
-        norms = stack_norm(kernel_batch("S_L", t, x, y, E1))
+        pairs = kernel_batch(tuple(_PROFILE_KINDS.values()), t, x, y, None)
+        norms = np.stack([stack_fro(a) + stack_fro(b)
+                          for a, b in pairs.values()])
     else:
         g, scale, _ = _chain(t, x, y, upto="Qc", diagonal=True)
-        dist = np.sqrt((x[:, None] - lam[0]) ** 2 + (y[:, None] + lam[1]) ** 2
-                       + lam[2] ** 2 + lam[3] ** 2)  # |s - conj(lambda_k)|
-        norms = np.max(dist * np.abs(g), axis=1) / scale ** 2
-    weight = np.where(radii <= 1.0, radii ** alpha, radii ** beta)
-    ray_sup = dict(zip(psis, np.max(norms.reshape(len(psis), len(radii))
-                                    * weight, axis=1)))
-    profile = TypeProfile(alpha=alpha, beta=beta, omega=omega)
+        # (n, samples): |m_k| = |Q_{c,s}(lambda_k)^-1|, |s - lambda0_k| and
+        # the sup of |s - conj(lambda_k)| over every unit and both rays
+        m = np.abs(g.T) / scale ** 2
+        dx2 = (x - lam[0][:, None]) ** 2
+        w = np.sqrt(dx2 + y * y)
+        e = np.sqrt(dx2 + (y + np.sqrt(np.sum(lam[1:] ** 2, axis=0))[:, None])
+                    ** 2)
+        s_sup = e * m
+        f_sup = 4.0 * s_sup * m
+        # S, Qc, P2 and F: the sup over the n entries
+        norms = np.stack([np.max(a, axis=0)
+                          for a in (s_sup, m, w * f_sup, f_sup)])
+    # each coef[-1] is a real multiple of the identity
+    limits = [abs(num.coef[-1][0, 0, 0]) for num in nums]
+    orders = np.array([[num.order] for num in nums], dtype=float)
+    weight = np.where(radii <= 1.0, radii ** (alpha * orders), radii ** orders)
+    # (families, rays)
+    ray_sup = np.max(norms.reshape(len(nums), len(psis), len(radii))
+                     * weight[:, None, :], axis=2)
+    profile = TypeProfile(alpha=alpha, beta=beta, omega=omega,
+                          orders={fam: num.order
+                                  for fam, num in zip(_PROFILE_KINDS, nums)})
     for phi, fan in fans.items():
-        profile.c_phi[phi] = 2.0 * max(float(ray_sup[float(psi)])
-                                       for psi in fan)
+        rays = [psis.index(float(psi)) for psi in fan]
+        c = np.maximum(2.0 * np.max(ray_sup[:, rays], axis=1), limits)
+        profile.c_phi[phi] = dict(zip(_PROFILE_KINDS, c.tolist()))
     return profile
 
 

@@ -39,11 +39,16 @@ _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 @dataclass(frozen=True)
 class DecayCertificate:
-    """|f(s)| <= C * |s|**(a-1+delta) for |s|<=1 and C * |s|**(b-1-delta) for |s|>=1 on the sector of angle theta."""
+    """|f(s)| <= C * |s|**(a-1+delta0) for |s|<=1 and C * |s|**(b-1-deltainf)
+    for |s|>=1 on the sector of angle theta.  Each end has its own rate,
+    from f's exact leading order there (delta0 = ord0 - a + 1, deltainf =
+    b - 1 - ordinf, each capped at 8), so a fast end does not wait for a
+    slow one."""
 
     a: float
     b: float
-    delta: float
+    delta0: float
+    deltainf: float
     constant: float
     theta: float
 
@@ -140,23 +145,27 @@ class StemFunction:
     def certify_decay(self, a: float, b: float, theta: float) -> DecayCertificate:
         """Certificate of membership in the class with exponents (a, b) on the sector of angle theta.
 
-        delta comes from the exact leading orders; the constant is twice
-        _sample_sup.  Raises ClassMismatch when the orders admit no positive
-        delta or that sup is not finite.
+        delta0 and deltainf come from the exact leading orders at each end;
+        the constant is twice _sample_sup.  Raises ClassMismatch when the
+        orders admit no positive rate at either end or that sup is not
+        finite.
         """
-        delta = min(self.ord0 - a + 1.0, b - 1.0 - self.ordinf, 8.0)
-        if delta <= 0.0:
+        delta0 = min(self.ord0 - a + 1.0, 8.0)
+        deltainf = min(b - 1.0 - self.ordinf, 8.0)
+        if delta0 <= 0.0 or deltainf <= 0.0:
             raise ClassMismatch(
                 f"{self!r} is not in the ({a:g},{b:g}) decay class: "
-                f"orders ({self.ord0:g}, {self.ordinf:g}) give delta = {delta:g}")
+                f"orders ({self.ord0:g}, {self.ordinf:g}) give delta0 = "
+                f"{delta0:g}, deltainf = {deltainf:g}")
 
         def weight(r):
-            return np.where(r <= 1.0, r ** (a - 1.0 + delta), r ** (b - 1.0 - delta))
+            return np.where(r <= 1.0, r ** (a - 1.0 + delta0),
+                            r ** (b - 1.0 - deltainf))
 
         def compute():
             # floor keeps the truncation formulas sane for near-zero functions
             c = max(2.0 * self._sample_sup(theta, weight), 1e-6)
-            return DecayCertificate(a, b, delta, c, theta)
+            return DecayCertificate(a, b, delta0, deltainf, c, theta)
 
         return _CERTIFICATES.get(("decay", repr(self), a, b, theta), self,
                                  compute)

@@ -498,6 +498,21 @@ class TestHInfinity:
                  regularizer_power=500)
         assert not seen
 
+    def test_noise_amplifying_regularizer_is_refused(self, monkeypatch):
+        # at annulus (10, 1e3) reg(160)(T) is tiny on the whole spectrum,
+        # so ||e(T)^-1|| = 2.2e300 times the 2e-13 floor of the
+        # sub-integrals is far above 1: NotInjective names the
+        # amplification before any integral runs, where the value came
+        # out with relative error 1.0 and no error
+        ctx = SuiteContext(generate_operator(
+            OperatorSpec(dim=2, seed=3, annulus=(10.0, 1e3))))
+        seen = counting_integrate(monkeypatch)
+        with pytest.raises(NotInjective,
+                           match=re.escape("||e(T)^-1|| = 2.23e+300")):
+            hinf("S", ctx.operator, Power(1), ctx.profile,
+                 regularizer_power=160)
+        assert not seen
+
     @pytest.mark.parametrize("n", [400, 10**20])
     def test_large_power_is_typed(self, n):
         # s^n overflows on the certificate grid (400) or is NaN there
@@ -526,8 +541,9 @@ class TestHInfinity:
         assert all(math.isfinite(cert.constant) for _, cert in stored.values())
 
     def test_nonfinite_integrand_fails_at_once(self, monkeypatch):
-        # past |s| ~ 2e51 the stem of reg(7) * pow(6) is inf * 0: the first
-        # quadrature level refuses it instead of refining to the cap
+        # past |s| ~ 5e23 the stem of reg(14) * pow(13) is inf * 0, and its
+        # S-contour reaches 1.4e25: the first quadrature level refuses it
+        # instead of refining to the cap
         ctx = SuiteContext(generate_operator(OperatorSpec(dim=2, seed=7)))
         levels, real_level = [], contour._level_value
 
@@ -536,9 +552,10 @@ class TestHInfinity:
             return real_level(items, *args)
 
         monkeypatch.setattr(contour, "_level_value", counting_level)
-        with pytest.raises(ToleranceNotMet, match=r"reg\(7\) \* pow\(6\)"):
-            hinf("S", ctx.operator, Power(6), ctx.profile)
-        assert levels.count("(reg(7) * pow(6))") == 1
+        with pytest.raises(ToleranceNotMet,
+                           match=r"reg\(14\) \* pow\(13\)"):
+            hinf("S", ctx.operator, Power(13), ctx.profile)
+        assert levels.count("(reg(14) * pow(13))") == 1
 
     def test_retightened_value_equals_separate_integrals(self, monkeypatch):
         # at annulus (0.1, 10) the norm of e(T)^-1 asks hinf("F", pow(5))

@@ -83,6 +83,15 @@ class TestRun:
         b = strip_ms(json.loads((d2 / "kernels_report.json").read_text()))
         assert a == b
 
+    def test_powers_to_eight_pass(self, capsys):
+        # hinf(pow(n)) up to n = 8 runs on (reg(n + 1) * pow(n)), whose stem
+        # overflows past |s| ~ 1e34 at n = 8: the S-contour's radius from
+        # the kernel's own order at infinity stays far below that
+        assert main(["run", "powers", "--n-max", "8", "--dim", "4",
+                     "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "hinf_power_F_n8" in out
+
     def test_operator_file_roundtrip(self, tmp_path):
         op_file = tmp_path / "op.txt"
         assert main(["generate", "--dim", "3", "--seed", "5",

@@ -38,20 +38,23 @@ def cauchy_setup(tol=1e-9):
 
 class TestTailRadius:
     def test_spec_values(self):
+        # 2 C t**delta / delta = tol / 2e4 at each end
         assert _one_sided_radius(1.0, 1.0, 1e-8, "min") == pytest.approx(
-            2.5e-10, rel=1e-12)
+            2.5e-13, rel=1e-12)
         assert _one_sided_radius(1.0, 1.0, 1e-8, "max") == pytest.approx(
-            4e9, rel=1e-12)
+            4e12, rel=1e-12)
         assert _one_sided_radius(2.0, 1.0, 1e-8, "min") == pytest.approx(
-            math.sqrt(2.5e-10), rel=1e-12)
+            math.sqrt(5e-13), rel=1e-12)
 
-    @pytest.mark.parametrize("delta,c,tol", [(0.5, 3.0, 1e-6), (1.0, 1.0, 1e-8),
-                                             (2.0, 10.0, 1e-9), (0.2, 0.5, 1e-7)])
+    @pytest.mark.parametrize("delta,c,tol", [
+        (0.5, 3.0, 1e-6), (1.0, 1.0, 1e-8), (2.0, 10.0, 1e-9),
+        (0.2, 0.5, 1e-7), (8.5, 40.0, 1e-12)])
     def test_tail_bound_postcondition(self, delta, c, tol):
+        # both tails together stay below tol / 1e4
         t_min = _one_sided_radius(delta, c, tol, "min")
         t_max = _one_sided_radius(delta, c, tol, "max")
-        assert 2.0 * c * t_min ** delta / delta <= tol / 20.0 * (1 + 1e-12)
-        assert 2.0 * c * t_max ** (-delta) / delta <= tol / 20.0 * (1 + 1e-12)
+        assert 2.0 * c * t_min ** delta / delta <= tol / 2e4 * (1 + 1e-12)
+        assert 2.0 * c * t_max ** (-delta) / delta <= tol / 2e4 * (1 + 1e-12)
 
     def test_degenerate_rejected(self):
         assert _one_sided_radius(1.0, 1.0, math.inf, "min") == 1.0
@@ -83,8 +86,21 @@ class TestTailRadius:
         # ValueError of the SectorContour invariant
         _, _, cert = cauchy_setup()
         with pytest.raises(ToleranceNotMet):
-            contour_for(replace(cert, delta=1e20), (2.0, 1.0, 1.0),
-                        math.pi / 2, 0.0, E1)
+            contour_for(replace(cert, delta0=1e20, deltainf=1e20),
+                        (2.0, 1.0, 1.0), math.pi / 2, 0.0, E1)
+
+    def test_each_end_uses_its_own_rate(self):
+        # reg(3) * pow(1) on the (1, 1) class: delta0 = 4, deltainf = 2;
+        # a kernel of orders (1/3, 1) leaves 4 + 2/3 at zero and 2 at
+        # infinity, each end's radius from its own rate
+        cert = Product(Power(1), Regularizer(3)).certify_decay(1.0, 1.0, 2.4)
+        assert (cert.delta0, cert.deltainf) == (4.0, 2.0)
+        contour = contour_for(cert, (3.0, 1.0 / 3.0, 1.0), math.pi / 2,
+                              0.0, E1, tol=1e-9)
+        c = 3.0 * cert.constant
+        assert contour.t_min == _one_sided_radius(4.0 + 2.0 / 3.0, c, 1e-9,
+                                                  "min")
+        assert contour.t_max == _one_sided_radius(2.0, c, 1e-9, "max")
 
 
 class TestContourValidation:

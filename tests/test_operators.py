@@ -5,6 +5,7 @@ import pytest
 
 from conftest import dense_twin, random_quaternion, scalar_operator
 from qcalc import operators
+from qcalc.calculus import kernel_bound
 from qcalc.errors import SpectrumHit
 from qcalc.operators import (_PROFILE_RADII, _PROFILE_RAYS,
                              COND_SPECTRUM_THRESHOLD, CommutingOperator,
@@ -13,7 +14,7 @@ from qcalc.operators import (_PROFILE_RADII, _PROFILE_RAYS,
                              conj_op, estimate_type_profile, f_spectrum_check,
                              from_adjoint, kernel, kernel_batch, modulus_sq,
                              operator_from_text, operator_to_text, q_operator,
-                             stack_norm)
+                             stack_fro, stack_norm)
 from qcalc.quaternion import (E1, E2, ONE, Quaternion,
                               random_unit_imaginary, to_slice)
 from qcalc.suites import OperatorSpec, generate_operator
@@ -500,65 +501,115 @@ class TestEigenbasis:
         assert t.eigenbasis is None
 
 
+FAMILIES = ("S", "Qc", "P2", "F")
+
+
 class TestTypeProfile:
     def test_accepts_sectorial_diagonal(self, gen4):
         prof = estimate_type_profile(gen4.operator, math.pi / 4,
                                      [math.pi / 2, 3 * math.pi / 4])
         assert prof.alpha == pytest.approx(1.0 / 3.0)
-        for c in prof.c_phi.values():
-            assert 0.0 < c < math.inf
+        assert prof.orders == {"S": 1, "Qc": 2, "P2": 2, "F": 3}
+        for consts in prof.c_phi.values():
+            assert sorted(consts) == sorted(FAMILIES)
+            for c in consts.values():
+                assert 0.0 < c < math.inf
         # constants shrink (weakly) as the excluded sector grows
-        assert prof.c_phi[math.pi / 2] >= prof.c_phi[3 * math.pi / 4] - 1e-12
+        for fam in FAMILIES:
+            assert (prof.c_phi[math.pi / 2][fam]
+                    >= prof.c_phi[3 * math.pi / 4][fam] - 1e-12)
 
     def test_constant_lookup_is_conservative(self, gen4):
         prof = estimate_type_profile(gen4.operator, math.pi / 4,
                                      [1.0, 2.0])
-        assert prof.constant_at(1.5) == prof.c_phi[1.0]
-        assert prof.constant_at(2.5) == max(prof.c_phi[1.0], prof.c_phi[2.0])
-        assert prof.constant_at(0.9) == 2.0 * max(prof.c_phi.values())
+        for fam in FAMILIES:
+            c1, c2 = prof.c_phi[1.0][fam], prof.c_phi[2.0][fam]
+            assert prof.constant_at(1.5, fam) == c1
+            assert prof.constant_at(2.5, fam) == max(c1, c2)
+            assert prof.constant_at(0.9, fam) == 2.0 * max(c1, c2)
 
     def test_envelope_really_bounds(self, gen4):
         prof = estimate_type_profile(gen4.operator, math.pi / 4, [1.2])
-        c = prof.c_phi[1.2]
+        c = prof.c_phi[1.2]["S"]
         radii = np.geomspace(1e-2, 1e2, 30)
         for psi in (1.2, 2.0, math.pi):
             for r in radii:
                 s = Quaternion(r * math.cos(psi)) + E1 * (r * abs(math.sin(psi)))
                 nk = kernel("S_L", gen4.operator, s).norm()
-                bound = c * (r ** (-prof.alpha) if r <= 1 else r ** (-prof.beta))
+                bound = c * (r ** (-prof.alpha) if r <= 1 else 1.0 / r)
                 assert nk <= bound * 1.0001
 
     @staticmethod
-    def per_ray_reference(t, angles):
-        """The profile's constants ray by ray on the dense kernels: one
-        kernel_batch and one stack_norm per ray and test angle."""
+    def per_ray_reference(t, angles, norm):
+        """The profile's constants ray by ray on the dense kernels, with the
+        bound N(s) on ||K(x + J y)|| of each kind's samples (x, y) taken by
+        norm(kind, x, y): one kernel evaluation per ray and test angle."""
         radii = _PROFILE_RADII
-        weight = radii ** (1.0 / 3.0)  # alpha = beta = 1/3
+        nums = t.kernel_numerators
         out = {}
         for phi in angles:
-            best = 0.0
-            for psi in np.linspace(phi, math.pi, _PROFILE_RAYS):
-                x = radii * math.cos(psi)
-                y = radii * abs(math.sin(psi))
-                norms = stack_norm(kernel_batch("S_L", t, x, y, E1))
-                best = max(best, float(np.max(norms * weight)))
-            out[float(phi)] = 2.0 * best
+            consts = {}
+            for fam, kind in zip(FAMILIES, ("S_L", "Qc", "P2_L", "F_L")):
+                p = nums[fam].order
+                weight = np.where(radii <= 1.0, radii ** (p / 3.0),
+                                  radii ** float(p))
+                best = 0.0
+                for psi in np.linspace(phi, math.pi, _PROFILE_RAYS):
+                    norms = norm(kind, radii * math.cos(psi),
+                                 radii * abs(math.sin(psi)))
+                    best = max(best, float(np.max(norms * weight)))
+                consts[fam] = max(2.0 * best,
+                                  float(stack_norm(nums[fam].coef[-1])))
+            out[float(phi)] = consts
         return out
+
+    @staticmethod
+    def sup_over_units(t):
+        """||K(x + J y)|| at its largest over the units J: at J = v_k, the
+        unit along Im(lambda_k), for some eigenvalue k (E1 serves real
+        eigenvalues)."""
+        units = [E1] + [Quaternion(0.0, *(v / np.linalg.norm(v)))
+                        for v in t.joint_eigenvalues[1:].T
+                        if np.linalg.norm(v) > 0.0]
+
+        def norm(kind, x, y):
+            return np.max([stack_norm(kernel_batch(kind, t, x, y, j))
+                           for j in units], axis=0)
+        return norm
+
+    @staticmethod
+    def frobenius_pair(t):
+        """||A||_F + ||B||_F of the kernel's pair (A, B)."""
+        def norm(kind, x, y):
+            a, b = kernel_batch(kind, t, x, y, None)
+            return stack_fro(a) + stack_fro(b)
+        return norm
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
     def test_joint_eigenvalues_match_dense_norms(self, dim):
-        for seed in (1, 2, 3):
+        # the joint eigenvalues give the sup of ||K|| over every unit, the
+        # dense path ||A||_F + ||B||_F, at least that and at most
+        # 2 sqrt(n) times it; the reference takes n + 1 units per sample,
+        # so dims 8 and 16 check one operator at one angle
+        for seed in (1, 2, 3) if dim <= 4 else (1,):
             gen = generate_operator(OperatorSpec(dim=dim, seed=seed))
             omega = gen.spec.omega
-            angles = [omega + f * (math.pi - omega) for f in (0.1, 0.5, 0.9)]
-            for t in (gen.operator, conj_op(gen.operator)):
+            angles = [omega + f * (math.pi - omega)
+                      for f in ((0.1, 0.5, 0.9) if dim <= 4 else (0.5,))]
+            ops = (gen.operator, conj_op(gen.operator))
+            for t in ops if dim <= 4 else ops[1:]:
                 assert t.joint_eigenvalues is not None
                 fast = estimate_type_profile(t, omega, angles).c_phi
                 slow = estimate_type_profile(dense_twin(t), omega,
                                              angles).c_phi
-                assert fast.keys() == slow.keys()
-                for phi, c in slow.items():
-                    assert abs(fast[phi] - c) <= 1e-13 * c
+                want = self.per_ray_reference(t, angles,
+                                              self.sup_over_units(t))
+                assert fast.keys() == slow.keys() == want.keys()
+                for phi, consts in want.items():
+                    for fam, c in consts.items():
+                        assert abs(fast[phi][fam] - c) <= 1e-13 * c
+                        assert (c * (1.0 - 1e-13) <= slow[phi][fam]
+                                <= 2.0 * math.sqrt(dim) * c * (1.0 + 1e-13))
 
     def test_joint_eigenvalues_are_the_generators(self):
         gen = generate_operator(OperatorSpec(dim=8, seed=5))
@@ -581,7 +632,8 @@ class TestTypeProfile:
         assert t.eigenbasis is not None and t.joint_eigenvalues is None
         angles = [1.7, 2.2, 2.9]  # the spectrum {J} lies on the angle pi/2
         prof = estimate_type_profile(t, 1.6, angles)
-        assert prof.c_phi == self.per_ray_reference(t, angles)
+        assert prof.c_phi == self.per_ray_reference(
+            t, angles, self.frobenius_pair(t))
 
     def test_each_distinct_sample_once(self, gen4, monkeypatch):
         # three test angles: 12 rays, of which the three psi = pi are one
@@ -608,6 +660,40 @@ class TestTypeProfile:
         for op in (t, dense_twin(t)):
             with pytest.raises(SpectrumHit):
                 estimate_type_profile(op, 1.5, [phi])
+
+
+class TestKernelEnvelope:
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("dim,seed,phi", [(4, 1, 1.8), (8, 5, 0.985)])
+    def test_every_kind_under_its_envelope(self, dim, seed, phi, dense):
+        # ||K(s)|| <= C |s|**-a (|s| <= 1) and C |s|**-p (|s| >= 1) from
+        # kernel_bound, at units J and -J (the lower ray), on rays of the
+        # fan [phi, pi] and at radii beyond the profile's 1e-3..1e3.  The
+        # units are random ones and those along Im(lambda_k), where
+        # |s - conj(lambda_k)| peaks: at dim 8, seed 5, phi = 0.985 S_L
+        # there is 1.18 times a constant sampled at the unit E1 alone
+        gen = generate_operator(OperatorSpec(dim=dim, seed=seed))
+        t = dense_twin(gen.operator) if dense else gen.operator
+        assert (t.joint_eigenvalues is None) == dense
+        prof = estimate_type_profile(t, gen.spec.omega, [phi])
+        rng = np.random.default_rng(seed)
+        radii = np.geomspace(1e-4, 1e5, 46)
+        psis = np.array([phi, rng.uniform(phi, math.pi), math.pi])
+        x = np.multiply.outer(np.cos(psis), radii).ravel()
+        y = np.multiply.outer(np.sin(psis), radii).ravel()
+        r = np.tile(radii, len(psis))
+        units = [random_unit_imaginary(rng) for _ in range(2)] + [
+            Quaternion(0.0, *(v / np.linalg.norm(v)))
+            for v in gen.operator.joint_eigenvalues[1:].T]
+        worst = 0.0
+        for j in units:
+            for unit in (j, -j):
+                for kind, k in kernel_batch(KINDS, t, x, y, unit).items():
+                    c, a, p = kernel_bound(kind, prof, phi)
+                    envelope = c * np.where(r <= 1.0, r ** -a, r ** -p)
+                    worst = max(worst, float(np.max(stack_norm(k)
+                                                    / envelope)))
+        assert worst <= 1.0
 
 
 class TestEmbedding:

@@ -182,7 +182,7 @@ def test_certificate_constants_match_a_per_unit_loop(f):
     except ClassMismatch:
         return
     want = 2.0 * _per_unit_sup(f, theta, lambda r: np.where(
-        r <= 1.0, r ** dec.delta, r ** -dec.delta))
+        r <= 1.0, r ** dec.delta0, r ** -dec.deltainf))
     assert math.isclose(dec.constant, max(want, 1e-6), rel_tol=1e-13)
 
 
@@ -204,8 +204,9 @@ def test_certificate_sup_covers_every_unit_and_both_rays():
     dec = f.certify_decay(1.0, 1.0, theta)
     for constant, weight in (
             (grow.constant, _GRID_RADII ** grow.k + _GRID_RADII ** -grow.k),
-            (dec.constant, np.where(_GRID_RADII <= 1.0, _GRID_RADII ** dec.delta,
-                                    _GRID_RADII ** -dec.delta))):
+            (dec.constant, np.where(_GRID_RADII <= 1.0,
+                                    _GRID_RADII ** dec.delta0,
+                                    _GRID_RADII ** -dec.deltainf))):
         assert (values / weight).max() <= 0.5 * constant * (1.0 + 1e-14)
 
 
@@ -354,15 +355,15 @@ def test_choose_regularizer_arithmetic():
 def test_decay_certificates():
     theta = 2.0
     cert = Regularizer(2).certify_decay(1.0, 1.0, theta)
-    assert cert.delta == pytest.approx(2.0)
+    assert (cert.delta0, cert.deltainf) == (2.0, 2.0)
     assert cert.constant > 0.0
     # sampled bound really holds on a fresh grid
     f = Regularizer(2)
     for r in np.geomspace(1e-2, 1e2, 25):
         for ang in np.linspace(-0.95 * theta, 0.95 * theta, 9):
             q = Quaternion(r * math.cos(ang)) + E2 * (r * abs(math.sin(ang)))
-            bound = cert.constant * (r ** (cert.a - 1 + cert.delta) if r <= 1
-                                     else r ** (cert.b - 1 - cert.delta))
+            bound = cert.constant * (r ** (cert.a - 1 + cert.delta0) if r <= 1
+                                     else r ** (cert.b - 1 - cert.deltainf))
             assert f.eval(q).norm() <= bound * (1 + 1e-9)
 
     with pytest.raises(ClassMismatch):
@@ -569,3 +570,76 @@ def test_parsed_functions_certify_finitely_or_raise_typed(text):
 def test_regularizer_pole_guard():
     with pytest.raises(ZeroDivisionError):
         Regularizer(1).eval(Quaternion(-1.0))
+
+
+# the family's leaves and combinations, small enough that the certificate
+# grid's factor 2 is meant to cover every point of the sector
+_LEAVES = st.one_of(st.integers(0, 3).map(Power),
+                    st.integers(1, 3).map(Regularizer))
+_SCALARS = st.one_of(
+    st.floats(0.2, 3.0), st.floats(-3.0, -0.2),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 4).filter(
+        lambda c: math.hypot(*c) > 0.2).map(lambda c: Quaternion(*c)))
+
+
+def _combinations(children):
+    return st.one_of(
+        st.tuples(children, children).map(lambda fg: Sum(*fg)),
+        st.tuples(children.filter(lambda g: g.intrinsic),
+                  children).map(lambda gf: Product(*gf)),
+        st.tuples(_SCALARS, children).map(lambda cf: Scale(*cf)))
+
+
+_MEMBERS = st.recursive(_LEAVES, _combinations, max_leaves=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_MEMBERS, st.integers(0, 2**32 - 1))
+def test_decay_certificate_holds_at_each_end(f, seed):
+    # |f(x + J y)| <= C |s|**(a-1+delta0) (|s| <= 1) and
+    # C |s|**(b-1-deltainf) (|s| >= 1) at units J and -J (both rays), at
+    # angles up to theta and radii far beyond the grid's 1e-3..1e3
+    theta = 13 * math.pi / 16
+    try:
+        cert = f.certify_decay(1.0, 1.0, theta)
+    except ClassMismatch:
+        return
+    rng = np.random.default_rng(seed)
+    r = np.geomspace(1e-6, 1e6, 61)
+    ang = rng.uniform(0.0, theta, size=(8, 1))
+    w = f.complex_stem(r * np.exp(1j * ang))  # (8, 61, 4)
+    units = rng.normal(size=(8, 1, 4)) * np.array([0.0, 1.0, 1.0, 1.0])
+    units /= np.linalg.norm(units, axis=-1, keepdims=True)
+    bound = cert.constant * np.where(r <= 1.0,
+                                     r ** (cert.a - 1.0 + cert.delta0),
+                                     r ** (cert.b - 1.0 - cert.deltainf))
+    for j in (units, -units):
+        values = qarr_norm(w.real + qarr_mul(j, w.imag))
+        assert np.all(values <= bound * (1.0 + 1e-12))
+
+
+# each function's classes (a, b) refused with ClassMismatch: by the orders
+# (min(ord0 - a + 1, b - 1 - ordinf) <= 0) or by a sup that is not finite
+_CLASSES = [(1.0, 1.0), (1.0, -1.0), (2.0, 1.0), (1.0 / 3.0, 1.0 / 3.0)]
+_REFUSED = {
+    "pow(0)": _CLASSES, "pow(1)": _CLASSES, "pow(3)": _CLASSES,
+    "pow(1) + reg(2)": _CLASSES, "pow(3) * reg(2)": _CLASSES,
+    "reg(110) * pow(103)": _CLASSES,
+    "reg(1)": [(1.0, -1.0), (2.0, 1.0)], "reg(2)": [(1.0, -1.0)],
+    "pow(1) * reg(3)": [(1.0, -1.0)], "reg(7) * pow(6)": [(1.0, -1.0)],
+    "2.5 * reg(2)": [(1.0, -1.0)],
+    "pow(2) * reg(3) + reg(1)": [(1.0, -1.0), (2.0, 1.0)],
+    "0 * pow(4)": [], "reg(1) + 3 * reg(4)": [], "reg(2) * reg(2)": [],
+}
+
+
+@pytest.mark.parametrize("text", sorted(_REFUSED))
+def test_class_membership_is_unchanged(text):
+    f = parse(text)
+    refused = []
+    for a, b in _CLASSES:
+        try:
+            f.certify_decay(a, b, 2.4)
+        except ClassMismatch:
+            refused.append((a, b))
+    assert refused == _REFUSED[text]
