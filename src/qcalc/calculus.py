@@ -68,13 +68,14 @@ def _kernel_kind(kind: str, side: str) -> str:
     return (_RIGHT_KERNEL if side == "right" else _LEFT_KERNEL)[kind]
 
 
-def kernel_bound(kernel_kind: str, profile: TypeProfile, phi: float):
+def kernel_bound(kernel_kind: str, t: CommutingOperator,
+                 profile: TypeProfile, phi: float):
     """(C, p alpha, p): the tail envelope ||K(s)|| <= C |s|**(-p alpha)
-    below radius one and C |s|**(-p) above of a kernel outside the
-    phi-sector, with C its family's sampled constant and p the family's
-    order at infinity (see TypeProfile)."""
+    below radius one and C |s|**(-p) above of a kernel of t outside the
+    phi-sector, with C its family's sampled constant (see TypeProfile) and
+    p the family's order at infinity (KernelNumerator.order)."""
     family = _AB_FAMILY[kernel_kind]
-    p = profile.orders[family]
+    p = t.kernel_numerators[family].order
     return profile.constant_at(phi, family), p * profile.alpha, float(p)
 
 
@@ -245,7 +246,7 @@ class Evaluator:
         profile = self.profile
         cert = f.certify_decay(3.0 * profile.alpha, 3.0 * profile.beta,
                                self.theta)
-        bound = kernel_bound(kernel_kind, profile, self.phi)
+        bound = kernel_bound(kernel_kind, self.t, profile, self.phi)
         return contour_for(cert, bound, self.phi, profile.omega, self.unit,
                            tol=tol)
 

@@ -551,6 +551,8 @@ def f_spectrum_check(t: CommutingOperator, s) -> bool:
 
 _PROFILE_RADII = np.geomspace(1e-3, 1e3, 40)
 _PROFILE_RAYS = 4  # rays per test angle, from phi to pi
+# the profile's radii reach this factor past every eigenvalue modulus
+_PROFILE_MARGIN = 100.0
 # one kernel kind per family; _L and _R of a family share (A, B)
 _PROFILE_KINDS = {"S": "S_L", "Qc": "Qc", "P2": "P2_L", "F": "F_L"}
 
@@ -565,15 +567,14 @@ class TypeProfile:
         ||K(s, T)|| <= C |s|**(-p alpha) (|s| <= 1), C |s|**(-p) (|s| >= 1)
 
     for both kernels K of the family, every unit J and both rays outside
-    the sector of angle phi, p = orders[family] the family's exact order
-    at infinity (KernelNumerator.order).
+    the sector of angle phi, p the family's exact order at infinity
+    (KernelNumerator.order).
     """
 
     alpha: float
     beta: float
     omega: float
     c_phi: dict = field(default_factory=dict)
-    orders: dict = field(default_factory=dict)
 
     def constant_at(self, phi: float, family: str) -> float:
         """Conservative constant of a family valid on the complement of the
@@ -587,15 +588,46 @@ class TypeProfile:
         return 2.0 * max(c[family] for c in self.c_phi.values())
 
 
+def _profile_radii(t: CommutingOperator) -> np.ndarray:
+    """_PROFILE_RADII, extended at its own ratio until it reaches
+    _PROFILE_MARGIN past the smallest and the largest eigenvalue modulus
+    of t: the weighted norm ||K|| w(|s|) peaks near |s| = |lambda_k|, and
+    past the margin it stays within about p / _PROFILE_MARGIN of its
+    value at the end samples, well inside the profile's factor 2.  The
+    moduli are those of the joint eigenvalues, or else of the eigenvalues
+    of the complex adjoint; a zero one extends nothing."""
+    lam = t.joint_eigenvalues
+    if lam is None:
+        mods = np.abs(np.linalg.eigvals(adjoint(t.components)))
+    else:
+        mods = np.sqrt(np.sum(lam * lam, axis=0))
+    mods = mods[mods > 0.0]
+    radii = _PROFILE_RADII
+    if not mods.size:
+        return radii
+    log_step = math.log(radii[1] / radii[0])
+    below = math.ceil(math.log(radii[0] * _PROFILE_MARGIN / np.min(mods))
+                      / log_step)
+    above = math.ceil(math.log(np.max(mods) * _PROFILE_MARGIN / radii[-1])
+                      / log_step)
+    if below <= 0 and above <= 0:
+        return radii
+    return np.concatenate([radii[0] * np.exp(log_step * np.arange(-below, 0)),
+                           radii,
+                           radii[-1] * np.exp(log_step
+                                              * np.arange(1, above + 1))])
+
+
 def estimate_type_profile(t: CommutingOperator, omega: float, angles,
                           alpha: float = 1.0 / 3.0, beta: float = 1.0 / 3.0
                           ) -> TypeProfile:
     """Sample each family's C_phi (see TypeProfile): twice the sup of
     N(s) w(|s|), w = |s|**(p alpha) below radius one and |s|**p above,
-    over log-spaced radii on the rays x + i y of each test fan psi in
-    [phi, pi], and at least ||coef[-1]||, the limit of ||K|| |s|**p at
-    infinity.  N(s) bounds ||K(x + J y)|| for every unit J, so on the lower
-    ray too (the upper one at -J), and for K_L and K_R alike.  A ray
+    over log-spaced radii (_profile_radii) on the rays x + i y of each
+    test fan psi in [phi, pi], and at least ||coef[-1]||, the limit of
+    ||K|| |s|**p at infinity.  N(s) bounds ||K(x + J y)|| for every unit
+    J, so on the lower ray too (the upper one at -J), and for K_L and K_R
+    alike.  A ray
     shared by several test angles (psi = pi ends every fan) is sampled
     once, and all samples share one _chain call.
 
@@ -616,7 +648,7 @@ def estimate_type_profile(t: CommutingOperator, omega: float, angles,
         raise ValueError("test angles must lie in (omega, pi)")
     fans = {phi: np.linspace(phi, math.pi, _PROFILE_RAYS) for phi in angles}
     psis = sorted({float(psi) for fan in fans.values() for psi in fan})
-    radii = _PROFILE_RADII
+    radii = _profile_radii(t)
     x = np.multiply.outer([math.cos(psi) for psi in psis], radii).ravel()
     y = np.multiply.outer([abs(math.sin(psi)) for psi in psis], radii).ravel()
     nums = [t.kernel_numerators[fam] for fam in _PROFILE_KINDS]
@@ -646,9 +678,7 @@ def estimate_type_profile(t: CommutingOperator, omega: float, angles,
     # (families, rays)
     ray_sup = np.max(norms.reshape(len(nums), len(psis), len(radii))
                      * weight[:, None, :], axis=2)
-    profile = TypeProfile(alpha=alpha, beta=beta, omega=omega,
-                          orders={fam: num.order
-                                  for fam, num in zip(_PROFILE_KINDS, nums)})
+    profile = TypeProfile(alpha=alpha, beta=beta, omega=omega)
     for phi, fan in fans.items():
         rays = [psis.index(float(psi)) for psi in fan]
         c = np.maximum(2.0 * np.max(ray_sup[:, rays], axis=1), limits)

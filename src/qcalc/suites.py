@@ -529,7 +529,7 @@ def _suite_kernels(ctx: SuiteContext):
         worst = 0.0
         radii = np.geomspace(5e-3, 5e2, 24)
         for kind in KERNEL_KINDS:
-            c_k, a_k, b_k = kernel_bound(kind, prof, phi)
+            c_k, a_k, b_k = kernel_bound(kind, t, prof, phi)
             bound = np.where(radii <= 1.0, radii ** (-a_k), radii ** (-b_k))
             for psi in (phi, (phi + math.pi) / 2.0, math.pi):
                 x = radii * math.cos(psi)
