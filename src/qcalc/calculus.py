@@ -30,7 +30,7 @@ from .contour import (OperatorKernel, _require_positive_tol, contour_for,
 from .errors import NotInjective, NotIntrinsic
 from .operators import (KERNEL_KINDS, _AB_FAMILY, CommutingOperator,
                         QuatMatrix, TypeProfile, adjoint, assemble, bq_conj,
-                        conj_op, estimate_type_profile, stack_norm)
+                        conj_op, stack_norm)
 from .quaternion import E1, Quaternion, to_slice
 from .slicefun import Memo, Power, Product, Regularizer, choose_regularizer
 
@@ -154,8 +154,11 @@ class Evaluator:
     so e(T), (e*f)(T) and their D, Dbar and Delta forms share the nodes'
     work and serve every kind.  conj=True is the one conjugation rule of
     both: the entrywise conjugate of the value at T for intrinsic f, else
-    the value on conj(T), whose type profile is estimated once.  No value
-    is cached between evaluators; certificates are, by the same rule.
+    the value on conj(T) under T's own profile: estimate_type_profile
+    gives conj(T) the same constants bit for bit, since its closed form
+    reads only lambda0 and |Im lambda| and its Frobenius bound is
+    invariant under bq_conj.  No value is cached between evaluators;
+    certificates are, by the same rule.
     """
 
     def __init__(self, t: CommutingOperator, profile: TypeProfile, *,
@@ -173,12 +176,9 @@ class Evaluator:
     def _conj_evaluator(self) -> Evaluator:
         with self._lock:
             if self._bar is None:
-                t_bar = conj_op(self.t)
-                profile_bar = estimate_type_profile(
-                    t_bar, self.profile.omega, sorted(self.profile.c_phi),
-                    alpha=self.profile.alpha, beta=self.profile.beta)
-                self._bar = Evaluator(t_bar, profile_bar, theta=self.theta,
-                                      phi=self.phi, unit=self.unit)
+                self._bar = Evaluator(conj_op(self.t), self.profile,
+                                      theta=self.theta, phi=self.phi,
+                                      unit=self.unit)
         return self._bar  # set once, never replaced
 
     def calc(self, kind: str, f, *, tol: float = 1e-9, side: str = "left",
@@ -331,7 +331,7 @@ class Evaluator:
 
         value, range_resid = _solve_prefactor(pref, bracket)
         # phi, theta and kernel_path are e(T)'s: conj_op hands conj(T) the
-        # eigenbasis of T
+        # U of T
         diag = replace(subs[0], tol_achieved=tol,
                        nodes=sum(d.nodes for d in subs),
                        h=min(d.h for d in subs), t_min=0.0, t_max=0.0,

@@ -213,9 +213,9 @@ def _moment_value(k: OperatorKernel, z, stem, g, scale, side: str):
     """sum_d C_d Re(Mom_d) (side "left") or sum_d Re(Mom_d) C_d (side
     "right") with Mom_d = sum_m 2i z_m^(d+1) W_m M_m^power, dz = z du (see
     the module docstring), one complex GEMM over the nodes z.  g and scale
-    are _chain's at these nodes for M^power.  With an eigenbasis (U, d0,
-    d2) g holds the diagonals of U^T M^power U and each of the 4 (degree+1)
-    moments is U diag U^T.  No unit J is read."""
+    are _chain's at these nodes for M^power.  With an eigenbasis (U,
+    lambda) g holds the diagonals of U^T M^power U and each of the
+    4 (degree+1) moments is U diag U^T.  No unit J is read."""
     num = k.operator.kernel_numerators[_AB_FAMILY[k.kind]]
     zp = _z_powers(z, scale, len(num.coef) - 1, num.power)
     weights = (2j * z)[:, None, None] * zp[:, :, None] * stem[:, None, :]

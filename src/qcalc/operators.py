@@ -11,16 +11,16 @@ Q_{c,z}(T) = z^2 - 2 T0 z + |T|^2:
 
 and a family's value A + i B gives the kernel A + B J (left) or A + J B
 (right) at x + J y.  The coefficients of z^d are quaternion matrices that
-commute with M, built once per operator.  M depends on T only through T0
-and |T|^2, and a node costs one inversion of Q_{c,z}(T) itself (see
-_chain): when one orthogonal U diagonalizes both
-(CommutingOperator.eigenbasis), the quadrature inverts the n scalars
-z^2 - 2 z d0 + d2, O(n) per node, and otherwise the complex n x n matrix.
-Point kernels (kernel_batch) always take the matrix.  Type profiles
-(estimate_type_profile) take each family's sup over every unit in closed
-form from the joint eigenvalues when U diagonalizes every component
-(CommutingOperator.joint_eigenvalues), and otherwise bound it by the
-Frobenius norms of the family's pair (A, B).
+commute with M, built once per operator.  A node costs one inversion of
+Q_{c,z}(T) itself (see _chain).  When one orthogonal U diagonalizes all
+four components, T_a = U diag(lambda[a]) U^T (CommutingOperator.eigenbasis,
+the operator's one spectral decomposition, (U, lambda)), the quadrature
+inverts the n scalars z^2 - 2 z lambda0_k + |lambda_k|^2, O(n) per node,
+and type profiles (estimate_type_profile) take each family's sup over
+every unit in closed form from the joint eigenvalues lambda_k.  Otherwise
+the quadrature inverts the complex n x n matrix and the profile bounds
+the sup by the Frobenius norms of the family's pair (A, B).  Point
+kernels (kernel_batch) always take the matrix.
 """
 
 from __future__ import annotations
@@ -237,31 +237,22 @@ class CommutingOperator:
 
     @cached_property
     def eigenbasis(self):
-        """(U, d0, d2) with U orthogonal, T0 = U diag(d0) U^T and |T|^2 =
-        U diag(d2) U^T to roundoff, or None when no such U is found (see
-        _eigenbasis); then the kernels take the dense path."""
-        return _eigenbasis(self.components[0], modulus_sq(self))
+        """(U, lam) with U orthogonal and T_a = U diag(lam[a]) U^T for every
+        component a to roundoff, lam (4, n) the joint eigenvalues lambda_k
+        = lam[:, k], or None when no such U is found (see _eigenbasis);
+        then the kernels take the dense path.  In U a kernel at a point of
+        C_E1 is diagonal, so its norm is the largest modulus of the n
+        quaternion scalars on the diagonal."""
+        return _eigenbasis(self.components)
 
     @cached_property
     def qc_pair_diagonal(self):
         """kernel_numerators["Qc pair"] in the eigenbasis, the (3, n)
-        diagonals (d2, -2 d0, 1) that _chain's diagonal path takes."""
-        _, d0, d2 = self.eigenbasis
-        return np.stack([d2, -2.0 * d0, np.ones_like(d0)])
-
-    @cached_property
-    def joint_eigenvalues(self):
-        """(4, n) components of eigenvalues lambda_k with T_a = U
-        diag(lambda[a]) U^T for every component a, U from eigenbasis, or
-        None when there is no eigenbasis or U misses the residual test of
-        _eigenbasis on T1, T2 or T3.  In U a kernel at a point of C_E1 is
-        then diagonal, so its norm is the largest modulus of the n
-        quaternion scalars on the diagonal."""
-        if self.eigenbasis is None:
-            return None
-        u, d0, _ = self.eigenbasis
-        rows = [d0] + [_diagonal_in(u, a) for a in self.components[1:]]
-        return None if any(r is None for r in rows) else np.stack(rows)
+        diagonals (|lambda|^2, -2 lambda0, 1) that _chain's diagonal path
+        takes."""
+        lam = self.eigenbasis[1]
+        return np.stack([np.sum(lam * lam, axis=0), -2.0 * lam[0],
+                         np.ones(self.n)])
 
     @cached_property
     def kernel_numerators(self) -> dict:
@@ -272,14 +263,12 @@ class CommutingOperator:
 
 def conj_op(t: CommutingOperator) -> CommutingOperator:
     """Conjugate operator (T0, -T1, -T2, -T3); involutive.  It shares T's
-    eigenbasis, since T0 and |T|^2 are the same bit for bit, and its joint
-    eigenvalues are T's with the imaginary rows negated."""
+    U, and its joint eigenvalues are T's with the imaginary rows negated."""
     out = CommutingOperator(bq_conj(t.components))
-    lam = t.joint_eigenvalues
-    # fill the cached_properties
-    out.__dict__["eigenbasis"] = t.eigenbasis
-    out.__dict__["joint_eigenvalues"] = (
-        None if lam is None else np.concatenate([lam[:1], -lam[1:]]))
+    basis = t.eigenbasis
+    # fill the cached_property
+    out.__dict__["eigenbasis"] = None if basis is None else (
+        basis[0], np.concatenate([basis[1][:1], -basis[1][1:]]))
     return out
 
 
@@ -288,46 +277,39 @@ def modulus_sq(t: CommutingOperator) -> np.ndarray:
     return sum(t.components[i] @ t.components[i] for i in range(4))
 
 
-# U is accepted when ||U^T U - I||_F and the off-diagonal Frobenius norms of
-# U^T T0 U and U^T |T|^2 U, relative to ||T0||_F and |||T|^2||_F, are at
-# most this multiple of eps n
+# U is accepted when ||U^T U - I||_F and the off-diagonal Frobenius norm
+# of each U^T T_a U, relative to ||T_a||_F, are at most this multiple of
+# eps n
 _EIGENBASIS_SLACK = 16.0
-# weight of the normalized |T|^2 in the combination that eigh
-# diagonalizes; irrational, so that distinct pairs (d0, d2) stay apart
-_EIGENBASIS_MIX = (math.sqrt(5.0) - 1.0) / 2.0
+# weights of the normalized components in the combination that eigh
+# diagonalizes; independent over the rationals, so that distinct joint
+# eigenvalues stay apart
+_EIGENBASIS_MIX = np.sqrt([1.0, 2.0, 3.0, 5.0])
 
 
-def _eigenbasis(t0: np.ndarray, t2: np.ndarray):
-    """One orthogonal U that diagonalizes both symmetric matrices t0 and t2,
-    taken from eigh of a generic combination and refined (see
-    _refine_eigenbasis), as (U, d0, d2); None when either matrix is not
-    symmetric or U misses the residual test.  T0 and |T|^2 commute, so a
-    U exists whenever both are symmetric; a non-normal operator fails."""
-    n = len(t0)
+def _eigenbasis(comps: np.ndarray):
+    """One orthogonal U that diagonalizes every symmetric component of the
+    stack comps (4, n, n), taken from eigh of a generic combination and
+    refined (see _refine_eigenbasis), as (U, lam) with lam the (4, n)
+    diagonals; None when a component is not symmetric or U misses the
+    residual test.  Symmetric commuting components share such a U; a
+    non-normal operator fails."""
+    n = comps.shape[-1]
     bound = _EIGENBASIS_SLACK * np.finfo(float).eps * n
-    norms = [max(float(np.linalg.norm(a)), 1e-300) for a in (t0, t2)]
-    if any(np.linalg.norm(a - a.T) > bound * s for a, s in zip((t0, t2), norms)):
+    norms = np.maximum(np.linalg.norm(comps, axis=(1, 2)), 1e-300)
+    asym = np.linalg.norm(comps - comps.transpose(0, 2, 1), axis=(1, 2))
+    if np.any(asym > bound * norms):
         return None
-    mats = (t0 / norms[0], t2 / norms[1])
-    _, u = np.linalg.eigh(mats[0] + _EIGENBASIS_MIX * mats[1])
+    mats = comps / norms[:, None, None]
+    _, u = np.linalg.eigh(np.tensordot(_EIGENBASIS_MIX, mats, axes=1))
     u = _refine_eigenbasis(u, mats)
-    diags = [_diagonal_in(u, a) for a in (t0, t2)]
+    r = u.T @ comps @ u
+    lam = np.diagonal(r, axis1=1, axis2=2).copy()
+    off = np.linalg.norm(r - lam[:, :, None] * np.eye(n), axis=(1, 2))
     if (np.linalg.norm(u.T @ u - np.eye(n)) > bound
-            or any(d is None for d in diags)):
+            or np.any(off > bound * norms)):
         return None
-    return u, *diags
-
-
-def _diagonal_in(u: np.ndarray, a: np.ndarray):
-    """The diagonal of U^T a U, or None when its off-diagonal Frobenius
-    norm exceeds _EIGENBASIS_SLACK eps n ||a||_F."""
-    bound = _EIGENBASIS_SLACK * np.finfo(float).eps * len(a)
-    r = u.T @ a @ u
-    d = np.diag(r).copy()
-    if np.linalg.norm(r - np.diag(d)) > bound * max(float(np.linalg.norm(a)),
-                                                     1e-300):
-        return None
-    return d
+    return u, lam
 
 
 def _round_robin(n: int):
@@ -345,40 +327,41 @@ def _round_robin(n: int):
         order = [order[0], order[-1]] + order[1:-1]
 
 
-def _refine_eigenbasis(u: np.ndarray, mats) -> np.ndarray:
+def _refine_eigenbasis(u: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """U after one Newton-Schulz step towards orthogonality and one sweep
-    of joint Jacobi rotations on U^T a U for a in mats.  The step cuts
-    ||U^T U - I|| about eightfold from eigh's (about 1.3 eps n at n = 16).
-    The rotation of columns (i, j) minimizes the sum of squares of the
-    rotated (i, j) entries (Cardoso and Souloumiac, SIAM J. Matrix Anal.
-    Appl. 17 (1996) 161); it settles pairs whose combined eigenvalues
-    nearly coincide, where eigh mixes two joint eigenvectors.  The sweep
-    takes the pairs in round-robin order (_round_robin): the pairs of a
-    round are disjoint, and a rotation of (i, j) leaves the entries
-    (i, j), (i, i) and (j, j) of the others unchanged, so each round's
-    rotations are computed and applied together."""
+    of joint Jacobi rotations on U^T a U for a in the stack mats (k, n, n).
+    The step cuts ||U^T U - I|| about eightfold from eigh's (about
+    1.3 eps n at n = 16).  The rotation of columns (i, j) minimizes the
+    sum of squares of the rotated (i, j) entries (Cardoso and Souloumiac,
+    SIAM J. Matrix Anal. Appl. 17 (1996) 161); it settles pairs whose
+    combined eigenvalues nearly coincide, where eigh mixes two joint
+    eigenvectors.  The sweep takes the pairs in round-robin order
+    (_round_robin): the pairs of a round are disjoint, and a rotation of
+    (i, j) leaves the entries (i, j), (i, i) and (j, j) of the others
+    unchanged, so each round's rotations are computed and applied
+    together, to U and to the whole stack at once."""
     n = len(u)
     u = u + 0.5 * u @ (np.eye(n) - u.T @ u)
-    rot = [u.T @ a @ u for a in mats]
+    rot = u.T @ np.asarray(mats) @ u
     for i, j in _round_robin(n):
         # off-diagonal after rotating by theta: h . (cos 2theta, sin 2theta)
-        h = [(r[i, j], 0.5 * (r[j, j] - r[i, i])) for r in rot]
-        p = sum(a * a for a, _ in h)
-        q = sum(b * b for _, b in h)
-        c2 = sum(a * b for a, b in h)
+        a, b = rot[:, i, j], 0.5 * (rot[:, j, j] - rot[:, i, i])
+        p = np.sum(a * a, axis=0)
+        q = np.sum(b * b, axis=0)
+        c2 = np.sum(a * b, axis=0)
         # the eigenvector of [[p, c2], [c2, q]] for its smaller eigenvalue;
         # where c2 = 0 and p <= q, (1, 0) is already optimal: theta = 0
         psi = 0.5 * np.arctan2(2.0 * c2, p - q) + 0.5 * math.pi
         psi = np.where(np.cos(psi) < 0.0, psi - math.pi, psi)
         psi = np.where((c2 == 0.0) & (p <= q), 0.0, psi)
         c, s = np.cos(0.5 * psi), np.sin(0.5 * psi)
-        for a in (u, *rot):
-            ai, aj = a[:, i], a[:, j]
-            a[:, i], a[:, j] = c * ai + s * aj, c * aj - s * ai
+        ui, uj = u[:, i], u[:, j]
+        u[:, i], u[:, j] = c * ui + s * uj, c * uj - s * ui
+        ri, rj = rot[..., i], rot[..., j]
+        rot[..., i], rot[..., j] = c * ri + s * rj, c * rj - s * ri
         c, s = c[:, None], s[:, None]
-        for r in rot:
-            ri, rj = r[i, :], r[j, :]
-            r[i, :], r[j, :] = c * ri + s * rj, c * rj - s * ri
+        ri, rj = rot[:, i, :], rot[:, j, :]
+        rot[:, i, :], rot[:, j, :] = c * ri + s * rj, c * rj - s * ri
     return u
 
 
@@ -449,11 +432,12 @@ def _chain(t: CommutingOperator, x: np.ndarray, y: np.ndarray, *,
     squared 2-norm condition number of Q from above, and the Frobenius
     one of Q conj(Q) too (by submultiplicativity).
 
-    diagonal=True needs t.eigenbasis (U, d0, d2) and returns g as the
-    (m, n) diagonals of U^T g U: C is then the diagonals (d2, -2 d0, 1)
-    of t.qc_pair_diagonal, Q / scale^2 the diagonal q and its inverse 1/q,
-    so a node costs O(n).  Frobenius norms are orthogonally invariant, so
-    cond and the spectrum rule are those of the dense path.
+    diagonal=True needs t.eigenbasis (U, lambda) and returns g as the
+    (m, n) diagonals of U^T g U: C is then the diagonals
+    (|lambda|^2, -2 lambda0, 1) of t.qc_pair_diagonal, Q / scale^2 the
+    diagonal q and its inverse 1/q, so a node costs O(n).  Frobenius
+    norms are orthogonally invariant, so cond and the spectrum rule are
+    those of the dense path.
     """
     scale = np.maximum(1.0, np.hypot(x, y))
     power = t.kernel_numerators[upto].power
@@ -594,13 +578,12 @@ def _profile_radii(t: CommutingOperator) -> np.ndarray:
     of t: the weighted norm ||K|| w(|s|) peaks near |s| = |lambda_k|, and
     past the margin it stays within about p / _PROFILE_MARGIN of its
     value at the end samples, well inside the profile's factor 2.  The
-    moduli are those of the joint eigenvalues, or else of the eigenvalues
-    of the complex adjoint; a zero one extends nothing."""
-    lam = t.joint_eigenvalues
-    if lam is None:
+    moduli are those of the joint eigenvalues (t.eigenbasis), or else of
+    the eigenvalues of the complex adjoint; a zero one extends nothing."""
+    if t.eigenbasis is None:
         mods = np.abs(np.linalg.eigvals(adjoint(t.components)))
     else:
-        mods = np.sqrt(np.sum(lam * lam, axis=0))
+        mods = np.sqrt(t.qc_pair_diagonal[0])
     mods = mods[mods > 0.0]
     radii = _PROFILE_RADII
     if not mods.size:
@@ -631,8 +614,8 @@ def estimate_type_profile(t: CommutingOperator, omega: float, angles,
     shared by several test angles (psi = pi ends every fan) is sampled
     once, and all samples share one _chain call.
 
-    With t.joint_eigenvalues N is that sup itself, in closed form.  In U
-    every kernel is diagonal, its entry k the scalar kernel at
+    With t.eigenbasis (U, lambda) N is that sup itself, in closed form.
+    In U every kernel is diagonal, its entry k the scalar kernel at
     lambda_k = l0 + l v (v a unit), a product of the moduli
     m = |Q_{c,s}(lambda_k)^-1|, |s - l0| and |s - conj(lambda_k)|, the last
     of which peaks over the units at J = v, at
@@ -652,12 +635,12 @@ def estimate_type_profile(t: CommutingOperator, omega: float, angles,
     x = np.multiply.outer([math.cos(psi) for psi in psis], radii).ravel()
     y = np.multiply.outer([abs(math.sin(psi)) for psi in psis], radii).ravel()
     nums = [t.kernel_numerators[fam] for fam in _PROFILE_KINDS]
-    lam = t.joint_eigenvalues
-    if lam is None:
+    if t.eigenbasis is None:
         pairs = kernel_batch(tuple(_PROFILE_KINDS.values()), t, x, y, None)
         norms = np.stack([stack_fro(a) + stack_fro(b)
                           for a, b in pairs.values()])
     else:
+        lam = t.eigenbasis[1]
         g, scale, _ = _chain(t, x, y, upto="Qc", diagonal=True)
         # (n, samples): |m_k| = |Q_{c,s}(lambda_k)^-1|, |s - lambda0_k| and
         # the sup of |s - conj(lambda_k)| over every unit and both rays

@@ -494,9 +494,11 @@ class TestKernelPaths:
 
     @pytest.mark.parametrize("kind,side", KIND_SIDES)
     def test_fallback_operators_keep_dense_values(self, kind, side):
-        # a non-normal S^-1 D S operator and a loaded normal operator with a
-        # non-symmetric T0 have no orthogonal eigenbasis: the moment form
-        # runs dense and matches the reference on the point kernels
+        # a non-normal S^-1 D S operator, a loaded normal operator with a
+        # non-symmetric T0 and one whose T0 = I and |T|^2 = 0.75 I are
+        # symmetric but T1 is not have no orthogonal eigenbasis: the
+        # moment form runs dense and matches the reference on the point
+        # kernels
         rng = np.random.default_rng(5)
         s = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
         d = [np.diag(v) for v in ([0.9, 1.3, 0.7], [0.2, 0.0, 0.3],
@@ -506,9 +508,12 @@ class TestKernelPaths:
         rot = np.array([[1.0, -0.5], [0.5, 1.0]])
         loaded = operator_from_text(operator_to_text(CommutingOperator(
             np.stack([rot, 0.3 * rot, np.zeros((2, 2)), np.zeros((2, 2))]))))
+        antisymmetric = CommutingOperator(np.stack([
+            np.eye(2), [[0.0, 0.5], [-0.5, 0.0]], np.zeros((2, 2)),
+            np.zeros((2, 2))]))
         contour = SectorContour(1.7, E12, 1e-6, 1e6, H0)
         f = Regularizer(2)
-        for t in (nonnormal, loaded):
+        for t in (nonnormal, loaded, antisymmetric):
             assert t.eigenbasis is None
             k = OperatorKernel(kind, t)
             assert k.path == "dense"
