@@ -13,9 +13,11 @@ assumed.
 
 Every member is a finite sum of quaternion constants times intrinsic
 functions, so its stem pair is one complex-analytic, quaternion-valued
-function W = alpha + i*beta of z = x + iy (i the unit of z, not e1); slice
-derivatives and the pointwise fine-structure operators come from exact
-complex differentiation of W.
+function W = alpha + i*beta of z = x + iy (i the unit of z, not e1).  The
+family is closed under the slice derivative too: slice_derivative() returns
+the node of f', built by the sum and product rules from each atom's own
+derivative (the regularizers' through s^a / (1+s)^b), and the pointwise
+fine-structure operators read W and the stem of that node.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ def _embed(w: np.ndarray) -> np.ndarray:
 class StemFunction:
     """Base node of the closed function algebra."""
 
-    kind = "abstract"
     intrinsic = False
     # Leading power-law orders: f ~ |s|**ord0 near 0 and ~ |s|**ordinf near
     # infinity.  Exact for every member of the rational family.
@@ -81,15 +82,15 @@ class StemFunction:
 
     # -- evaluation ---------------------------------------------------------
 
-    def complex_stem(self, z: np.ndarray, m: int = 0) -> np.ndarray:
-        """m-th x-derivative of the stem W = alpha + i*beta at z = x + iy.
+    def complex_stem(self, z: np.ndarray) -> np.ndarray:
+        """The stem W = alpha + i*beta at z = x + iy.
 
         alpha and beta are quaternion-valued, so W is a complex (..., 4)
-        component array (i is the unit of z, not e1); every node is a sum
-        of quaternion constants times intrinsic functions, so the
-        x-derivatives of W are its complex derivatives.
+        component array (i is the unit of z, not e1).  A derivative is a
+        node of its own: the stem of f' is
+        f.slice_derivative().complex_stem(z).
         """
-        raise UnsupportedKind(f"no stem rule for kind {self.kind!r}")
+        raise UnsupportedKind(f"no stem rule for {type(self).__name__}")
 
     def eval(self, q: Quaternion) -> Quaternion:
         """f(q) = alpha + J*beta at the slice decomposition of q."""
@@ -101,7 +102,7 @@ class StemFunction:
     # -- structure ----------------------------------------------------------
 
     def slice_derivative(self) -> "StemFunction":
-        raise UnsupportedKind(f"no derivative rule for kind {self.kind!r}")
+        raise UnsupportedKind(f"no derivative rule for {type(self).__name__}")
 
     def __add__(self, other):
         # a number in a sum is the constant function c * pow(0)
@@ -220,7 +221,6 @@ _CERTIFICATES = Memo()
 class Power(StemFunction):
     """f(s) = s**n for an integer n >= 0."""
 
-    kind = "power"
     intrinsic = True
 
     def __init__(self, n: int):
@@ -230,11 +230,8 @@ class Power(StemFunction):
         self.ord0 = float(n)
         self.ordinf = float(n)
 
-    def complex_stem(self, z, m: int = 0):
-        z = np.asarray(z, dtype=complex)
-        if m > self.n:
-            return _embed(np.zeros_like(z))
-        return _embed(math.perm(self.n, m) * z ** (self.n - m))
+    def complex_stem(self, z):
+        return _embed(np.asarray(z, dtype=complex) ** self.n)
 
     def slice_derivative(self):
         if self.n == 0:
@@ -245,73 +242,52 @@ class Power(StemFunction):
         return f"pow({self.n})"
 
 
-class Regularizer(StemFunction):
-    """f(s) = s**n / (1+s)**(2n); decays like |s|**n at 0 and |s|**-n at infinity."""
+class _Rational(StemFunction):
+    """f(s) = s**a / (1+s)**b for integers a >= 0 and b > a, the regularizers
+    and their slice derivatives."""
 
-    kind = "regularizer"
     intrinsic = True
 
-    def __init__(self, n: int):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("regularizer index must be a positive integer")
-        self.n = n
-        self.ord0 = float(n)
-        self.ordinf = float(-n)
+    def __init__(self, a: int, b: int):
+        self.a, self.b = a, b
+        self.ord0 = float(a)
+        self.ordinf = float(a - b)
 
-    def complex_stem(self, z, m: int = 0):
+    def complex_stem(self, z):
         z = np.asarray(z, dtype=complex)
         denom = 1.0 + z
         if np.any(np.abs(denom) < 1e-12):
             raise ZeroDivisionError("regularizer evaluated at its pole s = -1")
-        # z**(n-j) (1+z)**(-2n-i) written through the bounded ratios
-        # w = z/(1+z) and v = 1/(1+z) to stay inside float range on long
-        # contour tails
-        w = z / denom
-        v = 1.0 / denom
-        n = self.n
-        out = np.zeros_like(z)
-        for j in range(min(m, n) + 1):
-            i = m - j
-            # perm(2n + i - 1, i) is the rising factorial 2n (2n+1) ... (2n+i-1)
-            out += (math.comb(m, j) * math.perm(n, j) * (-1.0) ** i
-                    * math.perm(2 * n + i - 1, i)
-                    * w ** (n - j) * v ** (n + j + i))
-        return _embed(out)
+        # w**a v**(b-a) through the bounded ratios w = z/(1+z) and
+        # v = 1/(1+z), to stay inside float range on long contour tails
+        return _embed((z / denom) ** self.a
+                      * (1.0 / denom) ** (self.b - self.a))
 
     def slice_derivative(self):
-        return Derivative(self, 1)
+        # (s^a (1+s)^-b)' = a s^(a-1) (1+s)^-b - b s^a (1+s)^-(b+1)
+        tail = Scale(float(-self.b), _Rational(self.a, self.b + 1))
+        if self.a == 0:
+            return tail
+        return Sum(Scale(float(self.a), _Rational(self.a - 1, self.b)), tail)
+
+    def __repr__(self):
+        return f"rat({self.a}, {self.b})"
+
+
+class Regularizer(_Rational):
+    """f(s) = s**n / (1+s)**(2n); decays like |s|**n at 0 and |s|**-n at infinity."""
+
+    def __init__(self, n: int):
+        if not isinstance(n, int) or n < 1:
+            raise ValueError("regularizer index must be a positive integer")
+        super().__init__(n, 2 * n)
+        self.n = n
 
     def __repr__(self):
         return f"reg({self.n})"
 
 
-class Derivative(StemFunction):
-    """order-th slice derivative of an intrinsic base node."""
-
-    kind = "derivative"
-
-    def __init__(self, base: StemFunction, order: int):
-        if not base.intrinsic:
-            raise NotIntrinsic("derivative nodes require an intrinsic base")
-        self.base = base
-        self.order = order
-        self.intrinsic = True
-        self.ord0 = base.ord0 - order
-        self.ordinf = base.ordinf - order
-
-    def complex_stem(self, z, m: int = 0):
-        return self.base.complex_stem(z, m + self.order)
-
-    def slice_derivative(self):
-        return Derivative(self.base, self.order + 1)
-
-    def __repr__(self):
-        return f"d{self.order}({self.base!r})"
-
-
 class Sum(StemFunction):
-    kind = "sum"
-
     def __init__(self, f: StemFunction, g: StemFunction):
         self.f = f
         self.g = g
@@ -319,8 +295,8 @@ class Sum(StemFunction):
         self.ord0 = min(f.ord0, g.ord0)
         self.ordinf = max(f.ordinf, g.ordinf)
 
-    def complex_stem(self, z, m: int = 0):
-        return self.f.complex_stem(z, m) + self.g.complex_stem(z, m)
+    def complex_stem(self, z):
+        return self.f.complex_stem(z) + self.g.complex_stem(z)
 
     def slice_derivative(self):
         return Sum(self.f.slice_derivative(), self.g.slice_derivative())
@@ -334,8 +310,6 @@ class Product(StemFunction):
     product (a1*a2 - b1*b2, a1*b2 + b1*a2) is again a valid stem pair.  With
     g's stem a complex scalar that product is complex multiplication."""
 
-    kind = "product"
-
     def __init__(self, g: StemFunction, f: StemFunction):
         if not g.intrinsic:
             raise NotIntrinsic("the left factor of a product must be intrinsic")
@@ -345,10 +319,9 @@ class Product(StemFunction):
         self.ord0 = g.ord0 + f.ord0
         self.ordinf = g.ordinf + f.ordinf
 
-    def complex_stem(self, z, m: int = 0):
-        # Leibniz rule; g's stem lives in the real component
-        return sum(math.comb(m, j) * self.g.complex_stem(z, j)[..., :1]
-                   * self.f.complex_stem(z, m - j) for j in range(m + 1))
+    def complex_stem(self, z):
+        # g's stem lives in the real component
+        return self.g.complex_stem(z)[..., :1] * self.f.complex_stem(z)
 
     def slice_derivative(self):
         return Sum(Product(self.g.slice_derivative(), self.f),
@@ -365,8 +338,6 @@ class Scale(StemFunction):
     f(s)*c, which is the slice-preserving notion of scalar multiple.
     """
 
-    kind = "scale"
-
     def __init__(self, c, f: StemFunction):
         if isinstance(c, (int, float)):
             c = Quaternion(float(c))
@@ -381,8 +352,8 @@ class Scale(StemFunction):
         else:
             self.ord0, self.ordinf = f.ord0, f.ordinf
 
-    def complex_stem(self, z, m: int = 0):
-        return qarr_mul(qarr(self.c), self.f.complex_stem(z, m))
+    def complex_stem(self, z):
+        return qarr_mul(qarr(self.c), self.f.complex_stem(z))
 
     def slice_derivative(self):
         return Scale(self.c, self.f.slice_derivative())
@@ -410,7 +381,8 @@ def pointwise_fine(f: StemFunction, q: Quaternion):
         raise ValueError("fine-structure forms are singular on the reals (y = 0)")
     z = np.asarray(complex(p.x, p.y))
     alpha, beta, da, db = (Quaternion.from_components(part)
-                           for w in (f.complex_stem(z), f.complex_stem(z, 1))
+                           for w in (f.complex_stem(z),
+                                     f.slice_derivative().complex_stem(z))
                            for part in (w.real, w.imag))
     fprime = da + p.j * db
     two_over_y = 2.0 / p.y

@@ -73,6 +73,23 @@ def test_slice_derivative_structures():
     assert (s.eval(q) - want.eval(q)).norm() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_regularizer_derivative_orders(n):
+    # the leading orders at 0 and infinity set the certificate rates and the
+    # truncation radii: reg(n)' ~ s^(n-1) and s^(-n-1), reg(n)'' ~ s^(n-2)
+    # and s^(-n-2) (reg(1)'' is finite and nonzero at 0: e''(0) = -4)
+    d1 = Regularizer(n).slice_derivative()
+    d2 = d1.slice_derivative()
+    assert (d1.ord0, d1.ordinf) == (n - 1, -n - 1)
+    assert (d2.ord0, d2.ordinf) == (max(n - 2, 0), -n - 2)
+    for d in (d1, d2):
+        # the stem itself scales with those orders at both ends
+        for r, order in ((1e-5, d.ord0), (1e5, d.ordinf)):
+            w = d.complex_stem(np.array([r, 2.0 * r]))[:, 0]
+            assert math.log2(abs(w[1] / w[0])) == pytest.approx(order,
+                                                                abs=1e-3)
+
+
 def test_regularizer_derivative_closed_form(rng):
     # e'(s) = (1 - s) / (1 + s)^3 for n = 1
     d = Regularizer(1).slice_derivative()
@@ -84,8 +101,11 @@ def test_regularizer_derivative_closed_form(rng):
         assert (d.eval(q) - want).norm() <= 1e-10 * max(1.0, want.norm())
 
 
-@pytest.mark.parametrize("f", [Regularizer(1), Regularizer(3),
-                               Product(Power(2), Regularizer(3))])
+@pytest.mark.parametrize("f", [
+    Regularizer(1), Regularizer(3), Product(Power(2), Regularizer(3)),
+    # second derivatives: a derivative node differentiates again
+    Regularizer(2).slice_derivative(),
+    Product(Power(2), Regularizer(3)).slice_derivative()])
 def test_derivative_against_central_differences(f, rng):
     d = f.slice_derivative()
     h = 1e-6
@@ -120,8 +140,8 @@ def test_even_odd_and_cauchy_riemann_on_grid(f):
     assert np.abs(da_dx - db_dy).max() <= 1e-6 * scale
     assert np.abs(da_dy + db_dx).max() <= 1e-6 * scale
 
-    # analytic x-derivative agrees with the finite difference
-    dw = f.complex_stem(gx + 1j * gy, 1)
+    # the stem of the derivative node agrees with the finite difference
+    dw = f.slice_derivative().complex_stem(gx + 1j * gy)
     da, db = dw.real, dw.imag
     assert np.abs(da - da_dx).max() <= 1e-6 * scale
     assert np.abs(db - db_dx).max() <= 1e-6 * scale
@@ -141,15 +161,19 @@ def test_composite_stems_follow_the_quaternion_pair_rules():
         return np.all(np.abs(got - want) <= 1e-15 * scale)
 
     g, f = Regularizer(2), Scale(E1, Regularizer(2))
+    dg, df = g.slice_derivative(), f.slice_derivative()
     want = [pair_product(g.complex_stem(z), f.complex_stem(z)),
-            pair_product(g.complex_stem(z, 1), f.complex_stem(z))
-            + pair_product(g.complex_stem(z), f.complex_stem(z, 1))]
+            pair_product(dg.complex_stem(z), f.complex_stem(z))
+            + pair_product(g.complex_stem(z), df.complex_stem(z))]
     c = Quaternion(0.5, 1, -0.5, 0.25)
     h = Product(g, f)  # not intrinsic, so c must act from the left
-    for m in (0, 1):
-        assert close(Product(g, f).complex_stem(z, m), want[m])
-        inner = h.complex_stem(z, m)
-        assert close(Scale(c, h).complex_stem(z, m),
+    # the product and its derivative node, each with its scaled twin
+    for (node, scaled), w in zip(((h, Scale(c, h)),
+                                  (h.slice_derivative(),
+                                   Scale(c, h).slice_derivative())), want):
+        assert close(node.complex_stem(z), w)
+        inner = node.complex_stem(z)
+        assert close(scaled.complex_stem(z),
                      qarr_mul(qarr(c), inner.real)
                      + 1j * qarr_mul(qarr(c), inner.imag))
 
@@ -591,6 +615,19 @@ def _combinations(children):
 
 
 _MEMBERS = st.recursive(_LEAVES, _combinations, max_leaves=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_MEMBERS)
+def test_derivative_node_stem_matches_central_differences(f):
+    # the stem of f.slice_derivative() is the complex derivative of f's stem
+    z = np.outer(np.geomspace(0.2, 3.0, 6),
+                 np.exp(1j * np.linspace(0.1, 2.4, 5)))
+    h = 1e-6
+    fd = (f.complex_stem(z + h) - f.complex_stem(z - h)) / (2 * h)
+    got = f.slice_derivative().complex_stem(z)
+    scale = max(1.0, np.abs(f.complex_stem(z)).max(), np.abs(fd).max())
+    assert np.abs(got - fd).max() <= 1e-7 * scale
 
 
 @settings(max_examples=60, deadline=None)
