@@ -126,10 +126,34 @@ def _angles(omega: float, theta, phi):
     return theta, phi
 
 
-def _require_injective(comps: np.ndarray, label: str) -> None:
-    sv = np.linalg.svd(adjoint(comps), compute_uv=False)
-    if sv[-1] <= INJECTIVITY_FACTOR * max(sv[0], 1e-300):
-        raise NotInjective(f"{label} is numerically non-injective")
+def _require_injective(t: CommutingOperator) -> bool:
+    """True, or NotInjective when T or conj(T) is numerically singular."""
+    for comps, label in ((t.components, "T"),
+                         (bq_conj(t.components), "conj(T)")):
+        sv = np.linalg.svd(adjoint(comps), compute_uv=False)
+        if sv[-1] <= INJECTIVITY_FACTOR * max(sv[0], 1e-300):
+            raise NotInjective(f"{label} is numerically non-injective")
+    return True
+
+
+def _amplification(t: CommutingOperator, n: int) -> float:
+    """||e(T)^-1|| for e = reg(n), from e(T)^-1 = (T^-1 + 2 + T)^n on the
+    complex adjoint; NotInjective when it overflows or when it amplifies
+    the quadrature floor past 1, since sub-integrals at the floor would
+    then leave the value all noise."""
+    a = adjoint(t.components)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_inv = np.linalg.matrix_power(
+            np.linalg.inv(a) + 2.0 * np.eye(len(a)) + a, n)
+    if not np.isfinite(e_inv).all():
+        raise NotInjective("e(T) is numerically singular")
+    amplification = float(np.linalg.svd(e_inv, compute_uv=False)[0])
+    if amplification * _HINF_TOL_FLOOR >= 1.0:
+        raise NotInjective(
+            f"e(T) = reg({n})(T) is too small to invert: ||e(T)^-1|| = "
+            f"{amplification:.3g} amplifies the quadrature floor "
+            f"{_HINF_TOL_FLOOR:g} past 1")
+    return amplification
 
 
 def _solve_prefactor(pref: QuatMatrix, bracket: QuatMatrix):
@@ -157,8 +181,12 @@ class Evaluator:
     the value on conj(T) under T's own profile: estimate_type_profile
     gives conj(T) the same constants bit for bit, since its closed form
     reads only lambda0 and |Im lambda| and its Frobenius bound is
-    invariant under bq_conj.  No value is cached between evaluators;
-    certificates are, by the same rule.
+    invariant under bq_conj.  No value is shared between evaluators
+    (certificates are, by the same rule), but the public calc and hinf
+    keep one evaluator on each operator and reuse it while the profile
+    object, theta, phi and unit stay the same (_evaluator_of).  Besides
+    values, hinf memoizes the injectivity of T and ||e(T)^-1|| per
+    regularizer; failures are never stored.
     """
 
     def __init__(self, t: CommutingOperator, profile: TypeProfile, *,
@@ -283,27 +311,17 @@ class Evaluator:
         return replace(res, value=res.value.conj()) if conj else res
 
     def _hinf(self, kind, f, tol, regularizer_power) -> CalculusResult:
-        _require_injective(self.t.components, "T")
-        _require_injective(bq_conj(self.t.components), "conj(T)")
+        # the work on (T, e) alone is memoized like a value, so a failure
+        # raises again on every call
+        self._memo.get(("injective",), None,
+                       lambda: _require_injective(self.t))
         if regularizer_power is None:
             e = choose_regularizer(f, self.profile.alpha, self.profile.beta,
                                    self.theta)
         else:
             e = Regularizer(regularizer_power)
-        # e(T)^-1 = (T^-1 + 2 + T)^n, on the complex adjoint
-        a = adjoint(self.t.components)
-        with np.errstate(over="ignore", invalid="ignore"):
-            e_inv = np.linalg.matrix_power(
-                np.linalg.inv(a) + 2.0 * np.eye(len(a)) + a, e.n)
-        if not np.isfinite(e_inv).all():
-            raise NotInjective("e(T) is numerically singular")
-        amplification = float(np.linalg.svd(e_inv, compute_uv=False)[0])
-        if amplification * _HINF_TOL_FLOOR >= 1.0:
-            # sub-integrals at the floor would leave the value all noise
-            raise NotInjective(
-                f"e(T) = reg({e.n})(T) is too small to invert: ||e(T)^-1|| = "
-                f"{amplification:.3g} amplifies the quadrature floor "
-                f"{_HINF_TOL_FLOOR:g} past 1")
+        amplification = self._memo.get(("amplification", e.n), None,
+                                       lambda: _amplification(self.t, e.n))
         tol = max(min(tol, 1e-8 / max(amplification, 1.0)), _HINF_TOL_FLOOR)
         named = {"e": e, "ef": Product(e, f)}
         vals = self.calc_many([(k, named[g], conj)
@@ -340,12 +358,34 @@ class Evaluator:
         return CalculusResult(value, kind, "h_infinity", diag)
 
 
+_SLOT_LOCK = threading.Lock()  # guards every operator's evaluator slot
+
+
+def _evaluator_of(t: CommutingOperator, profile: TypeProfile, theta, phi,
+                  unit: Quaternion) -> Evaluator:
+    """The Evaluator in t's one slot if it has this profile object and the
+    same resolved theta, phi and unit, else a new one that replaces it.
+    One slot, not one per key: memory stays bounded, and the calls it
+    serves are those of one sweep, such as the four kinds of one f."""
+    _check_profile(profile)
+    theta, phi = _angles(profile.omega, theta, phi)
+    with _SLOT_LOCK:
+        ev = t.__dict__.get("evaluator")
+        if (ev is None or ev.profile is not profile or ev.unit != unit
+                or (ev.theta, ev.phi) != (theta, phi)):
+            ev = Evaluator(t, profile, theta=theta, phi=phi, unit=unit)
+            # a frozen dataclass: filled as the cached eigenbasis is
+            t.__dict__["evaluator"] = ev
+    return ev
+
+
 def calc(kind: str, t: CommutingOperator, f, profile: TypeProfile, *,
          theta: float | None = None, phi: float | None = None,
          unit: Quaternion = E1, tol: float = 1e-9,
          side: str = "left") -> CalculusResult:
-    """Decaying-regime functional calculus of f at t (see Evaluator.calc)."""
-    return Evaluator(t, profile, theta=theta, phi=phi, unit=unit).calc(
+    """Decaying-regime functional calculus of f at t (see Evaluator.calc),
+    from the Evaluator kept on t (see _evaluator_of), shared with hinf."""
+    return _evaluator_of(t, profile, theta, phi, unit).calc(
         kind, f, tol=tol, side=side)
 
 
@@ -353,8 +393,9 @@ def hinf(kind: str, t: CommutingOperator, f, profile: TypeProfile, *,
          theta: float | None = None, phi: float | None = None,
          unit: Quaternion = E1, tol: float = 1e-12,
          regularizer_power: int | None = None) -> CalculusResult:
-    """H-infinity calculus of a polynomially growing f (see Evaluator.hinf)."""
-    return Evaluator(t, profile, theta=theta, phi=phi, unit=unit).hinf(
+    """H-infinity calculus of a polynomially growing f (see Evaluator.hinf),
+    from the Evaluator kept on t (see _evaluator_of), shared with calc."""
+    return _evaluator_of(t, profile, theta, phi, unit).hinf(
         kind, f, tol=tol, regularizer_power=regularizer_power)
 
 

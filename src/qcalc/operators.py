@@ -552,7 +552,8 @@ class TypeProfile:
 
     for both kernels K of the family, every unit J and both rays outside
     the sector of angle phi, p the family's exact order at infinity
-    (KernelNumerator.order).
+    (KernelNumerator.order).  calculus.calc and hinf match a profile by
+    identity, so do not mutate one after use.
     """
 
     alpha: float

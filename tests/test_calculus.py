@@ -1,7 +1,10 @@
+import gc
 import math
 import re
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,12 +187,14 @@ class TestDecayingCalculi:
 
     def test_value_ignores_other_certificates(self):
         # certifying f for another class must not move the contour of a
-        # later value, so that a value depends on its memo key only
+        # later value, so that a value depends on its memo key only; each
+        # side has its own Evaluator, since public calls with equal
+        # arguments share one memoized value
         ctx = SuiteContext(generate_operator(OperatorSpec(dim=4, seed=7)))
         f = Regularizer(4)
-        before = calc("S", ctx.operator, f, ctx.profile)
+        before = Evaluator(ctx.operator, ctx.profile).calc("S", f)
         f.certify_decay(1.0, -2.0, ctx.theta)
-        after = calc("S", ctx.operator, f, ctx.profile)
+        after = Evaluator(ctx.operator, ctx.profile).calc("S", f)
         assert np.array_equal(after.value.components,
                               before.value.components)
         assert after.diagnostics.t_min == before.diagnostics.t_min
@@ -561,15 +566,17 @@ class TestHInfinity:
         # at annulus (0.1, 10) the norm of e(T)^-1 asks hinf("F", pow(5))
         # for a tol below the cap, at which its one batch runs; the value
         # and diagnostics are those of one integrate call per sub-value
+        # (each side in its own Evaluator, so that neither reads the other's
+        # memo)
         ctx = SuiteContext(generate_operator(
             OperatorSpec(dim=4, seed=3, annulus=(0.1, 10))))
-        got = hinf("F", ctx.operator, Power(5), ctx.profile)
+        got = Evaluator(ctx.operator, ctx.profile).hinf("F", Power(5))
         assert got.diagnostics.tol_achieved < 1e-12
         monkeypatch.setattr(calculus, "integrate_many",
                             lambda items, side="left": [
                                 contour.integrate(*item, side=side)
                                 for item in items])
-        want = hinf("F", ctx.operator, Power(5), ctx.profile)
+        want = Evaluator(ctx.operator, ctx.profile).hinf("F", Power(5))
         assert np.array_equal(got.value.components, want.value.components)
         assert got.diagnostics == want.diagnostics
 
@@ -602,6 +609,120 @@ class TestHInfinity:
         t = CommutingOperator(np.stack([t0, zeros, zeros, zeros]))
         with pytest.raises(NotInjective):
             hinf("S", t, Power(1), ctx4.profile)
+
+
+def fresh_context(dim=4, seed=7):
+    """A context on a new operator object, whose evaluator slot is empty."""
+    return SuiteContext(generate_operator(OperatorSpec(dim=dim, seed=seed)))
+
+
+class TestSharedEvaluator:
+    """Public calc and hinf keep one Evaluator on the operator object."""
+
+    def test_four_kind_sweep_computes_each_sub_value_once(self, monkeypatch):
+        ctx = fresh_context()
+        t, profile, f = ctx.operator, ctx.profile, Power(3)
+        calls = {"_require_injective": 0, "_amplification": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(calculus, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(calculus, name, counted)
+        seen = counting_integrate(monkeypatch)
+        shared = [hinf(kind, t, f, profile) for kind in ("S", "Q", "P2", "F")]
+        # e(T) and (e f)(T) serve every kind, D e(T) Q, P2 and F, and
+        # D (e f)(T) Q and F: each kind adds two integrals
+        assert len(seen) == len(set(seen)) == 8
+        assert calls == {"_require_injective": 1, "_amplification": 1}
+        seen.clear()
+        alone = [Evaluator(t, profile).hinf(kind, f)
+                 for kind in ("S", "Q", "P2", "F")]
+        assert len(seen) == 17
+        for a, b in zip(shared, alone):
+            assert np.array_equal(a.value.components, b.value.components)
+            assert a.diagnostics == b.diagnostics
+
+    def test_other_angle_profile_or_unit_replaces_the_slot(self, monkeypatch):
+        ctx = fresh_context()
+        t, profile, f = ctx.operator, ctx.profile, Regularizer(2)
+        phi = Evaluator(t, profile).phi
+        seen = counting_integrate(monkeypatch)
+        first = calc("S", t, f, profile)
+        # the angles are compared resolved: the default phi given explicitly
+        # is the same evaluator
+        assert calc("S", t, f, profile, phi=phi) is first
+        assert len(seen) == 1
+        for other in (dict(phi=phi + 0.1), dict(unit=E12),
+                      dict(profile=replace(profile))):
+            calc("S", t, f, **{"profile": profile, **other})
+            again = calc("S", t, f, profile)
+            assert again is not first
+            assert np.array_equal(again.value.components,
+                                  first.value.components)
+            first = again
+        assert len(seen) == 7
+
+    def test_dropped_operator_is_collected(self):
+        # the slot's evaluator holds its operator (ev.t), a reference cycle
+        # that the collector breaks
+        ctx = fresh_context(dim=2, seed=3)
+        hinf("S", ctx.operator, Power(1), ctx.profile)
+        calc("S", ctx.operator, Regularizer(2), ctx.profile)
+        ref = weakref.ref(ctx.operator)
+        del ctx
+        gc.collect()
+        assert ref() is None
+
+    def test_failures_are_not_memoized(self, monkeypatch):
+        ctx = fresh_context(dim=2, seed=3)
+        seen = counting_integrate(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(NotInjective, match=re.escape("e(T)")):
+                hinf("S", ctx.operator, Power(1), ctx.profile,
+                     regularizer_power=500)
+        assert not seen
+        # injectivity is checked before the regularizer is chosen, whose
+        # certificate would refuse pow(10^20) with ClassMismatch
+        zero = CommutingOperator(np.zeros((4, 2, 2)))
+        for _ in range(2):
+            with pytest.raises(NotInjective, match="T is numerically"):
+                hinf("S", zero, Power(10**20), ctx.profile)
+        # the slot still serves values after the failures
+        got = hinf("S", ctx.operator, Power(1), ctx.profile)
+        assert (got.value - ctx.operator.as_qmatrix()).norm() <= 1e-6
+
+    def test_threads_on_the_public_path_match_a_serial_run(self):
+        # threads race for the slot (two angles, so they also replace it)
+        # and for the memo of the evaluator they share; every value is the
+        # serial one bit for bit
+        ctx = fresh_context()
+        t, profile = ctx.operator, ctx.profile
+        phis = (Evaluator(t, profile).phi, Evaluator(t, profile).phi + 0.1)
+        fs = (Power(2), Product(Power(1), Regularizer(1)))
+        kinds = ["S", "Q", "P2", "F"]
+        serial = {(kind, i, phi): Evaluator(t, profile, phi=phi).hinf(
+            kind, f).value.components
+            for kind in kinds for i, f in enumerate(fs) for phi in phis}
+
+        def work(i):  # each thread starts at another kind
+            phi = phis[i % 2]
+            return {(kind, j, phi): hinf(kind, t, f, profile, phi=phi)
+                    .value.components
+                    for kind in kinds[i % 4:] + kinds[:i % 4]
+                    for j, f in enumerate(fs)}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, i) for i in range(8)]
+                results = [fut.result(timeout=120) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert len(got) == 8
+            for key, value in got.items():
+                assert np.array_equal(value, serial[key])
 
 
 class TestScalarOperatorAgainstPointwise:
