@@ -156,6 +156,14 @@ def _amplification(t: CommutingOperator, n: int) -> float:
     return amplification
 
 
+def _hinf_tol(kind: str, tol: float) -> float:
+    """hinf's tol, capped at 1e-12, once kind and tol are checked."""
+    _require_positive_tol(tol)
+    if kind not in CALC_KINDS:
+        raise ValueError(f"unknown calculus kind {kind!r}")
+    return min(tol, _HINF_TOL_CAP)
+
+
 def _solve_prefactor(pref: QuatMatrix, bracket: QuatMatrix):
     cond = np.linalg.cond(adjoint(pref.components))
     if not np.isfinite(cond) or cond > 1e12:
@@ -298,10 +306,7 @@ class Evaluator:
         all noise, and raises NotInjective first.  conj follows
         calc_many's rule.
         """
-        _require_positive_tol(tol)
-        if kind not in CALC_KINDS:
-            raise ValueError(f"unknown calculus kind {kind!r}")
-        tol = min(tol, _HINF_TOL_CAP)  # before the memo key: one value per cap
+        tol = _hinf_tol(kind, tol)  # before the memo key: one value per cap
         if conj and not f.intrinsic:
             return self._conj_evaluator().hinf(
                 kind, f, tol=tol, regularizer_power=regularizer_power)
@@ -365,14 +370,14 @@ def _evaluator_of(t: CommutingOperator, profile: TypeProfile, theta, phi,
                   unit: Quaternion) -> Evaluator:
     """The Evaluator in t's one slot if it has this profile object and the
     same resolved theta, phi and unit, else a new one that replaces it.
-    One slot, not one per key: memory stays bounded, and the calls it
-    serves are those of one sweep, such as the four kinds of one f."""
-    _check_profile(profile)
-    theta, phi = _angles(profile.omega, theta, phi)
+    One slot, not one per key: the calls it serves are those of one sweep,
+    such as the four kinds of one f."""
     with _SLOT_LOCK:
         ev = t.__dict__.get("evaluator")
+        # the angles are resolved only against a profile the slot's
+        # evaluator has already checked; a new one checks its own
         if (ev is None or ev.profile is not profile or ev.unit != unit
-                or (ev.theta, ev.phi) != (theta, phi)):
+                or (ev.theta, ev.phi) != _angles(profile.omega, theta, phi)):
             ev = Evaluator(t, profile, theta=theta, phi=phi, unit=unit)
             # a frozen dataclass: filled as the cached eigenbasis is
             t.__dict__["evaluator"] = ev
@@ -384,7 +389,8 @@ def calc(kind: str, t: CommutingOperator, f, profile: TypeProfile, *,
          unit: Quaternion = E1, tol: float = 1e-9,
          side: str = "left") -> CalculusResult:
     """Decaying-regime functional calculus of f at t (see Evaluator.calc),
-    from the Evaluator kept on t (see _evaluator_of), shared with hinf."""
+    from the Evaluator kept on t (see _evaluator_of), shared with hinf.
+    The result is the memoized one, so do not mutate it."""
     return _evaluator_of(t, profile, theta, phi, unit).calc(
         kind, f, tol=tol, side=side)
 
@@ -393,10 +399,12 @@ def hinf(kind: str, t: CommutingOperator, f, profile: TypeProfile, *,
          theta: float | None = None, phi: float | None = None,
          unit: Quaternion = E1, tol: float = 1e-12,
          regularizer_power: int | None = None) -> CalculusResult:
-    """H-infinity calculus of a polynomially growing f (see Evaluator.hinf),
-    from the Evaluator kept on t (see _evaluator_of), shared with calc."""
-    return _evaluator_of(t, profile, theta, phi, unit).hinf(
-        kind, f, tol=tol, regularizer_power=regularizer_power)
+    """H-infinity calculus of a polynomially growing f (see Evaluator.hinf).
+    Its sub-values come from the Evaluator kept on t (see _evaluator_of),
+    shared with calc; the prefactor is solved on every call, so each call
+    returns a result of its own."""
+    ev = _evaluator_of(t, profile, theta, phi, unit)
+    return ev._hinf(kind, f, _hinf_tol(kind, tol), regularizer_power)
 
 
 # ---------------------------------------------------------------------------

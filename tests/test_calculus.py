@@ -642,6 +642,22 @@ class TestSharedEvaluator:
             assert np.array_equal(a.value.components, b.value.components)
             assert a.diagnostics == b.diagnostics
 
+    def test_public_hinf_solves_its_own_prefactor(self, monkeypatch):
+        ctx = fresh_context()
+        t, profile, f = ctx.operator, ctx.profile, Power(3)
+        first = hinf("Q", t, f, profile)
+        solves = []
+        real = calculus._solve_prefactor
+        monkeypatch.setattr(calculus, "_solve_prefactor",
+                            lambda *a: solves.append(1) or real(*a))
+        seen = counting_integrate(monkeypatch)
+        again = hinf("Q", t, f, profile)
+        # the sub-values are shared, the assembled result is not
+        assert not seen and len(solves) == 1
+        assert again is not first and again.value is not first.value
+        assert np.array_equal(again.value.components, first.value.components)
+        assert again.diagnostics == first.diagnostics
+
     def test_other_angle_profile_or_unit_replaces_the_slot(self, monkeypatch):
         ctx = fresh_context()
         t, profile, f = ctx.operator, ctx.profile, Regularizer(2)
@@ -652,6 +668,9 @@ class TestSharedEvaluator:
         # is the same evaluator
         assert calc("S", t, f, profile, phi=phi) is first
         assert len(seen) == 1
+        # angles are checked on a slot hit too
+        with pytest.raises(ValueError, match="omega < phi"):
+            calc("S", t, f, profile, phi=4.0)
         for other in (dict(phi=phi + 0.1), dict(unit=E12),
                       dict(profile=replace(profile))):
             calc("S", t, f, **{"profile": profile, **other})
