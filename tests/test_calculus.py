@@ -262,14 +262,18 @@ class TestEvaluator:
                               want.value.conj().components)
         assert got.diagnostics == want.diagnostics
 
-    def test_hinf_tolerance_cap_is_one_memo_entry(self, ctx4, gen4,
-                                                  monkeypatch):
-        # every tol above the 1e-12 cap asks for the same value
+    def test_hinf_tolerance_cap_reuses_the_sub_values(self, ctx4, gen4,
+                                                      monkeypatch):
+        # every tol above the 1e-12 cap asks for the same sub-values, so
+        # the same value and diagnostics, with no integral run again
         ev = Evaluator(gen4.operator, ctx4.profile)
         first = ev.hinf("S", Power(1))
         seen = counting_integrate(monkeypatch)
-        assert ev.hinf("S", Power(1), tol=1e-9) is first
-        assert ev.hinf("S", Power(1), tol=1e-12) is first
+        for tol in (1e-9, 1e-12):
+            again = ev.hinf("S", Power(1), tol=tol)
+            assert np.array_equal(again.value.components,
+                                  first.value.components)
+            assert again.diagnostics == first.diagnostics
         assert not seen
 
     def test_hinf_product_rules_repeat_no_integral(self, ctx4, gen4,
@@ -313,6 +317,36 @@ class TestEvaluator:
             stored = ev.calc(kind, f, tol=1e-6)
             assert all(r[kind] is stored for r in results)
         assert all(r["cert"] is results[0]["cert"] for r in results)
+
+    def test_threads_share_the_conj_evaluator(self):
+        # a non-intrinsic f with conj runs on conj(T), whose evaluator is
+        # stored in the memo on first use; threads that race to build it
+        # must all end up on the one stored, so each caller gets the value
+        # a later serial call returns
+        from qcalc.operators import estimate_type_profile
+        t = scalar_operator(Quaternion(0.8) + E1 * 0.4)
+        profile = estimate_type_profile(t, math.pi / 4,
+                                        [math.pi / 2, 3 * math.pi / 4])
+        ev = Evaluator(t, profile)
+        f = Scale(E1, Regularizer(2))
+        assert not f.intrinsic
+        kinds = ["S", "Q", "P2", "F"]
+
+        def work(i):  # each thread starts at another kind
+            return {kind: ev.calc(kind, f, tol=1e-6, conj=True)
+                    for kind in kinds[i % 4:] + kinds[:i % 4]}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, i) for i in range(8)]
+                results = [fut.result(timeout=120) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for kind in kinds:
+            stored = ev.calc(kind, f, tol=1e-6, conj=True)
+            assert all(r[kind] is stored for r in results)
 
 
 def reference_identity_residuals(t, s, p):
