@@ -30,9 +30,10 @@ from .contour import (OperatorKernel, _require_positive_tol, contour_for,
 from .errors import NotInjective, NotIntrinsic
 from .operators import (KERNEL_KINDS, _AB_FAMILY, CommutingOperator,
                         QuatMatrix, TypeProfile, adjoint, assemble, bq_conj,
-                        conj_op, stack_norm)
+                        stack_norm)
 from .quaternion import E1, Quaternion, to_slice
-from .slicefun import Memo, Power, Product, Regularizer, choose_regularizer
+from .slicefun import (Memo, Power, Product, Regularizer, StemFunction,
+                       choose_regularizer)
 
 CALC_KINDS = ("S", "Q", "P2", "F")
 
@@ -128,22 +129,27 @@ def _angles(omega: float, theta, phi):
     return theta, phi
 
 
-def _require_injective(t: CommutingOperator) -> bool:
-    """True, or NotInjective when T or conj(T) is numerically singular."""
-    for comps, label in ((t.components, "T"),
-                         (bq_conj(t.components), "conj(T)")):
-        sv = np.linalg.svd(adjoint(comps), compute_uv=False)
+def _require_function(f) -> None:
+    if not isinstance(f, StemFunction):
+        raise TypeError(f"f must be a StemFunction, not {type(f).__name__}"
+                        "; slicefun.parse builds one from text")
+
+
+def _require_injective(comps: np.ndarray) -> bool:
+    """True, or NotInjective when T (of comps) or conj(T) is singular."""
+    for c, label in ((comps, "T"), (bq_conj(comps), "conj(T)")):
+        sv = np.linalg.svd(adjoint(c), compute_uv=False)
         if sv[-1] <= INJECTIVITY_FACTOR * max(sv[0], 1e-300):
             raise NotInjective(f"{label} is numerically non-injective")
     return True
 
 
-def _amplification(t: CommutingOperator, n: int) -> float:
-    """||e(T)^-1|| for e = reg(n), from e(T)^-1 = (T^-1 + 2 + T)^n on the
-    complex adjoint; NotInjective when it overflows or when it amplifies
-    the quadrature floor past 1, since sub-integrals at the floor would
-    then leave the value all noise."""
-    a = adjoint(t.components)
+def _amplification(comps: np.ndarray, n: int) -> float:
+    """||e(T)^-1|| for e = reg(n), T of components comps, from e(T)^-1 =
+    (T^-1 + 2 + T)^n on the complex adjoint; NotInjective when it
+    overflows or when it amplifies the quadrature floor past 1, since
+    sub-integrals at the floor would then leave the value all noise."""
+    a = adjoint(comps)
     with np.errstate(over="ignore", invalid="ignore"):
         e_inv = np.linalg.matrix_power(
             np.linalg.inv(a) + 2.0 * np.eye(len(a)) + a, n)
@@ -172,24 +178,25 @@ class Evaluator:
     """Calculus values of one operator, each integral computed at most once.
 
     Everything an evaluator keeps is in its one Memo: the calc values on
-    (kind, repr(f), tol, side), and for hinf the injectivity of T,
-    ||e(T)^-1|| per regularizer and the evaluator of conj(T).  Each
-    depends on its key only, so one evaluator may serve many threads;
-    when two threads compute one entry, the first stored is kept, and
-    failures are never stored.  calc_many computes the missing values of
-    a list in one shared-lattice batch (contour.integrate_many), and calc
-    is its list of one.  hinf assembles its value on every call from one
-    calc_many batch of every sub-value its kind needs, so e(T), (e*f)(T)
-    and their D, Dbar and Delta forms share the nodes' work and serve
-    every kind.  conj=True is the one conjugation rule of both: the
-    entrywise conjugate of the value at T for intrinsic f, else the value
-    on conj(T) under T's own profile: estimate_type_profile gives conj(T)
-    the same constants bit for bit, since its closed form reads only
-    lambda0 and |Im lambda| and its Frobenius bound is invariant under
-    bq_conj.  No value is shared between evaluators (certificates are, by
-    the same rule), but the public calc and hinf keep one evaluator on
-    each operator and reuse it while the profile object, theta, phi and
-    unit stay the same (_evaluator_of).
+    (kind, repr(f), tol, side, conj), and for hinf the injectivity of T
+    and ||e(T)^-1|| and ||e(conj T)^-1|| per regularizer.  Each depends on
+    its key only, so one evaluator may serve many threads; when two
+    threads compute one entry, the first stored is kept, and failures are
+    never stored.  calc_many computes the missing values of a list in one
+    shared-lattice batch (contour.integrate_many), and calc is its list of
+    one.  hinf assembles its value on every call from one calc_many batch
+    of every sub-value its kind needs, so e(T), (e*f)(T) and their D, Dbar
+    and Delta forms share the nodes' work and serve every kind.
+    conj=True is the one conjugation rule of both: the entrywise
+    conjugate of the value at T for intrinsic f, else the value at
+    conj(T), one more item of T's batch.  Q_{c,z}(conj T) = z^2 - 2 T0 z
+    + |T|^2 is Q_{c,z}(T), since T0 and |T|^2 are unchanged, so conj(T)
+    shares T's M, moments, contour and profile, and only its kernel
+    coefficients differ, as their entrywise conjugates
+    (contour.OperatorKernel).  No value is shared between evaluators
+    (certificates are, by the same rule), but the public calc and hinf
+    keep one evaluator on each operator and reuse it while the profile
+    object, theta, phi and unit stay the same (_evaluator_of).
     """
 
     def __init__(self, t: CommutingOperator, profile: TypeProfile, *,
@@ -201,12 +208,6 @@ class Evaluator:
         self.profile = profile
         self.unit = unit
         self._memo = Memo()
-
-    def _conj_evaluator(self) -> Evaluator:
-        # memoized like a value: threads that race keep the first stored
-        return self._memo.get(("conj",), None, lambda: Evaluator(
-            conj_op(self.t), self.profile, theta=self.theta, phi=self.phi,
-            unit=self.unit))
 
     def calc(self, kind: str, f, *, tol: float = 1e-9, side: str = "left",
              conj: bool = False) -> CalculusResult:
@@ -221,44 +222,31 @@ class Evaluator:
                   side: str = "left") -> list[CalculusResult]:
         """calc of each (kind, f, conj) request at one tol and side, in
         order, each equal to what calc gives it alone.  The values not yet
-        memoized run as one batch on T (contour.integrate_many), and those
-        of a non-intrinsic f with conj as one batch on conj(T)."""
+        memoized are computed as one batch on T (contour.integrate_many)
+        and stored, a non-intrinsic f with conj at conj(T) among them; an
+        intrinsic f with conj takes the conjugate of its value at T.  A
+        lone value goes through integrate, the batch of one, which
+        qbench/layertrace.py counts as one integral."""
         _require_positive_tol(tol)
         requests = list(requests)
-        here, there = [], []
-        for kind, f, conj in requests:
+        for kind, f, _ in requests:
             if kind not in CALC_KINDS:
                 raise ValueError(f"unknown calculus kind {kind!r}")
-            # refused before conj(T), a certificate or a contour is built
+            _require_function(f)
+            # refused before a certificate or a contour is built
             require_moment_form(_kernel_kind(kind, side), f, side)
-            (there if conj and not f.intrinsic else here).append((kind, f))
-        vals = iter(self._values(here, tol, side))
-        bar = iter(self._conj_evaluator()._values(there, tol, side)
-                   if there else ())
-        out = []
-        for _, f, conj in requests:
-            if conj and not f.intrinsic:
-                out.append(next(bar))
-            else:
-                res = next(vals)
-                out.append(replace(res, value=res.value.conj())
-                           if conj else res)
-        return out
-
-    def _values(self, pairs, tol, side) -> list[CalculusResult]:
-        """The values of (kind, f) at T; those not memoized are computed as
-        one batch and stored.  A lone value goes through integrate, the
-        batch of one, which qbench/layertrace.py counts as one integral."""
-        keys = [("calc", kind, repr(f), tol, side) for kind, f in pairs]
-        todo = {key: pair for key, pair in zip(keys, pairs)
+        # (kind, f, whether at conj(T)) of each value
+        at = [(k, f, c and not f.intrinsic) for k, f, c in requests]
+        keys = [("calc", kind, repr(f), tol, side, bar) for kind, f, bar in at]
+        todo = {key: item for key, item in zip(keys, at)
                 if self._memo.find(key) is None}
         if todo:
-            items = [(OperatorKernel(_kernel_kind(kind, side), self.t), f,
-                      self._contour(_kernel_kind(kind, side), f, tol))
-                     for kind, f in todo.values()]
+            items = [(OperatorKernel(_kernel_kind(kind, side), self.t, bar),
+                      f, self._contour(_kernel_kind(kind, side), f, tol))
+                     for kind, f, bar in todo.values()]
             raws = ([integrate(*items[0], side=side)] if len(items) == 1
                     else integrate_many(items, side=side))
-            for key, (kind, _), (kernel, f, contour), (raw, info) in zip(
+            for key, (kind, _, _), (kernel, f, contour), (raw, info) in zip(
                     todo, todo.values(), items, raws):
                 diag = CalcDiagnostics(
                     tol_achieved=info["tol_achieved"], nodes=info["nodes"],
@@ -267,7 +255,10 @@ class Evaluator:
                     worst_cond=info["worst_cond"], kernel_path=kernel.path)
                 self._memo.put(key, f, CalculusResult(
                     _PREFACTOR[kind] * raw, kind, "decaying", diag))
-        return [self._memo.find(key) for key in keys]
+        return [replace(res, value=res.value.conj())
+                if conj and f.intrinsic else res
+                for (_, f, conj), res in zip(
+                    requests, map(self._memo.find, keys))]
 
     def _contour(self, kernel_kind, f, tol):
         profile = self.profile
@@ -295,33 +286,34 @@ class Evaluator:
         sub-value then runs in one calc_many batch at that tol.  A norm at
         which that floor times the norm reaches 1 would leave the value
         all noise, and raises NotInjective first.  conj follows
-        calc_many's rule.  Only the sub-values, the checks on T and e and
-        the conj(T) evaluator are memoized: the prefactor is solved on
+        calc_many's rule; a non-intrinsic f at conj(T) flips the conj of
+        every sub-value and reads ||e(conj T)^-1||.  Only the sub-values
+        and the checks on T and e are memoized: the prefactor is solved on
         every call, which returns a result of its own.
         """
         _require_positive_tol(tol)
         if kind not in CALC_KINDS:
             raise ValueError(f"unknown calculus kind {kind!r}")
-        if conj and not f.intrinsic:
-            return self._conj_evaluator().hinf(
-                kind, f, tol=tol, regularizer_power=regularizer_power)
+        _require_function(f)
+        flip = conj and not f.intrinsic
         # the work on (T, e) alone is memoized like a value, so a failure
         # raises again on every call
         self._memo.get(("injective",), None,
-                       lambda: _require_injective(self.t))
+                       lambda: _require_injective(self.t.components))
         if regularizer_power is None:
             e = choose_regularizer(f, self.profile.alpha, self.profile.beta,
                                    self.theta)
         else:
             e = Regularizer(regularizer_power)
-        amplification = self._memo.get(("amplification", e.n), None,
-                                       lambda: _amplification(self.t, e.n))
+        comps = bq_conj(self.t.components) if flip else self.t.components
+        amplification = self._memo.get(("amplification", e.n, flip), None,
+                                       lambda: _amplification(comps, e.n))
         # capped before the sub-values' key: every larger tol asks for the
         # same sub-values
         tol = max(min(tol, _HINF_TOL_CAP, 1e-8 / max(amplification, 1.0)),
                   _HINF_TOL_FLOOR)
         named = {"e": e, "ef": Product(e, f)}
-        vals = self.calc_many([(k, named[g], c)
+        vals = self.calc_many([(k, named[g], c != flip)
                                for k, g, c in _HINF_VALUES[kind]], tol=tol)
         subs = [res.diagnostics for res in vals]
         e_t, ef_t, *rest = (res.value for res in vals)
@@ -345,15 +337,14 @@ class Evaluator:
                        + e_t @ de_t @ def_t - de_t @ de_t @ ef_t)
 
         value, range_resid = _solve_prefactor(pref, bracket)
-        # phi, theta and kernel_path are e(T)'s: conj_op hands conj(T) the
-        # U of T
+        # phi, theta and kernel_path are those of every sub-value
         diag = replace(subs[0], tol_achieved=tol,
                        nodes=sum(d.nodes for d in subs),
                        h=min(d.h for d in subs), t_min=0.0, t_max=0.0,
                        worst_cond=max(d.worst_cond for d in subs),
                        regularizer_n=e.n, range_residual=range_resid)
-        return CalculusResult(value.conj() if conj else value, kind,
-                              "h_infinity", diag)
+        return CalculusResult(value.conj() if conj and not flip else value,
+                              kind, "h_infinity", diag)
 
 
 _SLOT_LOCK = threading.Lock()  # guards every operator's evaluator slot

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoDecayMetadata, NotIntrinsic, ToleranceNotMet
-from .operators import (QuatMatrix, _AB_FAMILY, _chain, _z_powers, bq_dot,
-                        stack_fro)
+from .operators import (QuatMatrix, _AB_FAMILY, _chain, _z_powers, bq_conj,
+                        bq_dot, stack_fro)
 from .operators import bq_scalar  # unused; qbench/layertrace.py traces it
 from .quaternion import Quaternion
 
@@ -182,12 +182,13 @@ def contour_for(cert, kernel_bound, phi: float, omega: float,
 
 
 class OperatorKernel:
-    """One kernel kind of a fixed operator, the one kernel the quadrature
-    takes; it is integrated in moment form (see _moment_value)."""
+    """One kernel kind of a fixed operator T, or of conj(T) if conj, the one
+    kernel the quadrature takes, in moment form (see _moment_value)."""
 
-    def __init__(self, kind: str, t):
+    def __init__(self, kind: str, t, conj: bool = False):
         self.kind = kind
         self.operator = t
+        self.conj = conj
 
     @property
     def path(self) -> str:
@@ -215,8 +216,11 @@ def _moment_value(k: OperatorKernel, z, stem, g, scale, side: str):
     the module docstring), one complex GEMM over the nodes z.  g and scale
     are _chain's at these nodes for M^power.  With an eigenbasis (U,
     lambda) g holds the diagonals of U^T M^power U and each of the
-    4 (degree+1) moments is U diag U^T.  No unit J is read."""
+    4 (degree+1) moments is U diag U^T.  k.conj takes conj(T)'s C_d, the
+    bq_conj of T's: its Q_{c,z} = z^2 - 2 T0 z + |T|^2, so its M, is T's,
+    as T0 and |T|^2 are unchanged.  No unit J is read."""
     num = k.operator.kernel_numerators[_AB_FAMILY[k.kind]]
+    coef = bq_conj(num.coef) if k.conj else num.coef
     zp = _z_powers(z, scale, len(num.coef) - 1, num.power)
     weights = (2j * z)[:, None, None] * zp[:, :, None] * stem[:, None, :]
     m = len(z)
@@ -226,8 +230,8 @@ def _moment_value(k: OperatorKernel, z, stem, g, scale, side: str):
     if basis is not None:
         u = basis[0]
         moments = (u * moments[..., None, :]) @ u.T
-    return (bq_dot(num.coef, moments) if side == "left"
-            else bq_dot(moments, num.coef))
+    return (bq_dot(coef, moments) if side == "left"
+            else bq_dot(moments, coef))
 
 
 def _nodes(contour: SectorContour, h: float) -> np.ndarray:

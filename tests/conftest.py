@@ -67,7 +67,7 @@ def counting_integrate(monkeypatch):
     original, original_many = calculus.integrate, calculus.integrate_many
 
     def key(k, f, contour, side):
-        return (k.kind, k.operator.components.tobytes(), repr(f),
+        return (k.kind, k.operator.components.tobytes(), k.conj, repr(f),
                 contour.phi, tuple(contour.unit.components),
                 contour.t_min, contour.t_max, contour.tol, side)
 

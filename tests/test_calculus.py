@@ -116,12 +116,11 @@ class TestDecayingCalculi:
         ev = Evaluator(gen4.operator, ctx4.profile)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("conj(T), a certificate or a contour built "
-                                 "before the refusal")
+            raise AssertionError("a certificate or a contour built before "
+                                 "the refusal")
 
         monkeypatch.setattr(slicefun.StemFunction, "certify_decay", forbidden)
         monkeypatch.setattr(calculus, "contour_for", forbidden)
-        monkeypatch.setattr(calculus, "conj_op", forbidden)
         with pytest.raises(error):
             ev.calc("S", f, side=side, conj=conj)
 
@@ -201,6 +200,14 @@ class TestDecayingCalculi:
         assert after.diagnostics.nodes == before.diagnostics.nodes
 
 
+# each kind on the eigenbasis path, and again on a dense twin of the
+# operator, where _chain inverts the dense Q
+CONJ_CASES = pytest.mark.parametrize(
+    "kind,path", [(kind, path) for path in ("eigenbasis", "dense")
+                  for kind in ("S", "Q", "P2", "F")],
+    ids=["S", "Q", "P2", "F", "S-dense", "Q-dense", "P2-dense", "F-dense"])
+
+
 class TestEvaluator:
     def test_memo_key_is_exact(self, ctx4, gen4):
         ev = Evaluator(gen4.operator, ctx4.profile)
@@ -219,19 +226,61 @@ class TestEvaluator:
         ev.calc("Q", Regularizer(2), side="right")
         assert len(seen) == 3
 
-    @pytest.mark.parametrize("kind", ["S", "Q", "P2", "F"])
+    @CONJ_CASES
     def test_conj_of_nonintrinsic_runs_on_conj_operator(self, ctx4, gen4,
-                                                        kind):
+                                                        kind, path):
+        # the value at conj(T) is an item of T's own batch with conjugated
+        # kernel coefficients; it equals the value on conj_op(T) bit for
+        # bit, on the dense path too, where _chain inverts the dense Q
         from qcalc.operators import estimate_type_profile
         f = Scale(E1, Regularizer(2))
         assert not f.intrinsic
-        got = Evaluator(gen4.operator, ctx4.profile).calc(kind, f,
-                                                          conj=True).value
-        t_bar = conj_op(gen4.operator)
-        prof_bar = estimate_type_profile(t_bar, gen4.spec.omega,
-                                         sorted(ctx4.profile.c_phi))
-        want = calc(kind, t_bar, f, prof_bar).value
-        assert np.array_equal(got.components, want.components)
+        if path == "eigenbasis":
+            t = gen4.operator
+            ev = Evaluator(t, ctx4.profile)
+            t_bar = conj_op(t)
+            prof_bar = estimate_type_profile(t_bar, gen4.spec.omega,
+                                             sorted(ctx4.profile.c_phi))
+            want = calc(kind, t_bar, f, prof_bar)
+        else:
+            # the profile a dense twin would estimate has Frobenius
+            # constants and other radii, so T's profile serves both
+            t = dense_twin(gen4.operator)
+            ev = Evaluator(t, ctx4.profile)
+            want = Evaluator(conj_op(t), ctx4.profile, theta=ev.theta,
+                             phi=ev.phi).calc(kind, f)
+        got = ev.calc(kind, f, conj=True)
+        assert got.diagnostics.kernel_path == path
+        assert np.array_equal(got.value.components, want.value.components)
+        assert repr(got.diagnostics) == repr(want.diagnostics)
+
+    def test_one_batch_per_call(self, ctx4, gen4, monkeypatch):
+        # values at conj(T) join T's own batch: one integrate or
+        # integrate_many call per calc_many and per hinf
+        calls = []
+        for name in ("integrate", "integrate_many"):
+            def counted(*args, name=name, real=getattr(calculus, name),
+                        **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(calculus, name, counted)
+        f = Scale(E1, Power(2))
+        assert not f.intrinsic
+        Evaluator(gen4.operator, ctx4.profile).hinf("P2", f)
+        assert calls == ["integrate_many"]
+        calls.clear()
+        g = Scale(E1, Regularizer(2))
+        Evaluator(gen4.operator, ctx4.profile).calc_many(
+            [(kind, g, conj) for kind in ("S", "Q", "P2", "F")
+             for conj in (False, True)])
+        assert calls == ["integrate_many"]
+
+    @pytest.mark.parametrize("f", ["reg(2)", 2.0], ids=["str", "float"])
+    def test_non_function_refused(self, ctx4, gen4, f):
+        with pytest.raises(TypeError, match="StemFunction.*parse"):
+            calc("S", gen4.operator, f, ctx4.profile)
+        with pytest.raises(TypeError, match="StemFunction.*parse"):
+            hinf("S", gen4.operator, f, ctx4.profile)
 
     def test_hinf_matches_module_level_bit_for_bit(self, ctx4, gen4):
         ev = Evaluator(gen4.operator, ctx4.profile)
@@ -241,21 +290,29 @@ class TestEvaluator:
             assert np.array_equal(got.value.components, want.value.components)
             assert got.diagnostics == want.diagnostics
 
-    @pytest.mark.parametrize("kind", ["S", "Q", "P2", "F"])
-    def test_hinf_conj_rule(self, ctx4, gen4, kind):
+    @CONJ_CASES
+    def test_hinf_conj_rule(self, ctx4, gen4, kind, path):
         # a non-intrinsic f is evaluated on conj(T); an intrinsic one is
         # the entrywise conjugate of its value at T
         from qcalc.operators import estimate_type_profile
-        ev = Evaluator(gen4.operator, ctx4.profile)
         f = Scale(E1, Power(2))
+        if path == "eigenbasis":
+            t = gen4.operator
+            ev = Evaluator(t, ctx4.profile)
+            t_bar = conj_op(t)
+            prof_bar = estimate_type_profile(
+                t_bar, ctx4.profile.omega, sorted(ctx4.profile.c_phi),
+                alpha=ctx4.profile.alpha, beta=ctx4.profile.beta)
+            want = hinf(kind, t_bar, f, prof_bar, theta=ev.theta, phi=ev.phi)
+        else:
+            t = dense_twin(gen4.operator)
+            ev = Evaluator(t, ctx4.profile)
+            want = Evaluator(conj_op(t), ctx4.profile, theta=ev.theta,
+                             phi=ev.phi).hinf(kind, f)
         got = ev.hinf(kind, f, conj=True)
-        t_bar = conj_op(gen4.operator)
-        prof_bar = estimate_type_profile(
-            t_bar, ctx4.profile.omega, sorted(ctx4.profile.c_phi),
-            alpha=ctx4.profile.alpha, beta=ctx4.profile.beta)
-        want = hinf(kind, t_bar, f, prof_bar, theta=ev.theta, phi=ev.phi)
+        assert got.diagnostics.kernel_path == path
         assert np.array_equal(got.value.components, want.value.components)
-        assert got.diagnostics == want.diagnostics
+        assert repr(got.diagnostics) == repr(want.diagnostics)
         got = ev.hinf(kind, Power(2), conj=True)
         want = ev.hinf(kind, Power(2))
         assert np.array_equal(got.value.components,
@@ -318,11 +375,11 @@ class TestEvaluator:
             assert all(r[kind] is stored for r in results)
         assert all(r["cert"] is results[0]["cert"] for r in results)
 
-    def test_threads_share_the_conj_evaluator(self):
-        # a non-intrinsic f with conj runs on conj(T), whose evaluator is
-        # stored in the memo on first use; threads that race to build it
-        # must all end up on the one stored, so each caller gets the value
-        # a later serial call returns
+    def test_threads_share_the_stored_conj_value(self):
+        # a non-intrinsic f with conj is evaluated at conj(T) in T's own
+        # batch and stored under its own key; threads that race to compute
+        # it must all get the one stored conj value, the one a later
+        # serial call returns
         from qcalc.operators import estimate_type_profile
         t = scalar_operator(Quaternion(0.8) + E1 * 0.4)
         profile = estimate_type_profile(t, math.pi / 4,
