@@ -28,9 +28,9 @@ from . import operators
 from .contour import (OperatorKernel, _require_positive_tol, contour_for,
                       integrate, integrate_many, require_moment_form)
 from .errors import NotInjective, NotIntrinsic
-from .operators import (KERNEL_KINDS, _AB_FAMILY, CommutingOperator,
-                        QuatMatrix, TypeProfile, adjoint, assemble, bq_conj,
-                        stack_norm)
+from .operators import (KERNEL_FAMILIES, CommutingOperator, QuatMatrix,
+                        TypeProfile, adjoint, assemble, bq_conj,
+                        kernel_family, stack_norm)
 from .quaternion import E1, Quaternion, to_slice
 from .slicefun import (Memo, Power, Product, Regularizer, StemFunction,
                        choose_regularizer)
@@ -41,8 +41,8 @@ CALC_KINDS = ("S", "Q", "P2", "F")
 _PREFACTOR = {"S": 1.0 / (2.0 * math.pi), "Q": -1.0 / math.pi,
               "P2": 1.0 / (2.0 * math.pi), "F": 1.0 / (2.0 * math.pi)}
 
-_LEFT_KERNEL = {"S": "S_L", "Q": "Qc", "P2": "P2_L", "F": "F_L"}
-_RIGHT_KERNEL = {"S": "S_R", "Q": "Qc", "P2": "P2_R", "F": "F_R"}
+# the kernel family each calculus integrates; its side picks the kernel
+_FAMILY = {"S": "S", "Q": "Qc", "P2": "P2", "F": "F"}
 
 INJECTIVITY_FACTOR = 1e-10
 
@@ -65,17 +65,12 @@ _HINF_VALUES = {
 }
 
 
-def _kernel_kind(kind: str, side: str) -> str:
-    return (_RIGHT_KERNEL if side == "right" else _LEFT_KERNEL)[kind]
-
-
-def kernel_bound(kernel_kind: str, t: CommutingOperator,
-                 profile: TypeProfile, phi: float):
+def kernel_bound(family: str, t: CommutingOperator, profile: TypeProfile,
+                 phi: float):
     """(C, p alpha, p): the tail envelope ||K(s)|| <= C |s|**(-p alpha)
-    below radius one and C |s|**(-p) above of a kernel of t outside the
-    phi-sector, with C its family's sampled constant (see TypeProfile) and
-    p the family's order at infinity (KernelNumerator.order)."""
-    family = _AB_FAMILY[kernel_kind]
+    below radius one and C |s|**(-p) above of both kernels of a family of
+    t outside the phi-sector, with C the family's sampled constant (see
+    TypeProfile) and p its order at infinity (KernelNumerator.order)."""
     p = t.kernel_numerators[family].order
     return profile.constant_at(phi, family), p * profile.alpha, float(p)
 
@@ -234,25 +229,22 @@ class Evaluator:
                 raise ValueError(f"unknown calculus kind {kind!r}")
             _require_function(f)
             # refused before a certificate or a contour is built
-            require_moment_form(_kernel_kind(kind, side), f, side)
+            require_moment_form(f, side)
         # (kind, f, whether at conj(T)) of each value
         at = [(k, f, c and not f.intrinsic) for k, f, c in requests]
         keys = [("calc", kind, repr(f), tol, side, bar) for kind, f, bar in at]
         todo = {key: item for key, item in zip(keys, at)
                 if self._memo.find(key) is None}
         if todo:
-            items = [(OperatorKernel(_kernel_kind(kind, side), self.t, bar),
-                      f, self._contour(_kernel_kind(kind, side), f, tol))
+            items = [(OperatorKernel(_FAMILY[kind], self.t, bar), f,
+                      self._contour(_FAMILY[kind], f, tol))
                      for kind, f, bar in todo.values()]
             raws = ([integrate(*items[0], side=side)] if len(items) == 1
                     else integrate_many(items, side=side))
-            for key, (kind, _, _), (kernel, f, contour), (raw, info) in zip(
+            for key, (kind, _, _), (kernel, f, _), (raw, info) in zip(
                     todo, todo.values(), items, raws):
-                diag = CalcDiagnostics(
-                    tol_achieved=info["tol_achieved"], nodes=info["nodes"],
-                    h=info["h"], t_min=contour.t_min, t_max=contour.t_max,
-                    phi=self.phi, theta=self.theta,
-                    worst_cond=info["worst_cond"], kernel_path=kernel.path)
+                diag = CalcDiagnostics(**info, phi=self.phi, theta=self.theta,
+                                       kernel_path=kernel.path)
                 self._memo.put(key, f, CalculusResult(
                     _PREFACTOR[kind] * raw, kind, "decaying", diag))
         return [replace(res, value=res.value.conj())
@@ -260,11 +252,11 @@ class Evaluator:
                 for (_, f, conj), res in zip(
                     requests, map(self._memo.find, keys))]
 
-    def _contour(self, kernel_kind, f, tol):
+    def _contour(self, family, f, tol):
         profile = self.profile
         cert = f.certify_decay(3.0 * profile.alpha, 3.0 * profile.beta,
                                self.theta)
-        bound = kernel_bound(kernel_kind, self.t, profile, self.phi)
+        bound = kernel_bound(family, self.t, profile, self.phi)
         return contour_for(cert, bound, self.phi, profile.omega, self.unit,
                            tol=tol)
 
@@ -401,7 +393,7 @@ def resolvent_identity_residuals(t: CommutingOperator, s: Quaternion,
 
     Each residual is the operator 2-norm of LHS - RHS divided by
     max(1, ||RHS||).  All ten kernels come from one two-point kernel_batch
-    call, and the ten norms from one batched SVD.
+    call of the four families, and the ten norms from one batched SVD.
     """
     w = p * p - 2.0 * s.re * p + Quaternion(s.norm_sq())
     if w.norm() < 1e-12:
@@ -410,12 +402,13 @@ def resolvent_identity_residuals(t: CommutingOperator, s: Quaternion,
     sbar = s.conj()
     points = (to_slice(s), to_slice(p))
     # looked up on its module, where qbench's layer trace wraps it
-    pairs = operators.kernel_batch(KERNEL_KINDS, t, [q.x for q in points],
-                                   [q.y for q in points], None)
+    pairs = operators.kernel_batch(KERNEL_FAMILIES, t, [q.x for q in points],
+                                   [q.y for q in points])
 
     def k(kind: str, at: int, conj: bool = False) -> QuatMatrix:
         # kind at s (at 0) or p (at 1) with its own unit, of conj(T) if conj
-        a, b = (bq_conj(c[at]) if conj else c[at] for c in pairs[kind])
+        a, b = (bq_conj(c[at]) if conj else c[at]
+                for c in pairs[kernel_family(kind)])
         return QuatMatrix(assemble(kind, a, b, points[at].j))
 
     def lhs(k_s: QuatMatrix, k_p: QuatMatrix) -> QuatMatrix:

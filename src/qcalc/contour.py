@@ -37,9 +37,9 @@ W = alpha + i beta, e^{+-J phi} = cos phi +- J sin phi gives
 
 so with dz = e^{i phi} dr a level is sum_d C_d Re(2i sum_m z_m^d M_m^p
 W_m dz_m), free of J.  f ds_J K_R with K_R = A + J B mirrors this for
-intrinsic f, whose real alpha, beta commute with J.  A right kernel on
-the left, a left kernel on the right and a non-intrinsic f on the right
-have no such form; require_moment_form refuses them.
+intrinsic f, whose real alpha, beta commute with J.  The side thus picks
+the family's kernel; a non-intrinsic f on the right has no such form,
+and require_moment_form refuses it.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoDecayMetadata, NotIntrinsic, ToleranceNotMet
-from .operators import (QuatMatrix, _AB_FAMILY, _chain, _z_powers, bq_conj,
-                        bq_dot, stack_fro)
+from .operators import (KERNEL_FAMILIES, QuatMatrix, _chain, _z_powers,
+                        bq_conj, bq_dot, stack_fro)
 from .operators import bq_scalar  # unused; qbench/layertrace.py traces it
 from .quaternion import Quaternion
 
@@ -182,11 +182,12 @@ def contour_for(cert, kernel_bound, phi: float, omega: float,
 
 
 class OperatorKernel:
-    """One kernel kind of a fixed operator T, or of conj(T) if conj, the one
-    kernel the quadrature takes, in moment form (see _moment_value)."""
+    """One kernel family (S, Qc, P2 or F) of T, or of conj(T) if conj, in
+    moment form (see _moment_value), the one kernel the quadrature takes;
+    the side of the integral picks the family's left or right kernel."""
 
     def __init__(self, kind: str, t, conj: bool = False):
-        self.kind = kind
+        self.kind = kind  # the family; qbench/layertrace.py keys on it
         self.operator = t
         self.conj = conj
 
@@ -197,15 +198,12 @@ class OperatorKernel:
         return "dense" if self.operator.eigenbasis is None else "eigenbasis"
 
 
-def require_moment_form(kind: str, f, side: str) -> None:
-    """Refuse a kernel kind, function and side with no J-free moment form
-    (see the module docstring): ValueError for an unknown side or a kernel
-    on the other side, NotIntrinsic for a non-intrinsic f on the right."""
+def require_moment_form(f, side: str) -> None:
+    """Refuse a function and side with no J-free moment form (see the
+    module docstring): ValueError for an unknown side, NotIntrinsic for a
+    non-intrinsic f on the right."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if kind.endswith("_R" if side == "left" else "_L"):
-        raise ValueError(
-            f"kernel {kind} has no J-free moment form on side {side!r}")
     if side == "right" and not f.intrinsic:
         raise NotIntrinsic("the right-kernel form needs an intrinsic function")
 
@@ -219,7 +217,7 @@ def _moment_value(k: OperatorKernel, z, stem, g, scale, side: str):
     4 (degree+1) moments is U diag U^T.  k.conj takes conj(T)'s C_d, the
     bq_conj of T's: its Q_{c,z} = z^2 - 2 T0 z + |T|^2, so its M, is T's,
     as T0 and |T|^2 are unchanged.  No unit J is read."""
-    num = k.operator.kernel_numerators[_AB_FAMILY[k.kind]]
+    num = k.operator.kernel_numerators[k.kind]
     coef = bq_conj(num.coef) if k.conj else num.coef
     zp = _z_powers(z, scale, len(num.coef) - 1, num.power)
     weights = (2j * z)[:, None, None] * zp[:, :, None] * stem[:, None, :]
@@ -256,12 +254,12 @@ def _level_value(items, slices, phi: float, side: str, count: int,
     and counts the level's nodes as count * GAUSS_ORDER."""
     t = items[0][0].operator
     nums = t.kernel_numerators
-    powers = [nums[_AB_FAMILY[k.kind]].power for k, _, _ in items]
+    powers = [nums[k.kind].power for k, _, _ in items]
     diagonal = t.eigenbasis is not None
     z = np.exp(u + 1j * phi)
     one = min(powers) == max(powers)
     g, scale, cond = _chain(t, z.real, z.imag, diagonal=diagonal,
-                            upto=_AB_FAMILY[items[0][0].kind] if one else "Qc")
+                            upto=items[0][0].kind if one else "Qc")
     m_pow = {powers[0]: g} if one else {1: g, 2: g * g if diagonal else g @ g}
     spans = {}  # one stem per function object, over its items' slices
     for (_, f, _), (a, b) in zip(items, slices):
@@ -284,23 +282,25 @@ def _level_value(items, slices, phi: float, side: str, count: int,
 
 
 def _check_items(items, side: str) -> None:
-    """TypeError for a kernel other than an OperatorKernel, and
-    require_moment_form's refusals, for each item (k, f, contour)."""
+    """TypeError for a kernel other than an OperatorKernel, ValueError for
+    a kind not a family, and require_moment_form's refusals, per item."""
     for k, f, _ in items:
         if not isinstance(k, OperatorKernel):
             raise TypeError("the quadrature takes an OperatorKernel, not "
                             f"{type(k).__name__}")
-        require_moment_form(k.kind, f, side)
+        if k.kind not in KERNEL_FAMILIES:
+            raise ValueError(f"unknown kernel family {k.kind!r}")
+        require_moment_form(f, side)
 
 
 def integrate_many(items, *, side: str = "left") -> list:
     """Adaptively evaluate the sector-boundary integrals of K ds_J f of the
     items (k, f, contour) on one shared lattice.
 
-    Each k is an OperatorKernel (any other object raises TypeError), taken
-    in moment form, which refuses the forms that would depend on J (see
-    require_moment_form).  side selects the sandwich order: "left" is
-    K ds_J f, "right" is f ds_J K.  The items must share one operator
+    Each k is an OperatorKernel of a family (else TypeError or
+    ValueError), taken in moment form, which refuses the forms that would
+    depend on J (see require_moment_form).  side selects the sandwich
+    order and the family's kernel: "left" is K_L ds_J f, "right" f ds_J K_R.  The items must share one operator
     (k.operator), one angle and one first step (contour.phi, contour.h0),
     else ValueError; their kernels, f and radii may differ.
 

@@ -36,10 +36,9 @@ from .quaternion import Quaternion, SlicePoint, qarr, qarr_mul, to_slice
 
 COND_SPECTRUM_THRESHOLD = 1e12
 
+# a kernel kind is a family's left or right kernel (see KernelNumerator)
+KERNEL_FAMILIES = ("S", "Qc", "P2", "F")
 KERNEL_KINDS = ("S_L", "S_R", "Qc", "P2_L", "P2_R", "F_L", "F_R")
-
-_AB_FAMILY = {"S_L": "S", "S_R": "S", "Qc": "Qc",
-              "P2_L": "P2", "P2_R": "P2", "F_L": "F", "F_R": "F"}
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +386,7 @@ class KernelNumerator:
     and the kernel at x + J y is K_L = A + B J, K_R = A + J B.  The
     family decays like |s|^-order (see order).  Neither coef nor the
     quadrature's moments of z^d M^power depend on J (see contour); only
-    point kernels (kernel_batch with a unit) assemble a J."""
+    point kernels (assemble) read a J."""
 
     coef: np.ndarray
     power: int
@@ -466,22 +465,23 @@ def _chain(t: CommutingOperator, x: np.ndarray, y: np.ndarray, *,
 
 
 def assemble(kind: str, a, b, j: Quaternion) -> np.ndarray:
-    """Kernel kind from its pair: K_L = A + B J, K_R = A + J B."""
+    """Kernel kind from its family's pair: K_L = A + B J, K_R = A + J B."""
     return a + bq_scalar(qarr(j), b, "left" if kind.endswith("_R") else "right")
 
 
-def kernel_batch(kind, t: CommutingOperator, x, y, j: Quaternion | None):
-    """Kernel values at the slice points x[k] + J y[k], shape (m, 4, n, n);
-    a dict by kind for a tuple of kinds, and each kind's J-independent pair
-    (A, B) (see assemble) for j None.  One inversion of Q_{c,z}(T) per node
-    and one square of it serve all kinds; conj(T)'s pairs are the
-    entrywise conjugates (bq_conj) of T's."""
-    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
-    if not set(kinds) <= set(KERNEL_KINDS):
-        raise ValueError(f"unknown kernel kind in {kind!r}")
+def kernel_batch(families, t: CommutingOperator, x, y) -> dict:
+    """Each family's J-independent pair (A, B) (see assemble) at the slice
+    points x[k] + J y[k], each of shape (m, 4, n, n), as {family: (A, B)}.
+    One inversion of Q_{c,z}(T) per node and one square of it serve all
+    families; conj(T)'s pairs are the entrywise conjugates (bq_conj) of
+    T's."""
+    # a bare string is refused: set("S") would pass
+    if isinstance(families, str) or not set(families) <= set(KERNEL_FAMILIES):
+        raise ValueError(f"kernel_batch takes a collection of kernel "
+                         f"families {KERNEL_FAMILIES}, not {families!r}")
     x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
     g, scale, _ = _chain(t, x, y, upto="Qc")
-    nums = {_AB_FAMILY[k]: t.kernel_numerators[_AB_FAMILY[k]] for k in kinds}
+    nums = {fam: t.kernel_numerators[fam] for fam in families}
     sq = g @ g if any(n.power == 2 for n in nums.values()) else None
     z, ab = x + 1j * y, {}
     for fam, num in nums.items():
@@ -490,23 +490,30 @@ def kernel_batch(kind, t: CommutingOperator, x, y, j: Quaternion | None):
         coef = num.coef.reshape(len(num.coef), -1)
         value = (zp @ coef).reshape(-1, 4, t.n, t.n) @ m_pow[:, None]
         ab[fam] = (value.real, value.imag)
-    out = {k: ab[_AB_FAMILY[k]] if j is None
-           else assemble(k, *ab[_AB_FAMILY[k]], j) for k in kinds}
-    return out[kind] if isinstance(kind, str) else out
+    return ab
+
+
+def kernel_family(kind: str) -> str:
+    """The family of a kernel kind: S_L -> S, Qc -> Qc."""
+    if kind not in KERNEL_KINDS:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    return kind.split("_")[0]
 
 
 def kernel(kind: str, t: CommutingOperator, s) -> QuatMatrix:
     """One of the resolvent kernels at s: S_L/S_R, Qc (Q_{c,s}(T)^-1
     itself), P2_L/P2_R or F_L/F_R."""
     p = s if isinstance(s, SlicePoint) else to_slice(s)
-    comps = kernel_batch(kind, t, np.array([p.x]), np.array([p.y]), p.j)
-    return QuatMatrix(comps[0])
+    fam = kernel_family(kind)
+    a, b = kernel_batch((fam,), t, np.array([p.x]), np.array([p.y]))[fam]
+    return QuatMatrix(assemble(kind, a, b, p.j)[0])
 
 
 def ab_decompose(kind: str, t: CommutingOperator, x: float, y: float):
     """J-independent pair (A, B) with K_L = A + B J and K_R = A + J B."""
+    fam = kernel_family(kind)
     return tuple(QuatMatrix(c[0])
-                 for c in kernel_batch(kind, t, float(x), float(y), None))
+                 for c in kernel_batch((fam,), t, float(x), float(y))[fam])
 
 
 def q_operator(t: CommutingOperator, s: Quaternion) -> QuatMatrix:
@@ -537,8 +544,6 @@ _PROFILE_RADII = np.geomspace(1e-3, 1e3, 40)
 _PROFILE_RAYS = 4  # rays per test angle, from phi to pi
 # the profile's radii reach this factor past every eigenvalue modulus
 _PROFILE_MARGIN = 100.0
-# one kernel kind per family; _L and _R of a family share (A, B)
-_PROFILE_KINDS = {"S": "S_L", "Qc": "Qc", "P2": "P2_L", "F": "F_L"}
 
 
 @dataclass
@@ -635,9 +640,9 @@ def estimate_type_profile(t: CommutingOperator, omega: float, angles,
     radii = _profile_radii(t)
     x = np.multiply.outer([math.cos(psi) for psi in psis], radii).ravel()
     y = np.multiply.outer([abs(math.sin(psi)) for psi in psis], radii).ravel()
-    nums = [t.kernel_numerators[fam] for fam in _PROFILE_KINDS]
+    nums = [t.kernel_numerators[fam] for fam in KERNEL_FAMILIES]
     if t.eigenbasis is None:
-        pairs = kernel_batch(tuple(_PROFILE_KINDS.values()), t, x, y, None)
+        pairs = kernel_batch(KERNEL_FAMILIES, t, x, y)
         norms = np.stack([stack_fro(a) + stack_fro(b)
                           for a, b in pairs.values()])
     else:
@@ -666,7 +671,7 @@ def estimate_type_profile(t: CommutingOperator, omega: float, angles,
     for phi, fan in fans.items():
         rays = [psis.index(float(psi)) for psi in fan]
         c = np.maximum(2.0 * np.max(ray_sup[:, rays], axis=1), limits)
-        profile.c_phi[phi] = dict(zip(_PROFILE_KINDS, c.tolist()))
+        profile.c_phi[phi] = dict(zip(KERNEL_FAMILIES, c.tolist()))
     return profile
 
 

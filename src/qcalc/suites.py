@@ -24,10 +24,10 @@ from .calculus import (CALC_KINDS, Evaluator, _angles, _rel, calc,
                        resolvent_identity_residuals)
 from .contour import _require_positive_tol
 from .errors import NotInjective, QCalcError
-from .operators import (KERNEL_KINDS, CommutingOperator, QuatMatrix,
-                        ab_decompose, conj_op, estimate_type_profile,
-                        f_spectrum_check, kernel, kernel_batch, q_operator,
-                        stack_norm)
+from .operators import (KERNEL_FAMILIES, KERNEL_KINDS, CommutingOperator,
+                        QuatMatrix, assemble, conj_op, estimate_type_profile,
+                        f_spectrum_check, kernel, kernel_batch,
+                        kernel_family, q_operator, stack_norm)
 from .quaternion import E1, Quaternion, random_unit_imaginary, to_slice
 from .slicefun import Power, Regularizer, parse, pointwise_fine
 
@@ -414,22 +414,20 @@ def _suite_kernels(ctx: SuiteContext):
         for _ in range(6):
             s = ctx.random_resolvent_point(rng)
             p = to_slice(s)
-            pairs = {}
-            for kind in KERNEL_KINDS:
-                a, b = pairs[kind] = ab_decompose(kind, t, p.x, p.y)
-                a2, b2 = ab_decompose(kind, t, p.x, -p.y)
-                worst_sym = max(worst_sym, (a - a2).norm(), (b + b2).norm())
+            # each family's pair at x + J y and at its mirror x - J y
+            pairs = kernel_batch(KERNEL_FAMILIES, t, [p.x, p.x], [p.y, -p.y])
+            for a, b in pairs.values():
+                worst_sym = max(worst_sym, QuatMatrix(a[0] - a[1]).norm(),
+                                QuatMatrix(b[0] + b[1]).norm())
             for _ in range(8):  # one unit and one inversion for every kind
                 j = random_unit_imaginary(rng)
                 sj = Quaternion(p.x) + j * p.y
                 qi = q_operator(t, sj).inverse()
-                for kind, (a, b) in pairs.items():
-                    k = _algebra_kernel(kind, t, sj, qi)
-                    if kind.endswith("_R"):
-                        recon = a + b.scalar_mul(j, "left")
-                    else:
-                        recon = a + b.scalar_mul(j, "right")
-                    worst = max(worst, _rel(recon, k))
+                for kind in KERNEL_KINDS:
+                    a, b = pairs[kernel_family(kind)]
+                    recon = QuatMatrix(assemble(kind, a[0], b[0], j))
+                    worst = max(worst, _rel(recon, _algebra_kernel(
+                        kind, t, sj, qi)))
         return [("ab_reconstruction", worst, 1e-10),
                 ("ab_symmetry", worst_sym, 1e-10)]
 
@@ -440,15 +438,14 @@ def _suite_kernels(ctx: SuiteContext):
             s = ctx.random_resolvent_point(rng)
             p = to_slice(s)
             h = 1e-5 * max(1.0, s.norm())
-            for kind in KERNEL_KINDS:
-                ax_p, bx_p = ab_decompose(kind, t, p.x + h, p.y)
-                ax_m, bx_m = ab_decompose(kind, t, p.x - h, p.y)
-                ay_p, by_p = ab_decompose(kind, t, p.x, p.y + h)
-                ay_m, by_m = ab_decompose(kind, t, p.x, p.y - h)
-                da_dx = (ax_p - ax_m) * (0.5 / h)
-                db_dx = (bx_p - bx_m) * (0.5 / h)
-                da_dy = (ay_p - ay_m) * (0.5 / h)
-                db_dy = (by_p - by_m) * (0.5 / h)
+            # central differences in x (points 0, 1) and in y (2, 3)
+            pairs = kernel_batch(KERNEL_FAMILIES, t,
+                                 [p.x + h, p.x - h, p.x, p.x],
+                                 [p.y, p.y, p.y + h, p.y - h])
+            for a, b in pairs.values():
+                da_dx, db_dx, da_dy, db_dy = (
+                    QuatMatrix((c[k] - c[k + 1]) * (0.5 / h))
+                    for k in (0, 2) for c in (a, b))
                 scale = max(da_dx.norm(), db_dy.norm(), da_dy.norm(),
                             db_dx.norm(), 1e-30)
                 worst = max(worst, (da_dx - db_dy).norm() / scale,
@@ -521,20 +518,22 @@ def _suite_kernels(ctx: SuiteContext):
         return out
 
     def estimate_scaling():
-        # the largest ratio of a kernel's norm to its envelope (kernel_bound)
-        # on three rays outside the smallest test angle: at most 1 where
-        # the envelope bounds the kernel
+        # the largest ratio of a kernel's norm to its family's envelope
+        # (kernel_bound) on three rays outside the smallest test angle: at
+        # most 1 where the envelope bounds the kernel
         prof = ctx.profile
         phi = min(prof.c_phi)
         worst = 0.0
         radii = np.geomspace(5e-3, 5e2, 24)
-        for kind in KERNEL_KINDS:
-            c_k, a_k, b_k = kernel_bound(kind, t, prof, phi)
-            bound = np.where(radii <= 1.0, radii ** (-a_k), radii ** (-b_k))
-            for psi in (phi, (phi + math.pi) / 2.0, math.pi):
-                x = radii * math.cos(psi)
-                y = radii * np.abs(math.sin(psi))
-                norms = stack_norm(kernel_batch(kind, t, x, y, E1))
+        for psi in (phi, (phi + math.pi) / 2.0, math.pi):
+            pairs = kernel_batch(KERNEL_FAMILIES, t, radii * math.cos(psi),
+                                 radii * np.abs(math.sin(psi)))
+            for kind in KERNEL_KINDS:
+                fam = kernel_family(kind)
+                c_k, a_k, b_k = kernel_bound(fam, t, prof, phi)
+                bound = np.where(radii <= 1.0, radii ** (-a_k),
+                                 radii ** (-b_k))
+                norms = stack_norm(assemble(kind, *pairs[fam], E1))
                 worst = max(worst, float(np.max(norms / (c_k * bound))))
         return [("estimate_scaling_envelope", worst, 1.0)]
 

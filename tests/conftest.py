@@ -5,7 +5,8 @@ import pytest
 
 from qcalc import calculus
 from qcalc.contour import _nodes
-from qcalc.operators import CommutingOperator, QuatMatrix, bq_scalar
+from qcalc.operators import (CommutingOperator, QuatMatrix, assemble,
+                             bq_scalar, kernel_batch, kernel_family)
 from qcalc.quaternion import Quaternion, qarr, qarr_mul
 from qcalc.suites import OperatorSpec, SuiteContext, generate_operator
 
@@ -31,11 +32,22 @@ def exp_j(j: Quaternion, angle: float) -> Quaternion:
     return Quaternion(math.cos(angle)) + j * math.sin(angle)
 
 
+def point_kernel(kind: str, t: CommutingOperator):
+    """The point kernel (x, y, unit) -> (m, 4, n, n) stack of kind at the
+    points x + unit y: its family's kernel_batch pair, assembled."""
+    family = kernel_family(kind)
+
+    def point(x, y, unit):
+        return assemble(kind, *kernel_batch((family,), t, x, y)[family],
+                        unit)
+    return point
+
+
 def reference_level(point, f, contour, h: float, side: str) -> QuatMatrix:
     """The J-based trapezoidal pass of step h that the library's moment form
     replaces, on the library's lattice (contour._nodes): the point kernel
     point(x, y, unit) -> (m, 4, n, n) stack at x + unit y, such as
-    functools.partial(kernel_batch, kind, t), is called once per ray, with
+    point_kernel(kind, t), is called once per ray, with
     J = contour.unit and with -J, and contracted with
     s+- = e^{+-J phi} J f(r e^{+-J phi}) (see the contour module):
     sum_m h r_m [K(r e^{J phi}) s+ - K(r e^{-J phi}) s-] for side "left",

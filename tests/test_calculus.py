@@ -19,9 +19,9 @@ from qcalc.calculus import (Evaluator, _rel, calc,
                             resolvent_identity_residuals)
 from qcalc.errors import (ClassMismatch, NotInjective, NotIntrinsic,
                           SpectrumHit, ToleranceNotMet)
-from qcalc.operators import (KERNEL_KINDS, CommutingOperator, TypeProfile,
-                             assemble, bq_conj, conj_op, kernel, kernel_batch,
-                             stack_fro)
+from qcalc.operators import (KERNEL_FAMILIES, KERNEL_KINDS, CommutingOperator,
+                             TypeProfile, assemble, bq_conj, conj_op, kernel,
+                             kernel_batch, kernel_family, stack_fro)
 from qcalc.quaternion import E1, Quaternion, to_slice
 from qcalc.slicefun import (Power, Product, Regularizer, Scale,
                             pointwise_fine)
@@ -451,20 +451,22 @@ class TestResolventIdentities:
         tbar = conj_op(t)
         for s, p in pairs:
             points = (to_slice(s), to_slice(p))
-            batch = kernel_batch(KERNEL_KINDS, t, [q.x for q in points],
-                                 [q.y for q in points], None)
+            batch = kernel_batch(KERNEL_FAMILIES, t, [q.x for q in points],
+                                 [q.y for q in points])
             for at, sp in enumerate(points):
-                values = kernel_batch(KERNEL_KINDS, t, [sp.x], [sp.y], sp.j)
                 for kind in KERNEL_KINDS:
                     for conj, op in ((False, t), (True, tbar)):
-                        want = kernel_batch(kind, op, np.array([sp.x]),
-                                            np.array([sp.y]), sp.j)[0]
+                        want = kernel(kind, op, sp).components
                         a, b = (bq_conj(c[at]) if conj else c[at]
-                                for c in batch[kind])
+                                for c in batch[kernel_family(kind)])
                         got = assemble(kind, a, b, sp.j)
                         assert stack_fro(got - want) <= 1e-15 * stack_fro(want)
-                    assert np.array_equal(values[kind][0], kernel_batch(
-                        kind, t, [sp.x], [sp.y], sp.j)[0])
+                # a family's pair does not depend on the others in the call
+                values = kernel_batch(KERNEL_FAMILIES, t, [sp.x], [sp.y])
+                for family in KERNEL_FAMILIES:
+                    lone = kernel_batch((family,), t, [sp.x], [sp.y])[family]
+                    for c, c_lone in zip(values[family], lone):
+                        assert np.array_equal(c, c_lone)
 
     def test_residuals_match_ten_kernel_reference(self, identity_cases):
         t, pairs = identity_cases

@@ -126,14 +126,16 @@ class TestRun:
 
     def test_loaded_nonnormal_operator_passes_oracles(self, tmp_path):
         # T = S^-1 D S with S far from orthogonal: the eigensphere oracle
-        # must conjugate by S, not by an orthogonal basis
+        # must conjugate by S, not by an orthogonal basis.  T has no
+        # orthogonal eigenbasis, so every suite runs on the dense path
         diag = generate_operator(OperatorSpec(dim=4, seed=7, diagonal=True))
         s = np.eye(4) + 0.8 * np.random.default_rng(99).normal(size=(4, 4))
         assert np.linalg.cond(s) > 5.0
         comps = np.linalg.inv(s) @ diag.operator.components @ s
         op_file = tmp_path / "nonnormal.txt"
         op_file.write_text(operator_to_text(CommutingOperator(comps)))
-        assert main(["run", "oracle", "--operator", str(op_file)]) == 0
+        assert CommutingOperator(comps).eigenbasis is None
+        assert main(["run", "all", "--operator", str(op_file)]) == 0
 
     def test_loaded_operator_keeps_its_dimension(self, tmp_path,
                                                  monkeypatch):

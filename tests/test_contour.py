@@ -1,22 +1,22 @@
 import math
 import warnings
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
 
 import qcalc.contour as contour_module
-from conftest import dense_twin, exp_j, reference_level, scalar_operator
+from conftest import (dense_twin, exp_j, point_kernel, reference_level,
+                      scalar_operator)
 from qcalc.contour import (OperatorKernel, SectorContour, _first_step,
                            _level_value, _nodes, _one_sided_radius,
                            contour_for, integrate, integrate_fixed,
                            integrate_many)
 from qcalc.errors import (NoDecayMetadata, NotIntrinsic, SpectrumHit,
                           ToleranceNotMet)
-from qcalc.operators import (KERNEL_KINDS, CommutingOperator, _chain,
-                             kernel_batch, operator_from_text,
-                             operator_to_text)
+from qcalc.operators import (KERNEL_FAMILIES, KERNEL_KINDS,
+                             CommutingOperator, _chain, kernel_family,
+                             operator_from_text, operator_to_text)
 from qcalc.quaternion import E1, E2, ONE, Quaternion, to_slice
 from qcalc.slicefun import Power, Product, Regularizer, Scale, Sum
 from qcalc.suites import OperatorSpec, generate_operator
@@ -141,7 +141,7 @@ class TestCauchyFormula:
         t, f, cert = cauchy_setup()
         contour = contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, 0.0, E1,
                               tol=1e-9)
-        value, info = integrate(OperatorKernel("S_L", t), f, contour)
+        value, info = integrate(OperatorKernel("S", t), f, contour)
         got = value.components[:, 0, 0] / (2.0 * math.pi)
         assert abs(got[0] - 0.25) <= 1e-8
         assert np.abs(got[1:]).max() <= 1e-10
@@ -153,7 +153,7 @@ class TestCauchyFormula:
         for unit in (E1, E2, E12):
             contour = contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, 0.0,
                                   unit)
-            value, _ = integrate(OperatorKernel("S_L", t), f, contour)
+            value, _ = integrate(OperatorKernel("S", t), f, contour)
             vals.append(value.components[:, 0, 0])
         for v in vals[1:]:
             assert np.abs(v - vals[0]).max() <= 1e-8
@@ -163,7 +163,7 @@ class TestCauchyFormula:
         vals = []
         for phi in (0.9, 1.4, 2.0):
             contour = contour_for(cert, (2.0, 1.0, 1.0), phi, 0.0, E1)
-            value, _ = integrate(OperatorKernel("S_L", t), f, contour)
+            value, _ = integrate(OperatorKernel("S", t), f, contour)
             vals.append(value.components[:, 0, 0])
         for v in vals[1:]:
             assert np.abs(v - vals[0]).max() <= 1e-8
@@ -214,7 +214,7 @@ class TestQuadratureMechanics:
         g = Regularizer(2)
         h = Sum(Scale(2.5, f), g)
         contour = SectorContour(1.2, E1, 1e-8, 1e8, H0)
-        k = OperatorKernel("S_L", t)
+        k = OperatorKernel("S", t)
         vf, _ = integrate_fixed(k, f, contour, 0.125)
         vg, _ = integrate_fixed(k, g, contour, 0.125)
         vh, _ = integrate_fixed(k, h, contour, 0.125)
@@ -226,7 +226,7 @@ class TestQuadratureMechanics:
         # half-width d, so each halving at least raises it to the power 3/2;
         # radii far out keep the lattice ends below the errors compared
         t, f, _ = cauchy_setup()
-        k = OperatorKernel("S_L", t)
+        k = OperatorKernel("S", t)
         contour = SectorContour(1.2, E1, 1e-20, 1e20, H0)
         want, _ = integrate_fixed(f=f, k=k, contour=contour, h=1.0 / 64)
         errors = []
@@ -247,7 +247,7 @@ class TestQuadratureMechanics:
         assert contour.h0 == pytest.approx(
             min(1.0, 2.0 * math.pi * 0.9 / math.log(10.0 / tol)), rel=1e-14)
         levels = record_levels(monkeypatch)
-        _, info = integrate(OperatorKernel("S_L", t), f,
+        _, info = integrate(OperatorKernel("S", t), f,
                             replace(contour, tol=math.inf))
         h = contour.h0 / 2.0
         assert info["h"] == h
@@ -271,7 +271,7 @@ class TestQuadratureMechanics:
         # accepted one are exactly the lattice at the accepted h, and the
         # value is the single pass at that h up to the order of summation
         seen = record_levels(monkeypatch)
-        k, f = OperatorKernel("F_L", gen4.operator), Regularizer(2)
+        k, f = OperatorKernel("F", gen4.operator), Regularizer(2)
         contour = SectorContour(1.2, E1, 1e-8, 1e8, 1.0, tol=1e-10)
         value, info = integrate(k, f, contour)
         h = info["h"]
@@ -286,7 +286,7 @@ class TestQuadratureMechanics:
         # at n = 4 consecutive levels keep differing by about 1e-16; a
         # scalar operator can agree bit for bit, which meets any target
         with pytest.raises(ToleranceNotMet):
-            integrate(OperatorKernel("S_L", gen4.operator), Regularizer(2),
+            integrate(OperatorKernel("S", gen4.operator), Regularizer(2),
                       roundoff_contour(gen4))
 
     def test_stall_stops_within_four_levels(self, gen4, monkeypatch):
@@ -295,7 +295,7 @@ class TestQuadratureMechanics:
         # nine halvings
         levels = record_levels(monkeypatch)
         with pytest.raises(ToleranceNotMet, match="stalled at h = "):
-            integrate(OperatorKernel("S_L", gen4.operator), Regularizer(2),
+            integrate(OperatorKernel("S", gen4.operator), Regularizer(2),
                       roundoff_contour(gen4))
         assert len(levels) <= 4
 
@@ -308,14 +308,14 @@ class TestQuadratureMechanics:
         t, f, _ = cauchy_setup()
         contour = SectorContour(1.2, E1, 1e-2, 1e2, H0)
         with pytest.raises(ToleranceNotMet, match="not finite at h = 0.125"):
-            integrate(OperatorKernel("S_L", t), f, contour)
+            integrate(OperatorKernel("S", t), f, contour)
 
     def test_point_callable_matches_batched(self):
         t, f, _ = cauchy_setup()
         contour = SectorContour(1.2, E1, 1e-6, 1e6, H0)
-        va, _ = integrate_fixed(OperatorKernel("S_L", t), f, contour, 0.25)
-        vb = reference_level(partial(kernel_batch, "S_L", t), f, contour,
-                             0.25, "left")
+        va, _ = integrate_fixed(OperatorKernel("S", t), f, contour, 0.25)
+        vb = reference_level(point_kernel("S_L", t), f, contour, 0.25,
+                             "left")
         assert (va - vb).norm() <= 1e-13
 
     def test_refuses_point_callable(self):
@@ -323,19 +323,34 @@ class TestQuadratureMechanics:
         # kernel is the tests' reference (conftest.reference_level)
         t, f, _ = cauchy_setup()
         contour = SectorContour(1.2, E1, 1e-6, 1e6, H0)
-        point = partial(kernel_batch, "S_L", t)
+        point = point_kernel("S_L", t)
         with pytest.raises(TypeError, match="OperatorKernel"):
             integrate(point, f, contour)
         with pytest.raises(TypeError, match="OperatorKernel"):
             integrate_fixed(point, f, contour, 0.25)
 
+    @pytest.mark.parametrize("kind", ["S_L", "Q", "X"])
+    def test_refuses_kind_that_is_not_a_family(self, kind):
+        # a kernel kind such as S_L is not a family: the side of the
+        # integral picks the family's kernel
+        t, f, _ = cauchy_setup()
+        contour = SectorContour(1.2, E1, 1e-6, 1e6, H0)
+        k = OperatorKernel(kind, t)
+        with pytest.raises(ValueError, match="unknown kernel family"):
+            integrate(k, f, contour)
+        with pytest.raises(ValueError, match="unknown kernel family"):
+            integrate_fixed(k, f, contour, 0.25, side="right")
+        with pytest.raises(ValueError, match="unknown kernel family"):
+            integrate_many([(OperatorKernel("S", t), f, contour),
+                            (k, f, contour)])
+
     def test_right_sandwich_order(self):
         # for an intrinsic f and the scalar operator the two orders agree
         t, f, _ = cauchy_setup()
         contour = SectorContour(1.2, E1, 1e-8, 1e8, H0)
-        va, _ = integrate_fixed(OperatorKernel("S_L", t), f, contour, 0.125)
-        vb, _ = integrate_fixed(OperatorKernel("S_R", t), f, contour, 0.125,
-                                side="right")
+        k = OperatorKernel("S", t)
+        va, _ = integrate_fixed(k, f, contour, 0.125)
+        vb, _ = integrate_fixed(k, f, contour, 0.125, side="right")
         assert (va - vb).norm() <= 1e-12
 
 
@@ -347,7 +362,7 @@ def test_exp_j():
     assert math.isclose(v.norm(), 1.0, rel_tol=1e-12)
 
 
-# each kernel on the side its calculus integrates it (Qc serves both)
+# each kernel on the side that picks it from its family (Qc serves both)
 KIND_SIDES = [("S_L", "left"), ("S_R", "right"), ("Qc", "left"),
               ("Qc", "right"), ("P2_L", "left"), ("P2_R", "right"),
               ("F_L", "left"), ("F_R", "right")]
@@ -367,8 +382,8 @@ class TestMomentForm:
         # kernels, which are assembled with the unit on both rays; the
         # second contour spans the truncation radii hinf reaches; per_unit
         # is the number of lattice points per unit of log radius
-        k = OperatorKernel(kind, gen4.operator)
-        point = partial(kernel_batch, kind, gen4.operator)
+        k = OperatorKernel(kernel_family(kind), gen4.operator)
+        point = point_kernel(kind, gen4.operator)
         fs = [Regularizer(2)] + ([NONINTRINSIC] if side == "left" else [])
         for unit in (E1, E12, unit_q):
             contour = SectorContour(1.7, unit, t_min, t_max, H0)
@@ -381,7 +396,7 @@ class TestMomentForm:
     @pytest.mark.parametrize("kind,side", KIND_SIDES)
     def test_unit_is_not_read(self, gen4, unit_q, kind, side):
         # on fixed nodes the value is the same bit for bit in every slice
-        k = OperatorKernel(kind, gen4.operator)
+        k = OperatorKernel(kernel_family(kind), gen4.operator)
         f = NONINTRINSIC if side == "left" else Regularizer(2)
         vals = [integrate_fixed(k, f, SectorContour(1.7, unit, 1e-6, 1e6, H0),
                                 0.25, side=side)[0].components
@@ -390,12 +405,11 @@ class TestMomentForm:
             assert np.array_equal(v, vals[0])
 
     def test_right_form_refuses_nonintrinsic(self, gen4):
-        # f ds_J K_R depends on J unless f is intrinsic (the kernels on the
-        # other side from their suffix: TestKernelPaths::test_paths_agree)
+        # f ds_J K_R depends on J unless f is intrinsic
         contour = SectorContour(1.7, E12, 1e-6, 1e6, H0)
-        for kind in ("S_R", "Qc", "P2_R", "F_R"):
+        for family in KERNEL_FAMILIES:
             with pytest.raises(NotIntrinsic):
-                integrate(OperatorKernel(kind, gen4.operator),
+                integrate(OperatorKernel(family, gen4.operator),
                           Scale(E1, Regularizer(2)), contour, side="right")
 
     @pytest.mark.parametrize("kind", ["S_L", "Qc", "F_L", "P2_L"])
@@ -419,7 +433,8 @@ class TestMomentForm:
             return np.array([closed(Quaternion(xi) + unit * yi).components
                              for xi, yi in zip(x, y)])[:, :, None, None]
 
-        va, _ = integrate_fixed(OperatorKernel(kind, scalar_operator(q)), f,
+        va, _ = integrate_fixed(OperatorKernel(kernel_family(kind),
+                                               scalar_operator(q)), f,
                                 contour, 0.25)
         vb = reference_level(closed_stack, f, contour, 0.25, "left")
         if kind == "Qc":  # the Q-calculus integrates -2 Q_{c,s}^-1
@@ -433,18 +448,17 @@ class TestKernelPaths:
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_paths_agree(self, kind, side):
-        # a kernel on the other side from its suffix is refused on both
+        # kind's family on side, of T, or of conj(T) where the suffix of
+        # kind names the other side: the kernels of T and of conj(T) of
+        # the S, P2 and F families on both sides
+        conj = kind.endswith("_R" if side == "left" else "_L")
         contour = SectorContour(1.7, E12, 1e-6, 1e6, H0)
         f = Regularizer(2)
         for n in range(1, 9):
             t = generate_operator(OperatorSpec(dim=n, seed=100 + n)).operator
-            fast, slow = OperatorKernel(kind, t), OperatorKernel(kind, dense_twin(t))
+            fast, slow = (OperatorKernel(kernel_family(kind), op, conj)
+                          for op in (t, dense_twin(t)))
             assert (fast.path, slow.path) == ("eigenbasis", "dense")
-            if (kind, side) not in KIND_SIDES:
-                for k in (fast, slow):
-                    with pytest.raises(ValueError, match="moment form"):
-                        integrate_fixed(k, f, contour, 0.25, side=side)
-                continue
             va, _ = integrate_fixed(fast, f, contour, 0.25, side=side)
             vb, _ = integrate_fixed(slow, f, contour, 0.25, side=side)
             assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
@@ -515,11 +529,11 @@ class TestKernelPaths:
         f = Regularizer(2)
         for t in (nonnormal, loaded, antisymmetric):
             assert t.eigenbasis is None
-            k = OperatorKernel(kind, t)
+            k = OperatorKernel(kernel_family(kind), t)
             assert k.path == "dense"
             va, _ = integrate_fixed(k, f, contour, 0.25, side=side)
-            vb = reference_level(partial(kernel_batch, kind, t), f, contour,
-                                 0.25, side)
+            vb = reference_level(point_kernel(kind, t), f, contour, 0.25,
+                                 side)
             assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
 
 
@@ -539,7 +553,7 @@ def shared_items(t, side):
     fs = [Regularizer(2), Product(Power(1), Regularizer(3))]
     if side == "left":
         fs.append(NONINTRINSIC)
-    return [(OperatorKernel(kind, t), f, c)
+    return [(OperatorKernel(kernel_family(kind), t), f, c)
             for kind, s in KIND_SIDES if s == side for f in fs
             for c in (WIDE, NESTED, OVERLAP, LOOSE)]
 
@@ -592,8 +606,8 @@ class TestSharedLattice:
             SHARED_H0 / min(info["h"] for info in infos)))
 
     def test_items_must_share_operator_angle_and_step(self, gen4):
-        k, f = OperatorKernel("S_L", gen4.operator), Regularizer(2)
-        twin = OperatorKernel("S_L", dense_twin(gen4.operator))
+        k, f = OperatorKernel("S", gen4.operator), Regularizer(2)
+        twin = OperatorKernel("S", dense_twin(gen4.operator))
         for other in ((twin, f, WIDE), (k, f, replace(WIDE, phi=1.3)),
                       (k, f, replace(WIDE, h0=0.25))):
             with pytest.raises(ValueError, match="shares one operator"):
@@ -603,7 +617,7 @@ class TestSharedLattice:
     def test_one_nonfinite_stem_names_its_function(self, gen4):
         # past |s| ~ 2e51 the stem of reg(7) * pow(6) is inf * 0; the
         # finite item beside it does not hide the error
-        k = OperatorKernel("S_L", gen4.operator)
+        k = OperatorKernel("S", gen4.operator)
         bad = Product(Regularizer(7), Power(6))
         with pytest.raises(ToleranceNotMet,
                            match=r"\(reg\(7\) \* pow\(6\)\) is not finite"):
@@ -611,7 +625,7 @@ class TestSharedLattice:
                             (k, bad, replace(WIDE, t_max=1e55))])
 
     def test_one_stalled_item_ends_the_batch(self, gen4):
-        k = OperatorKernel("S_L", gen4.operator)
+        k = OperatorKernel("S", gen4.operator)
         stalls = roundoff_contour(gen4)
         with pytest.raises(ToleranceNotMet, match="stalled at h = "):
             integrate_many([(k, Regularizer(2), replace(stalls, tol=1e-9)),

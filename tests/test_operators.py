@@ -3,18 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_twin, random_quaternion, scalar_operator
+from conftest import (dense_twin, point_kernel, random_quaternion,
+                      scalar_operator)
 from qcalc import operators
 from qcalc.calculus import kernel_bound
 from qcalc.errors import SpectrumHit
 from qcalc.operators import (_PROFILE_RADII, _PROFILE_RAYS,
-                             COND_SPECTRUM_THRESHOLD, CommutingOperator,
-                             QuatMatrix, _chain, _refine_eigenbasis,
-                             _round_robin, ab_decompose, adjoint, bq_conj,
-                             conj_op, estimate_type_profile, f_spectrum_check,
-                             from_adjoint, kernel, kernel_batch, modulus_sq,
-                             operator_from_text, operator_to_text, q_operator,
-                             stack_fro, stack_norm)
+                             COND_SPECTRUM_THRESHOLD, KERNEL_FAMILIES,
+                             CommutingOperator, QuatMatrix, _chain,
+                             _refine_eigenbasis, _round_robin, ab_decompose,
+                             adjoint, assemble, bq_conj, conj_op,
+                             estimate_type_profile, f_spectrum_check,
+                             from_adjoint, kernel, kernel_batch,
+                             kernel_family, modulus_sq, operator_from_text,
+                             operator_to_text, q_operator, stack_fro,
+                             stack_norm)
 from qcalc.quaternion import (E1, E2, ONE, Quaternion,
                               random_unit_imaginary, to_slice)
 from qcalc.suites import OperatorSpec, generate_operator
@@ -245,6 +248,18 @@ class TestKernels:
             want = -4.0 * (kernel("S_L", t, s) @ kernel("Qc", t, s))
             got = kernel("F_L", t, s)
             assert (got - want).norm() <= 1e-12 * max(1.0, got.norm())
+
+    @pytest.mark.parametrize("families", ["S", "Qc", ("S", "S_L"), ("X",)])
+    def test_kernel_batch_refuses_what_is_not_families(self, gen4,
+                                                       families):
+        # a bare string is refused, since set("S") would pass the family
+        # check by accident, and so is a kernel kind such as S_L
+        with pytest.raises(ValueError, match="kernel famil"):
+            kernel_batch(families, gen4.operator, [1.5], [0.5])
+
+    def test_kernel_refuses_a_family(self, gen4):
+        with pytest.raises(ValueError, match="unknown kernel kind"):
+            kernel("S", gen4.operator, Quaternion(1.5, 0.5, 0.0, 0.0))
 
     def test_conjugate_relation(self, gen4, rng):
         t = gen4.operator
@@ -572,29 +587,27 @@ class TestEigenbasis:
         assert t.eigenbasis is None
 
 
-FAMILIES = ("S", "Qc", "P2", "F")
-
-
 class TestTypeProfile:
     def test_accepts_sectorial_diagonal(self, gen4):
         prof = estimate_type_profile(gen4.operator, math.pi / 4,
                                      [math.pi / 2, 3 * math.pi / 4])
         assert prof.alpha == pytest.approx(1.0 / 3.0)
         assert {fam: gen4.operator.kernel_numerators[fam].order
-                for fam in FAMILIES} == {"S": 1, "Qc": 2, "P2": 2, "F": 3}
+                for fam in KERNEL_FAMILIES} == {"S": 1, "Qc": 2, "P2": 2,
+                                                "F": 3}
         for consts in prof.c_phi.values():
-            assert sorted(consts) == sorted(FAMILIES)
+            assert sorted(consts) == sorted(KERNEL_FAMILIES)
             for c in consts.values():
                 assert 0.0 < c < math.inf
         # constants shrink (weakly) as the excluded sector grows
-        for fam in FAMILIES:
+        for fam in KERNEL_FAMILIES:
             assert (prof.c_phi[math.pi / 2][fam]
                     >= prof.c_phi[3 * math.pi / 4][fam] - 1e-12)
 
     def test_constant_lookup_is_conservative(self, gen4):
         prof = estimate_type_profile(gen4.operator, math.pi / 4,
                                      [1.0, 2.0])
-        for fam in FAMILIES:
+        for fam in KERNEL_FAMILIES:
             c1, c2 = prof.c_phi[1.0][fam], prof.c_phi[2.0][fam]
             assert prof.constant_at(1.5, fam) == c1
             assert prof.constant_at(2.5, fam) == max(c1, c2)
@@ -621,7 +634,8 @@ class TestTypeProfile:
         out = {}
         for phi in angles:
             consts = {}
-            for fam, kind in zip(FAMILIES, ("S_L", "Qc", "P2_L", "F_L")):
+            for fam, kind in zip(KERNEL_FAMILIES,
+                                 ("S_L", "Qc", "P2_L", "F_L")):
                 p = nums[fam].order
                 weight = np.where(radii <= 1.0, radii ** (p / 3.0),
                                   radii ** float(p))
@@ -645,7 +659,7 @@ class TestTypeProfile:
                         if np.linalg.norm(v) > 0.0]
 
         def norm(kind, x, y):
-            return np.max([stack_norm(kernel_batch(kind, t, x, y, j))
+            return np.max([stack_norm(point_kernel(kind, t)(x, y, j))
                            for j in units], axis=0)
         return norm
 
@@ -653,7 +667,8 @@ class TestTypeProfile:
     def frobenius_pair(t):
         """||A||_F + ||B||_F of the kernel's pair (A, B)."""
         def norm(kind, x, y):
-            a, b = kernel_batch(kind, t, x, y, None)
+            family = kernel_family(kind)
+            a, b = kernel_batch((family,), t, x, y)[family]
             return stack_fro(a) + stack_fro(b)
         return norm
 
@@ -770,33 +785,19 @@ class TestTypeProfile:
 
 
 class TestKernelEnvelope:
-    @pytest.mark.parametrize("dense", [False, True])
-    @pytest.mark.parametrize("dim,seed,phi,annulus", [
-        (4, 1, 1.8, (0.5, 2.0)), (8, 5, 0.985, (0.5, 2.0)),
-        (4, 2, 1.8, (1e2, 1e5)), (4, 3, 1.8, (1e-5, 1e-2))])
-    def test_every_kind_under_its_envelope(self, dim, seed, phi, annulus,
-                                           dense):
-        # ||K(s)|| <= C |s|**-a (|s| <= 1) and C |s|**-p (|s| >= 1) from
-        # kernel_bound, at units J and -J (the lower ray), on rays of the
-        # fan [phi, pi], at the eigenvalue moduli and at radii 1e4 past
-        # the annulus and the profile's default 1e-3..1e3 alike.  The
-        # units are random ones and those along Im(lambda_k), where
-        # |s - conj(lambda_k)| peaks: at dim 8, seed 5, phi = 0.985 S_L
-        # there is 1.18 times a constant sampled at the unit E1 alone.
-        # ||K|| |s|**p peaks near the moduli, which the last two annuli
-        # take past the default radii
-        gen = generate_operator(OperatorSpec(dim=dim, seed=seed,
-                                             annulus=annulus))
-        t = dense_twin(gen.operator) if dense else gen.operator
-        assert (t.eigenbasis is None) == dense
-        prof = estimate_type_profile(t, gen.spec.omega, [phi])
-        rng = np.random.default_rng(seed)
+    @staticmethod
+    def worst_ratio(gen, t, prof, phi, psis, rng):
+        """The largest ratio of ||K(s)|| to its family's envelope
+        (kernel_bound at phi) over every kind, at units J and -J (the
+        lower ray), on the rays psis, at the eigenvalue moduli and at radii
+        1e4 past the annulus and the profile's default 1e-3..1e3 alike.
+        The units are two random ones and those along Im(lambda_k), where
+        |s - conj(lambda_k)| peaks."""
+        lo, hi = gen.spec.annulus
         lam = gen.operator.eigenbasis[1]
         radii = np.concatenate([
-            np.geomspace(min(1e-4, annulus[0] * 1e-4),
-                         max(1e5, annulus[1] * 1e4), 60),
+            np.geomspace(min(1e-4, lo * 1e-4), max(1e5, hi * 1e4), 60),
             np.sqrt(np.sum(lam * lam, axis=0))])
-        psis = np.array([phi, rng.uniform(phi, math.pi), math.pi])
         x = np.multiply.outer(np.cos(psis), radii).ravel()
         y = np.multiply.outer(np.sin(psis), radii).ravel()
         r = np.tile(radii, len(psis))
@@ -804,14 +805,65 @@ class TestKernelEnvelope:
             Quaternion(0.0, *(v / np.linalg.norm(v)))
             for v in lam[1:].T]
         worst = 0.0
+        pairs = kernel_batch(KERNEL_FAMILIES, t, x, y)
         for j in units:
             for unit in (j, -j):
-                for kind, k in kernel_batch(KINDS, t, x, y, unit).items():
-                    c, a, p = kernel_bound(kind, t, prof, phi)
+                for kind in KINDS:
+                    family = kernel_family(kind)
+                    c, a, p = kernel_bound(family, t, prof, phi)
                     envelope = c * np.where(r <= 1.0, r ** -a, r ** -p)
+                    k = assemble(kind, *pairs[family], unit)
                     worst = max(worst, float(np.max(stack_norm(k)
                                                     / envelope)))
-        assert worst <= 1.0
+        return worst
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("dim,seed,phi,annulus", [
+        (4, 1, 1.8, (0.5, 2.0)), (8, 5, 0.985, (0.5, 2.0)),
+        (4, 2, 1.8, (1e2, 1e5)), (4, 3, 1.8, (1e-5, 1e-2))])
+    def test_every_kind_under_its_envelope(self, dim, seed, phi, annulus,
+                                           dense):
+        # ||K(s)|| <= C |s|**-a (|s| <= 1) and C |s|**-p (|s| >= 1) from
+        # kernel_bound on rays of the fan [phi, pi] (see worst_ratio): at
+        # dim 8, seed 5, phi = 0.985 S_L there is 1.18 times a constant
+        # sampled at the unit E1 alone.  ||K|| |s|**p peaks near the
+        # moduli, which the last two annuli take past the default radii
+        gen = generate_operator(OperatorSpec(dim=dim, seed=seed,
+                                             annulus=annulus))
+        t = dense_twin(gen.operator) if dense else gen.operator
+        assert (t.eigenbasis is None) == dense
+        prof = estimate_type_profile(t, gen.spec.omega, [phi])
+        rng = np.random.default_rng(seed)
+        psis = np.array([phi, rng.uniform(phi, math.pi), math.pi])
+        assert self.worst_ratio(gen, t, prof, phi, psis, rng) <= 1.0
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("dim,seed,annulus", [
+        (2, 1, (0.5, 2.0)), (4, 2, (0.1, 10.0)), (8, 3, (0.01, 1.0))])
+    def test_fallback_constant_below_every_sampled_angle(self, dim, seed,
+                                                         annulus, dense):
+        # phi = omega + 0.2 lies below the suites' test angles (see
+        # SuiteContext.profile), as in the independence suite, so
+        # constant_at falls back to twice the largest sampled constant;
+        # that bounds the constant sampled at phi itself and every kernel
+        # on the rays of [phi, pi]
+        gen = generate_operator(OperatorSpec(dim=dim, seed=seed,
+                                             annulus=annulus))
+        t = dense_twin(gen.operator) if dense else gen.operator
+        omega = gen.spec.omega
+        prof = estimate_type_profile(t, omega, [
+            omega + f * (math.pi - omega) for f in (0.1, 0.5, 0.9)])
+        phi = omega + 0.2
+        assert phi < min(prof.c_phi)
+        at_phi = estimate_type_profile(t, omega, [phi]).c_phi[phi]
+        for family in KERNEL_FAMILIES:
+            fallback = prof.constant_at(phi, family)
+            assert fallback == 2.0 * max(c[family]
+                                         for c in prof.c_phi.values())
+            assert at_phi[family] <= fallback
+        psis = np.linspace(phi, math.pi, 4)
+        rng = np.random.default_rng(seed)
+        assert self.worst_ratio(gen, t, prof, phi, psis, rng) <= 1.0
 
 
 class TestEmbedding:
