@@ -80,7 +80,6 @@ class CalcDiagnostics:
     tol_achieved: float
     nodes: int  # nodes of all levels; an H-infinity value sums its
     # sub-integrals' own lattices, more than their shared lattice evaluates
-    # (about 5,822 node-rows against 3,037 points per hinf_dim4 value)
     h: float  # accepted lattice step (the finest of the sub-integrals)
     t_min: float
     t_max: float
@@ -88,8 +87,14 @@ class CalcDiagnostics:
     theta: float
     worst_cond: float  # largest (||Q||_F ||Q^-1||_F)^2 of the quadrature
     kernel_path: str  # "eigenbasis" or "dense" (see OperatorKernel.path)
+    # the H-infinity fields, None on a decaying-regime value
     regularizer_n: int | None = None
     range_residual: float | None = None
+    # ||e(T)^-1||, of e(conj T) for a value at conj(T) (_amplification)
+    amplification: float | None = None
+    # 2-norm condition number of the inverted prefactor, refused past 1e12
+    # (_solve_prefactor)
+    prefactor_cond: float | None = None
 
 
 @dataclass
@@ -166,7 +171,7 @@ def _solve_prefactor(pref: QuatMatrix, bracket: QuatMatrix):
     inv = pref.inverse()
     x = inv @ bracket
     resid = (pref @ x - bracket).fro() / max(1.0, bracket.fro())
-    return x, resid
+    return x, resid, float(cond)
 
 
 class Evaluator:
@@ -328,13 +333,14 @@ class Evaluator:
             bracket = (e_t @ e_tbar @ lef_t - e_tbar @ le_t @ ef_t
                        + e_t @ de_t @ def_t - de_t @ de_t @ ef_t)
 
-        value, range_resid = _solve_prefactor(pref, bracket)
+        value, range_resid, cond = _solve_prefactor(pref, bracket)
         # phi, theta and kernel_path are those of every sub-value
         diag = replace(subs[0], tol_achieved=tol,
                        nodes=sum(d.nodes for d in subs),
                        h=min(d.h for d in subs), t_min=0.0, t_max=0.0,
                        worst_cond=max(d.worst_cond for d in subs),
-                       regularizer_n=e.n, range_residual=range_resid)
+                       regularizer_n=e.n, range_residual=range_resid,
+                       amplification=amplification, prefactor_cond=cond)
         return CalculusResult(value.conj() if conj and not flip else value,
                               kind, "h_infinity", diag)
 

@@ -12,9 +12,9 @@ d = min(phi - omega, theta - phi), where omega is the spectral angle and
 theta the function sector, so the trapezoidal rule on a lattice u = j h
 converges geometrically in 1/h (Trefethen and Weideman, SIAM Review 56,
 2014).  The lattice is anchored at u = 0 and covers [log t_min,
-log t_max].  The first step h0 = min(1, 2 pi d / ln(10 / tol)) is taken
-from the strip (contour_for), and each refinement halves h, which keeps
-every old node and evaluates only the new odd ones:
+log t_max] (_index_range).  The first step h0 = min(1, 2 pi d /
+ln(10 / tol)) is taken from the strip (contour_for), and each refinement
+halves h, which keeps every old node and evaluates only the new odd ones:
 T_{k+1} = T_k / 2 + h_{k+1} sum_new.  Two consecutive levels must agree
 in the whole-matrix Frobenius norm; a halving whose difference does not
 shrink has stalled at roundoff and ends the refinement at once.
@@ -24,7 +24,11 @@ lattice (integrate_many): a level evaluates the union of their lattices,
 which all hold u = 0, with one inversion of Q_{c,z}(T) per point and one
 stem per function, and each integral reads its own slice.  Its radii, stop
 rule, stall rule and cap stay its own, so each value is what it would be
-alone; integrate is the batch of one.
+alone; integrate is the batch of one and the one entry for a single
+integral.  A fixed pass at step h is integrate on the contour with
+h0 = 2 h and tol = inf: the whole lattice at 2 h, then the new nodes at
+h, with any finite difference accepted, which is the one-pass sum at h up
+to the order of summation.
 
 An OperatorKernel is integrated without J.  Its family G = A + i B =
 sum_d C_d z^d M^p (see operators.KernelNumerator) is the left kernel
@@ -95,17 +99,15 @@ class SectorContour:
             raise ValueError("contour unit must be a unit imaginary quaternion")
         if not (0.0 < self.t_min < 1.0 < self.t_max < math.inf):
             raise ValueError("truncation radii must satisfy 0 < t_min < 1 < t_max")
-        _require_positive_step(self.h0)
-
-
-def _require_positive_step(h: float) -> None:
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"lattice step must be positive and finite, got "
-                         f"h={h!r}")
+        if not 0.0 < self.h0 < math.inf:
+            raise ValueError(f"lattice step must be positive and finite, "
+                             f"got h0={self.h0!r}")
 
 
 def _require_positive_tol(tol: float) -> None:
-    if not tol > 0.0:  # NaN too; tol = inf asks for no refinement
+    # NaN too; tol = inf accepts the first halving, it does not skip the
+    # refinement
+    if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got tol={tol!r}")
 
 
@@ -114,14 +116,15 @@ def _one_sided_radius(delta: float, c: float, tol: float, side: str) -> float:
     _TAIL_SHARE tol / 2, the bound on both rays' integrand C t**(-1+delta)
     over (0, t_min), or t_max (side "max") with the mirrored bound for
     C t**(-1-delta) over (t_max, inf), so the two ends together stay below
-    _TAIL_SHARE tol.  tol = inf gives 1.  A constant so large (or NaN)
-    that the bound underflows raises ToleranceNotMet; a radius past the
-    float range is inf."""
+    _TAIL_SHARE tol.  tol = inf certifies nothing and raises ValueError.
+    A constant so large (or NaN) that the bound underflows raises
+    ToleranceNotMet; a radius past the float range is inf."""
     if delta <= 0.0:
         raise ValueError("decay rate delta must be positive")
     _require_positive_tol(tol)
-    if not math.isfinite(tol):
-        return 1.0
+    if tol == math.inf:
+        raise ValueError("a certified truncation radius needs a finite "
+                         "tolerance, got tol=inf")
     base = delta * _TAIL_SHARE * tol / (4.0 * max(c, 1e-300))
     if not base > 0.0:
         raise ToleranceNotMet(
@@ -145,8 +148,9 @@ def _first_step(strip: float, tol: float) -> float:
 def contour_for(cert, kernel_bound, phi: float, omega: float,
                 unit: Quaternion, tol: float = 1e-9) -> SectorContour:
     """Build a contour whose two truncated tails together are certified
-    below tol * _TAIL_SHARE (tol / 1e4); ToleranceNotMet when the certified
-    radii cannot be represented.
+    below tol * _TAIL_SHARE (tol / 1e4); ValueError when tol is not
+    positive and finite, ToleranceNotMet when the certified radii cannot be
+    represented.
 
     cert is the integrand's DecayCertificate, certified on the sector of
     angle cert.theta.  kernel_bound is (C_K, a_K, b_K): the kernel norm is
@@ -232,13 +236,13 @@ def _moment_value(k: OperatorKernel, z, stem, g, scale, side: str):
             else bq_dot(moments, coef))
 
 
-def _nodes(contour: SectorContour, h: float) -> np.ndarray:
-    """The lattice of step h: the indices j of the nodes u = j h in
-    [log t_min, log t_max], r = e^u.  It is anchored at u = 0, so the
-    lattice at h / 2 holds every node at h (its even j) and the new ones
-    (its odd j)."""
-    return np.arange(math.ceil(math.log(contour.t_min) / h),
-                     math.floor(math.log(contour.t_max) / h) + 1)
+def _index_range(contour: SectorContour, h: float) -> tuple[int, int]:
+    """The first and last index j of the lattice of step h: the nodes
+    u = j h in [log t_min, log t_max], r = e^u.  It is anchored at u = 0,
+    so the lattice at h / 2 holds every node at h (its even j) and the new
+    ones (its odd j)."""
+    return (math.ceil(math.log(contour.t_min) / h),
+            math.floor(math.log(contour.t_max) / h))
 
 
 def _level_value(items, slices, phi: float, side: str, count: int,
@@ -281,18 +285,6 @@ def _level_value(items, slices, phi: float, side: str, count: int,
     return out
 
 
-def _check_items(items, side: str) -> None:
-    """TypeError for a kernel other than an OperatorKernel, ValueError for
-    a kind not a family, and require_moment_form's refusals, per item."""
-    for k, f, _ in items:
-        if not isinstance(k, OperatorKernel):
-            raise TypeError("the quadrature takes an OperatorKernel, not "
-                            f"{type(k).__name__}")
-        if k.kind not in KERNEL_FAMILIES:
-            raise ValueError(f"unknown kernel family {k.kind!r}")
-        require_moment_form(f, side)
-
-
 def integrate_many(items, *, side: str = "left") -> list:
     """Adaptively evaluate the sector-boundary integrals of K ds_J f of the
     items (k, f, contour) on one shared lattice.
@@ -319,7 +311,13 @@ def integrate_many(items, *, side: str = "left") -> list:
     lattice.  Each equals, bit for bit, what the item gives alone.
     """
     items = list(items)
-    _check_items(items, side)
+    for k, f, _ in items:
+        if not isinstance(k, OperatorKernel):
+            raise TypeError("the quadrature takes an OperatorKernel, not "
+                            f"{type(k).__name__}")
+        if k.kind not in KERNEL_FAMILIES:
+            raise ValueError(f"unknown kernel family {k.kind!r}")
+        require_moment_form(f, side)
     if not items:
         return []
     k0, _, c0 = items[0]
@@ -328,16 +326,13 @@ def integrate_many(items, *, side: str = "left") -> list:
         raise ValueError("a batch of integrals shares one operator, one "
                          "contour angle and one first step")
     n = len(items)
-    logs = [(math.log(c.t_min), math.log(c.t_max)) for _, _, c in items]
     value, nodes, cond = [None] * n, [0] * n, [0.0] * n
     last, out = [math.inf] * n, [None] * n
     active, h = list(range(n)), c0.h0
     for level in range(_MAX_REFINEMENTS + 1):
         if level:
             h /= 2.0
-        # each item's first and last index j (see _nodes)
-        ranges = [(math.ceil(logs[p][0] / h), math.floor(logs[p][1] / h))
-                  for p in active]
+        ranges = [_index_range(items[p][2], h) for p in active]
         # the union's indices from `first` in steps of `step`: all of them
         # on the first level, the new (odd) ones after it; an item's slice
         # holds its own indices
@@ -390,20 +385,3 @@ def integrate(k, f, contour: SectorContour, *, side: str = "left"):
     contour: integrate_many of the one item (k, f, contour), returning its
     (QuatMatrix, info)."""
     return integrate_many([(k, f, contour)], side=side)[0]
-
-
-def integrate_fixed(k, f, contour: SectorContour, h: float, *,
-                    side: str = "left"):
-    """Single trapezoidal pass over the whole lattice of step h (see
-    _nodes), no refinement.
-
-    Used by linearity and step tests where the node set must match across
-    calls; integrate's value at its accepted h is this value up to the
-    order of summation.
-    """
-    _require_positive_step(h)
-    _check_items([(k, f, contour)], side)
-    u = _nodes(contour, h) * h
-    [(total, _)] = _level_value([(k, f, contour)], [(0, len(u))],
-                                contour.phi, side, len(u), u)
-    return QuatMatrix(h * total), {"nodes": len(u), "h": h}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qcalc import calculus
-from qcalc.contour import _nodes
+from qcalc.contour import _index_range
 from qcalc.operators import (CommutingOperator, QuatMatrix, assemble,
                              bq_scalar, kernel_batch, kernel_family)
 from qcalc.quaternion import Quaternion, qarr, qarr_mul
@@ -43,16 +43,23 @@ def point_kernel(kind: str, t: CommutingOperator):
     return point
 
 
+def lattice(contour, h: float) -> np.ndarray:
+    """The log radii u = j h of the library's lattice of step h on
+    contour."""
+    lo, hi = _index_range(contour, h)
+    return np.arange(lo, hi + 1) * h
+
+
 def reference_level(point, f, contour, h: float, side: str) -> QuatMatrix:
     """The J-based trapezoidal pass of step h that the library's moment form
-    replaces, on the library's lattice (contour._nodes): the point kernel
+    replaces, on the library's lattice (see lattice): the point kernel
     point(x, y, unit) -> (m, 4, n, n) stack at x + unit y, such as
     point_kernel(kind, t), is called once per ray, with
     J = contour.unit and with -J, and contracted with
     s+- = e^{+-J phi} J f(r e^{+-J phi}) (see the contour module):
     sum_m h r_m [K(r e^{J phi}) s+ - K(r e^{-J phi}) s-] for side "left",
     the mirrored sandwich for "right"."""
-    z = np.exp(_nodes(contour, h) * h + 1j * contour.phi)
+    z = np.exp(lattice(contour, h) + 1j * contour.phi)
     x, y, stem = z.real, z.imag, f.complex_stem(z)
     j = contour.unit
     c_plus = qarr(exp_j(j, contour.phi) * j)

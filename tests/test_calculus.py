@@ -148,6 +148,12 @@ class TestDecayingCalculi:
             value_of("S", gen4.operator, Regularizer(2), ctx4.profile, tol=tol)
         assert not slicefun._CERTIFICATES._store
 
+    def test_infinite_tol_certifies_no_contour(self, ctx4, gen4):
+        # tol = inf would give truncation radii of 1, no contour at all
+        with pytest.raises(ValueError, match="finite tolerance"):
+            calc("S", gen4.operator, Regularizer(2), ctx4.profile,
+                 tol=math.inf)
+
     def test_angle_and_unit_independence(self, ctx4, gen4):
         f = Regularizer(2)
         omega = gen4.spec.omega
@@ -567,6 +573,27 @@ class TestHInfinity:
     def test_regularizer_choice_recorded(self, ctx4, gen4):
         res = hinf("S", gen4.operator, Power(3), ctx4.profile)
         assert res.diagnostics.regularizer_n == 4
+
+    def test_conditioning_recorded(self, ctx4, gen4):
+        # ||e(T)^-1|| and the prefactor's condition number, which no
+        # refusal reads yet: below 1e3 on the default family, past 1e8 for
+        # P2 and F of pow(5) on the annulus (0.1, 20), whose values then
+        # miss the closed forms by far and a conditioning gate must refuse
+        ctx = fresh_context()
+        for n in (1, 3, 5):
+            for kind in ("S", "Q", "P2", "F"):
+                diag = ctx.evaluator.hinf(kind, Power(n)).diagnostics
+                assert diag.prefactor_cond < 1e3
+                assert diag.amplification == calculus._amplification(
+                    ctx.operator.components, diag.regularizer_n)
+        wide = SuiteContext(generate_operator(
+            OperatorSpec(dim=4, seed=3, annulus=(0.1, 20.0))))
+        for kind in ("P2", "F"):
+            diag = wide.evaluator.hinf(kind, Power(5)).diagnostics
+            assert diag.prefactor_cond > 1e8
+        diag = calc("S", gen4.operator, Regularizer(2),
+                    ctx4.profile).diagnostics
+        assert diag.amplification is None and diag.prefactor_cond is None
 
     def test_regularizer_shift_invariance(self, ctx4, gen4):
         a = hinf("F", gen4.operator, Power(2), ctx4.profile)

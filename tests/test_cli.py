@@ -173,6 +173,10 @@ class TestRun:
         assert main(["run", "oracle", "--dim", "2", f"--tol={tol}"]) == 2
         assert "tolerance" in capsys.readouterr().err
 
+    def test_infinite_tol(self, capsys):
+        assert main(["run", "oracle", "--dim", "2", "--tol", "inf"]) == 2
+        assert "finite tolerance" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--tol=-1", "--tol=nan", "--theta=4",
                                       "--angles=0.1,0.2"])
     @pytest.mark.parametrize("suite", suites.SUITE_NAMES)

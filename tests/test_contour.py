@@ -6,25 +6,25 @@ import numpy as np
 import pytest
 
 import qcalc.contour as contour_module
-from conftest import (dense_twin, exp_j, point_kernel, reference_level,
-                      scalar_operator)
+from conftest import (dense_twin, exp_j, lattice, point_kernel,
+                      reference_level, scalar_operator)
 from qcalc.contour import (OperatorKernel, SectorContour, _first_step,
-                           _level_value, _nodes, _one_sided_radius,
-                           contour_for, integrate, integrate_fixed,
-                           integrate_many)
+                           _index_range, _level_value, _one_sided_radius,
+                           contour_for, integrate, integrate_many)
 from qcalc.errors import (NoDecayMetadata, NotIntrinsic, SpectrumHit,
                           ToleranceNotMet)
 from qcalc.operators import (KERNEL_FAMILIES, KERNEL_KINDS,
-                             CommutingOperator, _chain, kernel_family,
-                             operator_from_text, operator_to_text)
+                             CommutingOperator, QuatMatrix, _chain,
+                             kernel_family, operator_from_text,
+                             operator_to_text)
 from qcalc.quaternion import E1, E2, ONE, Quaternion, to_slice
 from qcalc.slicefun import Power, Product, Regularizer, Scale, Sum
 from qcalc.suites import OperatorSpec, generate_operator
 
 E12 = Quaternion(0, 1, 1, 0) * (1.0 / math.sqrt(2.0))
 
-# first lattice step of the hand-built contours; the fixed-step passes
-# (integrate_fixed) do not read it
+# first lattice step of the hand-built contours; a fixed pass (fixed_pass)
+# replaces it with twice its own step
 H0 = 0.25
 
 
@@ -34,6 +34,15 @@ def cauchy_setup(tol=1e-9):
     t = scalar_operator(ONE)
     f = Regularizer(1)
     return t, f, f.certify_decay(1.0, 1.0, 2.4)
+
+
+def fixed_pass(k, f, contour, h, side="left"):
+    """The one trapezoidal pass at step h over contour's whole lattice, by
+    the library's own rule: integrate from h0 = 2 h at tol = inf evaluates
+    the lattice at 2 h, then the new nodes at h, and accepts the first
+    halving's difference (see the contour module)."""
+    return integrate(k, f, replace(contour, h0=2 * h, tol=math.inf),
+                     side=side)
 
 
 class TestTailRadius:
@@ -57,15 +66,16 @@ class TestTailRadius:
         assert 2.0 * c * t_max ** (-delta) / delta <= tol / 2e4 * (1 + 1e-12)
 
     def test_degenerate_rejected(self):
-        assert _one_sided_radius(1.0, 1.0, math.inf, "min") == 1.0
-        assert _one_sided_radius(1.0, 1.0, math.inf, "max") == 1.0
+        # an infinite tolerance certifies no radius
+        for side in ("min", "max"):
+            with pytest.raises(ValueError, match="finite tolerance"):
+                _one_sided_radius(1.0, 1.0, math.inf, side)
         with pytest.raises(ValueError):
             SectorContour(1.0, E1, 1.0, 1.0, H0)
         with pytest.raises(ValueError):
             _one_sided_radius(0.0, 1.0, 1e-8, "min")
-        # contour_for reports the degenerate pair as a typed error
         _, _, cert = cauchy_setup()
-        with pytest.raises(ToleranceNotMet):
+        with pytest.raises(ValueError, match="finite tolerance"):
             contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, 0.0, E1,
                         tol=math.inf)
 
@@ -117,7 +127,8 @@ class TestContourValidation:
 
     @pytest.mark.parametrize("tol", [-1e-9, 0.0, math.nan])
     def test_rejects_nonpositive_tol(self, tol):
-        # before any radius is computed; tol = inf (no refinement) stays
+        # before any radius is computed; a SectorContour keeps tol = inf,
+        # which accepts the first halving (see fixed_pass)
         _, _, cert = cauchy_setup()
         with pytest.raises(ValueError, match="tolerance"):
             contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, 0.0, E1,
@@ -215,9 +226,9 @@ class TestQuadratureMechanics:
         h = Sum(Scale(2.5, f), g)
         contour = SectorContour(1.2, E1, 1e-8, 1e8, H0)
         k = OperatorKernel("S", t)
-        vf, _ = integrate_fixed(k, f, contour, 0.125)
-        vg, _ = integrate_fixed(k, g, contour, 0.125)
-        vh, _ = integrate_fixed(k, h, contour, 0.125)
+        vf, _ = fixed_pass(k, f, contour, 0.125)
+        vg, _ = fixed_pass(k, g, contour, 0.125)
+        vh, _ = fixed_pass(k, h, contour, 0.125)
         lin = 2.5 * vf + vg
         assert (vh - lin).norm() <= 1e-12 * max(1.0, lin.norm())
 
@@ -228,10 +239,10 @@ class TestQuadratureMechanics:
         t, f, _ = cauchy_setup()
         k = OperatorKernel("S", t)
         contour = SectorContour(1.2, E1, 1e-20, 1e20, H0)
-        want, _ = integrate_fixed(f=f, k=k, contour=contour, h=1.0 / 64)
+        want, _ = fixed_pass(f=f, k=k, contour=contour, h=1.0 / 64)
         errors = []
         for h in (1.0, 0.5, 0.25):
-            v, _ = integrate_fixed(k, f, contour, h)
+            v, _ = fixed_pass(k, f, contour, h)
             errors.append((v - want).norm())
         assert errors[1] <= errors[0] ** 1.5
         assert errors[2] <= errors[1] ** 1.5
@@ -251,10 +262,10 @@ class TestQuadratureMechanics:
                             replace(contour, tol=math.inf))
         h = contour.h0 / 2.0
         assert info["h"] == h
-        first = len(_nodes(contour, contour.h0))
+        first = len(lattice(contour, contour.h0))
         assert [len(u) for u in levels] == [first,
-                                            len(_nodes(contour, h)) - first]
-        assert info["nodes"] == len(_nodes(contour, h))
+                                            len(lattice(contour, h)) - first]
+        assert info["nodes"] == len(lattice(contour, h))
 
     def test_first_step_rule(self):
         assert _first_step(0.9, 1e-9) == pytest.approx(
@@ -277,10 +288,30 @@ class TestQuadratureMechanics:
         h = info["h"]
         assert len(seen) >= 3 and h == 2.0 ** (1 - len(seen))
         nodes = np.sort(np.concatenate(seen))
-        assert np.array_equal(nodes, _nodes(contour, h) * h)
+        assert np.array_equal(nodes, lattice(contour, h))
         assert info["nodes"] == len(nodes)
-        fixed, _ = integrate_fixed(k, f, contour, h)
+        fixed, _ = fixed_pass(k, f, contour, h)
         assert (value - fixed).norm() <= 1e-14 * max(1.0, fixed.norm())
+
+    @pytest.mark.parametrize("path", ["eigenbasis", "dense"])
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    def test_fixed_pass_is_one_level(self, gen4, family, path):
+        # the fixed pass the tests take (integrate from h0 = 2 h at
+        # tol = inf) is the one-level sum over the whole lattice at h, up
+        # to the order of summation, and counts that lattice's nodes
+        t = gen4.operator if path == "eigenbasis" else dense_twin(
+            gen4.operator)
+        k, f, h = OperatorKernel(family, t), Regularizer(2), 0.125
+        assert k.path == path
+        contour = SectorContour(1.2, E1, 1e-8, 1e8, H0)
+        u = lattice(contour, h)
+        for side in ("left", "right"):
+            value, info = fixed_pass(k, f, contour, h, side=side)
+            [(total, _)] = _level_value([(k, f, contour)], [(0, len(u))],
+                                        contour.phi, side, len(u), u)
+            want = QuatMatrix(h * total)
+            assert (value - want).norm() <= 1e-13 * want.norm()
+            assert info["nodes"] == len(u)
 
     def test_tolerance_not_met(self, gen4):
         # at n = 4 consecutive levels keep differing by about 1e-16; a
@@ -313,7 +344,7 @@ class TestQuadratureMechanics:
     def test_point_callable_matches_batched(self):
         t, f, _ = cauchy_setup()
         contour = SectorContour(1.2, E1, 1e-6, 1e6, H0)
-        va, _ = integrate_fixed(OperatorKernel("S", t), f, contour, 0.25)
+        va, _ = fixed_pass(OperatorKernel("S", t), f, contour, 0.25)
         vb = reference_level(point_kernel("S_L", t), f, contour, 0.25,
                              "left")
         assert (va - vb).norm() <= 1e-13
@@ -326,8 +357,6 @@ class TestQuadratureMechanics:
         point = point_kernel("S_L", t)
         with pytest.raises(TypeError, match="OperatorKernel"):
             integrate(point, f, contour)
-        with pytest.raises(TypeError, match="OperatorKernel"):
-            integrate_fixed(point, f, contour, 0.25)
 
     @pytest.mark.parametrize("kind", ["S_L", "Q", "X"])
     def test_refuses_kind_that_is_not_a_family(self, kind):
@@ -339,7 +368,7 @@ class TestQuadratureMechanics:
         with pytest.raises(ValueError, match="unknown kernel family"):
             integrate(k, f, contour)
         with pytest.raises(ValueError, match="unknown kernel family"):
-            integrate_fixed(k, f, contour, 0.25, side="right")
+            integrate(k, f, contour, side="right")
         with pytest.raises(ValueError, match="unknown kernel family"):
             integrate_many([(OperatorKernel("S", t), f, contour),
                             (k, f, contour)])
@@ -349,8 +378,8 @@ class TestQuadratureMechanics:
         t, f, _ = cauchy_setup()
         contour = SectorContour(1.2, E1, 1e-8, 1e8, H0)
         k = OperatorKernel("S", t)
-        va, _ = integrate_fixed(k, f, contour, 0.125)
-        vb, _ = integrate_fixed(k, f, contour, 0.125, side="right")
+        va, _ = fixed_pass(k, f, contour, 0.125)
+        vb, _ = fixed_pass(k, f, contour, 0.125, side="right")
         assert (va - vb).norm() <= 1e-12
 
 
@@ -388,7 +417,7 @@ class TestMomentForm:
         for unit in (E1, E12, unit_q):
             contour = SectorContour(1.7, unit, t_min, t_max, H0)
             for f in fs:
-                va, _ = integrate_fixed(k, f, contour, 1.0 / per_unit,
+                va, _ = fixed_pass(k, f, contour, 1.0 / per_unit,
                                         side=side)
                 vb = reference_level(point, f, contour, 1.0 / per_unit, side)
                 assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
@@ -398,7 +427,7 @@ class TestMomentForm:
         # on fixed nodes the value is the same bit for bit in every slice
         k = OperatorKernel(kernel_family(kind), gen4.operator)
         f = NONINTRINSIC if side == "left" else Regularizer(2)
-        vals = [integrate_fixed(k, f, SectorContour(1.7, unit, 1e-6, 1e6, H0),
+        vals = [fixed_pass(k, f, SectorContour(1.7, unit, 1e-6, 1e6, H0),
                                 0.25, side=side)[0].components
                 for unit in (E1, E12, unit_q)]
         for v in vals[1:]:
@@ -433,7 +462,7 @@ class TestMomentForm:
             return np.array([closed(Quaternion(xi) + unit * yi).components
                              for xi, yi in zip(x, y)])[:, :, None, None]
 
-        va, _ = integrate_fixed(OperatorKernel(kernel_family(kind),
+        va, _ = fixed_pass(OperatorKernel(kernel_family(kind),
                                                scalar_operator(q)), f,
                                 contour, 0.25)
         vb = reference_level(closed_stack, f, contour, 0.25, "left")
@@ -459,10 +488,10 @@ class TestKernelPaths:
             fast, slow = (OperatorKernel(kernel_family(kind), op, conj)
                           for op in (t, dense_twin(t)))
             assert (fast.path, slow.path) == ("eigenbasis", "dense")
-            va, _ = integrate_fixed(fast, f, contour, 0.25, side=side)
-            vb, _ = integrate_fixed(slow, f, contour, 0.25, side=side)
+            va, _ = fixed_pass(fast, f, contour, 0.25, side=side)
+            vb, _ = fixed_pass(slow, f, contour, 0.25, side=side)
             assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
-            u = _nodes(contour, 0.25) * 0.25
+            u = lattice(contour, 0.25)
             [(_, cond_a)], [(_, cond_b)] = (
                 _level_value([(k, f, contour)], [(0, len(u))], contour.phi,
                              side, len(u), u) for k in (fast, slow))
@@ -531,7 +560,7 @@ class TestKernelPaths:
             assert t.eigenbasis is None
             k = OperatorKernel(kernel_family(kind), t)
             assert k.path == "dense"
-            va, _ = integrate_fixed(k, f, contour, 0.25, side=side)
+            va, _ = fixed_pass(k, f, contour, 0.25, side=side)
             vb = reference_level(point_kernel(kind, t), f, contour, 0.25,
                                  side)
             assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
@@ -599,7 +628,8 @@ class TestSharedLattice:
             union = set()
             for (_, _, c), info in zip(items, infos):
                 if info["h"] <= h:  # still refining at this level
-                    j = _nodes(c, h)
+                    lo, hi = _index_range(c, h)
+                    j = np.arange(lo, hi + 1)
                     union |= set(j if depth == 0 else j[j % 2 == 1])
             assert np.array_equal(u, np.array(sorted(union)) * h)
         assert len(levels) == 1 + round(math.log2(
