@@ -13,7 +13,11 @@ over the boundary of a sector between the spectral angle and the function
 sector.  Polynomially growing functions are handled by multiplying in a
 rational regularizer e(s) = s^n/(1+s)^(2n), evaluating the decaying-class
 calculi, and inverting the prescribed prefactor built from e(T) and
-e(conj T).
+e(conj T).  For a normal T = U diag(lambda_k) U^T every such value is
+U diag(v_k) U^T, so each H-infinity formula is one quaternion identity per
+eigenvalue (the spectral theorem on the S-spectrum: Alpay, Colombo and
+Kimsey, J. Math. Phys. 57 (2016) 023503); with an eigenbasis the values
+are held and assembled that way (operators.SpectralValue).
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from .contour import (OperatorKernel, _require_positive_tol, contour_for,
                       integrate, integrate_many, require_moment_form)
 from .errors import NotInjective, NotIntrinsic
 from .operators import (KERNEL_FAMILIES, CommutingOperator, QuatMatrix,
-                        TypeProfile, adjoint, assemble, bq_conj,
-                        kernel_family, stack_norm)
+                        SpectralValue, TypeProfile, adjoint, assemble,
+                        bq_conj, kernel_family, stack_norm)
 from .quaternion import E1, Quaternion, to_slice
 from .slicefun import (Memo, Power, Product, Regularizer, StemFunction,
                        choose_regularizer)
@@ -93,7 +97,8 @@ class CalcDiagnostics:
     # ||e(T)^-1||, of e(conj T) for a value at conj(T) (_amplification)
     amplification: float | None = None
     # 2-norm condition number of the inverted prefactor, refused past 1e12
-    # (_solve_prefactor)
+    # (_solve_prefactor): max_k |p_k| / min_k |p_k| of its quaternions p_k
+    # with an eigenbasis, else taken on the complex adjoint
     prefactor_cond: float | None = None
 
 
@@ -135,8 +140,16 @@ def _require_function(f) -> None:
                         "; slicefun.parse builds one from text")
 
 
-def _require_injective(comps: np.ndarray) -> bool:
-    """True, or NotInjective when T (of comps) or conj(T) is singular."""
+def _require_injective(comps: np.ndarray, lam=None) -> bool:
+    """True, or NotInjective when T (of comps) or conj(T) is singular: its
+    smallest singular value at most INJECTIVITY_FACTOR times its largest.
+    Given T's joint eigenvalues lam (4, n), the singular values of T and
+    conj(T) are their moduli |lambda_k|, read in O(n)."""
+    if lam is not None:
+        mods = np.linalg.norm(lam, axis=0)
+        if np.min(mods) <= INJECTIVITY_FACTOR * max(np.max(mods), 1e-300):
+            raise NotInjective("T is numerically non-injective")
+        return True
     for c, label in ((comps, "T"), (bq_conj(comps), "conj(T)")):
         sv = np.linalg.svd(adjoint(c), compute_uv=False)
         if sv[-1] <= INJECTIVITY_FACTOR * max(sv[0], 1e-300):
@@ -144,18 +157,27 @@ def _require_injective(comps: np.ndarray) -> bool:
     return True
 
 
-def _amplification(comps: np.ndarray, n: int) -> float:
+def _amplification(comps: np.ndarray, n: int, lam=None) -> float:
     """||e(T)^-1|| for e = reg(n), T of components comps, from e(T)^-1 =
-    (T^-1 + 2 + T)^n on the complex adjoint; NotInjective when it
-    overflows or when it amplifies the quadrature floor past 1, since
-    sub-integrals at the floor would then leave the value all noise."""
-    a = adjoint(comps)
+    (T^-1 + 2 + T)^n on the complex adjoint, or, given T's joint
+    eigenvalues lam (4, n), as max_k |lambda_k^-1 + 2 + lambda_k|^n in
+    O(n), which conj(T) shares; NotInjective when it overflows or when it
+    amplifies the quadrature floor past 1, since sub-integrals at the
+    floor would then leave the value all noise."""
     with np.errstate(over="ignore", invalid="ignore"):
-        e_inv = np.linalg.matrix_power(
-            np.linalg.inv(a) + 2.0 * np.eye(len(a)) + a, n)
+        if lam is None:
+            a = adjoint(comps)
+            e_inv = np.linalg.matrix_power(
+                np.linalg.inv(a) + 2.0 * np.eye(len(a)) + a, n)
+        else:
+            # each lambda_k as the complex number of its slice, which
+            # _require_injective keeps from zero
+            z = lam[0] + 1j * np.linalg.norm(lam[1:], axis=0)
+            e_inv = np.abs(1.0 / z + 2.0 + z) ** n
     if not np.isfinite(e_inv).all():
         raise NotInjective("e(T) is numerically singular")
-    amplification = float(np.linalg.svd(e_inv, compute_uv=False)[0])
+    amplification = float(np.linalg.svd(e_inv, compute_uv=False)[0]
+                          if lam is None else np.max(e_inv))
     if amplification * _HINF_TOL_FLOOR >= 1.0:
         raise NotInjective(
             f"e(T) = reg({n})(T) is too small to invert: ||e(T)^-1|| = "
@@ -164,28 +186,40 @@ def _amplification(comps: np.ndarray, n: int) -> float:
     return amplification
 
 
-def _solve_prefactor(pref: QuatMatrix, bracket: QuatMatrix):
-    cond = np.linalg.cond(adjoint(pref.components))
+def _solve_prefactor(pref, bracket):
+    """(x, range residual, cond) for pref x = bracket, both QuatMatrix or
+    both SpectralValue (per eigenvalue, each prefactor inverted as a
+    quaternion); NotInjective when the 2-norm condition number of pref is
+    past 1e12 or not finite."""
+    cond = pref.cond()
     if not np.isfinite(cond) or cond > 1e12:
         raise NotInjective("regularized prefactor is numerically non-injective")
     inv = pref.inverse()
     x = inv @ bracket
     resid = (pref @ x - bracket).fro() / max(1.0, bracket.fro())
-    return x, resid, float(cond)
+    return x, resid, cond
+
+
+def _as_matrix(value) -> QuatMatrix:
+    """The QuatMatrix of a value held as a QuatMatrix or a SpectralValue."""
+    return value.matrix() if isinstance(value, SpectralValue) else value
 
 
 class Evaluator:
     """Calculus values of one operator, each integral computed at most once.
 
     Everything an evaluator keeps is in its one Memo: the calc values on
-    (kind, repr(f), tol, side, conj), and for hinf the injectivity of T
-    and ||e(T)^-1|| and ||e(conj T)^-1|| per regularizer.  Each depends on
+    (kind, repr(f), tol, side, conj), each with its diagnostics, held per
+    eigenvalue as a SpectralValue when T has an eigenbasis and as a
+    QuatMatrix otherwise; the CalculusResult that calc returns for each,
+    whose matrix is built once; and for hinf the injectivity of T and
+    ||e(T)^-1|| and ||e(conj T)^-1|| per regularizer.  Each depends on
     its key only, so one evaluator may serve many threads; when two
     threads compute one entry, the first stored is kept, and failures are
     never stored.  calc_many computes the missing values of a list in one
     shared-lattice batch (contour.integrate_many), and calc is its list of
-    one.  hinf assembles its value on every call from one calc_many batch
-    of every sub-value its kind needs, so e(T), (e*f)(T) and their D, Dbar
+    one.  hinf assembles its value on every call from one such batch of
+    every sub-value its kind needs, so e(T), (e*f)(T) and their D, Dbar
     and Delta forms share the nodes' work and serve every kind.
     conj=True is the one conjugation rule of both: the entrywise
     conjugate of the value at T for intrinsic f, else the value at
@@ -227,8 +261,20 @@ class Evaluator:
         intrinsic f with conj takes the conjugate of its value at T.  A
         lone value goes through integrate, the batch of one, which
         qbench/layertrace.py counts as one integral."""
-        _require_positive_tol(tol)
         requests = list(requests)
+        return [self._memo.get(
+                    ("result", kind, repr(f), tol, side, conj), f,
+                    lambda: CalculusResult(_as_matrix(value), kind,
+                                           "decaying", diag))
+                for (kind, f, conj), (value, diag) in zip(
+                    requests, self._values(requests, tol, side))]
+
+    def _values(self, requests, tol: float, side: str) -> list:
+        """(value, diagnostics) of each (kind, f, conj) request by calc's
+        rule, each value held as it is memoized: a SpectralValue when T
+        has an eigenbasis, else a QuatMatrix (see contour.integrate_many's
+        spectral)."""
+        _require_positive_tol(tol)
         for kind, f, _ in requests:
             if kind not in CALC_KINDS:
                 raise ValueError(f"unknown calculus kind {kind!r}")
@@ -244,18 +290,19 @@ class Evaluator:
             items = [(OperatorKernel(_FAMILY[kind], self.t, bar), f,
                       self._contour(_FAMILY[kind], f, tol))
                      for kind, f, bar in todo.values()]
-            raws = ([integrate(*items[0], side=side)] if len(items) == 1
-                    else integrate_many(items, side=side))
+            raws = ([integrate(*items[0], side=side, spectral=True)]
+                    if len(items) == 1
+                    else integrate_many(items, side=side, spectral=True))
             for key, (kind, _, _), (kernel, f, _), (raw, info) in zip(
                     todo, todo.values(), items, raws):
                 diag = CalcDiagnostics(**info, phi=self.phi, theta=self.theta,
                                        kernel_path=kernel.path)
-                self._memo.put(key, f, CalculusResult(
-                    _PREFACTOR[kind] * raw, kind, "decaying", diag))
-        return [replace(res, value=res.value.conj())
-                if conj and f.intrinsic else res
-                for (_, f, conj), res in zip(
-                    requests, map(self._memo.find, keys))]
+                self._memo.put(key, f, (_PREFACTOR[kind] * raw, diag))
+        out = []
+        for (_, f, conj), key in zip(requests, keys):
+            value, diag = self._memo.find(key)
+            out.append((value.conj() if conj and f.intrinsic else value, diag))
+        return out
 
     def _contour(self, family, f, tol):
         profile = self.profile
@@ -272,15 +319,22 @@ class Evaluator:
 
         The value is assembled from decaying-regime sub-calculi of e and
         e*f, where e is the rational regularizer chosen from the growth
-        certificate of f (or of the given power), and the prefactors e(T),
-        e(T) e(conj T), e(T)^2 e(conj T) are inverted through the complex
-        adjoint.  Requires T and conj(T) injective.
+        certificate of f (or of the given power), and the prefactor e(T),
+        e(T) e(conj T) or e(T)^2 e(conj T) is inverted (_solve_prefactor).
+        With an eigenbasis the sub-values, the bracket and the prefactor
+        are held per eigenvalue, each eigenvalue's prefactor is inverted as
+        a quaternion and the matrix is built once, from the solution;
+        otherwise they are full matrices and the prefactor is inverted
+        through the complex adjoint.  One set of formulas serves both, as
+        SpectralValue and QuatMatrix share their operators.  Requires T
+        and conj(T) injective.
 
         Inverting the prefactor amplifies quadrature error by up to the
         norm of e(T)^-1 = (T^-1 + 2 + T)^n, so tol is capped at 1e-12 and,
         when that norm asks for it, tightened further (down to the roundoff
         floor of the quadrature, 2e-13) before any integral runs; every
-        sub-value then runs in one calc_many batch at that tol.  A norm at
+        sub-value then runs in one batch at that tol, as calc_many runs
+        it, and shares calc_many's memo.  A norm at
         which that floor times the norm reaches 1 would leave the value
         all noise, and raises NotInjective first.  conj follows
         calc_many's rule; a non-intrinsic f at conj(T) flips the conj of
@@ -295,8 +349,10 @@ class Evaluator:
         flip = conj and not f.intrinsic
         # the work on (T, e) alone is memoized like a value, so a failure
         # raises again on every call
+        basis = self.t.eigenbasis
+        lam = None if basis is None else basis[1]
         self._memo.get(("injective",), None,
-                       lambda: _require_injective(self.t.components))
+                       lambda: _require_injective(self.t.components, lam))
         if regularizer_power is None:
             e = choose_regularizer(f, self.profile.alpha, self.profile.beta,
                                    self.theta)
@@ -304,16 +360,15 @@ class Evaluator:
             e = Regularizer(regularizer_power)
         comps = bq_conj(self.t.components) if flip else self.t.components
         amplification = self._memo.get(("amplification", e.n, flip), None,
-                                       lambda: _amplification(comps, e.n))
+                                       lambda: _amplification(comps, e.n, lam))
         # capped before the sub-values' key: every larger tol asks for the
         # same sub-values
         tol = max(min(tol, _HINF_TOL_CAP, 1e-8 / max(amplification, 1.0)),
                   _HINF_TOL_FLOOR)
         named = {"e": e, "ef": Product(e, f)}
-        vals = self.calc_many([(k, named[g], c != flip)
-                               for k, g, c in _HINF_VALUES[kind]], tol=tol)
-        subs = [res.diagnostics for res in vals]
-        e_t, ef_t, *rest = (res.value for res in vals)
+        requests = [(k, named[g], c != flip) for k, g, c in _HINF_VALUES[kind]]
+        values, subs = zip(*self._values(requests, tol, "left"))
+        e_t, ef_t, *rest = values
         e_tbar = e_t.conj()  # e is intrinsic
 
         if kind == "S":
@@ -341,8 +396,9 @@ class Evaluator:
                        worst_cond=max(d.worst_cond for d in subs),
                        regularizer_n=e.n, range_residual=range_resid,
                        amplification=amplification, prefactor_cond=cond)
-        return CalculusResult(value.conj() if conj and not flip else value,
-                              kind, "h_infinity", diag)
+        return CalculusResult(
+            _as_matrix(value.conj() if conj and not flip else value), kind,
+            "h_infinity", diag)
 
 
 _SLOT_LOCK = threading.Lock()  # guards every operator's evaluator slot

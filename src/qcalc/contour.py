@@ -17,7 +17,11 @@ ln(10 / tol)) is taken from the strip (contour_for), and each refinement
 halves h, which keeps every old node and evaluates only the new odd ones:
 T_{k+1} = T_k / 2 + h_{k+1} sum_new.  Two consecutive levels must agree
 in the whole-matrix Frobenius norm; a halving whose difference does not
-shrink has stalled at roundoff and ends the refinement at once.
+shrink has stalled at roundoff and ends the refinement at once.  When T
+has an eigenbasis U, every level is a diagonal in U (see _moment_value):
+the levels are summed and compared as the n quaternions of that
+diagonal, whose Frobenius norm is the matrix's, and the matrix is built
+once, from the accepted sum.
 
 Integrals of one operator at one angle and one first step share one
 lattice (integrate_many): a level evaluates the union of their lattices,
@@ -54,8 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoDecayMetadata, NotIntrinsic, ToleranceNotMet
-from .operators import (KERNEL_FAMILIES, QuatMatrix, _chain, _z_powers,
-                        bq_conj, bq_dot, stack_fro)
+from .operators import (KERNEL_FAMILIES, QuatMatrix, SpectralValue, _chain,
+                        _z_powers, bq_conj, bq_dot)
 from .operators import bq_scalar  # unused; qbench/layertrace.py traces it
 from .quaternion import Quaternion
 
@@ -216,22 +220,26 @@ def _moment_value(k: OperatorKernel, z, stem, g, scale, side: str):
     """sum_d C_d Re(Mom_d) (side "left") or sum_d Re(Mom_d) C_d (side
     "right") with Mom_d = sum_m 2i z_m^(d+1) W_m M_m^power, dz = z du (see
     the module docstring), one complex GEMM over the nodes z.  g and scale
-    are _chain's at these nodes for M^power.  With an eigenbasis (U,
-    lambda) g holds the diagonals of U^T M^power U and each of the
-    4 (degree+1) moments is U diag U^T.  k.conj takes conj(T)'s C_d, the
-    bq_conj of T's: its Q_{c,z} = z^2 - 2 T0 z + |T|^2, so its M, is T's,
-    as T0 and |T|^2 are unchanged.  No unit J is read."""
+    are _chain's at these nodes for M^power.  k.conj takes conj(T)'s C_d,
+    the bq_conj of T's: its Q_{c,z} = z^2 - 2 T0 z + |T|^2, so its M, is
+    T's, as T0 and |T|^2 are unchanged.  No unit J is read.
+
+    With an eigenbasis (U, lambda) g holds the diagonals of U^T M^power U,
+    so the 4 (degree+1) moments are diagonals too, and so is every U^T C_d
+    U: the sum is returned in U, as the (n, 4) stack of its diagonal
+    quaternions (see operators.SpectralValue), from one batched product
+    with the family's cached multipliers (CommutingOperator.
+    moment_multipliers).  Otherwise it is the (4, n, n) component stack."""
     num = k.operator.kernel_numerators[k.kind]
-    coef = bq_conj(num.coef) if k.conj else num.coef
     zp = _z_powers(z, scale, len(num.coef) - 1, num.power)
     weights = (2j * z)[:, None, None] * zp[:, :, None] * stem[:, None, :]
     m = len(z)
     moments = (weights.reshape(m, -1).T @ g.reshape(m, -1)).real
+    if k.operator.eigenbasis is not None:
+        mult = k.operator.moment_multipliers[k.kind, k.conj, side]
+        return (mult @ moments.T[:, :, None])[:, :, 0]
+    coef = bq_conj(num.coef) if k.conj else num.coef
     moments = moments.reshape((-1, 4) + g.shape[1:])
-    basis = k.operator.eigenbasis
-    if basis is not None:
-        u = basis[0]
-        moments = (u * moments[..., None, :]) @ u.T
     return (bq_dot(coef, moments) if side == "left"
             else bq_dot(moments, coef))
 
@@ -252,7 +260,8 @@ def _level_value(items, slices, phi: float, side: str, count: int,
     du = 1 (the caller weights them by h), after require_moment_form.  One
     _chain call serves every item, squared once when powers 1 and 2 both
     occur, and one stem serves every item of the same f.  Returns per item
-    (sum, worst conditioning of Q_{c,z}(T) on its slice); an item whose
+    (sum, worst conditioning of Q_{c,z}(T) on its slice), the sum as
+    _moment_value gives it (per eigenvalue with an eigenbasis); an item whose
     stem is not finite on its slice raises ToleranceNotMet.  count = len(u)
     is not read: qbench/layertrace.py takes the six arguments by position
     and counts the level's nodes as count * GAUSS_ORDER."""
@@ -285,7 +294,8 @@ def _level_value(items, slices, phi: float, side: str, count: int,
     return out
 
 
-def integrate_many(items, *, side: str = "left") -> list:
+def integrate_many(items, *, side: str = "left",
+                   spectral: bool = False) -> list:
     """Adaptively evaluate the sector-boundary integrals of K ds_J f of the
     items (k, f, contour) on one shared lattice.
 
@@ -309,6 +319,13 @@ def integrate_many(items, *, side: str = "left") -> list:
     number of the item's own nodes over all levels, h its accepted step,
     and worst_cond the largest (||Q||_F ||Q^-1||_F)^2 met on its accepted
     lattice.  Each equals, bit for bit, what the item gives alone.
+
+    With an eigenbasis the levels are summed, refined and compared in it,
+    per eigenvalue (see _moment_value): the Frobenius norm is orthogonally
+    invariant, so the stop and stall rules read what they would on the
+    matrix, and the QuatMatrix is built once, from the accepted sum.
+    spectral=True returns that sum as an operators.SpectralValue instead,
+    and builds no matrix; on the dense path it changes nothing.
     """
     items = list(items)
     for k, f, _ in items:
@@ -325,6 +342,7 @@ def integrate_many(items, *, side: str = "left") -> list:
            for k, _, c in items):
         raise ValueError("a batch of integrals shares one operator, one "
                          "contour angle and one first step")
+    basis = k0.operator.eigenbasis
     n = len(items)
     value, nodes, cond = [None] * n, [0] * n, [0.0] * n
     last, out = [math.inf] * n, [None] * n
@@ -352,14 +370,21 @@ def integrate_many(items, *, side: str = "left") -> list:
                 kept.append(p)
                 continue
             refined = 0.5 * value[p] + h * total
-            diff = float(stack_fro(refined - value[p]))
+            step_diff = refined - value[p]
+            diff = float(np.sqrt(np.sum(step_diff * step_diff)))
             value[p] = refined
             if not math.isfinite(diff):
                 raise ToleranceNotMet(f"Frobenius difference {diff:.3g} is "
                                       f"not finite at h = {h:.3g}")
             contour = items[p][2]
             if diff <= contour.tol:
-                out[p] = (QuatMatrix(refined),
+                if basis is None:
+                    accepted = QuatMatrix(refined)
+                else:
+                    accepted = SpectralValue(basis[0], refined)
+                    if not spectral:
+                        accepted = accepted.matrix()
+                out[p] = (accepted,
                           {"nodes": nodes[p], "h": h, "tol_achieved": diff,
                            "t_min": contour.t_min, "t_max": contour.t_max,
                            "worst_cond": cond[p]})
@@ -380,8 +405,10 @@ def integrate_many(items, *, side: str = "left") -> list:
         f"{items[p][2].tol:.3g} at h = {h:.3g}")
 
 
-def integrate(k, f, contour: SectorContour, *, side: str = "left"):
+def integrate(k, f, contour: SectorContour, *, side: str = "left",
+              spectral: bool = False):
     """The integral of K ds_J f (side "left") or f ds_J K ("right") on
     contour: integrate_many of the one item (k, f, contour), returning its
-    (QuatMatrix, info)."""
-    return integrate_many([(k, f, contour)], side=side)[0]
+    (QuatMatrix, info), or its (SpectralValue, info) if spectral and T has
+    an eigenbasis."""
+    return integrate_many([(k, f, contour)], side=side, spectral=spectral)[0]

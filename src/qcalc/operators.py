@@ -32,7 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SpectrumHit
-from .quaternion import Quaternion, SlicePoint, qarr, qarr_mul, to_slice
+from .quaternion import (Quaternion, SlicePoint, qarr, qarr_mul, qarr_norm,
+                         to_slice)
 
 COND_SPECTRUM_THRESHOLD = 1e12
 
@@ -47,6 +48,10 @@ KERNEL_KINDS = ("S_L", "S_R", "Qc", "P2_L", "P2_R", "F_L", "F_R")
 
 # e_a e_b = sum_c _QMUL[a, b, c] e_c for the basis 1, e1, e2, e3
 _QMUL = qarr_mul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])
+# _QMUL as the (16, 4) map from the products p_a q_b to the components of pq
+_QMUL_TABLE = _QMUL.reshape(16, 4)
+# the component signs of the quaternion conjugate
+_CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def bq_scalar(q: np.ndarray, a: np.ndarray, side: str) -> np.ndarray:
@@ -189,6 +194,10 @@ class QuatMatrix:
     def fro(self) -> float:
         return float(stack_fro(self.components))
 
+    def cond(self) -> float:
+        """2-norm condition number, through the complex adjoint."""
+        return float(np.linalg.cond(adjoint(self.components)))
+
     def commutation_residual(self) -> float:
         """Largest Frobenius commutator among the four component matrices."""
         worst = 0.0
@@ -200,6 +209,56 @@ class QuatMatrix:
 
     def __repr__(self):
         return f"QuatMatrix(n={self.n})"
+
+
+class SpectralValue:
+    """The quaternion matrix U diag(v_k) U^T in an operator's eigenbasis U
+    (CommutingOperator.eigenbasis), held by its n quaternions v_k as the
+    (n, 4) stack v.  Such matrices multiply, add, conjugate and invert
+    entry by entry, so they take QuatMatrix's operators at O(n), and
+    matrix() builds the QuatMatrix.  U is orthogonal, so the Frobenius
+    norm is that of v and the 2-norm the largest modulus |v_k|."""
+
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: np.ndarray, v: np.ndarray):
+        self.u = u
+        self.v = v
+
+    def matrix(self) -> QuatMatrix:
+        return QuatMatrix((self.u * self.v.T[:, None, :]) @ self.u.T)
+
+    def conj(self) -> "SpectralValue":
+        return SpectralValue(self.u, self.v * _CONJ_SIGNS)
+
+    def __add__(self, other: "SpectralValue") -> "SpectralValue":
+        return SpectralValue(self.u, self.v + other.v)
+
+    def __sub__(self, other: "SpectralValue") -> "SpectralValue":
+        return SpectralValue(self.u, self.v - other.v)
+
+    def __mul__(self, c: float) -> "SpectralValue":
+        return SpectralValue(self.u, self.v * float(c))
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other: "SpectralValue") -> "SpectralValue":
+        pairs = self.v[:, :, None] * other.v[:, None, :]
+        return SpectralValue(self.u, pairs.reshape(-1, 16) @ _QMUL_TABLE)
+
+    def inverse(self) -> "SpectralValue":
+        return SpectralValue(self.u, self.conj().v
+                             / np.sum(self.v * self.v, axis=1)[:, None])
+
+    def fro(self) -> float:
+        return float(np.sqrt(np.sum(self.v * self.v)))
+
+    def cond(self) -> float:
+        """2-norm condition number max_k |v_k| / min_k |v_k|, that of the
+        diagonal matrix of the moduli, whose singular values they are;
+        np.linalg.cond takes it, as it takes QuatMatrix.cond, so that
+        qbench/layertrace.py's numpy.cond span sees both."""
+        return float(np.linalg.cond(np.diag(qarr_norm(self.v))))
 
 
 @dataclass(frozen=True)
@@ -252,6 +311,29 @@ class CommutingOperator:
         lam = self.eigenbasis[1]
         return np.stack([np.sum(lam * lam, axis=0), -2.0 * lam[0],
                          np.ones(self.n)])
+
+    @cached_property
+    def moment_multipliers(self) -> dict:
+        """{(family, conj, side): (n, 4, 4 (degree+1))}: each family's
+        coefficients C_d in the eigenbasis, which contract its moments
+        there (see contour._moment_value).  C_d commutes with T's
+        components, so U^T C_d U is diagonal, entry k a quaternion c_dk,
+        with its imaginary parts negated for conj(T) (conj).  Entry k's
+        column block d is the real 4 x 4 matrix of q -> c_dk q (side
+        "left") or q -> q c_dk ("right")."""
+        u = self.eigenbasis[0]
+        out = {}
+        for fam in KERNEL_FAMILIES:
+            # the diagonals (U^T C_d)_kj U_jk, (degree+1, 4, n)
+            diag = np.sum((u.T @ self.kernel_numerators[fam].coef) * u.T,
+                          axis=-1)
+            for conj in (False, True):
+                c = diag * _CONJ_SIGNS[:, None] if conj else diag
+                for side, spec in (("left", "abo,dak->kodb"),
+                                   ("right", "abo,dbk->koda")):
+                    mult = np.einsum(spec, _QMUL, c)
+                    out[fam, conj, side] = mult.reshape(self.n, 4, -1)
+        return out
 
     @cached_property
     def kernel_numerators(self) -> dict:
@@ -448,7 +530,8 @@ def _chain(t: CommutingOperator, x: np.ndarray, y: np.ndarray, *,
 
     # a NaN node or a singular Q must end in SpectrumHit, not in a warning
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q = np.tensordot(_z_powers(x + 1j * y, scale, 2, 1), coef, axes=1)
+        zp = _z_powers(x + 1j * y, scale, 2, 1)
+        q = zp @ coef if diagonal else np.tensordot(zp, coef, axes=1)
         try:
             g = 1.0 / q if diagonal else np.linalg.inv(q)
             cond = fro_sq(q) * fro_sq(g)

@@ -20,10 +20,11 @@ from qcalc.calculus import (Evaluator, _rel, calc,
 from qcalc.errors import (ClassMismatch, NotInjective, NotIntrinsic,
                           SpectrumHit, ToleranceNotMet)
 from qcalc.operators import (KERNEL_FAMILIES, KERNEL_KINDS, CommutingOperator,
-                             TypeProfile, assemble, bq_conj, conj_op, kernel,
-                             kernel_batch, kernel_family, stack_fro)
+                             QuatMatrix, SpectralValue, TypeProfile, assemble,
+                             bq_conj, conj_op, kernel, kernel_batch,
+                             kernel_family, stack_fro)
 from qcalc.quaternion import E1, Quaternion, to_slice
-from qcalc.slicefun import (Power, Product, Regularizer, Scale,
+from qcalc.slicefun import (Power, Product, Regularizer, Scale, Sum,
                             pointwise_fine)
 from qcalc.suites import OperatorSpec, SuiteContext, generate_operator
 
@@ -576,21 +577,27 @@ class TestHInfinity:
 
     def test_conditioning_recorded(self, ctx4, gen4):
         # ||e(T)^-1|| and the prefactor's condition number, which no
-        # refusal reads yet: below 1e3 on the default family, past 1e8 for
-        # P2 and F of pow(5) on the annulus (0.1, 20), whose values then
-        # miss the closed forms by far and a conditioning gate must refuse
+        # refusal reads: below 1e3 on the default family, past 1e8 for P2
+        # and F of pow(5) on the annulus (0.1, 20) (9.6e11).  Inverted per
+        # eigenvalue, that prefactor still gives the closed forms; the
+        # full-matrix assembly missed them there by up to 1.8e2.  On the
+        # eigenbasis path ||e(T)^-1|| comes from the joint eigenvalues, so
+        # it matches the complex adjoint's to roundoff
         ctx = fresh_context()
         for n in (1, 3, 5):
             for kind in ("S", "Q", "P2", "F"):
                 diag = ctx.evaluator.hinf(kind, Power(n)).diagnostics
                 assert diag.prefactor_cond < 1e3
-                assert diag.amplification == calculus._amplification(
-                    ctx.operator.components, diag.regularizer_n)
+                assert diag.amplification == pytest.approx(
+                    calculus._amplification(ctx.operator.components,
+                                            diag.regularizer_n), rel=1e-12)
         wide = SuiteContext(generate_operator(
             OperatorSpec(dim=4, seed=3, annulus=(0.1, 20.0))))
         for kind in ("P2", "F"):
-            diag = wide.evaluator.hinf(kind, Power(5)).diagnostics
-            assert diag.prefactor_cond > 1e8
+            res = wide.evaluator.hinf(kind, Power(5))
+            assert res.diagnostics.prefactor_cond > 1e8
+            assert _rel(res.value,
+                        power_reference(kind, wide.operator, 5)) <= 1e-6
         diag = calc("S", gen4.operator, Regularizer(2),
                     ctx4.profile).diagnostics
         assert diag.amplification is None and diag.prefactor_cond is None
@@ -693,9 +700,8 @@ class TestHInfinity:
         got = Evaluator(ctx.operator, ctx.profile).hinf("F", Power(5))
         assert got.diagnostics.tol_achieved < 1e-12
         monkeypatch.setattr(calculus, "integrate_many",
-                            lambda items, side="left": [
-                                contour.integrate(*item, side=side)
-                                for item in items])
+                            lambda items, **kw: [contour.integrate(*item, **kw)
+                                                 for item in items])
         want = Evaluator(ctx.operator, ctx.profile).hinf("F", Power(5))
         assert np.array_equal(got.value.components, want.value.components)
         assert got.diagnostics == want.diagnostics
@@ -708,9 +714,9 @@ class TestHInfinity:
         seen = counting_integrate(monkeypatch)
         batches, real_many = [], calculus.integrate_many
 
-        def counting_batches(items, side="left"):
+        def counting_batches(items, **kw):
             batches.append(len(items))
-            return real_many(items, side=side)
+            return real_many(items, **kw)
 
         monkeypatch.setattr(calculus, "integrate_many", counting_batches)
         res = hinf("F", ctx.operator, Power(5), ctx.profile)
@@ -729,6 +735,55 @@ class TestHInfinity:
         t = CommutingOperator(np.stack([t0, zeros, zeros, zeros]))
         with pytest.raises(NotInjective):
             hinf("S", t, Power(1), ctx4.profile)
+
+
+class TestSpectralAssembly:
+    """With an eigenbasis every value is held per eigenvalue and each
+    H-infinity formula is one quaternion identity per eigenvalue; the
+    dense path assembles full matrices."""
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_both_assemblies_agree(self, dim):
+        gen = generate_operator(OperatorSpec(dim=dim, seed=300 + dim))
+        profile = SuiteContext(gen).profile
+        fast, slow = (Evaluator(t, profile)
+                      for t in (gen.operator, dense_twin(gen.operator)))
+        growing = [Power(n) for n in range(1, 6)] + [
+            Scale(2.0, Power(2)), Sum(Power(1), Power(3))]
+        for kind in ("S", "Q", "P2", "F"):
+            calls = [(f, False) for f in growing]
+            # a non-intrinsic f with conj is assembled at conj(T)
+            calls.append((Scale(E1, Power(2)), True))
+            for f, conj in calls:
+                a, b = (ev.hinf(kind, f, conj=conj) for ev in (fast, slow))
+                assert (a.diagnostics.kernel_path,
+                        b.diagnostics.kernel_path) == ("eigenbasis", "dense")
+                assert _rel(a.value, b.value) <= 1e-12, (kind, repr(f))
+                # cond and ||e(T)^-1|| read from the eigenvalues
+                for field in ("prefactor_cond", "amplification"):
+                    assert getattr(a.diagnostics, field) == pytest.approx(
+                        getattr(b.diagnostics, field), rel=1e-12)
+            for side in ("left", "right"):
+                a, b = (ev.calc(kind, Regularizer(2), side=side)
+                        for ev in (fast, slow))
+                assert _rel(a.value, b.value) <= 1e-12, (kind, side)
+
+    @pytest.mark.parametrize("annulus, seed", [
+        ((0.1, 20.0), 3), ((0.1, 20.0), 4), ((0.15, 15.0), 3),
+        ((0.2, 15.0), 4)], ids=["0.1-20-seed3", "0.1-20-seed4",
+                                "0.15-15-seed3", "0.2-15-seed4"])
+    def test_spread_spectra_meet_the_closed_forms(self, annulus, seed):
+        # spectra over two decades: the prefactor's condition number
+        # reaches 9.6e11, and the full-matrix assembly missed 14 of these
+        # 48 values, by up to 1.8e2, with no error
+        ctx = SuiteContext(generate_operator(
+            OperatorSpec(dim=4, seed=seed, annulus=annulus)))
+        for n in (1, 3, 5):
+            for kind in ("S", "Q", "P2", "F"):
+                res = ctx.evaluator.hinf(kind, Power(n))
+                assert res.diagnostics.kernel_path == "eigenbasis"
+                ref = power_reference(kind, ctx.operator, n)
+                assert _rel(res.value, ref) <= 1e-6, (kind, n)
 
 
 def fresh_context(dim=4, seed=7):
@@ -763,20 +818,30 @@ class TestSharedEvaluator:
             assert a.diagnostics == b.diagnostics
 
     def test_public_hinf_solves_its_own_prefactor(self, monkeypatch):
+        # the sub-values are shared, the assembled result is not: a second
+        # call solves the prefactor again, per eigenvalue on the eigenbasis
+        # path and on full matrices on the dense one, and builds a new
+        # value equal to the first
         ctx = fresh_context()
-        t, profile, f = ctx.operator, ctx.profile, Power(3)
-        first = hinf("Q", t, f, profile)
-        solves = []
         real = calculus._solve_prefactor
-        monkeypatch.setattr(calculus, "_solve_prefactor",
-                            lambda *a: solves.append(1) or real(*a))
-        seen = counting_integrate(monkeypatch)
-        again = hinf("Q", t, f, profile)
-        # the sub-values are shared, the assembled result is not
-        assert not seen and len(solves) == 1
-        assert again is not first and again.value is not first.value
-        assert np.array_equal(again.value.components, first.value.components)
-        assert again.diagnostics == first.diagnostics
+        for t, held in ((ctx.operator, SpectralValue),
+                        (dense_twin(ctx.operator), QuatMatrix)):
+            profile, f = ctx.profile, Power(3)
+            first = hinf("Q", t, f, profile)
+            solves = []
+            monkeypatch.setattr(
+                calculus, "_solve_prefactor",
+                lambda pref, bracket: solves.append((type(pref),
+                                                     type(bracket)))
+                or real(pref, bracket))
+            seen = counting_integrate(monkeypatch)
+            again = hinf("Q", t, f, profile)
+            assert not seen and solves == [(held, held)]
+            assert again is not first and again.value is not first.value
+            assert np.array_equal(again.value.components,
+                                  first.value.components)
+            assert again.diagnostics == first.diagnostics
+            monkeypatch.undo()
 
     def test_other_angle_profile_or_unit_replaces_the_slot(self, monkeypatch):
         ctx = fresh_context()
