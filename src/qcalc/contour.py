@@ -9,30 +9,31 @@ t > 0, so the integral of K(s) ds_J f(s) reduces to
 
 After r = e^u the integrand is analytic in u on the strip |Im u| < d with
 d = min(phi - omega, theta - phi), where omega is the spectral angle and
-theta the function sector, so the trapezoidal rule on a lattice u = j h
-converges geometrically in 1/h (Trefethen and Weideman, SIAM Review 56,
-2014).  The lattice is anchored at u = 0 and covers [log t_min,
-log t_max] (_index_range).  The first step h0 = min(1, 2 pi d /
-ln(10 / tol)) is taken from the strip (contour_for), and each refinement
-halves h, which keeps every old node and evaluates only the new odd ones:
-T_{k+1} = T_k / 2 + h_{k+1} sum_new.  Two consecutive levels must agree
-in the whole-matrix Frobenius norm; a halving whose difference does not
-shrink has stalled at roundoff and ends the refinement at once.  When T
-has an eigenbasis U, every level is a diagonal in U (see _moment_value):
-the levels are summed and compared as the n quaternions of that
-diagonal, whose Frobenius norm is the matrix's, and the matrix is built
-once, from the accepted sum.
+theta the function sector, and decays like e^{-delta |u|} at both ends.
+With u = sinh v the decay is double-exponential in v, so the trapezoidal
+rule on the lattice v = j h, weighted by du = cosh v dv, spends few nodes
+on the tails (Takahasi and Mori, Publ. RIMS 9, 1974) and converges
+geometrically in 1/h (Trefethen and Weideman, SIAM Review 56, 2014).  It
+is anchored at v = 0 and covers [asinh log t_min, asinh log t_max]
+(_index_range).  The first step h0 = min(1, 2 pi d / ln(10 / tol)) comes
+from the strip (contour_for), whose image has half-width asin d at v = 0,
+and each refinement halves h, which keeps every old node and evaluates
+only the new odd ones: T_{k+1} = T_k / 2 + h_{k+1} sum_new.  Two
+consecutive levels must agree in the whole-matrix Frobenius norm; a
+halving whose difference does not shrink has stalled at roundoff and ends
+the refinement at once.  When T has an eigenbasis U, every level is a
+diagonal in U (see _moment_value): the levels are summed and compared as
+the n quaternions of that diagonal, whose Frobenius norm is the matrix's,
+and the matrix is built once, from the accepted sum.
 
 Integrals of one operator at one angle and one first step share one
 lattice (integrate_many): a level evaluates the union of their lattices,
-which all hold u = 0, with one inversion of Q_{c,z}(T) per point and one
+which all hold v = 0, with one inversion of Q_{c,z}(T) per point and one
 stem per function, and each integral reads its own slice.  Its radii, stop
 rule, stall rule and cap stay its own, so each value is what it would be
 alone; integrate is the batch of one and the one entry for a single
-integral.  A fixed pass at step h is integrate on the contour with
-h0 = 2 h and tol = inf: the whole lattice at 2 h, then the new nodes at
-h, with any finite difference accepted, which is the one-pass sum at h up
-to the order of summation.
+integral.  A fixed pass at step h is integrate from h0 = 2 h at
+tol = inf: the one-pass sum at h, up to the order of summation.
 
 An OperatorKernel is integrated without J.  Its family G = A + i B =
 sum_d C_d z^d M^p (see operators.KernelNumerator) is the left kernel
@@ -43,11 +44,11 @@ W = alpha + i beta, e^{+-J phi} = cos phi +- J sin phi gives
       = -2 A (sin phi alpha + cos phi beta) - 2 B (cos phi alpha
         - sin phi beta) = Re(G 2i e^{i phi} W),
 
-so with dz = e^{i phi} dr a level is sum_d C_d Re(2i sum_m z_m^d M_m^p
-W_m dz_m), free of J.  f ds_J K_R with K_R = A + J B mirrors this for
-intrinsic f, whose real alpha, beta commute with J.  The side thus picks
-the family's kernel; a non-intrinsic f on the right has no such form,
-and require_moment_form refuses it.
+so with dz = e^{i phi} dr = z cosh v dv a level is sum_d C_d Re(2i sum_m
+z_m^d M_m^p W_m dz_m), free of J.  f ds_J K_R with K_R = A + J B mirrors
+this for intrinsic f, whose real alpha, beta commute with J.  The side
+thus picks the family's kernel; a non-intrinsic f on the right has no
+such form, and require_moment_form refuses it.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class SectorContour:
     phi: ray angle, strictly between the spectral angle and the function
     sector; unit: the imaginary unit J spanning the slice, which no value
     reads (the moment form is J-free); t_min/t_max: truncation radii with
-    0 < t_min < 1 < t_max; h0: first lattice step in u = log r (see
-    contour_for); tol: Frobenius target for refinement.
+    0 < t_min < 1 < t_max; h0: first lattice step in v, where
+    log r = sinh v (see contour_for); tol: Frobenius target for refinement.
     """
 
     phi: float
@@ -141,9 +142,9 @@ def _one_sided_radius(delta: float, c: float, tol: float, side: str) -> float:
 
 
 def _first_step(strip: float, tol: float) -> float:
-    """min(1, 2 pi d / ln(10 / tol)) for strip half-width d: the trapezoidal
-    error on the strip falls like exp(-2 pi d / h), so at h0 it is about
-    tol / 10 and one halving checks it.  1 when tol >= 10 (tol = inf)."""
+    """min(1, 2 pi d / ln(10 / tol)) in v for the strip |Im u| < d, whose
+    image near v = 0 is wider: the error falls like exp(-2 pi d / h), so at
+    h0 it is about tol / 10 and one halving checks it.  1 when tol >= 10."""
     if not tol < 10.0:
         return 1.0
     return min(1.0, 2.0 * math.pi * strip / math.log(10.0 / tol))
@@ -165,7 +166,7 @@ def contour_for(cert, kernel_bound, phi: float, omega: float,
     from its own rate (_one_sided_radius).  omega is the operator's
     spectral angle; with theta = cert.theta the integrand is analytic on
     the strip of half-width min(phi - omega, theta - phi) in log r, which
-    sets the first lattice step (_first_step).
+    sets the first lattice step in v (_first_step).
     """
     if not omega < phi < cert.theta:
         raise ValueError(f"need omega < phi < theta, got omega={omega!r}, "
@@ -218,11 +219,11 @@ def require_moment_form(f, side: str) -> None:
 
 def _moment_value(k: OperatorKernel, z, stem, g, scale, side: str):
     """sum_d C_d Re(Mom_d) (side "left") or sum_d Re(Mom_d) C_d (side
-    "right") with Mom_d = sum_m 2i z_m^(d+1) W_m M_m^power, dz = z du (see
-    the module docstring), one complex GEMM over the nodes z.  g and scale
-    are _chain's at these nodes for M^power.  k.conj takes conj(T)'s C_d,
-    the bq_conj of T's: its Q_{c,z} = z^2 - 2 T0 z + |T|^2, so its M, is
-    T's, as T0 and |T|^2 are unchanged.  No unit J is read.
+    "right") with Mom_d = sum_m 2i z_m^(d+1) W_m M_m^power, dz = z du (du's
+    cosh v is in W; see the module docstring), one complex GEMM over the
+    nodes z.  g and scale are _chain's at these nodes for M^power.  k.conj
+    takes conj(T)'s C_d, the bq_conj of T's: its Q_{c,z} = z^2 - 2 T0 z +
+    |T|^2, so its M, is T's, as T0 and |T|^2 are unchanged.  No J is read.
 
     With an eigenbasis (U, lambda) g holds the diagonals of U^T M^power U,
     so the 4 (degree+1) moments are diagonals too, and so is every U^T C_d
@@ -246,30 +247,29 @@ def _moment_value(k: OperatorKernel, z, stem, g, scale, side: str):
 
 def _index_range(contour: SectorContour, h: float) -> tuple[int, int]:
     """The first and last index j of the lattice of step h: the nodes
-    u = j h in [log t_min, log t_max], r = e^u.  It is anchored at u = 0,
-    so the lattice at h / 2 holds every node at h (its even j) and the new
-    ones (its odd j)."""
-    return (math.ceil(math.log(contour.t_min) / h),
-            math.floor(math.log(contour.t_max) / h))
+    v = j h in [asinh log t_min, asinh log t_max], r = e^sinh v.  It is
+    anchored at v = 0, so the lattice at h / 2 holds every node at h (its
+    even j) and the new ones (its odd j)."""
+    return (math.ceil(math.asinh(math.log(contour.t_min)) / h),
+            math.floor(math.asinh(math.log(contour.t_max)) / h))
 
 
 def _level_value(items, slices, phi: float, side: str, count: int,
-                 u: np.ndarray):
+                 v: np.ndarray):
     """The moment-form sums of the items (OperatorKernel, f, contour) of one
-    operator, each over its slice (a, b) of the nodes z = e^{u + i phi} with
-    du = 1 (the caller weights them by h), after require_moment_form.  One
-    _chain call serves every item, squared once when powers 1 and 2 both
-    occur, and one stem serves every item of the same f.  Returns per item
-    (sum, worst conditioning of Q_{c,z}(T) on its slice), the sum as
-    _moment_value gives it (per eigenvalue with an eigenbasis); an item whose
-    stem is not finite on its slice raises ToleranceNotMet.  count = len(u)
-    is not read: qbench/layertrace.py takes the six arguments by position
-    and counts the level's nodes as count * GAUSS_ORDER."""
+    operator, each over its slice (a, b) of the nodes z = e^{sinh v + i phi}
+    with dv = 1 (the caller weights them by h), after require_moment_form.
+    One _chain call serves every item, squared once when powers 1 and 2
+    both occur, and one stem times cosh v serves every item of the same f.
+    Returns per item (sum, worst conditioning of Q_{c,z}(T) on its slice),
+    the sum as _moment_value gives it (per eigenvalue with an eigenbasis);
+    an item whose stem is not finite on its slice raises ToleranceNotMet.
+    count = len(v) is read by position in qbench/layertrace.py only."""
     t = items[0][0].operator
     nums = t.kernel_numerators
     powers = [nums[k.kind].power for k, _, _ in items]
     diagonal = t.eigenbasis is not None
-    z = np.exp(u + 1j * phi)
+    z, w = np.exp(np.sinh(v) + 1j * phi), np.cosh(v)[:, None]
     one = min(powers) == max(powers)
     g, scale, cond = _chain(t, z.real, z.imag, diagonal=diagonal,
                             upto=items[0][0].kind if one else "Qc")
@@ -280,7 +280,7 @@ def _level_value(items, slices, phi: float, side: str, count: int,
         spans[f] = (min(a, a0), max(b, b0))
     with np.errstate(over="ignore", invalid="ignore"):
         for f, (a, b) in spans.items():
-            spans[f] = (a, f.complex_stem(z[a:b]))
+            spans[f] = (a, f.complex_stem(z[a:b]) * w[a:b])
     out = []
     for (k, f, contour), p, (a, b) in zip(items, powers, slices):
         a0, stem = spans[f]
@@ -309,7 +309,7 @@ def integrate_many(items, *, side: str = "left",
     The first level is the whole lattice at h0; each refinement halves h
     and evaluates the new nodes only (see the module docstring), at most
     _MAX_REFINEMENTS times.  A level covers the union of the lattices of
-    the items still refining, which all hold u = 0: one _chain call and
+    the items still refining, which all hold v = 0: one _chain call and
     one stem per f serve them all (see _level_value), and each item reads
     its own slice.  Each item keeps its own stop rule, stall rule and cap
     and leaves the batch once accepted.  A non-finite stem or difference,
@@ -358,9 +358,9 @@ def integrate_many(items, *, side: str = "left",
         first = min(lo for lo, _ in ranges) | (level > 0)
         slices = [(-((first - lo) // step), (hi - first) // step + 1)
                   for lo, hi in ranges]
-        u = np.arange(first, max(hi for _, hi in ranges) + 1, step) * h
+        v = np.arange(first, max(hi for _, hi in ranges) + 1, step) * h
         sums = _level_value([items[p] for p in active], slices, c0.phi,
-                            side, len(u), u)
+                            side, len(v), v)
         kept = []
         for p, (total, new_cond), (a, b) in zip(active, sums, slices):
             nodes[p] += b - a

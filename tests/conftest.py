@@ -44,8 +44,8 @@ def point_kernel(kind: str, t: CommutingOperator):
 
 
 def lattice(contour, h: float) -> np.ndarray:
-    """The log radii u = j h of the library's lattice of step h on
-    contour."""
+    """The nodes v = j h of the library's lattice of step h on contour, at
+    log radii u = sinh v."""
     lo, hi = _index_range(contour, h)
     return np.arange(lo, hi + 1) * h
 
@@ -57,9 +57,10 @@ def reference_level(point, f, contour, h: float, side: str) -> QuatMatrix:
     point_kernel(kind, t), is called once per ray, with
     J = contour.unit and with -J, and contracted with
     s+- = e^{+-J phi} J f(r e^{+-J phi}) (see the contour module):
-    sum_m h r_m [K(r e^{J phi}) s+ - K(r e^{-J phi}) s-] for side "left",
-    the mirrored sandwich for "right"."""
-    z = np.exp(lattice(contour, h) + 1j * contour.phi)
+    sum_m h r_m cosh v_m [K(r e^{J phi}) s+ - K(r e^{-J phi}) s-] for side
+    "left", the mirrored sandwich for "right"."""
+    v = lattice(contour, h)
+    z = np.exp(np.sinh(v) + 1j * contour.phi)
     x, y, stem = z.real, z.imag, f.complex_stem(z)
     j = contour.unit
     c_plus = qarr(exp_j(j, contour.phi) * j)
@@ -74,7 +75,7 @@ def reference_level(point, f, contour, h: float, side: str) -> QuatMatrix:
         scalar_side = "left"
     vals = (bq_scalar(s_plus, point(x, y, j), scalar_side)
             - bq_scalar(s_minus, point(x, y, -1.0 * j), scalar_side))
-    dr = h * np.abs(z)  # r du
+    dr = h * np.abs(z) * np.cosh(v)  # r du, du = cosh v dv
     return QuatMatrix(np.einsum("m,mcij->cij", dr, vals))
 
 

@@ -674,20 +674,25 @@ class TestHInfinity:
 
     def test_nonfinite_integrand_fails_at_once(self, monkeypatch):
         # past |s| ~ 5e23 the stem of reg(14) * pow(13) is inf * 0, and its
-        # S-contour reaches 1.4e25: the first quadrature level refuses it
-        # instead of refining to the cap
+        # S-contour reaches 1.4e25: the first quadrature level with a node
+        # past 5e23 refuses it instead of refining to the cap, before any
+        # value of the batch is accepted.  A lattice end sits inside t_max
+        # by up to cosh(v) h in u, so that is the third level here
         ctx = SuiteContext(generate_operator(OperatorSpec(dim=2, seed=7)))
         levels, real_level = [], contour._level_value
 
-        def counting_level(items, *args):
-            levels.extend(repr(f) for _, f, _ in items)
-            return real_level(items, *args)
+        def counting_level(items, slices, phi, side, count, v):
+            levels.append(([repr(f) for _, f, _ in items],
+                           math.exp(math.sinh(v.max()))))
+            return real_level(items, slices, phi, side, count, v)
 
         monkeypatch.setattr(contour, "_level_value", counting_level)
         with pytest.raises(ToleranceNotMet,
                            match=r"reg\(14\) \* pow\(13\)"):
             hinf("S", ctx.operator, Power(13), ctx.profile)
-        assert levels.count("(reg(14) * pow(13))") == 1
+        assert [fs for fs, _ in levels] == [
+            ["reg(14)", "(reg(14) * pow(13))"]] * 3
+        assert [r > 5e23 for _, r in levels] == [False, False, True]
 
     def test_retightened_value_equals_separate_integrals(self, monkeypatch):
         # at annulus (0.1, 10) the norm of e(T)^-1 asks hinf("F", pow(5))
@@ -784,6 +789,53 @@ class TestSpectralAssembly:
                 assert res.diagnostics.kernel_path == "eigenbasis"
                 ref = power_reference(kind, ctx.operator, n)
                 assert _rel(res.value, ref) <= 1e-6, (kind, n)
+
+
+def eigensphere_oracle(gen, kind, f):
+    """f(T) for S, and D f, Dbar f and the Laplacian of f for Q, P2 and F,
+    from the pointwise values at the generated eigenvalues."""
+    if kind == "S":
+        return gen.expected_diag([f.eval(q) for q in gen.eigenvalues])
+    idx = {"Q": 0, "P2": 1, "F": 2}[kind]
+    return gen.expected_diag([pointwise_fine(f, q)[idx]
+                              for q in gen.eigenvalues])
+
+
+class TestDoubleExponentialLattice:
+    """The lattice v = j h with u = sinh v spends few nodes on the tails;
+    a value accepted on it must still meet its target."""
+
+    @pytest.mark.parametrize("spec", [
+        OperatorSpec(dim=4, seed=7), OperatorSpec(dim=8, seed=7),
+        OperatorSpec(dim=4, seed=3, annulus=(0.1, 10.0)),
+        OperatorSpec(dim=4, seed=3, annulus=(0.2, 15.0)),
+        OperatorSpec(dim=4, seed=3, annulus=(0.1, 20.0))],
+        ids=["default-dim4", "default-dim8", "0.1-10", "0.2-15", "0.1-20"])
+    def test_no_false_acceptance(self, spec):
+        # every integral starts at the library's own first step h0 and is
+        # accepted by the stop rule; each value lies within its target of
+        # the eigensphere oracle, for every kind, on the default annulus
+        # and on spectra spread over one to two decades
+        gen = generate_operator(spec)
+        profile = SuiteContext(gen).profile
+        for f, tol in ((Regularizer(2), 1e-9),
+                       (Product(Regularizer(4), Power(3)), 2e-13),
+                       (Product(Regularizer(6), Power(5)), 2e-13)):
+            for kind in ("S", "Q", "P2", "F"):
+                got = calc(kind, gen.operator, f, profile, tol=tol).value
+                want = eigensphere_oracle(gen, kind, f)
+                assert (got - want).norm() <= tol, (kind, repr(f))
+
+    def test_node_ceiling(self):
+        # hinf of pow(5) evaluates 133, 256, 390 and 376 nodes for S, Q, P2
+        # and F here, against 1,293, 2,057, 3,381 and 2,686 on the lattice
+        # u = j h; a return to a dense lattice fails this
+        ctx = fresh_context()
+        counts = {"S": 133, "Q": 256, "P2": 390, "F": 376}
+        for kind, count in counts.items():
+            nodes = hinf(kind, ctx.operator, Power(5),
+                         ctx.profile).diagnostics.nodes
+            assert nodes <= 1.25 * count, kind
 
 
 def fresh_context(dim=4, seed=7):

@@ -197,8 +197,8 @@ class TestCauchyFormula:
 
 
 def record_levels(monkeypatch):
-    """Wrap contour._level_value; returns the list that receives the log
-    radii u of every level evaluated."""
+    """Wrap contour._level_value; returns the list that receives the
+    lattice points v of every level evaluated."""
     levels = []
 
     def recording(*args):
@@ -323,14 +323,34 @@ class TestQuadratureMechanics:
                       roundoff_contour(gen4))
 
     def test_stall_stops_within_four_levels(self, gen4, monkeypatch):
-        # the difference stops shrinking at roundoff, and the first halving
-        # whose difference does not fall ends the refinement, not the cap of
-        # nine halvings
-        levels = record_levels(monkeypatch)
+        # the difference reaches roundoff at the first halving and then
+        # stops shrinking, and the first halving whose difference does not
+        # fall ends the refinement, not the cap of nine halvings; how many
+        # roundoff differences fall before one rises is chance, so the
+        # levels are checked against the rule, not counted
+        sums = []
+
+        def recording(*args):
+            out = _level_value(*args)
+            sums.append(out[0][0])
+            return out
+
+        monkeypatch.setattr("qcalc.contour._level_value", recording)
+        contour = roundoff_contour(gen4)
         with pytest.raises(ToleranceNotMet, match="stalled at h = "):
             integrate(OperatorKernel("S", gen4.operator), Regularizer(2),
-                      roundoff_contour(gen4))
-        assert len(levels) <= 4
+                      contour)
+        assert len(sums) <= contour_module._MAX_REFINEMENTS
+        h, value, diffs = contour.h0, contour.h0 * sums[0], []
+        for total in sums[1:]:
+            h /= 2.0
+            refined = 0.5 * value + h * total
+            diffs.append(float(np.sqrt(np.sum((refined - value) ** 2))))
+            value = refined
+        scale = float(np.sqrt(np.sum(value * value)))
+        assert max(diffs) <= 1e-15 * scale
+        assert all(b < a for a, b in zip(diffs, diffs[1:-1]))
+        assert diffs[-1] >= diffs[-2]
 
     def test_nonfinite_difference_fails_at_once(self, monkeypatch):
         # a NaN level ends the refinement at its first difference: the
@@ -412,7 +432,7 @@ class TestMomentForm:
         # the J-free moment form against the J-based reference on the point
         # kernels, which are assembled with the unit on both rays; the
         # second contour spans the truncation radii hinf reaches; per_unit
-        # is the number of lattice points per unit of log radius
+        # is the number of lattice points per unit of v
         k = OperatorKernel(kernel_family(kind), gen4.operator)
         point = point_kernel(kind, gen4.operator)
         fs = [Regularizer(2)] + ([NONINTRINSIC] if side == "left" else [])
@@ -570,11 +590,13 @@ class TestKernelPaths:
 
 # contours of one angle and one first step whose radii nest (WIDE holds
 # NESTED), overlap (OVERLAP reaches below WIDE and stops short of it above)
-# and whose targets are accepted at different levels
+# and whose targets are accepted at different levels; as on a certified
+# contour, the integrands at the radii lie below the targets, since a
+# lattice end moves by up to cosh(v) h in u from one level to the next
 SHARED_H0 = 0.5
 WIDE = SectorContour(1.2, E1, 1e-8, 1e8, SHARED_H0, tol=1e-10)
-NESTED = SectorContour(1.2, E1, 1e-4, 1e4, SHARED_H0, tol=1e-9)
-OVERLAP = SectorContour(1.2, E1, 1e-10, 1e5, SHARED_H0, tol=1e-11)
+NESTED = SectorContour(1.2, E1, 1e-7, 1e7, SHARED_H0, tol=1e-9)
+OVERLAP = SectorContour(1.2, E1, 1e-10, 1e6, SHARED_H0, tol=1e-11)
 LOOSE = SectorContour(1.2, E1, 1e-6, 1e6, SHARED_H0, tol=1e-6)
 
 
