@@ -22,6 +22,7 @@ are held and assembled that way (operators.SpectralValue).
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -104,10 +105,14 @@ class CalcDiagnostics:
 
 @dataclass
 class CalculusResult:
-    value: QuatMatrix
+    held: QuatMatrix | SpectralValue  # SpectralValue when T has an eigenbasis
     kind: str
     regime: str
     diagnostics: CalcDiagnostics
+
+    @functools.cached_property
+    def value(self) -> QuatMatrix:  # built once, on first read
+        return self.held.matrix()
 
 
 def _check_profile(profile: TypeProfile) -> None:
@@ -200,37 +205,30 @@ def _solve_prefactor(pref, bracket):
     return x, resid, cond
 
 
-def _as_matrix(value) -> QuatMatrix:
-    """The QuatMatrix of a value held as a QuatMatrix or a SpectralValue."""
-    return value.matrix() if isinstance(value, SpectralValue) else value
-
-
 class Evaluator:
     """Calculus values of one operator, each integral computed at most once.
 
-    Everything an evaluator keeps is in its one Memo: the calc values on
-    (kind, repr(f), tol, side, conj), each with its diagnostics, held per
-    eigenvalue as a SpectralValue when T has an eigenbasis and as a
-    QuatMatrix otherwise; the CalculusResult that calc returns for each,
-    whose matrix is built once; and for hinf the injectivity of T and
-    ||e(T)^-1|| and ||e(conj T)^-1|| per regularizer.  Each depends on
-    its key only, so one evaluator may serve many threads; when two
-    threads compute one entry, the first stored is kept, and failures are
-    never stored.  calc_many computes the missing values of a list in one
+    Everything an evaluator keeps is in its one Memo: one CalculusResult
+    per calc value on (kind, repr(f), tol, side, conj), held as the
+    quadrature returns it, and for hinf the injectivity of T and
+    ||e(T)^-1|| and ||e(conj T)^-1|| per regularizer.  Each depends on its
+    key only, so one evaluator may serve many threads; when two threads
+    compute one entry, the first stored is kept, and failures are never
+    stored.  calc_many computes the missing values of a list in one
     shared-lattice batch (contour.integrate_many), and calc is its list of
-    one.  hinf assembles its value on every call from one such batch of
-    every sub-value its kind needs, so e(T), (e*f)(T) and their D, Dbar
-    and Delta forms share the nodes' work and serve every kind.
-    conj=True is the one conjugation rule of both: the entrywise
-    conjugate of the value at T for intrinsic f, else the value at
-    conj(T), one more item of T's batch.  Q_{c,z}(conj T) = z^2 - 2 T0 z
-    + |T|^2 is Q_{c,z}(T), since T0 and |T|^2 are unchanged, so conj(T)
-    shares T's M, moments, contour and profile, and only its kernel
-    coefficients differ, as their entrywise conjugates
-    (contour.OperatorKernel).  No value is shared between evaluators
-    (certificates are, by the same rule), but the public calc and hinf
-    keep one evaluator on each operator and reuse it while the profile
-    object, theta, phi and unit stay the same (_evaluator_of).
+    one.  hinf assembles its value on every call from one calc_many batch
+    of every sub-value its kind needs, read in their held form, so e(T),
+    (e*f)(T) and their D, Dbar and Delta forms share the nodes' work and
+    serve every kind.  conj=True is the one conjugation rule of both: the
+    entrywise conjugate of the value at T for intrinsic f, stored under
+    its own conj key, else the value at conj(T), one more item of T's
+    batch.  Q_{c,z}(conj T) = z^2 - 2 T0 z + |T|^2 is Q_{c,z}(T), since T0
+    and |T|^2 are unchanged, so conj(T) shares T's M, moments, contour and
+    profile, and only its kernel coefficients differ, as their entrywise
+    conjugates (contour.OperatorKernel).  No value is shared between
+    evaluators (certificates are, by the same rule), but the public calc
+    and hinf keep one evaluator on each operator and reuse it while the
+    profile object, theta, phi and unit stay the same (_evaluator_of).
     """
 
     def __init__(self, t: CommutingOperator, profile: TypeProfile, *,
@@ -255,54 +253,45 @@ class Evaluator:
     def calc_many(self, requests, *, tol: float = 1e-9,
                   side: str = "left") -> list[CalculusResult]:
         """calc of each (kind, f, conj) request at one tol and side, in
-        order, each equal to what calc gives it alone.  The values not yet
-        memoized are computed as one batch on T (contour.integrate_many)
-        and stored, a non-intrinsic f with conj at conj(T) among them; an
-        intrinsic f with conj takes the conjugate of its value at T.  A
-        lone value goes through integrate, the batch of one, which
-        qbench/layertrace.py counts as one integral."""
-        requests = list(requests)
-        return [self._memo.get(
-                    ("result", kind, repr(f), tol, side, conj), f,
-                    lambda: CalculusResult(_as_matrix(value), kind,
-                                           "decaying", diag))
-                for (kind, f, conj), (value, diag) in zip(
-                    requests, self._values(requests, tol, side))]
-
-    def _values(self, requests, tol: float, side: str) -> list:
-        """(value, diagnostics) of each (kind, f, conj) request by calc's
-        rule, each value held as it is memoized: a SpectralValue when T
-        has an eigenbasis, else a QuatMatrix (see contour.integrate_many's
-        spectral)."""
+        order, each the memoized result that calc gives it alone.  The
+        missing values are computed as one batch on T
+        (contour.integrate_many), a non-intrinsic f with conj at conj(T)
+        among them, and an intrinsic f with conj stores the conjugate of
+        its value at T.  A lone value goes through integrate, the batch of
+        one, which qbench/layertrace.py counts as one integral."""
         _require_positive_tol(tol)
+        requests = list(requests)
         for kind, f, _ in requests:
             if kind not in CALC_KINDS:
                 raise ValueError(f"unknown calculus kind {kind!r}")
             _require_function(f)
             # refused before a certificate or a contour is built
             require_moment_form(f, side)
-        # (kind, f, whether at conj(T)) of each value
-        at = [(k, f, c and not f.intrinsic) for k, f, c in requests]
-        keys = [("calc", kind, repr(f), tol, side, bar) for kind, f, bar in at]
-        todo = {key: item for key, item in zip(keys, at)
-                if self._memo.find(key) is None}
+        keys = [("calc", kind, repr(f), tol, side, conj)
+                for kind, f, conj in requests]
+        # the key each is read from: an intrinsic f with conj reads T's
+        ats = [key[:-1] + (False,) if conj and f.intrinsic else key
+               for key, (_, f, conj) in zip(keys, requests)]
+        # the integral of each missing value, under its key
+        todo = {at: (kind, f, conj and not f.intrinsic)
+                for key, at, (kind, f, conj) in zip(keys, ats, requests)
+                if self._memo.find(key) is None and self._memo.find(at) is None}
         if todo:
             items = [(OperatorKernel(_FAMILY[kind], self.t, bar), f,
                       self._contour(_FAMILY[kind], f, tol))
                      for kind, f, bar in todo.values()]
-            raws = ([integrate(*items[0], side=side, spectral=True)]
-                    if len(items) == 1
-                    else integrate_many(items, side=side, spectral=True))
+            raws = ([integrate(*items[0], side=side)] if len(items) == 1
+                    else integrate_many(items, side=side))
             for key, (kind, _, _), (kernel, f, _), (raw, info) in zip(
                     todo, todo.values(), items, raws):
                 diag = CalcDiagnostics(**info, phi=self.phi, theta=self.theta,
                                        kernel_path=kernel.path)
-                self._memo.put(key, f, (_PREFACTOR[kind] * raw, diag))
-        out = []
-        for (_, f, conj), key in zip(requests, keys):
-            value, diag = self._memo.find(key)
-            out.append((value.conj() if conj and f.intrinsic else value, diag))
-        return out
+                self._memo.put(key, f, CalculusResult(
+                    _PREFACTOR[kind] * raw, kind, "decaying", diag))
+        # a key read from itself is stored, so get computes no value of it
+        return [self._memo.get(key, f, lambda r=self._memo.find(at): replace(
+                    r, held=r.held.conj()))
+                for key, at, (_, f, _) in zip(keys, ats, requests)]
 
     def _contour(self, family, f, tol):
         profile = self.profile
@@ -321,24 +310,22 @@ class Evaluator:
         e*f, where e is the rational regularizer chosen from the growth
         certificate of f (or of the given power), and the prefactor e(T),
         e(T) e(conj T) or e(T)^2 e(conj T) is inverted (_solve_prefactor).
-        With an eigenbasis the sub-values, the bracket and the prefactor
-        are held per eigenvalue, each eigenvalue's prefactor is inverted as
-        a quaternion and the matrix is built once, from the solution;
-        otherwise they are full matrices and the prefactor is inverted
-        through the complex adjoint.  One set of formulas serves both, as
-        SpectralValue and QuatMatrix share their operators.  Requires T
-        and conj(T) injective.
+        The sub-values are read as calc_many holds them: with an eigenbasis
+        they, the bracket, the prefactor and the result are held per
+        eigenvalue and each eigenvalue's prefactor is inverted as a
+        quaternion; otherwise they are full matrices and the prefactor is
+        inverted through the complex adjoint.  One set of formulas serves
+        both, as SpectralValue and QuatMatrix share their operators.
+        Requires T and conj(T) injective.
 
-        Inverting the prefactor amplifies quadrature error by up to the
-        norm of e(T)^-1 = (T^-1 + 2 + T)^n, so tol is capped at 1e-12 and,
-        when that norm asks for it, tightened further (down to the roundoff
-        floor of the quadrature, 2e-13) before any integral runs; every
-        sub-value then runs in one batch at that tol, as calc_many runs
-        it, and shares calc_many's memo.  A norm at
-        which that floor times the norm reaches 1 would leave the value
-        all noise, and raises NotInjective first.  conj follows
-        calc_many's rule; a non-intrinsic f at conj(T) flips the conj of
-        every sub-value and reads ||e(conj T)^-1||.  Only the sub-values
+        Inverting the prefactor amplifies quadrature error by up to the norm
+        of e(T)^-1 = (T^-1 + 2 + T)^n, so tol is capped at 1e-12 and, when
+        that norm asks for it, tightened further (down to the roundoff floor
+        of the quadrature, 2e-13) before the one calc_many batch of the
+        sub-values runs.  A norm at which that floor times the norm reaches 1
+        would leave the value all noise, and raises NotInjective first.  conj
+        follows calc_many's rule; a non-intrinsic f at conj(T) flips the conj
+        of every sub-value and reads ||e(conj T)^-1||.  Only the sub-values
         and the checks on T and e are memoized: the prefactor is solved on
         every call, which returns a result of its own.
         """
@@ -367,8 +354,8 @@ class Evaluator:
                   _HINF_TOL_FLOOR)
         named = {"e": e, "ef": Product(e, f)}
         requests = [(k, named[g], c != flip) for k, g, c in _HINF_VALUES[kind]]
-        values, subs = zip(*self._values(requests, tol, "left"))
-        e_t, ef_t, *rest = values
+        results = self.calc_many(requests, tol=tol)
+        e_t, ef_t, *rest = (res.held for res in results)
         e_tbar = e_t.conj()  # e is intrinsic
 
         if kind == "S":
@@ -390,15 +377,15 @@ class Evaluator:
 
         value, range_resid, cond = _solve_prefactor(pref, bracket)
         # phi, theta and kernel_path are those of every sub-value
+        subs = [res.diagnostics for res in results]
         diag = replace(subs[0], tol_achieved=tol,
                        nodes=sum(d.nodes for d in subs),
                        h=min(d.h for d in subs), t_min=0.0, t_max=0.0,
                        worst_cond=max(d.worst_cond for d in subs),
                        regularizer_n=e.n, range_residual=range_resid,
                        amplification=amplification, prefactor_cond=cond)
-        return CalculusResult(
-            _as_matrix(value.conj() if conj and not flip else value), kind,
-            "h_infinity", diag)
+        return CalculusResult(value.conj() if conj and not flip else value,
+                              kind, "h_infinity", diag)
 
 
 _SLOT_LOCK = threading.Lock()  # guards every operator's evaluator slot
@@ -594,8 +581,10 @@ def power_reference(kind: str, t: CommutingOperator, n: int) -> QuatMatrix:
 
     S: T^n.  Q: -2 sum_{k=0}^{n-1} conj(T)^(n-1-k) T^k.  P2: 2n T^(n-1) plus
     the same sum with factor +2.  F: -4 sum_{k=1}^{n-1} k conj(T)^(n-1-k)
-    T^(k-1).
+    T^(k-1).  n must be a nonnegative int, else ValueError.
     """
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"only nonnegative integer powers, got {n!r}")
     tq = t.as_qmatrix()
     tbq = tq.conj()
     if kind == "S":

@@ -24,7 +24,7 @@ halving whose difference does not shrink has stalled at roundoff and ends
 the refinement at once.  When T has an eigenbasis U, every level is a
 diagonal in U (see _moment_value): the levels are summed and compared as
 the n quaternions of that diagonal, whose Frobenius norm is the matrix's,
-and the matrix is built once, from the accepted sum.
+and the accepted sum is returned so (operators.SpectralValue).
 
 Integrals of one operator at one angle and one first step share one
 lattice (integrate_many): a level evaluates the union of their lattices,
@@ -262,8 +262,10 @@ def _level_value(items, slices, phi: float, side: str, count: int,
     One _chain call serves every item, squared once when powers 1 and 2
     both occur, and one stem times cosh v serves every item of the same f.
     Returns per item (sum, worst conditioning of Q_{c,z}(T) on its slice),
-    the sum as _moment_value gives it (per eigenvalue with an eigenbasis);
-    an item whose stem is not finite on its slice raises ToleranceNotMet.
+    the sum as _moment_value gives it (per eigenvalue with an eigenbasis),
+    or (0.0, 0.0) for a slice with no node, as narrow radii may hold no
+    new node of a level; a stem not finite on its slice raises
+    ToleranceNotMet.
     count = len(v) is read by position in qbench/layertrace.py only."""
     t = items[0][0].operator
     nums = t.kernel_numerators
@@ -283,6 +285,9 @@ def _level_value(items, slices, phi: float, side: str, count: int,
             spans[f] = (a, f.complex_stem(z[a:b]) * w[a:b])
     out = []
     for (k, f, contour), p, (a, b) in zip(items, powers, slices):
+        if a == b:  # no new node: a zero sum, so the level halves the last
+            out.append((0.0, 0.0))
+            continue
         a0, stem = spans[f]
         stem = stem[a - a0:b - a0]
         if not np.isfinite(stem).all():
@@ -294,17 +299,17 @@ def _level_value(items, slices, phi: float, side: str, count: int,
     return out
 
 
-def integrate_many(items, *, side: str = "left",
-                   spectral: bool = False) -> list:
+def integrate_many(items, *, side: str = "left") -> list:
     """Adaptively evaluate the sector-boundary integrals of K ds_J f of the
     items (k, f, contour) on one shared lattice.
 
     Each k is an OperatorKernel of a family (else TypeError or
     ValueError), taken in moment form, which refuses the forms that would
     depend on J (see require_moment_form).  side selects the sandwich
-    order and the family's kernel: "left" is K_L ds_J f, "right" f ds_J K_R.  The items must share one operator
-    (k.operator), one angle and one first step (contour.phi, contour.h0),
-    else ValueError; their kernels, f and radii may differ.
+    order and the family's kernel: "left" is K_L ds_J f, "right" f ds_J
+    K_R.  The items must share one operator (k.operator), one angle and
+    one first step (contour.phi, contour.h0), else ValueError; their
+    kernels, f and radii may differ.
 
     The first level is the whole lattice at h0; each refinement halves h
     and evaluates the new nodes only (see the module docstring), at most
@@ -315,17 +320,17 @@ def integrate_many(items, *, side: str = "left",
     and leaves the batch once accepted.  A non-finite stem or difference,
     or a difference that does not shrink, raises ToleranceNotMet at once,
     as refining cannot mend it; the first error of any item ends the
-    batch.  Returns (QuatMatrix, info) per item, in order: nodes is the
-    number of the item's own nodes over all levels, h its accepted step,
-    and worst_cond the largest (||Q||_F ||Q^-1||_F)^2 met on its accepted
+    batch.  Returns (value, info) per item, in order: nodes is the number
+    of the item's own nodes over all levels, h its accepted step, and
+    worst_cond the largest (||Q||_F ||Q^-1||_F)^2 met on its accepted
     lattice.  Each equals, bit for bit, what the item gives alone.
 
     With an eigenbasis the levels are summed, refined and compared in it,
-    per eigenvalue (see _moment_value): the Frobenius norm is orthogonally
+    per eigenvalue (see _moment_value), and the value is the accepted sum
+    as an operators.SpectralValue: the Frobenius norm is orthogonally
     invariant, so the stop and stall rules read what they would on the
-    matrix, and the QuatMatrix is built once, from the accepted sum.
-    spectral=True returns that sum as an operators.SpectralValue instead,
-    and builds no matrix; on the dense path it changes nothing.
+    matrix.  Otherwise it is a QuatMatrix; matrix() of either is its
+    QuatMatrix.
     """
     items = list(items)
     for k, f, _ in items:
@@ -378,13 +383,8 @@ def integrate_many(items, *, side: str = "left",
                                       f"not finite at h = {h:.3g}")
             contour = items[p][2]
             if diff <= contour.tol:
-                if basis is None:
-                    accepted = QuatMatrix(refined)
-                else:
-                    accepted = SpectralValue(basis[0], refined)
-                    if not spectral:
-                        accepted = accepted.matrix()
-                out[p] = (accepted,
+                out[p] = (QuatMatrix(refined) if basis is None
+                          else SpectralValue(basis[0], refined),
                           {"nodes": nodes[p], "h": h, "tol_achieved": diff,
                            "t_min": contour.t_min, "t_max": contour.t_max,
                            "worst_cond": cond[p]})
@@ -405,10 +405,8 @@ def integrate_many(items, *, side: str = "left",
         f"{items[p][2].tol:.3g} at h = {h:.3g}")
 
 
-def integrate(k, f, contour: SectorContour, *, side: str = "left",
-              spectral: bool = False):
+def integrate(k, f, contour: SectorContour, *, side: str = "left"):
     """The integral of K ds_J f (side "left") or f ds_J K ("right") on
     contour: integrate_many of the one item (k, f, contour), returning its
-    (QuatMatrix, info), or its (SpectralValue, info) if spectral and T has
-    an eigenbasis."""
-    return integrate_many([(k, f, contour)], side=side, spectral=spectral)[0]
+    (value, info)."""
+    return integrate_many([(k, f, contour)], side=side)[0]

@@ -179,6 +179,8 @@ class QuatMatrix:
         return QuatMatrix(bq_scalar(qarr(q), self.components, side))
 
     def matpow(self, k: int) -> "QuatMatrix":
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"only nonnegative integer powers, got {k!r}")
         out = QuatMatrix.identity(self.n)
         for _ in range(k):
             out = out @ self
@@ -206,6 +208,9 @@ class QuatMatrix:
                 a, b = self.components[i], self.components[j]
                 worst = max(worst, float(np.linalg.norm(a @ b - b @ a)))
         return worst
+
+    def matrix(self) -> "QuatMatrix":  # as SpectralValue.matrix(): itself
+        return self
 
     def __repr__(self):
         return f"QuatMatrix(n={self.n})"
@@ -259,6 +264,9 @@ class SpectralValue:
         np.linalg.cond takes it, as it takes QuatMatrix.cond, so that
         qbench/layertrace.py's numpy.cond span sees both."""
         return float(np.linalg.cond(np.diag(qarr_norm(self.v))))
+
+    def __repr__(self):
+        return f"SpectralValue(n={len(self.v)})"
 
 
 @dataclass(frozen=True)

@@ -233,6 +233,51 @@ class TestEvaluator:
         ev.calc("Q", Regularizer(2), side="right")
         assert len(seen) == 3
 
+    @pytest.mark.parametrize("path", ["eigenbasis", "dense"])
+    def test_result_holds_the_memoized_value(self, ctx4, gen4, path):
+        # one result per value: held in its path's form, the same object
+        # on every call, its matrix built once, from held
+        t = gen4.operator if path == "eigenbasis" else dense_twin(
+            gen4.operator)
+        form = SpectralValue if path == "eigenbasis" else QuatMatrix
+        ev = Evaluator(t, ctx4.profile)
+        f = Regularizer(2)
+        res = ev.calc("P2", f)
+        assert type(res.held) is form
+        assert ev.calc("P2", f) is res
+        assert ev.calc_many([("S", f, False), ("P2", f, False)])[1] is res
+        assert res.value is res.value
+        assert np.array_equal(res.value.components,
+                              res.held.matrix().components)
+        assert f"{form.__name__}(n=4)" in repr(res)
+        assert "0x" not in repr(res)
+        value = ev.hinf("Q", Power(2))
+        assert type(value.held) is form
+        assert np.array_equal(value.value.components,
+                              value.held.matrix().components)
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_intrinsic_conj_is_stored_once(self, ctx4, gen4, monkeypatch,
+                                           first):
+        # the conjugate of the value at T is stored under its own key: one
+        # integral serves both, in either order, and a second conj call
+        # returns the stored result
+        seen = counting_integrate(monkeypatch)
+        ev = Evaluator(gen4.operator, ctx4.profile)
+        f = Regularizer(2)
+        assert f.intrinsic
+        got = {conj: ev.calc("Q", f, conj=conj) for conj in (first, not first)}
+        bar, at_t = got[True], got[False]
+        assert ev.calc("Q", f, conj=True) is bar
+        assert len(seen) == 1
+        assert np.array_equal(bar.held.v, at_t.held.conj().v)
+        assert bar.diagnostics == at_t.diagnostics
+        both = Evaluator(gen4.operator, ctx4.profile).calc_many(
+            [("S", f, True), ("S", f, False)])
+        assert len(seen) == 2
+        assert np.array_equal(both[0].value.components,
+                              both[1].value.conj().components)
+
     @CONJ_CASES
     def test_conj_of_nonintrinsic_runs_on_conj_operator(self, ctx4, gen4,
                                                         kind, path):
@@ -562,6 +607,14 @@ class TestHInfinity:
             assert (res.value - ref).norm() <= 1e-6 * max(1.0, ref.norm())
             assert res.regime == "h_infinity"
             assert res.diagnostics.range_residual <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["S", "Q", "P2", "F"])
+    @pytest.mark.parametrize("n", [-1, -2, 2.0])
+    def test_power_reference_refuses_bad_exponents(self, gen4, kind, n):
+        # the H-infinity checks and qbench compare against this reference,
+        # so an exponent it has no closed form for must not give a matrix
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            power_reference(kind, gen4.operator, n)
 
     def test_power_one_examples(self, ctx4, gen4):
         t = gen4.operator

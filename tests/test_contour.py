@@ -40,9 +40,11 @@ def fixed_pass(k, f, contour, h, side="left"):
     """The one trapezoidal pass at step h over contour's whole lattice, by
     the library's own rule: integrate from h0 = 2 h at tol = inf evaluates
     the lattice at 2 h, then the new nodes at h, and accepts the first
-    halving's difference (see the contour module)."""
-    return integrate(k, f, replace(contour, h0=2 * h, tol=math.inf),
-                     side=side)
+    halving's difference (see the contour module).  Returns (the value's
+    QuatMatrix, info)."""
+    value, info = integrate(k, f, replace(contour, h0=2 * h, tol=math.inf),
+                            side=side)
+    return value.matrix(), info
 
 
 class TestTailRadius:
@@ -153,7 +155,7 @@ class TestCauchyFormula:
         contour = contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, 0.0, E1,
                               tol=1e-9)
         value, info = integrate(OperatorKernel("S", t), f, contour)
-        got = value.components[:, 0, 0] / (2.0 * math.pi)
+        got = value.matrix().components[:, 0, 0] / (2.0 * math.pi)
         assert abs(got[0] - 0.25) <= 1e-8
         assert np.abs(got[1:]).max() <= 1e-10
         assert info["tol_achieved"] <= 1e-9
@@ -165,7 +167,7 @@ class TestCauchyFormula:
             contour = contour_for(cert, (2.0, 1.0, 1.0), math.pi / 2, 0.0,
                                   unit)
             value, _ = integrate(OperatorKernel("S", t), f, contour)
-            vals.append(value.components[:, 0, 0])
+            vals.append(value.matrix().components[:, 0, 0])
         for v in vals[1:]:
             assert np.abs(v - vals[0]).max() <= 1e-8
 
@@ -175,7 +177,7 @@ class TestCauchyFormula:
         for phi in (0.9, 1.4, 2.0):
             contour = contour_for(cert, (2.0, 1.0, 1.0), phi, 0.0, E1)
             value, _ = integrate(OperatorKernel("S", t), f, contour)
-            vals.append(value.components[:, 0, 0])
+            vals.append(value.matrix().components[:, 0, 0])
         for v in vals[1:]:
             assert np.abs(v - vals[0]).max() <= 1e-8
 
@@ -190,8 +192,8 @@ class TestCauchyFormula:
         contour = contour_for(cert, (4.0, 2.0 / 3.0, 2.0 / 3.0), 1.2,
                               math.pi / 8, E2)
         value, _ = integrate(OperatorKernel("Qc", t), f, contour)
-        got = Quaternion.from_components(-2.0 * value.components[:, 0, 0]
-                                         / (2.0 * math.pi))
+        got = Quaternion.from_components(
+            -2.0 * value.matrix().components[:, 0, 0] / (2.0 * math.pi))
         want, _, _ = pointwise_fine(f, q)
         assert (got - want).norm() <= 1e-8
 
@@ -291,7 +293,8 @@ class TestQuadratureMechanics:
         assert np.array_equal(nodes, lattice(contour, h))
         assert info["nodes"] == len(nodes)
         fixed, _ = fixed_pass(k, f, contour, h)
-        assert (value - fixed).norm() <= 1e-14 * max(1.0, fixed.norm())
+        assert (value.matrix() - fixed).norm() <= 1e-14 * max(1.0,
+                                                              fixed.norm())
 
     @pytest.mark.parametrize("path", ["eigenbasis", "dense"])
     @pytest.mark.parametrize("family", KERNEL_FAMILIES)
@@ -519,6 +522,26 @@ class TestKernelPaths:
                              side, len(u), u) for k in (fast, slow))
             assert cond_a == pytest.approx(cond_b, rel=1e-10)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_value_is_held_in_its_path_form(self, gen4, side):
+        # integrate and integrate_many return the accepted sum as the path
+        # holds it: per eigenvalue with an eigenbasis, else the matrix;
+        # matrix() of either is the QuatMatrix
+        contour = replace(WIDE, tol=math.inf)
+        f = Regularizer(2)
+        for family in KERNEL_FAMILIES:
+            got = {}
+            for t, form in ((gen4.operator, SpectralValue),
+                            (dense_twin(gen4.operator), QuatMatrix)):
+                k = OperatorKernel(family, t)
+                value, _ = integrate(k, f, contour, side=side)
+                [(batched, _)] = integrate_many([(k, f, contour)], side=side)
+                assert type(value) is form and type(batched) is form
+                got[form] = value.matrix()
+            assert got[QuatMatrix].matrix() is got[QuatMatrix]
+            va, vb = got[SpectralValue], got[QuatMatrix]
+            assert (va - vb).norm() <= 1e-13 * max(1.0, vb.norm())
+
     @pytest.mark.parametrize("dim", [1, 4, 8])
     def test_same_spectrum_hits(self, dim):
         # near an eigensphere both paths reject exactly the same points
@@ -624,7 +647,9 @@ class TestSharedLattice:
         assert len({info["h"] for _, info in batch}) >= 2
         for (k, f, c), (value, info) in zip(items, batch):
             want, want_info = integrate(k, f, c, side=side)
-            assert np.array_equal(value.components, want.components)
+            assert type(value) is type(want)
+            assert np.array_equal(value.matrix().components,
+                                  want.matrix().components)
             assert info == want_info
 
     def test_one_chain_call_per_level_over_the_union(self, gen4,
@@ -677,6 +702,31 @@ class TestSharedLattice:
                            match=r"\(reg\(7\) \* pow\(6\)\) is not finite"):
             integrate_many([(k, Regularizer(2), WIDE),
                             (k, bad, replace(WIDE, t_max=1e55))])
+
+    @pytest.mark.parametrize("path", ["eigenbasis", "dense"])
+    def test_level_with_no_new_node(self, path):
+        # radii this close to 1 hold only v = 0 until h = 1 / 16: the
+        # halvings before add no node, a zero sum of new nodes, so the
+        # level is half the last; S stalls there, F is accepted, each
+        # alone and beside a wide item alike
+        t = generate_operator(OperatorSpec(dim=2, seed=7)).operator
+        if path == "dense":
+            t = dense_twin(t)
+        narrow = SectorContour(2.0, E1, 0.9, 1.1, 1.0, tol=1e-3)
+        wide = replace(narrow, t_min=1e-4, t_max=1e4)
+        k_s, k_f, f = OperatorKernel("S", t), OperatorKernel("F", t), \
+            Regularizer(2)
+        for items in ([(k_s, f, narrow)], [(k_s, f, narrow), (k_f, f, wide)]):
+            with pytest.raises(ToleranceNotMet, match="stalled at h = "):
+                integrate_many(items)
+        value, info = integrate(k_f, f, narrow)
+        [(batched, batched_info), _] = integrate_many([(k_f, f, narrow),
+                                                       (k_f, f, wide)])
+        assert np.array_equal(batched.matrix().components,
+                              value.matrix().components)
+        assert batched_info == info
+        assert info["nodes"] == len(lattice(narrow, info["h"]))
+        assert info["h"] < 1.0 / 16.0
 
     def test_one_stalled_item_ends_the_batch(self, gen4):
         k = OperatorKernel("S", gen4.operator)

@@ -69,6 +69,14 @@ class TestCommutingOperator:
             CommutingOperator(np.stack([t0, t1, zero, zero]))
 
 
+class TestQuatMatrix:
+    @pytest.mark.parametrize("k", [-1, -2, 1.0, 2.5])
+    def test_matpow_refuses_what_is_not_a_nonnegative_int(self, k):
+        # no silent identity for a power that is not a nonnegative int
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            QuatMatrix.identity(2).matpow(k)
+
+
 class TestConjAndModulus:
     def test_real_operator_fixed(self, rng):
         t0 = rng.normal(size=(3, 3))
