@@ -16,8 +16,8 @@ calculi, and inverting the prescribed prefactor built from e(T) and
 e(conj T).  For a normal T = U diag(lambda_k) U^T every such value is
 U diag(v_k) U^T, so each H-infinity formula is one quaternion identity per
 eigenvalue (the spectral theorem on the S-spectrum: Alpay, Colombo and
-Kimsey, J. Math. Phys. 57 (2016) 023503); with an eigenbasis the values
-are held and assembled that way (operators.SpectralValue).
+Kimsey, J. Math. Phys. 57 (2016) 023503); with an eigenbasis T and the
+values are held and assembled that way (operators.SpectralValue).
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .contour import (OperatorKernel, _require_positive_tol, contour_for,
                       integrate, integrate_many, require_moment_form)
 from .errors import NotInjective, NotIntrinsic
 from .operators import (KERNEL_FAMILIES, CommutingOperator, QuatMatrix,
-                        SpectralValue, TypeProfile, adjoint, assemble,
-                        bq_conj, kernel_family, stack_norm)
+                        SpectralValue, TypeProfile, assemble, bq_conj,
+                        kernel_family, stack_norm)
 from .quaternion import E1, Quaternion, to_slice
 from .slicefun import (Memo, Power, Product, Regularizer, StemFunction,
                        choose_regularizer)
@@ -86,6 +86,8 @@ class CalcDiagnostics:
     nodes: int  # nodes of all levels; an H-infinity value sums its
     # sub-integrals' own lattices, more than their shared lattice evaluates
     h: float  # accepted lattice step (the finest of the sub-integrals)
+    # the smallest and largest truncation radius of the contour (of the
+    # sub-integrals of an H-infinity value)
     t_min: float
     t_max: float
     phi: float
@@ -98,8 +100,8 @@ class CalcDiagnostics:
     # ||e(T)^-1||, of e(conj T) for a value at conj(T) (_amplification)
     amplification: float | None = None
     # 2-norm condition number of the inverted prefactor, refused past 1e12
-    # (_solve_prefactor): max_k |p_k| / min_k |p_k| of its quaternions p_k
-    # with an eigenbasis, else taken on the complex adjoint
+    # (_solve_prefactor), taken in its held form: max_k |p_k| / min_k |p_k|
+    # of its quaternions p_k with an eigenbasis, else QuatMatrix.cond
     prefactor_cond: float | None = None
 
 
@@ -145,44 +147,29 @@ def _require_function(f) -> None:
                         "; slicefun.parse builds one from text")
 
 
-def _require_injective(comps: np.ndarray, lam=None) -> bool:
-    """True, or NotInjective when T (of comps) or conj(T) is singular: its
-    smallest singular value at most INJECTIVITY_FACTOR times its largest.
-    Given T's joint eigenvalues lam (4, n), the singular values of T and
-    conj(T) are their moduli |lambda_k|, read in O(n)."""
-    if lam is not None:
-        mods = np.linalg.norm(lam, axis=0)
-        if np.min(mods) <= INJECTIVITY_FACTOR * max(np.max(mods), 1e-300):
-            raise NotInjective("T is numerically non-injective")
-        return True
-    for c, label in ((comps, "T"), (bq_conj(comps), "conj(T)")):
-        sv = np.linalg.svd(adjoint(c), compute_uv=False)
-        if sv[-1] <= INJECTIVITY_FACTOR * max(sv[0], 1e-300):
+def _require_injective(t) -> bool:
+    """True, or NotInjective when T or conj(T) is singular: its 2-norm
+    condition number at least 1 / INJECTIVITY_FACTOR.  t is T in its held
+    form, t.eigenbasis or else t.as_qmatrix(), whose cond() reads the
+    moduli |lambda_k| in O(n) or QuatMatrix.cond."""
+    for x, label in ((t, "T"), (t.conj(), "conj(T)")):
+        if not x.cond() < 1.0 / INJECTIVITY_FACTOR:  # a NaN fails too
             raise NotInjective(f"{label} is numerically non-injective")
     return True
 
 
-def _amplification(comps: np.ndarray, n: int, lam=None) -> float:
-    """||e(T)^-1|| for e = reg(n), T of components comps, from e(T)^-1 =
-    (T^-1 + 2 + T)^n on the complex adjoint, or, given T's joint
-    eigenvalues lam (4, n), as max_k |lambda_k^-1 + 2 + lambda_k|^n in
-    O(n), which conj(T) shares; NotInjective when it overflows or when it
-    amplifies the quadrature floor past 1, since sub-integrals at the
-    floor would then leave the value all noise."""
+def _amplification(t, n: int) -> float:
+    """||e(T)^-1|| for e = reg(n), from e(T)^-1 = (T^-1 + 2 + T)^n in T's
+    held form t (see _require_injective; t.conj() for conj(T)), per
+    eigenvalue in O(n) or on full matrices; NotInjective when it
+    overflows or when it amplifies the quadrature floor past 1, since
+    sub-integrals at the floor would then leave the value all noise."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if lam is None:
-            a = adjoint(comps)
-            e_inv = np.linalg.matrix_power(
-                np.linalg.inv(a) + 2.0 * np.eye(len(a)) + a, n)
-        else:
-            # each lambda_k as the complex number of its slice, which
-            # _require_injective keeps from zero
-            z = lam[0] + 1j * np.linalg.norm(lam[1:], axis=0)
-            e_inv = np.abs(1.0 / z + 2.0 + z) ** n
-    if not np.isfinite(e_inv).all():
+        step = t.inverse() + 2.0 + t
+        e_inv = functools.reduce(lambda a, b: a @ b, [step] * n)
+        amplification = e_inv.norm()
+    if not math.isfinite(amplification):
         raise NotInjective("e(T) is numerically singular")
-    amplification = float(np.linalg.svd(e_inv, compute_uv=False)[0]
-                          if lam is None else np.max(e_inv))
     if amplification * _HINF_TOL_FLOOR >= 1.0:
         raise NotInjective(
             f"e(T) = reg({n})(T) is too small to invert: ||e(T)^-1|| = "
@@ -314,9 +301,9 @@ class Evaluator:
         they, the bracket, the prefactor and the result are held per
         eigenvalue and each eigenvalue's prefactor is inverted as a
         quaternion; otherwise they are full matrices and the prefactor is
-        inverted through the complex adjoint.  One set of formulas serves
-        both, as SpectralValue and QuatMatrix share their operators.
-        Requires T and conj(T) injective.
+        inverted as one (QuatMatrix.inverse).  One set of formulas serves
+        both, as SpectralValue and QuatMatrix share their operators, and so
+        do the checks that T and conj(T) are injective (_require_injective).
 
         Inverting the prefactor amplifies quadrature error by up to the norm
         of e(T)^-1 = (T^-1 + 2 + T)^n, so tol is capped at 1e-12 and, when
@@ -327,27 +314,26 @@ class Evaluator:
         follows calc_many's rule; a non-intrinsic f at conj(T) flips the conj
         of every sub-value and reads ||e(conj T)^-1||.  Only the sub-values
         and the checks on T and e are memoized: the prefactor is solved on
-        every call, which returns a result of its own.
+        every call, which returns a result of its own.  The diagnostics
+        report the sub-integrals' smallest t_min and largest t_max.
         """
         _require_positive_tol(tol)
         if kind not in CALC_KINDS:
             raise ValueError(f"unknown calculus kind {kind!r}")
         _require_function(f)
         flip = conj and not f.intrinsic
-        # the work on (T, e) alone is memoized like a value, so a failure
-        # raises again on every call
-        basis = self.t.eigenbasis
-        lam = None if basis is None else basis[1]
-        self._memo.get(("injective",), None,
-                       lambda: _require_injective(self.t.components, lam))
+        # T held as its values are; the work on (T, e) alone is memoized
+        # like a value, so a failure raises again on every call
+        t = self.t.eigenbasis or self.t.as_qmatrix()
+        self._memo.get(("injective",), None, lambda: _require_injective(t))
         if regularizer_power is None:
             e = choose_regularizer(f, self.profile.alpha, self.profile.beta,
                                    self.theta)
         else:
             e = Regularizer(regularizer_power)
-        comps = bq_conj(self.t.components) if flip else self.t.components
-        amplification = self._memo.get(("amplification", e.n, flip), None,
-                                       lambda: _amplification(comps, e.n, lam))
+        amplification = self._memo.get(
+            ("amplification", e.n, flip), None,
+            lambda: _amplification(t.conj() if flip else t, e.n))
         # capped before the sub-values' key: every larger tol asks for the
         # same sub-values
         tol = max(min(tol, _HINF_TOL_CAP, 1e-8 / max(amplification, 1.0)),
@@ -380,7 +366,9 @@ class Evaluator:
         subs = [res.diagnostics for res in results]
         diag = replace(subs[0], tol_achieved=tol,
                        nodes=sum(d.nodes for d in subs),
-                       h=min(d.h for d in subs), t_min=0.0, t_max=0.0,
+                       h=min(d.h for d in subs),
+                       t_min=min(d.t_min for d in subs),
+                       t_max=max(d.t_max for d in subs),
                        worst_cond=max(d.worst_cond for d in subs),
                        regularizer_n=e.n, range_residual=range_resid,
                        amplification=amplification, prefactor_cond=cond)

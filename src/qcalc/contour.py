@@ -225,7 +225,7 @@ def _moment_value(k: OperatorKernel, z, stem, g, scale, side: str):
     takes conj(T)'s C_d, the bq_conj of T's: its Q_{c,z} = z^2 - 2 T0 z +
     |T|^2, so its M, is T's, as T0 and |T|^2 are unchanged.  No J is read.
 
-    With an eigenbasis (U, lambda) g holds the diagonals of U^T M^power U,
+    With an eigenbasis U g holds the diagonals of U^T M^power U,
     so the 4 (degree+1) moments are diagonals too, and so is every U^T C_d
     U: the sum is returned in U, as the (n, 4) stack of its diagonal
     quaternions (see operators.SpectralValue), from one batched product
@@ -384,7 +384,7 @@ def integrate_many(items, *, side: str = "left") -> list:
             contour = items[p][2]
             if diff <= contour.tol:
                 out[p] = (QuatMatrix(refined) if basis is None
-                          else SpectralValue(basis[0], refined),
+                          else SpectralValue(basis.u, refined),
                           {"nodes": nodes[p], "h": h, "tol_achieved": diff,
                            "t_min": contour.t_min, "t_max": contour.t_max,
                            "worst_cond": cond[p]})

@@ -14,7 +14,7 @@ and a family's value A + i B gives the kernel A + B J (left) or A + J B
 commute with M, built once per operator.  A node costs one inversion of
 Q_{c,z}(T) itself (see _chain).  When one orthogonal U diagonalizes all
 four components, T_a = U diag(lambda[a]) U^T (CommutingOperator.eigenbasis,
-the operator's one spectral decomposition, (U, lambda)), the quadrature
+the operator's one spectral decomposition, a SpectralValue), the quadrature
 inverts the n scalars z^2 - 2 z lambda0_k + |lambda_k|^2, O(n) per node,
 and type profiles (estimate_type_profile) take each family's sup over
 every unit in closed form from the joint eigenvalues lambda_k.  Otherwise
@@ -158,7 +158,9 @@ class QuatMatrix:
     def conj(self) -> "QuatMatrix":
         return QuatMatrix(bq_conj(self.components))
 
-    def __add__(self, other: "QuatMatrix") -> "QuatMatrix":
+    def __add__(self, other) -> "QuatMatrix":  # a real other as other I
+        if not isinstance(other, QuatMatrix):
+            other = QuatMatrix.from_real(float(other) * np.eye(self.n))
         return QuatMatrix(self.components + other.components)
 
     def __sub__(self, other: "QuatMatrix") -> "QuatMatrix":
@@ -190,7 +192,9 @@ class QuatMatrix:
         # the adjoint algebra is closed under inversion
         return QuatMatrix(from_adjoint(np.linalg.inv(adjoint(self.components))))
 
-    def norm(self) -> float:
+    def norm(self) -> float:  # inf past a non-finite entry, where SVD fails
+        if not np.isfinite(self.components).all():
+            return math.inf
         return float(stack_norm(self.components))
 
     def fro(self) -> float:
@@ -236,7 +240,9 @@ class SpectralValue:
     def conj(self) -> "SpectralValue":
         return SpectralValue(self.u, self.v * _CONJ_SIGNS)
 
-    def __add__(self, other: "SpectralValue") -> "SpectralValue":
+    def __add__(self, other) -> "SpectralValue":  # a real other as other I
+        if not isinstance(other, SpectralValue):
+            other = SpectralValue(self.u, np.array([float(other), 0, 0, 0]))
         return SpectralValue(self.u, self.v + other.v)
 
     def __sub__(self, other: "SpectralValue") -> "SpectralValue":
@@ -254,6 +260,9 @@ class SpectralValue:
     def inverse(self) -> "SpectralValue":
         return SpectralValue(self.u, self.conj().v
                              / np.sum(self.v * self.v, axis=1)[:, None])
+
+    def norm(self) -> float:  # moduli by hypot, which squares no entry
+        return float(np.max(np.hypot.reduce(self.v, axis=1)))
 
     def fro(self) -> float:
         return float(np.sqrt(np.sum(self.v * self.v)))
@@ -298,17 +307,14 @@ class CommutingOperator:
     def as_qmatrix(self) -> QuatMatrix:
         return QuatMatrix(self.components.copy())
 
-    def norm(self) -> float:
-        return float(stack_norm(self.components))
-
     @cached_property
     def eigenbasis(self):
-        """(U, lam) with U orthogonal and T_a = U diag(lam[a]) U^T for every
-        component a to roundoff, lam (4, n) the joint eigenvalues lambda_k
-        = lam[:, k], or None when no such U is found (see _eigenbasis);
-        then the kernels take the dense path.  In U a kernel at a point of
-        C_E1 is diagonal, so its norm is the largest modulus of the n
-        quaternion scalars on the diagonal."""
+        """T held per eigenvalue: the SpectralValue U diag(lambda_k) U^T,
+        U orthogonal and its rows v_k the joint eigenvalues lambda_k, equal
+        to T to roundoff, or None when no such U is found (see
+        _eigenbasis); then the kernels take the dense path.  In U a kernel
+        at a point of C_E1 is diagonal, so its norm is the largest modulus
+        of the n quaternion scalars on the diagonal."""
         return _eigenbasis(self.components)
 
     @cached_property
@@ -316,7 +322,7 @@ class CommutingOperator:
         """kernel_numerators["Qc pair"] in the eigenbasis, the (3, n)
         diagonals (|lambda|^2, -2 lambda0, 1) that _chain's diagonal path
         takes."""
-        lam = self.eigenbasis[1]
+        lam = self.eigenbasis.v.T
         return np.stack([np.sum(lam * lam, axis=0), -2.0 * lam[0],
                          np.ones(self.n)])
 
@@ -329,7 +335,7 @@ class CommutingOperator:
         with its imaginary parts negated for conj(T) (conj).  Entry k's
         column block d is the real 4 x 4 matrix of q -> c_dk q (side
         "left") or q -> q c_dk ("right")."""
-        u = self.eigenbasis[0]
+        u = self.eigenbasis.u
         out = {}
         for fam in KERNEL_FAMILIES:
             # the diagonals (U^T C_d)_kj U_jk, (degree+1, 4, n)
@@ -351,13 +357,12 @@ class CommutingOperator:
 
 
 def conj_op(t: CommutingOperator) -> CommutingOperator:
-    """Conjugate operator (T0, -T1, -T2, -T3); involutive.  It shares T's
-    U, and its joint eigenvalues are T's with the imaginary rows negated."""
+    """Conjugate operator (T0, -T1, -T2, -T3); involutive.  Its held form
+    is T's conjugated: T's U, the imaginary parts of lambda_k negated."""
     out = CommutingOperator(bq_conj(t.components))
     basis = t.eigenbasis
     # fill the cached_property
-    out.__dict__["eigenbasis"] = None if basis is None else (
-        basis[0], np.concatenate([basis[1][:1], -basis[1][1:]]))
+    out.__dict__["eigenbasis"] = None if basis is None else basis.conj()
     return out
 
 
@@ -379,8 +384,8 @@ _EIGENBASIS_MIX = np.sqrt([1.0, 2.0, 3.0, 5.0])
 def _eigenbasis(comps: np.ndarray):
     """One orthogonal U that diagonalizes every symmetric component of the
     stack comps (4, n, n), taken from eigh of a generic combination and
-    refined (see _refine_eigenbasis), as (U, lam) with lam the (4, n)
-    diagonals; None when a component is not symmetric or U misses the
+    refined (see _refine_eigenbasis), as the SpectralValue of U and the
+    joint eigenvalues; None when a component is not symmetric or U misses the
     residual test.  Symmetric commuting components share such a U; a
     non-normal operator fails."""
     n = comps.shape[-1]
@@ -398,7 +403,7 @@ def _eigenbasis(comps: np.ndarray):
     if (np.linalg.norm(u.T @ u - np.eye(n)) > bound
             or np.any(off > bound * norms)):
         return None
-    return u, lam
+    return SpectralValue(u, lam.T)
 
 
 def _round_robin(n: int):
@@ -521,8 +526,8 @@ def _chain(t: CommutingOperator, x: np.ndarray, y: np.ndarray, *,
     squared 2-norm condition number of Q from above, and the Frobenius
     one of Q conj(Q) too (by submultiplicativity).
 
-    diagonal=True needs t.eigenbasis (U, lambda) and returns g as the
-    (m, n) diagonals of U^T g U: C is then the diagonals
+    diagonal=True needs t.eigenbasis, U diag(lambda_k) U^T, and returns g
+    as the (m, n) diagonals of U^T g U: C is then the diagonals
     (|lambda|^2, -2 lambda0, 1) of t.qc_pair_diagonal, Q / scale^2 the
     diagonal q and its inverse 1/q, so a node costs O(n).  Frobenius
     norms are orthogonally invariant, so cond and the spectrum rule are
@@ -711,7 +716,7 @@ def estimate_type_profile(t: CommutingOperator, omega: float, angles,
     shared by several test angles (psi = pi ends every fan) is sampled
     once, and all samples share one _chain call.
 
-    With t.eigenbasis (U, lambda) N is that sup itself, in closed form.
+    With t.eigenbasis N is that sup itself, in closed form.
     In U every kernel is diagonal, its entry k the scalar kernel at
     lambda_k = l0 + l v (v a unit), a product of the moduli
     m = |Q_{c,s}(lambda_k)^-1|, |s - l0| and |s - conj(lambda_k)|, the last
@@ -737,7 +742,7 @@ def estimate_type_profile(t: CommutingOperator, omega: float, angles,
         norms = np.stack([stack_fro(a) + stack_fro(b)
                           for a, b in pairs.values()])
     else:
-        lam = t.eigenbasis[1]
+        lam = t.eigenbasis.v.T
         g, scale, _ = _chain(t, x, y, upto="Qc", diagonal=True)
         # (n, samples): |m_k| = |Q_{c,s}(lambda_k)^-1|, |s - lambda0_k| and
         # the sup of |s - conj(lambda_k)| over every unit and both rays

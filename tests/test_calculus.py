@@ -634,15 +634,15 @@ class TestHInfinity:
         # and F of pow(5) on the annulus (0.1, 20) (9.6e11).  Inverted per
         # eigenvalue, that prefactor still gives the closed forms; the
         # full-matrix assembly missed them there by up to 1.8e2.  On the
-        # eigenbasis path ||e(T)^-1|| comes from the joint eigenvalues, so
-        # it matches the complex adjoint's to roundoff
+        # eigenbasis path ||e(T)^-1|| is taken per eigenvalue, so it
+        # matches that of T's full matrix to roundoff
         ctx = fresh_context()
         for n in (1, 3, 5):
             for kind in ("S", "Q", "P2", "F"):
                 diag = ctx.evaluator.hinf(kind, Power(n)).diagnostics
                 assert diag.prefactor_cond < 1e3
                 assert diag.amplification == pytest.approx(
-                    calculus._amplification(ctx.operator.components,
+                    calculus._amplification(ctx.operator.as_qmatrix(),
                                             diag.regularizer_n), rel=1e-12)
         wide = SuiteContext(generate_operator(
             OperatorSpec(dim=4, seed=3, annulus=(0.1, 20.0))))
@@ -667,6 +667,24 @@ class TestHInfinity:
             a = hinf(kind, gen4.operator, f, ctx4.profile).value
             b = calc(kind, gen4.operator, f, ctx4.profile).value
             assert (a - b).norm() <= 1e-7 * max(1.0, b.norm())
+
+    @pytest.mark.parametrize("path", ["eigenbasis", "dense"])
+    def test_radii_are_the_sub_integrals_extremes(self, path):
+        # an H-infinity value reports the smallest t_min and the largest
+        # t_max of the sub-values it is assembled from
+        ctx = fresh_context()
+        ev = ctx.evaluator if path == "eigenbasis" else Evaluator(
+            dense_twin(ctx.operator), ctx.profile)
+        for kind in ("S", "Q", "P2", "F"):
+            diag = ev.hinf(kind, Power(3)).diagnostics
+            e = Regularizer(diag.regularizer_n)
+            named = {"e": e, "ef": Product(e, Power(3))}
+            subs = [res.diagnostics for res in ev.calc_many(
+                [(k, named[g], c) for k, g, c in calculus._HINF_VALUES[kind]],
+                tol=diag.tol_achieved)]
+            assert diag.t_min == min(d.t_min for d in subs)
+            assert diag.t_max == max(d.t_max for d in subs)
+            assert 0.0 < diag.t_min < 1.0 < diag.t_max
 
     def test_rejects_noninjective(self, ctx4):
         zero = CommutingOperator(np.zeros((4, 3, 3)))
@@ -793,6 +811,55 @@ class TestHInfinity:
         t = CommutingOperator(np.stack([t0, zeros, zeros, zeros]))
         with pytest.raises(NotInjective):
             hinf("S", t, Power(1), ctx4.profile)
+
+
+def _held_t_pairs():
+    """(name, T held per eigenvalue, T's full matrix): the default family
+    at dims 1, 2, 4 and 8 and the spread annulus (0.1, 20), each for T and
+    for conj(T)."""
+    specs = [OperatorSpec(dim=dim, seed=3) for dim in (1, 2, 4, 8)] + [
+        OperatorSpec(dim=4, seed=3, annulus=(0.1, 20.0))]
+    for spec in specs:
+        t = generate_operator(spec).operator
+        held, dense = t.eigenbasis, dense_twin(t).as_qmatrix()
+        name = f"dim{spec.dim}-{spec.annulus}"
+        yield name, held, dense
+        yield name + "-conj", held.conj(), dense.conj()
+
+
+class TestHeldGuards:
+    """The injectivity check and ||e(T)^-1|| are one formula on T's held
+    form: per eigenvalue with an eigenbasis, on the full matrix without."""
+
+    def test_paths_agree(self):
+        # both accept T, and reg(1) to reg(9) alike
+        for name, held, dense in _held_t_pairs():
+            assert calculus._require_injective(held), name
+            assert calculus._require_injective(dense), name
+            for n in range(1, 10):
+                assert calculus._amplification(held, n) == pytest.approx(
+                    calculus._amplification(dense, n), rel=1e-12), (name, n)
+
+    @pytest.mark.parametrize("path", ["eigenbasis", "dense"])
+    @pytest.mark.parametrize("spec, power, message", [
+        (None, None, "T is numerically non-injective"),
+        (OperatorSpec(dim=4, seed=7), 500, "e(T)"),
+        (OperatorSpec(dim=2, seed=3, annulus=(10.0, 1e3)), 160,
+         "||e(T)^-1|| = 2.23e+300")], ids=["zero", "reg500", "reg160"])
+    def test_both_paths_refuse(self, ctx4, monkeypatch, path, spec, power,
+                               message):
+        if spec is None:
+            t, profile = CommutingOperator(np.zeros((4, 3, 3))), ctx4.profile
+        else:
+            ctx = SuiteContext(generate_operator(spec))
+            t, profile = ctx.operator, ctx.profile
+        if path == "dense":
+            t = dense_twin(t)
+        assert (t.eigenbasis is None) == (path == "dense")
+        seen = counting_integrate(monkeypatch)
+        with pytest.raises(NotInjective, match=re.escape(message)):
+            hinf("S", t, Power(1), profile, regularizer_power=power)
+        assert not seen
 
 
 class TestSpectralAssembly:

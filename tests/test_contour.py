@@ -314,7 +314,7 @@ class TestQuadratureMechanics:
             [(total, _)] = _level_value([(k, f, contour)], [(0, len(u))],
                                         contour.phi, side, len(u), u)
             want = (QuatMatrix(h * total) if path == "dense"
-                    else SpectralValue(t.eigenbasis[0], h * total).matrix())
+                    else SpectralValue(t.eigenbasis.u, h * total).matrix())
             assert (value - want).norm() <= 1e-13 * want.norm()
             assert info["nodes"] == len(u)
 

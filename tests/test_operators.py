@@ -460,7 +460,7 @@ def test_kernels_near_sphere_match_mpmath(d):
         assert err <= bound, (kind, err / bound)
     # the eigenbasis path: M = U diag(g / scale^2) U^T, with the parts
     # (A1, B1) of the reference Qc = A1 + J B1
-    u = t.eigenbasis[0]
+    u = t.eigenbasis.u
     g, scale, _ = _chain(t, np.array([p.x]), np.array([p.y]), upto="Qc",
                          diagonal=True)
     m = (u * (g[0] / scale[0] ** 2)) @ u.T
@@ -471,10 +471,13 @@ def test_kernels_near_sphere_match_mpmath(d):
 
 class TestEigenbasis:
     def test_conj_shares_eigenbasis(self):
-        # conj(T) has T's U and the joint eigenvalues with Im negated
+        # conj(T) is held as T's held form conjugated, bit for bit: T's U
+        # and the joint eigenvalues with Im negated
         t = generate_operator(OperatorSpec(dim=8, seed=3)).operator
-        (u, lam), (u_bar, lam_bar) = t.eigenbasis, conj_op(t).eigenbasis
+        basis, bar = t.eigenbasis, conj_op(t).eigenbasis
+        (u, lam), (u_bar, lam_bar) = (basis.u, basis.v.T), (bar.u, bar.v.T)
         assert u_bar is u
+        assert np.array_equal(bar.v, basis.conj().v)
         assert np.array_equal(lam_bar[0], lam[0])
         assert np.array_equal(lam_bar[1:], -lam[1:])
         assert conj_op(dense_twin(t)).eigenbasis is None
@@ -484,8 +487,12 @@ class TestEigenbasis:
         gen = generate_operator(OperatorSpec(dim=n, seed=40 + n))
         eps = np.finfo(float).eps
         for t in (gen.operator, conj_op(gen.operator)):
-            u, lam = t.eigenbasis
+            u, lam = t.eigenbasis.u, t.eigenbasis.v.T
             assert np.linalg.norm(u.T @ u - np.eye(n)) <= eps * n
+            # T held per eigenvalue is T
+            for got, a in zip(t.eigenbasis.matrix().components, t.components):
+                assert np.linalg.norm(got - a) <= (
+                    4.0 * eps * n * np.linalg.norm(a))
             # every component, and |T|^2 through the joint eigenvalues
             pairs = list(zip(t.components, lam)) + [
                 (modulus_sq(t), np.sum(lam * lam, axis=0))]
@@ -509,7 +516,7 @@ class TestEigenbasis:
         # path's Frobenius bound
         gen = generate_operator(spec)
         t, n = gen.operator, spec.dim
-        u, lam = t.eigenbasis
+        u, lam = t.eigenbasis.u, t.eigenbasis.v.T
         for a, d in zip(t.components, lam):
             assert np.linalg.norm(u @ np.diag(d) @ u.T - a) <= (
                 16.0 * np.finfo(float).eps * n * np.linalg.norm(a))
@@ -663,7 +670,7 @@ class TestTypeProfile:
         unit along Im(lambda_k), for some eigenvalue k (E1 serves real
         eigenvalues)."""
         units = [E1] + [Quaternion(0.0, *(v / np.linalg.norm(v)))
-                        for v in t.eigenbasis[1][1:].T
+                        for v in t.eigenbasis.v.T[1:].T
                         if np.linalg.norm(v) > 0.0]
 
         def norm(kind, x, y):
@@ -715,11 +722,11 @@ class TestTypeProfile:
 
     def test_joint_eigenvalues_are_the_generators(self):
         gen = generate_operator(OperatorSpec(dim=8, seed=5))
-        lam = gen.operator.eigenbasis[1]
+        lam = gen.operator.eigenbasis.v.T
         want = np.array([q.components for q in gen.eigenvalues]).T
         got, want = lam[:, np.argsort(lam[0])], want[:, np.argsort(want[0])]
         assert np.allclose(got, want, rtol=0.0, atol=1e-13)
-        conj = conj_op(gen.operator).eigenbasis[1]
+        conj = conj_op(gen.operator).eigenbasis.v.T
         assert np.array_equal(conj, lam * np.array([[1.0], [-1.0], [-1.0],
                                                     [-1.0]]))
 
@@ -731,7 +738,7 @@ class TestTypeProfile:
         zeros = np.zeros((2, 2))
         t = CommutingOperator(np.stack([zeros, r @ np.diag([1.0, -1.0]) @ r.T,
                                         zeros, zeros]))
-        assert np.allclose(sorted(t.eigenbasis[1][1]), [-1.0, 1.0],
+        assert np.allclose(sorted(t.eigenbasis.v.T[1]), [-1.0, 1.0],
                            rtol=0.0, atol=1e-15)
         angles = [1.7, 2.2, 2.9]  # the spectrum {J} lies on the angle pi/2
         dense = dense_twin(t)
@@ -802,7 +809,7 @@ class TestKernelEnvelope:
         The units are two random ones and those along Im(lambda_k), where
         |s - conj(lambda_k)| peaks."""
         lo, hi = gen.spec.annulus
-        lam = gen.operator.eigenbasis[1]
+        lam = gen.operator.eigenbasis.v.T
         radii = np.concatenate([
             np.geomspace(min(1e-4, lo * 1e-4), max(1e5, hi * 1e4), 60),
             np.sqrt(np.sum(lam * lam, axis=0))])
