@@ -34,9 +34,9 @@ from .contour import (OperatorKernel, _require_positive_tol, contour_for,
                       integrate, integrate_many, require_moment_form)
 from .errors import NotInjective, NotIntrinsic
 from .operators import (KERNEL_FAMILIES, CommutingOperator, QuatMatrix,
-                        SpectralValue, TypeProfile, assemble, bq_conj,
-                        kernel_family, stack_norm)
-from .quaternion import E1, Quaternion, to_slice
+                        SpectralValue, TypeProfile, bq_conj, bq_matmul,
+                        mul_matrix, stack_fro, stack_norm)
+from .quaternion import E1, Quaternion, qarr, to_slice
 from .slicefun import (Memo, Power, Product, Regularizer, StemFunction,
                        choose_regularizer)
 
@@ -197,16 +197,16 @@ class Evaluator:
 
     Everything an evaluator keeps is in its one Memo: one CalculusResult
     per calc value on (kind, repr(f), tol, side, conj), held as the
-    quadrature returns it, and for hinf the injectivity of T and
-    ||e(T)^-1|| and ||e(conj T)^-1|| per regularizer.  Each depends on its
-    key only, so one evaluator may serve many threads; when two threads
-    compute one entry, the first stored is kept, and failures are never
-    stored.  calc_many computes the missing values of a list in one
-    shared-lattice batch (contour.integrate_many), and calc is its list of
-    one.  hinf assembles its value on every call from one calc_many batch
-    of every sub-value its kind needs, read in their held form, so e(T),
-    (e*f)(T) and their D, Dbar and Delta forms share the nodes' work and
-    serve every kind.  conj=True is the one conjugation rule of both: the
+    quadrature returns it; hinf's checks on T and e are kept on T, by the
+    same rule (_guards_of).  Each depends on its key only, so one evaluator
+    may serve many threads; when two threads compute one entry, the first
+    stored is kept, and failures are never stored.  calc_many computes the
+    missing values of a list in one shared-lattice batch
+    (contour.integrate_many), and calc is its list of one.  hinf
+    assembles its value on every call from one calc_many batch of every
+    sub-value its kind needs, read in their held form, so e(T), (e*f)(T)
+    and their D, Dbar and Delta forms share the nodes' work and serve
+    every kind.  conj=True is the one conjugation rule of both: the
     entrywise conjugate of the value at T for intrinsic f, stored under
     its own conj key, else the value at conj(T), one more item of T's
     batch.  Q_{c,z}(conj T) = z^2 - 2 T0 z + |T|^2 is Q_{c,z}(T), since T0
@@ -313,9 +313,10 @@ class Evaluator:
         would leave the value all noise, and raises NotInjective first.  conj
         follows calc_many's rule; a non-intrinsic f at conj(T) flips the conj
         of every sub-value and reads ||e(conj T)^-1||.  Only the sub-values
-        and the checks on T and e are memoized: the prefactor is solved on
-        every call, which returns a result of its own.  The diagnostics
-        report the sub-integrals' smallest t_min and largest t_max.
+        and the checks on T and e (kept on T, see _guards_of) are memoized:
+        the prefactor is solved on every call, which returns a result of its
+        own.  The diagnostics report the sub-integrals' smallest t_min and
+        largest t_max.
         """
         _require_positive_tol(tol)
         if kind not in CALC_KINDS:
@@ -323,15 +324,16 @@ class Evaluator:
         _require_function(f)
         flip = conj and not f.intrinsic
         # T held as its values are; the work on (T, e) alone is memoized
-        # like a value, so a failure raises again on every call
+        # on T, so a failure raises again on every call
         t = self.t.eigenbasis or self.t.as_qmatrix()
-        self._memo.get(("injective",), None, lambda: _require_injective(t))
+        guards = _guards_of(self.t)
+        guards.get(("injective",), None, lambda: _require_injective(t))
         if regularizer_power is None:
             e = choose_regularizer(f, self.profile.alpha, self.profile.beta,
                                    self.theta)
         else:
             e = Regularizer(regularizer_power)
-        amplification = self._memo.get(
+        amplification = guards.get(
             ("amplification", e.n, flip), None,
             lambda: _amplification(t.conj() if flip else t, e.n))
         # capped before the sub-values' key: every larger tol asks for the
@@ -376,7 +378,17 @@ class Evaluator:
                               kind, "h_infinity", diag)
 
 
-_SLOT_LOCK = threading.Lock()  # guards every operator's evaluator slot
+_SLOT_LOCK = threading.Lock()  # guards every operator's two slots
+
+
+def _guards_of(t: CommutingOperator) -> Memo:
+    """The Memo in t's guard slot: the H-infinity guards on T, its
+    injectivity (_require_injective) and ||e(T)^-1|| and ||e(conj T)^-1||
+    per regularizer (_amplification).  They depend on T and e only, so
+    every evaluator of t shares them, at every angle, profile and unit."""
+    with _SLOT_LOCK:
+        # a frozen dataclass: filled as the cached eigenbasis is
+        return t.__dict__.setdefault("guards", Memo())
 
 
 def _evaluator_of(t: CommutingOperator, profile: TypeProfile, theta, phi,
@@ -429,44 +441,46 @@ def resolvent_identity_residuals(t: CommutingOperator, s: Quaternion,
     """Residuals of the four two-point kernel identities at (s, p), s not in [p].
 
     Each residual is the operator 2-norm of LHS - RHS divided by
-    max(1, ||RHS||).  All ten kernels come from one two-point kernel_batch
-    call of the four families, and the ten norms from one batched SVD.
+    max(1, ||RHS||), and Q's is the larger of its two forms.  The ten
+    kernels come from one two-point kernel_batch call of the four families,
+    assembled as one (family, point) stack with each point's unit: the
+    right kernels A + J B of T and conj(T) at s and the left ones A + B J
+    at p.  The four left-hand sides (K(s) p - sbar K(s) - K(p) p + sbar K(p))
+    w^-1 are one real 4 x 4 map applied to the stack of K(s) - K(p), the
+    eleven products of the right-hand sides are one bq_matmul call, and
+    the norms take one SVD call (_rel_stack).
     """
     w = p * p - 2.0 * s.re * p + Quaternion(s.norm_sq())
     if w.norm() < 1e-12:
         raise ValueError("s and p lie on a common sphere; identities degenerate")
-    w_inv = w.inverse()
-    sbar = s.conj()
     points = (to_slice(s), to_slice(p))
     # looked up on its module, where qbench's layer trace wraps it
     pairs = operators.kernel_batch(KERNEL_FAMILIES, t, [q.x for q in points],
                                    [q.y for q in points])
-
-    def k(kind: str, at: int, conj: bool = False) -> QuatMatrix:
-        # kind at s (at 0) or p (at 1) with its own unit, of conj(T) if conj
-        a, b = (bq_conj(c[at]) if conj else c[at]
-                for c in pairs[kernel_family(kind)])
-        return QuatMatrix(assemble(kind, a, b, points[at].j))
-
-    def lhs(k_s: QuatMatrix, k_p: QuatMatrix) -> QuatMatrix:
-        d = k_s - k_p
-        return (d.scalar_mul(p, "right")
-                - d.scalar_mul(sbar, "left")).scalar_mul(w_inv, "right")
-
-    sr_s, q_s, p2r_s, fr_s = map(k, ("S_R", "Qc", "P2_R", "F_R"), [0] * 4)
-    sl_p, q_p, p2l_p, fl_p = map(k, ("S_L", "Qc", "P2_L", "F_L"), [1] * 4)
-    sl_p_bar, sr_s_bar = k("S_L", 1, conj=True), k("S_R", 0, conj=True)
-    l_q = lhs(q_s, q_p)
-    checks = [  # (LHS, RHS) of S, Q (two forms), P2 and F
-        (lhs(sr_s, sl_p), sr_s @ sl_p),
-        (l_q, q_s @ sl_p + sr_s_bar @ q_p),
-        (l_q, q_s @ sl_p_bar + sr_s @ q_p),
-        (lhs(p2r_s, p2l_p),
-         p2r_s @ sl_p + sr_s @ p2l_p - 2.0 * (q_s @ (sl_p - sl_p_bar))),
-        (lhs(fr_s, fl_p), fr_s @ sl_p + sr_s @ fl_p - 4.0 * (q_s @ q_p)),
-    ]
-    rel = _rel_stack(*(np.stack([m.components for m in side])
-                       for side in zip(*checks))).tolist()
+    n = t.n
+    # (family, point, 4, n^2) for S, Qc, P2 and F of T and S of conj(T)
+    a, b = (np.stack([c[i] for c in pairs.values()] + [bq_conj(pairs["S"][i])])
+            .reshape(5, 2, 4, n * n) for i in (0, 1))
+    # at s the right kernels A + J B, at p the left ones A + B J; Qc's B is
+    # real, so its J B at s is its B J
+    units = np.stack([mul_matrix(qarr(points[0].j), "left"),
+                      mul_matrix(qarr(points[1].j), "right")])
+    (sr_s, q_s, p2r_s, fr_s, sr_s_bar), (sl_p, q_p, p2l_p, fl_p, sl_p_bar) = (
+        (a + units @ b).reshape(5, 2, 4, n, n).swapaxes(0, 1))
+    # x -> (x p - sbar x) w^-1 on the differences K(s) - K(p)
+    lhs_map = mul_matrix(qarr(w.inverse()), "right") @ (
+        mul_matrix(qarr(p), "right") - mul_matrix(qarr(s.conj()), "left"))
+    diffs = np.stack([sr_s - sl_p, q_s - q_p, p2r_s - p2l_p, fr_s - fl_p])
+    lhs = (lhs_map @ diffs.reshape(4, 4, n * n)).reshape(4, 4, n, n)
+    (s1, q1, q2, q3, q4, p2a, p2b, p2c, fa, fb, fc) = bq_matmul(
+        np.stack([sr_s, q_s, sr_s_bar, q_s, sr_s, p2r_s, sr_s, q_s, fr_s,
+                  sr_s, q_s]),
+        np.stack([sl_p, sl_p, q_p, sl_p_bar, q_p, sl_p, p2l_p,
+                  sl_p - sl_p_bar, sl_p, fl_p, q_p]))
+    # (LHS, RHS) of S, Q (two forms), P2 and F
+    rel = _rel_stack(lhs[[0, 1, 1, 2, 3]], np.stack(
+        [s1, q1 + q2, q3 + q4, p2a + p2b - 2.0 * p2c, fa + fb - 4.0 * fc]
+    )).tolist()
     return {f"resolvent_identity_{tag}": r for tag, r in
             zip(("S", "Q", "P2", "F"), (rel[0], max(rel[1:3]), *rel[3:]))}
 
@@ -476,13 +490,22 @@ def resolvent_identity_residuals(t: CommutingOperator, s: Quaternion,
 # ---------------------------------------------------------------------------
 
 def _rel_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_rel over component stacks a, b (..., 4, n, n), from one batched SVD."""
-    norms = stack_norm(np.stack([a - b, b]))
-    return norms[0] / np.maximum(1.0, norms[1])
+    """_rel over component stacks a, b (..., 4, n, n), from one batched SVD
+    of every a - b and of each b with ||b||_F > 1 only: ||b|| <= ||b||_F,
+    so max(1, ||b||) is 1 wherever ||b||_F <= 1.  A NaN b goes to the SVD
+    too, which refuses it as it refuses a NaN a - b (LinAlgError)."""
+    n = a.shape[-1]
+    diff, b = (x.reshape(-1, 4, n, n) for x in (a - b, b))
+    big = ~(stack_fro(b) <= 1.0)
+    norms = stack_norm(np.concatenate([diff, b[big]]))
+    den = np.ones(len(b))
+    den[big] = np.maximum(1.0, norms[len(b):])
+    return (norms[:len(b)] / den).reshape(a.shape[:-3])
 
 
 def _rel(a: QuatMatrix, b: QuatMatrix) -> float:
-    """Residual ||a - b|| / max(1, ||b||) of a against the reference b."""
+    """Residual ||a - b|| / max(1, ||b||) of a against the reference b, in
+    2-norms (see _rel_stack)."""
     return float(_rel_stack(a.components, b.components))
 
 

@@ -54,14 +54,20 @@ _QMUL_TABLE = _QMUL.reshape(16, 4)
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
+def mul_matrix(q: np.ndarray, side: str) -> np.ndarray:
+    """Real 4 x 4 matrices m (..., 4, 4) of x -> q x (side "left") or
+    x -> x q ("right") for quaternions q (..., 4), acting on component
+    vectors: component c of the product is sum_a m[c, a] x_a."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    return np.einsum("abc,...b->...ca" if side == "right" else "bac,...b->...ca",
+                     _QMUL, q)
+
+
 def bq_scalar(q: np.ndarray, a: np.ndarray, side: str) -> np.ndarray:
     """Component stacks a (..., 4, n, n) times quaternion scalars q of shape
     (..., 4): a*q for side "right", q*a for side "left"."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    mix = np.einsum("abc,...b->...ac" if side == "right" else "bac,...b->...ac",
-                    _QMUL, q)
-    return np.einsum("...ac,...aij->...cij", mix, a)
+    return np.einsum("...ca,...aij->...cij", mul_matrix(q, side), a)
 
 
 def bq_conj(a: np.ndarray) -> np.ndarray:
@@ -78,6 +84,17 @@ def bq_dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     cols = q.transpose(0, 2, 1, 3).reshape(e * n, 4 * n)
     pairs = (rows @ cols).reshape(4, n, 4, n)
     return np.einsum("aibk,abc->cik", pairs, _QMUL)
+
+
+def bq_matmul(l: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The quaternion-matrix products l[k] r[k] of stacks (B, 4, n, n): one
+    batched real (4n, n) x (n, 4n) product of all component pairs, summed
+    into components by one (4, 16) x (16, n^2) product per k."""
+    b, _, n, _ = l.shape
+    rows = l.reshape(b, 4 * n, n)
+    cols = r.transpose(0, 2, 1, 3).reshape(b, n, 4 * n)
+    pairs = (rows @ cols).reshape(b, 4, n, 4, n).transpose(0, 1, 3, 2, 4)
+    return (_QMUL_TABLE.T @ pairs.reshape(b, 16, n * n)).reshape(b, 4, n, n)
 
 
 def _as_stack(real: np.ndarray) -> np.ndarray:
@@ -343,10 +360,11 @@ class CommutingOperator:
                           axis=-1)
             for conj in (False, True):
                 c = diag * _CONJ_SIGNS[:, None] if conj else diag
-                for side, spec in (("left", "abo,dak->kodb"),
-                                   ("right", "abo,dbk->koda")):
-                    mult = np.einsum(spec, _QMUL, c)
-                    out[fam, conj, side] = mult.reshape(self.n, 4, -1)
+                for side in ("left", "right"):
+                    # (n, degree+1, 4, 4) -> (n, 4, 4 (degree+1))
+                    mult = mul_matrix(np.moveaxis(c, -1, 0), side)
+                    out[fam, conj, side] = mult.transpose(0, 2, 1, 3).reshape(
+                        self.n, 4, -1)
         return out
 
     @cached_property

@@ -12,7 +12,7 @@ import pytest
 from conftest import (counting_integrate, dense_twin, random_quaternion,
                       scalar_operator)
 from qcalc import calculus, contour, slicefun
-from qcalc.calculus import (Evaluator, _rel, calc,
+from qcalc.calculus import (Evaluator, _rel, _rel_stack, calc,
                             derivative_combination_residual, hinf,
                             power_recurrence_residuals, power_reference,
                             product_rule_residuals,
@@ -22,7 +22,7 @@ from qcalc.errors import (ClassMismatch, NotInjective, NotIntrinsic,
 from qcalc.operators import (KERNEL_FAMILIES, KERNEL_KINDS, CommutingOperator,
                              QuatMatrix, SpectralValue, TypeProfile, assemble,
                              bq_conj, conj_op, kernel, kernel_batch,
-                             kernel_family, stack_fro)
+                             kernel_family, stack_fro, stack_norm)
 from qcalc.quaternion import E1, Quaternion, to_slice
 from qcalc.slicefun import (Power, Product, Regularizer, Scale, Sum,
                             pointwise_fine)
@@ -488,7 +488,8 @@ def reference_identity_residuals(t, s, p):
     }
 
 
-@pytest.fixture(scope="module", params=[4, 8], ids=["n4", "n8"])
+@pytest.fixture(scope="module", params=[1, 4, 8, 16],
+                ids=["n1", "n4", "n8", "n16"])
 def identity_cases(request):
     gen = generate_operator(OperatorSpec(dim=request.param, seed=31))
     rng = np.random.default_rng(request.param)
@@ -541,6 +542,20 @@ class TestResolventIdentities:
         resolvent_identity_residuals(gen4.operator, s, p)
         assert calls == [(2, 4, 4)]  # both points in one batch
 
+    def test_one_svd_per_call(self, gen4, rng, monkeypatch):
+        # the five numerators and the denominators past ||.||_F = 1 go to
+        # one batched SVD
+        s, p = resolvent_pair(gen4, rng)
+        calls, real_svd = [], np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        resolvent_identity_residuals(gen4.operator, s, p)
+        assert len(calls) == 1 and 5 <= math.prod(calls[0][:-2]) <= 10
+
     def test_rejects_spectrum_points(self, gen4, rng, unit_q):
         # a point on an eigensphere, with a unit of its own, is refused
         # whether it is s or p
@@ -562,6 +577,66 @@ class TestResolventIdentities:
         p = Quaternion(1.0, 0.0, 2.0, 0.0)  # same sphere as s
         with pytest.raises(ValueError):
             resolvent_identity_residuals(gen4.operator, s, p)
+
+
+def all_svd_rel(a, b):
+    """_rel_stack's definition with an SVD of every denominator."""
+    return stack_norm(a - b) / np.maximum(1.0, stack_norm(b))
+
+
+class TestRelStack:
+    @staticmethod
+    def stacks(rng, n, lo, hi, norm=stack_fro):
+        # 20 pairs (a, b) with norm(b) drawn from [lo, hi); a is b off by
+        # 1e-3 relative
+        b = rng.normal(size=(20, 4, n, n))
+        b *= (rng.uniform(lo, hi, size=20) / norm(b))[:, None, None, None]
+        return b + 1e-3 * rng.normal(size=b.shape) * stack_fro(b)[
+            :, None, None, None], b
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_skipped_denominators_are_exact(self, rng, n):
+        # ||b||_F / ||b||_2 exceeds 1.04 on 2,000 generic b at n = 3, and
+        # 1.4 at n = 8
+        cases = {"fro <= 1": self.stacks(rng, n, 0.05, 1.0),
+                 "fro > 1 > 2-norm": self.stacks(rng, n, 0.97, 0.99,
+                                                 stack_norm),
+                 "2-norm > 1": self.stacks(rng, n, 1.01, 20.0, stack_norm)}
+        fro, two = (np.concatenate([norm(b) for _, b in cases.values()])
+                    for norm in (stack_fro, stack_norm))
+        assert np.all(fro[:20] <= 1.0) and np.all(two[40:] > 1.0)
+        assert np.all(fro[20:40] > 1.0) and np.all(two[20:40] < 1.0)
+        for a, b in cases.values():
+            assert np.array_equal(_rel_stack(a, b), all_svd_rel(a, b))
+            for a1, b1 in zip(a[:3], b[:3]):
+                assert _rel(QuatMatrix(a1), QuatMatrix(b1)) == float(
+                    all_svd_rel(a1, b1))
+        # mixed in one call, with leading axes (3, 20)
+        a, b = (np.stack([c[i] for c in cases.values()]) for i in (0, 1))
+        assert np.array_equal(_rel_stack(a, b), all_svd_rel(a, b))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["a", "b"])
+    def test_nonfinite_entries_end_as_the_svd_ends(self, rng, value, where):
+        # ||b||_F <= 1 is false for a NaN or inf b, so the SVD sees it as it
+        # sees any a - b: a NaN ends in LinAlgError, an inf in a NaN
+        # residual (1j * inf is NaN in adjoint)
+        a, b = self.stacks(rng, 4, 0.05, 1.0)
+        (a if where == "a" else b)[3, 1, 2, 0] = value
+
+        def outcome(rel):
+            try:  # 1j * inf warns in adjoint, on both sides alike
+                with np.errstate(invalid="ignore"):
+                    return rel(a, b)
+            except np.linalg.LinAlgError as exc:
+                return type(exc)
+
+        got, want = outcome(_rel_stack), outcome(all_svd_rel)
+        if math.isnan(value):
+            assert got is want is np.linalg.LinAlgError
+        else:
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.isnan(got[3]) and np.isfinite(np.delete(got, 3)).all()
 
 
 class TestProductRules:
@@ -988,6 +1063,33 @@ class TestSharedEvaluator:
         for a, b in zip(shared, alone):
             assert np.array_equal(a.value.components, b.value.components)
             assert a.diagnostics == b.diagnostics
+
+    def test_guards_are_kept_on_the_operator(self, monkeypatch):
+        # the injectivity check and ||e(T)^-1|| depend on T and e only, so
+        # a sweep at another angle, whose evaluator replaces the slot's,
+        # and an evaluator of its own reuse them; a refusal is not kept
+        ctx = fresh_context()
+        t, profile, f = ctx.operator, ctx.profile, Power(3)
+        calls = {"_require_injective": 0, "_amplification": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(calculus, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(calculus, name, counted)
+        phi = Evaluator(t, profile).phi
+        hinf("S", t, f, profile)
+        hinf("Q", t, f, profile, phi=phi + 0.1)
+        Evaluator(t, profile, phi=phi - 0.05).hinf("F", f)
+        assert calls == {"_require_injective": 1, "_amplification": 1}
+        zero = CommutingOperator(np.zeros((4, 2, 2)))
+        for other in (0.0, 0.1, 0.0):
+            with pytest.raises(NotInjective, match="T is numerically"):
+                hinf("S", zero, Power(1), profile, phi=phi + other)
+        for other in (0.0, 0.1):
+            with pytest.raises(NotInjective, match=re.escape("e(T)")):
+                hinf("S", t, f, profile, phi=phi + other,
+                     regularizer_power=500)
+        assert calls == {"_require_injective": 4, "_amplification": 3}
 
     def test_public_hinf_solves_its_own_prefactor(self, monkeypatch):
         # the sub-values are shared, the assembled result is not: a second
