@@ -33,9 +33,10 @@ from . import operators
 from .contour import (OperatorKernel, _require_positive_tol, contour_for,
                       integrate, integrate_many, require_moment_form)
 from .errors import NotInjective, NotIntrinsic
-from .operators import (KERNEL_FAMILIES, CommutingOperator, QuatMatrix,
-                        SpectralValue, TypeProfile, bq_conj, bq_matmul,
-                        mul_matrix, stack_fro, stack_norm)
+from .operators import (_CONJ_SIGNS, KERNEL_FAMILIES, CommutingOperator,
+                        QuatMatrix, SpectralValue, TypeProfile, bq_matmul,
+                        diag_matmul, diag_norm, mul_matrix, stack_fro,
+                        stack_norm)
 from .quaternion import E1, Quaternion, qarr, to_slice
 from .slicefun import (Memo, Power, Product, Regularizer, StemFunction,
                        choose_regularizer)
@@ -446,41 +447,58 @@ def resolvent_identity_residuals(t: CommutingOperator, s: Quaternion,
     assembled as one (family, point) stack with each point's unit: the
     right kernels A + J B of T and conj(T) at s and the left ones A + B J
     at p.  The four left-hand sides (K(s) p - sbar K(s) - K(p) p + sbar K(p))
-    w^-1 are one real 4 x 4 map applied to the stack of K(s) - K(p), the
-    eleven products of the right-hand sides are one bq_matmul call, and
-    the norms take one SVD call (_rel_stack).
+    w^-1 are one real 4 x 4 map applied to the stack of K(s) - K(p).
+
+    With t.eigenbasis U the kernels are read per eigenvalue (kernel_batch's
+    diagonal=True), as (4, n) diagonals in U: the eleven products of the
+    right-hand sides are quaternion products per eigenvalue (diag_matmul)
+    and each norm is the largest modulus (diag_norm), exact since U is
+    orthogonal, so no matrix is inverted, multiplied or decomposed.
+    Otherwise they are (4, n, n) matrices, the products one bq_matmul call
+    and the norms one SVD call (_rel_stack).
     """
     w = p * p - 2.0 * s.re * p + Quaternion(s.norm_sq())
     if w.norm() < 1e-12:
         raise ValueError("s and p lie on a common sphere; identities degenerate")
     points = (to_slice(s), to_slice(p))
+    diagonal = t.eigenbasis is not None
     # looked up on its module, where qbench's layer trace wraps it
     pairs = operators.kernel_batch(KERNEL_FAMILIES, t, [q.x for q in points],
-                                   [q.y for q in points])
-    n = t.n
-    # (family, point, 4, n^2) for S, Qc, P2 and F of T and S of conj(T)
-    a, b = (np.stack([c[i] for c in pairs.values()] + [bq_conj(pairs["S"][i])])
-            .reshape(5, 2, 4, n * n) for i in (0, 1))
+                                   [q.y for q in points], diagonal=diagonal)
+    shape = pairs["S"][0].shape[1:]  # (4, n, n), or (4, n) per eigenvalue
+
+    def stack(i):
+        # (family, point, 4, N) for S, Qc, P2 and F of T and S of conj(T),
+        # whose components 1-3 are T's negated
+        x = np.stack([c[i] for c in pairs.values()]).reshape(4, 2, 4, -1)
+        return np.concatenate([x, x[:1] * _CONJ_SIGNS[:, None]])
+
     # at s the right kernels A + J B, at p the left ones A + B J; Qc's B is
     # real, so its J B at s is its B J
     units = np.stack([mul_matrix(qarr(points[0].j), "left"),
                       mul_matrix(qarr(points[1].j), "right")])
     (sr_s, q_s, p2r_s, fr_s, sr_s_bar), (sl_p, q_p, p2l_p, fl_p, sl_p_bar) = (
-        (a + units @ b).reshape(5, 2, 4, n, n).swapaxes(0, 1))
+        (stack(0) + units @ stack(1)).reshape((5, 2) + shape).swapaxes(0, 1))
     # x -> (x p - sbar x) w^-1 on the differences K(s) - K(p)
     lhs_map = mul_matrix(qarr(w.inverse()), "right") @ (
         mul_matrix(qarr(p), "right") - mul_matrix(qarr(s.conj()), "left"))
     diffs = np.stack([sr_s - sl_p, q_s - q_p, p2r_s - p2l_p, fr_s - fl_p])
-    lhs = (lhs_map @ diffs.reshape(4, 4, n * n)).reshape(4, 4, n, n)
-    (s1, q1, q2, q3, q4, p2a, p2b, p2c, fa, fb, fc) = bq_matmul(
-        np.stack([sr_s, q_s, sr_s_bar, q_s, sr_s, p2r_s, sr_s, q_s, fr_s,
-                  sr_s, q_s]),
-        np.stack([sl_p, sl_p, q_p, sl_p_bar, q_p, sl_p, p2l_p,
-                  sl_p - sl_p_bar, sl_p, fl_p, q_p]))
+    lhs = (lhs_map @ diffs.reshape(4, 4, -1)).reshape(diffs.shape)
+    left = np.stack([sr_s, q_s, sr_s_bar, q_s, sr_s, p2r_s, sr_s, q_s, fr_s,
+                     sr_s, q_s])
+    right = np.stack([sl_p, sl_p, q_p, sl_p_bar, q_p, sl_p, p2l_p,
+                      sl_p - sl_p_bar, sl_p, fl_p, q_p])
+    (s1, q1, q2, q3, q4, p2a, p2b, p2c, fa, fb, fc) = (
+        diag_matmul(left.swapaxes(1, 2), right.swapaxes(1, 2)).swapaxes(1, 2)
+        if diagonal else bq_matmul(left, right))
     # (LHS, RHS) of S, Q (two forms), P2 and F
-    rel = _rel_stack(lhs[[0, 1, 1, 2, 3]], np.stack(
-        [s1, q1 + q2, q3 + q4, p2a + p2b - 2.0 * p2c, fa + fb - 4.0 * fc]
-    )).tolist()
+    a, b = lhs[[0, 1, 1, 2, 3]], np.stack(
+        [s1, q1 + q2, q3 + q4, p2a + p2b - 2.0 * p2c, fa + fb - 4.0 * fc])
+    if diagonal:
+        a, b = a.swapaxes(1, 2), b.swapaxes(1, 2)
+        rel = (diag_norm(a - b) / np.maximum(1.0, diag_norm(b))).tolist()
+    else:
+        rel = _rel_stack(a, b).tolist()
     return {f"resolvent_identity_{tag}": r for tag, r in
             zip(("S", "Q", "P2", "F"), (rel[0], max(rel[1:3]), *rel[3:]))}
 

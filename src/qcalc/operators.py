@@ -20,7 +20,10 @@ and type profiles (estimate_type_profile) take each family's sup over
 every unit in closed form from the joint eigenvalues lambda_k.  Otherwise
 the quadrature inverts the complex n x n matrix and the profile bounds
 the sup by the Frobenius norms of the family's pair (A, B).  Point
-kernels (kernel_batch) always take the matrix.
+kernels (kernel_batch) take the same switch as _chain: the resolvent
+identity check reads them per eigenvalue when T has an eigenbasis, while
+kernel, ab_decompose, the kernels suite and the dense profile keep the
+matrices, the independent dense reference.
 """
 
 from __future__ import annotations
@@ -237,6 +240,19 @@ class QuatMatrix:
         return f"QuatMatrix(n={self.n})"
 
 
+def diag_matmul(l: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The quaternion products l_k r_k of stacks (..., 4), components last:
+    the diagonal of U diag(l_k) U^T U diag(r_k) U^T in one eigenbasis U."""
+    pairs = l[..., :, None] * r[..., None, :]
+    return pairs.reshape(pairs.shape[:-2] + (16,)) @ _QMUL_TABLE
+
+
+def diag_norm(v: np.ndarray) -> np.ndarray:
+    """The 2-norm of U diag(v_k) U^T, U orthogonal, for stacks v (..., n, 4):
+    the largest modulus |v_k|, taken by hypot, which squares no entry."""
+    return np.max(np.hypot.reduce(v, axis=-1), axis=-1)
+
+
 class SpectralValue:
     """The quaternion matrix U diag(v_k) U^T in an operator's eigenbasis U
     (CommutingOperator.eigenbasis), held by its n quaternions v_k as the
@@ -271,15 +287,14 @@ class SpectralValue:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "SpectralValue") -> "SpectralValue":
-        pairs = self.v[:, :, None] * other.v[:, None, :]
-        return SpectralValue(self.u, pairs.reshape(-1, 16) @ _QMUL_TABLE)
+        return SpectralValue(self.u, diag_matmul(self.v, other.v))
 
     def inverse(self) -> "SpectralValue":
         return SpectralValue(self.u, self.conj().v
                              / np.sum(self.v * self.v, axis=1)[:, None])
 
-    def norm(self) -> float:  # moduli by hypot, which squares no entry
-        return float(np.max(np.hypot.reduce(self.v, axis=1)))
+    def norm(self) -> float:
+        return float(diag_norm(self.v))
 
     def fro(self) -> float:
         return float(np.sqrt(np.sum(self.v * self.v)))
@@ -344,20 +359,27 @@ class CommutingOperator:
                          np.ones(self.n)])
 
     @cached_property
+    def numerator_diagonals(self) -> dict:
+        """{family: (degree+1, 4, n)}: each family's coefficients C_d in the
+        eigenbasis U.  C_d commutes with T's components, so U^T C_d U is
+        diagonal, entry k a quaternion c_dk; this holds the diagonals
+        (U^T C_d)_kj U_jk, which the point kernels (kernel_batch with
+        diagonal=True) and the moment multipliers read."""
+        u = self.eigenbasis.u
+        return {fam: np.sum((u.T @ self.kernel_numerators[fam].coef) * u.T,
+                            axis=-1)
+                for fam in KERNEL_FAMILIES}
+
+    @cached_property
     def moment_multipliers(self) -> dict:
         """{(family, conj, side): (n, 4, 4 (degree+1))}: each family's
         coefficients C_d in the eigenbasis, which contract its moments
-        there (see contour._moment_value).  C_d commutes with T's
-        components, so U^T C_d U is diagonal, entry k a quaternion c_dk,
-        with its imaginary parts negated for conj(T) (conj).  Entry k's
-        column block d is the real 4 x 4 matrix of q -> c_dk q (side
-        "left") or q -> q c_dk ("right")."""
-        u = self.eigenbasis.u
+        there (see contour._moment_value), read from numerator_diagonals,
+        entry k the quaternion c_dk with its imaginary parts negated for
+        conj(T) (conj).  Entry k's column block d is the real 4 x 4 matrix
+        of q -> c_dk q (side "left") or q -> q c_dk ("right")."""
         out = {}
-        for fam in KERNEL_FAMILIES:
-            # the diagonals (U^T C_d)_kj U_jk, (degree+1, 4, n)
-            diag = np.sum((u.T @ self.kernel_numerators[fam].coef) * u.T,
-                          axis=-1)
+        for fam, diag in self.numerator_diagonals.items():
             for conj in (False, True):
                 c = diag * _CONJ_SIGNS[:, None] if conj else diag
                 for side in ("left", "right"):
@@ -583,26 +605,38 @@ def assemble(kind: str, a, b, j: Quaternion) -> np.ndarray:
     return a + bq_scalar(qarr(j), b, "left" if kind.endswith("_R") else "right")
 
 
-def kernel_batch(families, t: CommutingOperator, x, y) -> dict:
+def kernel_batch(families, t: CommutingOperator, x, y, *,
+                 diagonal: bool = False) -> dict:
     """Each family's J-independent pair (A, B) (see assemble) at the slice
     points x[k] + J y[k], each of shape (m, 4, n, n), as {family: (A, B)}.
     One inversion of Q_{c,z}(T) per node and one square of it serve all
     families; conj(T)'s pairs are the entrywise conjugates (bq_conj) of
-    T's."""
+    T's.
+
+    diagonal=True is _chain's switch: it needs t.eigenbasis U, where every
+    pair is diagonal, and returns the (m, 4, n) diagonals of U^T A U and
+    U^T B U, from M = 1/q per eigenvalue and the coefficients of
+    t.numerator_diagonals, O(n) per node; conj(T)'s pairs negate
+    components 1-3 on axis 1.  The default keeps the dense matrices, the
+    reference that kernel, ab_decompose, the kernels suite and the dense
+    type profile read."""
     # a bare string is refused: set("S") would pass
     if isinstance(families, str) or not set(families) <= set(KERNEL_FAMILIES):
         raise ValueError(f"kernel_batch takes a collection of kernel "
                          f"families {KERNEL_FAMILIES}, not {families!r}")
     x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
-    g, scale, _ = _chain(t, x, y, upto="Qc")
+    g, scale, _ = _chain(t, x, y, upto="Qc", diagonal=diagonal)
     nums = {fam: t.kernel_numerators[fam] for fam in families}
-    sq = g @ g if any(n.power == 2 for n in nums.values()) else None
+    sq = ((g * g if diagonal else g @ g)
+          if any(n.power == 2 for n in nums.values()) else None)
     z, ab = x + 1j * y, {}
     for fam, num in nums.items():
         m_pow = sq if num.power == 2 else g  # M^power scale^(2 power)
         zp = _z_powers(z, scale, len(num.coef) - 1, num.power)
-        coef = num.coef.reshape(len(num.coef), -1)
-        value = (zp @ coef).reshape(-1, 4, t.n, t.n) @ m_pow[:, None]
+        coef = t.numerator_diagonals[fam] if diagonal else num.coef
+        value = (zp @ coef.reshape(len(coef), -1)).reshape(
+            (-1,) + coef.shape[1:])
+        value = value * m_pow[:, None] if diagonal else value @ m_pow[:, None]
         ab[fam] = (value.real, value.imag)
     return ab
 

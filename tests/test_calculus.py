@@ -522,15 +522,59 @@ class TestResolventIdentities:
                         assert np.array_equal(c, c_lone)
 
     def test_residuals_match_ten_kernel_reference(self, identity_cases):
+        # per eigenvalue on t, dense on its twin; the reference is dense
         t, pairs = identity_cases
         for s, p in pairs:
-            got = resolvent_identity_residuals(t, s, p)
             want = reference_identity_residuals(t, s, p)
-            assert got.keys() == want.keys()
-            for tag in want:
-                assert abs(got[tag] - want[tag]) <= 1e-13
+            for op in (t, dense_twin(t)):
+                got = resolvent_identity_residuals(op, s, p)
+                assert got.keys() == want.keys()
+                for tag in want:
+                    assert abs(got[tag] - want[tag]) <= 1e-13
+
+    def test_diagonal_pairs_are_the_dense_ones_in_the_eigenbasis(
+            self, identity_cases):
+        # per eigenvalue, each family's pair is the diagonal of U^T A U and
+        # U^T B U of the dense pair, whose off-diagonal parts vanish; the
+        # mirror points y -> -y included
+        t, pairs = identity_cases
+        u = t.eigenbasis.u
+        points = [to_slice(q) for pair in pairs for q in pair]
+        x = np.array([q.x for q in points])
+        y = np.array([q.y for q in points])
+        x, y = np.concatenate([x, x]), np.concatenate([y, -y])
+        dense = kernel_batch(KERNEL_FAMILIES, dense_twin(t), x, y)
+        diagonal = kernel_batch(KERNEL_FAMILIES, t, x, y, diagonal=True)
+        for family in KERNEL_FAMILIES:
+            for d, c in zip(dense[family], diagonal[family]):
+                assert c.shape == (len(x), 4, t.n)
+                rot = u.T @ d @ u
+                diag = np.diagonal(rot, axis1=-2, axis2=-1)
+                off = rot - diag[..., None] * np.eye(t.n)
+                scale = np.maximum(stack_fro(d), 1e-300)
+                assert np.all(stack_fro(off) <= 1e-13 * scale)
+                assert np.all(np.sqrt(np.sum((c - diag) ** 2, axis=(1, 2)))
+                              <= 1e-13 * scale)
+
+    def test_diagonal_check_sees_a_perturbed_family(self, identity_cases):
+        # scaling one family's coefficients per eigenvalue by 1 + 1e-8
+        # breaks an identity past the 1e-10 the suites ask, at 1e-11 or
+        # more on every pair, where correct kernels leave about 1e-15; a
+        # scaled P2 shows only through 2 Q (S - conj S), which shrinks with
+        # T's imaginary parts (4.4e-11 at one pair of n = 1)
+        t, pairs = identity_cases
+        for family in KERNEL_FAMILIES:
+            op = CommutingOperator(t.components)
+            op.__dict__["numerator_diagonals"] = {
+                fam: diag * (1.0 + 1e-8) if fam == family else diag
+                for fam, diag in t.numerator_diagonals.items()}
+            worst = [max(resolvent_identity_residuals(op, s, p).values())
+                     for s, p in pairs]
+            assert min(worst) > 1e-11 and max(worst) > 1e-10
 
     def test_one_inversion_per_call(self, gen4, rng, monkeypatch):
+        # dense: one inversion of both points' Q_{c,z}(T) in one batch; per
+        # eigenvalue: none, M is 1/q
         s, p = resolvent_pair(gen4, rng)
         calls, real_inv = [], np.linalg.inv
 
@@ -539,12 +583,16 @@ class TestResolventIdentities:
             return real_inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        resolvent_identity_residuals(dense_twin(gen4.operator), s, p)
+        assert calls == [(2, 4, 4)]
+        calls.clear()
+        assert gen4.operator.eigenbasis is not None
         resolvent_identity_residuals(gen4.operator, s, p)
-        assert calls == [(2, 4, 4)]  # both points in one batch
+        assert calls == []
 
     def test_one_svd_per_call(self, gen4, rng, monkeypatch):
-        # the five numerators and the denominators past ||.||_F = 1 go to
-        # one batched SVD
+        # dense: the five numerators and the denominators past ||.||_F = 1
+        # go to one batched SVD; per eigenvalue the norms are moduli
         s, p = resolvent_pair(gen4, rng)
         calls, real_svd = [], np.linalg.svd
 
@@ -553,8 +601,12 @@ class TestResolventIdentities:
             return real_svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        resolvent_identity_residuals(gen4.operator, s, p)
+        resolvent_identity_residuals(dense_twin(gen4.operator), s, p)
         assert len(calls) == 1 and 5 <= math.prod(calls[0][:-2]) <= 10
+        calls.clear()
+        assert gen4.operator.eigenbasis is not None
+        resolvent_identity_residuals(gen4.operator, s, p)
+        assert calls == []
 
     def test_rejects_spectrum_points(self, gen4, rng, unit_q):
         # a point on an eigensphere, with a unit of its own, is refused

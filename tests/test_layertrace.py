@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import qcalc
+from conftest import dense_twin
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "qbench" / "layertrace.py"
 
@@ -51,26 +52,31 @@ def test_traced_public_calls():
 
 
 def test_identity_check_is_one_point_span():
-    # the identity check's one pseudo-resolvent inversion is a point-kernel
-    # evaluation (operators.kernel_batch), so the trace attributes it there
+    # the identity check's point kernels are one operators.kernel_batch
+    # span; on the dense path its one pseudo-resolvent inversion is
+    # attributed there, and per eigenvalue nothing is inverted
     layertrace = _load_layertrace()
     t = qcalc.generate_operator(qcalc.OperatorSpec(dim=2, seed=3)).operator
     s = qcalc.Quaternion(-1.0, 0.5, 0.0, 0.0)
     p = qcalc.Quaternion(-0.5, 0.0, 1.2, 0.0)
-    tracer = layertrace.Tracer()
-    tracer.install()
-    try:
-        with tracer.span("bench.op"):
-            qcalc.resolvent_identity_residuals(t, s, p)
-    finally:
-        tracer.uninstall()
-    names = [span[0] for span in tracer.spans]
-    assert names.count("operators.point") == 1
-    (inv,) = [span for span in tracer.spans if span[0] == "numpy.inv"]
-    assert tracer.spans[inv[3]][0] == "operators.point"
-    metrics = layertrace.derive(tracer.spans, 1)
-    assert metrics["operators.point.calls"][0] == 1
-    assert metrics["operators.inv.s"][0] > 0
+    assert t.eigenbasis is not None
+    for op, inverted in ((dense_twin(t), True), (t, False)):
+        tracer = layertrace.Tracer()
+        tracer.install()
+        try:
+            with tracer.span("bench.op"):
+                qcalc.resolvent_identity_residuals(op, s, p)
+        finally:
+            tracer.uninstall()
+        names = [span[0] for span in tracer.spans]
+        assert names.count("operators.point") == 1
+        invs = [span for span in tracer.spans if span[0] == "numpy.inv"]
+        assert len(invs) == inverted
+        assert all(tracer.spans[inv[3]][0] == "operators.point"
+                   for inv in invs)
+        metrics = layertrace.derive(tracer.spans, 1)
+        assert metrics["operators.point.calls"][0] == 1
+        assert (metrics["operators.inv.s"][0] > 0) == inverted
 
 
 def test_lone_calc_traces_chain_nodes():
